@@ -31,7 +31,6 @@ from .txn import (
     AccessProbability,
     CapacityError,
     FixedSchedule,
-    NoInterrupts,
     RetryCapExceededError,
     TxnDeclaration,
     TxnStats,
@@ -60,7 +59,6 @@ __all__ = [
     "LayoutInfeasibleError",
     "LayoutPlan",
     "MalformedIntermediateError",
-    "NoInterrupts",
     "ObliviousnessReport",
     "PinViolationError",
     "Region",

@@ -1,41 +1,51 @@
 """Command line front end.
 
-Subcommands:
+Subcommands and the flags each one takes (every one also takes
+``--config``):
 
 - ``shuffle``: run one algorithm on one input, print or save the output,
-  optionally exporting the captured event trace.
+  optionally exporting the captured event trace.  ``--algo``, ``--n``,
+  ``--input``, ``--perm``, ``--out``, ``--trace``, ``--cache-config``,
+  ``--seed``, ``--pad-factor``.
 - ``bench``: event-count comparison across algorithms and sizes, with a
-  retry-weighted cost column.
+  retry-weighted cost column.  ``--algos``, ``--n-list``, ``--lam``,
+  ``--bubble-max``, ``--out``, ``--seed``, ``--pad-factor``,
+  ``--retry-cap``.
 - ``aborts``: abort-cause breakdown of the oblivious shuffle against its
-  unprotected variant and an interrupt-only control.
+  unprotected variant and an interrupt-only control.  ``--n-list``,
+  ``--rate``, ``--out``, ``--seed``, ``--pad-factor``, ``--retry-cap``.
 - ``verify``: trace-equality check over freshly generated inputs.
+  ``--program``, ``--n``, ``--trials``, ``--rate``, ``--cache-config``,
+  ``--seed``, ``--pad-factor``.
 - ``probe``: recover the cache capacities through the transaction
-  interface and print them.
+  interface and print them.  ``--cache-config``.
 
-Every run is deterministic given its flags: inputs derive from the seed,
-tables are emitted in sorted order, and reruns are byte-identical.
-Flags can be preloaded from a ``key=value`` file via ``--config``;
-explicit flags win.  Exit status: 0 on success, 1 when a check fails
-(trace divergence, output mismatch, retry exhaustion), 2 on usage
-errors.
+A subcommand rejects any other flag.  Every run is deterministic given
+its flags: inputs derive from the seed, tables are emitted in sorted
+order, and reruns are byte-identical.  ``--config FILE`` reads
+``key=value`` lines and passes each as ``--key=value`` right after the
+subcommand name, so the subcommand's parser checks them like flags and
+explicit flags, coming later, win.  Exit status: 0 on success, 1 when a
+check fails (trace divergence, output mismatch, capacity rejection, no
+conflict-free arena layout, retry exhaustion), 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
 
 from .cache import CacheConfig, CacheSim
+from .layout import LayoutInfeasibleError
 from .shuffle import (
+    OverflowRetriesExceededError,
     ShuffleEngine,
     ShuffleParams,
-    bubble_shuffle,
     gen_perm,
-    naive_shuffle,
 )
 from .txn import (
     AccessProbability,
@@ -86,7 +96,6 @@ class BenchCell:
     aborts: int = 0
     capacity_abort: bool = False
     stats: tuple[TxnStats, ...] = ()
-    plans: tuple = ()
 
     def cost(self, lam: float):
         if self.capacity_abort:
@@ -101,67 +110,31 @@ def run_bench_cell(
     seed: int = 0,
     pad_factor: int = 2,
     retry_cap: int = 1024,
-    record_plans: bool = False,
 ) -> BenchCell:
     """One (algorithm, size) measurement with its output checked against
     the oracle.  A declaration rejected for capacity becomes a cell with
     ``capacity_abort`` set instead of numbers."""
     data, perm = make_inputs(n, seed)
-    expected = oracle_apply_perm(data, perm)
     cell = BenchCell(algo=algo, n=n)
-
-    if algo == "melbourne":
-        sim = CacheSim()
-        engine = ShuffleEngine(
-            sim,
-            ShuffleParams(n, pad_factor, seed),
-            retry_cap=retry_cap,
-            record_plans=record_plans,
+    sim = CacheSim(BUBBLE_BENCH_CONFIG if algo == "bubble" else None)
+    try:
+        out, stats = PROGRAMS[algo](
+            sim, data, perm, seed, pad_factor, None, retry_cap
         )
-        try:
-            out = engine.melbourne(data, perm)
-        except CapacityError:
-            cell.capacity_abort = True
-            cell.txns = 1
-            cell.aborts = 1
-            cell.stats = tuple(engine.stats)
-            return cell
-        sim.flush_all()
-        if out != expected:
-            raise RuntimeError(f"melbourne output wrong at n={n}")
-        cell.events = len(sim.trace)
-        cell.stats = tuple(engine.stats)
-        cell.plans = tuple(engine.plans)
-        cell.txns = len(engine.stats)
-        cell.attempts = sum(s.attempts for s in engine.stats)
-        cell.aborts = sum(s.ac2 + s.ac3 + s.ac4 for s in engine.stats)
-    elif algo == "naive":
-        sim = CacheSim()
-        try:
-            out, st = naive_shuffle(data, perm, sim, retry_cap=retry_cap)
-        except CapacityError as exc:
-            cell.capacity_abort = True
-            cell.txns = 1
-            cell.aborts = 1
-            cell.stats = (exc.stats,)
-            return cell
-        sim.flush_all()
-        if out != expected:
-            raise RuntimeError(f"naive output wrong at n={n}")
-        cell.events = len(sim.trace)
-        cell.stats = (st,)
+    except CapacityError as exc:
+        cell.capacity_abort = True
         cell.txns = 1
-        cell.attempts = st.attempts
-        cell.aborts = st.ac2 + st.ac3 + st.ac4
-    elif algo == "bubble":
-        sim = CacheSim(BUBBLE_BENCH_CONFIG)
-        out, _swaps = bubble_shuffle(data, perm, sim)
-        sim.flush_all()
-        if out != expected:
-            raise RuntimeError(f"bubble output wrong at n={n}")
-        cell.events = len(sim.trace)
-    else:
-        raise ValueError(f"unknown algorithm {algo!r}")
+        cell.aborts = 1
+        cell.stats = (exc.stats,)
+        return cell
+    sim.flush_all()
+    if out != oracle_apply_perm(data, perm):
+        raise RuntimeError(f"{algo} output wrong at n={n}")
+    cell.events = len(sim.trace)
+    cell.stats = tuple(stats)
+    cell.txns = len(stats)
+    cell.attempts = sum(s.attempts for s in stats)
+    cell.aborts = sum(s.ac2 + s.ac3 + s.ac4 for s in stats)
     return cell
 
 
@@ -183,6 +156,9 @@ def bench_rows(
     retry_cap: int = 1024,
     bubble_max: int = 1024,
 ) -> list[str]:
+    for algo in algos:
+        if algo not in PROGRAMS:
+            raise ValueError(f"unknown algorithm {algo!r}")
     rows = ["algo,n,events,txns,aborts,cost"]
     for algo in sorted(algos):
         for n in sorted(n_list):
@@ -217,24 +193,13 @@ def run_aborts_variant(
     flag = "ok"
     stats: list[TxnStats] = []
 
-    if variant == "melbourne":
+    if variant in ("melbourne", "no-prefetch"):
+        protected = variant == "melbourne"
         engine = ShuffleEngine(
             CacheSim(),
             ShuffleParams(n, pad_factor, seed),
-            interrupt_model=model,
-            retry_cap=retry_cap,
-        )
-        try:
-            engine.melbourne(data, perm)
-        except RetryCapExceededError:
-            flag = "retry-cap"
-        stats = engine.stats
-    elif variant == "no-prefetch":
-        engine = ShuffleEngine(
-            CacheSim(),
-            ShuffleParams(n, pad_factor, seed),
-            prefetch=False,
-            staggered=False,
+            prefetch=protected,
+            staggered=protected,
             interrupt_model=model,
             retry_cap=retry_cap,
         )
@@ -323,17 +288,16 @@ def aborts_rows(
 # -- plumbing ----------------------------------------------------------------
 
 
-def _csv_ints(text: str, *, squares: bool = False) -> list[int]:
+def _n_list(text: str) -> list[int]:
     try:
         values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    if squares:
-        for n in values:
-            if n < 1 or isqrt(n) ** 2 != n:
-                raise argparse.ArgumentTypeError(
-                    f"sizes must be perfect squares, got {n}"
-                )
+        raise ValueError(f"bad --n-list: {exc}") from None
+    for n in values:
+        if n < 1 or isqrt(n) ** 2 != n:
+            raise ValueError(
+                f"bad --n-list: sizes must be perfect squares, got {n}"
+            )
     return values
 
 
@@ -347,48 +311,9 @@ def _emit(lines: list[str], out_path: str | None) -> None:
 
 
 def _load_cache_config(args) -> CacheConfig:
-    if getattr(args, "cache_config", None):
+    if args.cache_config:
         return CacheConfig.from_file(args.cache_config)
     return CacheConfig()
-
-
-_CONFIG_KEY_TYPES = {
-    "n": int,
-    "trials": int,
-    "seed": int,
-    "pad_factor": int,
-    "retry_cap": int,
-    "bubble_max": int,
-    "rate": float,
-    "lam": float,
-    "n_list": str,
-    "algos": str,
-    "program": str,
-    "algo": str,
-    "out": str,
-    "input": str,
-    "perm": str,
-    "trace": str,
-    "cache_config": str,
-}
-
-
-def _parse_kv_file(path: str) -> dict:
-    values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"malformed config line: {raw!r}")
-            key, _, val = line.partition("=")
-            key = key.strip().replace("-", "_")
-            val = val.strip()
-            if key not in _CONFIG_KEY_TYPES:
-                raise ValueError(f"unknown config key: {key}")
-            values[key] = _CONFIG_KEY_TYPES[key](val)
-    return values
 
 
 def _extract_config_path(argv) -> str | None:
@@ -400,6 +325,23 @@ def _extract_config_path(argv) -> str | None:
     return None
 
 
+def _config_tokens(path: str) -> list[str]:
+    """One ``--key=value`` token per ``key=value`` line of the file; '#'
+    starts a comment and blank lines are skipped."""
+    tokens = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for raw in fh:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, eq, val = line.partition("=")
+            if not eq:
+                raise ValueError(f"malformed config line: {raw!r}")
+            key = key.strip().replace("_", "-")
+            tokens.append(f"--{key}={val.strip()}")
+    return tokens
+
+
 # -- subcommands -------------------------------------------------------------
 
 
@@ -409,34 +351,24 @@ def cmd_shuffle(args) -> int:
         with open(args.input, "r", encoding="utf-8") as fh:
             data = [int(tok) for tok in fh.read().split()]
         if not args.perm:
-            print("shuffle: --perm is required with --input", file=sys.stderr)
-            return 2
+            raise ValueError("--perm is required with --input")
         with open(args.perm, "r", encoding="utf-8") as fh:
             perm = [int(tok) for tok in fh.read().split()]
     elif args.n:
         data, perm = make_inputs(args.n, args.seed)
     else:
-        print("shuffle: pass --n or --input/--perm", file=sys.stderr)
-        return 2
+        raise ValueError("pass --n or --input/--perm")
 
-    try:
-        trace, out = capture_trace(
-            args.algo,
-            data,
-            perm,
-            seed=args.seed,
-            pad_factor=args.pad_factor,
-            config=config,
-        )
-    except CapacityError as exc:
-        print(f"shuffle: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"shuffle: {exc}", file=sys.stderr)
-        return 2
+    trace, out = capture_trace(
+        args.algo,
+        data,
+        perm,
+        seed=args.seed,
+        pad_factor=args.pad_factor,
+        config=config,
+    )
     if out != oracle_apply_perm(data, perm):
-        print("shuffle: output does not match the reference", file=sys.stderr)
-        return 1
+        raise RuntimeError("output does not match the reference")
     _emit([str(v) for v in out], args.out)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
@@ -446,45 +378,27 @@ def cmd_shuffle(args) -> int:
 
 def cmd_bench(args) -> int:
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
-    for a in algos:
-        if a not in PROGRAMS:
-            print(f"bench: unknown algorithm {a!r}", file=sys.stderr)
-            return 2
-    try:
-        n_list = _csv_ints(args.n_list, squares=True)
-    except argparse.ArgumentTypeError as exc:
-        print(f"bench: bad --n-list: {exc}", file=sys.stderr)
-        return 2
-    try:
-        rows = bench_rows(
-            algos,
-            n_list,
-            seed=args.seed,
-            pad_factor=args.pad_factor,
-            lam=args.lam,
-            retry_cap=args.retry_cap,
-            bubble_max=args.bubble_max,
-        )
-    except RuntimeError as exc:
-        print(f"bench: {exc}", file=sys.stderr)
-        return 1
+    rows = bench_rows(
+        algos,
+        _n_list(args.n_list),
+        seed=args.seed,
+        pad_factor=args.pad_factor,
+        lam=args.lam,
+        retry_cap=args.retry_cap,
+        bubble_max=args.bubble_max,
+    )
     _emit(rows, args.out)
     return 0
 
 
 def cmd_aborts(args) -> int:
-    try:
-        n_list = _csv_ints(args.n_list, squares=True)
-        rows = aborts_rows(
-            n_list,
-            seed=args.seed,
-            rate=args.rate,
-            pad_factor=args.pad_factor,
-            retry_cap=args.retry_cap,
-        )
-    except (argparse.ArgumentTypeError, ValueError) as exc:
-        print(f"aborts: {exc}", file=sys.stderr)
-        return 2
+    rows = aborts_rows(
+        _n_list(args.n_list),
+        seed=args.seed,
+        rate=args.rate,
+        pad_factor=args.pad_factor,
+        retry_cap=args.retry_cap,
+    )
     _emit(rows, args.out)
     return 0
 
@@ -498,18 +412,14 @@ def cmd_verify(args) -> int:
     factory = None
     if args.rate > 0:
         factory = lambda: AccessProbability(args.rate, args.seed)
-    try:
-        report = verify_obliviousness(
-            args.program,
-            inputs,
-            seed=args.seed,
-            pad_factor=args.pad_factor,
-            config=config,
-            interrupt_model_factory=factory,
-        )
-    except ValueError as exc:
-        print(f"verify: {exc}", file=sys.stderr)
-        return 2
+    report = verify_obliviousness(
+        args.program,
+        inputs,
+        seed=args.seed,
+        pad_factor=args.pad_factor,
+        config=config,
+        interrupt_model_factory=factory,
+    )
     print(report.summary())
     return 0 if report.all_equal else 1
 
@@ -526,26 +436,32 @@ def cmd_probe(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
-    # subparsers parse into a fresh namespace, so file-provided defaults
-    # must be installed on every subparser, not just the root
+_SHARED_FLAGS = {
+    "--config": dict(help="key=value file of flag defaults"),
+    "--cache-config": dict(help="key=value cache geometry file"),
+    "--seed": dict(type=int, default=0),
+    "--pad-factor": dict(type=int, default=2),
+    "--retry-cap": dict(type=int, default=1024),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oblishuffle",
         description="cache-miss-oblivious shuffling on a simulated hierarchy",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers = []
 
-    def common(p):
-        p.add_argument("--config", help="key=value file of flag defaults")
-        p.add_argument("--cache-config", help="key=value cache geometry file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--pad-factor", type=int, default=2)
-        p.add_argument("--retry-cap", type=int, default=1024)
+    def command(name, help, func, *shared):
+        # no abbreviations: a config key must name its flag exactly
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(func=func)
+        for flag in ("--config",) + shared:
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
+        return p
 
-    p = sub.add_parser("shuffle", help="run one shuffle")
-    subparsers.append(p)
-    common(p)
+    p = command("shuffle", "run one shuffle", cmd_shuffle,
+                "--cache-config", "--seed", "--pad-factor")
     p.add_argument("--algo", default="melbourne",
                    choices=sorted(PROGRAMS))
     p.add_argument("--n", type=int)
@@ -553,11 +469,9 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--perm", help="file of whitespace-separated destinations")
     p.add_argument("--out", help="output file (default stdout)")
     p.add_argument("--trace", help="write the captured event trace here")
-    p.set_defaults(func=cmd_shuffle)
 
-    p = sub.add_parser("bench", help="event-count comparison table")
-    subparsers.append(p)
-    common(p)
+    p = command("bench", "event-count comparison table", cmd_bench,
+                "--seed", "--pad-factor", "--retry-cap")
     p.add_argument("--algos", default="melbourne,naive,bubble")
     p.add_argument("--n-list", default="16,64,256,1024,4096,16384")
     p.add_argument("--lam", type=float, default=50.0,
@@ -565,53 +479,50 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--bubble-max", type=int, default=1024,
                    help="skip the quadratic baseline above this size")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("aborts", help="abort-cause breakdown table")
-    subparsers.append(p)
-    common(p)
+    p = command("aborts", "abort-cause breakdown table", cmd_aborts,
+                "--seed", "--pad-factor", "--retry-cap")
     p.add_argument("--n-list", default="256,1024")
     p.add_argument("--rate", type=float, default=0.001,
                    help="per-operation interrupt probability")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_aborts)
 
-    p = sub.add_parser("verify", help="trace-equality check")
-    subparsers.append(p)
-    common(p)
+    p = command("verify", "trace-equality check", cmd_verify,
+                "--cache-config", "--seed", "--pad-factor")
     p.add_argument("--program", default="melbourne",
                    choices=sorted(PROGRAMS))
     p.add_argument("--n", type=int, default=256)
     p.add_argument("--trials", type=int, default=8)
     p.add_argument("--rate", type=float, default=0.0,
                    help="interrupt probability (same seed every trial)")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("probe", help="recover cache capacities")
-    subparsers.append(p)
-    common(p)
-    p.set_defaults(func=cmd_probe)
-
-    if defaults:
-        for p in subparsers:
-            p.set_defaults(**defaults)
+    command("probe", "recover cache capacities", cmd_probe, "--cache-config")
     return parser
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    defaults = None
-    cfg_path = _extract_config_path(argv)
-    if cfg_path:
-        try:
-            defaults = _parse_kv_file(cfg_path)
-        except (OSError, ValueError) as exc:
-            print(f"oblishuffle: bad config file: {exc}", file=sys.stderr)
-            return 2
-    parser = build_parser(defaults)
-    args = parser.parse_args(argv)
-    return args.func(args)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    name = argv[0] if argv else "oblishuffle"
+    try:
+        cfg_path = _extract_config_path(argv)
+        if cfg_path:
+            argv[1:1] = _config_tokens(cfg_path)
+        args, unknown = build_parser().parse_known_args(argv)
+        if unknown:
+            raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
+        return args.func(args)
+    except (
+        CapacityError,
+        LayoutInfeasibleError,
+        RetryCapExceededError,
+        OverflowRetriesExceededError,
+        RuntimeError,  # output differs from the oracle
+    ) as exc:
+        print(f"{name}: {exc}", file=sys.stderr)
+        return 1
+    except (OSError, ValueError) as exc:
+        print(f"{name}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

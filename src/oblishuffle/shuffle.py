@@ -44,19 +44,19 @@ sequence is a fixed function of N at word granularity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
 
-from .cache import READ, WRITE, WORD_BYTES, CacheSim, CacheConfig
+from .cache import WORD_BYTES, CacheSim, CacheConfig
 from .layout import (
     READ_ONLY,
     READ_WRITE,
-    ConflictReport,
     LayoutInfeasibleError,
     LayoutPlan,
     Region,
+    decl_from_plan,
 )
 from .txn import (
     CapacityError,
@@ -180,6 +180,15 @@ def _round_lines(size: int, line: int) -> int:
     return -(-size // line) * line
 
 
+def _line_region(
+    name: str, kind: str, base: int, size: int, line: int
+) -> tuple[Region, int]:
+    """Placement of the whole lines that [base, base + size) touches, so a
+    plan states the true line footprint."""
+    lo = base - base % line
+    return Region(name, _round_lines(base + size, line) - lo, kind), lo
+
+
 class ShuffleEngine:
     """Owns the arena layout and transaction plumbing for one (n, pad)
     configuration on one simulator.
@@ -298,11 +307,16 @@ class ShuffleEngine:
 
     # -- transaction plumbing ----------------------------------------------
 
-    def _run(self, decl: TxnDeclaration, body) -> TxnStats:
+    def _run(self, placements: list[tuple[Region, int]], body) -> None:
+        """Run body as one transaction that declares exactly the lines of
+        its plan."""
+        plan = LayoutPlan(tuple(placements))
+        if self.record_plans:
+            self.plans.append(plan)
         try:
             st = run_txn(
                 self.sim,
-                decl,
+                decl_from_plan(plan, self.sim.config.line_size),
                 body,
                 self.interrupt_model,
                 prefetch=self.prefetch,
@@ -312,19 +326,6 @@ class ShuffleEngine:
             self.stats.append(exc.stats)
             raise
         self.stats.append(st)
-        return st
-
-    def _record_plan(self, regions_bases: list[tuple[Region, int]]) -> None:
-        # widen to line boundaries so the plan states the true line footprint
-        if not self.record_plans:
-            return
-        line = self.sim.config.line_size
-        widened = []
-        for region, base in regions_bases:
-            lo = base - base % line
-            hi = _round_lines(base + region.size, line)
-            widened.append((Region(region.name, hi - lo, region.kind), lo))
-        self.plans.append(LayoutPlan(tuple(widened)))
 
     def _slice_addr(self, src_bucket: int, dst_bucket: int) -> int:
         return (
@@ -341,20 +342,16 @@ class ShuffleEngine:
         line = self.sim.config.line_size
         src0 = src + i * bb
         pi0 = pi + i * bb
-        reads = [(src0, bb), (pi0, bb)]
-        writes = [(self._slice_addr(i, j), self._slice_bytes) for j in range(bc)]
-        decl = TxnDeclaration.of(reads, writes, line)
-        self._record_plan(
-            [
-                (Region("src_bucket", bb, READ_ONLY), src0),
-                (Region("pi_bucket", bb, READ_ONLY), pi0),
-            ]
-            + [
-                (Region(f"slice_{j}", self._slice_bytes, READ_WRITE),
-                 self._slice_addr(i, j))
-                for j in range(bc)
-            ]
-        )
+        placements = [
+            _line_region("src_bucket", READ_ONLY, src0, bb, line),
+            _line_region("pi_bucket", READ_ONLY, pi0, bb, line),
+        ] + [
+            _line_region(
+                f"slice_{j}", READ_WRITE, self._slice_addr(i, j),
+                self._slice_bytes, line,
+            )
+            for j in range(bc)
+        ]
 
         slice_len = p.slice_len
         dummy_word = pack(p.dummy_tag, 0)
@@ -377,7 +374,7 @@ class ShuffleEngine:
                 for c in range(cursors[j], slice_len):
                     ctx.write(base + c * WORD_BYTES, dummy_word)
 
-        self._run(decl, body)
+        self._run(placements, body)
 
     def gather_txn(self, j: int, dst: int) -> None:
         """Drain intermediate row j to its destination bucket, dummy-free
@@ -387,17 +384,12 @@ class ShuffleEngine:
         row0 = self.inter + j * self.stride_bytes
         dst0 = dst + j * self._bucket_bytes
         line = self.sim.config.line_size
-        decl = TxnDeclaration.of(
-            [(row0, p.bucket_capacity * WORD_BYTES)],
-            [(dst0, self._bucket_bytes)],
-            line,
-        )
-        self._record_plan(
-            [
-                (Region("row", p.bucket_capacity * WORD_BYTES, READ_ONLY), row0),
-                (Region("out_bucket", self._bucket_bytes, READ_WRITE), dst0),
-            ]
-        )
+        placements = [
+            _line_region(
+                "row", READ_ONLY, row0, p.bucket_capacity * WORD_BYTES, line
+            ),
+            _line_region("out_bucket", READ_WRITE, dst0, self._bucket_bytes, line),
+        ]
         lo = j * bc
         hi = lo + bc
         dummy = p.dummy_tag
@@ -422,7 +414,7 @@ class ShuffleEngine:
             for w in found:
                 ctx.write(dst + (w >> 32) * WORD_BYTES, w & VALUE_MASK)
 
-        self._run(decl, body)
+        self._run(placements, body)
 
     # -- passes --------------------------------------------------------------
 

@@ -152,16 +152,6 @@ class TxnStats:
     trace_body_start: int = -1  # trace index where the final body began
     last_fault_line: int | None = None
 
-    def export_line(self) -> str:
-        return (
-            f"{self.attempts},{self.ac2},{self.ac3},{self.ac4},"
-            f"{self.prefetch_events},{self.body_events}"
-        )
-
-    @staticmethod
-    def export_header() -> str:
-        return "attempts,ac2,ac3,ac4,prefetch_events,body_events"
-
     def count(self, cause: AbortCause) -> None:
         if cause is AbortCause.EVICTION:
             self.ac2 += 1
@@ -172,16 +162,6 @@ class TxnStats:
 
 
 # -- interrupt models ------------------------------------------------------
-
-
-class NoInterrupts:
-    consultations = 0
-
-    def fires_on_attempt(self, attempt: int) -> bool:
-        return False
-
-    def fires_on_access(self) -> bool:
-        return False
 
 
 class FixedSchedule:

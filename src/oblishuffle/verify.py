@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .cache import CacheConfig, CacheSim, Trace, TraceEvent
-from .shuffle import bubble_shuffle, melbourne_shuffle, naive_shuffle
+from .shuffle import ShuffleEngine, ShuffleParams, bubble_shuffle, naive_shuffle
 from .txn import CapacityError, TxnDeclaration, run_txn
 
 
@@ -37,27 +37,32 @@ def oracle_apply_perm(data: Sequence[int], perm: Sequence[int]) -> list[int]:
     return out  # type: ignore[return-value]
 
 
-def _run_melbourne(sim, data, perm, seed, pad_factor, interrupt_model):
-    return melbourne_shuffle(
-        data,
-        perm,
-        seed=seed,
-        pad_factor=pad_factor,
-        sim=sim,
+def _run_melbourne(
+    sim, data, perm, seed, pad_factor, interrupt_model, retry_cap=1024
+):
+    engine = ShuffleEngine(
+        sim,
+        ShuffleParams(len(data), pad_factor, seed),
         interrupt_model=interrupt_model,
+        retry_cap=retry_cap,
     )
+    return engine.melbourne(data, perm), engine.stats
 
 
-def _run_naive(sim, data, perm, seed, pad_factor, interrupt_model):
-    out, _ = naive_shuffle(data, perm, sim, interrupt_model=interrupt_model)
-    return out
+def _run_naive(sim, data, perm, seed, pad_factor, interrupt_model, retry_cap=1024):
+    out, stats = naive_shuffle(
+        data, perm, sim, interrupt_model=interrupt_model, retry_cap=retry_cap
+    )
+    return out, [stats]
 
 
-def _run_bubble(sim, data, perm, seed, pad_factor, interrupt_model):
+def _run_bubble(sim, data, perm, seed, pad_factor, interrupt_model, retry_cap=1024):
     out, _ = bubble_shuffle(data, perm, sim)
-    return out
+    return out, []
 
 
+# Every program takes (sim, data, perm, seed, pad_factor, interrupt_model,
+# retry_cap) and returns (output, [TxnStats]); bubble runs no transactions.
 PROGRAMS: dict[str, Callable] = {
     "melbourne": _run_melbourne,
     "naive": _run_naive,
@@ -77,13 +82,18 @@ def capture_trace(
 ) -> tuple[Trace, list[int]]:
     """Run one trial under the capture protocol and return (trace, output).
 
+    ``program`` names an entry of ``PROGRAMS`` or is a callable
+    ``(sim, data, perm, seed, pad_factor, interrupt_model) -> output``.
     The simulator is fresh (cold and empty), the program installs its own
     inputs through the untraced backing store, and a full flush runs
     before the snapshot so that deferred write-backs count.
     """
-    runner = PROGRAMS[program] if isinstance(program, str) else program
     sim = CacheSim(config)
-    out = runner(sim, list(data), list(perm), seed, pad_factor, interrupt_model)
+    args = (sim, list(data), list(perm), seed, pad_factor, interrupt_model)
+    if isinstance(program, str):
+        out, _ = PROGRAMS[program](*args)
+    else:
+        out = program(*args)
     sim.flush_all()
     return sim.snapshot_trace(), out
 

@@ -33,9 +33,16 @@ def criterion(num: int, label: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def melbourne_sweep():
-    return {
-        n: run_bench_cell("melbourne", n, record_plans=True) for n in SWEEP_N
-    }
+    """One recorded engine per size, its output checked against the
+    oracle."""
+    engines = {}
+    for n in SWEEP_N:
+        data, perm = make_inputs(n, 0)
+        engine = ShuffleEngine(CacheSim(), ShuffleParams(n, 2, 0), record_plans=True)
+        assert engine.melbourne(data, perm) == oracle_apply_perm(data, perm)
+        engine.sim.flush_all()
+        engines[n] = engine
+    return engines
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +88,7 @@ def test_criterion_2_trace_equality_across_inputs():
 
 def test_criterion_3_no_dirty_eviction_aborts(melbourne_sweep):
     planned_ac2 = sum(
-        s.ac2 for cell in melbourne_sweep.values() for s in cell.stats
+        s.ac2 for engine in melbourne_sweep.values() for s in engine.stats
     )
     bare = run_aborts_variant("no-prefetch", 4096, rate=0.0)
     ok = planned_ac2 == 0 and bare["ac2"] > 0
@@ -95,7 +102,7 @@ def test_criterion_3_no_dirty_eviction_aborts(melbourne_sweep):
 
 def test_criterion_4_committed_bodies_run_from_cache(melbourne_sweep, naive_sweep):
     # every stats record from every experiment in this module, no sampling
-    pools = [s for cell in melbourne_sweep.values() for s in cell.stats]
+    pools = [s for engine in melbourne_sweep.values() for s in engine.stats]
     pools += [s for cell in naive_sweep.values() for s in cell.stats]
     noisy = ShuffleEngine(
         CacheSim(), ShuffleParams(256),
@@ -122,8 +129,8 @@ def test_criterion_4_committed_bodies_run_from_cache(melbourne_sweep, naive_swee
 def test_criterion_5_layout_plans_are_conflict_free(melbourne_sweep):
     replayed = 0
     invalid = 0
-    for cell in melbourne_sweep.values():
-        for plan in cell.plans:
+    for engine in melbourne_sweep.values():
+        for plan in engine.plans:
             replayed += 1
             if not check_conflicts(plan).valid:
                 invalid += 1
@@ -165,30 +172,36 @@ def test_criterion_6_capacity_wall_and_growth_shape(
 ):
     wall = [n for n in SWEEP_N if naive_sweep[n].capacity_abort]
     walled_right = wall == [16384]
-    oblivious_completes = not melbourne_sweep[16384].capacity_abort
+    oblivious_completes = all(s.committed for s in melbourne_sweep[16384].stats)
     quadratic_completes = all(
         not c.capacity_abort and c.events > 0 for c in bubble_cells.values()
     )
+    bubble_events = {n: c.events for n, c in bubble_cells.items()}
+    mel_events = {n: len(e.sim.trace) for n, e in melbourne_sweep.items()}
 
-    def doubling_ratio(cells, a, b):
+    def doubling_ratio(events, a, b):
         # sizes step by 4x, so per-doubling growth is the square root
-        return math.sqrt(cells[b].events / cells[a].events)
+        return math.sqrt(events[b] / events[a])
 
     bubble_ratios = [
-        doubling_ratio(bubble_cells, 64, 256),
-        doubling_ratio(bubble_cells, 256, 1024),
+        doubling_ratio(bubble_events, 64, 256),
+        doubling_ratio(bubble_events, 256, 1024),
     ]
     mel_ratios = [
-        doubling_ratio(melbourne_sweep, 1024, 4096),
-        doubling_ratio(melbourne_sweep, 4096, 16384),
+        doubling_ratio(mel_events, 1024, 4096),
+        doubling_ratio(mel_events, 4096, 16384),
     ]
     bubble_ok = all(3.6 <= r <= 4.4 for r in bubble_ratios)  # 4 +-10%
     mel_ok = all(1.7 <= r <= 2.3 for r in mel_ratios)  # 2 +-15%
 
     lam = 50.0
+
+    def mel_cost(n):
+        attempts = sum(s.attempts for s in melbourne_sweep[n].stats)
+        return mel_events[n] + lam * attempts
+
     crossover = [
-        n for n in BUBBLE_N
-        if melbourne_sweep[n].cost(lam) < bubble_cells[n].cost(lam)
+        n for n in BUBBLE_N if mel_cost(n) < bubble_cells[n].cost(lam)
     ]
     n_star = crossover[0] if crossover else None
 

@@ -251,6 +251,64 @@ def test_config_file_can_zero_cost_weight(capsys, tmp_path):
     ]
 
 
+def test_config_key_the_subcommand_does_not_take_is_rejected(capsys, tmp_path):
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("n=16\nlam=0\n")
+    rc, _, err = run_cli(capsys, "verify", "--config", str(cfg))
+    assert rc == 2
+    assert "lam" in err
+
+
+# -- flags and failures ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("probe", "--seed"),
+        ("probe", "--pad-factor"),
+        ("probe", "--retry-cap"),
+        ("bench", "--cache-config"),
+        ("aborts", "--cache-config"),
+        ("shuffle", "--retry-cap"),
+        ("verify", "--retry-cap"),
+    ],
+)
+def test_flag_the_subcommand_does_not_honour_is_rejected(capsys, command, flag):
+    rc, out, err = run_cli(capsys, command, flag, "1")
+    assert rc == 2
+    assert out == ""
+    assert flag in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("verify", "--program", "naive", "--n", "16384"), 1),  # capacity
+        (("verify", "--n", "16", "--trials", "2", "--rate", "0.5"), 1),  # retry cap
+        (("bench", "--algos", "melbourne", "--n-list", "16", "--retry-cap", "0"), 2),
+    ],
+)
+def test_failures_exit_with_code_and_message(argv, code):
+    proc = subprocess.run(
+        [sys.executable, "-m", "oblishuffle.cli", *argv],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == code
+    assert proc.stderr.startswith(f"{argv[0]}: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_geometry_without_conflict_free_layout_is_check_failure(capsys, tmp_path):
+    # one 4-way L1 set cannot hold the scatter's written lines at any stagger
+    cfg = tmp_path / "one-set.cfg"
+    cfg.write_text("l1_sets=1\nl1_ways=4\nllc_sets=1\nllc_ways=4\n")
+    rc, _, err = run_cli(capsys, "verify", "--n", "16", "--trials", "2",
+                         "--cache-config", str(cfg))
+    assert rc == 1
+    assert err.startswith("verify: layout infeasible")
+
+
 # -- entry points ----------------------------------------------------------
 
 

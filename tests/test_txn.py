@@ -22,10 +22,8 @@ from oblishuffle.txn import (
     FixedSchedule,
     HitGuaranteeError,
     NestedTxnError,
-    NoInterrupts,
     RetryCapExceededError,
     TxnDeclaration,
-    TxnStats,
     UndeclaredAccessError,
     run_txn,
 )
@@ -84,7 +82,7 @@ def test_declaration_line_size_must_match_cache():
 def test_cold_four_line_txn_commits_first_try():
     sim = CacheSim(SMALL)
     decl = TxnDeclaration.of(reads=[(0, 128)], writes=[(128, 128)])
-    stats = run_txn(sim, decl, interrupt_model=NoInterrupts())
+    stats = run_txn(sim, decl, interrupt_model=None)
     assert stats.attempts == 1
     assert (stats.ac2, stats.ac3, stats.ac4) == (0, 0, 0)
     assert stats.prefetch_events == 4
@@ -370,16 +368,6 @@ def test_prefetch_trace_ignores_data_values():
         run_txn(sim, decl, body)
         traces.append(list(sim.trace))
     assert traces[0] == traces[1]
-
-
-# -- stats export ------------------------------------------------------------
-
-
-def test_stats_export_format():
-    assert TxnStats.export_header() == "attempts,ac2,ac3,ac4,prefetch_events,body_events"
-    sim = CacheSim(SMALL)
-    stats = run_txn(sim, TxnDeclaration.of(reads=[(0, 128)], writes=[(128, 128)]))
-    assert stats.export_line() == "1,0,0,0,4,0"
 
 
 # -- abort transparency ------------------------------------------------------
