@@ -333,6 +333,29 @@ class CacheSim:
             l1_set[line] = [is_write, pin, clock]
         return result
 
+    def repeat_hit(self, line: int, k: int) -> None:
+        """Account ``k`` more accesses to ``line`` right after one that
+        returned, each of the same kind and pin flag as that one.
+
+        They all hit at the level the first left the line stamped at: L1,
+        or the LLC when a read was served without L1 residency.  The first
+        access already set every dirty and pin bit they would set, so only
+        the clock, the counters and that one stamp move; nothing is
+        evicted and no event is emitted.
+        """
+        if k <= 0:
+            return
+        self._clock += k
+        c = self.counters
+        c.total += k
+        entry = self._l1[line & self._l1_mask].get(line)
+        if entry is not None:
+            c.l1_hits += k
+        else:
+            entry = self._llc[line & self._llc_mask][line]
+            c.llc_hits += k
+        entry[_STAMP] = self._clock
+
     # -- bulk operations ---------------------------------------------------
 
     def flush_all(self) -> None:

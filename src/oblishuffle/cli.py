@@ -83,6 +83,13 @@ def make_inputs(n: int, seed: int) -> tuple[list[int], list[int]]:
     return data, perm
 
 
+def _interrupt_model(rate: float, seed: int) -> AccessProbability | None:
+    """Per-access interrupts at ``rate``, or None at rate 0.  Every other
+    rate reaches AccessProbability, which refuses one outside [0, 1] (NaN
+    included)."""
+    return AccessProbability(rate, seed) if rate != 0 else None
+
+
 # -- bench -------------------------------------------------------------------
 
 
@@ -189,7 +196,7 @@ def run_aborts_variant(
     """One row of the abort experiment, plus bookkeeping fields the table
     does not show (consultations, committed txn count)."""
     data, perm = make_inputs(n, seed)
-    model = AccessProbability(rate, (seed * 31 + n) & _MASK64) if rate > 0 else None
+    model = _interrupt_model(rate, (seed * 31 + n) & _MASK64)
     flag = "ok"
     stats: list[TxnStats] = []
 
@@ -409,9 +416,7 @@ def cmd_verify(args) -> int:
         make_inputs(args.n, args.seed + 1_000_000_007 * t)
         for t in range(args.trials)
     ]
-    factory = None
-    if args.rate > 0:
-        factory = lambda: AccessProbability(args.rate, args.seed)
+    factory = lambda: _interrupt_model(args.rate, args.seed)
     report = verify_obliviousness(
         args.program,
         inputs,

@@ -370,9 +370,11 @@ class ShuffleEngine:
                 )
                 cursors[j] = c + 1
             for j in range(bc):
-                base = self._slice_addr(i, j)
-                for c in range(cursors[j], slice_len):
-                    ctx.write(base + c * WORD_BYTES, dummy_word)
+                c = cursors[j]
+                ctx.write_run(
+                    self._slice_addr(i, j) + c * WORD_BYTES,
+                    [dummy_word] * (slice_len - c),
+                )
 
         self._run(placements, body)
 
@@ -396,8 +398,7 @@ class ShuffleEngine:
 
         def body(ctx) -> None:
             found = []
-            for s in range(p.bucket_capacity):
-                w = ctx.read(row0 + s * WORD_BYTES)
+            for w in ctx.read_run(row0, p.bucket_capacity):
                 tag = w >> 32
                 if tag == dummy:
                     continue

@@ -14,6 +14,15 @@ lines are written back in the order they were first dirtied (for a
 prefetched transaction that is ascending line order by construction) and
 all pins are released; the lines stay resident and clean.
 
+A body accesses words with ``ctx.read``/``ctx.write``, or consecutive
+words with ``ctx.read_run(addr, count)``/``ctx.write_run(addr, values)``.
+A run is exact: its result, any exception, the interrupt model's
+consultations and the whole cache state (trace, counters, clock, LRU
+stamps, dirty and pin bits) equal those of one per-word call per word at
+ascending addresses.  It costs one full access per line; the line's
+other words, which can only hit, are accounted in one step.  The
+interrupt model is still consulted once per word.
+
 Aborts roll everything back: every line the attempt touched is
 invalidated without events, the declared write range is restored from a
 snapshot taken at transaction start, pins are cleared, and the attempt
@@ -219,8 +228,9 @@ class TxnContext:
     """Handle passed to the transaction body.
 
     Reads and writes go through the cache with pinning and are checked
-    against the declaration.  ``tick`` models a unit of computation that
-    touches no memory but can still be interrupted.
+    against the declaration.  ``read_run``/``write_run`` do the same for
+    consecutive words (see the module docstring).  ``tick`` models a unit
+    of computation that touches no memory but can still be interrupted.
     """
 
     __slots__ = (
@@ -266,6 +276,66 @@ class TxnContext:
             self._dirtied_set.add(line)
             self._dirtied.append(line)
         self._sim.write_word(addr, value, pin=True)
+
+    def read_run(self, addr: int, count: int) -> list[int]:
+        """Values of ``count`` words from ``addr``, exactly as that many
+        ``read`` calls at ascending word addresses."""
+        mem = self._sim.memory
+        out: list[int] = []
+        for w, k in self._run_lines(addr, count, READ):
+            out += [mem.get(i, 0) for i in range(w, w + k)]
+        return out
+
+    def write_run(self, addr: int, values: Sequence[int]) -> None:
+        """Store ``values`` at ascending words from ``addr``, exactly as
+        one ``write`` call per value."""
+        mem = self._sim.memory
+        v = 0
+        for w, k in self._run_lines(addr, len(values), WRITE):
+            mem.update(zip(range(w, w + k), values[v : v + k]))
+            v += k
+
+    def _run_lines(self, addr: int, count: int, kind: str):
+        """Make a run's accesses line by line, yielding (first word index,
+        words) once each line's words are accounted.
+
+        Each line goes through the per-word steps once (declaration,
+        interrupt model, touched and dirtied sets, alignment,
+        ``CacheSim.access``); its remaining words, which can only hit,
+        consult the model one by one and are then accounted by
+        ``CacheSim.repeat_hit``.  An interrupt on a later word yields the
+        words before it and then raises, as the per-word path would.
+        """
+        sim = self._sim
+        model = self._model
+        shift = self._shift
+        ok = self._write_ok if kind == WRITE else self._read_ok
+        end = addr + count * WORD_BYTES
+        while addr < end:
+            line = addr >> shift
+            if line not in ok:
+                raise UndeclaredAccessError(addr, kind)
+            self._consult()
+            self._touched.add(line)
+            if kind == WRITE and line not in self._dirtied_set:
+                self._dirtied_set.add(line)
+                self._dirtied.append(line)
+            if addr % WORD_BYTES:
+                raise ValueError(f"address {addr} not word aligned")
+            sim.access(addr, kind, True)
+            stop = min(end, (line + 1) << shift)
+            k = (stop - addr) // WORD_BYTES - 1
+            fired = False
+            if model is not None:
+                for done in range(k):
+                    if model.fires_on_access():
+                        k, fired = done, True
+                        break
+            sim.repeat_hit(line, k)
+            yield addr >> 3, k + 1
+            if fired:
+                raise _Interrupted()
+            addr = stop
 
     def tick(self) -> None:
         self._consult()

@@ -287,6 +287,13 @@ def test_flag_the_subcommand_does_not_honour_is_rejected(capsys, command, flag):
         (("verify", "--program", "naive", "--n", "16384"), 1),  # capacity
         (("verify", "--n", "16", "--trials", "2", "--rate", "0.5"), 1),  # retry cap
         (("bench", "--algos", "melbourne", "--n-list", "16", "--retry-cap", "0"), 2),
+        # an interrupt rate outside [0, 1] is refused before anything runs
+        (("verify", "--n", "16", "--trials", "2", "--rate", "-0.5"), 2),
+        (("verify", "--n", "16", "--trials", "2", "--rate", "nan"), 2),
+        (("verify", "--n", "16", "--trials", "2", "--rate", "1.5"), 2),
+        (("aborts", "--n-list", "16", "--rate", "-0.5"), 2),
+        (("aborts", "--n-list", "16", "--rate", "nan"), 2),
+        (("aborts", "--n-list", "16", "--rate", "1.5"), 2),
     ],
 )
 def test_failures_exit_with_code_and_message(argv, code):

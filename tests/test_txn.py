@@ -451,3 +451,182 @@ def test_interrupted_runs_converge_to_the_undisturbed_run(program):
     assert calm_sim.trace[calm.trace_body_start:] == noisy_sim.trace[noisy.trace_body_start:]
     tail = len(calm_sim.trace)
     assert calm_sim.trace == (noisy_sim.trace[-tail:] if tail else [])
+
+
+# -- line runs: the per-word path is the reference ---------------------------
+
+
+class FireOnConsultation:
+    """Fires on the listed consultations (1-based), never at body entry."""
+
+    def __init__(self, fire_on):
+        self.fire_on = frozenset(fire_on)
+        self.consultations = 0
+
+    def fires_on_attempt(self, attempt):
+        return False
+
+    def fires_on_access(self):
+        self.consultations += 1
+        return self.consultations in self.fire_on
+
+
+def run_body(ops, expand, log):
+    """Body doing ``ops`` as runs, or with every run expanded into one
+    per-word call per word; values read are appended to ``log``."""
+
+    def body(ctx):
+        for kind, addr, arg in ops:
+            if kind == "r" and expand:
+                log.append([ctx.read(addr + 8 * i) for i in range(arg)])
+            elif kind == "r":
+                log.append(ctx.read_run(addr, arg))
+            elif expand:
+                for i, value in enumerate(arg):
+                    ctx.write(addr + 8 * i, value)
+            else:
+                ctx.write_run(addr, arg)
+
+    return body
+
+
+def sim_state(sim):
+    return (
+        sim.trace,
+        sim.counters,
+        sim._clock,
+        [list(s.items()) for s in sim._l1],
+        [list(s.items()) for s in sim._llc],
+        sim.memory,
+    )
+
+
+@st.composite
+def run_programs(draw):
+    config = CacheConfig(
+        line_size=64,
+        l1_sets=draw(st.sampled_from([1, 2])),
+        l1_ways=2,
+        llc_sets=draw(st.sampled_from([2, 4])),
+        llc_ways=draw(st.integers(2, 4)),
+    )
+    txns = []
+    for _ in range(2):
+        # a block of write lines, at stride 2 sometimes all in one L1 set,
+        # and a block of read lines
+        w0, r0 = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+        stride = draw(st.sampled_from([1, 1, 2]))
+        nw = draw(st.integers(0, 2 * config.l1_sets))
+        writes = list(range(w0, w0 + stride * nw, stride))
+        reads = [l for l in range(r0, r0 + draw(st.integers(0, 4)))
+                 if l not in writes]
+        ops = []
+        for _ in range(draw(st.integers(0, 6))):
+            kind = draw(st.sampled_from("rw"))
+            ok = set(writes if kind == "w" else reads + writes)
+            line = draw(st.sampled_from(sorted(ok) or range(10)))
+            word = draw(st.integers(0, 7))
+            # mostly stay inside the declared lines, sometimes run past them
+            end = line + 1
+            while end in ok:
+                end += 1
+            if draw(st.integers(0, 7)):
+                count = draw(st.integers(1, max(1, min(20, (end - line) * 8 - word))))
+            else:
+                count = draw(st.integers(1, 20))
+            if kind == "r":
+                ops.append(("r", addr_of(line, word), count))
+            else:
+                values = draw(st.lists(st.integers(0, 2**64 - 1),
+                                       min_size=count, max_size=count))
+                ops.append(("w", addr_of(line, word), values))
+        txns.append((reads, writes, ops, draw(st.booleans())))
+    init = draw(st.dictionaries(st.integers(0, 79), st.integers(1, 2**32)))
+    rate = draw(st.sampled_from([None, 0.05, 0.3]))
+    return config, txns, init, rate, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_programs())
+def test_runs_match_per_word_accesses(program):
+    config, txns, init, rate, seed = program
+    outcomes = []
+    for expand in (False, True):
+        sim = CacheSim(config)
+        for word, value in init.items():
+            sim.poke_word(word * 8, value)
+        model = None if rate is None else AccessProbability(rate, seed)
+        log, results = [], []
+        for reads, writes, ops, prefetch in txns:
+            decl = TxnDeclaration.of(
+                reads=[(line * 64, 64) for line in reads],
+                writes=[(line * 64, 64) for line in writes],
+            )
+            try:
+                stats = run_txn(sim, decl, run_body(ops, expand, log), model,
+                                prefetch=prefetch, retry_cap=8)
+                results.append(("ok", stats))
+            except (CapacityError, RetryCapExceededError) as exc:
+                results.append((type(exc), exc.stats))
+            except UndeclaredAccessError as exc:
+                results.append((type(exc), exc.addr))
+            sim.check_invariants()
+        consults = None if model is None else (model.consultations, model._pos)
+        outcomes.append((results, log, sim_state(sim), consults))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_read_run_served_from_llc_counts_llc_hits():
+    # the two written lines fill the one L1 set with pinned dirty data, so
+    # the read line is served from the LLC without L1 residency
+    config = CacheConfig(line_size=64, l1_sets=1, l1_ways=2, llc_sets=2, llc_ways=4)
+    sim = CacheSim(config)
+    decl = TxnDeclaration.of(reads=[(addr_of(2), 128)], writes=[(0, 128)])
+    seen = {}
+
+    def body(ctx):
+        before = (sim.counters.llc_hits, len(sim.trace))
+        assert ctx.read_run(addr_of(2, 2), 12) == [0] * 12
+        seen["llc_hits"] = sim.counters.llc_hits - before[0]
+        seen["events"] = len(sim.trace) - before[1]
+        seen["l1"] = [sim.line_resident(line, "l1") for line in (2, 3)]
+
+    stats = run_txn(sim, decl, body)
+    assert stats.committed and stats.attempts == 1
+    assert seen == {"llc_hits": 12, "events": 0, "l1": [False, False]}
+
+
+def test_interrupt_inside_a_line_consults_per_word():
+    decl = TxnDeclaration.of(reads=[(0, 64)], writes=[(64, 64)])
+    per_run = []
+    for expand in (False, True):
+        sim = CacheSim(SMALL)
+        model = FireOnConsultation([4, 13])  # word 3 of the read, word 0 of the write
+        ops = [("r", addr_of(0), 8), ("w", addr_of(1, 1), [7] * 7)]
+        stats = run_txn(sim, decl, run_body(ops, expand, []), model)
+        per_run.append((stats, model.consultations, sim_state(sim)))
+    assert per_run[0] == per_run[1]
+    stats, consultations, _ = per_run[0]
+    assert (stats.attempts, stats.ac4) == (3, 2)
+    assert consultations == 4 + (8 + 1) + (8 + 7)
+
+
+def test_run_into_undeclared_line_raises_after_declared_words():
+    sim = CacheSim(SMALL)
+    decl = TxnDeclaration.of(reads=[(0, 64)])
+    with pytest.raises(UndeclaredAccessError) as info:
+        run_txn(sim, decl, lambda ctx: ctx.read_run(addr_of(0, 4), 8),
+                prefetch=False)
+    assert info.value.addr == addr_of(1)
+    assert (sim.counters.total, sim.counters.llc_misses) == (4, 1)
+    assert sim.trace == [miss(0)]
+
+
+@pytest.mark.parametrize(
+    "body",
+    [lambda ctx: ctx.read_run(4, 2), lambda ctx: ctx.write_run(68, [1, 2])],
+)
+def test_misaligned_run_rejected(body):
+    decl = TxnDeclaration.of(reads=[(0, 64)], writes=[(64, 64)])
+    with pytest.raises(ValueError, match="not word aligned"):
+        run_txn(CacheSim(SMALL), decl, body)
