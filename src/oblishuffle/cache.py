@@ -21,6 +21,13 @@ protected, the behaviour depends on the access kind: a read is served
 from the LLC without allocating in L1 (no event, nothing lost), while a
 write raises :class:`PinViolationError` because there is nowhere safe to
 put the dirty word.
+
+A transaction's prefetch block and its commit are one call each, and each
+is exact: ``prefetch(lines, kind)`` equals one pinned ``access`` per line
+in order, and ``commit_lines(dirtied, pinned)`` equals ``writeback_line``
+per dirtied line in order followed by ``unpin_lines(pinned)``.  Their
+state (trace, counters, clock, LRU stamps, dirty and pin bits) matches the
+per-line calls, including after a fault part-way through a block.
 """
 
 from __future__ import annotations
@@ -46,6 +53,11 @@ _STAMP = 2
 class TraceEvent(NamedTuple):
     kind: str
     line_address: int
+
+
+# builds a TraceEvent from a (kind, line) tuple without the Python-level
+# NamedTuple constructor, which the per-event paths would pay each time
+_event = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -190,6 +202,8 @@ class CacheSim:
         self._shift = c.line_shift
         self._l1_mask = c.l1_sets - 1
         self._llc_mask = c.llc_sets - 1
+        self._l1_ways = c.l1_ways
+        self._llc_ways = c.llc_ways
         self._l1: list[dict[int, list]] = [dict() for _ in range(c.l1_sets)]
         self._llc: list[dict[int, list]] = [dict() for _ in range(c.llc_sets)]
         self._clock = 0
@@ -248,8 +262,10 @@ class CacheSim:
 
         Raises PinViolationError when the access cannot be satisfied
         without evicting a protected line (see module docstring).  The
-        raise happens before any state change or event, so a rejected
-        access leaves the hierarchy exactly as it found it.
+        raise comes before any entry changes or event, but after the
+        access has been counted: ``_clock`` and ``counters.total`` have
+        already advanced, and no hit or miss counter has.  A ValueError
+        (address out of range, bad kind) changes nothing.
         """
         if not 0 <= addr < self.config.address_space:
             raise ValueError(f"address {addr} out of range")
@@ -272,16 +288,62 @@ class CacheSim:
                 self._llc[line & self._llc_mask][line][_PINNED] = True
             self.counters.l1_hits += 1
             return "l1-hit"
+        return self._miss(line, l1_set, is_write, pin, clock)
 
+    def prefetch(self, lines: Iterable[int], kind: str) -> None:
+        """Exactly ``access(line << shift, kind, pin=True)`` for each of
+        ``lines`` in order, in one call.
+
+        A fault on a line (PinViolationError, or ValueError for a line
+        out of range) leaves the lines before it applied and the faulting
+        line counted as ``access`` would.  Only a bad ``kind`` is checked
+        once, before any line.
+        """
+        is_write = kind == WRITE
+        if not is_write and kind != READ:
+            raise ValueError(f"bad access kind: {kind!r}")
+        shift = self._shift
+        limit = self.config.address_space
+        l1, l1_mask = self._l1, self._l1_mask
+        llc, llc_mask = self._llc, self._llc_mask
+        miss = self._miss
+        c = self.counters
+        clock, total, l1_hits = self._clock, c.total, c.l1_hits
+        try:
+            for line in lines:
+                addr = line << shift
+                if not 0 <= addr < limit:
+                    raise ValueError(f"address {addr} out of range")
+                clock += 1
+                total += 1
+                l1_set = l1[line & l1_mask]
+                entry = l1_set.get(line)
+                if entry is None:
+                    miss(line, l1_set, is_write, True, clock)
+                    continue
+                entry[_STAMP] = clock
+                if is_write:
+                    entry[_DIRTY] = True
+                entry[_PINNED] = True
+                llc[line & llc_mask][line][_PINNED] = True
+                l1_hits += 1
+        finally:
+            self._clock, c.total, c.l1_hits = clock, total, l1_hits
+
+    def _miss(self, line: int, l1_set: dict, is_write: bool, pin: bool,
+              clock: int) -> str:
+        """Finish an access to ``line``, already counted at ``clock``, that
+        found no entry in its L1 set ``l1_set``: choose both victims, evict
+        them, then install the line.  Returns "llc-hit" or "llc-miss"."""
         # decide both victims before touching anything
         install_l1 = True
         l1_victim = None
-        if len(l1_set) >= self.config.l1_ways:
+        if len(l1_set) >= self._l1_ways:
             stamp = clock + 1
             for vline, ve in l1_set.items():
-                if ve[_PINNED] and ve[_DIRTY]:
-                    continue
-                if ve[_STAMP] < stamp:
+                # the stamp test comes first: most entries fail it, which
+                # spares them the protection test
+                if ve[_STAMP] < stamp and not (ve[_PINNED] and ve[_DIRTY]):
                     stamp = ve[_STAMP]
                     l1_victim = vline
             if l1_victim is None:
@@ -294,28 +356,27 @@ class CacheSim:
         llc_set = self._llc[line & self._llc_mask]
         lentry = llc_set.get(line)
         llc_victim = None
-        if lentry is None and len(llc_set) >= self.config.llc_ways:
+        if lentry is None and len(llc_set) >= self._llc_ways:
             stamp = clock + 1
             for vline, ve in llc_set.items():
-                if ve[_PINNED]:
-                    continue
-                if ve[_STAMP] < stamp:
+                if ve[_STAMP] < stamp and not ve[_PINNED]:
                     stamp = ve[_STAMP]
                     llc_victim = vline
             if llc_victim is None:
                 raise PinViolationError(line, "llc")
 
+        trace = self.trace
         if llc_victim is not None:
             ve = llc_set.pop(llc_victim)
             l1e = self._l1[llc_victim & self._l1_mask].pop(llc_victim, None)
             if ve[_DIRTY] or (l1e is not None and l1e[_DIRTY]):
-                self.trace.append(TraceEvent(KIND_WRITEBACK, llc_victim))
+                trace.append(_event(TraceEvent, (KIND_WRITEBACK, llc_victim)))
 
-        if install_l1 and len(l1_set) >= self.config.l1_ways:
+        if install_l1 and len(l1_set) >= self._l1_ways:
             # the inclusion eviction above may have freed this set already
             ve = l1_set.pop(l1_victim, None)
             if ve is not None and ve[_DIRTY]:
-                self.trace.append(TraceEvent(KIND_WRITEBACK, l1_victim))
+                trace.append(_event(TraceEvent, (KIND_WRITEBACK, l1_victim)))
 
         if lentry is not None:
             lentry[_STAMP] = clock
@@ -324,7 +385,7 @@ class CacheSim:
             self.counters.llc_hits += 1
             result = "llc-hit"
         else:
-            self.trace.append(TraceEvent(KIND_MISS, line))
+            trace.append(_event(TraceEvent, (KIND_MISS, line)))
             self.counters.llc_misses += 1
             llc_set[line] = [False, pin, clock]
             result = "llc-miss"
@@ -371,7 +432,7 @@ class CacheSim:
                 if d:
                     dirty_lines.append(line)
         for line in sorted(dirty_lines):
-            self.trace.append(TraceEvent(KIND_WRITEBACK, line))
+            self.trace.append(_event(TraceEvent, (KIND_WRITEBACK, line)))
         for s in self._l1:
             s.clear()
         for s in self._llc:
@@ -384,14 +445,38 @@ class CacheSim:
             self._l1[line & self._l1_mask].pop(line, None)
             self._llc[line & self._llc_mask].pop(line, None)
 
+    def commit_lines(self, dirtied: Iterable[int], pinned: Iterable[int]) -> int:
+        """Exactly ``writeback_line`` for each of ``dirtied`` in order, then
+        ``unpin_lines(pinned)``, in one call.  Returns the number of
+        write-back events emitted."""
+        l1, l1_mask = self._l1, self._l1_mask
+        llc, llc_mask = self._llc, self._llc_mask
+        trace = self.trace
+        emitted = 0
+        for line in dirtied:
+            dirty = False
+            e = l1[line & l1_mask].get(line)
+            if e is not None and e[_DIRTY]:
+                e[_DIRTY] = False
+                dirty = True
+            e = llc[line & llc_mask].get(line)
+            if e is not None and e[_DIRTY]:
+                e[_DIRTY] = False
+                dirty = True
+            if dirty:
+                trace.append(_event(TraceEvent, (KIND_WRITEBACK, line)))
+                emitted += 1
+        for line in pinned:
+            e = l1[line & l1_mask].get(line)
+            if e is not None:
+                e[_PINNED] = False
+            e = llc[line & llc_mask].get(line)
+            if e is not None:
+                e[_PINNED] = False
+        return emitted
+
     def unpin_lines(self, lines: Iterable[int]) -> None:
-        for line in lines:
-            e = self._l1[line & self._l1_mask].get(line)
-            if e is not None:
-                e[_PINNED] = False
-            e = self._llc[line & self._llc_mask].get(line)
-            if e is not None:
-                e[_PINNED] = False
+        self.commit_lines((), lines)
 
     def writeback_line(self, line: int) -> bool:
         """Force a dirty line out to memory, emitting one write-back event.
@@ -399,18 +484,7 @@ class CacheSim:
         The line stays resident (now clean) wherever it was.  Returns True
         if an event was emitted, False if the line was clean or absent.
         """
-        dirty = False
-        e = self._l1[line & self._l1_mask].get(line)
-        if e is not None and e[_DIRTY]:
-            e[_DIRTY] = False
-            dirty = True
-        e = self._llc[line & self._llc_mask].get(line)
-        if e is not None and e[_DIRTY]:
-            e[_DIRTY] = False
-            dirty = True
-        if dirty:
-            self.trace.append(TraceEvent(KIND_WRITEBACK, line))
-        return dirty
+        return self.commit_lines((line,), ()) == 1
 
     def line_resident(self, line: int, level: str = "llc") -> bool:
         if level == "l1":

@@ -308,6 +308,12 @@ def _n_list(text: str) -> list[int]:
     return values
 
 
+def _positive_n(n: int) -> int:
+    if n < 1:
+        raise ValueError(f"--n must be at least 1, got {n}")
+    return n
+
+
 def _emit(lines: list[str], out_path: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if out_path:
@@ -361,8 +367,8 @@ def cmd_shuffle(args) -> int:
             raise ValueError("--perm is required with --input")
         with open(args.perm, "r", encoding="utf-8") as fh:
             perm = [int(tok) for tok in fh.read().split()]
-    elif args.n:
-        data, perm = make_inputs(args.n, args.seed)
+    elif args.n is not None:
+        data, perm = make_inputs(_positive_n(args.n), args.seed)
     else:
         raise ValueError("pass --n or --input/--perm")
 
@@ -412,6 +418,7 @@ def cmd_aborts(args) -> int:
 
 def cmd_verify(args) -> int:
     config = _load_cache_config(args)
+    _positive_n(args.n)
     inputs = [
         make_inputs(args.n, args.seed + 1_000_000_007 * t)
         for t in range(args.trials)

@@ -12,7 +12,12 @@ entirely out of cache and emits no events; the prefetch block itself is a
 fixed function of the declaration, never of the data.  On commit, dirty
 lines are written back in the order they were first dirtied (for a
 prefetched transaction that is ascending line order by construction) and
-all pins are released; the lines stay resident and clean.
+all pins are released; the lines stay resident and clean.  Each block is
+one exact ``CacheSim`` call: the prefetch is ``sim.prefetch`` on the read
+lines and then on the write lines, equal to one pinned ``access`` per
+line, and the commit is ``sim.commit_lines``, equal to ``writeback_line``
+per dirtied line followed by ``unpin_lines``.  With prefetching on, the
+dirtied and pinned lines come straight from the declaration.
 
 A body accesses words with ``ctx.read``/``ctx.write``, or consecutive
 words with ``ctx.read_run(addr, count)``/``ctx.write_run(addr, values)``.
@@ -95,7 +100,7 @@ class _Interrupted(Exception):
     pass
 
 
-def _normalize(ranges: Sequence[ByteRange], line_size: int) -> tuple[int, ...]:
+def _normalize(ranges: Sequence[ByteRange], line_size: int) -> set[int]:
     lines: set[int] = set()
     for start, size in ranges:
         if size <= 0:
@@ -105,7 +110,7 @@ def _normalize(ranges: Sequence[ByteRange], line_size: int) -> tuple[int, ...]:
         first = start // line_size
         last = (start + size - 1) // line_size
         lines.update(range(first, last + 1))
-    return tuple(sorted(lines))
+    return lines
 
 
 @dataclass(frozen=True)
@@ -117,16 +122,17 @@ class TxnDeclaration:
     line_size: int = 64
     read_lines: tuple[int, ...] = field(init=False)
     write_lines: tuple[int, ...] = field(init=False)
+    all_lines: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        wl = _normalize(self.write_ranges, self.line_size)
-        rl = _normalize(self.read_ranges, self.line_size)
-        wset = set(wl)
-        # a line in both sets counts once, as writable
-        object.__setattr__(
-            self, "read_lines", tuple(l for l in rl if l not in wset)
-        )
+        w = _normalize(self.write_ranges, self.line_size)
+        r = _normalize(self.read_ranges, self.line_size)
+        r -= w  # a line in both sets counts once, as writable
+        rl, wl = tuple(sorted(r)), tuple(sorted(w))
+        object.__setattr__(self, "read_lines", rl)
         object.__setattr__(self, "write_lines", wl)
+        # two ascending runs: the sort only merges them
+        object.__setattr__(self, "all_lines", tuple(sorted(rl + wl)))
 
     @classmethod
     def of(
@@ -137,12 +143,8 @@ class TxnDeclaration:
     ) -> "TxnDeclaration":
         return cls(tuple(reads), tuple(writes), line_size)
 
-    @property
-    def all_lines(self) -> tuple[int, ...]:
-        return tuple(sorted(self.read_lines + self.write_lines))
-
     def footprint_bytes(self) -> int:
-        return len(self.all_lines) * self.line_size
+        return (len(self.read_lines) + len(self.write_lines)) * self.line_size
 
     def write_bytes(self) -> int:
         return len(self.write_lines) * self.line_size
@@ -370,20 +372,16 @@ def run_txn(
     if retry_cap < 1:
         raise ValueError("retry_cap must be at least 1")
 
-    shift = cfg.line_shift
-    line_size = cfg.line_size
-    words_per_line = line_size // WORD_BYTES
-    # line-granular snapshot of the declared write range, for abort rollback
-    snapshot: dict[int, int] = {}
+    # the declared write range's words, and those present, for rollback
+    per_line = cfg.line_size // WORD_BYTES
+    words = [
+        w
+        for line in decl.write_lines
+        for w in range(line * per_line, (line + 1) * per_line)
+    ]
     mem = sim.memory
-    for line in decl.write_lines:
-        base = (line << shift) >> 3
-        for i in range(words_per_line):
-            w = base + i
-            if w in mem:
-                snapshot[w] = mem[w]
+    snapshot = {w: mem[w] for w in words if w in mem}
 
-    all_lines = decl.all_lines
     sim.txn_open = True
     try:
         while True:
@@ -392,32 +390,12 @@ def run_txn(
                 stats.attempts = retry_cap
                 raise RetryCapExceededError(stats)
             ctx = TxnContext(sim, decl, interrupt_model)
-
-            def rollback() -> None:
-                touched = all_lines if prefetch else ctx._touched
-                sim.invalidate_lines(touched)
-                sim.unpin_lines(touched)
-                for w in snapshot:
-                    mem[w] = snapshot[w]
-                for line in decl.write_lines:
-                    base = (line << shift) >> 3
-                    for i in range(words_per_line):
-                        w = base + i
-                        if w not in snapshot:
-                            mem.pop(w, None)
-
             try:
                 pf_start = len(sim.trace)
                 try:
                     if prefetch:
-                        for line in decl.read_lines:
-                            sim.access(line << shift, READ, pin=True)
-                        for line in decl.write_lines:
-                            sim.access(line << shift, WRITE, pin=True)
-                            ctx._touched.add(line)
-                            ctx._dirtied_set.add(line)
-                            ctx._dirtied.append(line)
-                        ctx._touched.update(decl.read_lines)
+                        sim.prefetch(decl.read_lines, READ)
+                        sim.prefetch(decl.write_lines, WRITE)
                 finally:
                     # count partial blocks too: an abort mid-prefetch has
                     # already emitted its events
@@ -431,23 +409,28 @@ def run_txn(
                 if body is not None:
                     body(ctx)
                 stats.body_events += len(sim.trace) - stats.trace_body_start
-            except PinViolationError as exc:
-                stats.count(AbortCause.EVICTION)
-                stats.last_fault_line = exc.line_address
-                rollback()
+            except Exception as exc:
+                # roll back; invalidating the lines also drops their pins
+                sim.invalidate_lines(decl.all_lines if prefetch else ctx._touched)
+                for w in words:
+                    mem.pop(w, None)
+                mem.update(snapshot)
+                if isinstance(exc, PinViolationError):
+                    stats.count(AbortCause.EVICTION)
+                    stats.last_fault_line = exc.line_address
+                elif isinstance(exc, _Interrupted):
+                    stats.count(AbortCause.INTERRUPT)
+                else:
+                    # programming errors leave the simulator consistent
+                    raise
                 continue
-            except _Interrupted:
-                stats.count(AbortCause.INTERRUPT)
-                rollback()
-                continue
-            except Exception:
-                # programming errors leave the simulator consistent
-                rollback()
-                raise
 
-            for line in ctx._dirtied:
-                sim.writeback_line(line)
-            sim.unpin_lines(ctx._touched)
+            if prefetch:
+                # the prefetch dirtied the write lines in order and pinned
+                # every declared line; the body can add neither
+                sim.commit_lines(decl.write_lines, decl.all_lines)
+            else:
+                sim.commit_lines(ctx._dirtied, ctx._touched)
             stats.committed = True
             if prefetch and stats.body_events:
                 raise HitGuaranteeError(

@@ -9,9 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import per_line_commit, per_line_prefetch
+
 from oblishuffle.cache import (
     KIND_MISS,
     KIND_WRITEBACK,
+    AccessCounters,
     CacheConfig,
     CacheSim,
     PinViolationError,
@@ -190,6 +193,28 @@ def test_pinned_clean_line_demotes_silently_and_stays_pinned_in_llc():
     demoted = [l for l in (0, 1) if sim.line_state(l, "l1") is None]
     assert len(demoted) == 1
     assert sim.line_state(demoted[0], "llc") == (False, True)
+
+
+@pytest.mark.parametrize("block", [False, True])
+def test_rejected_pinned_write_is_counted_but_changes_nothing_else(block):
+    # a third pinned dirty line has no home in the one 2-way L1 set: the
+    # fault comes after the access was counted and clocked, so total reads
+    # 3 against 2 misses, and before any entry or event changed
+    sim = CacheSim(TINY)
+    sim.access(0, "write", pin=True)
+    sim.access(64, "write", pin=True)
+    before = [list(s.items()) for s in sim._l1 + sim._llc]
+    with pytest.raises(PinViolationError) as exc:
+        if block:
+            sim.prefetch([2], "write")
+        else:
+            sim.access(128, "write", pin=True)
+    assert exc.value.line_address == 2
+    assert sim.counters == AccessCounters(total=3, l1_hits=0, llc_hits=0,
+                                          llc_misses=2)
+    assert sim._clock == 3
+    assert sim.trace == [miss(0), miss(1)]
+    assert [list(s.items()) for s in sim._l1 + sim._llc] == before
 
 
 def test_unpin_then_evictable():
@@ -448,3 +473,94 @@ def test_miss_events_match_miss_results(seq):
         except PinViolationError:
             pass
     assert sum(1 for e in sim.trace if e.kind == KIND_MISS) == misses
+
+
+# -- block calls against the per-line reference --------------------------------
+
+
+def sim_state(sim):
+    return (
+        sim.trace,
+        sim.counters,
+        sim._clock,
+        [list(s.items()) for s in sim._l1],
+        [list(s.items()) for s in sim._llc],
+    )
+
+
+def outcome(call):
+    """What ``call`` returned, or the exception it raised, comparably."""
+    try:
+        return ("ok", call())
+    except PinViolationError as exc:
+        return (PinViolationError, exc.line_address, exc.level)
+    except ValueError as exc:
+        return (ValueError, str(exc))
+
+
+@st.composite
+def block_programs(draw):
+    config = CacheConfig(
+        line_size=64,
+        l1_sets=draw(st.sampled_from([1, 2])),
+        l1_ways=2,
+        llc_sets=draw(st.sampled_from([2, 4])),
+        llc_ways=draw(st.integers(2, 4)),
+        address_space=1 << 12,  # lines 0..63
+    )
+    # pinned, dirty and clean lines from ordinary accesses
+    pre = draw(st.lists(
+        st.tuples(st.integers(0, 11), st.sampled_from(["read", "write"]),
+                  st.booleans()),
+        max_size=16,
+    ))
+    # in some programs a block may name a line past the address space
+    line = st.integers(0, 11)
+    if draw(st.booleans()):
+        line = st.one_of(line, st.just(64))
+    steps = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            steps.append(("prefetch", draw(st.lists(line, max_size=8)),
+                          draw(st.sampled_from(["read", "write"]))))
+        else:
+            steps.append(("commit", draw(st.lists(line, max_size=6)),
+                          draw(st.lists(line, max_size=8))))
+    return config, pre, steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_programs())
+def test_block_calls_match_the_per_line_loops(program):
+    config, pre, steps = program
+    fast, ref = CacheSim(config), CacheSim(config)
+    for sim in (fast, ref):
+        for line, kind, pin in pre:
+            outcome(lambda: sim.access(line * 64, kind, pin))
+    assert sim_state(fast) == sim_state(ref)
+    for step, a, b in steps:
+        if step == "prefetch":
+            assert outcome(lambda: fast.prefetch(a, b)) == outcome(
+                lambda: per_line_prefetch(ref, a, b))
+        else:
+            assert outcome(lambda: fast.commit_lines(a, b)) == outcome(
+                lambda: per_line_commit(ref, a, b))
+        assert sim_state(fast) == sim_state(ref)
+        fast.check_invariants()
+
+
+def test_prefetch_rejects_a_bad_kind_before_any_line():
+    sim = CacheSim(TINY)
+    with pytest.raises(ValueError, match="bad access kind"):
+        sim.prefetch([0, 1], "fetch")
+    assert sim_state(sim) == sim_state(CacheSim(TINY))
+
+
+def test_commit_lines_writes_back_in_order_then_unpins():
+    sim = CacheSim(TINY)
+    sim.prefetch([0, 1], "write")
+    sim.prefetch([2], "read")
+    assert sim.commit_lines([1, 0, 1], [0, 1, 2]) == 2
+    assert sim.trace[-2:] == [wb(1), wb(0)]
+    for line in (0, 1, 2):
+        assert sim.line_state(line, "llc") == (False, False)

@@ -294,6 +294,11 @@ def test_flag_the_subcommand_does_not_honour_is_rejected(capsys, command, flag):
         (("aborts", "--n-list", "16", "--rate", "-0.5"), 2),
         (("aborts", "--n-list", "16", "--rate", "nan"), 2),
         (("aborts", "--n-list", "16", "--rate", "1.5"), 2),
+        # so is a size below 1, zero included
+        (("verify", "--n", "-4"), 2),
+        (("verify", "--n", "0"), 2),
+        (("shuffle", "--n", "-4"), 2),
+        (("shuffle", "--n", "0"), 2),
     ],
 )
 def test_failures_exit_with_code_and_message(argv, code):
@@ -304,6 +309,9 @@ def test_failures_exit_with_code_and_message(argv, code):
     assert proc.returncode == code
     assert proc.stderr.startswith(f"{argv[0]}: ")
     assert "Traceback" not in proc.stderr
+    n = dict(zip(argv, argv[1:])).get("--n")
+    if n is not None and int(n) < 1:
+        assert "--n" in proc.stderr  # the message names the flag
 
 
 def test_geometry_without_conflict_free_layout_is_check_failure(capsys, tmp_path):

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import per_line_commit, per_line_prefetch
+
 from oblishuffle.cache import (
     KIND_MISS,
     KIND_WRITEBACK,
@@ -141,6 +143,47 @@ def test_three_write_lines_in_one_set_storm_until_retry_cap():
     sim.check_invariants()
     # and the simulator still runs clean transactions afterwards
     assert run_txn(sim, TxnDeclaration.of(writes=[(0, 64)])).committed
+
+
+@pytest.mark.parametrize(
+    "reads, writes",
+    [
+        # lines 0, 2, 4 share L1 set 0 and overflow its two ways, though
+        # three lines fit the four-line L1: the third write faults mid-block
+        ([1, 3, 5], [0, 2, 4]),
+        ([1, 6], [0, 2, 3, 4]),
+        # and a footprint that commits, for the commit block
+        ([0, 1, 5, 9], [2, 3]),
+    ],
+)
+def test_block_prefetch_and_commit_match_per_line_reference(monkeypatch, reads, writes):
+    decl = TxnDeclaration.of(
+        reads=[(addr_of(line), 64) for line in reads],
+        writes=[(addr_of(line), 64) for line in writes],
+    )
+
+    def run():
+        sim = CacheSim(SMALL)
+        sim.access(addr_of(7), "write")  # a dirty line the prefetch may evict
+        sim.access(addr_of(2), "read")  # and a resident line it hits
+        try:
+            stats = run_txn(sim, decl, retry_cap=5)
+        except RetryCapExceededError as exc:
+            stats = exc.stats
+        return stats, sim.trace, sim.counters, sim._clock
+
+    fast = run()
+    with monkeypatch.context() as m:
+        m.setattr(CacheSim, "prefetch", per_line_prefetch)
+        m.setattr(CacheSim, "commit_lines", per_line_commit)
+        ref = run()
+    assert fast == ref
+    stats = fast[0]
+    if stats.committed:
+        assert (stats.attempts, stats.ac2) == (1, 0)
+    else:
+        assert (stats.attempts, stats.ac2, stats.last_fault_line) == (5, 5, 4)
+        assert stats.prefetch_events > 0
 
 
 def test_body_eviction_abort_restores_memory():
