@@ -12,6 +12,7 @@ from .layout import (
     LayoutInfeasibleError,
     LayoutPlan,
     Region,
+    SetLoads,
     check_conflicts,
     decl_from_plan,
     plan_layout,
@@ -30,7 +31,6 @@ from .txn import (
     AbortCause,
     AccessProbability,
     CapacityError,
-    FixedSchedule,
     RetryCapExceededError,
     TxnDeclaration,
     TxnStats,
@@ -55,7 +55,6 @@ __all__ = [
     "CacheSim",
     "CapacityError",
     "ConflictReport",
-    "FixedSchedule",
     "LayoutInfeasibleError",
     "LayoutPlan",
     "MalformedIntermediateError",
@@ -63,6 +62,7 @@ __all__ = [
     "PinViolationError",
     "Region",
     "RetryCapExceededError",
+    "SetLoads",
     "ShuffleEngine",
     "ShuffleParams",
     "Trace",

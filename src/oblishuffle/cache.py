@@ -33,7 +33,7 @@ per-line calls, including after a fault part-way through a block.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 WORD_BYTES = 8

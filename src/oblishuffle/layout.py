@@ -7,12 +7,15 @@ protected, so associativity is the binding constraint: at most
 list of named regions so both bounds hold.  Read-only regions consume
 only LLC ways because clean pinned lines can be demoted out of L1.
 
-Planning is two-phase.  Phase one packs all regions contiguously from
-address zero; if the resulting set loads are within bounds (common when
-the footprint is small relative to a level) that plan wins.  Otherwise
-phase two places regions one at a time, first fit, sliding each
-candidate base forward one line at a time to rotate its set mapping
-until the region fits.  Both phases are pure functions of their inputs.
+``SetLoads`` is the one counter of that rule: it places runs of lines
+and refuses a run that would take some set over its ways.  The planner
+places regions in order, first fit: each region starts at the end of the
+previous one, and if ``SetLoads`` refuses it there, its base slides
+forward one line at a time to rotate its set mapping until it fits.
+When every region fits at once, the plan is simply the regions packed
+from address zero.  The shuffle's row-stagger search counts its scatter
+footprints with the same ``SetLoads``.  Planning is a pure function of
+its inputs.
 
 ``check_conflicts`` recounts every placed line from scratch and is kept
 free of the planner's incremental bookkeeping so it can serve as an
@@ -22,7 +25,7 @@ independent oracle for it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .cache import CacheConfig
 from .txn import TxnDeclaration
@@ -93,6 +96,57 @@ def _region_lines(region: Region, line_size: int) -> int:
     return -(-region.size // line_size)
 
 
+class SetLoads:
+    """Ways in use per cache set by the lines of one transaction so far.
+
+    ``llc`` counts every placed line by LLC set and ``l1`` counts written
+    lines by L1 set.  ``add`` places a run of lines only if neither level
+    goes over its ways; a refused ``add`` changes no count and sets
+    ``blocked`` to the level that refused ("llc" or "l1", the LLC tested
+    first for each line).
+    """
+
+    def __init__(self, config: CacheConfig):
+        self.l1: dict[int, int] = {}
+        self.llc: dict[int, int] = {}
+        self.blocked: str | None = None
+        self._limits = (
+            config.l1_sets - 1, config.l1_ways, config.llc_sets - 1, config.llc_ways
+        )
+
+    def add(self, first_line: int, nlines: int, is_write: bool) -> bool:
+        l1_mask, l1_ways, llc_mask, llc_ways = self._limits
+        l1, llc = self.l1, self.llc
+        for l in range(first_line, first_line + nlines):
+            s = l & llc_mask
+            v = llc.get(s, 0) + 1
+            if v > llc_ways:
+                self.blocked = "llc"
+                break
+            if is_write:
+                s1 = l & l1_mask
+                v1 = l1.get(s1, 0) + 1
+                if v1 > l1_ways:
+                    self.blocked = "l1"
+                    break
+                l1[s1] = v1
+            llc[s] = v
+        else:
+            return True
+        for k in range(first_line, l):  # take back the lines before l
+            _unload(llc, k & llc_mask)
+            if is_write:
+                _unload(l1, k & l1_mask)
+        return False
+
+
+def _unload(loads: dict[int, int], s: int) -> None:
+    if loads[s] == 1:
+        del loads[s]
+    else:
+        loads[s] -= 1
+
+
 def plan_layout(
     regions: Sequence[Region], config: CacheConfig | None = None
 ) -> LayoutPlan:
@@ -123,59 +177,13 @@ def plan_layout(
             f"{total_lines * line} bytes > {config.llc_capacity}",
         )
 
-    contiguous = _contiguous_plan(regions, config)
-    if contiguous is not None:
-        return contiguous
-    return _first_fit_plan(regions, config)
-
-
-def _contiguous_plan(
-    regions: Sequence[Region], config: CacheConfig
-) -> LayoutPlan | None:
-    line = config.line_size
-    l1_mask = config.l1_sets - 1
-    llc_mask = config.llc_sets - 1
-    l1_load: dict[int, int] = {}
-    llc_load: dict[int, int] = {}
-    placements = []
-    cursor = 0
-    for region in regions:
-        nlines = _region_lines(region, line)
-        if cursor + nlines * line > config.address_space:
-            return None
-        base_line = cursor // line
-        for l in range(base_line, base_line + nlines):
-            s = l & llc_mask
-            llc_load[s] = llc_load.get(s, 0) + 1
-            if llc_load[s] > config.llc_ways:
-                return None
-            if region.kind == READ_WRITE:
-                s1 = l & l1_mask
-                l1_load[s1] = l1_load.get(s1, 0) + 1
-                if l1_load[s1] > config.l1_ways:
-                    return None
-        placements.append((region, cursor))
-        cursor += nlines * line
-    return LayoutPlan(tuple(placements))
-
-
-def _first_fit_plan(
-    regions: Sequence[Region], config: CacheConfig
-) -> LayoutPlan:
-    line = config.line_size
-    l1_mask = config.l1_sets - 1
-    llc_mask = config.llc_sets - 1
+    loads = SetLoads(config)
     max_shift = max(config.l1_sets, config.llc_sets)
-    l1_load: dict[int, int] = {}
-    llc_load: dict[int, int] = {}
     placements = []
     cursor = 0
-    blocked_level = "llc"
-
     for region in regions:
         nlines = _region_lines(region, line)
         is_write = region.kind == READ_WRITE
-        placed = False
         for k in range(max_shift):
             base = cursor + k * line
             if base + nlines * line > config.address_space:
@@ -185,38 +193,14 @@ def _first_fit_plan(
                     f"region {region.name!r} does not fit below "
                     f"{config.address_space}",
                 )
-            base_line = base // line
-            ok = True
-            undo: list[tuple[dict, int]] = []
-            for l in range(base_line, base_line + nlines):
-                s = l & llc_mask
-                v = llc_load.get(s, 0) + 1
-                if v > config.llc_ways:
-                    ok = False
-                    blocked_level = "llc"
-                    break
-                llc_load[s] = v
-                undo.append((llc_load, s))
-                if is_write:
-                    s1 = l & l1_mask
-                    v1 = l1_load.get(s1, 0) + 1
-                    if v1 > config.l1_ways:
-                        ok = False
-                        blocked_level = "l1"
-                        break
-                    l1_load[s1] = v1
-                    undo.append((l1_load, s1))
-            if ok:
+            if loads.add(base // line, nlines, is_write):
                 placements.append((region, base))
                 cursor = base + nlines * line
-                placed = True
                 break
-            for d, s in undo:
-                d[s] -= 1
-        if not placed:
+        else:
             raise LayoutInfeasibleError(
                 "arrangement",
-                blocked_level,
+                loads.blocked,
                 f"no base found for region {region.name!r} within "
                 f"{max_shift} line offsets",
             )

@@ -30,11 +30,14 @@ it restarts with a new random permutation (vanishingly rare at the
 padding factors used here).
 
 Rows of the intermediate buffer sit at a staggered stride: row length
-plus a small pad, chosen by search so that no scatter transaction loads
-any L1 set with more written lines than it has ways.  Without the
-stagger (and without prefetch) the row stride is a multiple of the L1
-set count at larger sizes and the per-set pile-up aborts the scatter
-until its retry cap.
+plus the smallest pad at which every scatter transaction fits the cache
+sets.  The search feeds each scatter transaction's written slices and
+its buckets of all five source arrays (a superset of the two it reads)
+into one ``layout.SetLoads``, the counter the layout planner uses, which
+refuses them if written lines overfill an L1 set or declared lines an
+LLC set.  Without the stagger (and without prefetch) the row stride is
+a multiple of the L1 set count at larger sizes and the per-set pile-up
+aborts the scatter until its retry cap.
 
 Two baselines for comparison: a naive single transaction that permutes
 in place with no prefetch (its trace follows the permutation), and a
@@ -49,13 +52,14 @@ from math import isqrt
 
 import numpy as np
 
-from .cache import WORD_BYTES, CacheSim, CacheConfig
+from .cache import WORD_BYTES, CacheSim
 from .layout import (
     READ_ONLY,
     READ_WRITE,
     LayoutInfeasibleError,
     LayoutPlan,
     Region,
+    SetLoads,
     decl_from_plan,
 )
 from .txn import (
@@ -253,42 +257,26 @@ class ShuffleEngine:
 
     # -- arena staggering --------------------------------------------------
 
-    def _scatter_line_loads(self, i: int, stride_lines: int):
-        """Yield (l1_set, llc_set) for every written line of scatter txn i,
-        plus (None, llc_set) for its read lines."""
+    def _stagger_ok(self, stride_lines: int) -> bool:
+        """Whether every scatter transaction's written slices and its
+        buckets of all five source arrays fit the cache sets together."""
         cfg = self.sim.config
         line = cfg.line_size
-        l1_mask = cfg.l1_sets - 1
-        llc_mask = cfg.llc_sets - 1
-        base_line = self.inter // line
-        for j in range(self.params.bucket_count):
-            start = j * stride_lines * line + i * self._slice_bytes
-            first = base_line + start // line
-            last = base_line + (start + self._slice_bytes - 1) // line
-            for l in range(first, last + 1):
-                yield l & l1_mask, l & llc_mask
-        for src in (self.data_src, self.perm_tgt, self.perm_r, self.buf1, self.buf2):
-            start = src + i * self._bucket_bytes
-            first = start // line
-            last = (start + self._bucket_bytes - 1) // line
-            for l in range(first, last + 1):
-                yield None, l & llc_mask
-
-    def _stagger_ok(self, stride_lines: int) -> bool:
-        cfg = self.sim.config
-        for i in range(self.params.bucket_count):
-            l1_load: dict[int, int] = {}
-            llc_load: dict[int, int] = {}
-            for s1, s2 in self._scatter_line_loads(i, stride_lines):
-                if s1 is not None:
-                    v = l1_load.get(s1, 0) + 1
-                    if v > cfg.l1_ways:
-                        return False
-                    l1_load[s1] = v
-                v = llc_load.get(s2, 0) + 1
-                if v > cfg.llc_ways:
+        bc = self.params.bucket_count
+        sb, bb = self._slice_bytes, self._bucket_bytes
+        sources = (self.data_src, self.perm_tgt, self.perm_r, self.buf1, self.buf2)
+        for i in range(bc):
+            loads = SetLoads(cfg)
+            for j in range(bc):
+                a = self.inter + j * stride_lines * line + i * sb
+                first = a // line
+                if not loads.add(first, (a + sb - 1) // line - first + 1, True):
                     return False
-                llc_load[s2] = v
+            for src in sources:
+                a = src + i * bb
+                first = a // line
+                if not loads.add(first, (a + bb - 1) // line - first + 1, False):
+                    return False
         return True
 
     def _find_stagger(self) -> int:
@@ -432,15 +420,6 @@ class ShuffleEngine:
         self.distribute(src, pi)
         self.cleanup(dst)
 
-    def intermediate_rows(self) -> list[list[int]]:
-        p = self.params
-        return [
-            self.sim.peek_words(
-                self.inter + j * self.stride_bytes, p.bucket_capacity
-            )
-            for j in range(p.bucket_count)
-        ]
-
     # -- entry points ----------------------------------------------------------
 
     def melbourne(self, data, perm) -> list[int]:
@@ -466,38 +445,13 @@ class ShuffleEngine:
             f"{self.OVERFLOW_CAP} restarts all overflowed a slice"
         )
 
-    def apply_pass(self, src_vals, pi_vals) -> list[int]:
-        """One pass as a standalone call, mostly for tests."""
-        p = self.params
-        _check_values(src_vals, p.n)
-        _check_perm(pi_vals, p.n)
-        self.sim.poke_words(self.data_src, src_vals)
-        self.sim.poke_words(self.perm_r, pi_vals)
-        self.run_pass(self.data_src, self.perm_r, self.out)
-        return self.sim.peek_words(self.out, p.n)
-
 
 def melbourne_shuffle(
-    data,
-    perm,
-    *,
-    pad_factor: int = 2,
-    seed: int = 0,
-    sim: CacheSim | None = None,
-    config: CacheConfig | None = None,
-    interrupt_model=None,
-    prefetch: bool = True,
-    staggered: bool = True,
-    retry_cap: int = 1024,
+    data, perm, *, seed: int = 0, interrupt_model=None
 ) -> list[int]:
-    params = ShuffleParams(len(data), pad_factor, seed)
+    """``ShuffleEngine.melbourne`` on a fresh default simulator."""
     engine = ShuffleEngine(
-        sim or CacheSim(config),
-        params,
-        prefetch=prefetch,
-        staggered=staggered,
-        interrupt_model=interrupt_model,
-        retry_cap=retry_cap,
+        params=ShuffleParams(len(data), seed=seed), interrupt_model=interrupt_model
     )
     return engine.melbourne(data, perm)
 

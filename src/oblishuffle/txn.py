@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -143,6 +144,16 @@ class TxnDeclaration:
     ) -> "TxnDeclaration":
         return cls(tuple(reads), tuple(writes), line_size)
 
+    @cached_property
+    def write_ok(self) -> frozenset[int]:
+        """The lines a body may write, built on first use."""
+        return frozenset(self.write_lines)
+
+    @cached_property
+    def read_ok(self) -> frozenset[int]:
+        """The lines a body may read, built on first use."""
+        return self.write_ok.union(self.read_lines)
+
     def footprint_bytes(self) -> int:
         return (len(self.read_lines) + len(self.write_lines)) * self.line_size
 
@@ -175,20 +186,6 @@ class TxnStats:
 # -- interrupt models ------------------------------------------------------
 
 
-class FixedSchedule:
-    """Fires at body entry of the listed attempt numbers (1-based)."""
-
-    def __init__(self, attempts: Iterable[int]):
-        self.attempts = frozenset(attempts)
-        self.consultations = 0
-
-    def fires_on_attempt(self, attempt: int) -> bool:
-        return attempt in self.attempts
-
-    def fires_on_access(self) -> bool:
-        return False
-
-
 class AccessProbability:
     """Independent per-access firing with fixed probability.
 
@@ -209,9 +206,6 @@ class AccessProbability:
         self._rng = np.random.Generator(np.random.Philox(key=seed))
         self._buf: np.ndarray = self._rng.random(self._BUF)
         self._pos = 0
-
-    def fires_on_attempt(self, attempt: int) -> bool:
-        return False
 
     def fires_on_access(self) -> bool:
         self.consultations += 1
@@ -237,8 +231,7 @@ class TxnContext:
 
     __slots__ = (
         "_sim",
-        "_read_ok",
-        "_write_ok",
+        "_decl",
         "_model",
         "_touched",
         "_dirtied",
@@ -248,8 +241,7 @@ class TxnContext:
 
     def __init__(self, sim: CacheSim, decl: TxnDeclaration, model) -> None:
         self._sim = sim
-        self._write_ok = frozenset(decl.write_lines)
-        self._read_ok = frozenset(decl.read_lines) | self._write_ok
+        self._decl = decl
         self._model = model
         self._touched: set[int] = set()
         self._dirtied: list[int] = []
@@ -262,7 +254,7 @@ class TxnContext:
 
     def read(self, addr: int) -> int:
         line = addr >> self._shift
-        if line not in self._read_ok:
+        if line not in self._decl.read_ok:
             raise UndeclaredAccessError(addr, READ)
         self._consult()
         self._touched.add(line)
@@ -270,7 +262,7 @@ class TxnContext:
 
     def write(self, addr: int, value: int) -> None:
         line = addr >> self._shift
-        if line not in self._write_ok:
+        if line not in self._decl.write_ok:
             raise UndeclaredAccessError(addr, WRITE)
         self._consult()
         self._touched.add(line)
@@ -311,7 +303,7 @@ class TxnContext:
         sim = self._sim
         model = self._model
         shift = self._shift
-        ok = self._write_ok if kind == WRITE else self._read_ok
+        ok = self._decl.write_ok if kind == WRITE else self._decl.read_ok
         end = addr + count * WORD_BYTES
         while addr < end:
             line = addr >> shift
@@ -402,10 +394,6 @@ def run_txn(
                     stats.prefetch_events += len(sim.trace) - pf_start
 
                 stats.trace_body_start = len(sim.trace)
-                if interrupt_model is not None and interrupt_model.fires_on_attempt(
-                    stats.attempts
-                ):
-                    raise _Interrupted()
                 if body is not None:
                     body(ctx)
                 stats.body_events += len(sim.trace) - stats.trace_body_start

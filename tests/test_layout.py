@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import two_phase_plan
+
 from oblishuffle.cache import CacheConfig, CacheSim
 from oblishuffle.layout import (
     READ_ONLY,
@@ -18,6 +20,7 @@ from oblishuffle.layout import (
     LayoutInfeasibleError,
     LayoutPlan,
     Region,
+    SetLoads,
     check_conflicts,
     decl_from_plan,
     plan_layout,
@@ -251,3 +254,71 @@ def test_plans_are_sound_and_run_without_eviction_aborts(regions):
     stats = run_txn(sim, decl_from_plan(plan))
     assert stats.ac2 == 0
     assert stats.committed
+
+
+# -- the planner against the two-phase reference ------------------------------
+
+TIGHT = [
+    STRIPE,
+    CacheConfig(line_size=64, l1_sets=4, l1_ways=2, llc_sets=8, llc_ways=2),
+    CacheConfig(line_size=64, l1_sets=4, l1_ways=1, llc_sets=4, llc_ways=2),
+    CacheConfig(line_size=32, l1_sets=4, l1_ways=2, llc_sets=8, llc_ways=2),
+    # cramped: sliding a region can run past the end of the address space
+    CacheConfig(
+        line_size=64, l1_sets=4, l1_ways=2, llc_sets=4, llc_ways=4,
+        address_space=1024,
+    ),
+]
+
+
+def plan_or_error(planner, regions, config):
+    try:
+        return planner(regions, config)
+    except LayoutInfeasibleError as exc:
+        return (exc.kind, exc.level, str(exc))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(TIGHT),
+    st.lists(
+        st.tuples(
+            st.integers(1, 130), st.sampled_from([READ_ONLY, READ_ONLY, READ_WRITE])
+        ),
+        max_size=10,
+    ),
+)
+def test_planner_matches_the_two_phase_reference(config, specs):
+    regions = [Region(f"r{i}", size, kind) for i, (size, kind) in enumerate(specs)]
+    assert plan_or_error(plan_layout, regions, config) == plan_or_error(
+        two_phase_plan, regions, config
+    )
+
+
+def test_refused_add_changes_no_count():
+    loads = SetLoads(STRIPE)  # L1 2 sets x 2 ways, LLC 8 sets x 8 ways
+    assert loads.add(0, 2, True)
+    assert loads.blocked is None
+    before = ({0: 1, 1: 1}, {0: 1, 1: 1})
+    assert (loads.l1, loads.llc) == before
+    # lines 2 and 3 fit; line 4 fits its LLC set but would be L1 set 0's
+    # third written line, so the whole run is taken back
+    assert not loads.add(2, 3, True)
+    assert loads.blocked == "l1"
+    assert (loads.l1, loads.llc) == before
+    # reads load only the LLC: with line 0 placed, lines 4..63 take LLC
+    # set 0 to its 8 ways, so line 64 is refused
+    assert not loads.add(4, 64, False)
+    assert loads.blocked == "llc"
+    assert (loads.l1, loads.llc) == before
+    assert loads.add(2, 3, False)
+    assert (loads.l1, loads.llc) == ({0: 1, 1: 1}, {0: 1, 1: 1, 2: 1, 3: 1, 4: 1})
+
+
+def test_llc_is_tested_before_l1_for_each_line():
+    loads = SetLoads(TOY)  # one 2-way L1 set, one 4-way LLC set
+    assert loads.add(0, 2, True) and loads.add(2, 2, False)
+    # line 4 would overfill both sets; the LLC is named
+    assert not loads.add(4, 1, True)
+    assert loads.blocked == "llc"
+    assert (loads.l1, loads.llc) == ({0: 2}, {0: 4})

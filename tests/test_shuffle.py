@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oblishuffle.cache import CacheConfig, CacheSim
-from oblishuffle.layout import check_conflicts
+from oblishuffle.layout import LayoutInfeasibleError, check_conflicts
 from oblishuffle.shuffle import (
     BucketOverflowError,
     MalformedIntermediateError,
@@ -39,6 +39,22 @@ def apply_perm(data, perm):
 
 def some_data(n, seed):
     return [(k * 2654435761 + seed * 97) & 0xFFFFFFFF for k in range(n)]
+
+
+def intermediate_rows(engine):
+    p = engine.params
+    return [
+        engine.sim.peek_words(engine.inter + j * engine.stride_bytes, p.bucket_capacity)
+        for j in range(p.bucket_count)
+    ]
+
+
+def apply_pass(engine, src_vals, pi_vals):
+    """One pass as a standalone call: returns out with out[pi[k]] = src[k]."""
+    engine.sim.poke_words(engine.data_src, src_vals)
+    engine.sim.poke_words(engine.perm_r, pi_vals)
+    engine.run_pass(engine.data_src, engine.perm_r, engine.out)
+    return engine.sim.peek_words(engine.out, engine.params.n)
 
 
 # -- parameters and packing --------------------------------------------------
@@ -118,7 +134,7 @@ def test_distribute_smallest_square_identity():
     engine.sim.poke_words(engine.perm_r, [0, 1, 2, 3])
     engine.distribute(engine.data_src, engine.perm_r)
     d = dummy_word(engine.params)
-    assert engine.intermediate_rows() == [
+    assert intermediate_rows(engine) == [
         [pack(0, 10), pack(1, 11), d, d, d, d, d, d],
         [d, d, d, d, pack(2, 12), pack(3, 13), d, d],
     ]
@@ -133,7 +149,7 @@ def test_distribute_nine_element_grid():
     engine.distribute(engine.data_src, engine.perm_r)
     d = dummy_word(engine.params)
     pad = [d] * 7
-    assert engine.intermediate_rows() == [
+    assert intermediate_rows(engine) == [
         [pack(1, 101)] + pad + [pack(2, 105)] + pad + [pack(0, 106)] + pad,
         [pack(3, 100)] + pad + [pack(5, 103)] + pad + [pack(4, 108)] + pad,
         [pack(6, 102)] + pad + [pack(7, 104)] + pad + [pack(8, 107)] + pad,
@@ -147,7 +163,7 @@ def test_single_pass_matches_direct_application():
     engine = ShuffleEngine(CacheSim(), ShuffleParams(16))
     data = some_data(16, 3)
     pi = gen_perm(16, 11)
-    assert engine.apply_pass(data, pi) == apply_perm(data, pi)
+    assert apply_pass(engine, data, pi) == apply_perm(data, pi)
 
 
 # -- cleanup -----------------------------------------------------------------
@@ -291,6 +307,44 @@ def test_arena_must_fit_address_space():
     )
     with pytest.raises(ValueError):
         ShuffleEngine(CacheSim(tight), ShuffleParams(16))
+
+
+PAD_SIZES = (16, 64, 256, 1024, 4096, 16384)
+
+
+@pytest.mark.parametrize(
+    "config, pads",
+    [
+        (CacheConfig(), (0, 0, 0, 0, 1, 1)),
+        (CacheConfig(llc_sets=64), (0, 0, 0, 0, 1, 1)),
+        (
+            CacheConfig(l1_sets=4, l1_ways=2, llc_sets=16, llc_ways=4),
+            (1, 0, 0, 0, 0, 0),
+        ),
+        (
+            CacheConfig(l1_sets=16, l1_ways=4, llc_sets=64, llc_ways=8),
+            (0, 0, 1, 0, 0, 0),
+        ),
+        # LLC as small as L1: here the source buckets decide the pad
+        (CacheConfig(llc_sets=64, llc_ways=8), (0, 0, 1, 1, 1, None)),
+    ],
+    ids=[
+        "default", "llc-64-sets", "l1-4x2-llc-16x4", "l1-16x4-llc-64x8",
+        "llc-64x8",
+    ],
+)
+def test_stagger_search_picks_the_recorded_pads(config, pads):
+    # pad in lines between intermediate rows (None: no pad fits); a row
+    # wider than L1 gets 0
+    got = []
+    for n in PAD_SIZES:
+        try:
+            engine = ShuffleEngine(CacheSim(config), ShuffleParams(n))
+        except LayoutInfeasibleError:
+            got.append(None)
+            continue
+        got.append((engine.stride_bytes - engine.row_bytes) // config.line_size)
+    assert tuple(got) == pads
 
 
 def test_unstaggered_rows_storm_the_l1_sets():

@@ -21,7 +21,6 @@ from oblishuffle.cache import (
 from oblishuffle.txn import (
     AccessProbability,
     CapacityError,
-    FixedSchedule,
     HitGuaranteeError,
     NestedTxnError,
     RetryCapExceededError,
@@ -213,10 +212,27 @@ def test_body_eviction_abort_restores_memory():
 # -- interrupt aborts --------------------------------------------------------
 
 
+class FireOnConsultation:
+    """Fires on the listed consultations (1-based)."""
+
+    def __init__(self, fire_on):
+        self.fire_on = frozenset(fire_on)
+        self.consultations = 0
+
+    def fires_on_access(self):
+        self.consultations += 1
+        return self.consultations in self.fire_on
+
+
+def tick(ctx):
+    """A body that consults the interrupt model once and touches nothing."""
+    ctx.tick()
+
+
 def test_fixed_schedule_two_interrupts():
     sim = CacheSim(SMALL)
     decl = TxnDeclaration.of(reads=[(0, 128)], writes=[(128, 128)])
-    stats = run_txn(sim, decl, interrupt_model=FixedSchedule([1, 2]))
+    stats = run_txn(sim, decl, tick, interrupt_model=FireOnConsultation([1, 2]))
     assert stats.attempts == 3
     assert stats.ac4 == 2
     assert stats.committed
@@ -231,7 +247,10 @@ def test_interrupt_storm_hits_retry_cap():
     sim = CacheSim(SMALL)
     decl = TxnDeclaration.of(writes=[(0, 64)])
     with pytest.raises(RetryCapExceededError) as exc_info:
-        run_txn(sim, decl, interrupt_model=FixedSchedule(range(1, 100)), retry_cap=5)
+        run_txn(
+            sim, decl, tick, interrupt_model=FireOnConsultation(range(1, 100)),
+            retry_cap=5,
+        )
     stats = exc_info.value.stats
     assert (stats.attempts, stats.ac4) == (5, 5)
 
@@ -455,6 +474,9 @@ def test_interrupted_runs_converge_to_the_undisturbed_run(program):
     )
 
     def body(ctx):
+        # the interrupts fire on this first consultation of attempts
+        # 1..interrupts, before the body touches anything
+        ctx.tick()
         for kind, line, word, value in ops:
             if kind == "r":
                 ctx.read(addr_of(line, word))
@@ -477,7 +499,8 @@ def test_interrupted_runs_converge_to_the_undisturbed_run(program):
     calm_sim, noisy_sim = fresh_sim(), fresh_sim()
     calm = run_txn(calm_sim, decl, body)
     noisy = run_txn(
-        noisy_sim, decl, body, interrupt_model=FixedSchedule(range(1, interrupts + 1))
+        noisy_sim, decl, body,
+        interrupt_model=FireOnConsultation(range(1, interrupts + 1)),
     )
 
     assert calm.attempts == 1
@@ -497,21 +520,6 @@ def test_interrupted_runs_converge_to_the_undisturbed_run(program):
 
 
 # -- line runs: the per-word path is the reference ---------------------------
-
-
-class FireOnConsultation:
-    """Fires on the listed consultations (1-based), never at body entry."""
-
-    def __init__(self, fire_on):
-        self.fire_on = frozenset(fire_on)
-        self.consultations = 0
-
-    def fires_on_attempt(self, attempt):
-        return False
-
-    def fires_on_access(self):
-        self.consultations += 1
-        return self.consultations in self.fire_on
 
 
 def run_body(ops, expand, log):
