@@ -22,12 +22,15 @@ from the LLC without allocating in L1 (no event, nothing lost), while a
 write raises :class:`PinViolationError` because there is nowhere safe to
 put the dirty word.
 
-A transaction's prefetch block and its commit are one call each, and each
-is exact: ``prefetch(lines, kind)`` equals one pinned ``access`` per line
-in order, and ``commit_lines(dirtied, pinned)`` equals ``writeback_line``
-per dirtied line in order followed by ``unpin_lines(pinned)``.  Their
-state (trace, counters, clock, LRU stamps, dirty and pin bits) matches the
-per-line calls, including after a fault part-way through a block.
+A transaction's prefetch block, each run of its body and its commit are
+one call each, and each is exact: ``prefetch(lines, kind)`` equals one
+pinned ``access`` per line in order, ``access_run(addr, count, kind,
+pin)`` equals one ``access`` per word at ascending addresses, taking one
+step per line, and ``commit_lines(dirtied, pinned)`` equals
+``writeback_line`` per dirtied line in order followed by
+``unpin_lines(pinned)``.  Their state (trace, counters, clock, LRU
+stamps, dirty and pin bits) matches the per-line or per-word calls,
+including after a fault part-way through a block or run.
 """
 
 from __future__ import annotations
@@ -290,6 +293,76 @@ class CacheSim:
             return "l1-hit"
         return self._miss(line, l1_set, is_write, pin, clock)
 
+    def access_run(self, addr: int, count: int, kind: str, pin: bool = False) -> None:
+        """Exactly ``access(addr + i * WORD_BYTES, kind, pin)`` for each i in
+        ``range(count)``, in one call taking one step per line.
+
+        A line's first word is a full access; its other words can only
+        hit at the level that access left the line stamped at (L1, or
+        the LLC when a read was served without L1 residency), and they
+        set no bit it did not set, so they move only the clock, the
+        counters and that one stamp.  A fault (PinViolationError, or
+        ValueError for a word out of range) leaves the words before it
+        applied and the faulting word counted as ``access`` would.
+        """
+        if count <= 0:
+            return
+        is_write = kind == WRITE
+        if not is_write and kind != READ:
+            raise ValueError(f"bad access kind: {kind!r}")
+        shift = self._shift
+        limit = self.config.address_space
+        l1, l1_mask = self._l1, self._l1_mask
+        llc, llc_mask = self._llc, self._llc_mask
+        c = self.counters
+        clock, total, l1_hits = self._clock, c.total, c.l1_hits
+        end = addr + count * WORD_BYTES
+        fault = None
+        if addr < 0 or addr >= limit:
+            fault = end = addr
+        elif end - WORD_BYTES >= limit:
+            # the first word at or past the limit faults, after the ones
+            # before it
+            fault = end = addr + -(-(limit - addr) // WORD_BYTES) * WORD_BYTES
+        try:
+            while addr < end:
+                line = addr >> shift
+                stop = (line + 1) << shift
+                if stop > end:
+                    stop = end
+                # the words of this run that fall in this line
+                k = (stop - addr + WORD_BYTES - 1) // WORD_BYTES
+                addr += k * WORD_BYTES
+                l1_set = l1[line & l1_mask]
+                entry = l1_set.get(line)
+                if entry is None:
+                    clock += 1
+                    total += 1
+                    self._miss(line, l1_set, is_write, pin, clock)
+                    k -= 1
+                    if not k:
+                        continue
+                    entry = l1_set.get(line)
+                    if entry is None:
+                        entry = llc[line & llc_mask][line]
+                        c.llc_hits += k
+                    else:
+                        l1_hits += k
+                else:
+                    if is_write:
+                        entry[_DIRTY] = True
+                    if pin:
+                        entry[_PINNED] = True
+                        llc[line & llc_mask][line][_PINNED] = True
+                    l1_hits += k
+                clock += k
+                total += k
+                entry[_STAMP] = clock
+            if fault is not None:
+                raise ValueError(f"address {fault} out of range")
+        finally:
+            self._clock, c.total, c.l1_hits = clock, total, l1_hits
+
     def prefetch(self, lines: Iterable[int], kind: str) -> None:
         """Exactly ``access(line << shift, kind, pin=True)`` for each of
         ``lines`` in order, in one call.
@@ -393,29 +466,6 @@ class CacheSim:
         if install_l1:
             l1_set[line] = [is_write, pin, clock]
         return result
-
-    def repeat_hit(self, line: int, k: int) -> None:
-        """Account ``k`` more accesses to ``line`` right after one that
-        returned, each of the same kind and pin flag as that one.
-
-        They all hit at the level the first left the line stamped at: L1,
-        or the LLC when a read was served without L1 residency.  The first
-        access already set every dirty and pin bit they would set, so only
-        the clock, the counters and that one stamp move; nothing is
-        evicted and no event is emitted.
-        """
-        if k <= 0:
-            return
-        self._clock += k
-        c = self.counters
-        c.total += k
-        entry = self._l1[line & self._l1_mask].get(line)
-        if entry is not None:
-            c.l1_hits += k
-        else:
-            entry = self._llc[line & self._llc_mask][line]
-            c.llc_hits += k
-        entry[_STAMP] = self._clock
 
     # -- bulk operations ---------------------------------------------------
 

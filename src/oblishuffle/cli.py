@@ -184,6 +184,31 @@ def bench_rows(
 # -- aborts ------------------------------------------------------------------
 
 
+class _ConsultationCounter:
+    """Interrupt model that never fires and adds each consultation to the
+    transaction of ``engine`` making it, keyed by (overflow restart,
+    transaction index)."""
+
+    def __init__(self, engine: ShuffleEngine):
+        self.engine = engine
+        self.counts: dict[tuple[int, int], int] = {}
+
+    def first_fire(self, count: int) -> None:
+        key = (self.engine.overflow_retries, len(self.engine.stats))
+        self.counts[key] = self.counts.get(key, 0) + count
+
+
+def _consultations_per_txn(data, perm, n, pad_factor, seed) -> list[int]:
+    """Interrupt consultations of each transaction of one undisturbed
+    ``melbourne`` run, in order; a restart after an overflow keeps only
+    the run that completed.  Every melbourne body consults the model."""
+    engine = ShuffleEngine(CacheSim(), ShuffleParams(n, pad_factor, seed))
+    counter = engine.interrupt_model = _ConsultationCounter(engine)
+    engine.melbourne(data, perm)
+    last = engine.overflow_retries
+    return [c for (restart, _), c in counter.counts.items() if restart == last]
+
+
 def run_aborts_variant(
     variant: str,
     n: int,
@@ -216,37 +241,21 @@ def run_aborts_variant(
             flag = "retry-cap"
         stats = engine.stats
     elif variant == "interrupt-only":
-        # same transaction schedule and per-transaction operation counts as
-        # the oblivious shuffle, but bodies only tick: no memory at stake,
-        # so every abort it sees is an interrupt
+        # same transaction schedule and per-transaction consultation counts
+        # as the oblivious shuffle, but bodies only tick: no memory at
+        # stake, so every abort it sees is an interrupt
         sim = CacheSim()
         decl = TxnDeclaration.of(
             reads=[(0, 8)], line_size=sim.config.line_size
         )
-        params = ShuffleParams(n, pad_factor, seed)
-        bc = params.bucket_count
-        scatter_ops = 2 * bc + params.bucket_capacity
-        gather_ops = params.bucket_capacity + bc
 
         def ticker(k):
-            def body(ctx):
-                for _ in range(k):
-                    ctx.tick()
-
-            return body
+            return lambda ctx: ctx.tick(k)
 
         try:
-            for _pass in range(3):
-                for _i in range(bc):
-                    stats.append(
-                        run_txn(sim, decl, ticker(scatter_ops), model,
-                                retry_cap=retry_cap)
-                    )
-                for _j in range(bc):
-                    stats.append(
-                        run_txn(sim, decl, ticker(gather_ops), model,
-                                retry_cap=retry_cap)
-                    )
+            for k in _consultations_per_txn(data, perm, n, pad_factor, seed):
+                stats.append(run_txn(sim, decl, ticker(k), model,
+                                     retry_cap=retry_cap))
         except RetryCapExceededError as exc:
             stats.append(exc.stats)
             flag = "retry-cap"

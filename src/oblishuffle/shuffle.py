@@ -17,11 +17,17 @@ one, never raw input order.
 
 Each pass has two phases of sqrt(N) transactions each.  A scatter
 transaction reads one contiguous source bucket plus the matching slice
-of the routing permutation, and appends each element (packed with its
-destination index) to a bounded slice of the destination bucket's row in
-the intermediate buffer, padding every slice with dummies to a fixed
-length.  A gather transaction reads one full row, drops dummies, orders
-the survivors by destination and writes them to their final positions.
+of the routing permutation, routes each element (packed with its
+destination index) into a bounded slice for its destination bucket, held
+in locals, and then writes every slice, padded with dummies to a fixed
+length, into that bucket's row of the intermediate buffer in ascending
+order.  A gather transaction reads one full row, drops dummies, orders
+the survivors by destination, checks that their tags are exactly the
+bucket's destinations and writes them to their final positions.  Every
+body access is a run of consecutive words, and the runs' addresses are
+a fixed function of N: a body's hits leave LRU stamps that outlive its
+commit, so writing elements in routing order would let later victim
+choices, and under LLC pressure the trace, depend on the permutation.
 With prefetching, both bodies run entirely out of pinned cache: every
 event comes from the prefetch and commit phases, which depend only on
 declared addresses.  If more than a slice's worth of one source bucket
@@ -35,7 +41,9 @@ sets.  The search feeds each scatter transaction's written slices and
 its buckets of all five source arrays (a superset of the two it reads)
 into one ``layout.SetLoads``, the counter the layout planner uses, which
 refuses them if written lines overfill an L1 set or declared lines an
-LLC set.  Without the stagger (and without prefetch) the row stride is
+LLC set.  When no pad fits, the error names the level that refused most
+pads; a scatter footprint larger than the whole LLC is refused before
+the search.  Without the stagger (and without prefetch) the row stride is
 a multiple of the L1 set count at larger sizes and the per-set pile-up
 aborts the scatter until its retry cap.
 
@@ -257,9 +265,10 @@ class ShuffleEngine:
 
     # -- arena staggering --------------------------------------------------
 
-    def _stagger_ok(self, stride_lines: int) -> bool:
-        """Whether every scatter transaction's written slices and its
-        buckets of all five source arrays fit the cache sets together."""
+    def _stagger_refusal(self, stride_lines: int) -> str | None:
+        """The level ("l1" or "llc") at which some scatter transaction's
+        written slices and its buckets of all five source arrays overfill
+        a cache set together, or None if every one fits."""
         cfg = self.sim.config
         line = cfg.line_size
         bc = self.params.bucket_count
@@ -271,26 +280,45 @@ class ShuffleEngine:
                 a = self.inter + j * stride_lines * line + i * sb
                 first = a // line
                 if not loads.add(first, (a + sb - 1) // line - first + 1, True):
-                    return False
+                    return loads.blocked
             for src in sources:
                 a = src + i * bb
                 first = a // line
                 if not loads.add(first, (a + bb - 1) // line - first + 1, False):
-                    return False
-        return True
+                    return loads.blocked
+        return None
 
     def _find_stagger(self) -> int:
         cfg = self.sim.config
         if self.row_bytes > cfg.l1_capacity:
             return 0  # capacity abort will fire at declare time anyway
-        row_lines = self.row_bytes // cfg.line_size
+        line = cfg.line_size
+        # a scatter transaction declares bc slices and two buckets, each
+        # at least this many whole lines wherever the rows start
+        bc = self.params.bucket_count
+        need = bc * -(-self._slice_bytes // line) + 2 * -(-self._bucket_bytes // line)
+        if need > cfg.llc_sets * cfg.llc_ways:
+            raise LayoutInfeasibleError(
+                "capacity",
+                "llc",
+                f"a scatter transaction for n={self.params.n} declares at "
+                f"least {need} lines, the LLC holds "
+                f"{cfg.llc_sets * cfg.llc_ways}",
+            )
+        row_lines = self.row_bytes // line
+        refused = {"llc": 0, "l1": 0}
         for pad in range(0, 2 * max(cfg.l1_sets, 64) + 1):
-            if self._stagger_ok(row_lines + pad):
+            level = self._stagger_refusal(row_lines + pad)
+            if level is None:
                 return pad
+            refused[level] += 1
+        level = max(refused, key=refused.get)  # "llc" on a tie
         raise LayoutInfeasibleError(
             "arrangement",
-            "l1",
-            f"no row stagger avoids set conflicts for n={self.params.n}",
+            level,
+            f"no row stagger avoids set conflicts for n={self.params.n} "
+            f"(pads refused: {refused['llc']} by the llc, "
+            f"{refused['l1']} by l1)",
         )
 
     # -- transaction plumbing ----------------------------------------------
@@ -345,24 +373,21 @@ class ShuffleEngine:
         dummy_word = pack(p.dummy_tag, 0)
 
         def body(ctx) -> None:
-            cursors = [0] * bc
-            for k in range(bc):
-                dest = ctx.read(pi0 + k * WORD_BYTES)
-                val = ctx.read(src0 + k * WORD_BYTES)
+            # route into slices held in locals, then write every slice in
+            # ascending j, so the body's address sequence (and with it the
+            # LRU stamps it leaves) is a fixed function of n
+            dests = ctx.read_run(pi0, bc)
+            vals = ctx.read_run(src0, bc)
+            slices = [[] for _ in range(bc)]
+            for dest, val in zip(dests, vals):
                 j = dest // bc
-                c = cursors[j]
-                if c >= slice_len:
+                s = slices[j]
+                if len(s) >= slice_len:
                     raise BucketOverflowError(i, j, slice_len)
-                ctx.write(
-                    self._slice_addr(i, j) + c * WORD_BYTES, pack(dest, val)
-                )
-                cursors[j] = c + 1
-            for j in range(bc):
-                c = cursors[j]
-                ctx.write_run(
-                    self._slice_addr(i, j) + c * WORD_BYTES,
-                    [dummy_word] * (slice_len - c),
-                )
+                s.append(pack(dest, val))
+            for j, s in enumerate(slices):
+                s += [dummy_word] * (slice_len - len(s))
+                ctx.write_run(self._slice_addr(i, j), s)
 
         self._run(placements, body)
 
@@ -400,8 +425,14 @@ class ShuffleEngine:
                     f"bucket {j} holds {len(found)} elements, expected {bc}"
                 )
             found.sort()
-            for w in found:
-                ctx.write(dst + (w >> 32) * WORD_BYTES, w & VALUE_MASK)
+            # bc tags in [lo, hi) are exactly lo..hi-1 unless one repeats
+            for tag, w in enumerate(found, lo):
+                if w >> 32 != tag:
+                    raise MalformedIntermediateError(
+                        f"bucket {j} repeats a tag: sorted tag {w >> 32} "
+                        f"where {tag} belongs"
+                    )
+            ctx.write_run(dst0, [w & VALUE_MASK for w in found])
 
         self._run(placements, body)
 

@@ -20,13 +20,24 @@ per dirtied line followed by ``unpin_lines``.  With prefetching on, the
 dirtied and pinned lines come straight from the declaration.
 
 A body accesses words with ``ctx.read``/``ctx.write``, or consecutive
-words with ``ctx.read_run(addr, count)``/``ctx.write_run(addr, values)``.
-A run is exact: its result, any exception, the interrupt model's
-consultations and the whole cache state (trace, counters, clock, LRU
-stamps, dirty and pin bits) equal those of one per-word call per word at
-ascending addresses.  It costs one full access per line; the line's
-other words, which can only hit, are accounted in one step.  The
-interrupt model is still consulted once per word.
+words with ``ctx.read_run(addr, count)``/``ctx.write_run(addr, values)``;
+a single word is a run of length one.  A run is exact: its result, any
+exception, the interrupt model's consultations and the whole cache state
+(trace, counters, clock, LRU stamps, dirty and pin bits) equal those of
+one per-word access per word at ascending addresses.  It checks the
+declaration once for its lines, consults the interrupt model once for its
+words and makes one ``CacheSim.access_run`` call, which takes one step
+per line.  A body run without prefetch can fault on the first word of a
+line it has not pinned yet, and the per-word path neither consults nor
+touches anything past a fault, so there a run is split into stretches
+that each end at such a word, one consultation and one ``access_run``
+each.
+
+Interrupt models answer one question, ``first_fire(count)``: make
+``count`` consultations, stopping at the first that fires, and return its
+index or None.  A run of n words asks it once with n and accesses only
+the words before the one that fired; ``ctx.tick(count)`` asks it once
+with ``count``.
 
 Aborts roll everything back: every line the attempt touched is
 invalidated without events, the declared write range is restored from a
@@ -40,6 +51,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -204,17 +216,36 @@ class AccessProbability:
         self.seed = seed
         self.consultations = 0
         self._rng = np.random.Generator(np.random.Philox(key=seed))
-        self._buf: np.ndarray = self._rng.random(self._BUF)
+        self._buf: list[float] = self._rng.random(self._BUF).tolist()
         self._pos = 0
 
-    def fires_on_access(self) -> bool:
-        self.consultations += 1
-        if self._pos >= self._BUF:
-            self._buf = self._rng.random(self._BUF)
-            self._pos = 0
-        u = self._buf[self._pos]
-        self._pos += 1
-        return bool(u < self.rate)
+    def first_fire(self, count: int) -> int | None:
+        """Make ``count`` consultations, stopping at the first that fires;
+        returns its index, or None if none fired.
+
+        Each consultation takes the next draw from the buffer, refilled
+        only when a draw is needed and the buffer is spent, so
+        ``consultations`` and the draw position advance exactly as
+        ``count`` single consultations (or as many as ran) would.
+        """
+        rate, buf, pos = self.rate, self._buf, self._pos
+        done = 0
+        while done < count:
+            if pos >= self._BUF:
+                buf = self._buf = self._rng.random(self._BUF).tolist()
+                pos = 0
+            stop = min(self._BUF, pos + count - done)
+            if min(buf[pos:stop]) < rate:
+                for i in range(pos, stop):
+                    if buf[i] < rate:
+                        self.consultations += done + i - pos + 1
+                        self._pos = i + 1
+                        return done + i - pos
+            done += stop - pos
+            pos = stop
+        self.consultations += done
+        self._pos = pos
+        return None
 
 
 # -- execution -------------------------------------------------------------
@@ -225,8 +256,8 @@ class TxnContext:
 
     Reads and writes go through the cache with pinning and are checked
     against the declaration.  ``read_run``/``write_run`` do the same for
-    consecutive words (see the module docstring).  ``tick`` models a unit
-    of computation that touches no memory but can still be interrupted.
+    consecutive words (see the module docstring).  ``tick`` models units
+    of computation that touch no memory but can still be interrupted.
     """
 
     __slots__ = (
@@ -237,9 +268,12 @@ class TxnContext:
         "_dirtied",
         "_dirtied_set",
         "_shift",
+        "_prefetched",
     )
 
-    def __init__(self, sim: CacheSim, decl: TxnDeclaration, model) -> None:
+    def __init__(
+        self, sim: CacheSim, decl: TxnDeclaration, model, prefetched: bool
+    ) -> None:
         self._sim = sim
         self._decl = decl
         self._model = model
@@ -247,92 +281,121 @@ class TxnContext:
         self._dirtied: list[int] = []
         self._dirtied_set: set[int] = set()
         self._shift = sim.config.line_shift
-
-    def _consult(self) -> None:
-        if self._model is not None and self._model.fires_on_access():
-            raise _Interrupted()
+        self._prefetched = prefetched
 
     def read(self, addr: int) -> int:
-        line = addr >> self._shift
-        if line not in self._decl.read_ok:
-            raise UndeclaredAccessError(addr, READ)
-        self._consult()
-        self._touched.add(line)
-        return self._sim.read_word(addr, pin=True)
+        """One word: a run of length one."""
+        fault = self._run(addr, 1, READ)[1]
+        if fault is not None:
+            raise fault
+        return self._sim.memory.get(addr >> 3, 0)
 
     def write(self, addr: int, value: int) -> None:
-        line = addr >> self._shift
-        if line not in self._decl.write_ok:
-            raise UndeclaredAccessError(addr, WRITE)
-        self._consult()
-        self._touched.add(line)
-        if line not in self._dirtied_set:
-            self._dirtied_set.add(line)
-            self._dirtied.append(line)
-        self._sim.write_word(addr, value, pin=True)
+        """One word: a run of length one."""
+        n, fault = self._run(addr, 1, WRITE)
+        if n:
+            self._sim.memory[addr >> 3] = value
+        if fault is not None:
+            raise fault
 
     def read_run(self, addr: int, count: int) -> list[int]:
         """Values of ``count`` words from ``addr``, exactly as that many
         ``read`` calls at ascending word addresses."""
-        mem = self._sim.memory
-        out: list[int] = []
-        for w, k in self._run_lines(addr, count, READ):
-            out += [mem.get(i, 0) for i in range(w, w + k)]
-        return out
+        fault = self._run(addr, count, READ)[1]
+        if fault is not None:
+            raise fault
+        w = addr >> 3
+        return list(map(self._sim.memory.get, range(w, w + count), repeat(0, count)))
 
     def write_run(self, addr: int, values: Sequence[int]) -> None:
         """Store ``values`` at ascending words from ``addr``, exactly as
         one ``write`` call per value."""
-        mem = self._sim.memory
-        v = 0
-        for w, k in self._run_lines(addr, len(values), WRITE):
-            mem.update(zip(range(w, w + k), values[v : v + k]))
-            v += k
+        n, fault = self._run(addr, len(values), WRITE)
+        if n:
+            w = addr >> 3
+            self._sim.memory.update(zip(range(w, w + n), values))
+        if fault is not None:
+            raise fault
 
-    def _run_lines(self, addr: int, count: int, kind: str):
-        """Make a run's accesses line by line, yielding (first word index,
-        words) once each line's words are accounted.
+    def _run(self, addr: int, count: int, kind: str) -> tuple[int, Exception | None]:
+        """Make the accesses of ``count`` words from ``addr`` as one run.
 
-        Each line goes through the per-word steps once (declaration,
-        interrupt model, touched and dirtied sets, alignment,
-        ``CacheSim.access``); its remaining words, which can only hit,
-        consult the model one by one and are then accounted by
-        ``CacheSim.repeat_hit``.  An interrupt on a later word yields the
-        words before it and then raises, as the per-word path would.
+        Returns how many words were accessed and the exception the
+        per-word calls would raise after them, or None.  The declaration
+        is checked once for the run's lines.  A prefetched body makes the
+        run as one stretch, a cold one as the stretches
+        ``_fault_free_words`` gives.  Each stretch asks the interrupt model
+        once (``first_fire``), updates the touched and dirtied sets once
+        and is one ``CacheSim.access_run``,
+        which raises a PinViolationError or an out-of-range ValueError
+        after the words before it; the caller then stores no value of the
+        run, and the transaction's rollback restores the declared write
+        range in any case.
         """
-        sim = self._sim
-        model = self._model
+        if count <= 0:
+            return 0, None
         shift = self._shift
+        n = count
+        misaligned = addr % WORD_BYTES != 0
+        if misaligned:
+            n = 1  # the first word fails once it is checked and consulted
+        fault = None
+        first = addr >> shift
+        lines = range(first, ((addr + (n - 1) * WORD_BYTES) >> shift) + 1)
         ok = self._decl.write_ok if kind == WRITE else self._decl.read_ok
-        end = addr + count * WORD_BYTES
-        while addr < end:
-            line = addr >> shift
-            if line not in ok:
-                raise UndeclaredAccessError(addr, kind)
-            self._consult()
-            self._touched.add(line)
-            if kind == WRITE and line not in self._dirtied_set:
-                self._dirtied_set.add(line)
-                self._dirtied.append(line)
-            if addr % WORD_BYTES:
-                raise ValueError(f"address {addr} not word aligned")
-            sim.access(addr, kind, True)
-            stop = min(end, (line + 1) << shift)
-            k = (stop - addr) // WORD_BYTES - 1
-            fired = False
+        if not ok.issuperset(lines):
+            bad = next(line for line in lines if line not in ok)
+            n = max(0, ((bad << shift) - addr) // WORD_BYTES)
+            fault = UndeclaredAccessError(addr + n * WORD_BYTES, kind)
+            misaligned = False
+        model = self._model
+        done = 0
+        while done < n:
+            a = addr + done * WORD_BYTES
+            m = n - done
+            if not self._prefetched:
+                m = self._fault_free_words(a, m, kind)
             if model is not None:
-                for done in range(k):
-                    if model.fires_on_access():
-                        k, fired = done, True
-                        break
-            sim.repeat_hit(line, k)
-            yield addr >> 3, k + 1
-            if fired:
-                raise _Interrupted()
-            addr = stop
+                fired = model.first_fire(m)
+                if fired is not None:
+                    m, n, fault, misaligned = fired, done + fired, _Interrupted(), False
+            if m:
+                if not self._prefetched:
+                    # a prefetched attempt rolls back and commits its
+                    # declared lines, so only a cold one needs these
+                    lines = range(a >> shift, ((a + (m - 1) * WORD_BYTES) >> shift) + 1)
+                    self._touched.update(lines)
+                    if kind == WRITE:
+                        for line in lines:
+                            if line not in self._dirtied_set:
+                                self._dirtied_set.add(line)
+                                self._dirtied.append(line)
+                if misaligned:
+                    raise ValueError(f"address {addr} not word aligned")
+                self._sim.access_run(a, m, kind, True)
+            done += m
+        return n, fault
 
-    def tick(self) -> None:
-        self._consult()
+    def _fault_free_words(self, addr: int, count: int, kind: str) -> int:
+        """How many of ``count`` words from ``addr`` make one stretch in a
+        body that runs cold: through the first word of the first line this
+        attempt has not yet pinned for ``kind``, the only word whose access
+        can fault (on a pin, or past the address space).  The per-word path
+        neither consults nor touches anything past a fault.  Prefetched
+        bodies pin every declared line first, so their runs never fault
+        and are one stretch."""
+        safe = self._dirtied_set if kind == WRITE else self._touched
+        shift = self._shift
+        last = (addr + (count - 1) * WORD_BYTES) >> shift
+        for line in range(addr >> shift, last + 1):
+            if line not in safe:
+                return min(count, max(1, ((line << shift) - addr) // WORD_BYTES + 1))
+        return count
+
+    def tick(self, count: int = 1) -> None:
+        """``count`` units of computation, each consulting the model."""
+        if self._model is not None and self._model.first_fire(count) is not None:
+            raise _Interrupted()
 
 
 def run_txn(
@@ -381,7 +444,7 @@ def run_txn(
             if stats.attempts > retry_cap:
                 stats.attempts = retry_cap
                 raise RetryCapExceededError(stats)
-            ctx = TxnContext(sim, decl, interrupt_model)
+            ctx = TxnContext(sim, decl, interrupt_model, prefetch)
             try:
                 pf_start = len(sim.trace)
                 try:

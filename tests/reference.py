@@ -1,5 +1,13 @@
 """Reference models the tests hold the library to.
 
+``CacheSim.access_run`` and the ``TxnContext`` run path make a whole run
+of words in one step per line, and ``AccessProbability.first_fire``
+makes a run's interrupt consultations in one call.  ``per_word_access``,
+``per_word_read``/``per_word_write`` and ``per_word_draw`` are the
+per-word paths they replace: one ``access`` per word, checked against the
+declaration and preceded by one interrupt consultation, each drawing
+once from the model's buffer.
+
 ``CacheSim.prefetch`` and ``CacheSim.commit_lines`` handle a whole block
 of lines in one call.  ``per_line_prefetch`` and ``per_line_commit`` are
 the loops they replace: one pinned ``access`` per prefetched line, and
@@ -12,13 +20,104 @@ address zero, and only if that overloads a set, a first-fit placement
 that starts again from nothing, each with its own set-load counting.
 """
 
-from oblishuffle.cache import KIND_WRITEBACK, TraceEvent
+from oblishuffle.cache import KIND_WRITEBACK, READ, WRITE, TraceEvent
 from oblishuffle.layout import READ_WRITE, LayoutInfeasibleError, LayoutPlan
+from oblishuffle.txn import AccessProbability, UndeclaredAccessError, _Interrupted
+
+_DIRTY, _PINNED, _STAMP = 0, 1, 2
+
+
+def per_word_access(sim, addr, kind, pin=False):
+    """One access, as ``CacheSim.access`` makes it: returns "l1-hit",
+    "llc-hit" or "llc-miss"."""
+    if not 0 <= addr < sim.config.address_space:
+        raise ValueError(f"address {addr} out of range")
+    is_write = kind == WRITE
+    if not is_write and kind != READ:
+        raise ValueError(f"bad access kind: {kind!r}")
+    line = addr >> sim._shift
+    sim._clock += 1
+    sim.counters.total += 1
+    l1_set = sim._l1[line & sim._l1_mask]
+    entry = l1_set.get(line)
+    if entry is not None:
+        entry[_STAMP] = sim._clock
+        if is_write:
+            entry[_DIRTY] = True
+        if pin:
+            entry[_PINNED] = True
+            sim._llc[line & sim._llc_mask][line][_PINNED] = True
+        sim.counters.l1_hits += 1
+        return "l1-hit"
+    return sim._miss(line, l1_set, is_write, pin, sim._clock)
+
+
+def per_word_draw(model):
+    """One consultation of an AccessProbability: the next draw from its
+    buffer, refilled when spent; True if it fires."""
+    model.consultations += 1
+    if model._pos >= model._BUF:
+        model._buf = model._rng.random(model._BUF).tolist()
+        model._pos = 0
+    u = model._buf[model._pos]
+    model._pos += 1
+    return u < model.rate
+
+
+def per_word_first_fire(model, count):
+    """``first_fire(count)`` as ``count`` single draws."""
+    for i in range(count):
+        if per_word_draw(model):
+            return i
+    return None
+
+
+def _consult(ctx):
+    model = ctx._model
+    if model is None:
+        return
+    if isinstance(model, AccessProbability):
+        fired = per_word_draw(model)
+    else:
+        fired = model.first_fire(1) is not None
+    if fired:
+        raise _Interrupted()
+
+
+def per_word_read(ctx, addr):
+    """``ctx.read(addr)`` as one declaration check, one consultation and
+    one access."""
+    line = addr >> ctx._shift
+    if line not in ctx._decl.read_ok:
+        raise UndeclaredAccessError(addr, READ)
+    _consult(ctx)
+    ctx._touched.add(line)
+    sim = ctx._sim
+    sim._check_word(addr)
+    per_word_access(sim, addr, READ, True)
+    return sim.memory.get(addr >> 3, 0)
+
+
+def per_word_write(ctx, addr, value):
+    """``ctx.write(addr, value)`` as one declaration check, one
+    consultation and one access."""
+    line = addr >> ctx._shift
+    if line not in ctx._decl.write_ok:
+        raise UndeclaredAccessError(addr, WRITE)
+    _consult(ctx)
+    ctx._touched.add(line)
+    if line not in ctx._dirtied_set:
+        ctx._dirtied_set.add(line)
+        ctx._dirtied.append(line)
+    sim = ctx._sim
+    sim._check_word(addr)
+    per_word_access(sim, addr, WRITE, True)
+    sim.memory[addr >> 3] = value
 
 
 def per_line_prefetch(sim, lines, kind) -> None:
     for line in lines:
-        sim.access(line << sim.config.line_shift, kind, pin=True)
+        per_word_access(sim, line << sim.config.line_shift, kind, pin=True)
 
 
 def per_line_commit(sim, dirtied, pinned) -> int:

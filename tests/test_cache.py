@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import per_line_commit, per_line_prefetch
+from reference import per_line_commit, per_line_prefetch, per_word_access
 
 from oblishuffle.cache import (
     KIND_MISS,
@@ -564,3 +564,81 @@ def test_commit_lines_writes_back_in_order_then_unpins():
     assert sim.trace[-2:] == [wb(1), wb(0)]
     for line in (0, 1, 2):
         assert sim.line_state(line, "llc") == (False, False)
+
+
+@st.composite
+def run_programs(draw):
+    config = CacheConfig(
+        line_size=64,
+        l1_sets=draw(st.sampled_from([1, 2])),
+        l1_ways=2,
+        llc_sets=draw(st.sampled_from([2, 4])),
+        llc_ways=draw(st.integers(2, 4)),
+        address_space=1 << 10,  # lines 0..15
+    )
+    # pinned, dirty and clean lines from ordinary accesses
+    pre = draw(st.lists(
+        st.tuples(st.integers(0, 11), st.sampled_from(["read", "write"]),
+                  st.booleans()),
+        max_size=16,
+    ))
+    runs = []
+    for _ in range(draw(st.integers(1, 4))):
+        # mostly word-aligned; some runs reach past the address space or
+        # start outside it
+        addr = draw(st.one_of(st.integers(0, 127).map(lambda w: 8 * w),
+                              st.integers(-16, 1100)))
+        runs.append((addr, draw(st.integers(0, 30)),
+                     draw(st.sampled_from(["read", "write"])), draw(st.booleans())))
+    return config, pre, runs
+
+
+def per_word_run(sim, addr, count, kind, pin):
+    for i in range(count):
+        per_word_access(sim, addr + 8 * i, kind, pin)
+
+
+@settings(max_examples=300, deadline=None)
+@given(run_programs())
+def test_access_run_matches_per_word_accesses(program):
+    config, pre, runs = program
+    fast, ref = CacheSim(config), CacheSim(config)
+    for sim in (fast, ref):
+        for line, kind, pin in pre:
+            outcome(lambda: sim.access(line * 64, kind, pin))
+    for addr, count, kind, pin in runs:
+        assert outcome(lambda: fast.access_run(addr, count, kind, pin)) == outcome(
+            lambda: per_word_run(ref, addr, count, kind, pin))
+        assert sim_state(fast) == sim_state(ref)
+        fast.check_invariants()
+
+
+def test_access_run_stops_at_a_pin_fault_mid_run():
+    # line 0 holds pinned dirty data in the one 2-way L1 set; the run's
+    # three words on line 1 pin it dirty too, so its first word on line 2
+    # faults
+    sim, ref = CacheSim(TINY), CacheSim(TINY)
+    for s in (sim, ref):
+        s.access(0, "write", pin=True)
+    with pytest.raises(PinViolationError) as info:
+        sim.access_run(64 + 40, 6, "write", pin=True)
+    with pytest.raises(PinViolationError):
+        per_word_run(ref, 64 + 40, 6, "write", True)
+    assert (info.value.line_address, info.value.level) == (2, "l1")
+    assert sim_state(sim) == sim_state(ref)
+    assert (sim.counters.total, sim.counters.l1_hits) == (1 + 3 + 1, 2)
+
+
+def test_access_run_past_the_address_space_applies_the_words_before():
+    sim, ref = CacheSim(TINY), CacheSim(TINY)
+    space = TINY.address_space
+    with pytest.raises(ValueError, match=f"address {space} out of range"):
+        sim.access_run(space - 16, 4, "read")
+    with pytest.raises(ValueError):
+        per_word_run(ref, space - 16, 4, "read", False)
+    assert sim_state(sim) == sim_state(ref)
+    assert sim.counters.total == 2
+    # misaligned, the run's last word starts below the limit and is in
+    # range even though the run's end is past it
+    sim.access_run(space - 23, 3, "read")
+    assert sim.counters.total == 2 + 3

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from oblishuffle.cli import main, make_inputs
+from oblishuffle.cli import _consultations_per_txn, main, make_inputs
+from oblishuffle.shuffle import ShuffleParams, gen_perm
 from oblishuffle.verify import oracle_apply_perm
 
 
@@ -171,6 +172,35 @@ def test_aborts_table_is_frozen_and_twins_agree(capsys):
     twin_a = lines[1].split(",")[2:5]
     twin_b = lines[2].split(",")[2:5]
     assert twin_a == twin_b
+
+
+@pytest.mark.parametrize("n, pad_factor", [(16, 2), (64, 2), (256, 1)])
+def test_control_counts_come_from_a_real_shuffle(n, pad_factor):
+    # per pass: bc scatters (two bucket reads, a row of slice writes),
+    # then bc gathers (a row read, a bucket write)
+    p = ShuffleParams(n, pad_factor)
+    bc, cap = p.bucket_count, p.bucket_capacity
+    data, perm = make_inputs(n, 0)
+    counts = _consultations_per_txn(data, perm, n, pad_factor, 0)
+    assert counts == ([2 * bc + cap] * bc + [cap + bc] * bc) * 3
+
+
+def test_control_counts_keep_only_the_completed_restart():
+    # the permutation is crafted against the seed's first random draw so
+    # that pass 3 of attempt zero overflows a slice (as in test_shuffle)
+    n, seed = 49, 5
+    p = ShuffleParams(n, pad_factor=1, seed=seed)
+    inv = [0] * n
+    for k, v in enumerate(gen_perm(n, seed)):
+        inv[v] = k
+    perm = [None] * n
+    for j in range(p.bucket_count):
+        perm[inv[j]] = j
+    rest = iter(range(p.bucket_count, n))
+    perm = [next(rest) if v is None else v for v in perm]
+    counts = _consultations_per_txn(list(range(n)), perm, n, 1, seed)
+    bc, cap = p.bucket_count, p.bucket_capacity
+    assert counts == ([2 * bc + cap] * bc + [cap + bc] * bc) * 3
 
 
 def test_aborts_reruns_are_identical(capsys):

@@ -200,6 +200,35 @@ def test_gather_rejects_foreign_tag():
         engine.gather_txn(0, engine.out)
 
 
+def test_gather_rejects_a_repeated_tag():
+    # two elements, both tagged 0: the count and the tag range are right,
+    # but one destination would be written twice and the other never
+    engine = ShuffleEngine(CacheSim(), ShuffleParams(4))
+    d = dummy_word(engine.params)
+    engine.sim.poke_words(engine.inter, [pack(0, 9), d, pack(0, 8)] + [d] * 5)
+    with pytest.raises(MalformedIntermediateError, match="repeats a tag"):
+        engine.gather_txn(0, engine.out)
+    assert engine.sim.peek_words(engine.out, 2) == [0, 0]
+
+
+def test_scatter_writes_its_slices_in_ascending_order():
+    # the body's writes go slice by slice, whatever the routing
+    engine = ShuffleEngine(CacheSim(), ShuffleParams(16, seed=1))
+    engine.sim.poke_words(engine.data_src, some_data(16, 0))
+    engine.sim.poke_words(engine.perm_r, gen_perm(16, 4))
+    written = []
+    access_run = engine.sim.access_run
+
+    def logged(addr, count, kind, pin=False):
+        if kind == "write":
+            written.append(addr)
+        access_run(addr, count, kind, pin)
+
+    engine.sim.access_run = logged
+    engine.scatter_txn(0, engine.data_src, engine.perm_r)
+    assert written == [engine._slice_addr(0, j) for j in range(4)]
+
+
 # -- overflow and restart ----------------------------------------------------
 
 
@@ -345,6 +374,28 @@ def test_stagger_search_picks_the_recorded_pads(config, pads):
             continue
         got.append((engine.stride_bytes - engine.row_bytes) // config.line_size)
     assert tuple(got) == pads
+
+
+def test_stagger_search_fails_at_once_when_a_scatter_outgrows_the_llc(monkeypatch):
+    # 128 slices of at least 4 lines and two 16-line buckets: 544 lines,
+    # against a 512-line LLC, so no pad is tried
+    def no_search(self, stride_lines):
+        raise AssertionError("the pad search ran")
+
+    monkeypatch.setattr(ShuffleEngine, "_stagger_refusal", no_search)
+    with pytest.raises(LayoutInfeasibleError) as info:
+        ShuffleEngine(CacheSim(CacheConfig(llc_sets=64, llc_ways=8)),
+                      ShuffleParams(16384))
+    assert (info.value.kind, info.value.level) == ("capacity", "llc")
+
+
+def test_stagger_search_names_the_level_that_refused():
+    # every pad fits L1 but overfills an LLC set
+    config = CacheConfig(l1_sets=16, l1_ways=4, llc_sets=16, llc_ways=4)
+    with pytest.raises(LayoutInfeasibleError) as info:
+        ShuffleEngine(CacheSim(config), ShuffleParams(256))
+    assert (info.value.kind, info.value.level) == ("arrangement", "llc")
+    assert "129 by the llc, 0 by l1" in str(info.value)
 
 
 def test_unstaggered_rows_storm_the_l1_sets():

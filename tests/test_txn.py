@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import per_line_commit, per_line_prefetch
+from reference import (
+    per_line_commit,
+    per_line_prefetch,
+    per_word_first_fire,
+    per_word_read,
+    per_word_write,
+)
 
 from oblishuffle.cache import (
     KIND_MISS,
@@ -219,9 +225,12 @@ class FireOnConsultation:
         self.fire_on = frozenset(fire_on)
         self.consultations = 0
 
-    def fires_on_access(self):
-        self.consultations += 1
-        return self.consultations in self.fire_on
+    def first_fire(self, count):
+        for i in range(count):
+            self.consultations += 1
+            if self.consultations in self.fire_on:
+                return i
+        return None
 
 
 def tick(ctx):
@@ -519,22 +528,23 @@ def test_interrupted_runs_converge_to_the_undisturbed_run(program):
     assert calm_sim.trace == (noisy_sim.trace[-tail:] if tail else [])
 
 
-# -- line runs: the per-word path is the reference ---------------------------
+# -- line runs: the per-word reference path ----------------------------------
 
 
 def run_body(ops, expand, log):
     """Body doing ``ops`` as runs, or with every run expanded into one
-    per-word call per word; values read are appended to ``log``."""
+    reference per-word access per word; values read are appended to
+    ``log``."""
 
     def body(ctx):
         for kind, addr, arg in ops:
             if kind == "r" and expand:
-                log.append([ctx.read(addr + 8 * i) for i in range(arg)])
+                log.append([per_word_read(ctx, addr + 8 * i) for i in range(arg)])
             elif kind == "r":
                 log.append(ctx.read_run(addr, arg))
             elif expand:
                 for i, value in enumerate(arg):
-                    ctx.write(addr + 8 * i, value)
+                    per_word_write(ctx, addr + 8 * i, value)
             else:
                 ctx.write_run(addr, arg)
 
@@ -593,19 +603,24 @@ def run_programs(draw):
                 ops.append(("w", addr_of(line, word), values))
         txns.append((reads, writes, ops, draw(st.booleans())))
     init = draw(st.dictionaries(st.integers(0, 79), st.integers(1, 2**32)))
+    # clean and dirty lines left resident before the transactions
+    pre = draw(st.lists(st.tuples(st.integers(0, 11), st.sampled_from(["read", "write"])),
+                        max_size=8))
     rate = draw(st.sampled_from([None, 0.05, 0.3]))
-    return config, txns, init, rate, draw(st.integers(0, 2**16))
+    return config, txns, init, pre, rate, draw(st.integers(0, 2**16))
 
 
 @settings(max_examples=200, deadline=None)
 @given(run_programs())
 def test_runs_match_per_word_accesses(program):
-    config, txns, init, rate, seed = program
+    config, txns, init, pre, rate, seed = program
     outcomes = []
     for expand in (False, True):
         sim = CacheSim(config)
         for word, value in init.items():
             sim.poke_word(word * 8, value)
+        for line, kind in pre:
+            sim.access(line * 64, kind)
         model = None if rate is None else AccessProbability(rate, seed)
         log, results = [], []
         for reads, writes, ops, prefetch in txns:
@@ -681,3 +696,136 @@ def test_misaligned_run_rejected(body):
     decl = TxnDeclaration.of(reads=[(0, 64)], writes=[(64, 64)])
     with pytest.raises(ValueError, match="not word aligned"):
         run_txn(CacheSim(SMALL), decl, body)
+
+
+EDGE = CacheConfig(line_size=64, l1_sets=2, l1_ways=2, llc_sets=2, llc_ways=8,
+                   address_space=1 << 10)  # lines 0..15
+
+
+@pytest.mark.parametrize("prefetch", [False, True])
+@pytest.mark.parametrize(
+    "ops, fire_on",
+    [
+        # runs past the address space: the first word beyond it is
+        # checked and consulted, then refused
+        ([("r", addr_of(15, 6), 5)], []),
+        ([("w", addr_of(15, 7), [1, 2, 3])], []),
+        ([("r", addr_of(15, 6), 5)], [3]),
+        ([("r", addr_of(16), 2)], []),
+        # misaligned: the first word is checked and consulted, then refused
+        ([("w", addr_of(1) + 4, [1, 2])], []),
+        ([("r", addr_of(0, 3) + 2, 3)], [1]),
+        ([("r", addr_of(4) + 4, 3)], []),
+        # an interrupt before, on and after an undeclared line
+        ([("w", addr_of(1, 6), [5] * 12)], [2]),
+        ([("w", addr_of(1, 6), [5] * 12)], [3]),
+        ([("r", addr_of(0, 5), 4), ("w", addr_of(1, 2), [9] * 20)], [6]),
+    ],
+)
+def test_edge_runs_match_per_word_accesses(ops, fire_on, prefetch):
+    # line 1 is written, line 0 and 15..16 read; 16 lies past the space
+    decl = TxnDeclaration.of(reads=[(0, 64), (addr_of(15), 128)],
+                             writes=[(64, 64)])
+    outcomes = []
+    for expand in (False, True):
+        sim = CacheSim(EDGE)
+        sim.poke_words(0, range(1, 17))
+        model = FireOnConsultation(fire_on)
+        log = []
+        try:
+            result = run_txn(sim, decl, run_body(ops, expand, log), model,
+                             prefetch=prefetch, retry_cap=1)
+        except (ValueError, UndeclaredAccessError, RetryCapExceededError) as exc:
+            result = (type(exc), str(exc))
+        outcomes.append((result, log, sim_state(sim), model.consultations))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_tick_consults_count_times_in_one_call():
+    sim = CacheSim(SMALL)
+    decl = TxnDeclaration.of(writes=[(0, 64)])
+    model = FireOnConsultation([3, 9])
+    stats = run_txn(sim, decl, lambda ctx: ctx.tick(5), model)
+    # attempt 1 stops at consultation 3, attempt 2 makes 4..8 and commits
+    assert (stats.attempts, stats.ac4) == (2, 1)
+    assert model.consultations == 3 + 5
+    stats = run_txn(sim, decl, lambda ctx: ctx.tick(0), model)
+    assert (stats.attempts, model.consultations) == (1, 8)
+
+
+@st.composite
+def draw_programs(draw):
+    rate = draw(st.sampled_from([0.0, 0.001, 0.05, 0.5, 1.0]))
+    # start anywhere in the buffer, often just before or at its end
+    pos = draw(st.one_of(st.integers(0, 4096), st.integers(4080, 4096)))
+    counts = draw(st.lists(
+        st.one_of(st.integers(0, 24), st.integers(0, 9000)), min_size=1,
+        max_size=6,
+    ))
+    return rate, draw(st.integers(0, 2**16)), pos, counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(draw_programs())
+def test_first_fire_matches_per_word_draws(program):
+    rate, seed, pos, counts = program
+    fast, ref = AccessProbability(rate, seed), AccessProbability(rate, seed)
+    fast._pos = ref._pos = pos
+    for count in counts:
+        got = fast.first_fire(count)
+        assert got == per_word_first_fire(ref, count)
+        assert (fast.consultations, fast._pos) == (ref.consultations, ref._pos)
+        assert fast._buf == ref._buf
+
+
+def test_first_fire_across_the_buffer_refill():
+    # 6 draws left in the buffer, then 14 from a fresh one
+    fast, ref = AccessProbability(0.0, 3), AccessProbability(0.0, 3)
+    fast._pos = ref._pos = 4090
+    assert fast.first_fire(20) is per_word_first_fire(ref, 20) is None
+    assert (fast.consultations, fast._pos) == (ref.consultations, ref._pos) == (20, 14)
+    assert fast._buf == ref._buf
+    # a spent buffer is refilled only when a draw is needed
+    fast._pos = 4096
+    fast.first_fire(0)
+    assert fast._pos == 4096
+
+
+def test_cold_run_consults_no_word_past_a_pin_fault():
+    # lines 0, 2 and 4 share a 2-way LLC set; once 0 and 2 are pinned,
+    # the first word on line 4 faults and the second is never consulted
+    config = CacheConfig(line_size=64, l1_sets=1, l1_ways=2, llc_sets=2, llc_ways=2)
+    decl = TxnDeclaration.of(reads=[(0, 64), (128, 64), (256, 64)])
+    ops = [("r", addr_of(0), 1), ("r", addr_of(2), 1), ("r", addr_of(4), 2)]
+    per_run = []
+    for expand in (False, True):
+        sim = CacheSim(config)
+        model = FireOnConsultation([])
+        with pytest.raises(RetryCapExceededError) as info:
+            run_txn(sim, decl, run_body(ops, expand, []), model,
+                    prefetch=False, retry_cap=2)
+        per_run.append((info.value.stats, model.consultations, sim_state(sim)))
+    assert per_run[0] == per_run[1]
+    stats, consultations, _ = per_run[0]
+    assert (stats.ac2, stats.last_fault_line, consultations) == (2, 4, 2 * 3)
+
+
+def test_cold_run_touches_no_line_past_a_pin_fault():
+    # lines 0 and 2 fill L1 set 0 with pinned dirty data, so the run's
+    # first word on line 4 faults; line 5, resident from the first
+    # transaction, is never reached and must survive the rollback
+    config = CacheConfig(line_size=64, l1_sets=2, l1_ways=2, llc_sets=4, llc_ways=4)
+    decl = TxnDeclaration.of(writes=[(0, 64), (128, 64), (256, 128)])
+    ops = [("w", addr_of(0), [1]), ("w", addr_of(2), [2]),
+           ("w", addr_of(4, 6), [3] * 4)]
+    per_run = []
+    for expand in (False, True):
+        sim = CacheSim(config)
+        run_txn(sim, TxnDeclaration.of(reads=[(addr_of(5), 64)]),
+                lambda ctx: ctx.read(addr_of(5)))
+        with pytest.raises(RetryCapExceededError):
+            run_txn(sim, decl, run_body(ops, expand, []), prefetch=False,
+                    retry_cap=1)
+        per_run.append(sim_state(sim))
+    assert per_run[0] == per_run[1]
+    assert per_run[0][4][1] and 5 in dict(per_run[0][4][1])  # LLC set 1

@@ -2,7 +2,7 @@
 and geometry recovery through the transaction interface."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oblishuffle.cache import (
@@ -13,7 +13,9 @@ from oblishuffle.cache import (
     Trace,
     TraceEvent,
 )
+from oblishuffle.layout import LayoutInfeasibleError
 from oblishuffle.shuffle import gen_perm
+from oblishuffle.txn import CapacityError, RetryCapExceededError
 from oblishuffle.verify import (
     capture_trace,
     first_divergence,
@@ -183,6 +185,57 @@ def test_verify_checks_outputs_against_oracle():
         verify_obliviousness(broken, inputs)
     report = verify_obliviousness(broken, inputs, check_output=False)
     assert report.all_equal  # no traffic at all, trivially equal
+
+
+# -- LRU state under LLC pressure ---------------------------------------------
+
+
+@pytest.mark.parametrize("l1_ways", [4, 8])
+def test_routing_leaves_no_lru_trace_under_llc_pressure(l1_ways):
+    # L1 8 sets over a 4-set, 16-way LLC: body hits leave LRU stamps that
+    # survive the commit, so if the scatter wrote elements in routing
+    # order, later victim choices would follow the permutation (such
+    # writes diverged from the identity at events 935 and 937)
+    config = CacheConfig(64, 8, l1_ways, 4, 16, 1 << 20)
+    data = list(range(64))
+    inputs = [(data, list(range(64))), (data, gen_perm(64, 3))]
+    report = verify_obliviousness("melbourne", inputs, seed=3, pad_factor=2,
+                                  config=config)
+    assert report.all_equal, report.summary()
+
+
+@st.composite
+def tight_runs(draw):
+    try:
+        config = CacheConfig(
+            64,
+            draw(st.sampled_from([2, 4, 8, 16])),
+            draw(st.sampled_from([2, 4, 8])),
+            draw(st.sampled_from([4, 8, 16, 32])),
+            draw(st.sampled_from([4, 8, 16])),
+            1 << 20,
+        )
+    except ValueError:  # L1 larger than the LLC
+        assume(False)
+    n = draw(st.sampled_from([16, 64, 256]))
+    return config, n, draw(st.permutations(range(n))), draw(st.integers(0, 99))
+
+
+@settings(max_examples=40, deadline=None)
+@given(tight_runs())
+def test_traces_ignore_the_permutation_on_tight_geometries(run):
+    # at pad 2 and n <= 256 a slice holds a whole bucket, so no overflow
+    # restart can make the trace depend on the input
+    config, n, perm, seed = run
+    data = list(range(n))
+    try:
+        report = verify_obliviousness(
+            "melbourne", [(data, list(range(n))), (data, perm)], seed=seed,
+            config=config,
+        )
+    except (LayoutInfeasibleError, CapacityError, RetryCapExceededError):
+        assume(False)  # a geometry the shuffle cannot run on
+    assert report.all_equal, report.summary()
 
 
 # -- geometry probing --------------------------------------------------------
