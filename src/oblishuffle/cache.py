@@ -1,16 +1,19 @@
 """Deterministic two-level set-associative cache simulator.
 
 The hierarchy is inclusive: every line resident in L1 is also resident in
-the LLC.  Replacement is LRU per set at each level, tracked with a global
-monotonic access counter so the victim scan never reorders entries.  Two
-things are observable: a read of a line absent from both levels emits an
-``llc-miss-read`` event, and dirty data leaving L1 emits a ``write-back``
-event.  Dirty state lives in L1 (write-allocate): when a dirty line is
-demoted out of L1 its data is written through, so the surviving LLC copy
-is clean, and when an LLC eviction removes a line whose L1 copy is dirty
-the combined removal writes back once.  Clean evictions at either level
-are silent, as are L1 hits and LLC hits themselves.  Within one access,
-victim write-backs precede the incoming line's miss event.
+the LLC.  Replacement is LRU per set at each level: a set is a dict in
+LRU order, a line moves to its end when touched, and the victim is the
+first entry the pin rules allow.  A resident line's entry is an int of
+flags, dirty and pinned in L1 and only pinned in the LLC, and changing a
+flag leaves the order alone.  Two things are observable: a read of a
+line absent from both levels emits an ``llc-miss-read`` event, and dirty
+data leaving L1 emits a ``write-back`` event.  Dirty state lives in L1
+(write-allocate): when a dirty line is demoted out of L1 its data is
+written through, so the surviving LLC copy is clean, and when an LLC
+eviction removes a line whose L1 copy is dirty the combined removal
+writes back once.  Clean evictions at either level are silent, as are L1
+hits and LLC hits themselves.  Within one access, victim write-backs
+precede the incoming line's miss event.
 
 Pinning is the protection primitive for transactions.  A pinned line is
 never evicted from the LLC.  In L1 the protected resource is *dirty*
@@ -28,15 +31,16 @@ pinned ``access`` per line in order, ``access_run(addr, count, kind,
 pin)`` equals one ``access`` per word at ascending addresses, taking one
 step per line, and ``commit_lines(dirtied, pinned)`` equals
 ``writeback_line`` per dirtied line in order followed by
-``unpin_lines(pinned)``.  Their state (trace, counters, clock, LRU
-stamps, dirty and pin bits) matches the per-line or per-word calls,
-including after a fault part-way through a block or run.
+``unpin_lines(pinned)``.  Their state (trace, counters, LRU order, dirty
+and pin bits) matches the per-line or per-word calls, including after a
+fault part-way through a block or run.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, NamedTuple
 
 WORD_BYTES = 8
@@ -47,10 +51,10 @@ KIND_WRITEBACK = "write-back"
 READ = "read"
 WRITE = "write"
 
-# entry layout: mutable 3-slot list per resident line
-_DIRTY = 0
-_PINNED = 1
-_STAMP = 2
+# entry flags; the LLC keeps only _PINNED, since dirty data lives in L1
+_DIRTY = 1
+_PINNED = 2
+_PROTECTED = _DIRTY | _PINNED  # an L1 entry no access may displace
 
 
 class TraceEvent(NamedTuple):
@@ -207,9 +211,8 @@ class CacheSim:
         self._llc_mask = c.llc_sets - 1
         self._l1_ways = c.l1_ways
         self._llc_ways = c.llc_ways
-        self._l1: list[dict[int, list]] = [dict() for _ in range(c.l1_sets)]
-        self._llc: list[dict[int, list]] = [dict() for _ in range(c.llc_sets)]
-        self._clock = 0
+        self._l1: list[dict[int, int]] = [dict() for _ in range(c.l1_sets)]
+        self._llc: list[dict[int, int]] = [dict() for _ in range(c.llc_sets)]
 
     # -- observable trace ------------------------------------------------
 
@@ -230,17 +233,20 @@ class CacheSim:
         self.memory[addr >> 3] = value
 
     def peek_words(self, addr: int, count: int) -> list[int]:
-        self._check_word(addr)
+        self._check_words(addr, count)
         base = addr >> 3
-        mem = self.memory
-        return [mem.get(base + i, 0) for i in range(count)]
+        return list(map(self.memory.get, range(base, base + count), repeat(0, count)))
 
     def poke_words(self, addr: int, values: Iterable[int]) -> None:
-        self._check_word(addr)
+        values = list(values)
+        self._check_words(addr, len(values))
         base = addr >> 3
-        mem = self.memory
-        for i, v in enumerate(values):
-            mem[base + i] = v
+        self.memory.update(zip(range(base, base + len(values)), values))
+
+    def _check_words(self, addr: int, count: int) -> None:
+        """Check the first and the last of ``count`` words from ``addr``."""
+        self._check_word(addr)
+        self._check_word(addr + max(count - 1, 0) * WORD_BYTES)
 
     def _check_word(self, addr: int) -> None:
         if addr % WORD_BYTES:
@@ -266,9 +272,9 @@ class CacheSim:
         Raises PinViolationError when the access cannot be satisfied
         without evicting a protected line (see module docstring).  The
         raise comes before any entry changes or event, but after the
-        access has been counted: ``_clock`` and ``counters.total`` have
-        already advanced, and no hit or miss counter has.  A ValueError
-        (address out of range, bad kind) changes nothing.
+        access has been counted: ``counters.total`` has already advanced,
+        and no hit or miss counter has.  A ValueError (address out of
+        range, bad kind) changes nothing.
         """
         if not 0 <= addr < self.config.address_space:
             raise ValueError(f"address {addr} out of range")
@@ -276,46 +282,45 @@ class CacheSim:
         if not is_write and kind != READ:
             raise ValueError(f"bad access kind: {kind!r}")
         line = addr >> self._shift
-        self._clock += 1
-        clock = self._clock
         self.counters.total += 1
 
         l1_set = self._l1[line & self._l1_mask]
-        entry = l1_set.get(line)
-        if entry is not None:
-            entry[_STAMP] = clock
+        flags = l1_set.pop(line, None)
+        if flags is not None:
             if is_write:
-                entry[_DIRTY] = True
+                flags |= _DIRTY
             if pin:
-                entry[_PINNED] = True
-                self._llc[line & self._llc_mask][line][_PINNED] = True
+                flags |= _PINNED
+                self._llc[line & self._llc_mask][line] = _PINNED
+            l1_set[line] = flags
             self.counters.l1_hits += 1
             return "l1-hit"
-        return self._miss(line, l1_set, is_write, pin, clock)
+        return self._miss(line, l1_set, is_write, pin)
 
     def access_run(self, addr: int, count: int, kind: str, pin: bool = False) -> None:
         """Exactly ``access(addr + i * WORD_BYTES, kind, pin)`` for each i in
         ``range(count)``, in one call taking one step per line.
 
         A line's first word is a full access; its other words can only
-        hit at the level that access left the line stamped at (L1, or
-        the LLC when a read was served without L1 residency), and they
-        set no bit it did not set, so they move only the clock, the
-        counters and that one stamp.  A fault (PinViolationError, or
-        ValueError for a word out of range) leaves the words before it
-        applied and the faulting word counted as ``access`` would.
+        hit at the level where that access left the line last in LRU
+        order (L1, or the LLC when a read was served without L1
+        residency), and they set no bit it did not set, so they move only
+        the counters.  A fault (PinViolationError, or ValueError for a
+        word out of range) leaves the words before it applied and the
+        faulting word counted as ``access`` would.
         """
         if count <= 0:
             return
         is_write = kind == WRITE
         if not is_write and kind != READ:
             raise ValueError(f"bad access kind: {kind!r}")
+        bits = (_DIRTY if is_write else 0) | (_PINNED if pin else 0)
         shift = self._shift
         limit = self.config.address_space
         l1, l1_mask = self._l1, self._l1_mask
         llc, llc_mask = self._llc, self._llc_mask
         c = self.counters
-        clock, total, l1_hits = self._clock, c.total, c.l1_hits
+        total, l1_hits = c.total, c.l1_hits
         end = addr + count * WORD_BYTES
         fault = None
         if addr < 0 or addr >= limit:
@@ -334,34 +339,27 @@ class CacheSim:
                 k = (stop - addr + WORD_BYTES - 1) // WORD_BYTES
                 addr += k * WORD_BYTES
                 l1_set = l1[line & l1_mask]
-                entry = l1_set.get(line)
-                if entry is None:
-                    clock += 1
+                flags = l1_set.pop(line, None)
+                if flags is None:
                     total += 1
-                    self._miss(line, l1_set, is_write, pin, clock)
+                    self._miss(line, l1_set, is_write, pin)
+                    # the miss left the line last in its L1 set, or in its
+                    # LLC set if it found no L1 way
                     k -= 1
-                    if not k:
-                        continue
-                    entry = l1_set.get(line)
-                    if entry is None:
-                        entry = llc[line & llc_mask][line]
-                        c.llc_hits += k
-                    else:
+                    if line in l1_set:
                         l1_hits += k
+                    else:
+                        c.llc_hits += k
                 else:
-                    if is_write:
-                        entry[_DIRTY] = True
+                    l1_set[line] = flags | bits
                     if pin:
-                        entry[_PINNED] = True
-                        llc[line & llc_mask][line][_PINNED] = True
+                        llc[line & llc_mask][line] = _PINNED
                     l1_hits += k
-                clock += k
                 total += k
-                entry[_STAMP] = clock
             if fault is not None:
                 raise ValueError(f"address {fault} out of range")
         finally:
-            self._clock, c.total, c.l1_hits = clock, total, l1_hits
+            c.total, c.l1_hits = total, l1_hits
 
     def prefetch(self, lines: Iterable[int], kind: str) -> None:
         """Exactly ``access(line << shift, kind, pin=True)`` for each of
@@ -375,51 +373,43 @@ class CacheSim:
         is_write = kind == WRITE
         if not is_write and kind != READ:
             raise ValueError(f"bad access kind: {kind!r}")
+        bits = _PROTECTED if is_write else _PINNED
         shift = self._shift
         limit = self.config.address_space
         l1, l1_mask = self._l1, self._l1_mask
         llc, llc_mask = self._llc, self._llc_mask
         miss = self._miss
         c = self.counters
-        clock, total, l1_hits = self._clock, c.total, c.l1_hits
+        total, l1_hits = c.total, c.l1_hits
         try:
             for line in lines:
                 addr = line << shift
                 if not 0 <= addr < limit:
                     raise ValueError(f"address {addr} out of range")
-                clock += 1
                 total += 1
                 l1_set = l1[line & l1_mask]
-                entry = l1_set.get(line)
-                if entry is None:
-                    miss(line, l1_set, is_write, True, clock)
+                flags = l1_set.pop(line, None)
+                if flags is None:
+                    miss(line, l1_set, is_write, True)
                     continue
-                entry[_STAMP] = clock
-                if is_write:
-                    entry[_DIRTY] = True
-                entry[_PINNED] = True
-                llc[line & llc_mask][line][_PINNED] = True
+                l1_set[line] = flags | bits
+                llc[line & llc_mask][line] = _PINNED
                 l1_hits += 1
         finally:
-            self._clock, c.total, c.l1_hits = clock, total, l1_hits
+            c.total, c.l1_hits = total, l1_hits
 
-    def _miss(self, line: int, l1_set: dict, is_write: bool, pin: bool,
-              clock: int) -> str:
-        """Finish an access to ``line``, already counted at ``clock``, that
-        found no entry in its L1 set ``l1_set``: choose both victims, evict
-        them, then install the line.  Returns "llc-hit" or "llc-miss"."""
-        # decide both victims before touching anything
+    def _miss(self, line: int, l1_set: dict, is_write: bool, pin: bool) -> str:
+        """Finish an access to ``line``, already counted, that found no
+        entry in its L1 set ``l1_set``: choose both victims, evict them,
+        then install the line.  Returns "llc-hit" or "llc-miss"."""
+        # decide both victims before touching anything; each is the first
+        # entry in LRU order that its level's pin rule lets go
         install_l1 = True
-        l1_victim = None
         if len(l1_set) >= self._l1_ways:
-            stamp = clock + 1
-            for vline, ve in l1_set.items():
-                # the stamp test comes first: most entries fail it, which
-                # spares them the protection test
-                if ve[_STAMP] < stamp and not (ve[_PINNED] and ve[_DIRTY]):
-                    stamp = ve[_STAMP]
-                    l1_victim = vline
-            if l1_victim is None:
+            for l1_victim, flags in l1_set.items():
+                if flags != _PROTECTED:
+                    break
+            else:
                 # every way holds protected dirty data: a read is served
                 # from the LLC without L1 residency, a write has no home
                 if is_write:
@@ -427,44 +417,40 @@ class CacheSim:
                 install_l1 = False
 
         llc_set = self._llc[line & self._llc_mask]
-        lentry = llc_set.get(line)
+        # an LLC hit moves the line to the end of its set: popped here,
+        # reinserted below
+        lflags = llc_set.pop(line, None)
         llc_victim = None
-        if lentry is None and len(llc_set) >= self._llc_ways:
-            stamp = clock + 1
-            for vline, ve in llc_set.items():
-                if ve[_STAMP] < stamp and not ve[_PINNED]:
-                    stamp = ve[_STAMP]
-                    llc_victim = vline
-            if llc_victim is None:
+        if lflags is None and len(llc_set) >= self._llc_ways:
+            for llc_victim, flags in llc_set.items():
+                if not flags:
+                    break
+            else:
                 raise PinViolationError(line, "llc")
 
         trace = self.trace
         if llc_victim is not None:
-            ve = llc_set.pop(llc_victim)
-            l1e = self._l1[llc_victim & self._l1_mask].pop(llc_victim, None)
-            if ve[_DIRTY] or (l1e is not None and l1e[_DIRTY]):
+            del llc_set[llc_victim]
+            if self._l1[llc_victim & self._l1_mask].pop(llc_victim, 0) & _DIRTY:
                 trace.append(_event(TraceEvent, (KIND_WRITEBACK, llc_victim)))
 
+        # the inclusion eviction above may have freed this set already
         if install_l1 and len(l1_set) >= self._l1_ways:
-            # the inclusion eviction above may have freed this set already
-            ve = l1_set.pop(l1_victim, None)
-            if ve is not None and ve[_DIRTY]:
+            if l1_set.pop(l1_victim, 0) & _DIRTY:
                 trace.append(_event(TraceEvent, (KIND_WRITEBACK, l1_victim)))
 
-        if lentry is not None:
-            lentry[_STAMP] = clock
-            if pin:
-                lentry[_PINNED] = True
+        if lflags is not None:
+            llc_set[line] = _PINNED if pin else lflags
             self.counters.llc_hits += 1
             result = "llc-hit"
         else:
             trace.append(_event(TraceEvent, (KIND_MISS, line)))
             self.counters.llc_misses += 1
-            llc_set[line] = [False, pin, clock]
+            llc_set[line] = _PINNED if pin else 0
             result = "llc-miss"
 
         if install_l1:
-            l1_set[line] = [is_write, pin, clock]
+            l1_set[line] = (_DIRTY if is_write else 0) | (_PINNED if pin else 0)
         return result
 
     # -- bulk operations ---------------------------------------------------
@@ -472,17 +458,8 @@ class CacheSim:
     def flush_all(self) -> None:
         """Write back every dirty line in ascending line order, then empty
         both levels.  Pins do not survive a flush."""
-        dirty_lines = []
-        for llc_set in self._llc:
-            for line, ve in llc_set.items():
-                d = ve[_DIRTY]
-                if not d:
-                    l1e = self._l1[line & self._l1_mask].get(line)
-                    d = l1e is not None and l1e[_DIRTY]
-                if d:
-                    dirty_lines.append(line)
-        for line in sorted(dirty_lines):
-            self.trace.append(_event(TraceEvent, (KIND_WRITEBACK, line)))
+        dirty = sorted(line for s in self._l1 for line, f in s.items() if f & _DIRTY)
+        self.trace.extend(_event(TraceEvent, (KIND_WRITEBACK, line)) for line in dirty)
         for s in self._l1:
             s.clear()
         for s in self._llc:
@@ -504,25 +481,20 @@ class CacheSim:
         trace = self.trace
         emitted = 0
         for line in dirtied:
-            dirty = False
-            e = l1[line & l1_mask].get(line)
-            if e is not None and e[_DIRTY]:
-                e[_DIRTY] = False
-                dirty = True
-            e = llc[line & llc_mask].get(line)
-            if e is not None and e[_DIRTY]:
-                e[_DIRTY] = False
-                dirty = True
-            if dirty:
+            s = l1[line & l1_mask]
+            f = s.get(line, 0)
+            if f & _DIRTY:
+                s[line] = f ^ _DIRTY
                 trace.append(_event(TraceEvent, (KIND_WRITEBACK, line)))
                 emitted += 1
         for line in pinned:
-            e = l1[line & l1_mask].get(line)
-            if e is not None:
-                e[_PINNED] = False
-            e = llc[line & llc_mask].get(line)
-            if e is not None:
-                e[_PINNED] = False
+            s = l1[line & l1_mask]
+            f = s.get(line, 0)
+            if f & _PINNED:
+                s[line] = f ^ _PINNED
+            s = llc[line & llc_mask]
+            if s.get(line):
+                s[line] = 0
         return emitted
 
     def unpin_lines(self, lines: Iterable[int]) -> None:
@@ -545,22 +517,23 @@ class CacheSim:
         """(dirty, pinned) at that level, or None if not resident."""
         sets = self._l1 if level == "l1" else self._llc
         mask = self._l1_mask if level == "l1" else self._llc_mask
-        e = sets[line & mask].get(line)
-        if e is None:
+        f = sets[line & mask].get(line)
+        if f is None:
             return None
-        return (e[_DIRTY], e[_PINNED])
+        return (bool(f & _DIRTY), bool(f & _PINNED))
 
     def check_invariants(self) -> None:
         """Structural sanity for tests: occupancy bounds, set mapping,
         inclusion, and pin agreement between levels."""
         for idx, s in enumerate(self._l1):
             assert len(s) <= self.config.l1_ways, "L1 set over ways"
-            for line, e in s.items():
+            for line, f in s.items():
                 assert line & self._l1_mask == idx, "L1 set mapping broken"
-                le = self._llc[line & self._llc_mask].get(line)
-                assert le is not None, "inclusion broken"
-                assert le[_PINNED] or not e[_PINNED], "pin levels disagree"
+                lf = self._llc[line & self._llc_mask].get(line)
+                assert lf is not None, "inclusion broken"
+                assert lf or not f & _PINNED, "pin levels disagree"
         for idx, s in enumerate(self._llc):
             assert len(s) <= self.config.llc_ways, "LLC set over ways"
-            for line, e in s.items():
+            for line, f in s.items():
                 assert line & self._llc_mask == idx, "LLC set mapping broken"
+                assert f in (0, _PINNED), "LLC entry holds more than a pin"

@@ -25,7 +25,7 @@ order.  A gather transaction reads one full row, drops dummies, orders
 the survivors by destination, checks that their tags are exactly the
 bucket's destinations and writes them to their final positions.  Every
 body access is a run of consecutive words, and the runs' addresses are
-a fixed function of N: a body's hits leave LRU stamps that outlive its
+a fixed function of N: a body's hits leave an LRU order that outlives its
 commit, so writing elements in routing order would let later victim
 choices, and under LLC pressure the trace, depend on the permutation.
 With prefetching, both bodies run entirely out of pinned cache: every
@@ -375,7 +375,7 @@ class ShuffleEngine:
         def body(ctx) -> None:
             # route into slices held in locals, then write every slice in
             # ascending j, so the body's address sequence (and with it the
-            # LRU stamps it leaves) is a fixed function of n
+            # LRU order it leaves) is a fixed function of n
             dests = ctx.read_run(pi0, bc)
             vals = ctx.read_run(src0, bc)
             slices = [[] for _ in range(bc)]

@@ -23,7 +23,7 @@ A body accesses words with ``ctx.read``/``ctx.write``, or consecutive
 words with ``ctx.read_run(addr, count)``/``ctx.write_run(addr, values)``;
 a single word is a run of length one.  A run is exact: its result, any
 exception, the interrupt model's consultations and the whole cache state
-(trace, counters, clock, LRU stamps, dirty and pin bits) equal those of
+(trace, counters, LRU order, dirty and pin bits) equal those of
 one per-word access per word at ascending addresses.  It checks the
 declaration once for its lines, consults the interrupt model once for its
 words and makes one ``CacheSim.access_run`` call, which takes one step
@@ -40,9 +40,11 @@ the words before the one that fired; ``ctx.tick(count)`` asks it once
 with ``count``.
 
 Aborts roll everything back: every line the attempt touched is
-invalidated without events, the declared write range is restored from a
-snapshot taken at transaction start, pins are cleared, and the attempt
-counter advances.  Retries repeat from the prefetch step up to
+invalidated without events, pins are cleared, and the attempt counter
+advances.  Each attempt's context keeps an undo log of the words it
+stores, with their old values; on abort the log is replayed newest
+first, so memory, its set of present words included, is as the attempt
+found it.  Retries repeat from the prefetch step up to
 ``retry_cap`` times.
 """
 
@@ -269,6 +271,7 @@ class TxnContext:
         "_dirtied_set",
         "_shift",
         "_prefetched",
+        "_undo",
     )
 
     def __init__(
@@ -282,6 +285,8 @@ class TxnContext:
         self._dirtied_set: set[int] = set()
         self._shift = sim.config.line_shift
         self._prefetched = prefetched
+        # (first word, old values) per store; None for a word not present
+        self._undo: list[tuple[int, list[int | None]]] = []
 
     def read(self, addr: int) -> int:
         """One word: a run of length one."""
@@ -292,11 +297,7 @@ class TxnContext:
 
     def write(self, addr: int, value: int) -> None:
         """One word: a run of length one."""
-        n, fault = self._run(addr, 1, WRITE)
-        if n:
-            self._sim.memory[addr >> 3] = value
-        if fault is not None:
-            raise fault
+        self.write_run(addr, (value,))
 
     def read_run(self, addr: int, count: int) -> list[int]:
         """Values of ``count`` words from ``addr``, exactly as that many
@@ -313,9 +314,21 @@ class TxnContext:
         n, fault = self._run(addr, len(values), WRITE)
         if n:
             w = addr >> 3
-            self._sim.memory.update(zip(range(w, w + n), values))
+            mem = self._sim.memory
+            self._undo.append((w, list(map(mem.get, range(w, w + n)))))
+            mem.update(zip(range(w, w + n), values))
         if fault is not None:
             raise fault
+
+    def _rollback(self) -> None:
+        """Undo this attempt's stores, newest first."""
+        mem = self._sim.memory
+        for w, old in reversed(self._undo):
+            for i, v in enumerate(old, w):
+                if v is None:
+                    del mem[i]
+                else:
+                    mem[i] = v
 
     def _run(self, addr: int, count: int, kind: str) -> tuple[int, Exception | None]:
         """Make the accesses of ``count`` words from ``addr`` as one run.
@@ -329,8 +342,7 @@ class TxnContext:
         and is one ``CacheSim.access_run``,
         which raises a PinViolationError or an out-of-range ValueError
         after the words before it; the caller then stores no value of the
-        run, and the transaction's rollback restores the declared write
-        range in any case.
+        run, and logs none in the undo log.
         """
         if count <= 0:
             return 0, None
@@ -427,16 +439,6 @@ def run_txn(
     if retry_cap < 1:
         raise ValueError("retry_cap must be at least 1")
 
-    # the declared write range's words, and those present, for rollback
-    per_line = cfg.line_size // WORD_BYTES
-    words = [
-        w
-        for line in decl.write_lines
-        for w in range(line * per_line, (line + 1) * per_line)
-    ]
-    mem = sim.memory
-    snapshot = {w: mem[w] for w in words if w in mem}
-
     sim.txn_open = True
     try:
         while True:
@@ -463,9 +465,7 @@ def run_txn(
             except Exception as exc:
                 # roll back; invalidating the lines also drops their pins
                 sim.invalidate_lines(decl.all_lines if prefetch else ctx._touched)
-                for w in words:
-                    mem.pop(w, None)
-                mem.update(snapshot)
+                ctx._rollback()
                 if isinstance(exc, PinViolationError):
                     stats.count(AbortCause.EVICTION)
                     stats.last_fault_line = exc.line_address

@@ -7,6 +7,12 @@ module captures traces under a controlled protocol (fresh simulator,
 inputs installed without traffic, full flush at the end so dirty state
 cannot hide) and compares them pairwise with zero tolerance.
 
+Precondition: each permutation must be chosen independently of the
+shuffle seed.  A permutation crafted against a known seed can make a
+scatter slice overflow and the shuffle restart with fresh randomness,
+which changes the trace.  Only for permutations drawn independently of
+the seed is the trace a fixed function of the input size.
+
 The correctness side is handled by ``oracle_apply_perm``, a direct
 scatter with no cache model at all, against which every shuffle's output
 is checked.

@@ -14,16 +14,58 @@ the loops they replace: one pinned ``access`` per prefetched line, and
 the commit's write-backs and unpins written out line by line on the cache
 entries, independently of ``commit_lines``.
 
+``ReferenceCacheSim`` is ``CacheSim`` as it was when it kept LRU order
+with stamps: each resident line a 3-slot list (dirty, pinned, stamp),
+with the stamp taken from a global access clock, and the victim the
+entry with the smallest stamp that its level's pin rule lets go.
+``lru_entries`` and ``reference_lru_entries`` put either simulator's sets
+in one form, (line, dirty, pinned) in LRU order.  ``snapshot_run_txn`` is
+``run_txn`` as it was when an abort restored the declared write lines
+from a snapshot taken at transaction start, instead of replaying the
+attempt's undo log.
+
 ``two_phase_plan`` is the layout planner as it was before it ran on
 ``layout.SetLoads``: capacity pre-checks, then a contiguous packing from
 address zero, and only if that overloads a set, a first-fit placement
 that starts again from nothing, each with its own set-load counting.
 """
 
-from oblishuffle.cache import KIND_WRITEBACK, READ, WRITE, TraceEvent
-from oblishuffle.layout import READ_WRITE, LayoutInfeasibleError, LayoutPlan
-from oblishuffle.txn import AccessProbability, UndeclaredAccessError, _Interrupted
+from __future__ import annotations
 
+from typing import Callable, Iterable
+
+from oblishuffle.cache import _DIRTY as DIRTY_FLAG
+from oblishuffle.cache import _PINNED as PIN_FLAG
+from oblishuffle.cache import (
+    KIND_MISS,
+    KIND_WRITEBACK,
+    READ,
+    WORD_BYTES,
+    WRITE,
+    AccessCounters,
+    CacheConfig,
+    CacheSim,
+    PinViolationError,
+    Trace,
+    TraceEvent,
+    _event,
+)
+from oblishuffle.layout import READ_WRITE, LayoutInfeasibleError, LayoutPlan
+from oblishuffle.txn import (
+    AbortCause,
+    AccessProbability,
+    CapacityError,
+    HitGuaranteeError,
+    NestedTxnError,
+    RetryCapExceededError,
+    TxnContext,
+    TxnDeclaration,
+    TxnStats,
+    UndeclaredAccessError,
+    _Interrupted,
+)
+
+# the slots of a ReferenceCacheSim entry, a 3-slot list per resident line
 _DIRTY, _PINNED, _STAMP = 0, 1, 2
 
 
@@ -36,20 +78,20 @@ def per_word_access(sim, addr, kind, pin=False):
     if not is_write and kind != READ:
         raise ValueError(f"bad access kind: {kind!r}")
     line = addr >> sim._shift
-    sim._clock += 1
     sim.counters.total += 1
     l1_set = sim._l1[line & sim._l1_mask]
-    entry = l1_set.get(line)
-    if entry is not None:
-        entry[_STAMP] = sim._clock
+    if line in l1_set:
+        # a hit moves the line to the end of its L1 set only
+        flags = l1_set.pop(line)
         if is_write:
-            entry[_DIRTY] = True
+            flags |= DIRTY_FLAG
         if pin:
-            entry[_PINNED] = True
-            sim._llc[line & sim._llc_mask][line][_PINNED] = True
+            flags |= PIN_FLAG
+            sim._llc[line & sim._llc_mask][line] = PIN_FLAG
+        l1_set[line] = flags
         sim.counters.l1_hits += 1
         return "l1-hit"
-    return sim._miss(line, l1_set, is_write, pin, sim._clock)
+    return sim._miss(line, l1_set, is_write, pin)
 
 
 def per_word_draw(model):
@@ -112,6 +154,7 @@ def per_word_write(ctx, addr, value):
     sim = ctx._sim
     sim._check_word(addr)
     per_word_access(sim, addr, WRITE, True)
+    ctx._undo.append((addr >> 3, [sim.memory.get(addr >> 3)]))
     sim.memory[addr >> 3] = value
 
 
@@ -128,19 +171,38 @@ def per_line_commit(sim, dirtied, pinned) -> int:
     for line in dirtied:
         dirty = False
         for sets, mask in levels:
-            e = sets[line & mask].get(line)
-            if e is not None and e[0]:  # dirty bit
-                e[0] = False
+            s = sets[line & mask]
+            if s.get(line, 0) & DIRTY_FLAG:
+                s[line] &= ~DIRTY_FLAG  # a flag change keeps the LRU order
                 dirty = True
         if dirty:
             sim.trace.append(TraceEvent(KIND_WRITEBACK, line))
             emitted += 1
     for line in pinned:
         for sets, mask in levels:
-            e = sets[line & mask].get(line)
-            if e is not None:
-                e[1] = False  # pin bit
+            s = sets[line & mask]
+            if line in s:
+                s[line] &= ~PIN_FLAG
     return emitted
+
+
+def lru_entries(sim):
+    """Each set of a ``CacheSim``, L1 sets then LLC sets, as (line, dirty,
+    pinned) in LRU order, least recently used first."""
+    return [
+        [(line, bool(f & DIRTY_FLAG), bool(f & PIN_FLAG)) for line, f in s.items()]
+        for s in sim._l1 + sim._llc
+    ]
+
+
+def reference_lru_entries(ref):
+    """``lru_entries`` for a ``ReferenceCacheSim``: each set's entries
+    sorted by stamp."""
+    return [
+        [(line, e[_DIRTY], e[_PINNED])
+         for line, e in sorted(s.items(), key=lambda item: item[1][_STAMP])]
+        for s in ref._l1 + ref._llc
+    ]
 
 
 def _lines(region, line):
@@ -233,3 +295,478 @@ def _first_fit_plan(regions, config):
                 f"{max_shift} line offsets",
             )
     return LayoutPlan(tuple(placements))
+
+
+class ReferenceCacheSim:
+    """Cache hierarchy plus a flat word-addressed backing memory.
+
+    The backing store is sparse: words never written read as zero.  Data
+    movement is not modelled at byte level; the hierarchy only tracks
+    which lines are resident, dirty, and pinned, while ``peek``/``poke``
+    operate on the backing store directly and are invisible to the trace.
+    """
+
+    def __init__(self, config: CacheConfig | None = None):
+        self.config = config or CacheConfig()
+        self.memory: dict[int, int] = {}
+        self.trace: list[TraceEvent] = []
+        self.counters = AccessCounters()
+        self.txn_open = False
+        c = self.config
+        self._shift = c.line_shift
+        self._l1_mask = c.l1_sets - 1
+        self._llc_mask = c.llc_sets - 1
+        self._l1_ways = c.l1_ways
+        self._llc_ways = c.llc_ways
+        self._l1: list[dict[int, list]] = [dict() for _ in range(c.l1_sets)]
+        self._llc: list[dict[int, list]] = [dict() for _ in range(c.llc_sets)]
+        self._clock = 0
+
+    # -- observable trace ------------------------------------------------
+
+    def snapshot_trace(self) -> Trace:
+        return Trace(tuple(self.trace))
+
+    def reset_trace(self) -> None:
+        self.trace.clear()
+
+    # -- raw memory (not traced) -----------------------------------------
+
+    def peek_word(self, addr: int) -> int:
+        self._check_word(addr)
+        return self.memory.get(addr >> 3, 0)
+
+    def poke_word(self, addr: int, value: int) -> None:
+        self._check_word(addr)
+        self.memory[addr >> 3] = value
+
+    def peek_words(self, addr: int, count: int) -> list[int]:
+        self._check_word(addr)
+        base = addr >> 3
+        mem = self.memory
+        return [mem.get(base + i, 0) for i in range(count)]
+
+    def poke_words(self, addr: int, values: Iterable[int]) -> None:
+        self._check_word(addr)
+        base = addr >> 3
+        mem = self.memory
+        for i, v in enumerate(values):
+            mem[base + i] = v
+
+    def _check_word(self, addr: int) -> None:
+        if addr % WORD_BYTES:
+            raise ValueError(f"address {addr} not word aligned")
+        if not 0 <= addr < self.config.address_space:
+            raise ValueError(f"address {addr} out of range")
+
+    # -- traced accesses ---------------------------------------------------
+
+    def read_word(self, addr: int, pin: bool = False) -> int:
+        self._check_word(addr)
+        self.access(addr, READ, pin)
+        return self.memory.get(addr >> 3, 0)
+
+    def write_word(self, addr: int, value: int, pin: bool = False) -> None:
+        self._check_word(addr)
+        self.access(addr, WRITE, pin)
+        self.memory[addr >> 3] = value
+
+    def access(self, addr: int, kind: str, pin: bool = False) -> str:
+        """Touch one byte address; returns "l1-hit", "llc-hit" or "llc-miss".
+
+        Raises PinViolationError when the access cannot be satisfied
+        without evicting a protected line (see module docstring).  The
+        raise comes before any entry changes or event, but after the
+        access has been counted: ``_clock`` and ``counters.total`` have
+        already advanced, and no hit or miss counter has.  A ValueError
+        (address out of range, bad kind) changes nothing.
+        """
+        if not 0 <= addr < self.config.address_space:
+            raise ValueError(f"address {addr} out of range")
+        is_write = kind == WRITE
+        if not is_write and kind != READ:
+            raise ValueError(f"bad access kind: {kind!r}")
+        line = addr >> self._shift
+        self._clock += 1
+        clock = self._clock
+        self.counters.total += 1
+
+        l1_set = self._l1[line & self._l1_mask]
+        entry = l1_set.get(line)
+        if entry is not None:
+            entry[_STAMP] = clock
+            if is_write:
+                entry[_DIRTY] = True
+            if pin:
+                entry[_PINNED] = True
+                self._llc[line & self._llc_mask][line][_PINNED] = True
+            self.counters.l1_hits += 1
+            return "l1-hit"
+        return self._miss(line, l1_set, is_write, pin, clock)
+
+    def access_run(self, addr: int, count: int, kind: str, pin: bool = False) -> None:
+        """Exactly ``access(addr + i * WORD_BYTES, kind, pin)`` for each i in
+        ``range(count)``, in one call taking one step per line.
+
+        A line's first word is a full access; its other words can only
+        hit at the level that access left the line stamped at (L1, or
+        the LLC when a read was served without L1 residency), and they
+        set no bit it did not set, so they move only the clock, the
+        counters and that one stamp.  A fault (PinViolationError, or
+        ValueError for a word out of range) leaves the words before it
+        applied and the faulting word counted as ``access`` would.
+        """
+        if count <= 0:
+            return
+        is_write = kind == WRITE
+        if not is_write and kind != READ:
+            raise ValueError(f"bad access kind: {kind!r}")
+        shift = self._shift
+        limit = self.config.address_space
+        l1, l1_mask = self._l1, self._l1_mask
+        llc, llc_mask = self._llc, self._llc_mask
+        c = self.counters
+        clock, total, l1_hits = self._clock, c.total, c.l1_hits
+        end = addr + count * WORD_BYTES
+        fault = None
+        if addr < 0 or addr >= limit:
+            fault = end = addr
+        elif end - WORD_BYTES >= limit:
+            # the first word at or past the limit faults, after the ones
+            # before it
+            fault = end = addr + -(-(limit - addr) // WORD_BYTES) * WORD_BYTES
+        try:
+            while addr < end:
+                line = addr >> shift
+                stop = (line + 1) << shift
+                if stop > end:
+                    stop = end
+                # the words of this run that fall in this line
+                k = (stop - addr + WORD_BYTES - 1) // WORD_BYTES
+                addr += k * WORD_BYTES
+                l1_set = l1[line & l1_mask]
+                entry = l1_set.get(line)
+                if entry is None:
+                    clock += 1
+                    total += 1
+                    self._miss(line, l1_set, is_write, pin, clock)
+                    k -= 1
+                    if not k:
+                        continue
+                    entry = l1_set.get(line)
+                    if entry is None:
+                        entry = llc[line & llc_mask][line]
+                        c.llc_hits += k
+                    else:
+                        l1_hits += k
+                else:
+                    if is_write:
+                        entry[_DIRTY] = True
+                    if pin:
+                        entry[_PINNED] = True
+                        llc[line & llc_mask][line][_PINNED] = True
+                    l1_hits += k
+                clock += k
+                total += k
+                entry[_STAMP] = clock
+            if fault is not None:
+                raise ValueError(f"address {fault} out of range")
+        finally:
+            self._clock, c.total, c.l1_hits = clock, total, l1_hits
+
+    def prefetch(self, lines: Iterable[int], kind: str) -> None:
+        """Exactly ``access(line << shift, kind, pin=True)`` for each of
+        ``lines`` in order, in one call.
+
+        A fault on a line (PinViolationError, or ValueError for a line
+        out of range) leaves the lines before it applied and the faulting
+        line counted as ``access`` would.  Only a bad ``kind`` is checked
+        once, before any line.
+        """
+        is_write = kind == WRITE
+        if not is_write and kind != READ:
+            raise ValueError(f"bad access kind: {kind!r}")
+        shift = self._shift
+        limit = self.config.address_space
+        l1, l1_mask = self._l1, self._l1_mask
+        llc, llc_mask = self._llc, self._llc_mask
+        miss = self._miss
+        c = self.counters
+        clock, total, l1_hits = self._clock, c.total, c.l1_hits
+        try:
+            for line in lines:
+                addr = line << shift
+                if not 0 <= addr < limit:
+                    raise ValueError(f"address {addr} out of range")
+                clock += 1
+                total += 1
+                l1_set = l1[line & l1_mask]
+                entry = l1_set.get(line)
+                if entry is None:
+                    miss(line, l1_set, is_write, True, clock)
+                    continue
+                entry[_STAMP] = clock
+                if is_write:
+                    entry[_DIRTY] = True
+                entry[_PINNED] = True
+                llc[line & llc_mask][line][_PINNED] = True
+                l1_hits += 1
+        finally:
+            self._clock, c.total, c.l1_hits = clock, total, l1_hits
+
+    def _miss(self, line: int, l1_set: dict, is_write: bool, pin: bool,
+              clock: int) -> str:
+        """Finish an access to ``line``, already counted at ``clock``, that
+        found no entry in its L1 set ``l1_set``: choose both victims, evict
+        them, then install the line.  Returns "llc-hit" or "llc-miss"."""
+        # decide both victims before touching anything
+        install_l1 = True
+        l1_victim = None
+        if len(l1_set) >= self._l1_ways:
+            stamp = clock + 1
+            for vline, ve in l1_set.items():
+                # the stamp test comes first: most entries fail it, which
+                # spares them the protection test
+                if ve[_STAMP] < stamp and not (ve[_PINNED] and ve[_DIRTY]):
+                    stamp = ve[_STAMP]
+                    l1_victim = vline
+            if l1_victim is None:
+                # every way holds protected dirty data: a read is served
+                # from the LLC without L1 residency, a write has no home
+                if is_write:
+                    raise PinViolationError(line, "l1")
+                install_l1 = False
+
+        llc_set = self._llc[line & self._llc_mask]
+        lentry = llc_set.get(line)
+        llc_victim = None
+        if lentry is None and len(llc_set) >= self._llc_ways:
+            stamp = clock + 1
+            for vline, ve in llc_set.items():
+                if ve[_STAMP] < stamp and not ve[_PINNED]:
+                    stamp = ve[_STAMP]
+                    llc_victim = vline
+            if llc_victim is None:
+                raise PinViolationError(line, "llc")
+
+        trace = self.trace
+        if llc_victim is not None:
+            ve = llc_set.pop(llc_victim)
+            l1e = self._l1[llc_victim & self._l1_mask].pop(llc_victim, None)
+            if ve[_DIRTY] or (l1e is not None and l1e[_DIRTY]):
+                trace.append(_event(TraceEvent, (KIND_WRITEBACK, llc_victim)))
+
+        if install_l1 and len(l1_set) >= self._l1_ways:
+            # the inclusion eviction above may have freed this set already
+            ve = l1_set.pop(l1_victim, None)
+            if ve is not None and ve[_DIRTY]:
+                trace.append(_event(TraceEvent, (KIND_WRITEBACK, l1_victim)))
+
+        if lentry is not None:
+            lentry[_STAMP] = clock
+            if pin:
+                lentry[_PINNED] = True
+            self.counters.llc_hits += 1
+            result = "llc-hit"
+        else:
+            trace.append(_event(TraceEvent, (KIND_MISS, line)))
+            self.counters.llc_misses += 1
+            llc_set[line] = [False, pin, clock]
+            result = "llc-miss"
+
+        if install_l1:
+            l1_set[line] = [is_write, pin, clock]
+        return result
+
+    # -- bulk operations ---------------------------------------------------
+
+    def flush_all(self) -> None:
+        """Write back every dirty line in ascending line order, then empty
+        both levels.  Pins do not survive a flush."""
+        dirty_lines = []
+        for llc_set in self._llc:
+            for line, ve in llc_set.items():
+                d = ve[_DIRTY]
+                if not d:
+                    l1e = self._l1[line & self._l1_mask].get(line)
+                    d = l1e is not None and l1e[_DIRTY]
+                if d:
+                    dirty_lines.append(line)
+        for line in sorted(dirty_lines):
+            self.trace.append(_event(TraceEvent, (KIND_WRITEBACK, line)))
+        for s in self._l1:
+            s.clear()
+        for s in self._llc:
+            s.clear()
+
+    def invalidate_lines(self, lines: Iterable[int]) -> None:
+        """Drop lines from both levels without any trace events.  Dirty
+        data is discarded; the caller owns restoring memory."""
+        for line in lines:
+            self._l1[line & self._l1_mask].pop(line, None)
+            self._llc[line & self._llc_mask].pop(line, None)
+
+    def commit_lines(self, dirtied: Iterable[int], pinned: Iterable[int]) -> int:
+        """Exactly ``writeback_line`` for each of ``dirtied`` in order, then
+        ``unpin_lines(pinned)``, in one call.  Returns the number of
+        write-back events emitted."""
+        l1, l1_mask = self._l1, self._l1_mask
+        llc, llc_mask = self._llc, self._llc_mask
+        trace = self.trace
+        emitted = 0
+        for line in dirtied:
+            dirty = False
+            e = l1[line & l1_mask].get(line)
+            if e is not None and e[_DIRTY]:
+                e[_DIRTY] = False
+                dirty = True
+            e = llc[line & llc_mask].get(line)
+            if e is not None and e[_DIRTY]:
+                e[_DIRTY] = False
+                dirty = True
+            if dirty:
+                trace.append(_event(TraceEvent, (KIND_WRITEBACK, line)))
+                emitted += 1
+        for line in pinned:
+            e = l1[line & l1_mask].get(line)
+            if e is not None:
+                e[_PINNED] = False
+            e = llc[line & llc_mask].get(line)
+            if e is not None:
+                e[_PINNED] = False
+        return emitted
+
+    def unpin_lines(self, lines: Iterable[int]) -> None:
+        self.commit_lines((), lines)
+
+    def writeback_line(self, line: int) -> bool:
+        """Force a dirty line out to memory, emitting one write-back event.
+
+        The line stays resident (now clean) wherever it was.  Returns True
+        if an event was emitted, False if the line was clean or absent.
+        """
+        return self.commit_lines((line,), ()) == 1
+
+    def line_resident(self, line: int, level: str = "llc") -> bool:
+        if level == "l1":
+            return line in self._l1[line & self._l1_mask]
+        return line in self._llc[line & self._llc_mask]
+
+    def line_state(self, line: int, level: str) -> tuple[bool, bool] | None:
+        """(dirty, pinned) at that level, or None if not resident."""
+        sets = self._l1 if level == "l1" else self._llc
+        mask = self._l1_mask if level == "l1" else self._llc_mask
+        e = sets[line & mask].get(line)
+        if e is None:
+            return None
+        return (e[_DIRTY], e[_PINNED])
+
+    def check_invariants(self) -> None:
+        """Structural sanity for tests: occupancy bounds, set mapping,
+        inclusion, and pin agreement between levels."""
+        for idx, s in enumerate(self._l1):
+            assert len(s) <= self.config.l1_ways, "L1 set over ways"
+            for line, e in s.items():
+                assert line & self._l1_mask == idx, "L1 set mapping broken"
+                le = self._llc[line & self._llc_mask].get(line)
+                assert le is not None, "inclusion broken"
+                assert le[_PINNED] or not e[_PINNED], "pin levels disagree"
+        for idx, s in enumerate(self._llc):
+            assert len(s) <= self.config.llc_ways, "LLC set over ways"
+            for line, e in s.items():
+                assert line & self._llc_mask == idx, "LLC set mapping broken"
+
+
+def snapshot_run_txn(
+    sim: CacheSim,
+    decl: TxnDeclaration,
+    body: Callable[[TxnContext], None] | None = None,
+    interrupt_model=None,
+    *,
+    prefetch: bool = True,
+    retry_cap: int = 1024,
+) -> TxnStats:
+    """Execute one transaction to commit, raising on capacity rejection or
+    retry exhaustion.  Returns the accumulated statistics."""
+    if sim.txn_open:
+        raise NestedTxnError("a transaction is already open on this simulator")
+    cfg = sim.config
+    if decl.line_size != cfg.line_size:
+        raise ValueError("declaration line size does not match the cache")
+    stats = TxnStats(prefetch_enabled=prefetch)
+
+    need_w = decl.write_bytes()
+    if need_w > cfg.l1_capacity:
+        stats.ac3 = 1
+        raise CapacityError("l1", need_w, cfg.l1_capacity, stats)
+    need_all = decl.footprint_bytes()
+    if need_all > cfg.llc_capacity:
+        stats.ac3 = 1
+        raise CapacityError("llc", need_all, cfg.llc_capacity, stats)
+    if retry_cap < 1:
+        raise ValueError("retry_cap must be at least 1")
+
+    # the declared write range's words, and those present, for rollback
+    per_line = cfg.line_size // WORD_BYTES
+    words = [
+        w
+        for line in decl.write_lines
+        for w in range(line * per_line, (line + 1) * per_line)
+    ]
+    mem = sim.memory
+    snapshot = {w: mem[w] for w in words if w in mem}
+
+    sim.txn_open = True
+    try:
+        while True:
+            stats.attempts += 1
+            if stats.attempts > retry_cap:
+                stats.attempts = retry_cap
+                raise RetryCapExceededError(stats)
+            ctx = TxnContext(sim, decl, interrupt_model, prefetch)
+            try:
+                pf_start = len(sim.trace)
+                try:
+                    if prefetch:
+                        sim.prefetch(decl.read_lines, READ)
+                        sim.prefetch(decl.write_lines, WRITE)
+                finally:
+                    # count partial blocks too: an abort mid-prefetch has
+                    # already emitted its events
+                    stats.prefetch_events += len(sim.trace) - pf_start
+
+                stats.trace_body_start = len(sim.trace)
+                if body is not None:
+                    body(ctx)
+                stats.body_events += len(sim.trace) - stats.trace_body_start
+            except Exception as exc:
+                # roll back; invalidating the lines also drops their pins
+                sim.invalidate_lines(decl.all_lines if prefetch else ctx._touched)
+                for w in words:
+                    mem.pop(w, None)
+                mem.update(snapshot)
+                if isinstance(exc, PinViolationError):
+                    stats.count(AbortCause.EVICTION)
+                    stats.last_fault_line = exc.line_address
+                elif isinstance(exc, _Interrupted):
+                    stats.count(AbortCause.INTERRUPT)
+                else:
+                    # programming errors leave the simulator consistent
+                    raise
+                continue
+
+            if prefetch:
+                # the prefetch dirtied the write lines in order and pinned
+                # every declared line; the body can add neither
+                sim.commit_lines(decl.write_lines, decl.all_lines)
+            else:
+                sim.commit_lines(ctx._dirtied, ctx._touched)
+            stats.committed = True
+            if prefetch and stats.body_events:
+                raise HitGuaranteeError(
+                    f"prefetched transaction produced {stats.body_events} "
+                    "body events"
+                )
+            return stats
+    finally:
+        sim.txn_open = False

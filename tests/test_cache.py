@@ -198,8 +198,8 @@ def test_pinned_clean_line_demotes_silently_and_stays_pinned_in_llc():
 @pytest.mark.parametrize("block", [False, True])
 def test_rejected_pinned_write_is_counted_but_changes_nothing_else(block):
     # a third pinned dirty line has no home in the one 2-way L1 set: the
-    # fault comes after the access was counted and clocked, so total reads
-    # 3 against 2 misses, and before any entry or event changed
+    # fault comes after the access was counted, so total reads 3 against
+    # 2 misses, and before any entry, its LRU place or an event changed
     sim = CacheSim(TINY)
     sim.access(0, "write", pin=True)
     sim.access(64, "write", pin=True)
@@ -212,7 +212,6 @@ def test_rejected_pinned_write_is_counted_but_changes_nothing_else(block):
     assert exc.value.line_address == 2
     assert sim.counters == AccessCounters(total=3, l1_hits=0, llc_hits=0,
                                           llc_misses=2)
-    assert sim._clock == 3
     assert sim.trace == [miss(0), miss(1)]
     assert [list(s.items()) for s in sim._l1 + sim._llc] == before
 
@@ -272,6 +271,22 @@ def test_poke_peek_do_not_touch_the_trace():
     assert sim.peek_words(0, 3) == [1, 2, 3]
     assert sim.trace == []
     assert sim.line_state(0, "llc") is None
+
+
+def test_word_blocks_check_their_last_word_before_storing():
+    cfg = CacheConfig(line_size=64, l1_sets=1, l1_ways=1, llc_sets=1,
+                      llc_ways=1, address_space=64)
+    sim = CacheSim(cfg)
+    # words 7..10 of a space that ends after word 7
+    with pytest.raises(ValueError, match="out of range"):
+        sim.poke_words(56, [1, 2, 3, 4])
+    assert sim.memory == {}
+    with pytest.raises(ValueError, match="out of range"):
+        sim.peek_words(48, 3)
+    sim.poke_words(48, [1, 2])
+    assert sim.peek_words(48, 2) == [1, 2]
+    assert sim.peek_words(0, 8) == [0] * 6 + [1, 2]
+    assert sim.peek_words(56, 0) == []
 
 
 def test_misaligned_word_rejected():
@@ -482,7 +497,6 @@ def sim_state(sim):
     return (
         sim.trace,
         sim.counters,
-        sim._clock,
         [list(s.items()) for s in sim._l1],
         [list(s.items()) for s in sim._llc],
     )

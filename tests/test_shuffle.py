@@ -243,13 +243,11 @@ def test_skewed_routing_overflows_a_slice():
     assert (exc_info.value.src_bucket, exc_info.value.dst_bucket) == (0, 0)
 
 
-def test_overflow_restarts_with_fresh_randomness_and_recovers():
-    # craft the input permutation against the seed's first random draw so
-    # the third pass must overflow on attempt zero
-    n, seed = 49, 5
-    params = ShuffleParams(n, pad_factor=1, seed=seed)
-    assert params.slice_len < params.bucket_count
-    pi_r = gen_perm(n, seed)
+def perm_against_seed(params):
+    """An input permutation crafted against the seed's first random draw,
+    so that the third pass overflows on attempt zero."""
+    n = params.n
+    pi_r = gen_perm(n, params.seed)
     inv = [0] * n
     for k, v in enumerate(pi_r):
         inv[v] = k
@@ -260,6 +258,14 @@ def test_overflow_restarts_with_fresh_randomness_and_recovers():
     for k in range(n):
         if perm[k] is None:
             perm[k] = next(rest)
+    return perm
+
+
+def test_overflow_restarts_with_fresh_randomness_and_recovers():
+    n, seed = 49, 5
+    params = ShuffleParams(n, pad_factor=1, seed=seed)
+    assert params.slice_len < params.bucket_count
+    perm = perm_against_seed(params)
     data = some_data(n, 1)
     engine = ShuffleEngine(CacheSim(), params)
     assert engine.melbourne(data, perm) == apply_perm(data, perm)

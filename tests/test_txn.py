@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import (
+    lru_entries,
     per_line_commit,
     per_line_prefetch,
     per_word_first_fire,
@@ -175,7 +176,7 @@ def test_block_prefetch_and_commit_match_per_line_reference(monkeypatch, reads, 
             stats = run_txn(sim, decl, retry_cap=5)
         except RetryCapExceededError as exc:
             stats = exc.stats
-        return stats, sim.trace, sim.counters, sim._clock
+        return stats, sim.trace, sim.counters, lru_entries(sim)
 
     fast = run()
     with monkeypatch.context() as m:
@@ -335,6 +336,64 @@ def test_footprint_over_llc_rejected_before_any_event():
     assert exc_info.value.level == "llc"
     assert exc_info.value.cap == 1024
     assert sim.trace == []
+
+
+# -- undo log ----------------------------------------------------------------
+
+
+def store_twice(ctx):
+    # words 0 and 1 of line 0 are each stored twice, then the tick fires
+    ctx.write_run(addr_of(0), [10, 11, 12])
+    ctx.write_run(addr_of(0, 1), [20, 21])
+    ctx.write(addr_of(0), 30)
+    ctx.tick()
+
+
+def store_cut_short(ctx):
+    # one run over lines 1 and 2; the interrupt fires on its 11th word
+    ctx.write_run(addr_of(1, 4), list(range(100, 112)))
+
+
+def store_absent(ctx):
+    # only words that were absent before the attempt
+    ctx.write_run(addr_of(1, 2), [1, 2, 3])
+    ctx.tick()
+
+
+# body, the consultation that fires, the words stored before it
+UNDO_CASES = {
+    "twice": (store_twice, 7, 6),
+    "cut-short": (store_cut_short, 11, 10),
+    "absent": (store_absent, 4, 3),
+}
+
+
+@pytest.mark.parametrize("prefetch", [True, False])
+@pytest.mark.parametrize("case", sorted(UNDO_CASES))
+def test_aborted_attempt_leaves_memory_as_it_found_it(case, prefetch):
+    store, fire_on, stored = UNDO_CASES[case]
+    sim = CacheSim(SMALL)
+    sim.poke_word(addr_of(0), 5)
+    sim.poke_word(addr_of(0, 2), 6)
+    sim.poke_word(addr_of(2, 5), 7)
+    sim.poke_word(addr_of(3), 8)  # outside the write lines
+    before = dict(sim.memory)
+    contexts = []
+
+    def body(ctx):
+        contexts.append(ctx)
+        store(ctx)
+
+    decl = TxnDeclaration.of(writes=[(0, 3 * 64)])
+    with pytest.raises(RetryCapExceededError) as exc_info:
+        run_txn(sim, decl, body, FireOnConsultation([fire_on]),
+                prefetch=prefetch, retry_cap=1)
+    assert exc_info.value.stats.ac4 == 1
+    # the attempt stored words before the interrupt, and logged them ...
+    assert sum(len(old) for _, old in contexts[0]._undo) == stored
+    # ... and its rollback left memory, its key set too, as it found it
+    assert sim.memory == before
+    assert sim.memory.keys() == before.keys()
 
 
 # -- programming errors ------------------------------------------------------
@@ -555,7 +614,6 @@ def sim_state(sim):
     return (
         sim.trace,
         sim.counters,
-        sim._clock,
         [list(s.items()) for s in sim._l1],
         [list(s.items()) for s in sim._llc],
         sim.memory,
@@ -828,4 +886,4 @@ def test_cold_run_touches_no_line_past_a_pin_fault():
                     retry_cap=1)
         per_run.append(sim_state(sim))
     assert per_run[0] == per_run[1]
-    assert per_run[0][4][1] and 5 in dict(per_run[0][4][1])  # LLC set 1
+    assert per_run[0][3][1] and 5 in dict(per_run[0][3][1])  # LLC set 1

@@ -14,7 +14,9 @@ from oblishuffle.cache import (
     TraceEvent,
 )
 from oblishuffle.layout import LayoutInfeasibleError
-from oblishuffle.shuffle import gen_perm
+from test_shuffle import perm_against_seed
+
+from oblishuffle.shuffle import ShuffleParams, gen_perm
 from oblishuffle.txn import CapacityError, RetryCapExceededError
 from oblishuffle.verify import (
     capture_trace,
@@ -192,8 +194,8 @@ def test_verify_checks_outputs_against_oracle():
 
 @pytest.mark.parametrize("l1_ways", [4, 8])
 def test_routing_leaves_no_lru_trace_under_llc_pressure(l1_ways):
-    # L1 8 sets over a 4-set, 16-way LLC: body hits leave LRU stamps that
-    # survive the commit, so if the scatter wrote elements in routing
+    # L1 8 sets over a 4-set, 16-way LLC: body hits leave an LRU order that
+    # survives the commit, so if the scatter wrote elements in routing
     # order, later victim choices would follow the permutation (such
     # writes diverged from the identity at events 935 and 937)
     config = CacheConfig(64, 8, l1_ways, 4, 16, 1 << 20)
@@ -235,6 +237,29 @@ def test_traces_ignore_the_permutation_on_tight_geometries(run):
         )
     except (LayoutInfeasibleError, CapacityError, RetryCapExceededError):
         assume(False)  # a geometry the shuffle cannot run on
+    assert report.all_equal, report.summary()
+
+
+# -- precondition: the permutation is independent of the seed ----------------
+
+
+def test_a_perm_chosen_against_the_seed_diverges_and_independent_ones_do_not():
+    # with the seed known, a permutation can be crafted so that pass 3
+    # overflows and the shuffle restarts; drawn independently of the
+    # seed, permutations leave the trace as the identity's
+    n, seed = 49, 5
+    data = some_data(n, 1)
+    identity = list(range(n))
+    crafted = perm_against_seed(ShuffleParams(n, pad_factor=1, seed=seed))
+    report = verify_obliviousness(
+        "melbourne", [(data, identity), (data, crafted)], seed=seed, pad_factor=1
+    )
+    assert not report.all_equal
+    assert report.first_divergence.index == 257
+    independent = [(data, gen_perm(n, s)) for s in range(100, 110)]
+    report = verify_obliviousness(
+        "melbourne", [(data, identity)] + independent, seed=seed, pad_factor=1
+    )
     assert report.all_equal, report.summary()
 
 
