@@ -33,7 +33,11 @@ step per line, and ``commit_lines(dirtied, pinned)`` equals
 ``writeback_line`` per dirtied line in order followed by
 ``unpin_lines(pinned)``.  Their state (trace, counters, LRU order, dirty
 and pin bits) matches the per-line or per-word calls, including after a
-fault part-way through a block or run.
+fault part-way through a block or run.  The block calls sit on one
+per-line step: ``access``, ``read_word``/``write_word``, ``access_run``
+and ``prefetch`` each pass (line, k) pairs to ``_lines``, which makes a
+full access for a line's first word and moves only the counters for its
+other k - 1 words (a prefetch passes k = 1).
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 WORD_BYTES = 8
 
@@ -55,6 +59,14 @@ WRITE = "write"
 _DIRTY = 1
 _PINNED = 2
 _PROTECTED = _DIRTY | _PINNED  # an L1 entry no access may displace
+
+
+def _is_write(kind: str) -> bool:
+    if kind == WRITE:
+        return True
+    if kind != READ:
+        raise ValueError(f"bad access kind: {kind!r}")
+    return False
 
 
 class TraceEvent(NamedTuple):
@@ -258,12 +270,12 @@ class CacheSim:
 
     def read_word(self, addr: int, pin: bool = False) -> int:
         self._check_word(addr)
-        self.access(addr, READ, pin)
+        self._lines(((addr >> self._shift, 1),), False, pin)
         return self.memory.get(addr >> 3, 0)
 
     def write_word(self, addr: int, value: int, pin: bool = False) -> None:
         self._check_word(addr)
-        self.access(addr, WRITE, pin)
+        self._lines(((addr >> self._shift, 1),), True, pin)
         self.memory[addr >> 3] = value
 
     def access(self, addr: int, kind: str, pin: bool = False) -> str:
@@ -278,180 +290,150 @@ class CacheSim:
         """
         if not 0 <= addr < self.config.address_space:
             raise ValueError(f"address {addr} out of range")
-        is_write = kind == WRITE
-        if not is_write and kind != READ:
-            raise ValueError(f"bad access kind: {kind!r}")
-        line = addr >> self._shift
-        self.counters.total += 1
-
-        l1_set = self._l1[line & self._l1_mask]
-        flags = l1_set.pop(line, None)
-        if flags is not None:
-            if is_write:
-                flags |= _DIRTY
-            if pin:
-                flags |= _PINNED
-                self._llc[line & self._llc_mask][line] = _PINNED
-            l1_set[line] = flags
-            self.counters.l1_hits += 1
+        c = self.counters
+        l1_hits, llc_misses = c.l1_hits, c.llc_misses
+        self._lines(((addr >> self._shift, 1),), _is_write(kind), pin)
+        if c.l1_hits != l1_hits:
             return "l1-hit"
-        return self._miss(line, l1_set, is_write, pin)
+        return "llc-miss" if c.llc_misses != llc_misses else "llc-hit"
 
     def access_run(self, addr: int, count: int, kind: str, pin: bool = False) -> None:
         """Exactly ``access(addr + i * WORD_BYTES, kind, pin)`` for each i in
         ``range(count)``, in one call taking one step per line.
 
-        A line's first word is a full access; its other words can only
-        hit at the level where that access left the line last in LRU
-        order (L1, or the LLC when a read was served without L1
-        residency), and they set no bit it did not set, so they move only
-        the counters.  A fault (PinViolationError, or ValueError for a
+        Any line-long stretch of addresses holds ``line_size // 8`` of the
+        run's words, whatever the alignment, so the run is a head, whole
+        lines and a tail.  A fault (PinViolationError, or ValueError for a
         word out of range) leaves the words before it applied and the
         faulting word counted as ``access`` would.
         """
         if count <= 0:
             return
-        is_write = kind == WRITE
-        if not is_write and kind != READ:
-            raise ValueError(f"bad access kind: {kind!r}")
-        bits = (_DIRTY if is_write else 0) | (_PINNED if pin else 0)
-        shift = self._shift
+        is_write = _is_write(kind)
         limit = self.config.address_space
-        l1, l1_mask = self._l1, self._l1_mask
-        llc, llc_mask = self._llc, self._llc_mask
-        c = self.counters
-        total, l1_hits = c.total, c.l1_hits
-        end = addr + count * WORD_BYTES
         fault = None
         if addr < 0 or addr >= limit:
-            fault = end = addr
-        elif end - WORD_BYTES >= limit:
+            fault, count = addr, 0
+        elif addr + (count - 1) * WORD_BYTES >= limit:
             # the first word at or past the limit faults, after the ones
             # before it
-            fault = end = addr + -(-(limit - addr) // WORD_BYTES) * WORD_BYTES
-        try:
-            while addr < end:
-                line = addr >> shift
-                stop = (line + 1) << shift
-                if stop > end:
-                    stop = end
-                # the words of this run that fall in this line
-                k = (stop - addr + WORD_BYTES - 1) // WORD_BYTES
-                addr += k * WORD_BYTES
-                l1_set = l1[line & l1_mask]
-                flags = l1_set.pop(line, None)
-                if flags is None:
-                    total += 1
-                    self._miss(line, l1_set, is_write, pin)
-                    # the miss left the line last in its L1 set, or in its
-                    # LLC set if it found no L1 way
-                    k -= 1
-                    if line in l1_set:
-                        l1_hits += k
-                    else:
-                        c.llc_hits += k
-                else:
-                    l1_set[line] = flags | bits
-                    if pin:
-                        llc[line & llc_mask][line] = _PINNED
-                    l1_hits += k
-                total += k
-            if fault is not None:
-                raise ValueError(f"address {fault} out of range")
-        finally:
-            c.total, c.l1_hits = total, l1_hits
+            count = -(-(limit - addr) // WORD_BYTES)
+            fault = addr + count * WORD_BYTES
+        if count:
+            shift = self._shift
+            first, last = addr >> shift, (addr + (count - 1) * WORD_BYTES) >> shift
+            if first == last:
+                steps = ((first, count),)
+            else:
+                head = -(-(((first + 1) << shift) - addr) // WORD_BYTES)
+                per = (1 << shift) // WORD_BYTES
+                steps = [
+                    (first, head),
+                    *zip(range(first + 1, last), repeat(per)),
+                    (last, count - head - (last - first - 1) * per),
+                ]
+            self._lines(steps, is_write, pin)
+        if fault is not None:
+            raise ValueError(f"address {fault} out of range")
 
-    def prefetch(self, lines: Iterable[int], kind: str) -> None:
+    def prefetch(self, lines: Sequence[int], kind: str) -> None:
         """Exactly ``access(line << shift, kind, pin=True)`` for each of
         ``lines`` in order, in one call.
 
         A fault on a line (PinViolationError, or ValueError for a line
         out of range) leaves the lines before it applied and the faulting
-        line counted as ``access`` would.  Only a bad ``kind`` is checked
-        once, before any line.
+        line counted as ``access`` would.  A bad ``kind`` is checked once,
+        before any line, and so is the range of ``lines``.
         """
-        is_write = kind == WRITE
-        if not is_write and kind != READ:
-            raise ValueError(f"bad access kind: {kind!r}")
-        bits = _PROTECTED if is_write else _PINNED
-        shift = self._shift
-        limit = self.config.address_space
-        l1, l1_mask = self._l1, self._l1_mask
-        llc, llc_mask = self._llc, self._llc_mask
-        miss = self._miss
+        is_write = _is_write(kind)
+        if not lines:
+            return
+        shift, limit = self._shift, self.config.address_space
+        if min(lines) < 0 or max(lines) << shift >= limit:
+            bad = next(i for i, line in enumerate(lines)
+                       if not 0 <= line << shift < limit)
+            self._lines(zip(lines[:bad], repeat(1)), is_write, True)
+            raise ValueError(f"address {lines[bad] << shift} out of range")
+        self._lines(zip(lines, repeat(1)), is_write, True)
+
+    def _lines(self, steps: Iterable[tuple[int, int]], is_write: bool, pin: bool) -> None:
+        """Make ``k`` accesses of one kind to each ``line`` of ``steps``, in
+        order: the one per-line step every traced call is made of.
+
+        A line's first word is a full access.  On an L1 miss both victims
+        are chosen before anything changes, each the first entry in LRU
+        order that its level's pin rule lets go; then the victims go
+        (LLC, then L1) and the line comes in.  The line's other k - 1
+        words can only hit at the level where that access left the line
+        last in LRU order (L1, or the LLC when a read found no L1 way),
+        and they set no bit it did not set, so they move only the
+        counters.  A PinViolationError leaves the steps before it applied
+        and only the faulting line's first word counted.
+        """
+        bits = (_DIRTY if is_write else 0) | (_PINNED if pin else 0)
+        l1, l1_mask, l1_ways = self._l1, self._l1_mask, self._l1_ways
+        llc, llc_mask, llc_ways = self._llc, self._llc_mask, self._llc_ways
+        trace = self.trace
         c = self.counters
-        total, l1_hits = c.total, c.l1_hits
+        hits = 0  # L1 hits, counted into the counters once, on the way out
         try:
-            for line in lines:
-                addr = line << shift
-                if not 0 <= addr < limit:
-                    raise ValueError(f"address {addr} out of range")
-                total += 1
+            for line, k in steps:
                 l1_set = l1[line & l1_mask]
                 flags = l1_set.pop(line, None)
-                if flags is None:
-                    miss(line, l1_set, is_write, True)
+                if flags is not None:
+                    # an L1 hit moves the line to the end of its L1 set only
+                    l1_set[line] = flags | bits
+                    if pin:
+                        llc[line & llc_mask][line] = _PINNED
+                    hits += k
                     continue
-                l1_set[line] = flags | bits
-                llc[line & llc_mask][line] = _PINNED
-                l1_hits += 1
+                c.total += 1
+                install_l1 = True
+                if len(l1_set) >= l1_ways:
+                    for l1_victim, flags in l1_set.items():
+                        if flags != _PROTECTED:
+                            break
+                    else:
+                        # every way holds protected dirty data: a read is
+                        # served from the LLC without L1 residency, a write
+                        # has no home
+                        if is_write:
+                            raise PinViolationError(line, "l1")
+                        install_l1 = False
+                llc_set = llc[line & llc_mask]
+                # an LLC hit moves the line to the end of its set: popped
+                # here, reinserted below
+                lflags = llc_set.pop(line, None)
+                if lflags is None and len(llc_set) >= llc_ways:
+                    for llc_victim, flags in llc_set.items():
+                        if not flags:
+                            break
+                    else:
+                        raise PinViolationError(line, "llc")
+                    del llc_set[llc_victim]
+                    if l1[llc_victim & l1_mask].pop(llc_victim, 0) & _DIRTY:
+                        trace.append(_event(TraceEvent, (KIND_WRITEBACK, llc_victim)))
+                # the inclusion eviction above may have freed this set already
+                if install_l1 and len(l1_set) >= l1_ways:
+                    if l1_set.pop(l1_victim, 0) & _DIRTY:
+                        trace.append(_event(TraceEvent, (KIND_WRITEBACK, l1_victim)))
+                if lflags is None:
+                    trace.append(_event(TraceEvent, (KIND_MISS, line)))
+                    c.llc_misses += 1
+                    llc_set[line] = bits & _PINNED
+                else:
+                    c.llc_hits += 1
+                    llc_set[line] = _PINNED if pin else lflags
+                if install_l1:
+                    l1_set[line] = bits
+                    hits += k - 1
+                else:
+                    c.total += k - 1
+                    c.llc_hits += k - 1
         finally:
-            c.total, c.l1_hits = total, l1_hits
-
-    def _miss(self, line: int, l1_set: dict, is_write: bool, pin: bool) -> str:
-        """Finish an access to ``line``, already counted, that found no
-        entry in its L1 set ``l1_set``: choose both victims, evict them,
-        then install the line.  Returns "llc-hit" or "llc-miss"."""
-        # decide both victims before touching anything; each is the first
-        # entry in LRU order that its level's pin rule lets go
-        install_l1 = True
-        if len(l1_set) >= self._l1_ways:
-            for l1_victim, flags in l1_set.items():
-                if flags != _PROTECTED:
-                    break
-            else:
-                # every way holds protected dirty data: a read is served
-                # from the LLC without L1 residency, a write has no home
-                if is_write:
-                    raise PinViolationError(line, "l1")
-                install_l1 = False
-
-        llc_set = self._llc[line & self._llc_mask]
-        # an LLC hit moves the line to the end of its set: popped here,
-        # reinserted below
-        lflags = llc_set.pop(line, None)
-        llc_victim = None
-        if lflags is None and len(llc_set) >= self._llc_ways:
-            for llc_victim, flags in llc_set.items():
-                if not flags:
-                    break
-            else:
-                raise PinViolationError(line, "llc")
-
-        trace = self.trace
-        if llc_victim is not None:
-            del llc_set[llc_victim]
-            if self._l1[llc_victim & self._l1_mask].pop(llc_victim, 0) & _DIRTY:
-                trace.append(_event(TraceEvent, (KIND_WRITEBACK, llc_victim)))
-
-        # the inclusion eviction above may have freed this set already
-        if install_l1 and len(l1_set) >= self._l1_ways:
-            if l1_set.pop(l1_victim, 0) & _DIRTY:
-                trace.append(_event(TraceEvent, (KIND_WRITEBACK, l1_victim)))
-
-        if lflags is not None:
-            llc_set[line] = _PINNED if pin else lflags
-            self.counters.llc_hits += 1
-            result = "llc-hit"
-        else:
-            trace.append(_event(TraceEvent, (KIND_MISS, line)))
-            self.counters.llc_misses += 1
-            llc_set[line] = _PINNED if pin else 0
-            result = "llc-miss"
-
-        if install_l1:
-            l1_set[line] = (_DIRTY if is_write else 0) | (_PINNED if pin else 0)
-        return result
+            if hits:
+                c.total += hits
+                c.l1_hits += hits
 
     # -- bulk operations ---------------------------------------------------
 

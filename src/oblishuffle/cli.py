@@ -447,6 +447,12 @@ def cmd_verify(args) -> int:
 
 def cmd_probe(args) -> int:
     config = _load_cache_config(args)
+    if config.address_space < config.llc_capacity:
+        # the probe declares up to the whole LLC from address zero
+        raise ValueError(
+            f"address space of {config.address_space} bytes is smaller than "
+            f"the {config.llc_capacity}-byte LLC; the probe cannot fill it"
+        )
     l1, llc = probe_cache_sizes(
         lambda: CacheSim(config), line_size=config.line_size
     )

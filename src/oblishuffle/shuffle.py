@@ -214,24 +214,18 @@ class ShuffleEngine:
 
     def __init__(
         self,
-        sim: CacheSim | None = None,
-        params: ShuffleParams | None = None,
+        sim: CacheSim,
+        params: ShuffleParams,
         *,
-        n: int | None = None,
         prefetch: bool = True,
         staggered: bool = True,
         interrupt_model=None,
         retry_cap: int = 1024,
         record_plans: bool = False,
     ):
-        if params is None:
-            if n is None:
-                raise ValueError("pass params or n")
-            params = ShuffleParams(n)
-        self.sim = sim or CacheSim()
+        self.sim = sim
         self.params = params
         self.prefetch = prefetch
-        self.staggered = staggered
         self.interrupt_model = interrupt_model
         self.retry_cap = retry_cap
         self.record_plans = record_plans
@@ -482,7 +476,7 @@ def melbourne_shuffle(
 ) -> list[int]:
     """``ShuffleEngine.melbourne`` on a fresh default simulator."""
     engine = ShuffleEngine(
-        params=ShuffleParams(len(data), seed=seed), interrupt_model=interrupt_model
+        CacheSim(), ShuffleParams(len(data), seed=seed), interrupt_model=interrupt_model
     )
     return engine.melbourne(data, perm)
 

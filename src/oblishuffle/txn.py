@@ -268,7 +268,6 @@ class TxnContext:
         "_model",
         "_touched",
         "_dirtied",
-        "_dirtied_set",
         "_shift",
         "_prefetched",
         "_undo",
@@ -281,8 +280,8 @@ class TxnContext:
         self._decl = decl
         self._model = model
         self._touched: set[int] = set()
-        self._dirtied: list[int] = []
-        self._dirtied_set: set[int] = set()
+        # in the order first dirtied, for the commit's write-backs
+        self._dirtied: dict[int, None] = {}
         self._shift = sim.config.line_shift
         self._prefetched = prefetched
         # (first word, old values) per store; None for a word not present
@@ -378,10 +377,7 @@ class TxnContext:
                     lines = range(a >> shift, ((a + (m - 1) * WORD_BYTES) >> shift) + 1)
                     self._touched.update(lines)
                     if kind == WRITE:
-                        for line in lines:
-                            if line not in self._dirtied_set:
-                                self._dirtied_set.add(line)
-                                self._dirtied.append(line)
+                        self._dirtied.update(dict.fromkeys(lines))
                 if misaligned:
                     raise ValueError(f"address {addr} not word aligned")
                 self._sim.access_run(a, m, kind, True)
@@ -396,7 +392,7 @@ class TxnContext:
         neither consults nor touches anything past a fault.  Prefetched
         bodies pin every declared line first, so their runs never fault
         and are one stretch."""
-        safe = self._dirtied_set if kind == WRITE else self._touched
+        safe = self._dirtied if kind == WRITE else self._touched
         shift = self._shift
         last = (addr + (count - 1) * WORD_BYTES) >> shift
         for line in range(addr >> shift, last + 1):

@@ -6,7 +6,10 @@ makes a run's interrupt consultations in one call.  ``per_word_access``,
 ``per_word_read``/``per_word_write`` and ``per_word_draw`` are the
 per-word paths they replace: one ``access`` per word, checked against the
 declaration and preceded by one interrupt consultation, each drawing
-once from the model's buffer.
+once from the model's buffer.  ``per_word_access`` and its miss,
+``per_word_miss``, are ``CacheSim.access`` as it was before every traced
+call became a front end of one per-line step: they work on the
+simulator's sets and counters and call none of its methods.
 
 ``CacheSim.prefetch`` and ``CacheSim.commit_lines`` handle a whole block
 of lines in one call.  ``per_line_prefetch`` and ``per_line_commit`` are
@@ -48,6 +51,7 @@ from oblishuffle.cache import (
     PinViolationError,
     Trace,
     TraceEvent,
+    _PROTECTED,
     _event,
 )
 from oblishuffle.layout import READ_WRITE, LayoutInfeasibleError, LayoutPlan
@@ -91,7 +95,63 @@ def per_word_access(sim, addr, kind, pin=False):
         l1_set[line] = flags
         sim.counters.l1_hits += 1
         return "l1-hit"
-    return sim._miss(line, l1_set, is_write, pin)
+    return per_word_miss(sim, line, l1_set, is_write, pin)
+
+
+def per_word_miss(sim, line: int, l1_set: dict, is_write: bool, pin: bool) -> str:
+    """Finish an access to ``line``, already counted, that found no
+    entry in its L1 set ``l1_set``: choose both victims, evict them,
+    then install the line.  Returns "llc-hit" or "llc-miss"."""
+    # decide both victims before touching anything; each is the first
+    # entry in LRU order that its level's pin rule lets go
+    install_l1 = True
+    if len(l1_set) >= sim._l1_ways:
+        for l1_victim, flags in l1_set.items():
+            if flags != _PROTECTED:
+                break
+        else:
+            # every way holds protected dirty data: a read is served
+            # from the LLC without L1 residency, a write has no home
+            if is_write:
+                raise PinViolationError(line, "l1")
+            install_l1 = False
+
+    llc_set = sim._llc[line & sim._llc_mask]
+    # an LLC hit moves the line to the end of its set: popped here,
+    # reinserted below
+    lflags = llc_set.pop(line, None)
+    llc_victim = None
+    if lflags is None and len(llc_set) >= sim._llc_ways:
+        for llc_victim, flags in llc_set.items():
+            if not flags:
+                break
+        else:
+            raise PinViolationError(line, "llc")
+
+    trace = sim.trace
+    if llc_victim is not None:
+        del llc_set[llc_victim]
+        if sim._l1[llc_victim & sim._l1_mask].pop(llc_victim, 0) & DIRTY_FLAG:
+            trace.append(_event(TraceEvent, (KIND_WRITEBACK, llc_victim)))
+
+    # the inclusion eviction above may have freed this set already
+    if install_l1 and len(l1_set) >= sim._l1_ways:
+        if l1_set.pop(l1_victim, 0) & DIRTY_FLAG:
+            trace.append(_event(TraceEvent, (KIND_WRITEBACK, l1_victim)))
+
+    if lflags is not None:
+        llc_set[line] = PIN_FLAG if pin else lflags
+        sim.counters.llc_hits += 1
+        result = "llc-hit"
+    else:
+        trace.append(_event(TraceEvent, (KIND_MISS, line)))
+        sim.counters.llc_misses += 1
+        llc_set[line] = PIN_FLAG if pin else 0
+        result = "llc-miss"
+
+    if install_l1:
+        l1_set[line] = (DIRTY_FLAG if is_write else 0) | (PIN_FLAG if pin else 0)
+    return result
 
 
 def per_word_draw(model):
@@ -148,9 +208,7 @@ def per_word_write(ctx, addr, value):
         raise UndeclaredAccessError(addr, WRITE)
     _consult(ctx)
     ctx._touched.add(line)
-    if line not in ctx._dirtied_set:
-        ctx._dirtied_set.add(line)
-        ctx._dirtied.append(line)
+    ctx._dirtied.setdefault(line)
     sim = ctx._sim
     sim._check_word(addr)
     per_word_access(sim, addr, WRITE, True)

@@ -582,13 +582,15 @@ def test_commit_lines_writes_back_in_order_then_unpins():
 
 @st.composite
 def run_programs(draw):
+    line_size = draw(st.sampled_from([8, 16, 32, 64, 128]))
+    space = 16 * line_size  # lines 0..15
     config = CacheConfig(
-        line_size=64,
+        line_size=line_size,
         l1_sets=draw(st.sampled_from([1, 2])),
         l1_ways=2,
         llc_sets=draw(st.sampled_from([2, 4])),
         llc_ways=draw(st.integers(2, 4)),
-        address_space=1 << 10,  # lines 0..15
+        address_space=space,
     )
     # pinned, dirty and clean lines from ordinary accesses
     pre = draw(st.lists(
@@ -600,8 +602,8 @@ def run_programs(draw):
     for _ in range(draw(st.integers(1, 4))):
         # mostly word-aligned; some runs reach past the address space or
         # start outside it
-        addr = draw(st.one_of(st.integers(0, 127).map(lambda w: 8 * w),
-                              st.integers(-16, 1100)))
+        addr = draw(st.one_of(st.integers(0, space // 8 - 1).map(lambda w: 8 * w),
+                              st.integers(-16, space + 76)))
         runs.append((addr, draw(st.integers(0, 30)),
                      draw(st.sampled_from(["read", "write"])), draw(st.booleans())))
     return config, pre, runs
@@ -619,7 +621,7 @@ def test_access_run_matches_per_word_accesses(program):
     fast, ref = CacheSim(config), CacheSim(config)
     for sim in (fast, ref):
         for line, kind, pin in pre:
-            outcome(lambda: sim.access(line * 64, kind, pin))
+            outcome(lambda: sim.access(line * config.line_size, kind, pin))
     for addr, count, kind, pin in runs:
         assert outcome(lambda: fast.access_run(addr, count, kind, pin)) == outcome(
             lambda: per_word_run(ref, addr, count, kind, pin))

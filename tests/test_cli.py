@@ -51,6 +51,18 @@ def test_probe_reads_cache_geometry_file(capsys, tmp_path):
     assert out == "1024 4096\n"  # 64*4*4 and 64*8*8
 
 
+def test_probe_refuses_an_address_space_smaller_than_the_llc(capsys, tmp_path):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("address_space=1048576\n")  # 1 MiB below an 8 MiB LLC
+    rc, out, err = run_cli(capsys, "probe", "--cache-config", str(cfg))
+    assert (rc, out) == (2, "")
+    assert "1048576" in err and "8388608" in err
+    # an address space exactly the LLC's size is enough
+    cfg.write_text("address_space=8388608\n")
+    rc, out, _ = run_cli(capsys, "probe", "--cache-config", str(cfg))
+    assert (rc, out) == (0, "32768 8388608\n")
+
+
 # -- shuffle -------------------------------------------------------------
 
 
