@@ -28,7 +28,6 @@ from .shuffle import (
     naive_shuffle,
 )
 from .txn import (
-    AbortCause,
     AccessProbability,
     CapacityError,
     RetryCapExceededError,
@@ -48,7 +47,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbortCause",
     "AccessProbability",
     "BucketOverflowError",
     "CacheConfig",

@@ -218,8 +218,8 @@ def run_aborts_variant(
     pad_factor: int = 2,
     retry_cap: int = 1024,
 ) -> dict:
-    """One row of the abort experiment, plus bookkeeping fields the table
-    does not show (consultations, committed txn count)."""
+    """One row of the abort experiment, plus the interrupt model's
+    consultations, which the table does not show."""
     data, perm = make_inputs(n, seed)
     model = _interrupt_model(rate, (seed * 31 + n) & _MASK64)
     flag = "ok"
@@ -270,7 +270,6 @@ def run_aborts_variant(
         "attempts": sum(s.attempts for s in stats),
         "flag": flag,
         "consultations": model.consultations if model else 0,
-        "committed": sum(1 for s in stats if s.committed),
     }
 
 
@@ -281,10 +280,9 @@ def aborts_rows(
     rate: float = 0.001,
     pad_factor: int = 2,
     retry_cap: int = 1024,
-    variants=ABORT_VARIANTS,
 ) -> list[str]:
     rows = ["variant,n,ac2,ac4,attempts,flag"]
-    for variant in sorted(variants):
+    for variant in sorted(ABORT_VARIANTS):
         for n in sorted(n_list):
             r = run_aborts_variant(
                 variant,
@@ -432,7 +430,7 @@ def cmd_verify(args) -> int:
         make_inputs(args.n, args.seed + 1_000_000_007 * t)
         for t in range(args.trials)
     ]
-    factory = lambda: _interrupt_model(args.rate, args.seed)
+    factory = lambda: _interrupt_model(args.rate, args.seed & _MASK64)
     report = verify_obliviousness(
         args.program,
         inputs,

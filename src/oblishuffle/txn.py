@@ -16,8 +16,9 @@ all pins are released; the lines stay resident and clean.  Each block is
 one exact ``CacheSim`` call: the prefetch is ``sim.prefetch`` on the read
 lines and then on the write lines, equal to one pinned ``access`` per
 line, and the commit is ``sim.commit_lines``, equal to ``writeback_line``
-per dirtied line followed by ``unpin_lines``.  With prefetching on, the
-dirtied and pinned lines come straight from the declaration.
+per dirtied line followed by ``unpin_lines``.  Each attempt's context
+holds the lines it pinned and dirtied, and the commit and a rollback work
+from those: with prefetching on they are the declared lines.
 
 A body accesses words with ``ctx.read``/``ctx.write``, or consecutive
 words with ``ctx.read_run(addr, count)``/``ctx.write_run(addr, values)``;
@@ -27,11 +28,12 @@ exception, the interrupt model's consultations and the whole cache state
 one per-word access per word at ascending addresses.  It checks the
 declaration once for its lines, consults the interrupt model once for its
 words and makes one ``CacheSim.access_run`` call, which takes one step
-per line.  A body run without prefetch can fault on the first word of a
-line it has not pinned yet, and the per-word path neither consults nor
-touches anything past a fault, so there a run is split into stretches
-that each end at such a word, one consultation and one ``access_run``
-each.
+per line.  In a body run without prefetch, only a line's first word
+within a run can fault (on a pin, or past the address space), and the
+per-word path neither consults nor touches anything past a fault.  So
+there a run is split at line starts: its first word is one stretch, and
+each later stretch runs through the next word that starts a line, one
+consultation and one ``access_run`` each.
 
 Interrupt models answer one question, ``first_fire(count)``: make
 ``count`` consultations, stopping at the first that fires, and return its
@@ -39,18 +41,17 @@ index or None.  A run of n words asks it once with n and accesses only
 the words before the one that fired; ``ctx.tick(count)`` asks it once
 with ``count``.
 
-Aborts roll everything back: every line the attempt touched is
-invalidated without events, pins are cleared, and the attempt counter
-advances.  Each attempt's context keeps an undo log of the words it
-stores, with their old values; on abort the log is replayed newest
-first, so memory, its set of present words included, is as the attempt
-found it.  Retries repeat from the prefetch step up to
+Aborts roll everything back: every line the attempt's context holds as
+pinned is invalidated without events, which clears the pins, and the
+attempt counter advances.  Each attempt's context keeps an undo log of
+the words it stores, with their old values; on abort the log is replayed
+newest first, so memory, its set of present words included, is as the
+attempt found it.  Retries repeat from the prefetch step up to
 ``retry_cap`` times.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
@@ -61,15 +62,6 @@ import numpy as np
 from .cache import READ, WRITE, WORD_BYTES, CacheSim, PinViolationError
 
 ByteRange = tuple[int, int]  # (start, size_bytes)
-
-
-class AbortCause(enum.Enum):
-    EVICTION = "ac2"  # pin rules left no evictable way
-    CAPACITY = "ac3"  # declared footprint exceeds a cache level
-    INTERRUPT = "ac4"  # external interrupt hit the attempt
-
-    def __str__(self) -> str:
-        return self.value
 
 
 class TxnError(Exception):
@@ -178,23 +170,15 @@ class TxnDeclaration:
 @dataclass
 class TxnStats:
     attempts: int = 0
-    ac2: int = 0
-    ac3: int = 0
-    ac4: int = 0
+    ac2: int = 0  # eviction aborts: pin rules left no evictable way
+    ac3: int = 0  # capacity aborts: declared footprint exceeds a cache level
+    ac4: int = 0  # interrupt aborts: an external interrupt hit the attempt
     prefetch_events: int = 0
     body_events: int = 0
     committed: bool = False
     prefetch_enabled: bool = True
     trace_body_start: int = -1  # trace index where the final body began
     last_fault_line: int | None = None
-
-    def count(self, cause: AbortCause) -> None:
-        if cause is AbortCause.EVICTION:
-            self.ac2 += 1
-        elif cause is AbortCause.CAPACITY:
-            self.ac3 += 1
-        else:
-            self.ac4 += 1
 
 
 # -- interrupt models ------------------------------------------------------
@@ -254,19 +238,25 @@ class AccessProbability:
 
 
 class TxnContext:
-    """Handle passed to the transaction body.
+    """One attempt of a transaction: the handle passed to its body and the
+    record ``run_txn`` rolls back and commits from.
 
     Reads and writes go through the cache with pinning and are checked
     against the declaration.  ``read_run``/``write_run`` do the same for
     consecutive words (see the module docstring).  ``tick`` models units
     of computation that touch no memory but can still be interrupted.
+    The context holds the lines its attempt pinned, and those it dirtied
+    in the order first dirtied.  A prefetched attempt pins and dirties
+    exactly the declared lines, in ascending order, and its body can add
+    none; a cold one fills a set and an insertion-ordered dict as its
+    body runs.
     """
 
     __slots__ = (
         "_sim",
         "_decl",
         "_model",
-        "_touched",
+        "_pinned",
         "_dirtied",
         "_shift",
         "_prefetched",
@@ -279,9 +269,12 @@ class TxnContext:
         self._sim = sim
         self._decl = decl
         self._model = model
-        self._touched: set[int] = set()
-        # in the order first dirtied, for the commit's write-backs
-        self._dirtied: dict[int, None] = {}
+        self._pinned: tuple[int, ...] | set[int] = (
+            decl.all_lines if prefetched else set()
+        )
+        self._dirtied: tuple[int, ...] | dict[int, None] = (
+            decl.write_lines if prefetched else {}
+        )
         self._shift = sim.config.line_shift
         self._prefetched = prefetched
         # (first word, old values) per store; None for a word not present
@@ -289,35 +282,24 @@ class TxnContext:
 
     def read(self, addr: int) -> int:
         """One word: a run of length one."""
-        fault = self._run(addr, 1, READ)[1]
-        if fault is not None:
-            raise fault
+        self._run(addr, 1, READ)
         return self._sim.memory.get(addr >> 3, 0)
 
     def write(self, addr: int, value: int) -> None:
         """One word: a run of length one."""
-        self.write_run(addr, (value,))
+        self._run(addr, 1, WRITE, (value,))
 
     def read_run(self, addr: int, count: int) -> list[int]:
         """Values of ``count`` words from ``addr``, exactly as that many
         ``read`` calls at ascending word addresses."""
-        fault = self._run(addr, count, READ)[1]
-        if fault is not None:
-            raise fault
+        self._run(addr, count, READ)
         w = addr >> 3
         return list(map(self._sim.memory.get, range(w, w + count), repeat(0, count)))
 
     def write_run(self, addr: int, values: Sequence[int]) -> None:
         """Store ``values`` at ascending words from ``addr``, exactly as
         one ``write`` call per value."""
-        n, fault = self._run(addr, len(values), WRITE)
-        if n:
-            w = addr >> 3
-            mem = self._sim.memory
-            self._undo.append((w, list(map(mem.get, range(w, w + n)))))
-            mem.update(zip(range(w, w + n), values))
-        if fault is not None:
-            raise fault
+        self._run(addr, len(values), WRITE, values)
 
     def _rollback(self) -> None:
         """Undo this attempt's stores, newest first."""
@@ -329,76 +311,70 @@ class TxnContext:
                 else:
                     mem[i] = v
 
-    def _run(self, addr: int, count: int, kind: str) -> tuple[int, Exception | None]:
-        """Make the accesses of ``count`` words from ``addr`` as one run.
+    def _run(
+        self, addr: int, count: int, kind: str, values: Sequence[int] | None = None
+    ) -> None:
+        """Make the accesses of ``count`` words from ``addr`` as one run,
+        store ``values`` (a write run's) in the words accessed, then raise
+        what the per-word calls would raise after them, if anything.
 
-        Returns how many words were accessed and the exception the
-        per-word calls would raise after them, or None.  The declaration
-        is checked once for the run's lines.  A prefetched body makes the
-        run as one stretch, a cold one as the stretches
-        ``_fault_free_words`` gives.  Each stretch asks the interrupt model
-        once (``first_fire``), updates the touched and dirtied sets once
-        and is one ``CacheSim.access_run``,
-        which raises a PinViolationError or an out-of-range ValueError
-        after the words before it; the caller then stores no value of the
-        run, and logs none in the undo log.
+        The declaration is checked once for the run's lines.  A prefetched
+        body makes the run as one stretch; a cold one splits it at line
+        starts (see the module docstring) and adds the line each stretch
+        reaches to the context's.  Each stretch asks the interrupt model
+        once (``first_fire``) and is one ``CacheSim.access_run``, which
+        raises a PinViolationError or an out-of-range ValueError after the
+        words before it; the run then stores no value, and logs none in
+        the undo log.
         """
         if count <= 0:
-            return 0, None
+            return
         shift = self._shift
         n = count
         misaligned = addr % WORD_BYTES != 0
         if misaligned:
             n = 1  # the first word fails once it is checked and consulted
-        fault = None
-        first = addr >> shift
-        lines = range(first, ((addr + (n - 1) * WORD_BYTES) >> shift) + 1)
+        lines = range(addr >> shift, ((addr + (n - 1) * WORD_BYTES) >> shift) + 1)
         ok = self._decl.write_ok if kind == WRITE else self._decl.read_ok
         if not ok.issuperset(lines):
             bad = next(line for line in lines if line not in ok)
             n = max(0, ((bad << shift) - addr) // WORD_BYTES)
-            fault = UndeclaredAccessError(addr + n * WORD_BYTES, kind)
             misaligned = False
         model = self._model
+        cold = not self._prefetched
+        mask = (1 << shift) - 1
+        fired = None
         done = 0
         while done < n:
             a = addr + done * WORD_BYTES
             m = n - done
-            if not self._prefetched:
-                m = self._fault_free_words(a, m, kind)
+            if cold:
+                # the first word alone, then through the next line start
+                m = min(m, (-a & mask) // WORD_BYTES + 1) if done else 1
             if model is not None:
                 fired = model.first_fire(m)
                 if fired is not None:
-                    m, n, fault, misaligned = fired, done + fired, _Interrupted(), False
+                    m, n, misaligned = fired, done + fired, False
             if m:
-                if not self._prefetched:
-                    # a prefetched attempt rolls back and commits its
-                    # declared lines, so only a cold one needs these
-                    lines = range(a >> shift, ((a + (m - 1) * WORD_BYTES) >> shift) + 1)
-                    self._touched.update(lines)
+                if cold:
+                    # only the last word can reach a line new to this run
+                    line = (a + (m - 1) * WORD_BYTES) >> shift
+                    self._pinned.add(line)
                     if kind == WRITE:
-                        self._dirtied.update(dict.fromkeys(lines))
+                        self._dirtied[line] = None
                 if misaligned:
                     raise ValueError(f"address {addr} not word aligned")
                 self._sim.access_run(a, m, kind, True)
             done += m
-        return n, fault
-
-    def _fault_free_words(self, addr: int, count: int, kind: str) -> int:
-        """How many of ``count`` words from ``addr`` make one stretch in a
-        body that runs cold: through the first word of the first line this
-        attempt has not yet pinned for ``kind``, the only word whose access
-        can fault (on a pin, or past the address space).  The per-word path
-        neither consults nor touches anything past a fault.  Prefetched
-        bodies pin every declared line first, so their runs never fault
-        and are one stretch."""
-        safe = self._dirtied if kind == WRITE else self._touched
-        shift = self._shift
-        last = (addr + (count - 1) * WORD_BYTES) >> shift
-        for line in range(addr >> shift, last + 1):
-            if line not in safe:
-                return min(count, max(1, ((line << shift) - addr) // WORD_BYTES + 1))
-        return count
+        if values is not None and n:
+            w = addr >> 3
+            mem = self._sim.memory
+            self._undo.append((w, list(map(mem.get, range(w, w + n)))))
+            mem.update(zip(range(w, w + n), values))
+        if fired is not None:
+            raise _Interrupted()
+        if n < count:
+            raise UndeclaredAccessError(addr + n * WORD_BYTES, kind)
 
     def tick(self, count: int = 1) -> None:
         """``count`` units of computation, each consulting the model."""
@@ -460,24 +436,19 @@ def run_txn(
                 stats.body_events += len(sim.trace) - stats.trace_body_start
             except Exception as exc:
                 # roll back; invalidating the lines also drops their pins
-                sim.invalidate_lines(decl.all_lines if prefetch else ctx._touched)
+                sim.invalidate_lines(ctx._pinned)
                 ctx._rollback()
                 if isinstance(exc, PinViolationError):
-                    stats.count(AbortCause.EVICTION)
+                    stats.ac2 += 1
                     stats.last_fault_line = exc.line_address
                 elif isinstance(exc, _Interrupted):
-                    stats.count(AbortCause.INTERRUPT)
+                    stats.ac4 += 1
                 else:
                     # programming errors leave the simulator consistent
                     raise
                 continue
 
-            if prefetch:
-                # the prefetch dirtied the write lines in order and pinned
-                # every declared line; the body can add neither
-                sim.commit_lines(decl.write_lines, decl.all_lines)
-            else:
-                sim.commit_lines(ctx._dirtied, ctx._touched)
+            sim.commit_lines(ctx._dirtied, ctx._pinned)
             stats.committed = True
             if prefetch and stats.body_events:
                 raise HitGuaranteeError(

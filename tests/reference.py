@@ -56,7 +56,6 @@ from oblishuffle.cache import (
 )
 from oblishuffle.layout import READ_WRITE, LayoutInfeasibleError, LayoutPlan
 from oblishuffle.txn import (
-    AbortCause,
     AccessProbability,
     CapacityError,
     HitGuaranteeError,
@@ -188,12 +187,13 @@ def _consult(ctx):
 
 def per_word_read(ctx, addr):
     """``ctx.read(addr)`` as one declaration check, one consultation and
-    one access."""
+    one access; a cold context records the line as pinned."""
     line = addr >> ctx._shift
     if line not in ctx._decl.read_ok:
         raise UndeclaredAccessError(addr, READ)
     _consult(ctx)
-    ctx._touched.add(line)
+    if not ctx._prefetched:
+        ctx._pinned.add(line)
     sim = ctx._sim
     sim._check_word(addr)
     per_word_access(sim, addr, READ, True)
@@ -202,13 +202,15 @@ def per_word_read(ctx, addr):
 
 def per_word_write(ctx, addr, value):
     """``ctx.write(addr, value)`` as one declaration check, one
-    consultation and one access."""
+    consultation and one access; a cold context records the line as
+    pinned and dirtied."""
     line = addr >> ctx._shift
     if line not in ctx._decl.write_ok:
         raise UndeclaredAccessError(addr, WRITE)
     _consult(ctx)
-    ctx._touched.add(line)
-    ctx._dirtied.setdefault(line)
+    if not ctx._prefetched:
+        ctx._pinned.add(line)
+        ctx._dirtied.setdefault(line)
     sim = ctx._sim
     sim._check_word(addr)
     per_word_access(sim, addr, WRITE, True)
@@ -799,15 +801,15 @@ def snapshot_run_txn(
                 stats.body_events += len(sim.trace) - stats.trace_body_start
             except Exception as exc:
                 # roll back; invalidating the lines also drops their pins
-                sim.invalidate_lines(decl.all_lines if prefetch else ctx._touched)
+                sim.invalidate_lines(decl.all_lines if prefetch else ctx._pinned)
                 for w in words:
                     mem.pop(w, None)
                 mem.update(snapshot)
                 if isinstance(exc, PinViolationError):
-                    stats.count(AbortCause.EVICTION)
+                    stats.ac2 += 1
                     stats.last_fault_line = exc.line_address
                 elif isinstance(exc, _Interrupted):
-                    stats.count(AbortCause.INTERRUPT)
+                    stats.ac4 += 1
                 else:
                     # programming errors leave the simulator consistent
                     raise
@@ -818,7 +820,7 @@ def snapshot_run_txn(
                 # every declared line; the body can add neither
                 sim.commit_lines(decl.write_lines, decl.all_lines)
             else:
-                sim.commit_lines(ctx._dirtied, ctx._touched)
+                sim.commit_lines(ctx._dirtied, ctx._pinned)
             stats.committed = True
             if prefetch and stats.body_events:
                 raise HitGuaranteeError(

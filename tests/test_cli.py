@@ -245,6 +245,14 @@ def test_verify_naive_reports_divergence(capsys):
     assert "diverge" in out
 
 
+def test_verify_with_interrupts_accepts_a_negative_seed(capsys):
+    # the interrupt model's seed is masked to 64 bits, as in aborts
+    rc, out, err = run_cli(capsys, "verify", "--n", "16", "--trials", "2",
+                           "--rate", "0.01", "--seed", "-1")
+    assert (rc, err) == (0, "")
+    assert "identical" in out
+
+
 def test_verify_single_trial_is_usage_error(capsys):
     rc, _, err = run_cli(capsys, "verify", "--trials", "1")
     assert rc == 2

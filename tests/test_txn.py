@@ -5,6 +5,8 @@ geometries; the abort-transparency property compares a run with forced
 interrupts against an undisturbed twin.
 """
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +33,7 @@ from oblishuffle.txn import (
     HitGuaranteeError,
     NestedTxnError,
     RetryCapExceededError,
+    TxnContext,
     TxnDeclaration,
     UndeclaredAccessError,
     run_txn,
@@ -620,20 +623,74 @@ def sim_state(sim):
     )
 
 
+def run_op(draw, kind, addr, count):
+    """A read of ``count`` words from ``addr``, or a write of that many
+    drawn values."""
+    if kind == "r":
+        return ("r", addr, count)
+    values = draw(st.lists(st.integers(0, 2**64 - 1), min_size=count, max_size=count))
+    return ("w", addr, values)
+
+
+def cold_ops(draw, lines, writes, line_size):
+    """Ops that pin lines with one-word touches and then run: every line
+    outside one drawn stretch of consecutive ``lines`` is touched, in a
+    drawn order, and one or two runs follow inside the stretch.  With
+    three of ``lines`` in one set of a 2 x 2 L1 and LLC, a run then often
+    faults where it crosses into a line, past its first word."""
+    per_line = line_size // 8
+    stretches = [[lines[0]]]
+    for line in lines[1:]:
+        if line == stretches[-1][-1] + 1:
+            stretches[-1].append(line)
+        else:
+            stretches.append([line])
+    target = draw(st.sampled_from(stretches))
+    ops = []
+    for line in draw(st.permutations([l for l in lines if l not in target])):
+        kind = "w" if line in writes and draw(st.booleans()) else "r"
+        word = draw(st.integers(0, per_line - 1))
+        ops.append(run_op(draw, kind, line * line_size + 8 * word, 1))
+    writable = set(target) <= set(writes)
+    for _ in range(draw(st.integers(1, 2))):
+        kind = "w" if writable and draw(st.booleans()) else "r"
+        line = draw(st.sampled_from(target))
+        word = draw(st.integers(0, per_line - 1))
+        inside = (target[-1] + 1 - line) * per_line - word
+        count = draw(st.one_of(st.just(inside), st.integers(1, inside)))
+        ops.append(run_op(draw, kind, line * line_size + 8 * word, count))
+    return ops
+
+
 @st.composite
-def run_programs(draw):
+def run_programs(draw, cold=False):
+    """Two transactions of runs at a drawn line size.  With ``cold``, both
+    run without prefetch, on a 2 x 2 L1 and LLC, with ``cold_ops``."""
+    line_size = draw(st.sampled_from([8, 16, 32, 64, 128]))
+    per_line = line_size // 8
     config = CacheConfig(
-        line_size=64,
-        l1_sets=draw(st.sampled_from([1, 2])),
+        line_size=line_size,
+        l1_sets=2 if cold else draw(st.sampled_from([1, 2])),
         l1_ways=2,
-        llc_sets=draw(st.sampled_from([2, 4])),
-        llc_ways=draw(st.integers(2, 4)),
+        llc_sets=2 if cold else draw(st.sampled_from([2, 4])),
+        llc_ways=2 if cold else draw(st.integers(2, 4)),
     )
+    longest = max(20, 3 * per_line)
     txns = []
     for _ in range(2):
+        w0 = draw(st.integers(0, 7))
+        if cold:
+            # three lines of one set and one of the other
+            other = draw(st.sampled_from([w0 + 1, w0 + 3]))
+            lines = sorted({w0, w0 + 2, w0 + 4, other})
+            writes = [l for l in lines if draw(st.booleans())]
+            reads = [l for l in lines if l not in writes]
+            ops = cold_ops(draw, lines, writes, line_size)
+            txns.append((reads, writes, ops, False))
+            continue
         # a block of write lines, at stride 2 sometimes all in one L1 set,
         # and a block of read lines
-        w0, r0 = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+        r0 = draw(st.integers(0, 7))
         stride = draw(st.sampled_from([1, 1, 2]))
         nw = draw(st.integers(0, 2 * config.l1_sets))
         writes = list(range(w0, w0 + stride * nw, stride))
@@ -644,47 +701,44 @@ def run_programs(draw):
             kind = draw(st.sampled_from("rw"))
             ok = set(writes if kind == "w" else reads + writes)
             line = draw(st.sampled_from(sorted(ok) or range(10)))
-            word = draw(st.integers(0, 7))
+            word = draw(st.integers(0, per_line - 1))
             # mostly stay inside the declared lines, sometimes run past them
             end = line + 1
             while end in ok:
                 end += 1
             if draw(st.integers(0, 7)):
-                count = draw(st.integers(1, max(1, min(20, (end - line) * 8 - word))))
+                inside = (end - line) * per_line - word
+                count = draw(st.integers(1, max(1, min(longest, inside))))
             else:
-                count = draw(st.integers(1, 20))
-            if kind == "r":
-                ops.append(("r", addr_of(line, word), count))
-            else:
-                values = draw(st.lists(st.integers(0, 2**64 - 1),
-                                       min_size=count, max_size=count))
-                ops.append(("w", addr_of(line, word), values))
+                count = draw(st.integers(1, longest))
+            ops.append(run_op(draw, kind, line * line_size + word * 8, count))
         txns.append((reads, writes, ops, draw(st.booleans())))
-    init = draw(st.dictionaries(st.integers(0, 79), st.integers(1, 2**32)))
+    init = draw(st.dictionaries(st.integers(0, 10 * per_line - 1),
+                                st.integers(1, 2**32)))
     # clean and dirty lines left resident before the transactions
     pre = draw(st.lists(st.tuples(st.integers(0, 11), st.sampled_from(["read", "write"])),
                         max_size=8))
-    rate = draw(st.sampled_from([None, 0.05, 0.3]))
+    rate = draw(st.sampled_from([0.02, 0.1] if cold else [None, 0.05, 0.3]))
     return config, txns, init, pre, rate, draw(st.integers(0, 2**16))
 
 
-@settings(max_examples=200, deadline=None)
-@given(run_programs())
-def test_runs_match_per_word_accesses(program):
+def check_runs_match_per_word_accesses(program):
     config, txns, init, pre, rate, seed = program
+    size = config.line_size
     outcomes = []
     for expand in (False, True):
         sim = CacheSim(config)
         for word, value in init.items():
             sim.poke_word(word * 8, value)
         for line, kind in pre:
-            sim.access(line * 64, kind)
+            sim.access(line * size, kind)
         model = None if rate is None else AccessProbability(rate, seed)
         log, results = [], []
         for reads, writes, ops, prefetch in txns:
             decl = TxnDeclaration.of(
-                reads=[(line * 64, 64) for line in reads],
-                writes=[(line * 64, 64) for line in writes],
+                reads=[(line * size, size) for line in reads],
+                writes=[(line * size, size) for line in writes],
+                line_size=size,
             )
             try:
                 stats = run_txn(sim, decl, run_body(ops, expand, log), model,
@@ -698,6 +752,49 @@ def test_runs_match_per_word_accesses(program):
         consults = None if model is None else (model.consultations, model._pos)
         outcomes.append((results, log, sim_state(sim), consults))
     assert outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_programs())
+def test_runs_match_per_word_accesses(program):
+    check_runs_match_per_word_accesses(program)
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_programs(cold=True))
+def test_cold_runs_match_per_word_accesses(program):
+    check_runs_match_per_word_accesses(program)
+
+
+def test_no_context_outlives_run_txn():
+    # an aborted attempt must leave no reference cycle that keeps its
+    # context alive until the cyclic collector runs
+    def contexts():
+        return sum(isinstance(obj, TxnContext) for obj in gc.get_objects())
+
+    decl = TxnDeclaration.of(reads=[(0, 128)], writes=[(128, 128)])
+
+    def body(ctx):
+        ctx.write_run(addr_of(2), ctx.read_run(addr_of(0), 16))
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = contexts()
+        model = AccessProbability(0.05, 3)
+        interrupts = 0
+        for prefetch in (True, False):
+            interrupts += run_txn(CacheSim(SMALL), decl, body, model,
+                                  prefetch=prefetch).ac4
+        try:
+            run_txn(CacheSim(SMALL), decl, lambda ctx: ctx.read(addr_of(4)))
+        except UndeclaredAccessError:
+            pass
+        after = contexts()
+    finally:
+        gc.enable()
+    assert interrupts > 0
+    assert after == before
 
 
 def test_read_run_served_from_llc_counts_llc_hits():
