@@ -33,7 +33,12 @@ step per line, and ``commit_lines(dirtied, pinned)`` equals
 ``writeback_line`` per dirtied line in order followed by
 ``unpin_lines(pinned)``.  Their state (trace, counters, LRU order, dirty
 and pin bits) matches the per-line or per-word calls, including after a
-fault part-way through a block or run.  The block calls sit on one
+PinViolationError part-way through a block or run.  Invalid input is the
+caller's error, not a modelled fault, and has one rule: ``access``,
+``read_word``/``write_word``, ``access_run`` and ``prefetch`` check their
+whole input (the kind, and the range of every address or line) before
+their first access, and raise a ValueError naming the first bad address
+before anything changes.  The block calls sit on one
 per-line step: ``access``, ``read_word``/``write_word``, ``access_run``
 and ``prefetch`` each pass (line, k) pairs to ``_lines``, which makes a
 full access for a line's first word and moves only the counters for its
@@ -286,7 +291,7 @@ class CacheSim:
         raise comes before any entry changes or event, but after the
         access has been counted: ``counters.total`` has already advanced,
         and no hit or miss counter has.  A ValueError (address out of
-        range, bad kind) changes nothing.
+        range, bad kind) is raised before anything changes.
         """
         if not 0 <= addr < self.config.address_space:
             raise ValueError(f"address {addr} out of range")
@@ -303,57 +308,50 @@ class CacheSim:
 
         Any line-long stretch of addresses holds ``line_size // 8`` of the
         run's words, whatever the alignment, so the run is a head, whole
-        lines and a tail.  A fault (PinViolationError, or ValueError for a
-        word out of range) leaves the words before it applied and the
-        faulting word counted as ``access`` would.
+        lines and a tail.  A word out of range raises a ValueError naming
+        the first such word before any access; a PinViolationError leaves
+        the words before it applied and the faulting word counted as
+        ``access`` would.
         """
         if count <= 0:
             return
         is_write = _is_write(kind)
         limit = self.config.address_space
-        fault = None
-        if addr < 0 or addr >= limit:
-            fault, count = addr, 0
-        elif addr + (count - 1) * WORD_BYTES >= limit:
-            # the first word at or past the limit faults, after the ones
-            # before it
-            count = -(-(limit - addr) // WORD_BYTES)
-            fault = addr + count * WORD_BYTES
-        if count:
-            shift = self._shift
-            first, last = addr >> shift, (addr + (count - 1) * WORD_BYTES) >> shift
-            if first == last:
-                steps = ((first, count),)
-            else:
-                head = -(-(((first + 1) << shift) - addr) // WORD_BYTES)
-                per = (1 << shift) // WORD_BYTES
-                steps = [
-                    (first, head),
-                    *zip(range(first + 1, last), repeat(per)),
-                    (last, count - head - (last - first - 1) * per),
-                ]
-            self._lines(steps, is_write, pin)
-        if fault is not None:
-            raise ValueError(f"address {fault} out of range")
+        end = addr + (count - 1) * WORD_BYTES
+        if not 0 <= addr < limit:
+            raise ValueError(f"address {addr} out of range")
+        if end >= limit:
+            # the limit is a multiple of the word size, so this is the
+            # first word at or past it
+            raise ValueError(f"address {limit + addr % WORD_BYTES} out of range")
+        shift = self._shift
+        first, last = addr >> shift, end >> shift
+        if first == last:
+            steps = ((first, count),)
+        else:
+            head = -(-(((first + 1) << shift) - addr) // WORD_BYTES)
+            per = (1 << shift) // WORD_BYTES
+            steps = [
+                (first, head),
+                *zip(range(first + 1, last), repeat(per)),
+                (last, count - head - (last - first - 1) * per),
+            ]
+        self._lines(steps, is_write, pin)
 
     def prefetch(self, lines: Sequence[int], kind: str) -> None:
         """Exactly ``access(line << shift, kind, pin=True)`` for each of
         ``lines`` in order, in one call.
 
-        A fault on a line (PinViolationError, or ValueError for a line
-        out of range) leaves the lines before it applied and the faulting
-        line counted as ``access`` would.  A bad ``kind`` is checked once,
-        before any line, and so is the range of ``lines``.
+        A bad ``kind``, or a line out of range (a ValueError naming the
+        first such line's address), is refused before any line; a
+        PinViolationError leaves the lines before it applied and the
+        faulting line counted as ``access`` would.
         """
         is_write = _is_write(kind)
-        if not lines:
-            return
         shift, limit = self._shift, self.config.address_space
-        if min(lines) < 0 or max(lines) << shift >= limit:
-            bad = next(i for i, line in enumerate(lines)
-                       if not 0 <= line << shift < limit)
-            self._lines(zip(lines[:bad], repeat(1)), is_write, True)
-            raise ValueError(f"address {lines[bad] << shift} out of range")
+        if min(lines, default=0) < 0 or max(lines, default=0) << shift >= limit:
+            bad = next(line for line in lines if not 0 <= line << shift < limit)
+            raise ValueError(f"address {bad << shift} out of range")
         self._lines(zip(lines, repeat(1)), is_write, True)
 
     def _lines(self, steps: Iterable[tuple[int, int]], is_write: bool, pin: bool) -> None:

@@ -35,7 +35,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from math import isqrt
+from math import isfinite, isqrt
 
 import numpy as np
 
@@ -307,11 +307,15 @@ def _n_list(text: str) -> list[int]:
         values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ValueError(f"bad --n-list: {exc}") from None
-    for n in values:
+    if not values:
+        raise ValueError(f"bad --n-list: no sizes in {text!r}")
+    for i, n in enumerate(values):
         if n < 1 or isqrt(n) ** 2 != n:
             raise ValueError(
                 f"bad --n-list: sizes must be perfect squares, got {n}"
             )
+        if n in values[:i]:
+            raise ValueError(f"bad --n-list: size {n} given more than once")
     return values
 
 
@@ -319,6 +323,12 @@ def _positive_n(n: int) -> int:
     if n < 1:
         raise ValueError(f"--n must be at least 1, got {n}")
     return n
+
+
+def _cost_weight(lam: float) -> float:
+    if not (isfinite(lam) and lam >= 0):
+        raise ValueError(f"--lam must be finite and at least 0, got {lam}")
+    return lam
 
 
 def _emit(lines: list[str], out_path: str | None) -> None:
@@ -403,7 +413,7 @@ def cmd_bench(args) -> int:
         _n_list(args.n_list),
         seed=args.seed,
         pad_factor=args.pad_factor,
-        lam=args.lam,
+        lam=_cost_weight(args.lam),
         retry_cap=args.retry_cap,
         bubble_max=args.bubble_max,
     )

@@ -3,7 +3,9 @@
 A transaction declares its read and write byte ranges up front.  Ranges
 are normalized to whole lines; the write set must fit in L1 and the
 union of read and write sets must fit in the LLC, otherwise the
-transaction is rejected before touching the cache (a capacity abort).
+transaction is rejected before touching the cache (a capacity abort).  A
+declaration that reaches past the address space is refused the same way,
+with a ValueError, after the capacity checks.
 
 With prefetching enabled (the default) each attempt begins by touching
 every declared line in ascending line order: reads first, then writes.
@@ -25,15 +27,18 @@ words with ``ctx.read_run(addr, count)``/``ctx.write_run(addr, values)``;
 a single word is a run of length one.  A run is exact: its result, any
 exception, the interrupt model's consultations and the whole cache state
 (trace, counters, LRU order, dirty and pin bits) equal those of
-one per-word access per word at ascending addresses.  It checks the
-declaration once for its lines, consults the interrupt model once for its
-words and makes one ``CacheSim.access_run`` call, which takes one step
-per line.  In a body run without prefetch, only a line's first word
-within a run can fault (on a pin, or past the address space), and the
-per-word path neither consults nor touches anything past a fault.  So
-there a run is split at line starts: its first word is one stretch, and
-each later stretch runs through the next word that starts a line, one
-consultation and one ``access_run`` each.
+one per-word access per word at ascending addresses, for valid input.
+Invalid input is the caller's error and has one rule: a run checks the
+declaration once for all its lines, and the alignment of its first word,
+and raises an UndeclaredAccessError or a ValueError naming the first bad
+word before it consults the interrupt model or accesses anything.  A
+valid run consults the model once for its words and makes one
+``CacheSim.access_run`` call, which takes one step per line.  In a body
+run without prefetch, only a line's first word within a run can fault
+(on a pin), and the per-word path neither consults nor touches anything
+past a fault.  So there a run is split at line starts: its first word is
+one stretch, and each later stretch runs through the next word that
+starts a line, one consultation and one ``access_run`` each.
 
 Interrupt models answer one question, ``first_fire(count)``: make
 ``count`` consultations, stopping at the first that fires, and return its
@@ -318,43 +323,45 @@ class TxnContext:
         store ``values`` (a write run's) in the words accessed, then raise
         what the per-word calls would raise after them, if anything.
 
-        The declaration is checked once for the run's lines.  A prefetched
-        body makes the run as one stretch; a cold one splits it at line
-        starts (see the module docstring) and adds the line each stretch
-        reaches to the context's.  Each stretch asks the interrupt model
-        once (``first_fire``) and is one ``CacheSim.access_run``, which
-        raises a PinViolationError or an out-of-range ValueError after the
+        The whole input is checked first, and a bad one changes nothing:
+        an undeclared line raises UndeclaredAccessError naming its first
+        word of the run, and a misaligned ``addr``, on a declared line, a
+        ValueError.  A prefetched body makes the run as one stretch; a cold
+        one splits it at line starts (see the module docstring) and adds
+        the line each stretch reaches to the context's.  Each stretch asks
+        the interrupt model once (``first_fire``) and is one
+        ``CacheSim.access_run``, which raises a PinViolationError after the
         words before it; the run then stores no value, and logs none in
         the undo log.
         """
         if count <= 0:
             return
         shift = self._shift
-        n = count
-        misaligned = addr % WORD_BYTES != 0
-        if misaligned:
-            n = 1  # the first word fails once it is checked and consulted
-        lines = range(addr >> shift, ((addr + (n - 1) * WORD_BYTES) >> shift) + 1)
         ok = self._decl.write_ok if kind == WRITE else self._decl.read_ok
+        # per word, the line is checked before the alignment, so a
+        # misaligned run fails on its first word
+        end = addr if addr % WORD_BYTES else addr + (count - 1) * WORD_BYTES
+        lines = range(addr >> shift, (end >> shift) + 1)
         if not ok.issuperset(lines):
             bad = next(line for line in lines if line not in ok)
-            n = max(0, ((bad << shift) - addr) // WORD_BYTES)
-            misaligned = False
+            raise UndeclaredAccessError(max(addr, bad << shift), kind)
+        if addr % WORD_BYTES:
+            raise ValueError(f"address {addr} not word aligned")
         model = self._model
         cold = not self._prefetched
         mask = (1 << shift) - 1
         fired = None
         done = 0
-        while done < n:
+        while done < count:
             a = addr + done * WORD_BYTES
-            m = n - done
+            m = count - done
             if cold:
                 # the first word alone, then through the next line start
                 m = min(m, (-a & mask) // WORD_BYTES + 1) if done else 1
             if model is not None:
                 fired = model.first_fire(m)
                 if fired is not None:
-                    m, n, misaligned = fired, done + fired, False
+                    m, count = fired, done + fired
             if m:
                 if cold:
                     # only the last word can reach a line new to this run
@@ -362,19 +369,15 @@ class TxnContext:
                     self._pinned.add(line)
                     if kind == WRITE:
                         self._dirtied[line] = None
-                if misaligned:
-                    raise ValueError(f"address {addr} not word aligned")
                 self._sim.access_run(a, m, kind, True)
             done += m
-        if values is not None and n:
+        if values is not None and count:
             w = addr >> 3
             mem = self._sim.memory
-            self._undo.append((w, list(map(mem.get, range(w, w + n)))))
-            mem.update(zip(range(w, w + n), values))
+            self._undo.append((w, list(map(mem.get, range(w, w + count)))))
+            mem.update(zip(range(w, w + count), values))
         if fired is not None:
             raise _Interrupted()
-        if n < count:
-            raise UndeclaredAccessError(addr + n * WORD_BYTES, kind)
 
     def tick(self, count: int = 1) -> None:
         """``count`` units of computation, each consulting the model."""
@@ -410,6 +413,11 @@ def run_txn(
         raise CapacityError("llc", need_all, cfg.llc_capacity, stats)
     if retry_cap < 1:
         raise ValueError("retry_cap must be at least 1")
+    if decl.all_lines and decl.all_lines[-1] << cfg.line_shift >= cfg.address_space:
+        # name the line the prefetch would reach first: reads, then writes
+        bad = next(line for line in decl.read_lines + decl.write_lines
+                   if line << cfg.line_shift >= cfg.address_space)
+        raise ValueError(f"address {bad << cfg.line_shift} out of range")
 
     sim.txn_open = True
     try:

@@ -159,13 +159,12 @@ def verify_obliviousness(
     pad_factor: int = 2,
     config: CacheConfig | None = None,
     interrupt_model_factory: Callable[[], object] | None = None,
-    check_output: bool = True,
 ) -> ObliviousnessReport:
     """Capture one trace per input and compare all of them to the first.
 
     Every input must have the same length.  When an interrupt model is
     wanted, pass a factory so each trial starts from identical randomness.
-    Output correctness is checked against the oracle unless disabled.
+    Every trial's output is checked against the oracle.
     """
     if len(inputs) < 2:
         raise ValueError("need at least two inputs to compare")
@@ -188,7 +187,7 @@ def verify_obliviousness(
             config=config,
             interrupt_model=model,
         )
-        if check_output and out != oracle_apply_perm(data, perm):
+        if out != oracle_apply_perm(data, perm):
             raise RuntimeError(
                 f"{name} produced a wrong shuffle on trial {t}"
             )

@@ -5,6 +5,8 @@ worked out on paper before the simulator existed: every step lists the
 expected lookup result and exactly which events it appends.
 """
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -502,6 +504,24 @@ def sim_state(sim):
     )
 
 
+def frozen_state(sim):
+    """``sim_state`` as a copy that later calls cannot change."""
+    return copy.deepcopy(sim_state(sim))
+
+
+def first_out_of_range(addrs, space):
+    """The first of ``addrs`` outside ``[0, space)``, or None."""
+    return next((a for a in addrs if not 0 <= a < space), None)
+
+
+def assert_refused(sim, call, bad):
+    """``call`` raises the per-word path's ValueError for address ``bad``
+    and changes nothing."""
+    before = frozen_state(sim)
+    assert outcome(call) == (ValueError, f"address {bad} out of range")
+    assert sim_state(sim) == before
+
+
 def outcome(call):
     """What ``call`` returned, or the exception it raised, comparably."""
     try:
@@ -553,7 +573,11 @@ def test_block_calls_match_the_per_line_loops(program):
             outcome(lambda: sim.access(line * 64, kind, pin))
     assert sim_state(fast) == sim_state(ref)
     for step, a, b in steps:
-        if step == "prefetch":
+        bad = first_out_of_range([line * 64 for line in a], config.address_space)
+        if step == "prefetch" and bad is not None:
+            # invalid input changes nothing; the reference takes no step
+            assert_refused(fast, lambda: fast.prefetch(a, b), bad)
+        elif step == "prefetch":
             assert outcome(lambda: fast.prefetch(a, b)) == outcome(
                 lambda: per_line_prefetch(ref, a, b))
         else:
@@ -623,8 +647,13 @@ def test_access_run_matches_per_word_accesses(program):
         for line, kind, pin in pre:
             outcome(lambda: sim.access(line * config.line_size, kind, pin))
     for addr, count, kind, pin in runs:
-        assert outcome(lambda: fast.access_run(addr, count, kind, pin)) == outcome(
-            lambda: per_word_run(ref, addr, count, kind, pin))
+        bad = first_out_of_range(range(addr, addr + 8 * count, 8), config.address_space)
+        if bad is not None:
+            # invalid input changes nothing; the reference takes no step
+            assert_refused(fast, lambda: fast.access_run(addr, count, kind, pin), bad)
+        else:
+            assert outcome(lambda: fast.access_run(addr, count, kind, pin)) == outcome(
+                lambda: per_word_run(ref, addr, count, kind, pin))
         assert sim_state(fast) == sim_state(ref)
         fast.check_invariants()
 
@@ -645,16 +674,29 @@ def test_access_run_stops_at_a_pin_fault_mid_run():
     assert (sim.counters.total, sim.counters.l1_hits) == (1 + 3 + 1, 2)
 
 
-def test_access_run_past_the_address_space_applies_the_words_before():
-    sim, ref = CacheSim(TINY), CacheSim(TINY)
+def test_access_run_past_the_address_space_changes_nothing():
+    sim = CacheSim(TINY)
     space = TINY.address_space
-    with pytest.raises(ValueError, match=f"address {space} out of range"):
-        sim.access_run(space - 16, 4, "read")
-    with pytest.raises(ValueError):
-        per_word_run(ref, space - 16, 4, "read", False)
-    assert sim_state(sim) == sim_state(ref)
-    assert sim.counters.total == 2
+    # the message names the first word at or past the limit
+    assert_refused(sim, lambda: sim.access_run(space - 16, 4, "read"), space)
+    assert_refused(sim, lambda: sim.access_run(space - 23, 4, "read"), space + 1)
+    assert_refused(sim, lambda: sim.access_run(-8, 2, "write"), -8)
+    assert sim_state(sim) == sim_state(CacheSim(TINY))
     # misaligned, the run's last word starts below the limit and is in
     # range even though the run's end is past it
     sim.access_run(space - 23, 3, "read")
-    assert sim.counters.total == 2 + 3
+    assert sim.counters.total == 3
+
+
+def test_invalid_line_after_a_pin_fault_refuses_the_whole_block():
+    # line 2 would pin-fault in the one 2-way L1 set held by pinned dirty
+    # lines 0 and 1, but the block also names a line past the address
+    # space, so it raises the ValueError and changes nothing
+    sim = CacheSim(TINY)
+    sim.prefetch([0, 1], "write")
+    past = TINY.address_space // 64
+    assert_refused(sim, lambda: sim.prefetch([2, past], "write"), past * 64)
+    assert_refused(sim, lambda: sim.access_run(past * 64 - 64, 9, "write", True),
+                   past * 64)
+    with pytest.raises(PinViolationError):
+        sim.prefetch([2], "write")

@@ -349,6 +349,14 @@ def test_flag_the_subcommand_does_not_honour_is_rejected(capsys, command, flag):
         (("verify", "--n", "0"), 2),
         (("shuffle", "--n", "-4"), 2),
         (("shuffle", "--n", "0"), 2),
+        # a cost weight that is not a finite number >= 0
+        (("bench", "--algos", "melbourne", "--n-list", "16", "--lam", "nan"), 2),
+        (("bench", "--algos", "melbourne", "--n-list", "16", "--lam", "inf"), 2),
+        (("bench", "--algos", "melbourne", "--n-list", "16", "--lam", "-1"), 2),
+        # a size given twice, or none at all
+        (("bench", "--algos", "melbourne", "--n-list", "16,16"), 2),
+        (("bench", "--algos", "melbourne", "--n-list", ","), 2),
+        (("aborts", "--n-list", "16,16"), 2),
     ],
 )
 def test_failures_exit_with_code_and_message(argv, code):
@@ -359,9 +367,16 @@ def test_failures_exit_with_code_and_message(argv, code):
     assert proc.returncode == code
     assert proc.stderr.startswith(f"{argv[0]}: ")
     assert "Traceback" not in proc.stderr
-    n = dict(zip(argv, argv[1:])).get("--n")
+    flags = dict(zip(argv, argv[1:]))
+    n = flags.get("--n")
     if n is not None and int(n) < 1:
         assert "--n" in proc.stderr  # the message names the flag
+    if "--lam" in flags:
+        assert "--lam" in proc.stderr
+    if flags.get("--n-list") in ("16,16", ","):
+        assert "--n-list" in proc.stderr
+    if code == 2:
+        assert proc.stdout == ""  # refused before any row is printed
 
 
 def test_geometry_without_conflict_free_layout_is_check_failure(capsys, tmp_path):

@@ -9,7 +9,14 @@ geometries, with pins, write-backs, faults, invalidations, flushes and
 transactions that abort, goes through both pairs; after every step the
 outcome, the trace, the counters, each set's (line, dirty, pinned)
 entries in LRU order and memory must agree.
+
+The reference applies the valid words or lines of an ``access_run`` or a
+``prefetch`` before one out of range, where ``CacheSim`` refuses the whole
+call.  So for such a step the reference takes no step, and ``CacheSim``
+must raise the reference's ValueError and change nothing.
 """
+
+import copy
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -128,6 +135,26 @@ def apply(sim, step, txn):
     return txn(sim, decl, make_body(ops), model, prefetch=prefetch, retry_cap=cap)
 
 
+def first_out_of_range(step):
+    """The first address an ``access_run`` or ``prefetch`` step names
+    outside the address space, or None."""
+    name, *args = step
+    if name == "access_run":
+        addr, count = args[:2]
+        addrs = range(addr, addr + 8 * count, 8)
+    elif name == "prefetch":
+        addrs = [line * 64 for line in args[0]]
+    else:
+        return None
+    return next((a for a in addrs if not 0 <= a < SPACE), None)
+
+
+def state(sim):
+    """A copy of the state ``assert_same_state`` compares."""
+    return copy.deepcopy((sim.trace, sim.counters, lru_entries(sim), sim.memory,
+                          sim.txn_open))
+
+
 def outcome(call):
     """What ``call`` returned, or the exception it raised, comparably."""
     try:
@@ -152,6 +179,13 @@ def test_cache_and_rollback_match_the_stamp_reference(config, program):
         # words present before any traffic, on lines 0..4; the rest absent
         sim.poke_words(0, list(range(1, 40)))
     for step in program:
+        bad = first_out_of_range(step)
+        if bad is not None:
+            before = state(fast)
+            assert outcome(lambda: apply(fast, step, run_txn)) == (
+                "ValueError", f"address {bad} out of range", None), step
+            assert state(fast) == before
+            continue
         got = outcome(lambda: apply(fast, step, run_txn))
         want = outcome(lambda: apply(ref, step, snapshot_run_txn))
         assert got == want, step

@@ -5,6 +5,7 @@ geometries; the abort-transparency property compares a run with forced
 interrupts against an undisturbed twin.
 """
 
+import copy
 import gc
 
 import pytest
@@ -23,6 +24,9 @@ from reference import (
 from oblishuffle.cache import (
     KIND_MISS,
     KIND_WRITEBACK,
+    READ,
+    WRITE,
+    AccessCounters,
     CacheConfig,
     CacheSim,
     TraceEvent,
@@ -341,6 +345,37 @@ def test_footprint_over_llc_rejected_before_any_event():
     assert sim.trace == []
 
 
+@pytest.mark.parametrize("prefetch", [True, False])
+def test_declaration_past_the_address_space_rejected_before_any_event(prefetch):
+    config = CacheConfig(line_size=64, l1_sets=2, l1_ways=2, llc_sets=2,
+                         llc_ways=8, address_space=1 << 10)  # lines 0..15
+    sim = CacheSim(config)
+    sim.access(0, "write")
+    before = (list(sim.trace), sim.counters.total, lru_entries(sim))
+    # read lines 0 and 17, write line 16: the prefetch would reach 17 first
+    decl = TxnDeclaration.of(reads=[(0, 64), (addr_of(17), 64)],
+                             writes=[(addr_of(16), 64)])
+    ran = []
+    with pytest.raises(ValueError, match=f"^address {addr_of(17)} out of range$"):
+        run_txn(sim, decl, ran.append, prefetch=prefetch)
+    assert ran == []
+    assert (list(sim.trace), sim.counters.total, lru_entries(sim)) == before
+    assert not sim.txn_open
+
+
+def test_capacity_is_checked_before_the_address_space():
+    # an address space of exactly the LLC's size, as the capacity probe
+    # uses: a footprint one line over the LLC also reaches past the space
+    config = CacheConfig(line_size=64, l1_sets=2, l1_ways=2, llc_sets=2,
+                         llc_ways=2, address_space=256)
+    with pytest.raises(CapacityError) as exc_info:
+        run_txn(CacheSim(config), TxnDeclaration.of(reads=[(0, 320)]))
+    assert exc_info.value.level == "llc"
+    with pytest.raises(CapacityError) as exc_info:
+        run_txn(CacheSim(config), TxnDeclaration.of(writes=[(0, 320)]))
+    assert exc_info.value.level == "l1"
+
+
 # -- undo log ----------------------------------------------------------------
 
 
@@ -593,13 +628,57 @@ def test_interrupted_runs_converge_to_the_undisturbed_run(program):
 # -- line runs: the per-word reference path ----------------------------------
 
 
+def invalid_input(ctx, kind, addr, count):
+    """The error the per-word path raises for a run's invalid input, at
+    its first bad word: an undeclared line, else a misaligned word; None
+    for valid input.  Pins and interrupts play no part, and a declared
+    word is in range, since ``run_txn`` refuses any other declaration."""
+    kind = READ if kind == "r" else WRITE
+    ok = ctx._decl.read_ok if kind == READ else ctx._decl.write_ok
+    for a in range(addr, addr + 8 * count, 8):
+        if a >> ctx._shift not in ok:
+            return UndeclaredAccessError(a, kind)
+        if a % 8:
+            return ValueError(f"address {a} not word aligned")
+    return None
+
+
+def context_state(ctx):
+    """A copy of all a run may change: the simulator's trace, counters,
+    LRU entries and memory, the context's lines and undo log, and the
+    interrupt model's consultations."""
+    sim, model = ctx._sim, ctx._model
+    return copy.deepcopy((
+        sim.trace, sim.counters, lru_entries(sim), sim.memory,
+        ctx._pinned, ctx._dirtied, ctx._undo,
+        getattr(model, "consultations", None), getattr(model, "_pos", None),
+    ))
+
+
 def run_body(ops, expand, log):
     """Body doing ``ops`` as runs, or with every run expanded into one
     reference per-word access per word; values read are appended to
-    ``log``."""
+    ``log``.
+
+    An op with invalid input (``invalid_input``) stops the body with that
+    error on both sides.  As a run, it must raise that error, type and
+    message, and change nothing; expanded, the reference takes no step.
+    """
 
     def body(ctx):
         for kind, addr, arg in ops:
+            error = invalid_input(ctx, kind, addr, arg if kind == "r" else len(arg))
+            if error is not None:
+                if not expand:
+                    before = context_state(ctx)
+                    with pytest.raises(type(error)) as info:
+                        if kind == "r":
+                            ctx.read_run(addr, arg)
+                        else:
+                            ctx.write_run(addr, arg)
+                    assert str(info.value) == str(error)
+                    assert context_state(ctx) == before
+                raise error
             if kind == "r" and expand:
                 log.append([per_word_read(ctx, addr + 8 * i) for i in range(arg)])
             elif kind == "r":
@@ -748,6 +827,8 @@ def check_runs_match_per_word_accesses(program):
                 results.append((type(exc), exc.stats))
             except UndeclaredAccessError as exc:
                 results.append((type(exc), exc.addr))
+            except ValueError as exc:
+                results.append((type(exc), str(exc)))
             sim.check_invariants()
         consults = None if model is None else (model.consultations, model._pos)
         outcomes.append((results, log, sim_state(sim), consults))
@@ -832,15 +913,24 @@ def test_interrupt_inside_a_line_consults_per_word():
     assert consultations == 4 + (8 + 1) + (8 + 7)
 
 
-def test_run_into_undeclared_line_raises_after_declared_words():
+@pytest.mark.parametrize("prefetch", [True, False])
+def test_run_into_undeclared_line_raises_before_any_access(prefetch):
     sim = CacheSim(SMALL)
     decl = TxnDeclaration.of(reads=[(0, 64)])
+    model = FireOnConsultation([])
     with pytest.raises(UndeclaredAccessError) as info:
-        run_txn(sim, decl, lambda ctx: ctx.read_run(addr_of(0, 4), 8),
-                prefetch=False)
+        run_txn(sim, decl, lambda ctx: ctx.read_run(addr_of(0, 4), 8), model,
+                prefetch=prefetch)
     assert info.value.addr == addr_of(1)
-    assert (sim.counters.total, sim.counters.llc_misses) == (4, 1)
-    assert sim.trace == [miss(0)]
+    assert model.consultations == 0
+    # only the prefetch touched line 0, and the rollback dropped it
+    if prefetch:
+        assert sim.counters == AccessCounters(total=1, llc_misses=1)
+        assert sim.trace == [miss(0)]
+    else:
+        assert sim.counters == AccessCounters()
+        assert sim.trace == []
+    assert not sim.line_resident(0)
 
 
 @pytest.mark.parametrize(
@@ -861,25 +951,25 @@ EDGE = CacheConfig(line_size=64, l1_sets=2, l1_ways=2, llc_sets=2, llc_ways=8,
 @pytest.mark.parametrize(
     "ops, fire_on",
     [
-        # runs past the address space: the first word beyond it is
-        # checked and consulted, then refused
+        # runs into line 16, past the address space and so undeclared:
+        # refused before any word is consulted or accessed
         ([("r", addr_of(15, 6), 5)], []),
         ([("w", addr_of(15, 7), [1, 2, 3])], []),
         ([("r", addr_of(15, 6), 5)], [3]),
         ([("r", addr_of(16), 2)], []),
-        # misaligned: the first word is checked and consulted, then refused
+        # misaligned: refused before the first word is consulted
         ([("w", addr_of(1) + 4, [1, 2])], []),
         ([("r", addr_of(0, 3) + 2, 3)], [1]),
         ([("r", addr_of(4) + 4, 3)], []),
-        # an interrupt before, on and after an undeclared line
+        # an interrupt due before, on and after an undeclared line
         ([("w", addr_of(1, 6), [5] * 12)], [2]),
         ([("w", addr_of(1, 6), [5] * 12)], [3]),
         ([("r", addr_of(0, 5), 4), ("w", addr_of(1, 2), [9] * 20)], [6]),
     ],
 )
 def test_edge_runs_match_per_word_accesses(ops, fire_on, prefetch):
-    # line 1 is written, line 0 and 15..16 read; 16 lies past the space
-    decl = TxnDeclaration.of(reads=[(0, 64), (addr_of(15), 128)],
+    # line 1 is written, lines 0 and 15, the last in the space, are read
+    decl = TxnDeclaration.of(reads=[(0, 64), (addr_of(15), 64)],
                              writes=[(64, 64)])
     outcomes = []
     for expand in (False, True):

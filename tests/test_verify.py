@@ -185,8 +185,6 @@ def test_verify_checks_outputs_against_oracle():
     inputs = [(some_data(4, 1), [1, 0, 3, 2]), (some_data(4, 2), [1, 0, 3, 2])]
     with pytest.raises(RuntimeError):
         verify_obliviousness(broken, inputs)
-    report = verify_obliviousness(broken, inputs, check_output=False)
-    assert report.all_equal  # no traffic at all, trivially equal
 
 
 # -- LRU state under LLC pressure ---------------------------------------------
