@@ -25,24 +25,26 @@ from the LLC without allocating in L1 (no event, nothing lost), while a
 write raises :class:`PinViolationError` because there is nowhere safe to
 put the dirty word.
 
-A transaction's prefetch block, each run of its body and its commit are
-one call each, and each is exact: ``prefetch(lines, kind)`` equals one
-pinned ``access`` per line in order, ``access_run(addr, count, kind,
-pin)`` equals one ``access`` per word at ascending addresses, taking one
-step per line, and ``commit_lines(dirtied, pinned)`` equals
-``writeback_line`` per dirtied line in order followed by
-``unpin_lines(pinned)``.  Their state (trace, counters, LRU order, dirty
-and pin bits) matches the per-line or per-word calls, including after a
-PinViolationError part-way through a block or run.  Invalid input is the
-caller's error, not a modelled fault, and has one rule: ``access``,
-``read_word``/``write_word``, ``access_run`` and ``prefetch`` check their
-whole input (the kind, and the range of every address or line) before
-their first access, and raise a ValueError naming the first bad address
-before anything changes.  The block calls sit on one
-per-line step: ``access``, ``read_word``/``write_word``, ``access_run``
-and ``prefetch`` each pass (line, k) pairs to ``_lines``, which makes a
-full access for a line's first word and moves only the counters for its
-other k - 1 words (a prefetch passes k = 1).
+A transaction's prefetch block, each list of runs of its body and its
+commit are one call each, and each is exact: ``prefetch(lines, kind)``
+equals one pinned ``access`` per line in order, ``access_runs(runs, kind,
+pin)`` equals, for each ``(addr, count)`` of ``runs`` in order, one
+``access`` per word at ascending addresses, taking one step per line, and
+``commit_lines(dirtied, pinned)`` equals ``writeback_line`` per dirtied
+line in order followed by ``unpin_lines(pinned)``.  A run list is the one
+path for consecutive words: ``access_run(addr, count, kind, pin)`` is the
+list of that one run.  Their state (trace, counters, LRU order, dirty and
+pin bits) matches the per-line or per-word calls, including after a
+PinViolationError part-way through a block or run list.  Invalid input is
+the caller's error, not a modelled fault, and has one rule: ``access``,
+``read_word``/``write_word``, ``access_runs`` and ``prefetch`` check
+their whole input (the kind, and the range of every address or line)
+before their first access, and raise a ValueError naming the first bad
+address before anything changes.  The block calls sit on one per-line
+step: ``access``, ``read_word``/``write_word``, ``access_runs`` and
+``prefetch`` each make one ``_lines`` call with (line, k) pairs, which
+makes a full access for a line's first word and moves only the counters
+for its other k - 1 words (a prefetch passes k = 1).
 """
 
 from __future__ import annotations
@@ -303,39 +305,47 @@ class CacheSim:
         return "llc-miss" if c.llc_misses != llc_misses else "llc-hit"
 
     def access_run(self, addr: int, count: int, kind: str, pin: bool = False) -> None:
-        """Exactly ``access(addr + i * WORD_BYTES, kind, pin)`` for each i in
-        ``range(count)``, in one call taking one step per line.
+        """``access_runs`` of the one run ``(addr, count)``."""
+        self.access_runs(((addr, count),), kind, pin)
 
-        Any line-long stretch of addresses holds ``line_size // 8`` of the
-        run's words, whatever the alignment, so the run is a head, whole
-        lines and a tail.  A word out of range raises a ValueError naming
-        the first such word before any access; a PinViolationError leaves
-        the words before it applied and the faulting word counted as
-        ``access`` would.
+    def access_runs(
+        self, runs: Iterable[tuple[int, int]], kind: str, pin: bool = False
+    ) -> None:
+        """Exactly ``access(addr + i * WORD_BYTES, kind, pin)`` for each i in
+        ``range(count)``, for each ``(addr, count)`` of ``runs`` in order,
+        in one call taking one step per line of each run.
+
+        Any line-long stretch of addresses holds ``line_size // 8`` of a
+        run's words, whatever the alignment, so a run is a head, whole
+        lines and a tail.  A bad ``kind`` is refused first, and a word out
+        of range raises a ValueError naming the first such word of the
+        first run that has one, both before any access; a
+        PinViolationError leaves the words before it applied and the
+        faulting word counted as ``access`` would.
         """
-        if count <= 0:
-            return
         is_write = _is_write(kind)
         limit = self.config.address_space
-        end = addr + (count - 1) * WORD_BYTES
-        if not 0 <= addr < limit:
-            raise ValueError(f"address {addr} out of range")
-        if end >= limit:
-            # the limit is a multiple of the word size, so this is the
-            # first word at or past it
-            raise ValueError(f"address {limit + addr % WORD_BYTES} out of range")
         shift = self._shift
-        first, last = addr >> shift, end >> shift
-        if first == last:
-            steps = ((first, count),)
-        else:
+        per = (1 << shift) // WORD_BYTES
+        steps: list[tuple[int, int]] = []
+        for addr, count in runs:
+            if count <= 0:
+                continue
+            end = addr + (count - 1) * WORD_BYTES
+            if not 0 <= addr < limit:
+                raise ValueError(f"address {addr} out of range")
+            if end >= limit:
+                # the limit is a multiple of the word size, so this is the
+                # first word at or past it
+                raise ValueError(f"address {limit + addr % WORD_BYTES} out of range")
+            first, last = addr >> shift, end >> shift
+            if first == last:
+                steps.append((first, count))
+                continue
             head = -(-(((first + 1) << shift) - addr) // WORD_BYTES)
-            per = (1 << shift) // WORD_BYTES
-            steps = [
-                (first, head),
-                *zip(range(first + 1, last), repeat(per)),
-                (last, count - head - (last - first - 1) * per),
-            ]
+            steps.append((first, head))
+            steps.extend(zip(range(first + 1, last), repeat(per)))
+            steps.append((last, count - head - (last - first - 1) * per))
         self._lines(steps, is_write, pin)
 
     def prefetch(self, lines: Sequence[int], kind: str) -> None:

@@ -163,9 +163,6 @@ def bench_rows(
     retry_cap: int = 1024,
     bubble_max: int = 1024,
 ) -> list[str]:
-    for algo in algos:
-        if algo not in PROGRAMS:
-            raise ValueError(f"unknown algorithm {algo!r}")
     rows = ["algo,n,events,txns,aborts,cost"]
     for algo in sorted(algos):
         for n in sorted(n_list):
@@ -302,21 +299,39 @@ def aborts_rows(
 # -- plumbing ----------------------------------------------------------------
 
 
-def _n_list(text: str) -> list[int]:
+def _flag_list(flag: str, what: str, text: str, item) -> list:
+    """The comma-separated values of ``text`` for ``flag``, each through
+    ``item``, which raises a ValueError for a bad one; refused too when
+    there are none or one repeats."""
     try:
-        values = [int(tok) for tok in text.split(",") if tok.strip()]
+        values = [item(tok.strip()) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ValueError(f"bad --n-list: {exc}") from None
+        raise ValueError(f"bad {flag}: {exc}") from None
     if not values:
-        raise ValueError(f"bad --n-list: no sizes in {text!r}")
-    for i, n in enumerate(values):
-        if n < 1 or isqrt(n) ** 2 != n:
-            raise ValueError(
-                f"bad --n-list: sizes must be perfect squares, got {n}"
-            )
-        if n in values[:i]:
-            raise ValueError(f"bad --n-list: size {n} given more than once")
+        raise ValueError(f"bad {flag}: no {what}s in {text!r}")
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ValueError(f"bad {flag}: {what} {v} given more than once")
     return values
+
+
+def _square_size(tok: str) -> int:
+    n = int(tok)
+    if n < 1 or isqrt(n) ** 2 != n:
+        raise ValueError(f"sizes must be perfect squares, got {n}")
+    return n
+
+
+def _algo_name(tok: str) -> str:
+    if tok not in PROGRAMS:
+        raise ValueError(
+            f"unknown algorithm {tok!r}; one of {', '.join(sorted(PROGRAMS))}"
+        )
+    return tok
+
+
+def _n_list(text: str) -> list[int]:
+    return _flag_list("--n-list", "size", text, _square_size)
 
 
 def _positive_n(n: int) -> int:
@@ -407,10 +422,13 @@ def cmd_shuffle(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    algos = [a.strip() for a in args.algos.split(",") if a.strip()]
+    algos = _flag_list("--algos", "algorithm", args.algos, _algo_name)
+    n_list = _n_list(args.n_list)
+    if args.bubble_max < 1:
+        raise ValueError(f"--bubble-max must be at least 1, got {args.bubble_max}")
     rows = bench_rows(
         algos,
-        _n_list(args.n_list),
+        n_list,
         seed=args.seed,
         pad_factor=args.pad_factor,
         lam=_cost_weight(args.lam),
@@ -436,6 +454,8 @@ def cmd_aborts(args) -> int:
 def cmd_verify(args) -> int:
     config = _load_cache_config(args)
     _positive_n(args.n)
+    if args.trials < 2:
+        raise ValueError("--trials must be at least 2")
     inputs = [
         make_inputs(args.n, args.seed + 1_000_000_007 * t)
         for t in range(args.trials)

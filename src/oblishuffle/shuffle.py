@@ -21,13 +21,14 @@ of the routing permutation, routes each element (packed with its
 destination index) into a bounded slice for its destination bucket, held
 in locals, and then writes every slice, padded with dummies to a fixed
 length, into that bucket's row of the intermediate buffer in ascending
-order.  A gather transaction reads one full row, drops dummies, orders
-the survivors by destination, checks that their tags are exactly the
-bucket's destinations and writes them to their final positions.  Every
-body access is a run of consecutive words, and the runs' addresses are
-a fixed function of N: a body's hits leave an LRU order that outlives its
-commit, so writing elements in routing order would let later victim
-choices, and under LLC pressure the trace, depend on the permutation.
+order, all in one run list.  A gather transaction reads one full row,
+drops dummies, orders the survivors by destination, checks that their
+tags are exactly the bucket's destinations and writes them to their
+final positions.  Every body access is a run of consecutive words, and
+the runs' addresses are a fixed function of N: a body's hits leave an
+LRU order that outlives its commit, so writing elements in routing order
+would let later victim choices, and under LLC pressure the trace, depend
+on the permutation.
 With prefetching, both bodies run entirely out of pinned cache: every
 event comes from the prefetch and commit phases, which depend only on
 declared addresses.  If more than a slice's worth of one source bucket
@@ -232,6 +233,7 @@ class ShuffleEngine:
         self.stats: list[TxnStats] = []
         self.plans: list[LayoutPlan] = []
         self.overflow_retries = 0
+        self._slices: dict[int, tuple[list[int], list[tuple[Region, int]]]] = {}
 
         cfg = self.sim.config
         line = cfg.line_size
@@ -344,6 +346,20 @@ class ShuffleEngine:
             + src_bucket * self._slice_bytes
         )
 
+    def _scatter_slices(self, i: int) -> tuple[list[int], list[tuple[Region, int]]]:
+        """Scatter transaction i's slice addresses in ascending j and their
+        placements, built on first use and kept for every pass and
+        overflow restart of this engine."""
+        got = self._slices.get(i)
+        if got is None:
+            line = self.sim.config.line_size
+            addrs = [self._slice_addr(i, j) for j in range(self.params.bucket_count)]
+            got = self._slices[i] = (addrs, [
+                _line_region(f"slice_{j}", READ_WRITE, a, self._slice_bytes, line)
+                for j, a in enumerate(addrs)
+            ])
+        return got
+
     def scatter_txn(self, i: int, src: int, pi: int) -> None:
         """Move source bucket i into its per-destination slices."""
         p = self.params
@@ -352,15 +368,11 @@ class ShuffleEngine:
         line = self.sim.config.line_size
         src0 = src + i * bb
         pi0 = pi + i * bb
+        slice_addrs, slice_placements = self._scatter_slices(i)
         placements = [
             _line_region("src_bucket", READ_ONLY, src0, bb, line),
             _line_region("pi_bucket", READ_ONLY, pi0, bb, line),
-        ] + [
-            _line_region(
-                f"slice_{j}", READ_WRITE, self._slice_addr(i, j),
-                self._slice_bytes, line,
-            )
-            for j in range(bc)
+            *slice_placements,
         ]
 
         slice_len = p.slice_len
@@ -379,9 +391,9 @@ class ShuffleEngine:
                 if len(s) >= slice_len:
                     raise BucketOverflowError(i, j, slice_len)
                 s.append(pack(dest, val))
-            for j, s in enumerate(slices):
+            for s in slices:
                 s += [dummy_word] * (slice_len - len(s))
-                ctx.write_run(self._slice_addr(i, j), s)
+            ctx.write_runs(list(zip(slice_addrs, slices)))
 
         self._run(placements, body)
 

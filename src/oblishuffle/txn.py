@@ -22,29 +22,34 @@ per dirtied line followed by ``unpin_lines``.  Each attempt's context
 holds the lines it pinned and dirtied, and the commit and a rollback work
 from those: with prefetching on they are the declared lines.
 
-A body accesses words with ``ctx.read``/``ctx.write``, or consecutive
-words with ``ctx.read_run(addr, count)``/``ctx.write_run(addr, values)``;
-a single word is a run of length one.  A run is exact: its result, any
-exception, the interrupt model's consultations and the whole cache state
-(trace, counters, LRU order, dirty and pin bits) equal those of
-one per-word access per word at ascending addresses, for valid input.
-Invalid input is the caller's error and has one rule: a run checks the
-declaration once for all its lines, and the alignment of its first word,
-and raises an UndeclaredAccessError or a ValueError naming the first bad
-word before it consults the interrupt model or accesses anything.  A
-valid run consults the model once for its words and makes one
-``CacheSim.access_run`` call, which takes one step per line.  In a body
-run without prefetch, only a line's first word within a run can fault
-(on a pin), and the per-word path neither consults nor touches anything
-past a fault.  So there a run is split at line starts: its first word is
-one stretch, and each later stretch runs through the next word that
-starts a line, one consultation and one ``access_run`` each.
+A body accesses words with ``ctx.read``/``ctx.write``, consecutive words
+with ``ctx.read_run(addr, count)``/``ctx.write_run(addr, values)``, or a
+list of such runs with ``ctx.write_runs([(addr, values), ...])``.  A run
+list is the one access path: a single word is a list of one run of
+length one, and a single run a list of one run.  A list is exact: its
+result, any exception, the interrupt model's consultations and the whole
+cache state (trace, counters, LRU order, dirty and pin bits) equal those
+of one per-word access per word at ascending addresses, run after run,
+for valid input.  Invalid input is the caller's error and has one rule:
+a list checks the declaration once for all the lines of each run, and
+the alignment of each run's first word, and raises an
+UndeclaredAccessError or a ValueError naming the first bad word of the
+first bad run before it consults the interrupt model or accesses
+anything.  A prefetched body's accesses all find their lines pinned and
+cannot fault, so a valid list there consults the model once for all its
+words and makes one ``CacheSim.access_runs`` call, which takes one step
+per line.  In a body without prefetch, only a line's first word within a
+run can fault (on a pin), and the per-word path neither consults nor
+touches anything past a fault.  So there each run, in turn, is split at
+line starts: its first word is one stretch, and each later stretch runs
+through the next word that starts a line, one consultation and one
+``access_runs`` call each.
 
 Interrupt models answer one question, ``first_fire(count)``: make
 ``count`` consultations, stopping at the first that fires, and return its
-index or None.  A run of n words asks it once with n and accesses only
-the words before the one that fired; ``ctx.tick(count)`` asks it once
-with ``count``.
+index or None.  A list of n words asks it once with n (a cold one once
+per stretch) and accesses, and stores, only the words before the one
+that fired; ``ctx.tick(count)`` asks it once with ``count``.
 
 Aborts roll everything back: every line the attempt's context holds as
 pinned is invalidated without events, which clears the pins, and the
@@ -59,8 +64,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
-from typing import Callable, Iterable, Sequence
+from itertools import chain, repeat
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -242,14 +247,40 @@ class AccessProbability:
 # -- execution -------------------------------------------------------------
 
 
+def _line_stretches(runs, shift: int):
+    """A cold body's stretches of ``runs``, run after run, each as a list
+    of one ``(addr, count)`` with its count: a run's first word alone,
+    then each later stretch through the next word that starts a line."""
+    mask = (1 << shift) - 1
+    for addr, count in runs:
+        done = 0
+        while done < count:
+            a = addr + done * WORD_BYTES
+            m = min(count - done, (-a & mask) // WORD_BYTES + 1) if done else 1
+            yield ((a, m),), m
+            done += m
+
+
+def _first_words(runs, k: int) -> list[tuple[int, int]]:
+    """The runs of the first ``k`` words of ``runs``."""
+    head = []
+    for addr, count in runs:
+        if k <= 0:
+            break
+        head.append((addr, min(count, k)))
+        k -= max(count, 0)
+    return head
+
+
 class TxnContext:
     """One attempt of a transaction: the handle passed to its body and the
     record ``run_txn`` rolls back and commits from.
 
     Reads and writes go through the cache with pinning and are checked
     against the declaration.  ``read_run``/``write_run`` do the same for
-    consecutive words (see the module docstring).  ``tick`` models units
-    of computation that touch no memory but can still be interrupted.
+    consecutive words, and ``write_runs`` for a list of such runs (see
+    the module docstring).  ``tick`` models units of computation that
+    touch no memory but can still be interrupted.
     The context holds the lines its attempt pinned, and those it dirtied
     in the order first dirtied.  A prefetched attempt pins and dirties
     exactly the declared lines, in ascending order, and its body can add
@@ -287,24 +318,40 @@ class TxnContext:
 
     def read(self, addr: int) -> int:
         """One word: a run of length one."""
-        self._run(addr, 1, READ)
+        self._run(((addr, 1),), READ)
         return self._sim.memory.get(addr >> 3, 0)
 
     def write(self, addr: int, value: int) -> None:
         """One word: a run of length one."""
-        self._run(addr, 1, WRITE, (value,))
+        self._run(((addr, 1),), WRITE, ((value,),))
 
     def read_run(self, addr: int, count: int) -> list[int]:
         """Values of ``count`` words from ``addr``, exactly as that many
         ``read`` calls at ascending word addresses."""
-        self._run(addr, count, READ)
+        self._run(((addr, count),), READ)
         w = addr >> 3
         return list(map(self._sim.memory.get, range(w, w + count), repeat(0, count)))
 
     def write_run(self, addr: int, values: Sequence[int]) -> None:
         """Store ``values`` at ascending words from ``addr``, exactly as
         one ``write`` call per value."""
-        self._run(addr, len(values), WRITE, values)
+        self._run(((addr, len(values)),), WRITE, (values,))
+
+    def write_runs(self, runs: Sequence[tuple[int, Sequence[int]]]) -> None:
+        """Store each ``(addr, values)`` of ``runs`` in order, exactly as
+        one ``write_run`` call per pair, for valid input."""
+        self._run([(addr, len(values)) for addr, values in runs], WRITE,
+                  [values for _, values in runs])
+
+    def _store(self, runs: Iterable[tuple[int, int]], vals: Iterator[int]) -> None:
+        """Store the next values of ``vals`` in the words of ``runs`` in
+        order, logging each run's old values in the undo log."""
+        mem = self._sim.memory
+        for addr, count in runs:
+            if count > 0:
+                w = addr >> 3
+                self._undo.append((w, list(map(mem.get, range(w, w + count)))))
+                mem.update(zip(range(w, w + count), vals))
 
     def _rollback(self) -> None:
         """Undo this attempt's stores, newest first."""
@@ -317,67 +364,67 @@ class TxnContext:
                     mem[i] = v
 
     def _run(
-        self, addr: int, count: int, kind: str, values: Sequence[int] | None = None
+        self,
+        runs: Sequence[tuple[int, int]],
+        kind: str,
+        values: Sequence[Sequence[int]] | None = None,
     ) -> None:
-        """Make the accesses of ``count`` words from ``addr`` as one run,
-        store ``values`` (a write run's) in the words accessed, then raise
-        what the per-word calls would raise after them, if anything.
+        """Make the accesses of each ``(addr, count)`` of ``runs`` in order,
+        store ``values`` (a write list's, one sequence per run) in the
+        words accessed, then raise what the per-run calls would raise
+        after them, if anything.
 
-        The whole input is checked first, and a bad one changes nothing:
-        an undeclared line raises UndeclaredAccessError naming its first
-        word of the run, and a misaligned ``addr``, on a declared line, a
-        ValueError.  A prefetched body makes the run as one stretch; a cold
-        one splits it at line starts (see the module docstring) and adds
-        the line each stretch reaches to the context's.  Each stretch asks
-        the interrupt model once (``first_fire``) and is one
-        ``CacheSim.access_run``, which raises a PinViolationError after the
-        words before it; the run then stores no value, and logs none in
-        the undo log.
+        The whole list is checked first, and a bad one changes nothing:
+        the first run with a bad word raises, for an undeclared line an
+        UndeclaredAccessError naming its first word of that run, and for a
+        misaligned ``addr`` on a declared line a ValueError.  A prefetched
+        body makes the list as one stretch; a cold one splits each run at
+        line starts (see the module docstring) and adds the line each
+        stretch reaches to the context's.  Each stretch asks the interrupt
+        model once (``first_fire``), is one ``CacheSim.access_runs`` of
+        the words before any fire, and then stores and undo-logs those
+        words' values.  A PinViolationError from ``access_runs`` leaves
+        its stretch's values unstored; the rollback restores the rest.
         """
-        if count <= 0:
-            return
         shift = self._shift
         ok = self._decl.write_ok if kind == WRITE else self._decl.read_ok
-        # per word, the line is checked before the alignment, so a
-        # misaligned run fails on its first word
-        end = addr if addr % WORD_BYTES else addr + (count - 1) * WORD_BYTES
-        lines = range(addr >> shift, (end >> shift) + 1)
-        if not ok.issuperset(lines):
-            bad = next(line for line in lines if line not in ok)
-            raise UndeclaredAccessError(max(addr, bad << shift), kind)
-        if addr % WORD_BYTES:
-            raise ValueError(f"address {addr} not word aligned")
+        total = 0
+        for addr, count in runs:
+            if count <= 0:
+                continue
+            # per word, the line is checked before the alignment, so a
+            # misaligned run fails on its first word
+            end = addr if addr % WORD_BYTES else addr + (count - 1) * WORD_BYTES
+            lines = range(addr >> shift, (end >> shift) + 1)
+            if not ok.issuperset(lines):
+                bad = next(line for line in lines if line not in ok)
+                raise UndeclaredAccessError(max(addr, bad << shift), kind)
+            if addr % WORD_BYTES:
+                raise ValueError(f"address {addr} not word aligned")
+            total += count
+        if not total:
+            return
         model = self._model
         cold = not self._prefetched
-        mask = (1 << shift) - 1
-        fired = None
-        done = 0
-        while done < count:
-            a = addr + done * WORD_BYTES
-            m = count - done
-            if cold:
-                # the first word alone, then through the next line start
-                m = min(m, (-a & mask) // WORD_BYTES + 1) if done else 1
-            if model is not None:
-                fired = model.first_fire(m)
-                if fired is not None:
-                    m, count = fired, done + fired
+        # a write list's values in word order, taken as the words are stored
+        vals = None if values is None else chain.from_iterable(values)
+        for stretch, m in _line_stretches(runs, shift) if cold else ((runs, total),):
+            fired = None if model is None else model.first_fire(m)
+            if fired is not None:
+                stretch, m = _first_words(stretch, fired), fired
             if m:
                 if cold:
                     # only the last word can reach a line new to this run
-                    line = (a + (m - 1) * WORD_BYTES) >> shift
+                    a, c = stretch[-1]
+                    line = (a + (c - 1) * WORD_BYTES) >> shift
                     self._pinned.add(line)
                     if kind == WRITE:
                         self._dirtied[line] = None
-                self._sim.access_run(a, m, kind, True)
-            done += m
-        if values is not None and count:
-            w = addr >> 3
-            mem = self._sim.memory
-            self._undo.append((w, list(map(mem.get, range(w, w + count)))))
-            mem.update(zip(range(w, w + count), values))
-        if fired is not None:
-            raise _Interrupted()
+                self._sim.access_runs(stretch, kind, True)
+                if vals is not None:
+                    self._store(stretch, vals)
+            if fired is not None:
+                raise _Interrupted()
 
     def tick(self, count: int = 1) -> None:
         """``count`` units of computation, each consulting the model."""

@@ -1,8 +1,9 @@
 """Reference models the tests hold the library to.
 
-``CacheSim.access_run`` and the ``TxnContext`` run path make a whole run
-of words in one step per line, and ``AccessProbability.first_fire``
-makes a run's interrupt consultations in one call.  ``per_word_access``,
+``CacheSim.access_runs`` and the ``TxnContext`` run path make a whole
+list of runs of words in one step per line, and
+``AccessProbability.first_fire`` makes a list's interrupt consultations
+in one call.  ``per_word_access``,
 ``per_word_read``/``per_word_write`` and ``per_word_draw`` are the
 per-word paths they replace: one ``access`` per word, checked against the
 declaration and preceded by one interrupt consultation, each drawing
@@ -533,6 +534,12 @@ class ReferenceCacheSim:
                 raise ValueError(f"address {fault} out of range")
         finally:
             self._clock, c.total, c.l1_hits = clock, total, l1_hits
+
+    def access_runs(self, runs, kind: str, pin: bool = False) -> None:
+        """``access_run`` for each ``(addr, count)`` of ``runs`` in order,
+        which is how a ``TxnContext`` body reaches the simulator."""
+        for addr, count in runs:
+            self.access_run(addr, count, kind, pin)
 
     def prefetch(self, lines: Iterable[int], kind: str) -> None:
         """Exactly ``access(line << shift, kind, pin=True)`` for each of

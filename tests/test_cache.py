@@ -658,6 +658,33 @@ def test_access_run_matches_per_word_accesses(program):
         fast.check_invariants()
 
 
+@settings(max_examples=300, deadline=None)
+@given(run_programs())
+def test_access_runs_matches_per_word_accesses(program):
+    # the drawn runs as one list, of the first run's kind and pin
+    config, pre, runs = program
+    fast, ref = CacheSim(config), CacheSim(config)
+    for sim in (fast, ref):
+        for line, kind, pin in pre:
+            outcome(lambda: sim.access(line * config.line_size, kind, pin))
+    pairs = [(addr, count) for addr, count, _, _ in runs]
+    kind, pin = runs[0][2:]
+    words = [a for addr, count in pairs for a in range(addr, addr + 8 * count, 8)]
+    bad = first_out_of_range(words, config.address_space)
+    if bad is not None:
+        # a bad word in any run refuses the whole list
+        assert_refused(fast, lambda: fast.access_runs(pairs, kind, pin), bad)
+    else:
+        def per_word_runs():
+            for addr, count in pairs:
+                per_word_run(ref, addr, count, kind, pin)
+
+        assert outcome(lambda: fast.access_runs(pairs, kind, pin)) == outcome(
+            per_word_runs)
+    assert sim_state(fast) == sim_state(ref)
+    fast.check_invariants()
+
+
 def test_access_run_stops_at_a_pin_fault_mid_run():
     # line 0 holds pinned dirty data in the one 2-way L1 set; the run's
     # three words on line 1 pin it dirty too, so its first word on line 2

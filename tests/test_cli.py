@@ -254,9 +254,9 @@ def test_verify_with_interrupts_accepts_a_negative_seed(capsys):
 
 
 def test_verify_single_trial_is_usage_error(capsys):
-    rc, _, err = run_cli(capsys, "verify", "--trials", "1")
-    assert rc == 2
-    assert "two inputs" in err
+    rc, out, err = run_cli(capsys, "verify", "--trials", "1")
+    assert (rc, out) == (2, "")
+    assert err == "verify: --trials must be at least 2\n"
 
 
 # -- config files ----------------------------------------------------------
@@ -357,6 +357,15 @@ def test_flag_the_subcommand_does_not_honour_is_rejected(capsys, command, flag):
         (("bench", "--algos", "melbourne", "--n-list", "16,16"), 2),
         (("bench", "--algos", "melbourne", "--n-list", ","), 2),
         (("aborts", "--n-list", "16,16"), 2),
+        # an algorithm list that is empty, repeats a name or names none known
+        (("bench", "--algos", ",", "--n-list", "16"), 2),
+        (("bench", "--algos", "melbourne,melbourne", "--n-list", "16"), 2),
+        (("bench", "--algos", "melbourne,quicksort", "--n-list", "16"), 2),
+        # a bubble cap or a trial count too small to mean anything
+        (("bench", "--algos", "bubble", "--n-list", "16", "--bubble-max", "-5"), 2),
+        (("bench", "--algos", "bubble", "--n-list", "16", "--bubble-max", "0"), 2),
+        (("verify", "--n", "16", "--trials", "1"), 2),
+        (("verify", "--n", "16", "--trials", "0"), 2),
     ],
 )
 def test_failures_exit_with_code_and_message(argv, code):
@@ -375,6 +384,12 @@ def test_failures_exit_with_code_and_message(argv, code):
         assert "--lam" in proc.stderr
     if flags.get("--n-list") in ("16,16", ","):
         assert "--n-list" in proc.stderr
+    if flags.get("--algos") in (",", "melbourne,melbourne", "melbourne,quicksort"):
+        assert proc.stderr.startswith("bench: bad --algos: ")
+    if "--bubble-max" in flags:
+        assert "--bubble-max" in proc.stderr
+    if int(flags.get("--trials", 2)) < 2:
+        assert proc.stderr == "verify: --trials must be at least 2\n"
     if code == 2:
         assert proc.stdout == ""  # refused before any row is printed
 

@@ -212,21 +212,23 @@ def test_gather_rejects_a_repeated_tag():
 
 
 def test_scatter_writes_its_slices_in_ascending_order():
-    # the body's writes go slice by slice, whatever the routing
+    # the body's writes go slice by slice, whatever the routing, in one
+    # run list per attempt
     engine = ShuffleEngine(CacheSim(), ShuffleParams(16, seed=1))
     engine.sim.poke_words(engine.data_src, some_data(16, 0))
     engine.sim.poke_words(engine.perm_r, gen_perm(16, 4))
-    written = []
-    access_run = engine.sim.access_run
+    write_calls = []
+    access_runs = engine.sim.access_runs
 
-    def logged(addr, count, kind, pin=False):
+    def logged(runs, kind, pin=False):
         if kind == "write":
-            written.append(addr)
-        access_run(addr, count, kind, pin)
+            write_calls.append([addr for addr, _ in runs])
+        access_runs(runs, kind, pin)
 
-    engine.sim.access_run = logged
+    engine.sim.access_runs = logged
     engine.scatter_txn(0, engine.data_src, engine.perm_r)
-    assert written == [engine._slice_addr(0, j) for j in range(4)]
+    assert len(write_calls) == engine.stats[-1].attempts == 1
+    assert write_calls[0] == [engine._slice_addr(0, j) for j in range(4)]
 
 
 # -- overflow and restart ----------------------------------------------------

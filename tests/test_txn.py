@@ -655,39 +655,66 @@ def context_state(ctx):
     ))
 
 
-def run_body(ops, expand, log):
-    """Body doing ``ops`` as runs, or with every run expanded into one
-    reference per-word access per word; values read are appended to
-    ``log``.
+def write_groups(ops):
+    """``ops`` in groups: each read alone, and each stretch of
+    consecutive writes together."""
+    groups = []
+    for op in ops:
+        if op[0] == "w" and groups and groups[-1][0][0] == "w":
+            groups[-1].append(op)
+        else:
+            groups.append([op])
+    return groups
 
-    An op with invalid input (``invalid_input``) stops the body with that
-    error on both sides.  As a run, it must raise that error, type and
-    message, and change nothing; expanded, the reference takes no step.
+
+def group_call(ctx, group):
+    """One context call for ``group``: ``read_run``, ``write_run`` for a
+    lone write, ``write_runs`` for consecutive writes."""
+    kind, addr, arg = group[0]
+    if kind == "r":
+        return ctx.read_run(addr, arg)
+    if len(group) == 1:
+        return ctx.write_run(addr, arg)
+    return ctx.write_runs([(a, values) for _, a, values in group])
+
+
+def run_body(ops, expand, log):
+    """Body doing ``ops`` as runs, consecutive writes as one
+    ``write_runs`` list (``write_groups``), or with every run expanded
+    into one reference per-word access per word; values read are
+    appended to ``log``.
+
+    A group with invalid input (``invalid_input`` of its first bad op)
+    stops the body with that error on both sides.  As a call, it must
+    raise that error, type and message, and change nothing; expanded,
+    the reference takes no step of the group.
     """
+    groups = write_groups(ops)
 
     def body(ctx):
-        for kind, addr, arg in ops:
-            error = invalid_input(ctx, kind, addr, arg if kind == "r" else len(arg))
+        for group in groups:
+            errors = (invalid_input(ctx, kind, addr, arg if kind == "r" else len(arg))
+                      for kind, addr, arg in group)
+            error = next((e for e in errors if e is not None), None)
             if error is not None:
                 if not expand:
                     before = context_state(ctx)
                     with pytest.raises(type(error)) as info:
-                        if kind == "r":
-                            ctx.read_run(addr, arg)
-                        else:
-                            ctx.write_run(addr, arg)
+                        group_call(ctx, group)
                     assert str(info.value) == str(error)
                     assert context_state(ctx) == before
                 raise error
+            kind, addr, arg = group[0]
             if kind == "r" and expand:
                 log.append([per_word_read(ctx, addr + 8 * i) for i in range(arg)])
             elif kind == "r":
-                log.append(ctx.read_run(addr, arg))
+                log.append(group_call(ctx, group))
             elif expand:
-                for i, value in enumerate(arg):
-                    per_word_write(ctx, addr + 8 * i, value)
+                for _, addr, values in group:
+                    for i, value in enumerate(values):
+                        per_word_write(ctx, addr + 8 * i, value)
             else:
-                ctx.write_run(addr, arg)
+                group_call(ctx, group)
 
     return body
 
@@ -797,7 +824,7 @@ def run_programs(draw, cold=False):
     # clean and dirty lines left resident before the transactions
     pre = draw(st.lists(st.tuples(st.integers(0, 11), st.sampled_from(["read", "write"])),
                         max_size=8))
-    rate = draw(st.sampled_from([0.02, 0.1] if cold else [None, 0.05, 0.3]))
+    rate = draw(st.sampled_from([None, 0.02, 0.1] if cold else [None, 0.05, 0.3]))
     return config, txns, init, pre, rate, draw(st.integers(0, 2**16))
 
 
@@ -941,6 +968,62 @@ def test_misaligned_run_rejected(body):
     decl = TxnDeclaration.of(reads=[(0, 64)], writes=[(64, 64)])
     with pytest.raises(ValueError, match="not word aligned"):
         run_txn(CacheSim(SMALL), decl, body)
+
+
+@pytest.mark.parametrize("prefetch", [True, False])
+@pytest.mark.parametrize("bad", [0, 1, 2])
+@pytest.mark.parametrize(
+    "bad_run",
+    [(addr_of(0, 3), [9, 9]),  # line 0 is only read: undeclared for a write
+     (addr_of(2, 7), [9, 9]),  # runs on into line 3, undeclared
+     (addr_of(2) + 4, [9])],  # misaligned
+)
+def test_invalid_run_anywhere_in_a_list_changes_nothing(bad_run, bad, prefetch):
+    decl = TxnDeclaration.of(reads=[(0, 64)], writes=[(64, 128)])
+    runs = [(addr_of(1, 2), [1, 2, 3]), (addr_of(2), [4] * 8),
+            (addr_of(1, 6), [5, 6, 7, 8])]
+    runs[bad] = bad_run
+    model = FireOnConsultation([])
+    seen = {}
+
+    def body(ctx):
+        ctx.write_run(addr_of(1), [42])  # a store the undo log already holds
+        error = next(e for e in (invalid_input(ctx, "w", a, len(v)) for a, v in runs)
+                     if e is not None)
+        before = context_state(ctx)
+        with pytest.raises(type(error)) as info:
+            ctx.write_runs(runs)
+        seen["message"] = (str(info.value), str(error))
+        seen["unchanged"] = context_state(ctx) == before
+
+    sim = CacheSim(SMALL)
+    assert run_txn(sim, decl, body, model, prefetch=prefetch).committed
+    assert seen["message"][0] == seen["message"][1]
+    assert seen["unchanged"]
+    assert model.consultations == 1
+    assert sim.peek_words(addr_of(1), 3) == [42, 0, 0]
+
+
+@pytest.mark.parametrize("prefetch", [True, False])
+@pytest.mark.parametrize("fire_on", [[3], [6], [9], [13], [4, 14]])
+def test_interrupt_inside_a_write_list_stores_the_words_before(fire_on, prefetch):
+    # three runs of 3, 8 and 4 words: a fire in the first, on the second's
+    # first word, inside the second, in the third and in two attempts
+    decl = TxnDeclaration.of(reads=[(0, 64)], writes=[(64, 128)])
+    ops = [("r", addr_of(0), 1), ("w", addr_of(1, 2), [1, 2, 3]),
+           ("w", addr_of(2), [4] * 8), ("w", addr_of(1, 6), [5, 6, 7, 8])]
+    per_run = []
+    for expand in (False, True):
+        sim = CacheSim(SMALL)
+        sim.poke_words(addr_of(1), range(100, 116))
+        model = FireOnConsultation(fire_on)
+        stats = run_txn(sim, decl, run_body(ops, expand, []), model,
+                        prefetch=prefetch)
+        per_run.append((stats, model.consultations, sim_state(sim)))
+    assert per_run[0] == per_run[1]
+    stats, consultations, state = per_run[0]
+    assert stats.committed and stats.ac4 == len(fire_on)
+    assert state[4][addr_of(1, 6) >> 3] == 5
 
 
 EDGE = CacheConfig(line_size=64, l1_sets=2, l1_ways=2, llc_sets=2, llc_ways=8,
