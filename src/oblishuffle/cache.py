@@ -45,6 +45,13 @@ step: ``access``, ``read_word``/``write_word``, ``access_runs`` and
 ``prefetch`` each make one ``_lines`` call with (line, k) pairs, which
 makes a full access for a line's first word and moves only the counters
 for its other k - 1 words (a prefetch passes k = 1).
+
+The backing memory is a dict of fixed pages, each a list of
+``PAGE_WORDS`` words, and this module is the only one that knows the
+page layout.  ``load_words`` and ``store_words`` move a run of words as
+one list slice per page it touches, and the other data movements sit on
+them, except the one-word ones: ``load_word``, ``read_word`` and
+``write_word`` index their one page inline.
 """
 
 from __future__ import annotations
@@ -55,6 +62,11 @@ from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 WORD_BYTES = 8
+
+PAGE_BYTES = 4096
+PAGE_WORDS = PAGE_BYTES // WORD_BYTES
+_PAGE_SHIFT = PAGE_WORDS.bit_length() - 1  # word index -> page number
+_PAGE_MASK = PAGE_WORDS - 1  # word index -> index within its page
 
 KIND_MISS = "llc-miss-read"
 KIND_WRITEBACK = "write-back"
@@ -212,15 +224,17 @@ class AccessCounters:
 class CacheSim:
     """Cache hierarchy plus a flat word-addressed backing memory.
 
-    The backing store is sparse: words never written read as zero.  Data
-    movement is not modelled at byte level; the hierarchy only tracks
-    which lines are resident, dirty, and pinned, while ``peek``/``poke``
-    operate on the backing store directly and are invisible to the trace.
+    The backing store is paged: a page of ``PAGE_WORDS`` zeros is
+    allocated on the first store to any of its words and never on a read,
+    so words never written read as zero.  Data movement is not modelled
+    at byte level; the hierarchy only tracks which lines are resident,
+    dirty, and pinned, while ``peek``/``poke`` operate on the backing
+    store directly and are invisible to the trace.
     """
 
     def __init__(self, config: CacheConfig | None = None):
         self.config = config or CacheConfig()
-        self.memory: dict[int, int] = {}
+        self._pages: dict[int, list[int]] = {}  # page number -> its words
         self.trace: list[TraceEvent] = []
         self.counters = AccessCounters()
         self.txn_open = False
@@ -245,22 +259,69 @@ class CacheSim:
 
     def peek_word(self, addr: int) -> int:
         self._check_word(addr)
-        return self.memory.get(addr >> 3, 0)
+        return self.load_word(addr >> 3)
 
     def poke_word(self, addr: int, value: int) -> None:
         self._check_word(addr)
-        self.memory[addr >> 3] = value
+        self.store_words(addr >> 3, (value,))
 
     def peek_words(self, addr: int, count: int) -> list[int]:
         self._check_words(addr, count)
-        base = addr >> 3
-        return list(map(self.memory.get, range(base, base + count), repeat(0, count)))
+        return self.load_words(addr >> 3, count)
 
     def poke_words(self, addr: int, values: Iterable[int]) -> None:
         values = list(values)
         self._check_words(addr, len(values))
-        base = addr >> 3
-        self.memory.update(zip(range(base, base + len(values)), values))
+        self.store_words(addr >> 3, values)
+
+    def load_word(self, w: int) -> int:
+        """The value of the word at word index ``w``, unchecked and
+        untraced: ``load_words(w, 1)[0]`` without building the list."""
+        try:
+            return self._pages[w >> _PAGE_SHIFT][w & _PAGE_MASK]
+        except KeyError:  # a page never stored to
+            return 0
+
+    def load_words(self, w: int, count: int) -> list[int]:
+        """The values of ``count`` words from word index ``w``: one list
+        slice per page the run touches, zeros for a page never stored
+        to.  Unchecked and untraced: the caller has checked the range."""
+        pages = self._pages
+        i = w & _PAGE_MASK
+        if i + count <= PAGE_WORDS:
+            page = pages.get(w >> _PAGE_SHIFT)
+            return [0] * count if page is None else page[i:i + count]
+        out: list[int] = []
+        while count > 0:
+            k = min(count, PAGE_WORDS - i)
+            page = pages.get(w >> _PAGE_SHIFT)
+            out += [0] * k if page is None else page[i:i + k]
+            w, count, i = w + k, count - k, 0
+        return out
+
+    def store_words(self, w: int, values: Sequence[int]) -> None:
+        """Store ``values`` at ascending words from word index ``w``: one
+        list slice per page the run touches.  Unchecked and untraced: the
+        caller has checked the range."""
+        pages = self._pages
+        i = w & _PAGE_MASK
+        n = len(values)
+        if i + n <= PAGE_WORDS:
+            if n:
+                p = w >> _PAGE_SHIFT
+                (pages.get(p) or self._new_page(p))[i:i + n] = values
+            return
+        done = 0
+        while done < n:
+            k = min(n - done, PAGE_WORDS - i)
+            p = w >> _PAGE_SHIFT
+            (pages.get(p) or self._new_page(p))[i:i + k] = values[done:done + k]
+            w, done, i = w + k, done + k, 0
+
+    def _new_page(self, p: int) -> list[int]:
+        """Allocate page ``p``, zero-filled, for a store."""
+        page = self._pages[p] = [0] * PAGE_WORDS
+        return page
 
     def _check_words(self, addr: int, count: int) -> None:
         """Check the first and the last of ``count`` words from ``addr``."""
@@ -278,12 +339,20 @@ class CacheSim:
     def read_word(self, addr: int, pin: bool = False) -> int:
         self._check_word(addr)
         self._lines(((addr >> self._shift, 1),), False, pin)
-        return self.memory.get(addr >> 3, 0)
+        w = addr >> 3
+        try:
+            return self._pages[w >> _PAGE_SHIFT][w & _PAGE_MASK]
+        except KeyError:  # a page never stored to
+            return 0
 
     def write_word(self, addr: int, value: int, pin: bool = False) -> None:
         self._check_word(addr)
         self._lines(((addr >> self._shift, 1),), True, pin)
-        self.memory[addr >> 3] = value
+        w = addr >> 3
+        try:
+            self._pages[w >> _PAGE_SHIFT][w & _PAGE_MASK] = value
+        except KeyError:
+            self._new_page(w >> _PAGE_SHIFT)[w & _PAGE_MASK] = value
 
     def access(self, addr: int, kind: str, pin: bool = False) -> str:
         """Touch one byte address; returns "l1-hit", "llc-hit" or "llc-miss".

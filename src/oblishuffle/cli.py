@@ -334,9 +334,13 @@ def _n_list(text: str) -> list[int]:
     return _flag_list("--n-list", "size", text, _square_size)
 
 
-def _positive_n(n: int) -> int:
+def _n_flag(n: int, program: str) -> int:
+    """``--n`` for ``program``: at least 1, and for melbourne, whose
+    buckets are sqrt(n) wide, a perfect square."""
     if n < 1:
         raise ValueError(f"--n must be at least 1, got {n}")
+    if program == "melbourne" and isqrt(n) ** 2 != n:
+        raise ValueError(f"--n must be a perfect square for melbourne, got {n}")
     return n
 
 
@@ -400,7 +404,7 @@ def cmd_shuffle(args) -> int:
         with open(args.perm, "r", encoding="utf-8") as fh:
             perm = [int(tok) for tok in fh.read().split()]
     elif args.n is not None:
-        data, perm = make_inputs(_positive_n(args.n), args.seed)
+        data, perm = make_inputs(_n_flag(args.n, args.algo), args.seed)
     else:
         raise ValueError("pass --n or --input/--perm")
 
@@ -453,7 +457,7 @@ def cmd_aborts(args) -> int:
 
 def cmd_verify(args) -> int:
     config = _load_cache_config(args)
-    _positive_n(args.n)
+    _n_flag(args.n, args.program)
     if args.trials < 2:
         raise ValueError("--trials must be at least 2")
     inputs = [
@@ -490,6 +494,9 @@ def cmd_probe(args) -> int:
 
 # -- parser ------------------------------------------------------------------
 
+
+# the shared integer flags no subcommand can honour below 1
+_AT_LEAST_ONE = ("--pad-factor", "--retry-cap")
 
 _SHARED_FLAGS = {
     "--config": dict(help="key=value file of flag defaults"),
@@ -565,6 +572,10 @@ def main(argv=None) -> int:
         args, unknown = build_parser().parse_known_args(argv)
         if unknown:
             raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
+        for flag in _AT_LEAST_ONE:
+            value = getattr(args, flag[2:].replace("-", "_"), 1)
+            if value < 1:
+                raise ValueError(f"{flag} must be at least 1, got {value}")
         return args.func(args)
     except (
         CapacityError,

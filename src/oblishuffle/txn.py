@@ -54,18 +54,17 @@ that fired; ``ctx.tick(count)`` asks it once with ``count``.
 Aborts roll everything back: every line the attempt's context holds as
 pinned is invalidated without events, which clears the pins, and the
 attempt counter advances.  Each attempt's context keeps an undo log of
-the words it stores, with their old values; on abort the log is replayed
-newest first, so memory, its set of present words included, is as the
-attempt found it.  Retries repeat from the prefetch step up to
-``retry_cap`` times.
+the runs it stores, each as its first word and its old values; on abort
+the old values are stored back newest first, so every word of memory
+holds what it held when the attempt began.  Retries repeat from the
+prefetch step up to ``retry_cap`` times.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -247,17 +246,19 @@ class AccessProbability:
 # -- execution -------------------------------------------------------------
 
 
-def _line_stretches(runs, shift: int):
+def _line_stretches(runs, shift: int, values):
     """A cold body's stretches of ``runs``, run after run, each as a list
-    of one ``(addr, count)`` with its count: a run's first word alone,
-    then each later stretch through the next word that starts a line."""
+    of one ``(addr, count)`` with its count and, for a write list, the
+    matching slice of that run's ``values`` in a tuple of one (else
+    None): a run's first word alone, then each later stretch through the
+    next word that starts a line."""
     mask = (1 << shift) - 1
-    for addr, count in runs:
+    for j, (addr, count) in enumerate(runs):
         done = 0
         while done < count:
             a = addr + done * WORD_BYTES
             m = min(count - done, (-a & mask) // WORD_BYTES + 1) if done else 1
-            yield ((a, m),), m
+            yield ((a, m),), m, None if values is None else (values[j][done:done + m],)
             done += m
 
 
@@ -313,13 +314,13 @@ class TxnContext:
         )
         self._shift = sim.config.line_shift
         self._prefetched = prefetched
-        # (first word, old values) per store; None for a word not present
-        self._undo: list[tuple[int, list[int | None]]] = []
+        # (first word, old values) per stored run
+        self._undo: list[tuple[int, list[int]]] = []
 
     def read(self, addr: int) -> int:
         """One word: a run of length one."""
         self._run(((addr, 1),), READ)
-        return self._sim.memory.get(addr >> 3, 0)
+        return self._sim.load_word(addr >> 3)
 
     def write(self, addr: int, value: int) -> None:
         """One word: a run of length one."""
@@ -329,8 +330,7 @@ class TxnContext:
         """Values of ``count`` words from ``addr``, exactly as that many
         ``read`` calls at ascending word addresses."""
         self._run(((addr, count),), READ)
-        w = addr >> 3
-        return list(map(self._sim.memory.get, range(w, w + count), repeat(0, count)))
+        return self._sim.load_words(addr >> 3, count)
 
     def write_run(self, addr: int, values: Sequence[int]) -> None:
         """Store ``values`` at ascending words from ``addr``, exactly as
@@ -343,25 +343,24 @@ class TxnContext:
         self._run([(addr, len(values)) for addr, values in runs], WRITE,
                   [values for _, values in runs])
 
-    def _store(self, runs: Iterable[tuple[int, int]], vals: Iterator[int]) -> None:
-        """Store the next values of ``vals`` in the words of ``runs`` in
-        order, logging each run's old values in the undo log."""
-        mem = self._sim.memory
-        for addr, count in runs:
+    def _store(
+        self, runs: Sequence[tuple[int, int]], values: Sequence[Sequence[int]]
+    ) -> None:
+        """Store the first ``count`` of each run's ``values`` at the words
+        of its ``(addr, count)`` of ``runs``, in order, logging each run's
+        old values in the undo log."""
+        sim = self._sim
+        for (addr, count), vals in zip(runs, values):
             if count > 0:
                 w = addr >> 3
-                self._undo.append((w, list(map(mem.get, range(w, w + count)))))
-                mem.update(zip(range(w, w + count), vals))
+                self._undo.append((w, sim.load_words(w, count)))
+                sim.store_words(w, vals if len(vals) == count else vals[:count])
 
     def _rollback(self) -> None:
         """Undo this attempt's stores, newest first."""
-        mem = self._sim.memory
+        store = self._sim.store_words
         for w, old in reversed(self._undo):
-            for i, v in enumerate(old, w):
-                if v is None:
-                    del mem[i]
-                else:
-                    mem[i] = v
+            store(w, old)
 
     def _run(
         self,
@@ -406,9 +405,9 @@ class TxnContext:
             return
         model = self._model
         cold = not self._prefetched
-        # a write list's values in word order, taken as the words are stored
-        vals = None if values is None else chain.from_iterable(values)
-        for stretch, m in _line_stretches(runs, shift) if cold else ((runs, total),):
+        stretches = (_line_stretches(runs, shift, values) if cold
+                     else ((runs, total, values),))
+        for stretch, m, vals in stretches:
             fired = None if model is None else model.first_fire(m)
             if fired is not None:
                 stretch, m = _first_words(stretch, fired), fired

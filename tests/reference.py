@@ -23,7 +23,9 @@ with stamps: each resident line a 3-slot list (dirty, pinned, stamp),
 with the stamp taken from a global access clock, and the victim the
 entry with the smallest stamp that its level's pin rule lets go.
 ``lru_entries`` and ``reference_lru_entries`` put either simulator's sets
-in one form, (line, dirty, pinned) in LRU order.  ``snapshot_run_txn`` is
+in one form, (line, dirty, pinned) in LRU order, and ``memory_contents``
+puts either one's backing memory, pages or a word dict, in one form,
+each nonzero word mapped to its value.  ``snapshot_run_txn`` is
 ``run_txn`` as it was when an abort restored the declared write lines
 from a snapshot taken at transaction start, instead of replaying the
 attempt's undo log.
@@ -43,6 +45,7 @@ from oblishuffle.cache import _PINNED as PIN_FLAG
 from oblishuffle.cache import (
     KIND_MISS,
     KIND_WRITEBACK,
+    PAGE_WORDS,
     READ,
     WORD_BYTES,
     WRITE,
@@ -198,7 +201,7 @@ def per_word_read(ctx, addr):
     sim = ctx._sim
     sim._check_word(addr)
     per_word_access(sim, addr, READ, True)
-    return sim.memory.get(addr >> 3, 0)
+    return sim.load_words(addr >> 3, 1)[0]
 
 
 def per_word_write(ctx, addr, value):
@@ -215,8 +218,8 @@ def per_word_write(ctx, addr, value):
     sim = ctx._sim
     sim._check_word(addr)
     per_word_access(sim, addr, WRITE, True)
-    ctx._undo.append((addr >> 3, [sim.memory.get(addr >> 3)]))
-    sim.memory[addr >> 3] = value
+    ctx._undo.append((addr >> 3, sim.load_words(addr >> 3, 1)))
+    sim.store_words(addr >> 3, [value])
 
 
 def per_line_prefetch(sim, lines, kind) -> None:
@@ -264,6 +267,19 @@ def reference_lru_entries(ref):
          for line, e in sorted(s.items(), key=lambda item: item[1][_STAMP])]
         for s in ref._l1 + ref._llc
     ]
+
+
+def memory_contents(sim):
+    """The backing memory of a ``CacheSim`` (pages) or of a
+    ``ReferenceCacheSim`` (a word dict) as one dict, each nonzero word's
+    index mapped to its value.  A word never stored and a word that holds
+    zero read alike, so both are left out."""
+    if isinstance(sim, ReferenceCacheSim):
+        words = sim.memory.items()
+    else:
+        words = ((p * PAGE_WORDS + i, v)
+                 for p, page in sim._pages.items() for i, v in enumerate(page))
+    return {w: v for w, v in words if v}
 
 
 def _lines(region, line):
@@ -365,6 +381,9 @@ class ReferenceCacheSim:
     movement is not modelled at byte level; the hierarchy only tracks
     which lines are resident, dirty, and pinned, while ``peek``/``poke``
     operate on the backing store directly and are invisible to the trace.
+    ``load_word``, ``load_words`` and ``store_words`` are ``CacheSim``'s
+    page helpers on the word dict, for the ``TxnContext`` of
+    ``snapshot_run_txn``.
     """
 
     def __init__(self, config: CacheConfig | None = None):
@@ -413,6 +432,18 @@ class ReferenceCacheSim:
         mem = self.memory
         for i, v in enumerate(values):
             mem[base + i] = v
+
+    def load_word(self, w: int) -> int:
+        return self.memory.get(w, 0)
+
+    def load_words(self, w: int, count: int) -> list[int]:
+        mem = self.memory
+        return [mem.get(i, 0) for i in range(w, w + count)]
+
+    def store_words(self, w: int, values) -> None:
+        mem = self.memory
+        for i, v in enumerate(values, w):
+            mem[i] = v
 
     def _check_word(self, addr: int) -> None:
         if addr % WORD_BYTES:

@@ -11,11 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import per_line_commit, per_line_prefetch, per_word_access
+from reference import (
+    memory_contents,
+    per_line_commit,
+    per_line_prefetch,
+    per_word_access,
+)
 
 from oblishuffle.cache import (
     KIND_MISS,
     KIND_WRITEBACK,
+    PAGE_BYTES,
+    PAGE_WORDS,
     AccessCounters,
     CacheConfig,
     CacheSim,
@@ -282,13 +289,52 @@ def test_word_blocks_check_their_last_word_before_storing():
     # words 7..10 of a space that ends after word 7
     with pytest.raises(ValueError, match="out of range"):
         sim.poke_words(56, [1, 2, 3, 4])
-    assert sim.memory == {}
+    assert memory_contents(sim) == {}
     with pytest.raises(ValueError, match="out of range"):
         sim.peek_words(48, 3)
     sim.poke_words(48, [1, 2])
     assert sim.peek_words(48, 2) == [1, 2]
     assert sim.peek_words(0, 8) == [0] * 6 + [1, 2]
     assert sim.peek_words(56, 0) == []
+
+
+# four pages; a block from word PAGE_WORDS - 2 reaches into page 2
+PAGED = CacheConfig(line_size=64, l1_sets=2, l1_ways=2, llc_sets=2, llc_ways=4,
+                    address_space=4 * PAGE_BYTES)
+
+
+def test_reads_allocate_no_page():
+    sim = CacheSim(PAGED)
+    assert sim.read_word(PAGE_BYTES) == 0
+    assert sim.peek_words(16, 4) == [0] * 4
+    assert sim.peek_words(PAGE_BYTES - 16, PAGE_WORDS + 4) == [0] * (PAGE_WORDS + 4)
+    assert sim.peek_word(3 * PAGE_BYTES) == 0
+    assert sim._pages == {}
+
+
+def test_word_blocks_across_pages_match_single_words():
+    sim = CacheSim(PAGED)
+    last = PAGED.address_space - 8
+    start = PAGE_BYTES - 16  # the last two words of page 0
+    values = list(range(1, PAGE_WORDS + 5))  # ends two words into page 2
+    sim.poke_words(start, values)
+    sim.poke_words(last - 16, [7, 8, 9])  # ends on the last word of the space
+    sim.write_word(2 * PAGE_BYTES + 16, 11)
+    assert sorted(sim._pages) == [0, 1, 2, 3]
+    assert sim.peek_words(start, len(values)) == values
+    assert [sim.peek_word(start + 8 * i) for i in range(len(values))] == values
+    assert sim.peek_words(start - 8, 3) == [0, 1, 2]
+    assert sim.peek_words(last - 16, 3) == [7, 8, 9]
+    assert sim.read_word(last) == 9
+    assert sim.read_word(2 * PAGE_BYTES + 16) == 11
+    want = dict(enumerate(values, start >> 3))
+    want.update({(last >> 3) - 2: 7, (last >> 3) - 1: 8, last >> 3: 9,
+                 (2 * PAGE_BYTES + 16) >> 3: 11})
+    assert memory_contents(sim) == want
+    # a block past the last word is refused before it stores anything
+    with pytest.raises(ValueError, match="out of range"):
+        sim.poke_words(last - 8, [1, 2, 3])
+    assert memory_contents(sim) == want
 
 
 def test_misaligned_word_rejected():

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from math import isqrt
 
 import pytest
 
@@ -111,6 +112,13 @@ def test_shuffle_non_square_size_is_usage_error(capsys):
     rc, _, err = run_cli(capsys, "shuffle", "--n", "10")
     assert rc == 2
     assert "perfect square" in err
+
+
+def test_shuffle_naive_takes_a_non_square_size(capsys):
+    # only melbourne's buckets need a perfect square
+    rc, out, _ = run_cli(capsys, "shuffle", "--algo", "naive", "--n", "15")
+    assert rc == 0
+    assert len(out.split()) == 15
 
 
 def test_shuffle_naive_reports_capacity_abort(capsys):
@@ -366,6 +374,15 @@ def test_flag_the_subcommand_does_not_honour_is_rejected(capsys, command, flag):
         (("bench", "--algos", "bubble", "--n-list", "16", "--bubble-max", "0"), 2),
         (("verify", "--n", "16", "--trials", "1"), 2),
         (("verify", "--n", "16", "--trials", "0"), 2),
+        # a padding factor or a retry cap below 1, and a size melbourne
+        # cannot take
+        (("shuffle", "--n", "16", "--pad-factor", "0"), 2),
+        (("shuffle", "--n", "16", "--algo", "naive", "--pad-factor", "0"), 2),
+        (("verify", "--n", "16", "--trials", "2", "--pad-factor", "-1"), 2),
+        (("aborts", "--n-list", "16", "--pad-factor", "0"), 2),
+        (("aborts", "--n-list", "16", "--retry-cap", "0"), 2),
+        (("shuffle", "--n", "15"), 2),
+        (("verify", "--n", "15", "--trials", "2"), 2),
     ],
 )
 def test_failures_exit_with_code_and_message(argv, code):
@@ -378,8 +395,11 @@ def test_failures_exit_with_code_and_message(argv, code):
     assert "Traceback" not in proc.stderr
     flags = dict(zip(argv, argv[1:]))
     n = flags.get("--n")
-    if n is not None and int(n) < 1:
+    if n is not None and (int(n) < 1 or isqrt(int(n)) ** 2 != int(n)):
         assert "--n" in proc.stderr  # the message names the flag
+    for flag in ("--pad-factor", "--retry-cap"):
+        if int(flags.get(flag, 1)) < 1:
+            assert proc.stderr == f"{argv[0]}: {flag} must be at least 1, got {flags[flag]}\n"
     if "--lam" in flags:
         assert "--lam" in proc.stderr
     if flags.get("--n-list") in ("16,16", ","):

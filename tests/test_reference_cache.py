@@ -8,7 +8,8 @@ snapshot of the declared write lines.  Random traffic on tight
 geometries, with pins, write-backs, faults, invalidations, flushes and
 transactions that abort, goes through both pairs; after every step the
 outcome, the trace, the counters, each set's (line, dirty, pinned)
-entries in LRU order and memory must agree.
+entries in LRU order and memory contents (``reference.memory_contents``,
+each nonzero word and its value) must agree.
 
 The reference applies the valid words or lines of an ``access_run`` or a
 ``prefetch`` before one out of range, where ``CacheSim`` refuses the whole
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 from reference import (
     ReferenceCacheSim,
     lru_entries,
+    memory_contents,
     reference_lru_entries,
     snapshot_run_txn,
 )
@@ -151,8 +153,8 @@ def first_out_of_range(step):
 
 def state(sim):
     """A copy of the state ``assert_same_state`` compares."""
-    return copy.deepcopy((sim.trace, sim.counters, lru_entries(sim), sim.memory,
-                          sim.txn_open))
+    return copy.deepcopy((sim.trace, sim.counters, lru_entries(sim),
+                          memory_contents(sim), sim.txn_open))
 
 
 def outcome(call):
@@ -167,7 +169,7 @@ def assert_same_state(fast, ref):
     assert fast.trace == ref.trace
     assert fast.counters == ref.counters
     assert lru_entries(fast) == reference_lru_entries(ref)
-    assert fast.memory == ref.memory
+    assert memory_contents(fast) == memory_contents(ref)
     assert fast.txn_open == ref.txn_open
 
 

@@ -6,6 +6,7 @@ interrupts against an undisturbed twin.
 """
 
 import copy
+import dataclasses
 import gc
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from reference import (
     lru_entries,
+    memory_contents,
     per_line_commit,
     per_line_prefetch,
     per_word_first_fire,
@@ -24,6 +26,8 @@ from reference import (
 from oblishuffle.cache import (
     KIND_MISS,
     KIND_WRITEBACK,
+    PAGE_BYTES,
+    PAGE_WORDS,
     READ,
     WRITE,
     AccessCounters,
@@ -410,12 +414,14 @@ UNDO_CASES = {
 @pytest.mark.parametrize("case", sorted(UNDO_CASES))
 def test_aborted_attempt_leaves_memory_as_it_found_it(case, prefetch):
     store, fire_on, stored = UNDO_CASES[case]
-    sim = CacheSim(SMALL)
-    sim.poke_word(addr_of(0), 5)
-    sim.poke_word(addr_of(0, 2), 6)
-    sim.poke_word(addr_of(2, 5), 7)
-    sim.poke_word(addr_of(3), 8)  # outside the write lines
-    before = dict(sim.memory)
+    config = dataclasses.replace(SMALL, address_space=1 << 13)
+    words = config.address_space // 8
+    sim = CacheSim(config)
+    poked = {addr_of(0): 5, addr_of(0, 2): 6, addr_of(2, 5): 7,
+             addr_of(3): 8}  # the last outside the write lines
+    for addr, value in poked.items():
+        sim.poke_word(addr, value)
+    before = sim.peek_words(0, words)
     contexts = []
 
     def body(ctx):
@@ -429,9 +435,12 @@ def test_aborted_attempt_leaves_memory_as_it_found_it(case, prefetch):
     assert exc_info.value.stats.ac4 == 1
     # the attempt stored words before the interrupt, and logged them ...
     assert sum(len(old) for _, old in contexts[0]._undo) == stored
-    # ... and its rollback left memory, its key set too, as it found it
-    assert sim.memory == before
-    assert sim.memory.keys() == before.keys()
+    # ... and its rollback left every word of memory as it found it, so
+    # the words it stored that were never poked read zero again
+    assert sim.peek_words(0, words) == before
+    absent = {w + i for w, old in contexts[0]._undo
+              for i in range(len(old))} - {addr >> 3 for addr in poked}
+    assert absent and all(sim.peek_word(8 * w) == 0 for w in absent)
 
 
 # -- programming errors ------------------------------------------------------
@@ -649,7 +658,7 @@ def context_state(ctx):
     interrupt model's consultations."""
     sim, model = ctx._sim, ctx._model
     return copy.deepcopy((
-        sim.trace, sim.counters, lru_entries(sim), sim.memory,
+        sim.trace, sim.counters, lru_entries(sim), memory_contents(sim),
         ctx._pinned, ctx._dirtied, ctx._undo,
         getattr(model, "consultations", None), getattr(model, "_pos", None),
     ))
@@ -725,7 +734,7 @@ def sim_state(sim):
         sim.counters,
         [list(s.items()) for s in sim._l1],
         [list(s.items()) for s in sim._llc],
-        sim.memory,
+        memory_contents(sim),
     )
 
 
@@ -770,8 +779,10 @@ def cold_ops(draw, lines, writes, line_size):
 
 @st.composite
 def run_programs(draw, cold=False):
-    """Two transactions of runs at a drawn line size.  With ``cold``, both
-    run without prefetch, on a 2 x 2 L1 and LLC, with ``cold_ops``."""
+    """Two transactions of runs at a drawn line size, in a space of four
+    pages, from line zero or from a few lines before the start of page 1
+    or 2.  With ``cold``, both run without prefetch, on a 2 x 2 L1 and
+    LLC, with ``cold_ops``."""
     line_size = draw(st.sampled_from([8, 16, 32, 64, 128]))
     per_line = line_size // 8
     config = CacheConfig(
@@ -780,11 +791,15 @@ def run_programs(draw, cold=False):
         l1_ways=2,
         llc_sets=2 if cold else draw(st.sampled_from([2, 4])),
         llc_ways=2 if cold else draw(st.integers(2, 4)),
+        address_space=4 * PAGE_BYTES,
     )
+    # a multiple of 4 lines, so every line keeps its L1 and LLC set
+    page_lines = PAGE_BYTES // line_size
+    base = draw(st.sampled_from([0, page_lines - 4, 2 * page_lines - 8]))
     longest = max(20, 3 * per_line)
     txns = []
     for _ in range(2):
-        w0 = draw(st.integers(0, 7))
+        w0 = base + draw(st.integers(0, 7))
         if cold:
             # three lines of one set and one of the other
             other = draw(st.sampled_from([w0 + 1, w0 + 3]))
@@ -796,7 +811,7 @@ def run_programs(draw, cold=False):
             continue
         # a block of write lines, at stride 2 sometimes all in one L1 set,
         # and a block of read lines
-        r0 = draw(st.integers(0, 7))
+        r0 = base + draw(st.integers(0, 7))
         stride = draw(st.sampled_from([1, 1, 2]))
         nw = draw(st.integers(0, 2 * config.l1_sets))
         writes = list(range(w0, w0 + stride * nw, stride))
@@ -806,7 +821,7 @@ def run_programs(draw, cold=False):
         for _ in range(draw(st.integers(0, 6))):
             kind = draw(st.sampled_from("rw"))
             ok = set(writes if kind == "w" else reads + writes)
-            line = draw(st.sampled_from(sorted(ok) or range(10)))
+            line = draw(st.sampled_from(sorted(ok) or range(base, base + 10)))
             word = draw(st.integers(0, per_line - 1))
             # mostly stay inside the declared lines, sometimes run past them
             end = line + 1
@@ -819,10 +834,12 @@ def run_programs(draw, cold=False):
                 count = draw(st.integers(1, longest))
             ops.append(run_op(draw, kind, line * line_size + word * 8, count))
         txns.append((reads, writes, ops, draw(st.booleans())))
-    init = draw(st.dictionaries(st.integers(0, 10 * per_line - 1),
-                                st.integers(1, 2**32)))
+    init = draw(st.dictionaries(
+        st.integers(base * per_line, (base + 10) * per_line - 1),
+        st.integers(1, 2**32)))
     # clean and dirty lines left resident before the transactions
-    pre = draw(st.lists(st.tuples(st.integers(0, 11), st.sampled_from(["read", "write"])),
+    pre = draw(st.lists(st.tuples(st.integers(base, base + 11),
+                                  st.sampled_from(["read", "write"])),
                         max_size=8))
     rate = draw(st.sampled_from([None, 0.02, 0.1] if cold else [None, 0.05, 0.3]))
     return config, txns, init, pre, rate, draw(st.integers(0, 2**16))
@@ -1067,6 +1084,78 @@ def test_edge_runs_match_per_word_accesses(ops, fire_on, prefetch):
             result = (type(exc), str(exc))
         outcomes.append((result, log, sim_state(sim), model.consultations))
     assert outcomes[0] == outcomes[1]
+
+
+# -- page boundaries ---------------------------------------------------------
+
+# four pages of 64 lines: line 64 starts page 1, line 255 ends the space
+PAGED = CacheConfig(line_size=64, l1_sets=2, l1_ways=4, llc_sets=4, llc_ways=8,
+                    address_space=4 * PAGE_BYTES)
+LAST = PAGED.address_space // 64 - 1
+# lines 62 and 65 are read; 63, 64 and the last line are written
+PAGED_DECL = TxnDeclaration.of(reads=[(addr_of(62), 64), (addr_of(65), 64)],
+                               writes=[(addr_of(63), 128), (addr_of(LAST), 64)])
+
+
+@pytest.mark.parametrize("prefetch", [False, True])
+@pytest.mark.parametrize(
+    "ops, fire_on",
+    [
+        # a read run, and a write list with a read back, across page 1's start
+        ([("r", addr_of(62, 5), 20)], []),
+        ([("w", addr_of(63, 6), [1, 2, 3, 4, 5]), ("w", addr_of(64, 3), [6, 7]),
+          ("r", addr_of(63), 16)], []),
+        # a write and a read that end on the last word of the address space
+        ([("w", addr_of(LAST, 5), [8, 9, 10]), ("r", addr_of(LAST), 8)], []),
+        # a write list interrupted past the page start, and before it
+        ([("w", addr_of(63, 5), [9] * 6), ("w", addr_of(64, 6), [3, 4])], [5]),
+        ([("w", addr_of(63, 5), [9] * 6), ("r", addr_of(62, 7), 12)], [2, 9]),
+    ],
+)
+def test_page_crossing_runs_match_per_word_accesses(ops, fire_on, prefetch):
+    outcomes = []
+    for expand in (False, True):
+        sim = CacheSim(PAGED)
+        sim.poke_words(addr_of(62), range(1, 33))
+        sim.poke_words(addr_of(LAST), range(40, 48))
+        model = FireOnConsultation(fire_on)
+        log = []
+        stats = run_txn(sim, PAGED_DECL, run_body(ops, expand, log), model,
+                        prefetch=prefetch)
+        outcomes.append((stats, log, sim_state(sim), model.consultations))
+    assert outcomes[0] == outcomes[1]
+    stats, _, state, _ = outcomes[0]
+    assert stats.committed and stats.ac4 == len(fire_on)
+    want = dict(enumerate(range(1, 33), addr_of(62) >> 3))
+    want.update(enumerate(range(40, 48), addr_of(LAST) >> 3))
+    for kind, addr, arg in ops:
+        if kind == "w":
+            want.update(enumerate(arg, addr >> 3))
+    assert state[4] == want
+
+
+@pytest.mark.parametrize("prefetch", [True, False])
+def test_rollback_across_a_page_boundary_restores_both_pages(prefetch):
+    sim = CacheSim(PAGED)
+    sim.poke_words(addr_of(63, 4), [5, 6, 7, 8, 9, 10])  # up to word 1 of line 64
+    words = PAGED.address_space // 8
+    before = sim.peek_words(0, words)
+    contexts = []
+
+    def body(ctx):
+        contexts.append(ctx)
+        # 14 words over both pages, the second run inside the first
+        ctx.write_runs([(addr_of(63, 2), list(range(100, 112))),
+                        (addr_of(64, 1), [1, 2])])
+        ctx.tick()
+
+    with pytest.raises(RetryCapExceededError):
+        run_txn(sim, PAGED_DECL, body, FireOnConsultation([15]),
+                prefetch=prefetch, retry_cap=1)
+    stored = {w + i for w, old in contexts[0]._undo for i in range(len(old))}
+    assert len(stored) == 12
+    assert {w // PAGE_WORDS for w in stored} == {0, 1}
+    assert sim.peek_words(0, words) == before
 
 
 def test_tick_consults_count_times_in_one_call():
