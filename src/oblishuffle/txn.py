@@ -1,11 +1,15 @@
 """Transactional execution on top of the cache simulator.
 
-A transaction declares its read and write byte ranges up front.  Ranges
-are normalized to whole lines; the write set must fit in L1 and the
-union of read and write sets must fit in the LLC, otherwise the
-transaction is rejected before touching the cache (a capacity abort).  A
-declaration that reaches past the address space is refused the same way,
-with a ValueError, after the capacity checks.
+A transaction declares its read and write byte ranges up front.  The
+declaration holds each side as line spans: ascending, disjoint ranges of
+whole lines, the read spans without the write lines.  The write set must
+fit in L1 and the union of read and write sets must fit in the LLC,
+otherwise the transaction is rejected before touching the cache (a
+capacity abort).  A declaration that reaches past the address space is
+refused the same way, with a ValueError, after the capacity checks.
+Both checks read only the spans, so a refused declaration costs nothing
+per line; the line tuples the prefetch, commit and body checks use are
+built from the spans on first use.
 
 With prefetching enabled (the default) each attempt begins by touching
 every declared line in ascending line order: reads first, then writes.
@@ -62,9 +66,10 @@ prefetch step up to ``retry_cap`` times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -116,39 +121,83 @@ class _Interrupted(Exception):
     pass
 
 
-def _normalize(ranges: Sequence[ByteRange], line_size: int) -> set[int]:
-    lines: set[int] = set()
+def _check(ranges: Sequence[ByteRange]) -> None:
+    """Raise a ValueError for the first invalid range, in the order given."""
     for start, size in ranges:
         if size <= 0:
             raise ValueError(f"range size must be positive, got {size}")
         if start < 0:
             raise ValueError(f"range start must be non-negative, got {start}")
+
+
+def _spans(ranges: Sequence[ByteRange], line_size: int) -> list[range]:
+    """The lines of ``ranges`` as ascending, disjoint spans: one pass over
+    the ranges sorted by start, in which overlapping or adjacent ones
+    merge.  An invalid range raises ``_check``'s error."""
+    spans: list[range] = []
+    lo = hi = -1
+    for start, size in sorted(ranges):
+        if size <= 0 or start < 0:
+            _check(ranges)
         first = start // line_size
-        last = (start + size - 1) // line_size
-        lines.update(range(first, last + 1))
-    return lines
+        if first > hi:
+            if hi >= 0:
+                spans.append(range(lo, hi))
+            lo = first
+        stop = (start + size - 1) // line_size + 1
+        if stop > hi:
+            hi = stop
+    if hi >= 0:
+        spans.append(range(lo, hi))
+    return spans
+
+
+def _subtract(spans: list[range], cut: list[range]) -> list[range]:
+    """The lines of ``spans`` not in ``cut``, both ascending and disjoint,
+    as ascending, disjoint spans: one sweep over the two lists."""
+    out: list[range] = []
+    j, n = 0, len(cut)
+    for span in spans:
+        lo, hi = span.start, span.stop
+        while j < n and cut[j].stop <= lo:
+            j += 1
+        k = j
+        while k < n and cut[k].start < hi:
+            if cut[k].start > lo:
+                out.append(range(lo, cut[k].start))
+            lo = cut[k].stop
+            k += 1
+        if lo < hi:
+            out.append(range(lo, hi))
+    return out
 
 
 @dataclass(frozen=True)
 class TxnDeclaration:
-    """Declared byte ranges, normalized to line sets at a given line size."""
+    """Declared byte ranges, held as line spans at a given line size.
+
+    Construction checks the ranges, writes first, then reads, in the
+    order given, and turns each side into ascending, disjoint spans of
+    lines, ``read_spans`` and ``write_spans`` (lists of ``range``s); a
+    line on both sides counts once, as writable, so the read spans leave
+    out the write lines.  The byte counts the capacity checks read,
+    ``write_bytes()`` and ``footprint_bytes()``, are sums of span
+    lengths, so a declaration too large for the cache is refused without
+    one step per line.  The line tuples ``read_lines``, ``write_lines``
+    and ``all_lines`` (ascending) and the line sets ``write_ok``/
+    ``read_ok`` are built from the spans on first use.  Equality and
+    hashing depend only on the ranges and the line size.
+    """
 
     read_ranges: tuple[ByteRange, ...]
     write_ranges: tuple[ByteRange, ...]
     line_size: int = 64
-    read_lines: tuple[int, ...] = field(init=False)
-    write_lines: tuple[int, ...] = field(init=False)
-    all_lines: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        w = _normalize(self.write_ranges, self.line_size)
-        r = _normalize(self.read_ranges, self.line_size)
-        r -= w  # a line in both sets counts once, as writable
-        rl, wl = tuple(sorted(r)), tuple(sorted(w))
-        object.__setattr__(self, "read_lines", rl)
-        object.__setattr__(self, "write_lines", wl)
-        # two ascending runs: the sort only merges them
-        object.__setattr__(self, "all_lines", tuple(sorted(rl + wl)))
+        w = _spans(self.write_ranges, self.line_size)
+        r = _subtract(_spans(self.read_ranges, self.line_size), w)
+        object.__setattr__(self, "read_spans", r)
+        object.__setattr__(self, "write_spans", w)
 
     @classmethod
     def of(
@@ -158,6 +207,23 @@ class TxnDeclaration:
         line_size: int = 64,
     ) -> "TxnDeclaration":
         return cls(tuple(reads), tuple(writes), line_size)
+
+    @cached_property
+    def read_lines(self) -> tuple[int, ...]:
+        """The lines only read, ascending."""
+        return tuple(chain.from_iterable(self.read_spans))
+
+    @cached_property
+    def write_lines(self) -> tuple[int, ...]:
+        """The lines written, ascending."""
+        return tuple(chain.from_iterable(self.write_spans))
+
+    @cached_property
+    def all_lines(self) -> tuple[int, ...]:
+        """Every declared line, ascending."""
+        rl, wl = self.read_lines, self.write_lines
+        # two ascending runs: the sort only merges them
+        return tuple(sorted(rl + wl)) if rl and wl else rl or wl
 
     @cached_property
     def write_ok(self) -> frozenset[int]:
@@ -170,10 +236,10 @@ class TxnDeclaration:
         return self.write_ok.union(self.read_lines)
 
     def footprint_bytes(self) -> int:
-        return (len(self.read_lines) + len(self.write_lines)) * self.line_size
+        return sum(map(len, self.read_spans + self.write_spans)) * self.line_size
 
     def write_bytes(self) -> int:
-        return len(self.write_lines) * self.line_size
+        return sum(map(len, self.write_spans)) * self.line_size
 
 
 @dataclass
@@ -459,11 +525,12 @@ def run_txn(
         raise CapacityError("llc", need_all, cfg.llc_capacity, stats)
     if retry_cap < 1:
         raise ValueError("retry_cap must be at least 1")
-    if decl.all_lines and decl.all_lines[-1] << cfg.line_shift >= cfg.address_space:
+    past = cfg.address_space >> cfg.line_shift  # the first line past the space
+    for spans in (decl.read_spans, decl.write_spans):
         # name the line the prefetch would reach first: reads, then writes
-        bad = next(line for line in decl.read_lines + decl.write_lines
-                   if line << cfg.line_shift >= cfg.address_space)
-        raise ValueError(f"address {bad << cfg.line_shift} out of range")
+        if spans and spans[-1].stop > past:
+            bad = max(past, next(s.start for s in spans if s.stop > past))
+            raise ValueError(f"address {bad << cfg.line_shift} out of range")
 
     sim.txn_open = True
     try:

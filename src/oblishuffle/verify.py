@@ -228,7 +228,8 @@ def probe_cache_sizes(
     transactions (write ranges probe L1, read ranges probe the LLC) pins
     each capacity to the byte.  Only the declaration interface is used;
     the line size is part of that interface, the geometry behind it is
-    not consulted.
+    not consulted.  A refused declaration is refused from its line spans
+    alone, so a refused probe costs nothing per byte probed.
     """
     if sim_factory is None:
         sim_factory = CacheSim

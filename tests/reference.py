@@ -30,6 +30,10 @@ each nonzero word mapped to its value.  ``snapshot_run_txn`` is
 from a snapshot taken at transaction start, instead of replaying the
 attempt's undo log.
 
+``SetDeclaration`` is ``TxnDeclaration`` as it was when each side was a
+set of lines (built by ``normalize``) and its line tuples were sorted at
+construction, before anything asked for a capacity.
+
 ``two_phase_plan`` is the layout planner as it was before it ran on
 ``layout.SetLoads``: capacity pre-checks, then a contiguous packing from
 address zero, and only if that overloads a set, a first-fit placement
@@ -280,6 +284,43 @@ def memory_contents(sim):
         words = ((p * PAGE_WORDS + i, v)
                  for p, page in sim._pages.items() for i, v in enumerate(page))
     return {w: v for w, v in words if v}
+
+
+def normalize(ranges, line_size: int) -> set[int]:
+    """The set of lines ``ranges`` touch, each range checked in order."""
+    lines: set[int] = set()
+    for start, size in ranges:
+        if size <= 0:
+            raise ValueError(f"range size must be positive, got {size}")
+        if start < 0:
+            raise ValueError(f"range start must be non-negative, got {start}")
+        first = start // line_size
+        last = (start + size - 1) // line_size
+        lines.update(range(first, last + 1))
+    return lines
+
+
+class SetDeclaration:
+    """``TxnDeclaration`` as it was when it built line sets: each side's
+    lines as a set, the write lines taken out of the read set, and the
+    line tuples sorted at construction."""
+
+    def __init__(self, reads=(), writes=(), line_size: int = 64):
+        w = normalize(writes, line_size)
+        r = normalize(reads, line_size)
+        r -= w  # a line in both sets counts once, as writable
+        self.line_size = line_size
+        self.read_lines = tuple(sorted(r))
+        self.write_lines = tuple(sorted(w))
+        self.all_lines = tuple(sorted(self.read_lines + self.write_lines))
+        self.write_ok = frozenset(self.write_lines)
+        self.read_ok = self.write_ok.union(self.read_lines)
+
+    def footprint_bytes(self) -> int:
+        return (len(self.read_lines) + len(self.write_lines)) * self.line_size
+
+    def write_bytes(self) -> int:
+        return len(self.write_lines) * self.line_size
 
 
 def _lines(region, line):

@@ -9,7 +9,9 @@ geometries, with pins, write-backs, faults, invalidations, flushes and
 transactions that abort, goes through both pairs; after every step the
 outcome, the trace, the counters, each set's (line, dirty, pinned)
 entries in LRU order and memory contents (``reference.memory_contents``,
-each nonzero word and its value) must agree.
+each nonzero word and its value) must agree.  So must the values each
+transaction's body reads, in every attempt: on the reference side they
+are taken from the reference simulator's memory, not from ``read_run``.
 
 The reference applies the valid words or lines of an ``access_run`` or a
 ``prefetch`` before one out of range, where ``CacheSim`` refuses the whole
@@ -103,20 +105,26 @@ steps = st.sampled_from(STEP_NAMES).flatmap(
     lambda name: STEP_ARGS[name].map(lambda args: (name, *args)))
 
 
-def make_body(ops):
+def make_body(ops, reads, reference):
+    """A body doing ``ops``.  The values of each run read, in aborted
+    attempts too, are appended to ``reads``: what ``read_run`` returned,
+    or, on the ``reference`` side, what the simulator's memory holds at
+    those words once it has returned."""
     def body(ctx):
         for op, addr, arg in ops:
             if op == "w":
                 ctx.write_run(addr, arg)
             elif op == "r":
-                ctx.read_run(addr, arg)
+                values = ctx.read_run(addr, arg)
+                reads.append(ctx._sim.load_words(addr >> 3, arg)
+                             if reference else values)
             else:
                 ctx.tick(arg)
 
     return body
 
 
-def apply(sim, step, txn):
+def apply(sim, step, txn, reads):
     name, *args = step
     if name == "access":
         return sim.access(*args)
@@ -134,7 +142,8 @@ def apply(sim, step, txn):
         return sim.flush_all()
     decl, ops, rate, seed, prefetch, cap = args[0]
     model = AccessProbability(rate, seed) if rate else None
-    return txn(sim, decl, make_body(ops), model, prefetch=prefetch, retry_cap=cap)
+    body = make_body(ops, reads, txn is snapshot_run_txn)
+    return txn(sim, decl, body, model, prefetch=prefetch, retry_cap=cap)
 
 
 def first_out_of_range(step):
@@ -184,13 +193,15 @@ def test_cache_and_rollback_match_the_stamp_reference(config, program):
         bad = first_out_of_range(step)
         if bad is not None:
             before = state(fast)
-            assert outcome(lambda: apply(fast, step, run_txn)) == (
+            assert outcome(lambda: apply(fast, step, run_txn, [])) == (
                 "ValueError", f"address {bad} out of range", None), step
             assert state(fast) == before
             continue
-        got = outcome(lambda: apply(fast, step, run_txn))
-        want = outcome(lambda: apply(ref, step, snapshot_run_txn))
+        fast_reads, ref_reads = [], []
+        got = outcome(lambda: apply(fast, step, run_txn, fast_reads))
+        want = outcome(lambda: apply(ref, step, snapshot_run_txn, ref_reads))
         assert got == want, step
+        assert fast_reads == ref_reads, step
         assert_same_state(fast, ref)
         fast.check_invariants()
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import (
+    SetDeclaration,
     lru_entries,
     memory_contents,
     per_line_commit,
@@ -86,6 +87,86 @@ def test_write_lines_absorb_overlapping_reads():
 def test_bad_ranges_rejected(bad):
     with pytest.raises(ValueError):
         TxnDeclaration.of(reads=[bad])
+
+
+@st.composite
+def byte_ranges(draw, line_size):
+    """A range over the first few lines: its start and size either whole
+    lines or any byte count, so ranges overlap, touch and straddle line
+    edges; about one in twenty is invalid (a size of at most 0 or a
+    negative start)."""
+    def bytes_(lines):
+        if draw(st.booleans()):
+            return draw(st.integers(0, lines)) * line_size
+        return draw(st.integers(0, lines * line_size))
+    start, size = bytes_(6), bytes_(3) or 1
+    bad = draw(st.integers(0, 19))
+    if bad == 0:
+        size = draw(st.integers(-2 * line_size, 0))
+    elif bad == 1:
+        start = draw(st.integers(-2 * line_size, -1))
+    return start, size
+
+
+@st.composite
+def declarations(draw):
+    line_size = draw(st.sampled_from([8, 16, 32, 64, 128]))
+    side = st.lists(byte_ranges(line_size), max_size=6)
+    return draw(side), draw(side), line_size
+
+
+def outcome(make):
+    """What ``make`` returned, or the ValueError message it raised."""
+    try:
+        return make()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=600, deadline=None)
+@given(declarations())
+def test_line_spans_match_the_set_rule(case):
+    reads, writes, line_size = case
+    ref = outcome(lambda: SetDeclaration(reads, writes, line_size))
+    decl = outcome(lambda: TxnDeclaration.of(reads, writes, line_size))
+    if isinstance(ref, str):
+        assert decl == ref
+        return
+    for name in ("read_lines", "write_lines", "all_lines", "read_ok", "write_ok"):
+        assert getattr(decl, name) == getattr(ref, name), name
+    assert decl.footprint_bytes() == ref.footprint_bytes()
+    assert decl.write_bytes() == ref.write_bytes()
+    for spans in (decl.read_spans, decl.write_spans):
+        # ascending and disjoint, with a gap between neighbours
+        assert all(a.stop < b.start for a, b in zip(spans, spans[1:]))
+        assert all(len(span) for span in spans)
+
+    # the address-space check reads only the spans: the first line the
+    # prefetch would reach past the space, reads, then writes
+    space = 4 * line_size
+    config = CacheConfig(line_size, 1, 64, 1, 64, space)
+    past = [line for line in ref.read_lines + ref.write_lines
+            if line * line_size >= space]
+    want = f"ValueError: address {past[0] * line_size} out of range" if past else 1
+    got = outcome(lambda: run_txn(CacheSim(config), decl).attempts)
+    assert got == want
+
+
+@pytest.mark.parametrize("side,level", [("reads", "llc"), ("writes", "l1")])
+def test_refused_declaration_builds_no_line_list(side, level):
+    # 2**34 lines: a set or tuple of them would not fit in memory
+    decl = TxnDeclaration.of(**{side: [(0, 1 << 40)]})
+    sim = CacheSim()
+    before = (list(sim.trace), copy.copy(sim.counters))
+    with pytest.raises(CapacityError) as exc_info:
+        run_txn(sim, decl)
+    assert exc_info.value.level == level
+    assert exc_info.value.need == 1 << 40
+    assert exc_info.value.stats.ac3 == 1
+    assert (list(sim.trace), sim.counters) == before
+    assert not sim.txn_open
+    built = {"read_lines", "write_lines", "all_lines", "read_ok", "write_ok"}
+    assert not built & vars(decl).keys()
 
 
 def test_declaration_line_size_must_match_cache():
