@@ -46,6 +46,17 @@ step: ``access``, ``read_word``/``write_word``, ``access_runs`` and
 makes a full access for a line's first word and moves only the counters
 for its other k - 1 words (a prefetch passes k = 1).
 
+The trace is stored packed.  ``CacheSim.trace`` is an ``EventLog``, an
+``array('q')`` of one 8-byte code per event, ``line << 1 |
+is_writeback``, so recording an event makes no Python object; a
+``TraceEvent`` is made only when the trace is read (iteration, an index,
+a slice, equality with a list).  A ``Trace`` snapshot holds the codes'
+bytes, so a snapshot is one copy and comparing two traces one bytes
+compare.  LLC sets are made on first fill: a slot of the LLC's set list
+is None until a line is first installed in that set (and again after
+``flush_all``), so a simulator allocates a dict only for the sets it
+fills.
+
 The backing memory is a dict of fixed pages, each a list of
 ``PAGE_WORDS`` words, and this module is the only one that knows the
 page layout.  ``load_words`` and ``store_words`` move a run of words as
@@ -57,9 +68,11 @@ them, except the one-word ones: ``load_word``, ``read_word`` and
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, NamedTuple, Sequence
+from operator import and_, rshift
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 WORD_BYTES = 8
 
@@ -94,33 +107,152 @@ class TraceEvent(NamedTuple):
 
 
 # builds a TraceEvent from a (kind, line) tuple without the Python-level
-# NamedTuple constructor, which the per-event paths would pay each time
+# NamedTuple constructor, which decoding would pay per event
 _event = tuple.__new__
 
+# An event is stored as one int, ``line << 1 | is_writeback``.
+_KINDS = (KIND_MISS, KIND_WRITEBACK)
+_KIND_BIT = {KIND_MISS: 0, KIND_WRITEBACK: 1}
+_append = array.append  # the kernels append codes through the base method
+_extend = array.extend
 
-@dataclass(frozen=True)
+
+def _code(event: tuple[str, int]) -> int:
+    kind, line = event
+    try:
+        return line << 1 | _KIND_BIT[kind]
+    except KeyError:
+        raise ValueError(f"bad event kind: {kind!r}") from None
+
+
+def _events(codes: Iterator[int], same: Iterator[int]) -> Iterator[TraceEvent]:
+    """The events of a stream of codes, made as they are read: ``codes``
+    and ``same`` are two iterators over the same codes."""
+    kinds = map(_KINDS.__getitem__, map(and_, codes, repeat(1)))
+    lines = map(rshift, same, repeat(1))
+    return map(_event, repeat(TraceEvent), zip(kinds, lines))
+
+
+def _decode(c: int) -> TraceEvent:
+    return _event(TraceEvent, (_KINDS[c & 1], c >> 1))
+
+
+class EventLog(array):
+    """A simulator's trace as it is recorded: an ``array('q')`` of one
+    8-byte code per event, ``line << 1 | is_writeback``, made from codes.
+
+    To a reader it is a list of ``TraceEvent``s: iteration, an index and
+    a slice (a list) decode the events they return, and it equals a list
+    that holds the same events.  ``append`` and ``extend`` take events.
+    The simulator appends codes through the base ``array`` methods, so
+    recording an event makes no Python object.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, codes: Iterable[int] = ()):
+        return super().__new__(cls, "q", codes)
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        return _events(array.__iter__(self), array.__iter__(self))
+
+    def __getitem__(self, i):
+        codes = array.__getitem__(self, i)
+        if isinstance(i, slice):
+            return list(_events(iter(codes), iter(codes)))
+        return _decode(codes)
+
+    def __contains__(self, event) -> bool:
+        return any(e == event for e in self)
+
+    def __eq__(self, other):
+        if isinstance(other, array):
+            return self.tobytes() == other.tobytes()
+        if isinstance(other, list):
+            return len(self) == len(other) and list(self) == other
+        return NotImplemented
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"EventLog({list(self)!r})"
+
+    def __copy__(self) -> "EventLog":
+        return EventLog(self)
+
+    def __deepcopy__(self, memo) -> "EventLog":
+        return EventLog(self)
+
+    def append(self, event: tuple[str, int]) -> None:
+        _append(self, _code(event))
+
+    def extend(self, events: Iterable[tuple[str, int]]) -> None:
+        _extend(self, map(_code, events))
+
+    def clear(self) -> None:
+        del self[:]
+
+
 class Trace:
     """Immutable sequence of LLC-boundary events.
 
     Two traces are equal iff they have the same length and agree at every
     position.  There is no tolerance or reordering: positional equality is
-    the whole definition.
+    the whole definition.  A trace holds its events packed, as the bytes
+    of their codes (see ``EventLog``), so a snapshot is one copy and
+    equality one bytes compare; ``events``, iteration and indexing make
+    the ``TraceEvent``s as they are read.
     """
 
-    events: tuple[TraceEvent, ...]
+    __slots__ = ("_bytes",)
+
+    def __init__(self, events: Iterable[tuple[str, int]] = ()):
+        self._bytes = array("q", map(_code, events)).tobytes()
+
+    @classmethod
+    def _packed(cls, codes: array) -> "Trace":
+        trace = object.__new__(cls)
+        trace._bytes = codes.tobytes()
+        return trace
+
+    def _codes(self) -> memoryview:
+        return memoryview(self._bytes).cast("q")
+
+    @property
+    def events(self) -> tuple[TraceEvent, ...]:
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._bytes) // 8
 
-    def __getitem__(self, i: int) -> TraceEvent:
-        return self.events[i]
+    def __getitem__(self, i):
+        codes = self._codes()[i]
+        if isinstance(i, slice):
+            return tuple(_events(iter(codes), iter(codes)))
+        return _decode(codes)
 
-    def __iter__(self):
-        return iter(self.events)
+    def __iter__(self) -> Iterator[TraceEvent]:
+        codes = self._codes()
+        return _events(iter(codes), iter(codes))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._bytes == other._bytes
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.events,))
+
+    def __repr__(self) -> str:
+        return f"Trace(events={self.events!r})"
 
     def export_csv(self) -> str:
         lines = ["sequence,kind,line_address"]
-        for seq, ev in enumerate(self.events):
+        for seq, ev in enumerate(self):
             lines.append(f"{seq},{ev.kind},{ev.line_address}")
         return "\n".join(lines) + "\n"
 
@@ -235,7 +367,7 @@ class CacheSim:
     def __init__(self, config: CacheConfig | None = None):
         self.config = config or CacheConfig()
         self._pages: dict[int, list[int]] = {}  # page number -> its words
-        self.trace: list[TraceEvent] = []
+        self.trace = EventLog()
         self.counters = AccessCounters()
         self.txn_open = False
         c = self.config
@@ -245,12 +377,13 @@ class CacheSim:
         self._l1_ways = c.l1_ways
         self._llc_ways = c.llc_ways
         self._l1: list[dict[int, int]] = [dict() for _ in range(c.l1_sets)]
-        self._llc: list[dict[int, int]] = [dict() for _ in range(c.llc_sets)]
+        # an LLC set is made when a line is first installed in it
+        self._llc: list[dict[int, int] | None] = [None] * c.llc_sets
 
     # -- observable trace ------------------------------------------------
 
     def snapshot_trace(self) -> Trace:
-        return Trace(tuple(self.trace))
+        return Trace._packed(self.trace)
 
     def reset_trace(self) -> None:
         self.trace.clear()
@@ -451,6 +584,7 @@ class CacheSim:
         l1, l1_mask, l1_ways = self._l1, self._l1_mask, self._l1_ways
         llc, llc_mask, llc_ways = self._llc, self._llc_mask, self._llc_ways
         trace = self.trace
+        emit = _append
         c = self.counters
         hits = 0  # L1 hits, counted into the counters once, on the way out
         try:
@@ -478,6 +612,8 @@ class CacheSim:
                             raise PinViolationError(line, "l1")
                         install_l1 = False
                 llc_set = llc[line & llc_mask]
+                if llc_set is None:
+                    llc_set = llc[line & llc_mask] = {}
                 # an LLC hit moves the line to the end of its set: popped
                 # here, reinserted below
                 lflags = llc_set.pop(line, None)
@@ -489,13 +625,13 @@ class CacheSim:
                         raise PinViolationError(line, "llc")
                     del llc_set[llc_victim]
                     if l1[llc_victim & l1_mask].pop(llc_victim, 0) & _DIRTY:
-                        trace.append(_event(TraceEvent, (KIND_WRITEBACK, llc_victim)))
+                        emit(trace, llc_victim << 1 | 1)
                 # the inclusion eviction above may have freed this set already
                 if install_l1 and len(l1_set) >= l1_ways:
                     if l1_set.pop(l1_victim, 0) & _DIRTY:
-                        trace.append(_event(TraceEvent, (KIND_WRITEBACK, l1_victim)))
+                        emit(trace, l1_victim << 1 | 1)
                 if lflags is None:
-                    trace.append(_event(TraceEvent, (KIND_MISS, line)))
+                    emit(trace, line << 1)
                     c.llc_misses += 1
                     llc_set[line] = bits & _PINNED
                 else:
@@ -518,18 +654,19 @@ class CacheSim:
         """Write back every dirty line in ascending line order, then empty
         both levels.  Pins do not survive a flush."""
         dirty = sorted(line for s in self._l1 for line, f in s.items() if f & _DIRTY)
-        self.trace.extend(_event(TraceEvent, (KIND_WRITEBACK, line)) for line in dirty)
+        _extend(self.trace, [line << 1 | 1 for line in dirty])
         for s in self._l1:
             s.clear()
-        for s in self._llc:
-            s.clear()
+        self._llc = [None] * len(self._llc)
 
     def invalidate_lines(self, lines: Iterable[int]) -> None:
         """Drop lines from both levels without any trace events.  Dirty
         data is discarded; the caller owns restoring memory."""
         for line in lines:
             self._l1[line & self._l1_mask].pop(line, None)
-            self._llc[line & self._llc_mask].pop(line, None)
+            s = self._llc[line & self._llc_mask]
+            if s:
+                s.pop(line, None)
 
     def commit_lines(self, dirtied: Iterable[int], pinned: Iterable[int]) -> int:
         """Exactly ``writeback_line`` for each of ``dirtied`` in order, then
@@ -538,13 +675,14 @@ class CacheSim:
         l1, l1_mask = self._l1, self._l1_mask
         llc, llc_mask = self._llc, self._llc_mask
         trace = self.trace
+        emit = _append
         emitted = 0
         for line in dirtied:
             s = l1[line & l1_mask]
             f = s.get(line, 0)
             if f & _DIRTY:
                 s[line] = f ^ _DIRTY
-                trace.append(_event(TraceEvent, (KIND_WRITEBACK, line)))
+                emit(trace, line << 1 | 1)
                 emitted += 1
         for line in pinned:
             s = l1[line & l1_mask]
@@ -552,7 +690,7 @@ class CacheSim:
             if f & _PINNED:
                 s[line] = f ^ _PINNED
             s = llc[line & llc_mask]
-            if s.get(line):
+            if s and s.get(line):
                 s[line] = 0
         return emitted
 
@@ -570,13 +708,13 @@ class CacheSim:
     def line_resident(self, line: int, level: str = "llc") -> bool:
         if level == "l1":
             return line in self._l1[line & self._l1_mask]
-        return line in self._llc[line & self._llc_mask]
+        return line in (self._llc[line & self._llc_mask] or ())
 
     def line_state(self, line: int, level: str) -> tuple[bool, bool] | None:
         """(dirty, pinned) at that level, or None if not resident."""
         sets = self._l1 if level == "l1" else self._llc
         mask = self._l1_mask if level == "l1" else self._llc_mask
-        f = sets[line & mask].get(line)
+        f = (sets[line & mask] or {}).get(line)
         if f is None:
             return None
         return (bool(f & _DIRTY), bool(f & _PINNED))
@@ -588,10 +726,12 @@ class CacheSim:
             assert len(s) <= self.config.l1_ways, "L1 set over ways"
             for line, f in s.items():
                 assert line & self._l1_mask == idx, "L1 set mapping broken"
-                lf = self._llc[line & self._llc_mask].get(line)
+                lf = (self._llc[line & self._llc_mask] or {}).get(line)
                 assert lf is not None, "inclusion broken"
                 assert lf or not f & _PINNED, "pin levels disagree"
         for idx, s in enumerate(self._llc):
+            if s is None:  # no line installed here since the last flush
+                continue
             assert len(s) <= self.config.llc_ways, "LLC set over ways"
             for line, f in s.items():
                 assert line & self._llc_mask == idx, "LLC set mapping broken"

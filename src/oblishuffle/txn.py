@@ -8,8 +8,9 @@ otherwise the transaction is rejected before touching the cache (a
 capacity abort).  A declaration that reaches past the address space is
 refused the same way, with a ValueError, after the capacity checks.
 Both checks read only the spans, so a refused declaration costs nothing
-per line; the line tuples the prefetch, commit and body checks use are
-built from the spans on first use.
+per line.  The line tuples the prefetch and the commit use are built
+from the spans on first use, and the body's declaration check bisects
+the spans themselves, so it builds no set of lines.
 
 With prefetching enabled (the default) each attempt begins by touching
 every declared line in ascending line order: reads first, then writes.
@@ -35,11 +36,11 @@ result, any exception, the interrupt model's consultations and the whole
 cache state (trace, counters, LRU order, dirty and pin bits) equal those
 of one per-word access per word at ascending addresses, run after run,
 for valid input.  Invalid input is the caller's error and has one rule:
-a list checks the declaration once for all the lines of each run, and
-the alignment of each run's first word, and raises an
-UndeclaredAccessError or a ValueError naming the first bad word of the
-first bad run before it consults the interrupt model or accesses
-anything.  A prefetched body's accesses all find their lines pinned and
+a list checks the declaration once for all the lines of each run, by
+a bisect on the declared spans, and the alignment of each run's first
+word, and raises an UndeclaredAccessError or a ValueError naming the
+first bad word of the first bad run before it consults the interrupt
+model or accesses anything.  A prefetched body's accesses all find their lines pinned and
 cannot fault, so a valid list there consults the model once for all its
 words and makes one ``CacheSim.access_runs`` call, which takes one step
 per line.  In a body without prefetch, only a line's first word within a
@@ -66,6 +67,7 @@ prefetch step up to ``retry_cap`` times.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -184,9 +186,11 @@ class TxnDeclaration:
     ``write_bytes()`` and ``footprint_bytes()``, are sums of span
     lengths, so a declaration too large for the cache is refused without
     one step per line.  The line tuples ``read_lines``, ``write_lines``
-    and ``all_lines`` (ascending) and the line sets ``write_ok``/
-    ``read_ok`` are built from the spans on first use.  Equality and
-    hashing depend only on the ranges and the line size.
+    and ``all_lines`` (ascending) are built from the spans on first use,
+    and so are ``write_bounds``/``read_bounds``, the spans a body may
+    write or read as lists of starts and stops, which the body's
+    declaration check bisects.  Equality and hashing depend only on the
+    ranges and the line size.
     """
 
     read_ranges: tuple[ByteRange, ...]
@@ -226,14 +230,30 @@ class TxnDeclaration:
         return tuple(sorted(rl + wl)) if rl and wl else rl or wl
 
     @cached_property
-    def write_ok(self) -> frozenset[int]:
-        """The lines a body may write, built on first use."""
-        return frozenset(self.write_lines)
+    def write_bounds(self) -> tuple[list[int], list[int]]:
+        """The write spans as (starts, stops); no two of them touch."""
+        w = self.write_spans
+        return [s.start for s in w], [s.stop for s in w]
 
     @cached_property
-    def read_ok(self) -> frozenset[int]:
-        """The lines a body may read, built on first use."""
-        return self.write_ok.union(self.read_lines)
+    def read_bounds(self) -> tuple[list[int], list[int]]:
+        """Every declared line as (starts, stops): the write spans with
+        each read span inserted, joined to a write span it touches."""
+        starts, stops = self.write_bounds
+        starts, stops = starts[:], stops[:]
+        for span in self.read_spans:
+            # a read span lies in a gap between write spans
+            lo, hi = span.start, span.stop
+            i = bisect_right(starts, lo)
+            if i < len(starts) and starts[i] == hi:
+                del starts[i]
+                hi = stops.pop(i)
+            if i and stops[i - 1] == lo:
+                stops[i - 1] = hi
+            else:
+                starts.insert(i, lo)
+                stops.insert(i, hi)
+        return starts, stops
 
     def footprint_bytes(self) -> int:
         return sum(map(len, self.read_spans + self.write_spans)) * self.line_size
@@ -452,7 +472,8 @@ class TxnContext:
         its stretch's values unstored; the rollback restores the rest.
         """
         shift = self._shift
-        ok = self._decl.write_ok if kind == WRITE else self._decl.read_ok
+        decl = self._decl
+        starts, stops = decl.write_bounds if kind == WRITE else decl.read_bounds
         total = 0
         for addr, count in runs:
             if count <= 0:
@@ -460,9 +481,12 @@ class TxnContext:
             # per word, the line is checked before the alignment, so a
             # misaligned run fails on its first word
             end = addr if addr % WORD_BYTES else addr + (count - 1) * WORD_BYTES
-            lines = range(addr >> shift, (end >> shift) + 1)
-            if not ok.issuperset(lines):
-                bad = next(line for line in lines if line not in ok)
+            first, last = addr >> shift, end >> shift
+            # the one span that can hold the run's first line; the line
+            # after a span is undeclared, since touching spans are joined
+            i = bisect_right(starts, first) - 1
+            if i < 0 or stops[i] <= last:
+                bad = first if i < 0 else max(first, stops[i])
                 raise UndeclaredAccessError(max(addr, bad << shift), kind)
             if addr % WORD_BYTES:
                 raise ValueError(f"address {addr} not word aligned")

@@ -32,7 +32,11 @@ attempt's undo log.
 
 ``SetDeclaration`` is ``TxnDeclaration`` as it was when each side was a
 set of lines (built by ``normalize``) and its line tuples were sorted at
-construction, before anything asked for a capacity.
+construction, before anything asked for a capacity.  ``declared_lines``
+is the body's declaration check as it was before it bisected the spans:
+a frozenset of the lines a body may access, the write lines for a write
+and every declared line for a read; ``per_word_read``/``per_word_write``
+check against it.
 
 ``two_phase_plan`` is the layout planner as it was before it ran on
 ``layout.SetLoads``: capacity pre-checks, then a contiguous packing from
@@ -124,6 +128,8 @@ def per_word_miss(sim, line: int, l1_set: dict, is_write: bool, pin: bool) -> st
             install_l1 = False
 
     llc_set = sim._llc[line & sim._llc_mask]
+    if llc_set is None:  # an LLC set is made on its first fill
+        llc_set = sim._llc[line & sim._llc_mask] = {}
     # an LLC hit moves the line to the end of its set: popped here,
     # reinserted below
     lflags = llc_set.pop(line, None)
@@ -193,11 +199,17 @@ def _consult(ctx):
         raise _Interrupted()
 
 
+def declared_lines(decl, kind) -> frozenset[int]:
+    """The lines a body of ``decl`` may access with ``kind``."""
+    write_ok = frozenset(decl.write_lines)
+    return write_ok if kind == WRITE else write_ok.union(decl.read_lines)
+
+
 def per_word_read(ctx, addr):
     """``ctx.read(addr)`` as one declaration check, one consultation and
     one access; a cold context records the line as pinned."""
     line = addr >> ctx._shift
-    if line not in ctx._decl.read_ok:
+    if line not in declared_lines(ctx._decl, READ):
         raise UndeclaredAccessError(addr, READ)
     _consult(ctx)
     if not ctx._prefetched:
@@ -213,7 +225,7 @@ def per_word_write(ctx, addr, value):
     consultation and one access; a cold context records the line as
     pinned and dirtied."""
     line = addr >> ctx._shift
-    if line not in ctx._decl.write_ok:
+    if line not in declared_lines(ctx._decl, WRITE):
         raise UndeclaredAccessError(addr, WRITE)
     _consult(ctx)
     if not ctx._prefetched:
@@ -239,7 +251,7 @@ def per_line_commit(sim, dirtied, pinned) -> int:
     for line in dirtied:
         dirty = False
         for sets, mask in levels:
-            s = sets[line & mask]
+            s = sets[line & mask] or {}
             if s.get(line, 0) & DIRTY_FLAG:
                 s[line] &= ~DIRTY_FLAG  # a flag change keeps the LRU order
                 dirty = True
@@ -248,7 +260,7 @@ def per_line_commit(sim, dirtied, pinned) -> int:
             emitted += 1
     for line in pinned:
         for sets, mask in levels:
-            s = sets[line & mask]
+            s = sets[line & mask] or {}
             if line in s:
                 s[line] &= ~PIN_FLAG
     return emitted
@@ -256,11 +268,18 @@ def per_line_commit(sim, dirtied, pinned) -> int:
 
 def lru_entries(sim):
     """Each set of a ``CacheSim``, L1 sets then LLC sets, as (line, dirty,
-    pinned) in LRU order, least recently used first."""
+    pinned) in LRU order, least recently used first; an LLC set not yet
+    made is empty."""
     return [
         [(line, bool(f & DIRTY_FLAG), bool(f & PIN_FLAG)) for line, f in s.items()]
-        for s in sim._l1 + sim._llc
+        for s in set_dicts(sim)
     ]
+
+
+def set_dicts(sim):
+    """Each set of a ``CacheSim`` as a dict, L1 sets then LLC sets, with
+    an empty dict for an LLC set not yet made."""
+    return sim._l1 + [s or {} for s in sim._llc]
 
 
 def reference_lru_entries(ref):
@@ -313,8 +332,6 @@ class SetDeclaration:
         self.read_lines = tuple(sorted(r))
         self.write_lines = tuple(sorted(w))
         self.all_lines = tuple(sorted(self.read_lines + self.write_lines))
-        self.write_ok = frozenset(self.write_lines)
-        self.read_ok = self.write_ok.union(self.read_lines)
 
     def footprint_bytes(self) -> int:
         return (len(self.read_lines) + len(self.write_lines)) * self.line_size

@@ -6,16 +6,19 @@ expected lookup result and exactly which events it appends.
 """
 
 import copy
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import (
+    lru_entries,
     memory_contents,
     per_line_commit,
     per_line_prefetch,
     per_word_access,
+    set_dicts,
 )
 
 from oblishuffle.cache import (
@@ -27,6 +30,7 @@ from oblishuffle.cache import (
     CacheConfig,
     CacheSim,
     PinViolationError,
+    Trace,
     TraceEvent,
 )
 
@@ -212,7 +216,7 @@ def test_rejected_pinned_write_is_counted_but_changes_nothing_else(block):
     sim = CacheSim(TINY)
     sim.access(0, "write", pin=True)
     sim.access(64, "write", pin=True)
-    before = [list(s.items()) for s in sim._l1 + sim._llc]
+    before = [list(s.items()) for s in set_dicts(sim)]
     with pytest.raises(PinViolationError) as exc:
         if block:
             sim.prefetch([2], "write")
@@ -222,7 +226,7 @@ def test_rejected_pinned_write_is_counted_but_changes_nothing_else(block):
     assert sim.counters == AccessCounters(total=3, l1_hits=0, llc_hits=0,
                                           llc_misses=2)
     assert sim.trace == [miss(0), miss(1)]
-    assert [list(s.items()) for s in sim._l1 + sim._llc] == before
+    assert [list(s.items()) for s in set_dicts(sim)] == before
 
 
 def test_unpin_then_evictable():
@@ -426,6 +430,139 @@ def test_trace_csv_export():
     )
 
 
+def traffic(sim):
+    """Misses, an L1 write-back and a flush: both kinds of event."""
+    sim.access(0, "write")
+    sim.access(64, "read")
+    sim.access(128, "write")  # the 2-way L1 set evicts dirty line 0
+    sim.flush_all()
+    return [miss(0), miss(1), wb(0), miss(2), wb(2)]
+
+
+def test_trace_is_stored_packed_and_reads_as_a_list_of_events():
+    sim = CacheSim(TINY)
+    events = traffic(sim)
+    trace = sim.trace
+    # one 8-byte code per event: line << 1 | is_writeback
+    assert trace.itemsize == 8
+    assert len(trace.tobytes()) == 8 * len(events)
+    assert trace.tobytes() == array("q", [0, 2, 1, 4, 5]).tobytes()
+    assert len(trace) == len(events)
+    assert list(trace) == events
+    assert [type(e) for e in trace] == [TraceEvent] * len(events)
+    assert [trace[i] for i in range(-5, 5)] == events + events
+    assert trace[1:4] == events[1:4]
+    assert trace[::-2] == events[::-2]
+    assert trace == events and events == trace
+    assert not trace != events and not events != trace
+    assert trace != events[:-1] and not trace == events[:-1]
+    assert trace != events[:-1] + [miss(7)]
+    assert wb(2) in trace and wb(1) not in trace
+    with pytest.raises(IndexError):
+        trace[5]
+
+    trace.append(TraceEvent(KIND_WRITEBACK, 9))
+    assert trace[-1] == wb(9)
+    assert trace == events + [wb(9)]
+    with pytest.raises(ValueError):
+        trace.append(TraceEvent("hit", 3))
+    trace.clear()
+    assert trace == [] and len(trace) == 0
+    assert sim.access(0, "read") == "llc-miss"
+    assert trace == [miss(0)]
+
+
+def test_trace_copies_are_independent_event_logs():
+    sim = CacheSim(TINY)
+    traffic(sim)
+    for dup in (copy.copy(sim.trace), copy.deepcopy(sim.trace)):
+        assert type(dup) is type(sim.trace)
+        assert dup == sim.trace
+        dup.append(miss(5))
+        assert dup != sim.trace
+
+
+def test_trace_from_events_equals_the_snapshot_of_them():
+    sim = CacheSim(TINY)
+    events = traffic(sim)
+    snap = sim.snapshot_trace()
+    built = Trace(tuple(events))
+    assert built == snap and Trace(iter(events)) == snap
+    assert hash(built) == hash(snap)
+    # the value a frozen dataclass over the events tuple hashes to
+    assert hash(snap) == hash((tuple(events),))
+    assert snap.events == tuple(events)
+    assert len(snap) == len(events)
+    assert list(snap) == events
+    assert [snap[i] for i in range(-5, 5)] == events + events
+    assert snap[1:3] == tuple(events[1:3])
+    assert built.export_csv() == snap.export_csv()
+    assert Trace(events[:-1]) != snap
+    assert Trace() == CacheSim(TINY).snapshot_trace()
+    assert repr(built) == f"Trace(events={tuple(events)!r})"
+
+
+def test_a_fresh_simulator_makes_no_llc_set():
+    sim = CacheSim()
+    assert sim._llc == [None] * sim.config.llc_sets
+    assert sim.line_state(5, "llc") is None
+    assert not sim.line_resident(5)
+    sim.invalidate_lines([5, 6])
+    sim.unpin_lines([5])
+    assert not sim.writeback_line(5)
+    sim.check_invariants()
+    assert sim._llc == [None] * sim.config.llc_sets
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 8, 9, 30])
+def test_prefetch_makes_one_llc_set_per_set_filled(k):
+    # LLC 8 sets x 4 ways: lines 0..k-1 fill min(k, 8) sets
+    cfg = CacheConfig(line_size=64, l1_sets=2, l1_ways=2, llc_sets=8, llc_ways=4)
+    sim = CacheSim(cfg)
+    sim.prefetch(range(k), "read")
+    made = [s is not None for s in sim._llc]
+    assert sum(made) == min(k, cfg.llc_sets)
+    assert made == [i < k for i in range(cfg.llc_sets)]
+    sim.check_invariants()
+
+
+def test_a_deep_copy_makes_its_own_llc_sets():
+    cfg = CacheConfig(line_size=64, l1_sets=2, l1_ways=2, llc_sets=8, llc_ways=4)
+    sim = CacheSim(cfg)
+    sim.prefetch([0, 1], "write")
+    dup = copy.deepcopy(sim)
+    dup.prefetch(range(2, 6), "read")
+    dup.access(0, "read")
+    dup.invalidate_lines([1])
+    dup.check_invariants()
+    sim.check_invariants()
+    assert [s is not None for s in sim._llc] == [True, True] + [False] * 6
+    assert lru_entries(sim)[-8:-6] == [[(0, False, True)], [(1, False, True)]]
+    assert sim.trace == [miss(0), miss(1)]
+    assert dup.trace == [miss(i) for i in range(6)]
+    assert len(sim.trace) == 2
+
+
+def test_invariants_hold_after_invalidate_and_flush():
+    cfg = CacheConfig(line_size=64, l1_sets=2, l1_ways=2, llc_sets=8, llc_ways=4)
+    sim = CacheSim(cfg)
+    for line in range(20):
+        sim.access(line * 64, "write" if line % 3 else "read")
+    sim.prefetch([20, 21], "read")
+    sim.check_invariants()
+    # lines resident, evicted, and in sets never made
+    sim.invalidate_lines([19, 0, 21, 100, 4, 12])
+    sim.check_invariants()
+    assert not any(sim.line_resident(line) for line in (19, 21, 4, 12))
+    sim.flush_all()
+    sim.check_invariants()
+    assert sim._llc == [None] * cfg.llc_sets
+    assert all(not s for s in sim._l1)
+    sim.access(3 * 64, "read")
+    sim.check_invariants()
+    assert sum(s is not None for s in sim._llc) == 1
+
+
 # -- configuration ---------------------------------------------------------------
 
 
@@ -546,7 +683,8 @@ def sim_state(sim):
         sim.trace,
         sim.counters,
         [list(s.items()) for s in sim._l1],
-        [list(s.items()) for s in sim._llc],
+        # an LLC set not yet made is empty
+        [list((s or {}).items()) for s in sim._llc],
     )
 
 

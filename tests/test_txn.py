@@ -10,11 +10,12 @@ import dataclasses
 import gc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reference import (
     SetDeclaration,
+    declared_lines,
     lru_entries,
     memory_contents,
     per_line_commit,
@@ -132,7 +133,7 @@ def test_line_spans_match_the_set_rule(case):
     if isinstance(ref, str):
         assert decl == ref
         return
-    for name in ("read_lines", "write_lines", "all_lines", "read_ok", "write_ok"):
+    for name in ("read_lines", "write_lines", "all_lines"):
         assert getattr(decl, name) == getattr(ref, name), name
     assert decl.footprint_bytes() == ref.footprint_bytes()
     assert decl.write_bytes() == ref.write_bytes()
@@ -152,6 +153,51 @@ def test_line_spans_match_the_set_rule(case):
     assert got == want
 
 
+@st.composite
+def checked_runs(draw):
+    """A valid declaration of ``declarations``, a kind, and a list of one
+    to three runs over its lines and a little past them: a start at any
+    byte from one line below zero, so some are misaligned or negative,
+    and a count from -1 up."""
+    reads, writes, line_size = draw(declarations())
+    decl = outcome(lambda: TxnDeclaration.of(reads, writes, line_size))
+    assume(not isinstance(decl, str))
+
+    def run():
+        addr = draw(st.integers(-line_size, 10 * line_size))
+        if draw(st.booleans()):
+            addr -= addr % 8
+        return addr, draw(st.integers(-1, 3 * line_size // 8 + 2))
+    runs = [run() for _ in range(draw(st.integers(1, 3)))]
+    return decl, draw(st.sampled_from("rw")), runs
+
+
+@settings(max_examples=500, deadline=None)
+@given(checked_runs())
+def test_span_check_matches_the_line_set_rule(case):
+    # the body's check bisects the declared spans; the oracle checks
+    # each word's line against the frozenset of declared lines
+    decl, kind, runs = case
+    line_size = decl.line_size
+    config = CacheConfig(line_size, 1, 64, 1, 64, 1 << 16)
+    ctx = TxnContext(CacheSim(config), decl, None, prefetched=True)
+    want = next((e for e in (invalid_input(ctx, kind, a, c) for a, c in runs)
+                 if e is not None), None)
+    try:
+        if kind == "r":
+            ctx._run(runs, READ)
+        else:
+            ctx._run(runs, WRITE, [[7] * max(c, 0) for _, c in runs])
+        got = None
+    except (UndeclaredAccessError, ValueError) as exc:
+        got = exc
+    assert type(got) is type(want)
+    if isinstance(want, UndeclaredAccessError):
+        assert (got.addr, got.kind) == (want.addr, want.kind)
+    else:
+        assert str(got) == str(want)
+
+
 @pytest.mark.parametrize("side,level", [("reads", "llc"), ("writes", "l1")])
 def test_refused_declaration_builds_no_line_list(side, level):
     # 2**34 lines: a set or tuple of them would not fit in memory
@@ -165,7 +211,7 @@ def test_refused_declaration_builds_no_line_list(side, level):
     assert exc_info.value.stats.ac3 == 1
     assert (list(sim.trace), sim.counters) == before
     assert not sim.txn_open
-    built = {"read_lines", "write_lines", "all_lines", "read_ok", "write_ok"}
+    built = {"read_lines", "write_lines", "all_lines", "read_bounds", "write_bounds"}
     assert not built & vars(decl).keys()
 
 
@@ -724,7 +770,7 @@ def invalid_input(ctx, kind, addr, count):
     for valid input.  Pins and interrupts play no part, and a declared
     word is in range, since ``run_txn`` refuses any other declaration."""
     kind = READ if kind == "r" else WRITE
-    ok = ctx._decl.read_ok if kind == READ else ctx._decl.write_ok
+    ok = declared_lines(ctx._decl, kind)
     for a in range(addr, addr + 8 * count, 8):
         if a >> ctx._shift not in ok:
             return UndeclaredAccessError(a, kind)
@@ -814,7 +860,8 @@ def sim_state(sim):
         sim.trace,
         sim.counters,
         [list(s.items()) for s in sim._l1],
-        [list(s.items()) for s in sim._llc],
+        # an LLC set not yet made is empty
+        [list((s or {}).items()) for s in sim._llc],
         memory_contents(sim),
     )
 
