@@ -1,19 +1,20 @@
 """Deterministic two-level set-associative cache simulator.
 
-The hierarchy is inclusive: every line resident in L1 is also resident in
-the LLC.  Replacement is LRU per set at each level: a set is a dict in
-LRU order, a line moves to its end when touched, and the victim is the
-first entry the pin rules allow.  A resident line's entry is an int of
-flags, dirty and pinned in L1 and only pinned in the LLC, and changing a
-flag leaves the order alone.  Two things are observable: a read of a
-line absent from both levels emits an ``llc-miss-read`` event, and dirty
-data leaving L1 emits a ``write-back`` event.  Dirty state lives in L1
-(write-allocate): when a dirty line is demoted out of L1 its data is
-written through, so the surviving LLC copy is clean, and when an LLC
-eviction removes a line whose L1 copy is dirty the combined removal
-writes back once.  Clean evictions at either level are silent, as are L1
-hits and LLC hits themselves.  Within one access, victim write-backs
-precede the incoming line's miss event.
+The hierarchy is inclusive: every line resident in L1 is also resident
+in the LLC.  Replacement is LRU per set at each level: a set is a dict
+in LRU order, a line moves to its end when touched, and the victim is
+the first entry the pin rules allow.  A resident line's entry is an int:
+in L1 ``stamp << 1 | dirty``, in the LLC the ``stamp`` alone (see
+pinning below), and changing an entry leaves the order alone.  Two
+things are observable: a read of a line absent from both levels emits an
+``llc-miss-read`` event, and dirty data leaving L1 emits a
+``write-back`` event.  Dirty state lives in L1 (write-allocate): when a
+dirty line is demoted out of L1 its data is written through, so the
+surviving LLC copy is clean, and when an LLC eviction removes a line
+whose L1 copy is dirty the combined removal writes back once.  Clean
+evictions at either level are silent, as are L1 hits and LLC hits
+themselves.  Within one access, victim write-backs precede the incoming
+line's miss event.
 
 Pinning is the protection primitive for transactions.  A pinned line is
 never evicted from the LLC.  In L1 the protected resource is *dirty*
@@ -25,26 +26,39 @@ from the LLC without allocating in L1 (no event, nothing lost), while a
 write raises :class:`PinViolationError` because there is nowhere safe to
 put the dirty word.
 
+A pin is a stamp on the entry, not a flag, so that a transaction's pins
+end with it in one step, as a hardware transaction's commit clears the
+tracking of all its lines at once.  ``open_txn`` starts a new epoch and
+``close_txn`` ends it.  A pinned access stamps the open epoch, or, with
+no transaction open, the fixed stamp -1.  An entry is pinned while its
+stamp is the open epoch or -1, so closing the epoch releases every pin
+made in it at once, and only ``unpin_lines`` (or ``commit_lines`` with
+pinned lines), which stamps 0, releases a -1 pin.  That is the per-line,
+per-level pin of the calls made with no transaction open.
+
 A transaction's prefetch block, each list of runs of its body and its
 commit are one call each, and each is exact: ``prefetch(lines, kind)``
-equals one pinned ``access`` per line in order, ``access_runs(runs, kind,
-pin)`` equals, for each ``(addr, count)`` of ``runs`` in order, one
-``access`` per word at ascending addresses, taking one step per line, and
-``commit_lines(dirtied, pinned)`` equals ``writeback_line`` per dirtied
-line in order followed by ``unpin_lines(pinned)``.  A run list is the one
-path for consecutive words: ``access_run(addr, count, kind, pin)`` is the
-list of that one run.  Their state (trace, counters, LRU order, dirty and
-pin bits) matches the per-line or per-word calls, including after a
-PinViolationError part-way through a block or run list.  Invalid input is
-the caller's error, not a modelled fault, and has one rule: ``access``,
-``read_word``/``write_word``, ``access_runs`` and ``prefetch`` check
-their whole input (the kind, and the range of every address or line)
-before their first access, and raise a ValueError naming the first bad
-address before anything changes.  The block calls sit on one per-line
-step: ``access``, ``read_word``/``write_word``, ``access_runs`` and
-``prefetch`` each make one ``_lines`` call with (line, k) pairs, which
-makes a full access for a line's first word and moves only the counters
-for its other k - 1 words (a prefetch passes k = 1).
+equals one pinned ``access`` per line in order, ``access_runs(runs,
+kind, pin)`` equals, for each ``(addr, count)`` of ``runs`` in order,
+one ``access`` per word at ascending addresses, taking one step per
+line, and ``commit_lines(dirtied, pinned)`` equals ``writeback_line``
+per dirtied line in order followed by ``unpin_lines(pinned)``.  A run
+list is the one path for consecutive words: ``access_run(addr, count,
+kind, pin)`` is the list of that one run.  A transaction commits with
+``commit_lines(dirtied, ())``, one pass over the lines it dirtied, and
+its pins end with ``close_txn``.  The state of these calls (trace,
+counters, LRU order, dirty bits and stamps) matches the per-line or
+per-word calls, including after a PinViolationError part-way through a
+block or run list.  Invalid input is the caller's error, not a modelled
+fault, and has one rule: ``access``, ``read_word``/``write_word``,
+``access_runs`` and ``prefetch`` check their whole input (the kind, and
+the range of every address or line) before their first access, and raise
+a ValueError naming the first bad address before anything changes.  The
+block calls sit on one per-line step: ``access``,
+``read_word``/``write_word``, ``access_runs`` and ``prefetch`` each make
+one ``_lines`` call with (line, k) pairs, which makes a full access for
+a line's first word and moves only the counters for its other k - 1
+words (a prefetch passes k = 1).
 
 The trace is stored packed.  ``CacheSim.trace`` is an ``EventLog``, an
 ``array('q')`` of one 8-byte code per event, ``line << 1 |
@@ -87,10 +101,10 @@ KIND_WRITEBACK = "write-back"
 READ = "read"
 WRITE = "write"
 
-# entry flags; the LLC keeps only _PINNED, since dirty data lives in L1
-_DIRTY = 1
-_PINNED = 2
-_PROTECTED = _DIRTY | _PINNED  # an L1 entry no access may displace
+# the pin stamp of an access made with no transaction open; an L1 entry
+# is ``stamp << 1 | dirty`` and an LLC entry ``stamp``, and a stamp of 0
+# (or of an epoch that has ended) is no pin
+_RAW_PIN = -1
 
 
 def _is_write(kind: str) -> bool:
@@ -369,7 +383,8 @@ class CacheSim:
         self._pages: dict[int, list[int]] = {}  # page number -> its words
         self.trace = EventLog()
         self.counters = AccessCounters()
-        self.txn_open = False
+        self._epoch = 0  # the epochs opened so far; the first is 1
+        self._pin = _RAW_PIN  # the stamp a pinned access makes now
         c = self.config
         self._shift = c.line_shift
         self._l1_mask = c.l1_sets - 1
@@ -379,6 +394,25 @@ class CacheSim:
         self._l1: list[dict[int, int]] = [dict() for _ in range(c.l1_sets)]
         # an LLC set is made when a line is first installed in it
         self._llc: list[dict[int, int] | None] = [None] * c.llc_sets
+
+    # -- transaction epochs ----------------------------------------------
+
+    @property
+    def txn_open(self) -> bool:
+        return self._pin != _RAW_PIN
+
+    def open_txn(self) -> None:
+        """Start a new epoch: until ``close_txn``, a pinned access stamps
+        it, and an entry stamped with it is pinned."""
+        self._epoch += 1
+        self._pin = self._epoch
+
+    def close_txn(self) -> None:
+        """End the open epoch, which releases every pin stamped with it."""
+        self._pin = _RAW_PIN
+
+    def _pinned(self, stamp: int) -> bool:
+        return stamp == self._pin or stamp == _RAW_PIN
 
     # -- observable trace ------------------------------------------------
 
@@ -576,11 +610,19 @@ class CacheSim:
         (LLC, then L1) and the line comes in.  The line's other k - 1
         words can only hit at the level where that access left the line
         last in LRU order (L1, or the LLC when a read found no L1 way),
-        and they set no bit it did not set, so they move only the
+        and they change nothing it did not change, so they move only the
         counters.  A PinViolationError leaves the steps before it applied
         and only the faulting line's first word counted.
         """
-        bits = (_DIRTY if is_write else 0) | (_PINNED if pin else 0)
+        # ``live`` is the stamp a pin holds now, besides -1; a pinned
+        # access stamps it at both levels, an unpinned one keeps a hit
+        # entry's stamp and installs stamp 0
+        live = self._pin
+        protected = live << 1 | 1  # an L1 entry no access may displace, or -1
+        if pin:
+            bits, keep, lstamp = live << 1 | is_write, 1, live
+        else:
+            bits, keep, lstamp = int(is_write), -1, 0
         l1, l1_mask, l1_ways = self._l1, self._l1_mask, self._l1_ways
         llc, llc_mask, llc_ways = self._llc, self._llc_mask, self._llc_ways
         trace = self.trace
@@ -593,16 +635,16 @@ class CacheSim:
                 flags = l1_set.pop(line, None)
                 if flags is not None:
                     # an L1 hit moves the line to the end of its L1 set only
-                    l1_set[line] = flags | bits
+                    l1_set[line] = flags & keep | bits
                     if pin:
-                        llc[line & llc_mask][line] = _PINNED
+                        llc[line & llc_mask][line] = lstamp
                     hits += k
                     continue
                 c.total += 1
                 install_l1 = True
                 if len(l1_set) >= l1_ways:
                     for l1_victim, flags in l1_set.items():
-                        if flags != _PROTECTED:
+                        if flags != protected and flags != -1:
                             break
                     else:
                         # every way holds protected dirty data: a read is
@@ -619,24 +661,24 @@ class CacheSim:
                 lflags = llc_set.pop(line, None)
                 if lflags is None and len(llc_set) >= llc_ways:
                     for llc_victim, flags in llc_set.items():
-                        if not flags:
+                        if flags != live and flags != -1:
                             break
                     else:
                         raise PinViolationError(line, "llc")
                     del llc_set[llc_victim]
-                    if l1[llc_victim & l1_mask].pop(llc_victim, 0) & _DIRTY:
+                    if l1[llc_victim & l1_mask].pop(llc_victim, 0) & 1:
                         emit(trace, llc_victim << 1 | 1)
                 # the inclusion eviction above may have freed this set already
                 if install_l1 and len(l1_set) >= l1_ways:
-                    if l1_set.pop(l1_victim, 0) & _DIRTY:
+                    if l1_set.pop(l1_victim, 0) & 1:
                         emit(trace, l1_victim << 1 | 1)
                 if lflags is None:
                     emit(trace, line << 1)
                     c.llc_misses += 1
-                    llc_set[line] = bits & _PINNED
+                    llc_set[line] = lstamp
                 else:
                     c.llc_hits += 1
-                    llc_set[line] = _PINNED if pin else lflags
+                    llc_set[line] = lstamp if pin else lflags
                 if install_l1:
                     l1_set[line] = bits
                     hits += k - 1
@@ -653,7 +695,7 @@ class CacheSim:
     def flush_all(self) -> None:
         """Write back every dirty line in ascending line order, then empty
         both levels.  Pins do not survive a flush."""
-        dirty = sorted(line for s in self._l1 for line, f in s.items() if f & _DIRTY)
+        dirty = sorted(line for s in self._l1 for line, f in s.items() if f & 1)
         _extend(self.trace, [line << 1 | 1 for line in dirty])
         for s in self._l1:
             s.clear()
@@ -671,7 +713,8 @@ class CacheSim:
     def commit_lines(self, dirtied: Iterable[int], pinned: Iterable[int]) -> int:
         """Exactly ``writeback_line`` for each of ``dirtied`` in order, then
         ``unpin_lines(pinned)``, in one call.  Returns the number of
-        write-back events emitted."""
+        write-back events emitted.  Unpinning stamps 0 on each of
+        ``pinned`` resident at a level, whatever its stamp was."""
         l1, l1_mask = self._l1, self._l1_mask
         llc, llc_mask = self._llc, self._llc_mask
         trace = self.trace
@@ -680,17 +723,16 @@ class CacheSim:
         for line in dirtied:
             s = l1[line & l1_mask]
             f = s.get(line, 0)
-            if f & _DIRTY:
-                s[line] = f ^ _DIRTY
+            if f & 1:
+                s[line] = f ^ 1
                 emit(trace, line << 1 | 1)
                 emitted += 1
         for line in pinned:
             s = l1[line & l1_mask]
-            f = s.get(line, 0)
-            if f & _PINNED:
-                s[line] = f ^ _PINNED
+            if line in s:
+                s[line] &= 1
             s = llc[line & llc_mask]
-            if s and s.get(line):
+            if s and line in s:
                 s[line] = 0
         return emitted
 
@@ -705,34 +747,30 @@ class CacheSim:
         """
         return self.commit_lines((line,), ()) == 1
 
-    def line_resident(self, line: int, level: str = "llc") -> bool:
-        if level == "l1":
-            return line in self._l1[line & self._l1_mask]
-        return line in (self._llc[line & self._llc_mask] or ())
-
     def line_state(self, line: int, level: str) -> tuple[bool, bool] | None:
         """(dirty, pinned) at that level, or None if not resident."""
-        sets = self._l1 if level == "l1" else self._llc
-        mask = self._l1_mask if level == "l1" else self._llc_mask
-        f = (sets[line & mask] or {}).get(line)
-        if f is None:
-            return None
-        return (bool(f & _DIRTY), bool(f & _PINNED))
+        if level == "l1":
+            f = self._l1[line & self._l1_mask].get(line)
+            return None if f is None else (bool(f & 1), self._pinned(f >> 1))
+        f = (self._llc[line & self._llc_mask] or {}).get(line)
+        return None if f is None else (False, self._pinned(f))
 
     def check_invariants(self) -> None:
         """Structural sanity for tests: occupancy bounds, set mapping,
-        inclusion, and pin agreement between levels."""
+        inclusion, stamps no later than the last epoch, and pin agreement
+        between levels: a pinned L1 entry's LLC entry has its stamp."""
         for idx, s in enumerate(self._l1):
             assert len(s) <= self.config.l1_ways, "L1 set over ways"
             for line, f in s.items():
                 assert line & self._l1_mask == idx, "L1 set mapping broken"
+                assert _RAW_PIN <= f >> 1 <= self._epoch, "L1 stamp out of range"
                 lf = (self._llc[line & self._llc_mask] or {}).get(line)
                 assert lf is not None, "inclusion broken"
-                assert lf or not f & _PINNED, "pin levels disagree"
+                assert lf == f >> 1 or not self._pinned(f >> 1), "pin levels disagree"
         for idx, s in enumerate(self._llc):
             if s is None:  # no line installed here since the last flush
                 continue
             assert len(s) <= self.config.llc_ways, "LLC set over ways"
             for line, f in s.items():
                 assert line & self._llc_mask == idx, "LLC set mapping broken"
-                assert f in (0, _PINNED), "LLC entry holds more than a pin"
+                assert _RAW_PIN <= f <= self._epoch, "LLC stamp out of range"

@@ -72,6 +72,7 @@ from .layout import (
     decl_from_plan,
 )
 from .txn import (
+    BodyAbortError,
     CapacityError,
     RetryCapExceededError,
     TxnDeclaration,
@@ -84,7 +85,11 @@ _SEED_STEP = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
 
-class BucketOverflowError(Exception):
+class BucketOverflowError(BodyAbortError):
+    """A scatter body found more elements for one slice than it holds;
+    ``run_txn`` rolls the transaction back and re-raises it with its
+    ``stats``, and the shuffle restarts with fresh randomness."""
+
     def __init__(self, src_bucket: int, dst_bucket: int, slice_len: int):
         super().__init__(
             f"more than {slice_len} elements from bucket {src_bucket} "
@@ -334,7 +339,8 @@ class ShuffleEngine:
                 prefetch=self.prefetch,
                 retry_cap=self.retry_cap,
             )
-        except (RetryCapExceededError, CapacityError) as exc:
+        except (RetryCapExceededError, CapacityError, BucketOverflowError) as exc:
+            # a transaction that did not commit still counts its attempts
             self.stats.append(exc.stats)
             raise
         self.stats.append(st)

@@ -22,10 +22,16 @@ prefetched transaction that is ascending line order by construction) and
 all pins are released; the lines stay resident and clean.  Each block is
 one exact ``CacheSim`` call: the prefetch is ``sim.prefetch`` on the read
 lines and then on the write lines, equal to one pinned ``access`` per
-line, and the commit is ``sim.commit_lines``, equal to ``writeback_line``
-per dirtied line followed by ``unpin_lines``.  Each attempt's context
-holds the lines it pinned and dirtied, and the commit and a rollback work
-from those: with prefetching on they are the declared lines.
+line, and the commit is ``sim.commit_lines(dirtied, ())``, equal to
+``writeback_line`` per dirtied line, one pass over the lines the attempt
+dirtied and none over those it only read.  A pin is a stamp of the
+transaction's epoch (see ``cache``): ``run_txn`` opens the epoch with
+``sim.open_txn`` and closes it with ``sim.close_txn``, which releases
+every pin the transaction made in one step, however many lines it
+pinned.  Each attempt's context holds the lines it dirtied, which the
+commit writes back, and a cold one the lines it pinned, which a rollback
+drops; a prefetched attempt pinned and dirtied exactly the declared
+lines, so its rollback drops the declared spans.
 
 A body accesses words with ``ctx.read``/``ctx.write``, consecutive words
 with ``ctx.read_run(addr, count)``/``ctx.write_run(addr, values)``, or a
@@ -56,13 +62,16 @@ index or None.  A list of n words asks it once with n (a cold one once
 per stretch) and accesses, and stores, only the words before the one
 that fired; ``ctx.tick(count)`` asks it once with ``count``.
 
-Aborts roll everything back: every line the attempt's context holds as
-pinned is invalidated without events, which clears the pins, and the
-attempt counter advances.  Each attempt's context keeps an undo log of
-the runs it stores, each as its first word and its old values; on abort
-the old values are stored back newest first, so every word of memory
-holds what it held when the attempt began.  Retries repeat from the
-prefetch step up to ``retry_cap`` times.
+Aborts roll everything back: every line the attempt pinned is
+invalidated without events, which clears the pins, and the attempt
+counter advances.  Each attempt's context keeps an undo log of the runs
+it stores, each as its first word and its old values; on abort the old
+values are stored back newest first, so every word of memory holds what
+it held when the attempt began.  Retries repeat from the prefetch step
+up to ``retry_cap`` times.  A body that raises ``BodyAbortError`` aborts
+the transaction for its caller: the attempt is rolled back and the error
+re-raised with the transaction's statistics, as a capacity or retry-cap
+error carries them.
 """
 
 from __future__ import annotations
@@ -108,6 +117,14 @@ class UndeclaredAccessError(TxnError):
         super().__init__(f"{kind} of address {addr} outside declared ranges")
         self.addr = addr
         self.kind = kind
+
+
+class BodyAbortError(TxnError):
+    """A body's own abort of its transaction, like an explicit abort
+    instruction: ``run_txn`` rolls the attempt back and re-raises it with
+    the transaction's statistics so far as ``stats``."""
+
+    stats: TxnStats | None = None
 
 
 class HitGuaranteeError(TxnError):
@@ -185,8 +202,8 @@ class TxnDeclaration:
     out the write lines.  The byte counts the capacity checks read,
     ``write_bytes()`` and ``footprint_bytes()``, are sums of span
     lengths, so a declaration too large for the cache is refused without
-    one step per line.  The line tuples ``read_lines``, ``write_lines``
-    and ``all_lines`` (ascending) are built from the spans on first use,
+    one step per line.  The line tuples ``read_lines`` and
+    ``write_lines`` (ascending) are built from the spans on first use,
     and so are ``write_bounds``/``read_bounds``, the spans a body may
     write or read as lists of starts and stops, which the body's
     declaration check bisects.  Equality and hashing depend only on the
@@ -221,13 +238,6 @@ class TxnDeclaration:
     def write_lines(self) -> tuple[int, ...]:
         """The lines written, ascending."""
         return tuple(chain.from_iterable(self.write_spans))
-
-    @cached_property
-    def all_lines(self) -> tuple[int, ...]:
-        """Every declared line, ascending."""
-        rl, wl = self.read_lines, self.write_lines
-        # two ascending runs: the sort only merges them
-        return tuple(sorted(rl + wl)) if rl and wl else rl or wl
 
     @cached_property
     def write_bounds(self) -> tuple[list[int], list[int]]:
@@ -368,11 +378,12 @@ class TxnContext:
     consecutive words, and ``write_runs`` for a list of such runs (see
     the module docstring).  ``tick`` models units of computation that
     touch no memory but can still be interrupted.
-    The context holds the lines its attempt pinned, and those it dirtied
-    in the order first dirtied.  A prefetched attempt pins and dirties
-    exactly the declared lines, in ascending order, and its body can add
-    none; a cold one fills a set and an insertion-ordered dict as its
-    body runs.
+    The context holds the lines its attempt dirtied, in the order first
+    dirtied, and a cold attempt's context the lines it pinned.  A
+    prefetched attempt pins and dirties exactly the declared lines, in
+    ascending order, and its body can add none, so its context holds the
+    declaration's write lines and no pinned lines (None); a cold one
+    fills an insertion-ordered dict and a set as its body runs.
     """
 
     __slots__ = (
@@ -392,9 +403,7 @@ class TxnContext:
         self._sim = sim
         self._decl = decl
         self._model = model
-        self._pinned: tuple[int, ...] | set[int] = (
-            decl.all_lines if prefetched else set()
-        )
+        self._pinned: set[int] | None = None if prefetched else set()
         self._dirtied: tuple[int, ...] | dict[int, None] = (
             decl.write_lines if prefetched else {}
         )
@@ -556,7 +565,7 @@ def run_txn(
             bad = max(past, next(s.start for s in spans if s.stop > past))
             raise ValueError(f"address {bad << cfg.line_shift} out of range")
 
-    sim.txn_open = True
+    sim.open_txn()
     try:
         while True:
             stats.attempts += 1
@@ -580,8 +589,13 @@ def run_txn(
                     body(ctx)
                 stats.body_events += len(sim.trace) - stats.trace_body_start
             except Exception as exc:
-                # roll back; invalidating the lines also drops their pins
-                sim.invalidate_lines(ctx._pinned)
+                # roll back; invalidating the lines also drops their pins.
+                # A prefetched attempt pinned the declared spans, dropped
+                # in any order: invalidation emits nothing and moves no
+                # other entry
+                sim.invalidate_lines(
+                    chain(*decl.read_spans, *decl.write_spans) if prefetch
+                    else ctx._pinned)
                 ctx._rollback()
                 if isinstance(exc, PinViolationError):
                     stats.ac2 += 1
@@ -589,11 +603,15 @@ def run_txn(
                 elif isinstance(exc, _Interrupted):
                     stats.ac4 += 1
                 else:
-                    # programming errors leave the simulator consistent
+                    # a body's abort or a programming error: the simulator
+                    # is left consistent
+                    if isinstance(exc, BodyAbortError):
+                        exc.stats = stats
                     raise
                 continue
 
-            sim.commit_lines(ctx._dirtied, ctx._pinned)
+            # the write-backs; closing the epoch below ends the pins
+            sim.commit_lines(ctx._dirtied, ())
             stats.committed = True
             if prefetch and stats.body_events:
                 raise HitGuaranteeError(
@@ -602,4 +620,4 @@ def run_txn(
                 )
             return stats
     finally:
-        sim.txn_open = False
+        sim.close_txn()

@@ -30,6 +30,11 @@ each nonzero word mapped to its value.  ``snapshot_run_txn`` is
 from a snapshot taken at transaction start, instead of replaying the
 attempt's undo log.
 
+``AllLinesDeclaration`` is a ``TxnDeclaration`` with ``all_lines``,
+every declared line ascending, which a prefetched attempt's context held
+until pins became epoch stamps; ``snapshot_run_txn`` unpins and drops
+them, so the differential test declares through it.
+
 ``SetDeclaration`` is ``TxnDeclaration`` as it was when each side was a
 set of lines (built by ``normalize``) and its line tuples were sorted at
 construction, before anything asked for a capacity.  ``declared_lines``
@@ -46,10 +51,9 @@ that starts again from nothing, each with its own set-load counting.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Iterable
 
-from oblishuffle.cache import _DIRTY as DIRTY_FLAG
-from oblishuffle.cache import _PINNED as PIN_FLAG
 from oblishuffle.cache import (
     KIND_MISS,
     KIND_WRITEBACK,
@@ -63,7 +67,7 @@ from oblishuffle.cache import (
     PinViolationError,
     Trace,
     TraceEvent,
-    _PROTECTED,
+    _RAW_PIN,
     _event,
 )
 from oblishuffle.layout import READ_WRITE, LayoutInfeasibleError, LayoutPlan
@@ -99,10 +103,11 @@ def per_word_access(sim, addr, kind, pin=False):
         # a hit moves the line to the end of its L1 set only
         flags = l1_set.pop(line)
         if is_write:
-            flags |= DIRTY_FLAG
+            flags |= 1  # the dirty bit, under the stamp
         if pin:
-            flags |= PIN_FLAG
-            sim._llc[line & sim._llc_mask][line] = PIN_FLAG
+            # a pin stamps the open epoch, or -1, at both levels
+            flags = sim._pin << 1 | flags & 1
+            sim._llc[line & sim._llc_mask][line] = sim._pin
         l1_set[line] = flags
         sim.counters.l1_hits += 1
         return "l1-hit"
@@ -114,11 +119,13 @@ def per_word_miss(sim, line: int, l1_set: dict, is_write: bool, pin: bool) -> st
     entry in its L1 set ``l1_set``: choose both victims, evict them,
     then install the line.  Returns "llc-hit" or "llc-miss"."""
     # decide both victims before touching anything; each is the first
-    # entry in LRU order that its level's pin rule lets go
+    # entry in LRU order that its level's pin rule lets go, and a stamp
+    # pins while it is the open epoch or -1
+    live = (sim._pin, _RAW_PIN)
     install_l1 = True
     if len(l1_set) >= sim._l1_ways:
         for l1_victim, flags in l1_set.items():
-            if flags != _PROTECTED:
+            if not (flags & 1 and flags >> 1 in live):  # pinned dirty data
                 break
         else:
             # every way holds protected dirty data: a read is served
@@ -136,7 +143,7 @@ def per_word_miss(sim, line: int, l1_set: dict, is_write: bool, pin: bool) -> st
     llc_victim = None
     if lflags is None and len(llc_set) >= sim._llc_ways:
         for llc_victim, flags in llc_set.items():
-            if not flags:
+            if flags not in live:
                 break
         else:
             raise PinViolationError(line, "llc")
@@ -144,26 +151,29 @@ def per_word_miss(sim, line: int, l1_set: dict, is_write: bool, pin: bool) -> st
     trace = sim.trace
     if llc_victim is not None:
         del llc_set[llc_victim]
-        if sim._l1[llc_victim & sim._l1_mask].pop(llc_victim, 0) & DIRTY_FLAG:
+        if sim._l1[llc_victim & sim._l1_mask].pop(llc_victim, 0) & 1:
             trace.append(_event(TraceEvent, (KIND_WRITEBACK, llc_victim)))
 
     # the inclusion eviction above may have freed this set already
     if install_l1 and len(l1_set) >= sim._l1_ways:
-        if l1_set.pop(l1_victim, 0) & DIRTY_FLAG:
+        if l1_set.pop(l1_victim, 0) & 1:
             trace.append(_event(TraceEvent, (KIND_WRITEBACK, l1_victim)))
 
+    # a pinned access stamps the open epoch, or -1; an installed line is
+    # otherwise stamped 0, and an LLC hit keeps its stamp
+    stamp = sim._pin if pin else 0
     if lflags is not None:
-        llc_set[line] = PIN_FLAG if pin else lflags
+        llc_set[line] = stamp if pin else lflags
         sim.counters.llc_hits += 1
         result = "llc-hit"
     else:
         trace.append(_event(TraceEvent, (KIND_MISS, line)))
         sim.counters.llc_misses += 1
-        llc_set[line] = PIN_FLAG if pin else 0
+        llc_set[line] = stamp
         result = "llc-miss"
 
     if install_l1:
-        l1_set[line] = (DIRTY_FLAG if is_write else 0) | (PIN_FLAG if pin else 0)
+        l1_set[line] = stamp << 1 | is_write
     return result
 
 
@@ -244,36 +254,37 @@ def per_line_prefetch(sim, lines, kind) -> None:
 
 
 def per_line_commit(sim, dirtied, pinned) -> int:
-    """Write back each dirtied line in order, then unpin; returns the
-    number of write-back events."""
-    levels = ((sim._l1, sim._l1_mask), (sim._llc, sim._llc_mask))
+    """Write back each dirtied line in order, then unpin: stamp 0 at each
+    level where the line is resident.  Returns the number of write-back
+    events.  Dirty data lives in L1 only."""
     emitted = 0
     for line in dirtied:
-        dirty = False
-        for sets, mask in levels:
-            s = sets[line & mask] or {}
-            if s.get(line, 0) & DIRTY_FLAG:
-                s[line] &= ~DIRTY_FLAG  # a flag change keeps the LRU order
-                dirty = True
-        if dirty:
+        s = sim._l1[line & sim._l1_mask]
+        if s.get(line, 0) & 1:
+            s[line] &= ~1  # an entry change keeps the LRU order
             sim.trace.append(TraceEvent(KIND_WRITEBACK, line))
             emitted += 1
     for line in pinned:
-        for sets, mask in levels:
-            s = sets[line & mask] or {}
-            if line in s:
-                s[line] &= ~PIN_FLAG
+        s = sim._l1[line & sim._l1_mask]
+        if line in s:
+            s[line] = s[line] & 1  # stamp 0, the dirty bit kept
+        s = sim._llc[line & sim._llc_mask] or {}
+        if line in s:
+            s[line] = 0
     return emitted
 
 
 def lru_entries(sim):
     """Each set of a ``CacheSim``, L1 sets then LLC sets, as (line, dirty,
     pinned) in LRU order, least recently used first; an LLC set not yet
-    made is empty."""
-    return [
-        [(line, bool(f & DIRTY_FLAG), bool(f & PIN_FLAG)) for line, f in s.items()]
-        for s in set_dicts(sim)
-    ]
+    made is empty.  An L1 entry is ``stamp << 1 | dirty`` and an LLC
+    entry a stamp, which pins while it is the open epoch or -1."""
+    live = (sim._pin, _RAW_PIN)
+    l1 = [[(line, bool(f & 1), f >> 1 in live) for line, f in s.items()]
+          for s in sim._l1]
+    llc = [[(line, False, f in live) for line, f in (s or {}).items()]
+           for s in sim._llc]
+    return l1 + llc
 
 
 def set_dicts(sim):
@@ -338,6 +349,15 @@ class SetDeclaration:
 
     def write_bytes(self) -> int:
         return len(self.write_lines) * self.line_size
+
+
+class AllLinesDeclaration(TxnDeclaration):
+    """A ``TxnDeclaration`` with ``all_lines``, for ``snapshot_run_txn``."""
+
+    @cached_property
+    def all_lines(self) -> tuple[int, ...]:
+        """Every declared line, ascending."""
+        return tuple(sorted(self.read_lines + self.write_lines))
 
 
 def _lines(region, line):

@@ -506,7 +506,7 @@ def test_a_fresh_simulator_makes_no_llc_set():
     sim = CacheSim()
     assert sim._llc == [None] * sim.config.llc_sets
     assert sim.line_state(5, "llc") is None
-    assert not sim.line_resident(5)
+    assert sim.line_state(5, "l1") is None
     sim.invalidate_lines([5, 6])
     sim.unpin_lines([5])
     assert not sim.writeback_line(5)
@@ -553,7 +553,7 @@ def test_invariants_hold_after_invalidate_and_flush():
     # lines resident, evicted, and in sets never made
     sim.invalidate_lines([19, 0, 21, 100, 4, 12])
     sim.check_invariants()
-    assert not any(sim.line_resident(line) for line in (19, 21, 4, 12))
+    assert all(sim.line_state(line, "llc") is None for line in (19, 21, 4, 12))
     sim.flush_all()
     sim.check_invariants()
     assert sim._llc == [None] * cfg.llc_sets

@@ -6,7 +6,12 @@ from math import isqrt
 
 import pytest
 
-from oblishuffle.cli import _consultations_per_txn, main, make_inputs
+from oblishuffle.cli import (
+    _consultations_per_txn,
+    main,
+    make_inputs,
+    run_aborts_variant,
+)
 from oblishuffle.shuffle import ShuffleParams, gen_perm
 from oblishuffle.verify import oracle_apply_perm
 
@@ -221,6 +226,26 @@ def test_control_counts_keep_only_the_completed_restart():
     counts = _consultations_per_txn(list(range(n)), perm, n, 1, seed)
     bc, cap = p.bucket_count, p.bucket_capacity
     assert counts == ([2 * bc + cap] * bc + [cap + bc] * bc) * 3
+
+
+@pytest.mark.parametrize("n, rate", [(256, 0.002), (1024, 0.001)])
+def test_melbourne_attempts_match_the_geometric_mean(n, rate):
+    # a prefetched transaction that makes c consultations per attempt
+    # commits on an attempt that none of them fires, with probability
+    # p = (1 - r)^c, so its attempts are geometric: mean 1/p, variance
+    # (1 - p)/p^2.  Summed over every transaction of seeds 0..9, the
+    # ``melbourne`` rows must land within 3 sigma of the sum of means.
+    attempts, mean, var = 0, 0.0, 0.0
+    for seed in range(10):
+        row = run_aborts_variant("melbourne", n, seed=seed, rate=rate)
+        assert (row["flag"], row["ac2"]) == ("ok", 0)
+        attempts += row["attempts"]
+        data, perm = make_inputs(n, seed)
+        for c in _consultations_per_txn(data, perm, n, 2, seed):
+            p = (1 - rate) ** c
+            mean += 1 / p
+            var += (1 - p) / p ** 2
+    assert abs(attempts - mean) <= 3 * var ** 0.5, (attempts, mean, 3 * var ** 0.5)
 
 
 def test_aborts_reruns_are_identical(capsys):

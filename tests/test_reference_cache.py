@@ -25,6 +25,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reference import (
+    AllLinesDeclaration,
     ReferenceCacheSim,
     lru_entries,
     memory_contents,
@@ -33,7 +34,7 @@ from reference import (
 )
 
 from oblishuffle.cache import CacheConfig, CacheSim
-from oblishuffle.txn import AccessProbability, TxnDeclaration, run_txn
+from oblishuffle.txn import AccessProbability, run_txn
 
 SPACE = 1 << 11  # 32 lines of 64 bytes
 PAST = SPACE // 64  # the first line past the address space
@@ -60,7 +61,8 @@ def geometries(draw):
 def transactions(draw):
     writes = draw(st.lists(st.integers(0, 11), max_size=4, unique=True))
     reads = draw(st.lists(st.integers(0, 11), max_size=4, unique=True))
-    decl = TxnDeclaration.of(
+    # ``snapshot_run_txn`` reads ``all_lines``, which ``run_txn`` does not
+    decl = AllLinesDeclaration.of(
         reads=[(line * 64, 64) for line in reads],
         writes=[(line * 64, 64) for line in writes],
     )

@@ -24,7 +24,8 @@ from oblishuffle.shuffle import (
     pack,
     unpack,
 )
-from oblishuffle.txn import CapacityError, RetryCapExceededError
+from oblishuffle import shuffle
+from oblishuffle.txn import CapacityError, RetryCapExceededError, run_txn
 
 FIG_PERM = [3, 1, 6, 5, 7, 2, 0, 8, 4]
 FIG_DATA = [100 + k for k in range(9)]
@@ -272,6 +273,35 @@ def test_overflow_restarts_with_fresh_randomness_and_recovers():
     engine = ShuffleEngine(CacheSim(), params)
     assert engine.melbourne(data, perm) == apply_perm(data, perm)
     assert engine.overflow_retries >= 1
+
+
+def test_an_overflowed_transaction_keeps_its_stats(monkeypatch):
+    # the crafted permutation overflows a scatter of pass 3 on attempt
+    # zero: that transaction's stats stay in the engine's, uncommitted,
+    # so the restarted work is counted
+    n, seed = 49, 5
+    params = ShuffleParams(n, pad_factor=1, seed=seed)
+    engine = ShuffleEngine(CacheSim(), params)
+    calls = []
+
+    def counted_run_txn(*args, **kwargs):
+        calls.append(args[1])
+        return run_txn(*args, **kwargs)
+
+    monkeypatch.setattr(shuffle, "run_txn", counted_run_txn)
+    data = some_data(n, 1)
+    perm = perm_against_seed(params)
+    assert engine.melbourne(data, perm) == apply_perm(data, perm)
+    assert engine.overflow_retries == 1
+    assert len(engine.stats) == len(calls)
+    # the completed restart's 6 bc transactions all committed, and the
+    # one just before them is the overflowed scatter, the only one that
+    # did not
+    done = 6 * params.bucket_count
+    overflowed = engine.stats[-done - 1]
+    assert (overflowed.committed, overflowed.attempts) == (False, 1)
+    assert [s.committed for s in engine.stats].count(False) == 1
+    assert sum(s.attempts for s in engine.stats) == len(calls)
 
 
 def test_restart_cap_surfaces_as_error():

@@ -39,6 +39,7 @@ from oblishuffle.cache import (
 )
 from oblishuffle.txn import (
     AccessProbability,
+    BodyAbortError,
     CapacityError,
     HitGuaranteeError,
     NestedTxnError,
@@ -79,7 +80,6 @@ def test_write_lines_absorb_overlapping_reads():
     decl = TxnDeclaration.of(reads=[(0, 128)], writes=[(64, 64)])
     assert decl.read_lines == (0,)
     assert decl.write_lines == (1,)
-    assert decl.all_lines == (0, 1)
     assert decl.footprint_bytes() == 128
     assert decl.write_bytes() == 64
 
@@ -133,7 +133,7 @@ def test_line_spans_match_the_set_rule(case):
     if isinstance(ref, str):
         assert decl == ref
         return
-    for name in ("read_lines", "write_lines", "all_lines"):
+    for name in ("read_lines", "write_lines"):
         assert getattr(decl, name) == getattr(ref, name), name
     assert decl.footprint_bytes() == ref.footprint_bytes()
     assert decl.write_bytes() == ref.write_bytes()
@@ -198,6 +198,10 @@ def test_span_check_matches_the_line_set_rule(case):
         assert str(got) == str(want)
 
 
+# what a declaration builds on first use
+BUILT = {"read_lines", "write_lines", "all_lines", "read_bounds", "write_bounds"}
+
+
 @pytest.mark.parametrize("side,level", [("reads", "llc"), ("writes", "l1")])
 def test_refused_declaration_builds_no_line_list(side, level):
     # 2**34 lines: a set or tuple of them would not fit in memory
@@ -211,8 +215,16 @@ def test_refused_declaration_builds_no_line_list(side, level):
     assert exc_info.value.stats.ac3 == 1
     assert (list(sim.trace), sim.counters) == before
     assert not sim.txn_open
-    built = {"read_lines", "write_lines", "all_lines", "read_bounds", "write_bounds"}
-    assert not built & vars(decl).keys()
+    assert not BUILT & vars(decl).keys()
+
+
+def test_committed_prefetched_declaration_builds_no_list_of_all_lines():
+    # the prefetch reads the read and write lines and the commit the
+    # write lines; the pins end with the epoch, so nothing lists every
+    # declared line
+    decl = TxnDeclaration.of(reads=[(0, 128)], writes=[(128, 128)])
+    assert run_txn(CacheSim(SMALL), decl).committed
+    assert BUILT & vars(decl).keys() == {"read_lines", "write_lines"}
 
 
 def test_declaration_line_size_must_match_cache():
@@ -263,6 +275,71 @@ def test_committed_lines_are_unpinned_and_clean():
     assert sim.line_state(1, "llc") == (False, False)
 
 
+def test_pins_of_a_committed_transaction_do_not_return_in_the_next():
+    # one LLC set of two ways, which the first transaction fills: the
+    # second one's line must evict one of the first's, whose pins ended
+    # with its epoch
+    config = CacheConfig(line_size=64, l1_sets=1, l1_ways=1, llc_sets=1, llc_ways=2)
+    sim = CacheSim(config)
+    run_txn(sim, TxnDeclaration.of(reads=[(0, 128)]))
+    stats = run_txn(sim, TxnDeclaration.of(reads=[(addr_of(2), 64)]), retry_cap=2)
+    assert (stats.committed, stats.ac2) == (True, 0)
+    assert sim.line_state(0, "llc") is None
+    sim.check_invariants()
+
+
+# how a pin-scope transaction ends: the consultations that fire, counted
+# across attempts (an attempt makes five or six), the retry cap and
+# whether the body aborts
+PIN_SCOPE_ENDINGS = {
+    "commit": ((), 4, False),
+    "rollback-then-commit": ((4,), 4, False),
+    "body-abort": ((), 4, True),
+    "retry-cap": ((4, 8), 2, False),
+}
+
+
+@pytest.mark.parametrize("prefetch", [True, False])
+@pytest.mark.parametrize("ending", sorted(PIN_SCOPE_ENDINGS))
+def test_pins_end_with_their_transaction_and_raw_pins_outlive_it(ending, prefetch):
+    fire_on, cap, abort = PIN_SCOPE_ENDINGS[ending]
+    sim = CacheSim(SMALL)
+    # raw pins, with no transaction open: line 6 by an access (L1 set 0,
+    # dirty) and line 7 by a prefetch (L1 set 1); the transaction
+    # declares line 7 too, so its pin ends with the transaction.  Lines
+    # 0 and 2 take turns in L1 set 0's other way: line 6's dirty raw pin
+    # keeps it from being the victim
+    sim.access(addr_of(6), "write", pin=True)
+    sim.prefetch([7], "read")
+    decl = TxnDeclaration.of(reads=[(0, 64), (addr_of(2), 64), (addr_of(7), 64)],
+                             writes=[(addr_of(3), 64)])
+
+    def body(ctx):
+        ctx.read(addr_of(0))
+        ctx.read(addr_of(2))
+        ctx.read_run(addr_of(7), 2)
+        ctx.write(addr_of(3), 1)
+        ctx.tick()
+        if abort:
+            raise BodyAbortError()
+
+    try:
+        stats = run_txn(sim, decl, body, FireOnConsultation(fire_on),
+                        prefetch=prefetch, retry_cap=cap)
+    except (BodyAbortError, RetryCapExceededError) as exc:
+        stats = exc.stats
+    assert stats.committed == ending.endswith("commit")
+    assert stats.attempts == (2 if fire_on else 1)
+    assert not sim.txn_open
+    assert sim.line_state(6, "l1") == (True, True)
+    assert sim.line_state(6, "llc") == (False, True)
+    for line in (0, 2, 3, 7):
+        for level in ("l1", "llc"):
+            state = sim.line_state(line, level)
+            assert state is None or not state[1], (line, level)
+    sim.check_invariants()
+
+
 # -- eviction aborts (pinned set conflict) -----------------------------------
 
 
@@ -282,7 +359,7 @@ def test_three_write_lines_in_one_set_storm_until_retry_cap():
     assert stats.prefetch_events == 12
     # rollback left nothing resident or pinned
     for line in (0, 2, 4):
-        assert not sim.line_resident(line, "llc")
+        assert sim.line_state(line, "llc") is None
     assert not sim.txn_open
     sim.check_invariants()
     # and the simulator still runs clean transactions afterwards
@@ -587,7 +664,7 @@ def test_undeclared_read_raises_and_rolls_back():
     assert exc_info.value.addr == 64
     assert exc_info.value.kind == "read"
     assert sim.peek_word(addr_of(0)) == 5
-    assert not sim.line_resident(0, "llc")
+    assert sim.line_state(0, "llc") is None
     assert not sim.txn_open
 
 
@@ -1063,11 +1140,11 @@ def test_read_run_served_from_llc_counts_llc_hits():
         assert ctx.read_run(addr_of(2, 2), 12) == [0] * 12
         seen["llc_hits"] = sim.counters.llc_hits - before[0]
         seen["events"] = len(sim.trace) - before[1]
-        seen["l1"] = [sim.line_resident(line, "l1") for line in (2, 3)]
+        seen["l1"] = [sim.line_state(line, "l1") for line in (2, 3)]
 
     stats = run_txn(sim, decl, body)
     assert stats.committed and stats.attempts == 1
-    assert seen == {"llc_hits": 12, "events": 0, "l1": [False, False]}
+    assert seen == {"llc_hits": 12, "events": 0, "l1": [None, None]}
 
 
 def test_interrupt_inside_a_line_consults_per_word():
@@ -1102,7 +1179,7 @@ def test_run_into_undeclared_line_raises_before_any_access(prefetch):
     else:
         assert sim.counters == AccessCounters()
         assert sim.trace == []
-    assert not sim.line_resident(0)
+    assert sim.line_state(0, "llc") is None
 
 
 @pytest.mark.parametrize(
