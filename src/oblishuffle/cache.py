@@ -26,39 +26,38 @@ from the LLC without allocating in L1 (no event, nothing lost), while a
 write raises :class:`PinViolationError` because there is nowhere safe to
 put the dirty word.
 
-A pin is a stamp on the entry, not a flag, so that a transaction's pins
-end with it in one step, as a hardware transaction's commit clears the
-tracking of all its lines at once.  ``open_txn`` starts a new epoch and
-``close_txn`` ends it.  A pinned access stamps the open epoch, or, with
-no transaction open, the fixed stamp -1.  An entry is pinned while its
-stamp is the open epoch or -1, so closing the epoch releases every pin
-made in it at once, and only ``unpin_lines`` (or ``commit_lines`` with
-pinned lines), which stamps 0, releases a -1 pin.  That is the per-line,
-per-level pin of the calls made with no transaction open.
+A pin models the read and write set a hardware transaction tracks, so
+it exists only while a transaction runs: an access is pinned iff an
+epoch is open; an access with no transaction open never faults.
+``open_txn`` starts a new epoch and ``close_txn`` ends it.  Every access
+stamps the latest epoch on its entry at both levels, and an entry is
+pinned iff its stamp is the open epoch, so closing the epoch releases
+every pin made in it at once, as a hardware transaction's commit clears
+the tracking of all its lines.  ``unpin_lines`` stamps 0 on the lines
+it names, which releases their pins early.
 
 A transaction's prefetch block, each list of runs of its body and its
 commit are one call each, and each is exact: ``prefetch(lines, kind)``
-equals one pinned ``access`` per line in order, ``access_runs(runs,
-kind, pin)`` equals, for each ``(addr, count)`` of ``runs`` in order,
-one ``access`` per word at ascending addresses, taking one step per
-line, and ``commit_lines(dirtied, pinned)`` equals ``writeback_line``
-per dirtied line in order followed by ``unpin_lines(pinned)``.  A run
-list is the one path for consecutive words: ``access_run(addr, count,
-kind, pin)`` is the list of that one run.  A transaction commits with
-``commit_lines(dirtied, ())``, one pass over the lines it dirtied, and
-its pins end with ``close_txn``.  The state of these calls (trace,
-counters, LRU order, dirty bits and stamps) matches the per-line or
-per-word calls, including after a PinViolationError part-way through a
-block or run list.  Invalid input is the caller's error, not a modelled
-fault, and has one rule: ``access``, ``read_word``/``write_word``,
-``access_runs`` and ``prefetch`` check their whole input (the kind, and
-the range of every address or line) before their first access, and raise
-a ValueError naming the first bad address before anything changes.  The
-block calls sit on one per-line step: ``access``,
-``read_word``/``write_word``, ``access_runs`` and ``prefetch`` each make
-one ``_lines`` call with (line, k) pairs, which makes a full access for
-a line's first word and moves only the counters for its other k - 1
-words (a prefetch passes k = 1).
+equals one ``access`` per line in order, ``access_runs(runs, kind)``
+equals, for each ``(addr, count)`` of ``runs`` in order, one ``access``
+per word at ascending addresses, taking one step per line, and
+``commit_lines(dirtied)`` equals ``writeback_line`` per dirtied line in
+order.  A run list is the one path for consecutive words:
+``access_run(addr, count, kind)`` is the list of that one run.  A
+transaction commits with ``commit_lines(dirtied)``, one pass over the
+lines it dirtied, and its pins end with ``close_txn``.  The state of
+these calls (trace, counters, LRU order, dirty bits and stamps) matches
+the per-line or per-word calls, including after a PinViolationError
+part-way through a block or run list.  Invalid input is the caller's
+error, not a modelled fault, and has one rule: ``access``,
+``read_word``/``write_word``, ``access_runs`` and ``prefetch`` check
+their whole input (the kind, and the range of every address or line)
+before their first access, and raise a ValueError naming the first bad
+address before anything changes.  The block calls sit on one per-line
+step: ``access``, ``read_word``/``write_word``, ``access_runs`` and
+``prefetch`` each make one ``_lines`` call with (line, k) pairs, which
+makes a full access for a line's first word and moves only the counters
+for its other k - 1 words (a prefetch passes k = 1).
 
 The trace is stored packed.  ``CacheSim.trace`` is an ``EventLog``, an
 ``array('q')`` of one 8-byte code per event, ``line << 1 |
@@ -100,12 +99,6 @@ KIND_WRITEBACK = "write-back"
 
 READ = "read"
 WRITE = "write"
-
-# the pin stamp of an access made with no transaction open; an L1 entry
-# is ``stamp << 1 | dirty`` and an LLC entry ``stamp``, and a stamp of 0
-# (or of an epoch that has ended) is no pin
-_RAW_PIN = -1
-
 
 def _is_write(kind: str) -> bool:
     if kind == WRITE:
@@ -157,7 +150,7 @@ class EventLog(array):
 
     To a reader it is a list of ``TraceEvent``s: iteration, an index and
     a slice (a list) decode the events they return, and it equals a list
-    that holds the same events.  ``append`` and ``extend`` take events.
+    that holds the same events.  ``append`` takes an event.
     The simulator appends codes through the base ``array`` methods, so
     recording an event makes no Python object.
     """
@@ -203,9 +196,6 @@ class EventLog(array):
 
     def append(self, event: tuple[str, int]) -> None:
         _append(self, _code(event))
-
-    def extend(self, events: Iterable[tuple[str, int]]) -> None:
-        _extend(self, map(_code, events))
 
     def clear(self) -> None:
         del self[:]
@@ -384,7 +374,7 @@ class CacheSim:
         self.trace = EventLog()
         self.counters = AccessCounters()
         self._epoch = 0  # the epochs opened so far; the first is 1
-        self._pin = _RAW_PIN  # the stamp a pinned access makes now
+        self._pin = -1  # the open epoch, or -1, which no entry holds
         c = self.config
         self._shift = c.line_shift
         self._l1_mask = c.l1_sets - 1
@@ -399,20 +389,17 @@ class CacheSim:
 
     @property
     def txn_open(self) -> bool:
-        return self._pin != _RAW_PIN
+        return self._pin > 0
 
     def open_txn(self) -> None:
-        """Start a new epoch: until ``close_txn``, a pinned access stamps
-        it, and an entry stamped with it is pinned."""
+        """Start a new epoch: until ``close_txn``, every access stamps it
+        and so pins its line."""
         self._epoch += 1
         self._pin = self._epoch
 
     def close_txn(self) -> None:
         """End the open epoch, which releases every pin stamped with it."""
-        self._pin = _RAW_PIN
-
-    def _pinned(self, stamp: int) -> bool:
-        return stamp == self._pin or stamp == _RAW_PIN
+        self._pin = -1
 
     # -- observable trace ------------------------------------------------
 
@@ -503,25 +490,25 @@ class CacheSim:
 
     # -- traced accesses ---------------------------------------------------
 
-    def read_word(self, addr: int, pin: bool = False) -> int:
+    def read_word(self, addr: int) -> int:
         self._check_word(addr)
-        self._lines(((addr >> self._shift, 1),), False, pin)
+        self._lines(((addr >> self._shift, 1),), False)
         w = addr >> 3
         try:
             return self._pages[w >> _PAGE_SHIFT][w & _PAGE_MASK]
         except KeyError:  # a page never stored to
             return 0
 
-    def write_word(self, addr: int, value: int, pin: bool = False) -> None:
+    def write_word(self, addr: int, value: int) -> None:
         self._check_word(addr)
-        self._lines(((addr >> self._shift, 1),), True, pin)
+        self._lines(((addr >> self._shift, 1),), True)
         w = addr >> 3
         try:
             self._pages[w >> _PAGE_SHIFT][w & _PAGE_MASK] = value
         except KeyError:
             self._new_page(w >> _PAGE_SHIFT)[w & _PAGE_MASK] = value
 
-    def access(self, addr: int, kind: str, pin: bool = False) -> str:
+    def access(self, addr: int, kind: str) -> str:
         """Touch one byte address; returns "l1-hit", "llc-hit" or "llc-miss".
 
         Raises PinViolationError when the access cannot be satisfied
@@ -535,19 +522,17 @@ class CacheSim:
             raise ValueError(f"address {addr} out of range")
         c = self.counters
         l1_hits, llc_misses = c.l1_hits, c.llc_misses
-        self._lines(((addr >> self._shift, 1),), _is_write(kind), pin)
+        self._lines(((addr >> self._shift, 1),), _is_write(kind))
         if c.l1_hits != l1_hits:
             return "l1-hit"
         return "llc-miss" if c.llc_misses != llc_misses else "llc-hit"
 
-    def access_run(self, addr: int, count: int, kind: str, pin: bool = False) -> None:
+    def access_run(self, addr: int, count: int, kind: str) -> None:
         """``access_runs`` of the one run ``(addr, count)``."""
-        self.access_runs(((addr, count),), kind, pin)
+        self.access_runs(((addr, count),), kind)
 
-    def access_runs(
-        self, runs: Iterable[tuple[int, int]], kind: str, pin: bool = False
-    ) -> None:
-        """Exactly ``access(addr + i * WORD_BYTES, kind, pin)`` for each i in
+    def access_runs(self, runs: Iterable[tuple[int, int]], kind: str) -> None:
+        """Exactly ``access(addr + i * WORD_BYTES, kind)`` for each i in
         ``range(count)``, for each ``(addr, count)`` of ``runs`` in order,
         in one call taking one step per line of each run.
 
@@ -582,11 +567,11 @@ class CacheSim:
             steps.append((first, head))
             steps.extend(zip(range(first + 1, last), repeat(per)))
             steps.append((last, count - head - (last - first - 1) * per))
-        self._lines(steps, is_write, pin)
+        self._lines(steps, is_write)
 
     def prefetch(self, lines: Sequence[int], kind: str) -> None:
-        """Exactly ``access(line << shift, kind, pin=True)`` for each of
-        ``lines`` in order, in one call.
+        """Exactly ``access(line << shift, kind)`` for each of ``lines`` in
+        order, in one call.
 
         A bad ``kind``, or a line out of range (a ValueError naming the
         first such line's address), is refused before any line; a
@@ -598,9 +583,9 @@ class CacheSim:
         if min(lines, default=0) < 0 or max(lines, default=0) << shift >= limit:
             bad = next(line for line in lines if not 0 <= line << shift < limit)
             raise ValueError(f"address {bad << shift} out of range")
-        self._lines(zip(lines, repeat(1)), is_write, True)
+        self._lines(zip(lines, repeat(1)), is_write)
 
-    def _lines(self, steps: Iterable[tuple[int, int]], is_write: bool, pin: bool) -> None:
+    def _lines(self, steps: Iterable[tuple[int, int]], is_write: bool) -> None:
         """Make ``k`` accesses of one kind to each ``line`` of ``steps``, in
         order: the one per-line step every traced call is made of.
 
@@ -614,15 +599,13 @@ class CacheSim:
         counters.  A PinViolationError leaves the steps before it applied
         and only the faulting line's first word counted.
         """
-        # ``live`` is the stamp a pin holds now, besides -1; a pinned
-        # access stamps it at both levels, an unpinned one keeps a hit
-        # entry's stamp and installs stamp 0
+        # every access stamps the latest epoch at both levels; an entry is
+        # pinned iff its stamp is ``live``: the open epoch, or with none
+        # open -1, which no entry holds
         live = self._pin
-        protected = live << 1 | 1  # an L1 entry no access may displace, or -1
-        if pin:
-            bits, keep, lstamp = live << 1 | is_write, 1, live
-        else:
-            bits, keep, lstamp = int(is_write), -1, 0
+        protected = live << 1 | 1  # an L1 entry no access may displace
+        lstamp = self._epoch
+        bits = lstamp << 1 | is_write
         l1, l1_mask, l1_ways = self._l1, self._l1_mask, self._l1_ways
         llc, llc_mask, llc_ways = self._llc, self._llc_mask, self._llc_ways
         trace = self.trace
@@ -635,16 +618,15 @@ class CacheSim:
                 flags = l1_set.pop(line, None)
                 if flags is not None:
                     # an L1 hit moves the line to the end of its L1 set only
-                    l1_set[line] = flags & keep | bits
-                    if pin:
-                        llc[line & llc_mask][line] = lstamp
+                    l1_set[line] = flags & 1 | bits
+                    llc[line & llc_mask][line] = lstamp
                     hits += k
                     continue
                 c.total += 1
                 install_l1 = True
                 if len(l1_set) >= l1_ways:
                     for l1_victim, flags in l1_set.items():
-                        if flags != protected and flags != -1:
+                        if flags != protected:
                             break
                     else:
                         # every way holds protected dirty data: a read is
@@ -661,7 +643,7 @@ class CacheSim:
                 lflags = llc_set.pop(line, None)
                 if lflags is None and len(llc_set) >= llc_ways:
                     for llc_victim, flags in llc_set.items():
-                        if flags != live and flags != -1:
+                        if flags != live:
                             break
                     else:
                         raise PinViolationError(line, "llc")
@@ -675,10 +657,9 @@ class CacheSim:
                 if lflags is None:
                     emit(trace, line << 1)
                     c.llc_misses += 1
-                    llc_set[line] = lstamp
                 else:
                     c.llc_hits += 1
-                    llc_set[line] = lstamp if pin else lflags
+                llc_set[line] = lstamp
                 if install_l1:
                     l1_set[line] = bits
                     hits += k - 1
@@ -710,13 +691,10 @@ class CacheSim:
             if s:
                 s.pop(line, None)
 
-    def commit_lines(self, dirtied: Iterable[int], pinned: Iterable[int]) -> int:
-        """Exactly ``writeback_line`` for each of ``dirtied`` in order, then
-        ``unpin_lines(pinned)``, in one call.  Returns the number of
-        write-back events emitted.  Unpinning stamps 0 on each of
-        ``pinned`` resident at a level, whatever its stamp was."""
+    def commit_lines(self, dirtied: Iterable[int]) -> int:
+        """Exactly ``writeback_line`` for each of ``dirtied`` in order, in
+        one call.  Returns the number of write-back events emitted."""
         l1, l1_mask = self._l1, self._l1_mask
-        llc, llc_mask = self._llc, self._llc_mask
         trace = self.trace
         emit = _append
         emitted = 0
@@ -727,17 +705,18 @@ class CacheSim:
                 s[line] = f ^ 1
                 emit(trace, line << 1 | 1)
                 emitted += 1
-        for line in pinned:
-            s = l1[line & l1_mask]
-            if line in s:
-                s[line] &= 1
-            s = llc[line & llc_mask]
-            if s and line in s:
-                s[line] = 0
         return emitted
 
     def unpin_lines(self, lines: Iterable[int]) -> None:
-        self.commit_lines((), lines)
+        """Stamp 0 on each of ``lines`` resident at a level, which ends
+        its pin before the open epoch does."""
+        for line in lines:
+            s = self._l1[line & self._l1_mask]
+            if line in s:
+                s[line] &= 1
+            s = self._llc[line & self._llc_mask]
+            if s and line in s:
+                s[line] = 0
 
     def writeback_line(self, line: int) -> bool:
         """Force a dirty line out to memory, emitting one write-back event.
@@ -745,32 +724,32 @@ class CacheSim:
         The line stays resident (now clean) wherever it was.  Returns True
         if an event was emitted, False if the line was clean or absent.
         """
-        return self.commit_lines((line,), ()) == 1
+        return self.commit_lines((line,)) == 1
 
     def line_state(self, line: int, level: str) -> tuple[bool, bool] | None:
         """(dirty, pinned) at that level, or None if not resident."""
         if level == "l1":
             f = self._l1[line & self._l1_mask].get(line)
-            return None if f is None else (bool(f & 1), self._pinned(f >> 1))
+            return None if f is None else (bool(f & 1), f >> 1 == self._pin)
         f = (self._llc[line & self._llc_mask] or {}).get(line)
-        return None if f is None else (False, self._pinned(f))
+        return None if f is None else (False, f == self._pin)
 
     def check_invariants(self) -> None:
         """Structural sanity for tests: occupancy bounds, set mapping,
-        inclusion, stamps no later than the last epoch, and pin agreement
-        between levels: a pinned L1 entry's LLC entry has its stamp."""
+        inclusion, every stamp in ``0..epoch``, and pin agreement between
+        levels: a pinned L1 entry's LLC entry has its stamp."""
         for idx, s in enumerate(self._l1):
             assert len(s) <= self.config.l1_ways, "L1 set over ways"
             for line, f in s.items():
                 assert line & self._l1_mask == idx, "L1 set mapping broken"
-                assert _RAW_PIN <= f >> 1 <= self._epoch, "L1 stamp out of range"
+                assert 0 <= f >> 1 <= self._epoch, "L1 stamp out of range"
                 lf = (self._llc[line & self._llc_mask] or {}).get(line)
                 assert lf is not None, "inclusion broken"
-                assert lf == f >> 1 or not self._pinned(f >> 1), "pin levels disagree"
+                assert lf == f >> 1 or f >> 1 != self._pin, "pin levels disagree"
         for idx, s in enumerate(self._llc):
             if s is None:  # no line installed here since the last flush
                 continue
             assert len(s) <= self.config.llc_ways, "LLC set over ways"
             for line, f in s.items():
                 assert line & self._llc_mask == idx, "LLC set mapping broken"
-                assert _RAW_PIN <= f <= self._epoch, "LLC stamp out of range"
+                assert 0 <= f <= self._epoch, "LLC stamp out of range"

@@ -21,17 +21,18 @@ lines are written back in the order they were first dirtied (for a
 prefetched transaction that is ascending line order by construction) and
 all pins are released; the lines stay resident and clean.  Each block is
 one exact ``CacheSim`` call: the prefetch is ``sim.prefetch`` on the read
-lines and then on the write lines, equal to one pinned ``access`` per
-line, and the commit is ``sim.commit_lines(dirtied, ())``, equal to
+lines and then on the write lines, equal to one ``access`` per line,
+and the commit is ``sim.commit_lines(dirtied)``, equal to
 ``writeback_line`` per dirtied line, one pass over the lines the attempt
 dirtied and none over those it only read.  A pin is a stamp of the
 transaction's epoch (see ``cache``): ``run_txn`` opens the epoch with
-``sim.open_txn`` and closes it with ``sim.close_txn``, which releases
-every pin the transaction made in one step, however many lines it
-pinned.  Each attempt's context holds the lines it dirtied, which the
-commit writes back, and a cold one the lines it pinned, which a rollback
-drops; a prefetched attempt pinned and dirtied exactly the declared
-lines, so its rollback drops the declared spans.
+``sim.open_txn``, so every access it makes is pinned, and closes it with
+``sim.close_txn``, which releases every pin the transaction made in one
+step, however many lines it pinned.  Each attempt's context holds the
+lines it dirtied, which the commit writes back, and a cold one the lines
+it pinned, which a rollback drops; a prefetched attempt pinned and
+dirtied exactly the declared lines, so its rollback drops the declared
+spans.
 
 A body accesses words with ``ctx.read``/``ctx.write``, consecutive words
 with ``ctx.read_run(addr, count)``/``ctx.write_run(addr, values)``, or a
@@ -518,7 +519,7 @@ class TxnContext:
                     self._pinned.add(line)
                     if kind == WRITE:
                         self._dirtied[line] = None
-                self._sim.access_runs(stretch, kind, True)
+                self._sim.access_runs(stretch, kind)
                 if vals is not None:
                     self._store(stretch, vals)
             if fired is not None:
@@ -611,7 +612,7 @@ def run_txn(
                 continue
 
             # the write-backs; closing the epoch below ends the pins
-            sim.commit_lines(ctx._dirtied, ())
+            sim.commit_lines(ctx._dirtied)
             stats.committed = True
             if prefetch and stats.body_events:
                 raise HitGuaranteeError(

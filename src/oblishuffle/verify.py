@@ -143,12 +143,9 @@ def first_divergence(a: Trace, b: Trace):
     for i in range(min(len(a), len(b))):
         if a[i] != b[i]:
             return i, a[i], b[i]
-    if len(a) != len(b):
-        i = min(len(a), len(b))
-        ea = a[i] if i < len(a) else None
-        eb = b[i] if i < len(b) else None
-        return i, ea, eb
-    return None
+    # the traces differ, so one is a prefix of the other
+    i = min(len(a), len(b))
+    return i, a[i] if i < len(a) else None, b[i] if i < len(b) else None
 
 
 def verify_obliviousness(

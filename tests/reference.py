@@ -14,14 +14,20 @@ simulator's sets and counters and call none of its methods.
 
 ``CacheSim.prefetch`` and ``CacheSim.commit_lines`` handle a whole block
 of lines in one call.  ``per_line_prefetch`` and ``per_line_commit`` are
-the loops they replace: one pinned ``access`` per prefetched line, and
-the commit's write-backs and unpins written out line by line on the cache
-entries, independently of ``commit_lines``.
+the loops they replace: one ``access`` per prefetched line, and the
+commit's write-backs written out line by line on the cache entries,
+independently of ``commit_lines``; ``per_line_unpin`` is
+``unpin_lines`` written out the same way.
 
 ``ReferenceCacheSim`` is ``CacheSim`` as it was when it kept LRU order
 with stamps: each resident line a 3-slot list (dirty, pinned, stamp),
 with the stamp taken from a global access clock, and the victim the
-entry with the smallest stamp that its level's pin rule lets go.
+entry with the smallest stamp that its level's pin rule lets go.  Its
+pins are per line: an access made while a transaction is open pins its
+line, and ``close_txn`` unpins, line by line, every line pinned since
+``open_txn``.
+``in_epoch`` opens or closes either simulator's epoch, and
+``pinned_lines`` lists the pins ``line_state`` reports.
 ``lru_entries`` and ``reference_lru_entries`` put either simulator's sets
 in one form, (line, dirty, pinned) in LRU order, and ``memory_contents``
 puts either one's backing memory, pages or a word dict, in one form,
@@ -32,8 +38,8 @@ attempt's undo log.
 
 ``AllLinesDeclaration`` is a ``TxnDeclaration`` with ``all_lines``,
 every declared line ascending, which a prefetched attempt's context held
-until pins became epoch stamps; ``snapshot_run_txn`` unpins and drops
-them, so the differential test declares through it.
+until pins became epoch stamps; ``snapshot_run_txn`` drops them when an
+attempt aborts, so the differential test declares through it.
 
 ``SetDeclaration`` is ``TxnDeclaration`` as it was when each side was a
 set of lines (built by ``normalize``) and its line tuples were sorted at
@@ -67,7 +73,6 @@ from oblishuffle.cache import (
     PinViolationError,
     Trace,
     TraceEvent,
-    _RAW_PIN,
     _event,
 )
 from oblishuffle.layout import READ_WRITE, LayoutInfeasibleError, LayoutPlan
@@ -88,7 +93,7 @@ from oblishuffle.txn import (
 _DIRTY, _PINNED, _STAMP = 0, 1, 2
 
 
-def per_word_access(sim, addr, kind, pin=False):
+def per_word_access(sim, addr, kind):
     """One access, as ``CacheSim.access`` makes it: returns "l1-hit",
     "llc-hit" or "llc-miss"."""
     if not 0 <= addr < sim.config.address_space:
@@ -100,32 +105,27 @@ def per_word_access(sim, addr, kind, pin=False):
     sim.counters.total += 1
     l1_set = sim._l1[line & sim._l1_mask]
     if line in l1_set:
-        # a hit moves the line to the end of its L1 set only
+        # a hit moves the line to the end of its L1 set only, and stamps
+        # the latest epoch at both levels, keeping the dirty bit
         flags = l1_set.pop(line)
-        if is_write:
-            flags |= 1  # the dirty bit, under the stamp
-        if pin:
-            # a pin stamps the open epoch, or -1, at both levels
-            flags = sim._pin << 1 | flags & 1
-            sim._llc[line & sim._llc_mask][line] = sim._pin
-        l1_set[line] = flags
+        l1_set[line] = sim._epoch << 1 | flags & 1 | is_write
+        sim._llc[line & sim._llc_mask][line] = sim._epoch
         sim.counters.l1_hits += 1
         return "l1-hit"
-    return per_word_miss(sim, line, l1_set, is_write, pin)
+    return per_word_miss(sim, line, l1_set, is_write)
 
 
-def per_word_miss(sim, line: int, l1_set: dict, is_write: bool, pin: bool) -> str:
+def per_word_miss(sim, line: int, l1_set: dict, is_write: bool) -> str:
     """Finish an access to ``line``, already counted, that found no
     entry in its L1 set ``l1_set``: choose both victims, evict them,
     then install the line.  Returns "llc-hit" or "llc-miss"."""
     # decide both victims before touching anything; each is the first
     # entry in LRU order that its level's pin rule lets go, and a stamp
-    # pins while it is the open epoch or -1
-    live = (sim._pin, _RAW_PIN)
+    # pins while it is the open epoch
     install_l1 = True
     if len(l1_set) >= sim._l1_ways:
         for l1_victim, flags in l1_set.items():
-            if not (flags & 1 and flags >> 1 in live):  # pinned dirty data
+            if not (flags & 1 and flags >> 1 == sim._pin):  # pinned dirty data
                 break
         else:
             # every way holds protected dirty data: a read is served
@@ -143,7 +143,7 @@ def per_word_miss(sim, line: int, l1_set: dict, is_write: bool, pin: bool) -> st
     llc_victim = None
     if lflags is None and len(llc_set) >= sim._llc_ways:
         for llc_victim, flags in llc_set.items():
-            if flags not in live:
+            if flags != sim._pin:
                 break
         else:
             raise PinViolationError(line, "llc")
@@ -159,21 +159,18 @@ def per_word_miss(sim, line: int, l1_set: dict, is_write: bool, pin: bool) -> st
         if l1_set.pop(l1_victim, 0) & 1:
             trace.append(_event(TraceEvent, (KIND_WRITEBACK, l1_victim)))
 
-    # a pinned access stamps the open epoch, or -1; an installed line is
-    # otherwise stamped 0, and an LLC hit keeps its stamp
-    stamp = sim._pin if pin else 0
+    # the line is stamped with the latest epoch at each level it holds
     if lflags is not None:
-        llc_set[line] = stamp if pin else lflags
         sim.counters.llc_hits += 1
         result = "llc-hit"
     else:
         trace.append(_event(TraceEvent, (KIND_MISS, line)))
         sim.counters.llc_misses += 1
-        llc_set[line] = stamp
         result = "llc-miss"
+    llc_set[line] = sim._epoch
 
     if install_l1:
-        l1_set[line] = stamp << 1 | is_write
+        l1_set[line] = sim._epoch << 1 | is_write
     return result
 
 
@@ -226,7 +223,7 @@ def per_word_read(ctx, addr):
         ctx._pinned.add(line)
     sim = ctx._sim
     sim._check_word(addr)
-    per_word_access(sim, addr, READ, True)
+    per_word_access(sim, addr, READ)
     return sim.load_words(addr >> 3, 1)[0]
 
 
@@ -243,20 +240,19 @@ def per_word_write(ctx, addr, value):
         ctx._dirtied.setdefault(line)
     sim = ctx._sim
     sim._check_word(addr)
-    per_word_access(sim, addr, WRITE, True)
+    per_word_access(sim, addr, WRITE)
     ctx._undo.append((addr >> 3, sim.load_words(addr >> 3, 1)))
     sim.store_words(addr >> 3, [value])
 
 
 def per_line_prefetch(sim, lines, kind) -> None:
     for line in lines:
-        per_word_access(sim, line << sim.config.line_shift, kind, pin=True)
+        per_word_access(sim, line << sim.config.line_shift, kind)
 
 
-def per_line_commit(sim, dirtied, pinned) -> int:
-    """Write back each dirtied line in order, then unpin: stamp 0 at each
-    level where the line is resident.  Returns the number of write-back
-    events.  Dirty data lives in L1 only."""
+def per_line_commit(sim, dirtied) -> int:
+    """Write back each dirtied line in order.  Returns the number of
+    write-back events.  Dirty data lives in L1 only."""
     emitted = 0
     for line in dirtied:
         s = sim._l1[line & sim._l1_mask]
@@ -264,27 +260,46 @@ def per_line_commit(sim, dirtied, pinned) -> int:
             s[line] &= ~1  # an entry change keeps the LRU order
             sim.trace.append(TraceEvent(KIND_WRITEBACK, line))
             emitted += 1
-    for line in pinned:
+    return emitted
+
+
+def per_line_unpin(sim, lines) -> None:
+    """Stamp 0 on each line at each level where it is resident."""
+    for line in lines:
         s = sim._l1[line & sim._l1_mask]
         if line in s:
             s[line] = s[line] & 1  # stamp 0, the dirty bit kept
         s = sim._llc[line & sim._llc_mask] or {}
         if line in s:
             s[line] = 0
-    return emitted
 
 
 def lru_entries(sim):
     """Each set of a ``CacheSim``, L1 sets then LLC sets, as (line, dirty,
     pinned) in LRU order, least recently used first; an LLC set not yet
     made is empty.  An L1 entry is ``stamp << 1 | dirty`` and an LLC
-    entry a stamp, which pins while it is the open epoch or -1."""
-    live = (sim._pin, _RAW_PIN)
-    l1 = [[(line, bool(f & 1), f >> 1 in live) for line, f in s.items()]
+    entry a stamp, which pins while it is the open epoch."""
+    l1 = [[(line, bool(f & 1), f >> 1 == sim._pin) for line, f in s.items()]
           for s in sim._l1]
-    llc = [[(line, False, f in live) for line, f in (s or {}).items()]
+    llc = [[(line, False, f == sim._pin) for line, f in (s or {}).items()]
            for s in sim._llc]
     return l1 + llc
+
+
+def in_epoch(sim, inside):
+    """Open an epoch, or close the open one, so that the next access is
+    made inside an epoch iff ``inside``."""
+    if inside and not sim.txn_open:
+        sim.open_txn()
+    elif sim.txn_open and not inside:
+        sim.close_txn()
+
+
+def pinned_lines(sim, lines):
+    """The (line, level) pairs of ``lines`` resident and pinned, by
+    ``line_state``."""
+    return [(line, level) for line in lines for level in ("l1", "llc")
+            if (sim.line_state(line, level) or (False, False))[1]]
 
 
 def set_dicts(sim):
@@ -470,6 +485,7 @@ class ReferenceCacheSim:
         self.trace: list[TraceEvent] = []
         self.counters = AccessCounters()
         self.txn_open = False
+        self._held: set[int] = set()  # the lines pinned since open_txn
         c = self.config
         self._shift = c.line_shift
         self._l1_mask = c.l1_sets - 1
@@ -479,6 +495,18 @@ class ReferenceCacheSim:
         self._l1: list[dict[int, list]] = [dict() for _ in range(c.l1_sets)]
         self._llc: list[dict[int, list]] = [dict() for _ in range(c.llc_sets)]
         self._clock = 0
+
+    # -- transactions ----------------------------------------------------
+
+    def open_txn(self) -> None:
+        """Until ``close_txn``, every access pins its line."""
+        self.txn_open = True
+
+    def close_txn(self) -> None:
+        """Unpin, line by line, every line pinned since ``open_txn``."""
+        self.txn_open = False
+        self.unpin_lines(self._held)
+        self._held.clear()
 
     # -- observable trace ------------------------------------------------
 
@@ -531,17 +559,17 @@ class ReferenceCacheSim:
 
     # -- traced accesses ---------------------------------------------------
 
-    def read_word(self, addr: int, pin: bool = False) -> int:
+    def read_word(self, addr: int) -> int:
         self._check_word(addr)
-        self.access(addr, READ, pin)
+        self.access(addr, READ)
         return self.memory.get(addr >> 3, 0)
 
-    def write_word(self, addr: int, value: int, pin: bool = False) -> None:
+    def write_word(self, addr: int, value: int) -> None:
         self._check_word(addr)
-        self.access(addr, WRITE, pin)
+        self.access(addr, WRITE)
         self.memory[addr >> 3] = value
 
-    def access(self, addr: int, kind: str, pin: bool = False) -> str:
+    def access(self, addr: int, kind: str) -> str:
         """Touch one byte address; returns "l1-hit", "llc-hit" or "llc-miss".
 
         Raises PinViolationError when the access cannot be satisfied
@@ -557,6 +585,9 @@ class ReferenceCacheSim:
         if not is_write and kind != READ:
             raise ValueError(f"bad access kind: {kind!r}")
         line = addr >> self._shift
+        pin = self.txn_open
+        if pin:
+            self._held.add(line)
         self._clock += 1
         clock = self._clock
         self.counters.total += 1
@@ -574,8 +605,8 @@ class ReferenceCacheSim:
             return "l1-hit"
         return self._miss(line, l1_set, is_write, pin, clock)
 
-    def access_run(self, addr: int, count: int, kind: str, pin: bool = False) -> None:
-        """Exactly ``access(addr + i * WORD_BYTES, kind, pin)`` for each i in
+    def access_run(self, addr: int, count: int, kind: str) -> None:
+        """Exactly ``access(addr + i * WORD_BYTES, kind)`` for each i in
         ``range(count)``, in one call taking one step per line.
 
         A line's first word is a full access; its other words can only
@@ -595,6 +626,7 @@ class ReferenceCacheSim:
         limit = self.config.address_space
         l1, l1_mask = self._l1, self._l1_mask
         llc, llc_mask = self._llc, self._llc_mask
+        pin = self.txn_open
         c = self.counters
         clock, total, l1_hits = self._clock, c.total, c.l1_hits
         end = addr + count * WORD_BYTES
@@ -614,6 +646,8 @@ class ReferenceCacheSim:
                 # the words of this run that fall in this line
                 k = (stop - addr + WORD_BYTES - 1) // WORD_BYTES
                 addr += k * WORD_BYTES
+                if pin:
+                    self._held.add(line)
                 l1_set = l1[line & l1_mask]
                 entry = l1_set.get(line)
                 if entry is None:
@@ -644,15 +678,15 @@ class ReferenceCacheSim:
         finally:
             self._clock, c.total, c.l1_hits = clock, total, l1_hits
 
-    def access_runs(self, runs, kind: str, pin: bool = False) -> None:
+    def access_runs(self, runs, kind: str) -> None:
         """``access_run`` for each ``(addr, count)`` of ``runs`` in order,
         which is how a ``TxnContext`` body reaches the simulator."""
         for addr, count in runs:
-            self.access_run(addr, count, kind, pin)
+            self.access_run(addr, count, kind)
 
     def prefetch(self, lines: Iterable[int], kind: str) -> None:
-        """Exactly ``access(line << shift, kind, pin=True)`` for each of
-        ``lines`` in order, in one call.
+        """Exactly ``access(line << shift, kind)`` for each of ``lines`` in
+        order, in one call.
 
         A fault on a line (PinViolationError, or ValueError for a line
         out of range) leaves the lines before it applied and the faulting
@@ -667,6 +701,7 @@ class ReferenceCacheSim:
         l1, l1_mask = self._l1, self._l1_mask
         llc, llc_mask = self._llc, self._llc_mask
         miss = self._miss
+        pin = self.txn_open
         c = self.counters
         clock, total, l1_hits = self._clock, c.total, c.l1_hits
         try:
@@ -674,18 +709,21 @@ class ReferenceCacheSim:
                 addr = line << shift
                 if not 0 <= addr < limit:
                     raise ValueError(f"address {addr} out of range")
+                if pin:
+                    self._held.add(line)
                 clock += 1
                 total += 1
                 l1_set = l1[line & l1_mask]
                 entry = l1_set.get(line)
                 if entry is None:
-                    miss(line, l1_set, is_write, True, clock)
+                    miss(line, l1_set, is_write, pin, clock)
                     continue
                 entry[_STAMP] = clock
                 if is_write:
                     entry[_DIRTY] = True
-                entry[_PINNED] = True
-                llc[line & llc_mask][line][_PINNED] = True
+                if pin:
+                    entry[_PINNED] = True
+                    llc[line & llc_mask][line][_PINNED] = True
                 l1_hits += 1
         finally:
             self._clock, c.total, c.l1_hits = clock, total, l1_hits
@@ -782,10 +820,9 @@ class ReferenceCacheSim:
             self._l1[line & self._l1_mask].pop(line, None)
             self._llc[line & self._llc_mask].pop(line, None)
 
-    def commit_lines(self, dirtied: Iterable[int], pinned: Iterable[int]) -> int:
-        """Exactly ``writeback_line`` for each of ``dirtied`` in order, then
-        ``unpin_lines(pinned)``, in one call.  Returns the number of
-        write-back events emitted."""
+    def commit_lines(self, dirtied: Iterable[int]) -> int:
+        """Exactly ``writeback_line`` for each of ``dirtied`` in order, in
+        one call.  Returns the number of write-back events emitted."""
         l1, l1_mask = self._l1, self._l1_mask
         llc, llc_mask = self._llc, self._llc_mask
         trace = self.trace
@@ -803,17 +840,16 @@ class ReferenceCacheSim:
             if dirty:
                 trace.append(_event(TraceEvent, (KIND_WRITEBACK, line)))
                 emitted += 1
-        for line in pinned:
-            e = l1[line & l1_mask].get(line)
-            if e is not None:
-                e[_PINNED] = False
-            e = llc[line & llc_mask].get(line)
-            if e is not None:
-                e[_PINNED] = False
         return emitted
 
     def unpin_lines(self, lines: Iterable[int]) -> None:
-        self.commit_lines((), lines)
+        for line in lines:
+            e = self._l1[line & self._l1_mask].get(line)
+            if e is not None:
+                e[_PINNED] = False
+            e = self._llc[line & self._llc_mask].get(line)
+            if e is not None:
+                e[_PINNED] = False
 
     def writeback_line(self, line: int) -> bool:
         """Force a dirty line out to memory, emitting one write-back event.
@@ -821,7 +857,7 @@ class ReferenceCacheSim:
         The line stays resident (now clean) wherever it was.  Returns True
         if an event was emitted, False if the line was clean or absent.
         """
-        return self.commit_lines((line,), ()) == 1
+        return self.commit_lines((line,)) == 1
 
     def line_resident(self, line: int, level: str = "llc") -> bool:
         if level == "l1":
@@ -892,7 +928,7 @@ def snapshot_run_txn(
     mem = sim.memory
     snapshot = {w: mem[w] for w in words if w in mem}
 
-    sim.txn_open = True
+    sim.open_txn()
     try:
         while True:
             stats.attempts += 1
@@ -931,12 +967,9 @@ def snapshot_run_txn(
                     raise
                 continue
 
-            if prefetch:
-                # the prefetch dirtied the write lines in order and pinned
-                # every declared line; the body can add neither
-                sim.commit_lines(decl.write_lines, decl.all_lines)
-            else:
-                sim.commit_lines(ctx._dirtied, ctx._pinned)
+            # the prefetch dirtied the write lines in order, and the body
+            # can add none; closing the transaction below unpins
+            sim.commit_lines(decl.write_lines if prefetch else ctx._dirtied)
             stats.committed = True
             if prefetch and stats.body_events:
                 raise HitGuaranteeError(
@@ -945,4 +978,4 @@ def snapshot_run_txn(
                 )
             return stats
     finally:
-        sim.txn_open = False
+        sim.close_txn()

@@ -13,11 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import (
+    in_epoch,
     lru_entries,
     memory_contents,
     per_line_commit,
     per_line_prefetch,
+    per_line_unpin,
     per_word_access,
+    pinned_lines,
     set_dicts,
 )
 
@@ -158,8 +161,9 @@ def test_clean_lines_flush_silently():
 def test_llc_set_of_pinned_lines_rejects_install():
     cfg = CacheConfig(line_size=64, l1_sets=1, l1_ways=1, llc_sets=1, llc_ways=2)
     sim = CacheSim(cfg)
-    sim.access(0, "read", pin=True)
-    sim.access(64, "read", pin=True)
+    sim.open_txn()
+    sim.access(0, "read")
+    sim.access(64, "read")
     before = list(sim.trace)
     with pytest.raises(PinViolationError) as exc:
         sim.access(128, "read")
@@ -174,8 +178,9 @@ def test_llc_set_of_pinned_lines_rejects_install():
 
 def test_write_blocked_by_pinned_dirty_l1_set():
     sim = CacheSim(TINY)
-    sim.access(0, "write", pin=True)
-    sim.access(64, "write", pin=True)
+    sim.open_txn()
+    sim.access(0, "write")
+    sim.access(64, "write")
     with pytest.raises(PinViolationError) as exc:
         sim.access(128, "write")
     assert exc.value.level == "l1"
@@ -184,22 +189,26 @@ def test_write_blocked_by_pinned_dirty_l1_set():
 
 def test_read_falls_back_to_llc_when_l1_is_pinned_dirty():
     sim = CacheSim(TINY)
-    sim.access(0, "write", pin=True)
-    sim.access(64, "write", pin=True)
+    sim.open_txn()
+    sim.access(0, "write")
+    sim.access(64, "write")
     before = len(sim.trace)
     assert sim.access(128, "read") == "llc-miss"
     assert sim.trace[before:] == [miss(2)]
     assert sim.line_state(2, "l1") is None
-    assert sim.line_state(2, "llc") == (False, False)
+    assert sim.line_state(2, "llc") == (False, True)
     # next touch is served by the LLC, not L1
     assert sim.access(128, "read") == "llc-hit"
     sim.check_invariants()
+    sim.close_txn()
+    assert sim.line_state(2, "llc") == (False, False)
 
 
 def test_pinned_clean_line_demotes_silently_and_stays_pinned_in_llc():
     sim = CacheSim(TINY)
-    sim.access(0, "read", pin=True)
-    sim.access(64, "read", pin=True)
+    sim.open_txn()
+    sim.access(0, "read")
+    sim.access(64, "read")
     before = len(sim.trace)
     sim.access(128, "read")  # evicts a pinned clean line from L1
     assert [e for e in sim.trace[before:] if e.kind == KIND_WRITEBACK] == []
@@ -214,14 +223,15 @@ def test_rejected_pinned_write_is_counted_but_changes_nothing_else(block):
     # fault comes after the access was counted, so total reads 3 against
     # 2 misses, and before any entry, its LRU place or an event changed
     sim = CacheSim(TINY)
-    sim.access(0, "write", pin=True)
-    sim.access(64, "write", pin=True)
+    sim.open_txn()
+    sim.access(0, "write")
+    sim.access(64, "write")
     before = [list(s.items()) for s in set_dicts(sim)]
     with pytest.raises(PinViolationError) as exc:
         if block:
             sim.prefetch([2], "write")
         else:
-            sim.access(128, "write", pin=True)
+            sim.access(128, "write")
     assert exc.value.line_address == 2
     assert sim.counters == AccessCounters(total=3, l1_hits=0, llc_hits=0,
                                           llc_misses=2)
@@ -232,10 +242,11 @@ def test_rejected_pinned_write_is_counted_but_changes_nothing_else(block):
 def test_unpin_then_evictable():
     cfg = CacheConfig(line_size=64, l1_sets=1, l1_ways=1, llc_sets=1, llc_ways=2)
     sim = CacheSim(cfg)
-    sim.access(0, "read", pin=True)
-    sim.access(64, "read", pin=True)
+    sim.open_txn()
+    sim.access(0, "read")
+    sim.access(64, "read")
     sim.unpin_lines([0, 1])
-    sim.access(128, "read")  # now fine
+    sim.access(128, "read")  # now fine, though the epoch is still open
     sim.check_invariants()
 
 
@@ -529,6 +540,7 @@ def test_prefetch_makes_one_llc_set_per_set_filled(k):
 def test_a_deep_copy_makes_its_own_llc_sets():
     cfg = CacheConfig(line_size=64, l1_sets=2, l1_ways=2, llc_sets=8, llc_ways=4)
     sim = CacheSim(cfg)
+    sim.open_txn()
     sim.prefetch([0, 1], "write")
     dup = copy.deepcopy(sim)
     dup.prefetch(range(2, 6), "read")
@@ -615,6 +627,7 @@ def test_config_rejects_l1_larger_than_llc():
 
 @st.composite
 def access_sequences(draw):
+    """(line, kind, made inside an open epoch) per access."""
     n = draw(st.integers(1, 60))
     return [
         (
@@ -632,9 +645,10 @@ def test_identical_sequences_give_identical_traces(seq):
     cfg = CacheConfig(line_size=64, l1_sets=2, l1_ways=2, llc_sets=4, llc_ways=4)
     a, b = CacheSim(cfg), CacheSim(cfg)
     for sim in (a, b):
-        for line, kind, pin in seq:
+        for line, kind, inside in seq:
+            in_epoch(sim, inside)
             try:
-                sim.access(line * 64, kind, pin)
+                sim.access(line * 64, kind)
             except PinViolationError:
                 pass
     assert a.trace == b.trace
@@ -646,11 +660,17 @@ def test_identical_sequences_give_identical_traces(seq):
 def test_structure_holds_under_arbitrary_traffic(seq):
     cfg = CacheConfig(line_size=64, l1_sets=2, l1_ways=2, llc_sets=2, llc_ways=6)
     sim = CacheSim(cfg)
-    for line, kind, pin in seq:
+    for line, kind, inside in seq + [(0, "read", False)]:
+        closing = sim.txn_open and not inside
+        in_epoch(sim, inside)
+        if closing:
+            # closing the epoch ends every pin
+            assert pinned_lines(sim, range(16)) == []
         before = len(sim.trace)
         try:
-            r = sim.access(line * 64, kind, pin)
+            r = sim.access(line * 64, kind)
         except PinViolationError:
+            assert inside  # with no epoch open, no access faults
             assert len(sim.trace) == before  # rejected accesses are silent
             continue
         if r in ("l1-hit", "llc-hit"):
@@ -666,9 +686,10 @@ def test_miss_events_match_miss_results(seq):
     cfg = CacheConfig(line_size=64, l1_sets=2, l1_ways=2, llc_sets=4, llc_ways=2)
     sim = CacheSim(cfg)
     misses = 0
-    for line, kind, pin in seq:
+    for line, kind, inside in seq:
+        in_epoch(sim, inside)
         try:
-            if sim.access(line * 64, kind, pin) == "llc-miss":
+            if sim.access(line * 64, kind) == "llc-miss":
                 misses += 1
         except PinViolationError:
             pass
@@ -726,7 +747,8 @@ def block_programs(draw):
         llc_ways=draw(st.integers(2, 4)),
         address_space=1 << 12,  # lines 0..63
     )
-    # pinned, dirty and clean lines from ordinary accesses
+    # pinned, dirty and clean lines from ordinary accesses, each made
+    # inside an open epoch or not
     pre = draw(st.lists(
         st.tuples(st.integers(0, 11), st.sampled_from(["read", "write"]),
                   st.booleans()),
@@ -740,10 +762,11 @@ def block_programs(draw):
     for _ in range(draw(st.integers(1, 4))):
         if draw(st.booleans()):
             steps.append(("prefetch", draw(st.lists(line, max_size=8)),
-                          draw(st.sampled_from(["read", "write"]))))
+                          draw(st.sampled_from(["read", "write"])),
+                          draw(st.booleans())))
         else:
             steps.append(("commit", draw(st.lists(line, max_size=6)),
-                          draw(st.lists(line, max_size=8))))
+                          draw(st.lists(line, max_size=8)), draw(st.booleans())))
     return config, pre, steps
 
 
@@ -753,10 +776,13 @@ def test_block_calls_match_the_per_line_loops(program):
     config, pre, steps = program
     fast, ref = CacheSim(config), CacheSim(config)
     for sim in (fast, ref):
-        for line, kind, pin in pre:
-            outcome(lambda: sim.access(line * 64, kind, pin))
+        for line, kind, inside in pre:
+            in_epoch(sim, inside)
+            outcome(lambda: sim.access(line * 64, kind))
     assert sim_state(fast) == sim_state(ref)
-    for step, a, b in steps:
+    for step, a, b, inside in steps:
+        for sim in (fast, ref):
+            in_epoch(sim, inside)
         bad = first_out_of_range([line * 64 for line in a], config.address_space)
         if step == "prefetch" and bad is not None:
             # invalid input changes nothing; the reference takes no step
@@ -765,8 +791,10 @@ def test_block_calls_match_the_per_line_loops(program):
             assert outcome(lambda: fast.prefetch(a, b)) == outcome(
                 lambda: per_line_prefetch(ref, a, b))
         else:
-            assert outcome(lambda: fast.commit_lines(a, b)) == outcome(
-                lambda: per_line_commit(ref, a, b))
+            assert outcome(lambda: fast.commit_lines(a)) == outcome(
+                lambda: per_line_commit(ref, a))
+            fast.unpin_lines(b)
+            per_line_unpin(ref, b)
         assert sim_state(fast) == sim_state(ref)
         fast.check_invariants()
 
@@ -780,10 +808,14 @@ def test_prefetch_rejects_a_bad_kind_before_any_line():
 
 def test_commit_lines_writes_back_in_order_then_unpins():
     sim = CacheSim(TINY)
+    sim.open_txn()
     sim.prefetch([0, 1], "write")
     sim.prefetch([2], "read")
-    assert sim.commit_lines([1, 0, 1], [0, 1, 2]) == 2
+    assert sim.commit_lines([1, 0, 1]) == 2
     assert sim.trace[-2:] == [wb(1), wb(0)]
+    for line in (0, 1, 2):
+        assert sim.line_state(line, "llc") == (False, True)
+    sim.close_txn()
     for line in (0, 1, 2):
         assert sim.line_state(line, "llc") == (False, False)
 
@@ -800,12 +832,14 @@ def run_programs(draw):
         llc_ways=draw(st.integers(2, 4)),
         address_space=space,
     )
-    # pinned, dirty and clean lines from ordinary accesses
+    # pinned, dirty and clean lines from ordinary accesses, each made
+    # inside an open epoch or not
     pre = draw(st.lists(
         st.tuples(st.integers(0, 11), st.sampled_from(["read", "write"]),
                   st.booleans()),
         max_size=16,
     ))
+    # each run made inside an open epoch or not
     runs = []
     for _ in range(draw(st.integers(1, 4))):
         # mostly word-aligned; some runs reach past the address space or
@@ -817,9 +851,9 @@ def run_programs(draw):
     return config, pre, runs
 
 
-def per_word_run(sim, addr, count, kind, pin):
+def per_word_run(sim, addr, count, kind):
     for i in range(count):
-        per_word_access(sim, addr + 8 * i, kind, pin)
+        per_word_access(sim, addr + 8 * i, kind)
 
 
 @settings(max_examples=300, deadline=None)
@@ -828,16 +862,19 @@ def test_access_run_matches_per_word_accesses(program):
     config, pre, runs = program
     fast, ref = CacheSim(config), CacheSim(config)
     for sim in (fast, ref):
-        for line, kind, pin in pre:
-            outcome(lambda: sim.access(line * config.line_size, kind, pin))
-    for addr, count, kind, pin in runs:
+        for line, kind, inside in pre:
+            in_epoch(sim, inside)
+            outcome(lambda: sim.access(line * config.line_size, kind))
+    for addr, count, kind, inside in runs:
+        for sim in (fast, ref):
+            in_epoch(sim, inside)
         bad = first_out_of_range(range(addr, addr + 8 * count, 8), config.address_space)
         if bad is not None:
             # invalid input changes nothing; the reference takes no step
-            assert_refused(fast, lambda: fast.access_run(addr, count, kind, pin), bad)
+            assert_refused(fast, lambda: fast.access_run(addr, count, kind), bad)
         else:
-            assert outcome(lambda: fast.access_run(addr, count, kind, pin)) == outcome(
-                lambda: per_word_run(ref, addr, count, kind, pin))
+            assert outcome(lambda: fast.access_run(addr, count, kind)) == outcome(
+                lambda: per_word_run(ref, addr, count, kind))
         assert sim_state(fast) == sim_state(ref)
         fast.check_invariants()
 
@@ -845,25 +882,28 @@ def test_access_run_matches_per_word_accesses(program):
 @settings(max_examples=300, deadline=None)
 @given(run_programs())
 def test_access_runs_matches_per_word_accesses(program):
-    # the drawn runs as one list, of the first run's kind and pin
+    # the drawn runs as one list, of the first run's kind, inside an
+    # epoch iff the first run is
     config, pre, runs = program
     fast, ref = CacheSim(config), CacheSim(config)
+    kind, inside = runs[0][2:]
     for sim in (fast, ref):
-        for line, kind, pin in pre:
-            outcome(lambda: sim.access(line * config.line_size, kind, pin))
+        for line, pre_kind, pre_inside in pre:
+            in_epoch(sim, pre_inside)
+            outcome(lambda: sim.access(line * config.line_size, pre_kind))
+        in_epoch(sim, inside)
     pairs = [(addr, count) for addr, count, _, _ in runs]
-    kind, pin = runs[0][2:]
     words = [a for addr, count in pairs for a in range(addr, addr + 8 * count, 8)]
     bad = first_out_of_range(words, config.address_space)
     if bad is not None:
         # a bad word in any run refuses the whole list
-        assert_refused(fast, lambda: fast.access_runs(pairs, kind, pin), bad)
+        assert_refused(fast, lambda: fast.access_runs(pairs, kind), bad)
     else:
         def per_word_runs():
             for addr, count in pairs:
-                per_word_run(ref, addr, count, kind, pin)
+                per_word_run(ref, addr, count, kind)
 
-        assert outcome(lambda: fast.access_runs(pairs, kind, pin)) == outcome(
+        assert outcome(lambda: fast.access_runs(pairs, kind)) == outcome(
             per_word_runs)
     assert sim_state(fast) == sim_state(ref)
     fast.check_invariants()
@@ -875,11 +915,12 @@ def test_access_run_stops_at_a_pin_fault_mid_run():
     # faults
     sim, ref = CacheSim(TINY), CacheSim(TINY)
     for s in (sim, ref):
-        s.access(0, "write", pin=True)
+        s.open_txn()
+        s.access(0, "write")
     with pytest.raises(PinViolationError) as info:
-        sim.access_run(64 + 40, 6, "write", pin=True)
+        sim.access_run(64 + 40, 6, "write")
     with pytest.raises(PinViolationError):
-        per_word_run(ref, 64 + 40, 6, "write", True)
+        per_word_run(ref, 64 + 40, 6, "write")
     assert (info.value.line_address, info.value.level) == (2, "l1")
     assert sim_state(sim) == sim_state(ref)
     assert (sim.counters.total, sim.counters.l1_hits) == (1 + 3 + 1, 2)
@@ -904,10 +945,11 @@ def test_invalid_line_after_a_pin_fault_refuses_the_whole_block():
     # lines 0 and 1, but the block also names a line past the address
     # space, so it raises the ValueError and changes nothing
     sim = CacheSim(TINY)
+    sim.open_txn()
     sim.prefetch([0, 1], "write")
     past = TINY.address_space // 64
     assert_refused(sim, lambda: sim.prefetch([2, past], "write"), past * 64)
-    assert_refused(sim, lambda: sim.access_run(past * 64 - 64, 9, "write", True),
+    assert_refused(sim, lambda: sim.access_run(past * 64 - 64, 9, "write"),
                    past * 64)
     with pytest.raises(PinViolationError):
         sim.prefetch([2], "write")

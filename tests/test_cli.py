@@ -410,33 +410,44 @@ def test_flag_the_subcommand_does_not_honour_is_rejected(capsys, command, flag):
         (("verify", "--n", "15", "--trials", "2"), 2),
     ],
 )
-def test_failures_exit_with_code_and_message(argv, code):
-    proc = subprocess.run(
-        [sys.executable, "-m", "oblishuffle.cli", *argv],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == code
-    assert proc.stderr.startswith(f"{argv[0]}: ")
-    assert "Traceback" not in proc.stderr
+def test_failures_exit_with_code_and_message(capsys, argv, code):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == code
+    assert err.startswith(f"{argv[0]}: ")
+    assert "Traceback" not in err
     flags = dict(zip(argv, argv[1:]))
     n = flags.get("--n")
     if n is not None and (int(n) < 1 or isqrt(int(n)) ** 2 != int(n)):
-        assert "--n" in proc.stderr  # the message names the flag
+        assert "--n" in err  # the message names the flag
     for flag in ("--pad-factor", "--retry-cap"):
         if int(flags.get(flag, 1)) < 1:
-            assert proc.stderr == f"{argv[0]}: {flag} must be at least 1, got {flags[flag]}\n"
+            assert err == f"{argv[0]}: {flag} must be at least 1, got {flags[flag]}\n"
     if "--lam" in flags:
-        assert "--lam" in proc.stderr
+        assert "--lam" in err
     if flags.get("--n-list") in ("16,16", ","):
-        assert "--n-list" in proc.stderr
+        assert "--n-list" in err
     if flags.get("--algos") in (",", "melbourne,melbourne", "melbourne,quicksort"):
-        assert proc.stderr.startswith("bench: bad --algos: ")
+        assert err.startswith("bench: bad --algos: ")
     if "--bubble-max" in flags:
-        assert "--bubble-max" in proc.stderr
+        assert "--bubble-max" in err
     if int(flags.get("--trials", 2)) < 2:
-        assert proc.stderr == "verify: --trials must be at least 2\n"
+        assert err == "verify: --trials must be at least 2\n"
     if code == 2:
-        assert proc.stdout == ""  # refused before any row is printed
+        assert out == ""  # refused before any row is printed
+
+
+def test_module_entrypoint_refuses_with_code_and_message():
+    # one of the refusals above through the module entry point: its exit
+    # status, its message and nothing on stdout
+    proc = subprocess.run(
+        [sys.executable, "-m", "oblishuffle.cli", "shuffle", "--n", "15"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("shuffle: ")
+    assert "--n" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_geometry_without_conflict_free_layout_is_check_failure(capsys, tmp_path):

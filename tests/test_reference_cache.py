@@ -6,7 +6,10 @@
 ``reference.snapshot_run_txn`` the transaction loop that restored a
 snapshot of the declared write lines.  Random traffic on tight
 geometries, with pins, write-backs, faults, invalidations, flushes and
-transactions that abort, goes through both pairs; after every step the
+transactions that abort, goes through both pairs.  Each step other than
+a transaction is made inside an open epoch or not: ``CacheSim`` pins
+with epoch stamps, and the reference pins line by line and unpins every
+line it pinned when the epoch closes.  After every step the
 outcome, the trace, the counters, each set's (line, dirty, pinned)
 entries in LRU order and memory contents (``reference.memory_contents``,
 each nonzero word and its value) must agree.  So must the values each
@@ -27,6 +30,7 @@ from hypothesis import strategies as st
 from reference import (
     AllLinesDeclaration,
     ReferenceCacheSim,
+    in_epoch,
     lru_entries,
     memory_contents,
     reference_lru_entries,
@@ -91,11 +95,12 @@ def transactions(draw):
 
 
 STEP_ARGS = {
-    "access": st.tuples(addrs, kinds, st.booleans()),
-    "access_run": st.tuples(addrs, st.integers(0, 20), kinds, st.booleans()),
+    "access": st.tuples(addrs, kinds),
+    "access_run": st.tuples(addrs, st.integers(0, 20), kinds),
     "prefetch": st.tuples(st.lists(lines, max_size=6), kinds),
     "txn": st.tuples(transactions()),
-    "write_word": st.tuples(word_addrs, st.integers(1, 99), st.booleans()),
+    "write_word": st.tuples(word_addrs, st.integers(1, 99)),
+    # the lines to write back, then the lines to unpin
     "commit": st.tuples(st.lists(lines, max_size=4), st.lists(lines, max_size=6)),
     "invalidate": st.tuples(st.lists(lines, max_size=3)),
     "flush": st.tuples(),
@@ -103,8 +108,17 @@ STEP_ARGS = {
 # accesses and transactions come more often than the steps that drop lines
 STEP_NAMES = ["access", "access_run", "prefetch", "txn"] * 3 + [
     "write_word", "commit", "invalidate", "flush"]
-steps = st.sampled_from(STEP_NAMES).flatmap(
-    lambda name: STEP_ARGS[name].map(lambda args: (name, *args)))
+
+
+def step_of(name):
+    """A step as (name, made inside an open epoch, *args); a transaction
+    opens its own epoch, so none is open when it starts."""
+    inside = st.just(False) if name == "txn" else st.booleans()
+    return st.tuples(inside, STEP_ARGS[name]).map(
+        lambda drawn: (name, drawn[0], *drawn[1]))
+
+
+steps = st.sampled_from(STEP_NAMES).flatmap(step_of)
 
 
 def make_body(ops, reads, reference):
@@ -127,7 +141,7 @@ def make_body(ops, reads, reference):
 
 
 def apply(sim, step, txn, reads):
-    name, *args = step
+    name, _, *args = step
     if name == "access":
         return sim.access(*args)
     if name == "write_word":
@@ -137,7 +151,9 @@ def apply(sim, step, txn, reads):
     if name == "prefetch":
         return sim.prefetch(*args)
     if name == "commit":
-        return sim.commit_lines(*args)
+        emitted = sim.commit_lines(args[0])
+        sim.unpin_lines(args[1])
+        return emitted
     if name == "invalidate":
         return sim.invalidate_lines(*args)
     if name == "flush":
@@ -151,7 +167,7 @@ def apply(sim, step, txn, reads):
 def first_out_of_range(step):
     """The first address an ``access_run`` or ``prefetch`` step names
     outside the address space, or None."""
-    name, *args = step
+    name, _, *args = step
     if name == "access_run":
         addr, count = args[:2]
         addrs = range(addr, addr + 8 * count, 8)
@@ -192,6 +208,9 @@ def test_cache_and_rollback_match_the_stamp_reference(config, program):
         # words present before any traffic, on lines 0..4; the rest absent
         sim.poke_words(0, list(range(1, 40)))
     for step in program:
+        for sim in (fast, ref):
+            in_epoch(sim, step[1])
+        assert_same_state(fast, ref)  # a closed epoch leaves no pin
         bad = first_out_of_range(step)
         if bad is not None:
             before = state(fast)
@@ -215,12 +234,17 @@ def test_lru_order_is_insertion_order_with_moves_on_hits():
     for sim in (fast, ref):
         for line in (0, 1, 2):
             sim.access(line * 64, "read")
-        sim.access(0, "write", pin=True)  # L1 hit: line 0 moves to the end
+        sim.open_txn()  # from here on every access pins
+        sim.access(0, "write")  # L1 hit: line 0 moves to the end
         sim.access(3 * 64, "read")  # evicts line 1, the first entry
         # an LLC hit moves line 1 to the end of the LLC set; L1 evicts 2
         sim.access(64, "read")
     assert lru_entries(fast) == reference_lru_entries(ref)
     assert lru_entries(fast) == [
-        [(0, True, True), (3, False, False), (1, False, False)],
-        [(0, False, True), (2, False, False), (3, False, False), (1, False, False)],
+        [(0, True, True), (3, False, True), (1, False, True)],
+        [(0, False, True), (2, False, False), (3, False, True), (1, False, True)],
     ]
+    for sim in (fast, ref):
+        sim.close_txn()
+    assert lru_entries(fast) == reference_lru_entries(ref)
+    assert not any(pin for s in lru_entries(fast) for _, _, pin in s)

@@ -221,10 +221,10 @@ def test_scatter_writes_its_slices_in_ascending_order():
     write_calls = []
     access_runs = engine.sim.access_runs
 
-    def logged(runs, kind, pin=False):
+    def logged(runs, kind):
         if kind == "write":
             write_calls.append([addr for addr, _ in runs])
-        access_runs(runs, kind, pin)
+        access_runs(runs, kind)
 
     engine.sim.access_runs = logged
     engine.scatter_txn(0, engine.data_src, engine.perm_r)

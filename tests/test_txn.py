@@ -23,6 +23,7 @@ from reference import (
     per_word_first_fire,
     per_word_read,
     per_word_write,
+    pinned_lines,
 )
 
 from oblishuffle.cache import (
@@ -301,16 +302,15 @@ PIN_SCOPE_ENDINGS = {
 
 @pytest.mark.parametrize("prefetch", [True, False])
 @pytest.mark.parametrize("ending", sorted(PIN_SCOPE_ENDINGS))
-def test_pins_end_with_their_transaction_and_raw_pins_outlive_it(ending, prefetch):
+def test_pins_end_with_their_transaction(ending, prefetch):
     fire_on, cap, abort = PIN_SCOPE_ENDINGS[ending]
     sim = CacheSim(SMALL)
-    # raw pins, with no transaction open: line 6 by an access (L1 set 0,
-    # dirty) and line 7 by a prefetch (L1 set 1); the transaction
-    # declares line 7 too, so its pin ends with the transaction.  Lines
-    # 0 and 2 take turns in L1 set 0's other way: line 6's dirty raw pin
-    # keeps it from being the victim
-    sim.access(addr_of(6), "write", pin=True)
+    # with no transaction open nothing pins: line 6 by an access (L1 set
+    # 0, dirty) and line 7 by a prefetch (L1 set 1), which the
+    # transaction declares too
+    sim.access(addr_of(6), "write")
     sim.prefetch([7], "read")
+    assert pinned_lines(sim, (6, 7)) == []
     decl = TxnDeclaration.of(reads=[(0, 64), (addr_of(2), 64), (addr_of(7), 64)],
                              writes=[(addr_of(3), 64)])
 
@@ -331,12 +331,7 @@ def test_pins_end_with_their_transaction_and_raw_pins_outlive_it(ending, prefetc
     assert stats.committed == ending.endswith("commit")
     assert stats.attempts == (2 if fire_on else 1)
     assert not sim.txn_open
-    assert sim.line_state(6, "l1") == (True, True)
-    assert sim.line_state(6, "llc") == (False, True)
-    for line in (0, 2, 3, 7):
-        for level in ("l1", "llc"):
-            state = sim.line_state(line, level)
-            assert state is None or not state[1], (line, level)
+    assert pinned_lines(sim, (0, 2, 3, 6, 7)) == []
     sim.check_invariants()
 
 
