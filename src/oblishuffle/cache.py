@@ -685,9 +685,11 @@ class CacheSim:
     def invalidate_lines(self, lines: Iterable[int]) -> None:
         """Drop lines from both levels without any trace events.  Dirty
         data is discarded; the caller owns restoring memory."""
+        l1, l1_mask = self._l1, self._l1_mask
+        llc, llc_mask = self._llc, self._llc_mask
         for line in lines:
-            self._l1[line & self._l1_mask].pop(line, None)
-            s = self._llc[line & self._llc_mask]
+            l1[line & l1_mask].pop(line, None)
+            s = llc[line & llc_mask]
             if s:
                 s.pop(line, None)
 

@@ -62,6 +62,10 @@ Interrupt models answer one question, ``first_fire(count)``: make
 index or None.  A list of n words asks it once with n (a cold one once
 per stretch) and accesses, and stores, only the words before the one
 that fired; ``ctx.tick(count)`` asks it once with ``count``.
+``AccessProbability`` draws its Philox stream in buffers of 4096 and
+holds each buffer as its fire positions, the indices of the draws below
+``rate``, so a call costs one bisect per buffer it reaches, however many
+consultations it makes, and no Python object per draw.
 
 Aborts roll everything back: every line the attempt pinned is
 invalidated without events, which clears the pins, and the attempt
@@ -77,7 +81,7 @@ error carries them.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -297,6 +301,15 @@ class AccessProbability:
     work re-rolls fresh randomness.  ``consultations`` counts every draw,
     which makes the total number of interrupts exactly
     Binomial(consultations, rate) by construction.
+
+    Draws come from a Philox stream in buffers of 4096, each drawn only
+    when a consultation needs a draw and the last buffer is spent.  A
+    buffer is held as its fire positions alone, the ascending indices of
+    the draws below ``rate`` (about ``4096 * rate`` ints), and ``_pos``
+    is the index of the next draw.  So ``rate`` is read-only, since the
+    positions are computed from it at refill time, and one
+    ``first_fire`` call costs one bisect per buffer it reaches, however
+    many draws it consults.
     """
 
     _BUF = 4096
@@ -304,12 +317,20 @@ class AccessProbability:
     def __init__(self, rate: float, seed: int):
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"rate must be in [0, 1], got {rate}")
-        self.rate = rate
+        self._rate = rate
         self.seed = seed
         self.consultations = 0
         self._rng = np.random.Generator(np.random.Philox(key=seed))
-        self._buf: list[float] = self._rng.random(self._BUF).tolist()
+        self._fires = self._refill()
         self._pos = 0
+
+    @property
+    def rate(self) -> float:
+        return self._rate
+
+    def _refill(self) -> list[int]:
+        """The fire positions of the next buffer of draws."""
+        return np.flatnonzero(self._rng.random(self._BUF) < self._rate).tolist()
 
     def first_fire(self, count: int) -> int | None:
         """Make ``count`` consultations, stopping at the first that fires;
@@ -318,21 +339,23 @@ class AccessProbability:
         Each consultation takes the next draw from the buffer, refilled
         only when a draw is needed and the buffer is spent, so
         ``consultations`` and the draw position advance exactly as
-        ``count`` single consultations (or as many as ran) would.
+        ``count`` single consultations (or as many as ran) would.  The
+        first fire at or past the draw position is one bisect of the
+        buffer's fire positions.
         """
-        rate, buf, pos = self.rate, self._buf, self._pos
+        fires, pos = self._fires, self._pos
         done = 0
         while done < count:
             if pos >= self._BUF:
-                buf = self._buf = self._rng.random(self._BUF).tolist()
+                fires = self._fires = self._refill()
                 pos = 0
             stop = min(self._BUF, pos + count - done)
-            if min(buf[pos:stop]) < rate:
-                for i in range(pos, stop):
-                    if buf[i] < rate:
-                        self.consultations += done + i - pos + 1
-                        self._pos = i + 1
-                        return done + i - pos
+            i = bisect_left(fires, pos)
+            if i < len(fires) and fires[i] < stop:
+                fire = fires[i]
+                self.consultations += done + fire - pos + 1
+                self._pos = fire + 1
+                return done + fire - pos
             done += stop - pos
             pos = stop
         self.consultations += done

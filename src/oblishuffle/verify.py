@@ -13,6 +13,14 @@ scatter slice overflow and the shuffle restart with fresh randomness,
 which changes the trace.  Only for permutations drawn independently of
 the seed is the trace a fixed function of the input size.
 
+Precondition under interrupts: each transaction must make the same
+number of interrupt consultations on every input of one size.
+melbourne's do (at n = 64, 48 transactions, the largest making 112
+consultations; at n = 256, 96 and 288).  An interrupt model whose
+schedule depends only on its consultations and on the trace so far then
+fires at the same points on every input, so the trace stays a fixed
+function of the input size even when the model is the adversary.
+
 The correctness side is handled by ``oracle_apply_perm``, a direct
 scatter with no cache model at all, against which every shuffle's output
 is checked.

@@ -7,10 +7,14 @@ in one call.  ``per_word_access``,
 ``per_word_read``/``per_word_write`` and ``per_word_draw`` are the
 per-word paths they replace: one ``access`` per word, checked against the
 declaration and preceded by one interrupt consultation, each drawing
-once from the model's buffer.  ``per_word_access`` and its miss,
-``per_word_miss``, are ``CacheSim.access`` as it was before every traced
-call became a front end of one per-line step: they work on the
-simulator's sets and counters and call none of its methods.
+once from the model's buffer.  ``ScanAccessProbability`` is
+``AccessProbability`` as it was when it held each buffer as its draws
+and scanned them for a fire; ``per_word_draw`` draws from its buffer.
+``PeriodicTimer`` fires on every T-th consultation of a whole run.
+``per_word_access`` and its miss, ``per_word_miss``, are
+``CacheSim.access`` as it was before every traced call became a front
+end of one per-line step: they work on the simulator's sets and counters
+and call none of its methods.
 
 ``CacheSim.prefetch`` and ``CacheSim.commit_lines`` handle a whole block
 of lines in one call.  ``per_line_prefetch`` and ``per_line_commit`` are
@@ -60,6 +64,8 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Callable, Iterable
 
+import numpy as np
+
 from oblishuffle.cache import (
     KIND_MISS,
     KIND_WRITEBACK,
@@ -77,7 +83,6 @@ from oblishuffle.cache import (
 )
 from oblishuffle.layout import READ_WRITE, LayoutInfeasibleError, LayoutPlan
 from oblishuffle.txn import (
-    AccessProbability,
     CapacityError,
     HitGuaranteeError,
     NestedTxnError,
@@ -174,9 +179,80 @@ def per_word_miss(sim, line: int, l1_set: dict, is_write: bool) -> str:
     return result
 
 
+class ScanAccessProbability:
+    """``AccessProbability`` as it was when it held each buffer as its
+    draws, Python floats, and found a fire by scanning the window a
+    ``first_fire`` call consults: the same Philox stream, buffers,
+    ``consultations`` and ``_pos``, with the draws kept in ``_buf``."""
+
+    _BUF = 4096
+
+    def __init__(self, rate: float, seed: int):
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError(f"rate must be in [0, 1], got {rate}")
+        self.rate = rate
+        self.seed = seed
+        self.consultations = 0
+        self._rng = np.random.Generator(np.random.Philox(key=seed))
+        self._buf: list[float] = self._rng.random(self._BUF).tolist()
+        self._pos = 0
+
+    def first_fire(self, count: int) -> int | None:
+        """Make ``count`` consultations, stopping at the first that fires;
+        returns its index, or None if none fired.
+
+        Each consultation takes the next draw from the buffer, refilled
+        only when a draw is needed and the buffer is spent, so
+        ``consultations`` and the draw position advance exactly as
+        ``count`` single consultations (or as many as ran) would.
+        """
+        rate, buf, pos = self.rate, self._buf, self._pos
+        done = 0
+        while done < count:
+            if pos >= self._BUF:
+                buf = self._buf = self._rng.random(self._BUF).tolist()
+                pos = 0
+            stop = min(self._BUF, pos + count - done)
+            if min(buf[pos:stop]) < rate:
+                for i in range(pos, stop):
+                    if buf[i] < rate:
+                        self.consultations += done + i - pos + 1
+                        self._pos = i + 1
+                        return done + i - pos
+            done += stop - pos
+            pos = stop
+        self.consultations += done
+        self._pos = pos
+        return None
+
+
+class PeriodicTimer:
+    """An interrupt model that fires on every ``period``-th consultation,
+    counted over the whole run: a timer the OS programs to strike at a
+    fixed rate, whatever the enclave does."""
+
+    def __init__(self, period: int):
+        self.period = period
+        self.consultations = 0
+
+    def first_fire(self, count: int) -> int | None:
+        before = self.consultations
+        fire = (before // self.period + 1) * self.period
+        if fire <= before + count:
+            self.consultations = fire
+            return fire - before - 1
+        self.consultations = before + max(count, 0)
+        return None
+
+
 def per_word_draw(model):
-    """One consultation of an AccessProbability: the next draw from its
-    buffer, refilled when spent; True if it fires."""
+    """One consultation of a ScanAccessProbability: the next draw from
+    its buffer, refilled when spent; True if it fires.  Only the scan
+    reads the draws: an ``AccessProbability`` holds a buffer as fire
+    positions computed at refill time, so it is refused."""
+    if not isinstance(model, ScanAccessProbability):
+        raise TypeError(f"per_word_draw needs a ScanAccessProbability, "
+                        f"got {type(model).__name__}")
     model.consultations += 1
     if model._pos >= model._BUF:
         model._buf = model._rng.random(model._BUF).tolist()
@@ -198,7 +274,7 @@ def _consult(ctx):
     model = ctx._model
     if model is None:
         return
-    if isinstance(model, AccessProbability):
+    if isinstance(model, ScanAccessProbability):
         fired = per_word_draw(model)
     else:
         fired = model.first_fire(1) is not None

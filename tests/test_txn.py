@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reference import (
+    ScanAccessProbability,
     SetDeclaration,
     declared_lines,
     lru_entries,
@@ -519,6 +520,14 @@ def test_access_probability_matches_binomial_oracle():
 def test_access_probability_rejects_bad_rate(rate):
     with pytest.raises(ValueError):
         AccessProbability(rate, seed=0)
+
+
+def test_access_probability_rate_is_read_only():
+    # a buffer's fire positions are computed from the rate at refill time
+    model = AccessProbability(0.25, seed=0)
+    with pytest.raises(AttributeError):
+        model.rate = 0.5
+    assert model.rate == 0.25
 
 
 # -- capacity rejection ------------------------------------------------------
@@ -1055,7 +1064,9 @@ def check_runs_match_per_word_accesses(program):
             sim.poke_word(word * 8, value)
         for line, kind in pre:
             sim.access(line * size, kind)
-        model = None if rate is None else AccessProbability(rate, seed)
+        # the per-word side draws one at a time from the scan's buffer
+        model = (None if rate is None else
+                 (ScanAccessProbability if expand else AccessProbability)(rate, seed))
         log, results = [], []
         for reads, writes, ops, prefetch in txns:
             decl = TxnDeclaration.of(
@@ -1382,30 +1393,87 @@ def draw_programs(draw):
     return rate, draw(st.integers(0, 2**16)), pos, counts
 
 
+def check_first_fire_matches_the_scan(rate, seed, pos, counts):
+    """Hold ``AccessProbability.first_fire`` to the old scan and to one
+    draw per consultation, each model from ``pos`` of its first buffer,
+    over ``counts``: the result, ``consultations`` and ``_pos`` after
+    every call.  Returns the results and the last (consultations, _pos)."""
+    fast = AccessProbability(rate, seed)
+    scan, ref = ScanAccessProbability(rate, seed), ScanAccessProbability(rate, seed)
+    fast._pos = scan._pos = ref._pos = pos
+    results = []
+    for count in counts:
+        got = fast.first_fire(count)
+        assert got == scan.first_fire(count) == per_word_first_fire(ref, count)
+        assert ((fast.consultations, fast._pos) == (scan.consultations, scan._pos)
+                == (ref.consultations, ref._pos))
+        results.append(got)
+    return results, (fast.consultations, fast._pos)
+
+
 @settings(max_examples=200, deadline=None)
 @given(draw_programs())
 def test_first_fire_matches_per_word_draws(program):
-    rate, seed, pos, counts = program
-    fast, ref = AccessProbability(rate, seed), AccessProbability(rate, seed)
-    fast._pos = ref._pos = pos
-    for count in counts:
-        got = fast.first_fire(count)
-        assert got == per_word_first_fire(ref, count)
-        assert (fast.consultations, fast._pos) == (ref.consultations, ref._pos)
-        assert fast._buf == ref._buf
+    check_first_fire_matches_the_scan(*program)
 
 
 def test_first_fire_across_the_buffer_refill():
     # 6 draws left in the buffer, then 14 from a fresh one
-    fast, ref = AccessProbability(0.0, 3), AccessProbability(0.0, 3)
-    fast._pos = ref._pos = 4090
-    assert fast.first_fire(20) is per_word_first_fire(ref, 20) is None
-    assert (fast.consultations, fast._pos) == (ref.consultations, ref._pos) == (20, 14)
-    assert fast._buf == ref._buf
-    # a spent buffer is refilled only when a draw is needed
-    fast._pos = 4096
-    fast.first_fire(0)
-    assert fast._pos == 4096
+    assert check_first_fire_matches_the_scan(0.0, 3, 4090, [20]) == ([None], (20, 14))
+
+
+def seed_firing_first_in(rate, pos, fires):
+    """The first seed whose stream, from draw ``pos`` of its first buffer
+    on (draws numbered across buffers), fires first at a draw in the
+    range ``fires``."""
+    for seed in range(10_000):
+        model = ScanAccessProbability(rate, seed)
+        model._pos = pos
+        if per_word_first_fire(model, fires.stop - pos) in range(
+                fires.start - pos, fires.stop - pos):
+            return seed
+    raise AssertionError("no such seed")
+
+
+def test_first_fire_on_the_last_draw_of_a_buffer():
+    seed = seed_firing_first_in(0.05, 4090, range(4095, 4096))
+    check = check_first_fire_matches_the_scan
+    assert check(0.05, seed, 4090, [5, 1]) == ([None, 0], (6, 4096))
+    assert check(0.05, seed, 4090, [20]) == ([5], (6, 4096))
+
+
+def test_first_fire_on_the_first_draw_of_the_next_buffer():
+    seed = seed_firing_first_in(0.05, 4090, range(4096, 4097))
+    check = check_first_fire_matches_the_scan
+    assert check(0.05, seed, 4090, [6, 1]) == ([None, 0], (7, 1))
+    assert check(0.05, seed, 4090, [20]) == ([6], (7, 1))
+
+
+def test_first_fire_of_nothing_on_a_spent_buffer_draws_nothing():
+    fast, scan = AccessProbability(0.05, 3), ScanAccessProbability(0.05, 3)
+    fast._pos = scan._pos = 4096
+    fires = fast._fires
+    assert fast.first_fire(0) is None
+    assert (fast.consultations, fast._pos) == (0, 4096) and fast._fires is fires
+    # a refill would have shifted the stream by one buffer
+    for count in (0, 9000, 9000):
+        assert fast.first_fire(count) == scan.first_fire(count)
+        assert (fast.consultations, fast._pos) == (scan.consultations, scan._pos)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.0002])
+def test_first_fire_of_one_count_over_three_buffers(rate):
+    # from draw 4000: 96 draws of the first buffer, all 4096 of the
+    # second and 500 of the third; at 0.0002 the first fire among them
+    # is in the third
+    count = 96 + 4096 + 500
+    if rate:
+        seed = seed_firing_first_in(rate, 4000, range(8192, 8692))
+        (fired,), _ = check_first_fire_matches_the_scan(rate, seed, 4000, [count])
+        assert 96 + 4096 <= fired < count
+    else:
+        assert check_first_fire_matches_the_scan(rate, 0, 4000, [count]) == (
+            [None], (count, 500))
 
 
 def test_cold_run_consults_no_word_past_a_pin_fault():
