@@ -24,11 +24,14 @@ one exact ``CacheSim`` call: the prefetch is ``sim.prefetch`` on the read
 lines and then on the write lines, equal to one ``access`` per line,
 and the commit is ``sim.commit_lines(dirtied)``, equal to
 ``writeback_line`` per dirtied line, one pass over the lines the attempt
-dirtied and none over those it only read.  A pin is a stamp of the
+dirtied and none over those it only read.  A side that is one span is
+prefetched, and its writes committed, as that ``range``, which builds no
+tuple of its lines and which the cache fills in closed form when the
+fill is cold (see ``CacheSim.prefetch``).  A pin is a stamp of the
 transaction's epoch (see ``cache``): ``run_txn`` opens the epoch with
-``sim.open_txn``, so every access it makes is pinned, and closes it with
-``sim.close_txn``, which releases every pin the transaction made in one
-step, however many lines it pinned.  Each attempt's context holds the
+``sim.open_txn``, so every access it makes is pinned, and closes it
+with ``sim.close_txn``, which releases every pin the transaction made in
+one step, however many lines it pinned.  Each attempt's context holds the
 lines it dirtied, which the commit writes back, and a cold one the lines
 it pinned, which a rollback drops; a prefetched attempt pinned and
 dirtied exactly the declared lines, so its rollback drops the declared
@@ -208,11 +211,13 @@ class TxnDeclaration:
     ``write_bytes()`` and ``footprint_bytes()``, are sums of span
     lengths, so a declaration too large for the cache is refused without
     one step per line.  The line tuples ``read_lines`` and
-    ``write_lines`` (ascending) are built from the spans on first use,
-    and so are ``write_bounds``/``read_bounds``, the spans a body may
-    write or read as lists of starts and stops, which the body's
-    declaration check bisects.  Equality and hashing depend only on the
-    ranges and the line size.
+    ``write_lines`` (ascending) are built from the spans on first use;
+    ``read_block`` and ``write_block``, what a prefetched transaction
+    passes, build a side's tuple only when it has other than one span.
+    ``write_bounds``/``read_bounds``, the spans a body may write or read
+    as lists of starts and stops, which the body's declaration check
+    bisects, are built on first use too.  Equality and hashing depend
+    only on the ranges and the line size.
     """
 
     read_ranges: tuple[ByteRange, ...]
@@ -243,6 +248,21 @@ class TxnDeclaration:
     def write_lines(self) -> tuple[int, ...]:
         """The lines written, ascending."""
         return tuple(chain.from_iterable(self.write_spans))
+
+    @property
+    def read_block(self) -> Sequence[int]:
+        """The lines only read as the prefetch takes them: a side of one
+        span as that ``range``, which ``CacheSim.prefetch`` may fill in
+        closed form, any other side as ``read_lines``."""
+        r = self.read_spans
+        return r[0] if len(r) == 1 else self.read_lines
+
+    @property
+    def write_block(self) -> Sequence[int]:
+        """The lines written as the prefetch and the commit take them: a
+        side of one span as that ``range``, any other as ``write_lines``."""
+        w = self.write_spans
+        return w[0] if len(w) == 1 else self.write_lines
 
     @cached_property
     def write_bounds(self) -> tuple[list[int], list[int]]:
@@ -406,7 +426,7 @@ class TxnContext:
     dirtied, and a cold attempt's context the lines it pinned.  A
     prefetched attempt pins and dirties exactly the declared lines, in
     ascending order, and its body can add none, so its context holds the
-    declaration's write lines and no pinned lines (None); a cold one
+    declaration's ``write_block`` and no pinned lines (None); a cold one
     fills an insertion-ordered dict and a set as its body runs.
     """
 
@@ -428,8 +448,8 @@ class TxnContext:
         self._decl = decl
         self._model = model
         self._pinned: set[int] | None = None if prefetched else set()
-        self._dirtied: tuple[int, ...] | dict[int, None] = (
-            decl.write_lines if prefetched else {}
+        self._dirtied: Sequence[int] | dict[int, None] = (
+            decl.write_block if prefetched else {}
         )
         self._shift = sim.config.line_shift
         self._prefetched = prefetched
@@ -601,8 +621,8 @@ def run_txn(
                 pf_start = len(sim.trace)
                 try:
                     if prefetch:
-                        sim.prefetch(decl.read_lines, READ)
-                        sim.prefetch(decl.write_lines, WRITE)
+                        sim.prefetch(decl.read_block, READ)
+                        sim.prefetch(decl.write_block, WRITE)
                 finally:
                     # count partial blocks too: an abort mid-prefetch has
                     # already emitted its events

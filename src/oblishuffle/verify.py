@@ -234,7 +234,10 @@ def probe_cache_sizes(
     each capacity to the byte.  Only the declaration interface is used;
     the line size is part of that interface, the geometry behind it is
     not consulted.  A refused declaration is refused from its line spans
-    alone, so a refused probe costs nothing per byte probed.
+    alone, so a refused probe costs nothing per byte probed.  An accepted
+    probe declares one span on a fresh simulator, so its prefetch is one
+    cold fill, installed per set in closed form (see
+    ``CacheSim.prefetch``), with no Python-level step per line.
     """
     if sim_factory is None:
         sim_factory = CacheSim

@@ -10,7 +10,9 @@ declaration and preceded by one interrupt consultation, each drawing
 once from the model's buffer.  ``ScanAccessProbability`` is
 ``AccessProbability`` as it was when it held each buffer as its draws
 and scanned them for a fire; ``per_word_draw`` draws from its buffer.
-``PeriodicTimer`` fires on every T-th consultation of a whole run.
+``PeriodicTimer`` fires on every T-th consultation of a whole run, and
+``TraceAdversary`` on the calls whose keyed hash of the trace seen so
+far comes out zero in its low bits: the OS as a closed-loop adversary.
 ``per_word_access`` and its miss, ``per_word_miss``, are
 ``CacheSim.access`` as it was before every traced call became a front
 end of one per-line step: they work on the simulator's sets and counters
@@ -61,7 +63,9 @@ that starts again from nothing, each with its own set-load counting.
 
 from __future__ import annotations
 
+from array import array
 from functools import cached_property
+from hashlib import blake2b
 from typing import Callable, Iterable
 
 import numpy as np
@@ -243,6 +247,35 @@ class PeriodicTimer:
             return fire - before - 1
         self.consultations = before + max(count, 0)
         return None
+
+
+class TraceAdversary:
+    """An interrupt model that watches the trace: an OS that decides each
+    interrupt from what it has observed.  It holds the simulator, and
+    each ``first_fire(count)`` call hashes, keyed by ``salt``, the trace
+    length, the last event's code, ``count`` and the number of calls made
+    before it.  The call fires when the hash's low ``bits`` bits are
+    zero, at the index below ``count`` that the rest of the hash names;
+    a call of no consultations never fires.  ``fired`` counts fires."""
+
+    def __init__(self, sim, salt: int, bits: int):
+        self.sim = sim
+        self.key = salt.to_bytes(8, "little")
+        self.bits = bits
+        self.calls = 0
+        self.fired = 0
+
+    def first_fire(self, count: int) -> int | None:
+        trace = self.sim.trace
+        last = array.__getitem__(trace, -1) if trace else -1
+        seen = array("q", (len(trace), last, count, self.calls)).tobytes()
+        self.calls += 1
+        h = int.from_bytes(
+            blake2b(seen, key=self.key, digest_size=8).digest(), "little")
+        if count <= 0 or h & ((1 << self.bits) - 1):
+            return None
+        self.fired += 1
+        return (h >> self.bits) % count
 
 
 def per_word_draw(model):

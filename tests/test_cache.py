@@ -7,9 +7,10 @@ expected lookup result and exactly which events it appends.
 
 import copy
 from array import array
+from itertools import repeat
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reference import (
@@ -797,6 +798,85 @@ def test_block_calls_match_the_per_line_loops(program):
             per_line_unpin(ref, b)
         assert sim_state(fast) == sim_state(ref)
         fast.check_invariants()
+
+
+@st.composite
+def span_programs(draw):
+    """A geometry, some fills each maybe followed by an invalidation, and
+    a span to prefetch: from one line to past both capacities, inside an
+    epoch or not, in some programs reaching out of the address space."""
+    l1_sets = draw(st.sampled_from([1, 2, 4, 8]))
+    l1_ways = draw(st.sampled_from([1, 2, 3]))
+    llc_sets = draw(st.sampled_from([1, 2, 4]))
+    llc_ways = draw(st.sampled_from([1, 2, 4, 8]))
+    assume(l1_sets * l1_ways <= llc_sets * llc_ways)
+    config = CacheConfig(64, l1_sets, l1_ways, llc_sets, llc_ways, 1 << 12)
+    start = st.integers(0, 40)
+    pre = draw(st.lists(st.tuples(
+        start, st.integers(1, 12), st.sampled_from(["read", "write"]),
+        st.booleans(), st.none() | st.tuples(start, st.integers(0, 40))),
+        max_size=3))
+    lo = draw(st.one_of(start, st.integers(-2, 2), st.integers(56, 64)))
+    n = draw(st.integers(1, 2 * llc_sets * llc_ways + 2))
+    return (config, pre, range(lo, lo + n),
+            draw(st.sampled_from(["read", "write"])), draw(st.booleans()))
+
+
+@settings(max_examples=400, deadline=None)
+@given(span_programs())
+def test_prefetch_of_a_span_matches_the_per_line_step(program):
+    # a cold span is filled per set in closed form; the per-line step is
+    # the reference for it and for every other span
+    config, pre, span, kind, inside = program
+    fast = CacheSim(config)
+    for lo, n, pre_kind, pre_inside, cut in pre:
+        in_epoch(fast, pre_inside)
+        outcome(lambda: fast.prefetch(range(lo, lo + n), pre_kind))
+        if cut is not None:
+            # can leave an L1 set empty over a non-empty LLC set
+            fast.invalidate_lines(range(cut[0], cut[0] + cut[1]))
+    in_epoch(fast, inside)
+    ref = copy.deepcopy(fast)
+    bad = first_out_of_range([line * 64 for line in span], config.address_space)
+    if bad is not None:
+        assert_refused(fast, lambda: fast.prefetch(span, kind), bad)
+        assert outcome(lambda: ref.prefetch(list(span), kind)) == outcome(
+            lambda: fast.prefetch(span, kind))
+        return
+    got = outcome(lambda: fast.prefetch(span, kind))
+    want = outcome(lambda: ref._lines(zip(span, repeat(1)), kind == "write"))
+    assert got == want
+    assert fast.trace.tobytes() == ref.trace.tobytes()
+    assert sim_state(fast) == sim_state(ref)
+    fast.check_invariants()
+
+
+@pytest.mark.parametrize("kind", ["read", "write"])
+@pytest.mark.parametrize("inside", [False, True])
+def test_a_cold_span_is_filled_without_the_per_line_step(kind, inside):
+    # L1 4 sets x 2 ways over an LLC of 2 sets x 8 ways: 8 lines fit both
+    config = CacheConfig(64, 4, 2, 2, 8, 1 << 12)
+    fast, ref = CacheSim(config), CacheSim(config)
+    for sim in (fast, ref):
+        in_epoch(sim, inside)
+    fast._lines = None  # the fill calls no per-line step
+    fast.prefetch(range(5, 13), kind)
+    per_line_prefetch(ref, range(5, 13), kind)
+    assert sim_state(fast) == sim_state(ref)
+    assert fast.counters == AccessCounters(8, 0, 0, 8)
+
+
+@pytest.mark.parametrize("make", [iter, lambda lines: (x for x in lines)])
+def test_prefetch_takes_an_iterator_once(make):
+    config = CacheConfig(64, 1, 2, 2, 4, 1 << 12)
+    fast, ref = CacheSim(config), CacheSim(config)
+    fast.prefetch(make([1, 2, 3, 2]), "read")
+    ref.prefetch([1, 2, 3, 2], "read")
+    assert fast.counters == ref.counters == AccessCounters(4, 1, 0, 3)
+    assert sim_state(fast) == sim_state(ref)
+    assert outcome(lambda: fast.prefetch(make([4, 64, 5]), "read")) == (
+        ValueError, "address 4096 out of range")
+    assert sim_state(fast) == sim_state(ref)
 
 
 def test_prefetch_rejects_a_bad_kind_before_any_line():

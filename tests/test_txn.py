@@ -221,12 +221,19 @@ def test_refused_declaration_builds_no_line_list(side, level):
 
 
 def test_committed_prefetched_declaration_builds_no_list_of_all_lines():
-    # the prefetch reads the read and write lines and the commit the
-    # write lines; the pins end with the epoch, so nothing lists every
-    # declared line
+    # a side of one span is prefetched and committed as its range, and
+    # the pins end with the epoch, so no line tuple is built
     decl = TxnDeclaration.of(reads=[(0, 128)], writes=[(128, 128)])
     assert run_txn(CacheSim(SMALL), decl).committed
-    assert BUILT & vars(decl).keys() == {"read_lines", "write_lines"}
+    assert BUILT & vars(decl).keys() == set()
+
+
+def test_a_side_of_two_spans_is_prefetched_as_its_lines():
+    decl = TxnDeclaration.of(reads=[(0, 64), (192, 64)], writes=[(64, 64)])
+    sim = CacheSim(SMALL)
+    assert run_txn(sim, decl).committed
+    assert BUILT & vars(decl).keys() == {"read_lines"}
+    assert sim.trace == [miss(0), miss(3), miss(1), wb(1)]
 
 
 def test_declaration_line_size_must_match_cache():
