@@ -1,33 +1,30 @@
 """Command line front end.
 
-Subcommands and the flags each one takes (every one also takes
-``--config``):
+Five subcommands reproduce the experiments: ``shuffle`` runs one algorithm
+on one input and prints or saves the output, optionally exporting the
+captured event trace; ``bench`` compares event counts across algorithms
+and sizes, with a retry-weighted cost column; ``aborts`` breaks down abort
+causes of the oblivious shuffle against its unprotected variant and an
+interrupt-only control; ``verify`` checks trace equality over freshly
+generated inputs; ``probe`` recovers the cache capacities through the
+transaction interface.
 
-- ``shuffle``: run one algorithm on one input, print or save the output,
-  optionally exporting the captured event trace.  ``--algo``, ``--n``,
-  ``--input``, ``--perm``, ``--out``, ``--trace``, ``--cache-config``,
-  ``--seed``, ``--pad-factor``.
-- ``bench``: event-count comparison across algorithms and sizes, with a
-  retry-weighted cost column.  ``--algos``, ``--n-list``, ``--lam``,
-  ``--bubble-max``, ``--out``, ``--seed``, ``--pad-factor``,
-  ``--retry-cap``.
-- ``aborts``: abort-cause breakdown of the oblivious shuffle against its
-  unprotected variant and an interrupt-only control.  ``--n-list``,
-  ``--rate``, ``--out``, ``--seed``, ``--pad-factor``, ``--retry-cap``.
-- ``verify``: trace-equality check over freshly generated inputs.
-  ``--program``, ``--n``, ``--trials``, ``--rate``, ``--cache-config``,
-  ``--seed``, ``--pad-factor``.
-- ``probe``: recover the cache capacities through the transaction
-  interface and print them.  ``--cache-config``.
+Each flag is declared once, in ``_FLAGS``: its argparse keywords and its
+rule.  ``_COMMANDS`` lists the flags each subcommand takes (every one also
+takes ``--config``) and the defaults that differ between subcommands; a
+subcommand rejects any other flag.  ``main`` runs every flag's rule, then
+``_joint_rules`` for the rules that read two flags, on the final parsed
+namespace, so each refusal is made before the subcommand starts.
 
-A subcommand rejects any other flag.  Every run is deterministic given
-its flags: inputs derive from the seed, tables are emitted in sorted
-order, and reruns are byte-identical.  ``--config FILE`` reads
-``key=value`` lines and passes each as ``--key=value`` right after the
+Every run is deterministic given its flags: inputs derive from the seed,
+tables are emitted in sorted order, and reruns are byte-identical.
+``--config FILE``, given at most once, reads ``key=value`` lines (none of
+them ``config``) and passes each as ``--key=value`` right after the
 subcommand name, so the subcommand's parser checks them like flags and
-explicit flags, coming later, win.  Exit status: 0 on success, 1 when a
-check fails (trace divergence, output mismatch, capacity rejection, no
-conflict-free arena layout, retry exhaustion), 2 on usage errors.
+explicit flags, coming later, win.
+Exit status: 0 on success, 1 when a check fails (trace divergence, output
+mismatch, capacity rejection, no conflict-free arena layout, retry
+exhaustion), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ from math import isfinite, isqrt
 
 import numpy as np
 
-from .cache import CacheConfig, CacheSim
+from .cache import WORD_BYTES, CacheConfig, CacheSim
 from .layout import LayoutInfeasibleError
 from .shuffle import (
     OverflowRetriesExceededError,
@@ -84,9 +81,9 @@ def make_inputs(n: int, seed: int) -> tuple[list[int], list[int]]:
 
 
 def _interrupt_model(rate: float, seed: int) -> AccessProbability | None:
-    """Per-access interrupts at ``rate``, or None at rate 0.  Every other
-    rate reaches AccessProbability, which refuses one outside [0, 1] (NaN
-    included)."""
+    """Per-access interrupts at ``rate``, or None at rate 0.
+    AccessProbability refuses a rate outside [0, 1] (NaN included), which
+    ``--rate``'s rule has already refused by name."""
     return AccessProbability(rate, seed) if rate != 0 else None
 
 
@@ -299,57 +296,6 @@ def aborts_rows(
 # -- plumbing ----------------------------------------------------------------
 
 
-def _flag_list(flag: str, what: str, text: str, item) -> list:
-    """The comma-separated values of ``text`` for ``flag``, each through
-    ``item``, which raises a ValueError for a bad one; refused too when
-    there are none or one repeats."""
-    try:
-        values = [item(tok.strip()) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ValueError(f"bad {flag}: {exc}") from None
-    if not values:
-        raise ValueError(f"bad {flag}: no {what}s in {text!r}")
-    for i, v in enumerate(values):
-        if v in values[:i]:
-            raise ValueError(f"bad {flag}: {what} {v} given more than once")
-    return values
-
-
-def _square_size(tok: str) -> int:
-    n = int(tok)
-    if n < 1 or isqrt(n) ** 2 != n:
-        raise ValueError(f"sizes must be perfect squares, got {n}")
-    return n
-
-
-def _algo_name(tok: str) -> str:
-    if tok not in PROGRAMS:
-        raise ValueError(
-            f"unknown algorithm {tok!r}; one of {', '.join(sorted(PROGRAMS))}"
-        )
-    return tok
-
-
-def _n_list(text: str) -> list[int]:
-    return _flag_list("--n-list", "size", text, _square_size)
-
-
-def _n_flag(n: int, program: str) -> int:
-    """``--n`` for ``program``: at least 1, and for melbourne, whose
-    buckets are sqrt(n) wide, a perfect square."""
-    if n < 1:
-        raise ValueError(f"--n must be at least 1, got {n}")
-    if program == "melbourne" and isqrt(n) ** 2 != n:
-        raise ValueError(f"--n must be a perfect square for melbourne, got {n}")
-    return n
-
-
-def _cost_weight(lam: float) -> float:
-    if not (isfinite(lam) and lam >= 0):
-        raise ValueError(f"--lam must be finite and at least 0, got {lam}")
-    return lam
-
-
 def _emit(lines: list[str], out_path: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if out_path:
@@ -359,19 +305,14 @@ def _emit(lines: list[str], out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_cache_config(args) -> CacheConfig:
-    if args.cache_config:
-        return CacheConfig.from_file(args.cache_config)
-    return CacheConfig()
-
-
-def _extract_config_path(argv) -> str | None:
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if tok.startswith("--config="):
-            return tok.split("=", 1)[1]
-    return None
+def _config_path(argv) -> str | None:
+    """The file of the one ``--config`` in ``argv``, if any."""
+    paths = [tok.partition("=")[2] if "=" in tok else nxt
+             for tok, nxt in zip(argv, argv[1:] + [None])
+             if tok == "--config" or tok.startswith("--config=")]
+    if len(paths) > 1:
+        raise ValueError("--config given more than once")
+    return paths[0] if paths else None
 
 
 def _config_tokens(path: str) -> list[str]:
@@ -387,65 +328,53 @@ def _config_tokens(path: str) -> list[str]:
             if not eq:
                 raise ValueError(f"malformed config line: {raw!r}")
             key = key.strip().replace("_", "-")
+            if key == "config":
+                raise ValueError(f"--config {path}: a config file cannot set config")
             tokens.append(f"--{key}={val.strip()}")
     return tokens
 
 
 # -- subcommands -------------------------------------------------------------
+#
+# main has run every flag's rule before a subcommand starts, so these refuse
+# only data: input files that do not parse or do not form a permutation.
 
 
 def cmd_shuffle(args) -> int:
-    config = _load_cache_config(args)
+    """Run one shuffle."""
     if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
             data = [int(tok) for tok in fh.read().split()]
-        if not args.perm:
-            raise ValueError("--perm is required with --input")
         with open(args.perm, "r", encoding="utf-8") as fh:
             perm = [int(tok) for tok in fh.read().split()]
-    elif args.n is not None:
-        data, perm = make_inputs(_n_flag(args.n, args.algo), args.seed)
     else:
-        raise ValueError("pass --n or --input/--perm")
+        data, perm = make_inputs(args.n, args.seed)
 
-    trace, out = capture_trace(
-        args.algo,
-        data,
-        perm,
-        seed=args.seed,
-        pad_factor=args.pad_factor,
-        config=config,
-    )
+    trace, out = capture_trace(args.algo, data, perm, seed=args.seed,
+                               pad_factor=args.pad_factor, config=args.cache_config)
     if out != oracle_apply_perm(data, perm):
         raise RuntimeError("output does not match the reference")
-    _emit([str(v) for v in out], args.out)
+    # the trace first, so a trace path that cannot be written prints nothing
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(trace.export_csv())
+    _emit([str(v) for v in out], args.out)
     return 0
 
 
 def cmd_bench(args) -> int:
-    algos = _flag_list("--algos", "algorithm", args.algos, _algo_name)
-    n_list = _n_list(args.n_list)
-    if args.bubble_max < 1:
-        raise ValueError(f"--bubble-max must be at least 1, got {args.bubble_max}")
-    rows = bench_rows(
-        algos,
-        n_list,
-        seed=args.seed,
-        pad_factor=args.pad_factor,
-        lam=_cost_weight(args.lam),
-        retry_cap=args.retry_cap,
-        bubble_max=args.bubble_max,
-    )
+    """Event-count comparison table."""
+    rows = bench_rows(args.algos, args.n_list, seed=args.seed,
+                      pad_factor=args.pad_factor, lam=args.lam,
+                      retry_cap=args.retry_cap, bubble_max=args.bubble_max)
     _emit(rows, args.out)
     return 0
 
 
 def cmd_aborts(args) -> int:
+    """Abort-cause breakdown table."""
     rows = aborts_rows(
-        _n_list(args.n_list),
+        args.n_list,
         seed=args.seed,
         rate=args.rate,
         pad_factor=args.pad_factor,
@@ -456,35 +385,23 @@ def cmd_aborts(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = _load_cache_config(args)
-    _n_flag(args.n, args.program)
-    if args.trials < 2:
-        raise ValueError("--trials must be at least 2")
+    """Trace-equality check."""
     inputs = [
         make_inputs(args.n, args.seed + 1_000_000_007 * t)
         for t in range(args.trials)
     ]
     factory = lambda: _interrupt_model(args.rate, args.seed & _MASK64)
-    report = verify_obliviousness(
-        args.program,
-        inputs,
-        seed=args.seed,
-        pad_factor=args.pad_factor,
-        config=config,
-        interrupt_model_factory=factory,
-    )
+    report = verify_obliviousness(args.program, inputs, seed=args.seed,
+                                  pad_factor=args.pad_factor,
+                                  config=args.cache_config,
+                                  interrupt_model_factory=factory)
     print(report.summary())
     return 0 if report.all_equal else 1
 
 
 def cmd_probe(args) -> int:
-    config = _load_cache_config(args)
-    if config.address_space < config.llc_capacity:
-        # the probe declares up to the whole LLC from address zero
-        raise ValueError(
-            f"address space of {config.address_space} bytes is smaller than "
-            f"the {config.llc_capacity}-byte LLC; the probe cannot fill it"
-        )
+    """Recover the cache capacities."""
+    config = args.cache_config
     l1, llc = probe_cache_sizes(
         lambda: CacheSim(config), line_size=config.line_size
     )
@@ -492,19 +409,144 @@ def cmd_probe(args) -> int:
     return 0
 
 
-# -- parser ------------------------------------------------------------------
+# -- flags -------------------------------------------------------------------
+#
+# A rule takes a flag and its parsed value and returns the value the
+# subcommand gets, or raises a ValueError naming the flag.
 
 
-# the shared integer flags no subcommand can honour below 1
-_AT_LEAST_ONE = ("--pad-factor", "--retry-cap")
+def _rule(ok, text: str):
+    """A rule that refuses a value failing ``ok`` with ``text``, formatted
+    with the flag and the value; None, a flag not given, passes."""
+    def rule(flag: str, v):
+        if v is not None and not ok(v):
+            raise ValueError(text.format(flag=flag, v=v))
+        return v
+    return rule
 
-_SHARED_FLAGS = {
-    "--config": dict(help="key=value file of flag defaults"),
-    "--cache-config": dict(help="key=value cache geometry file"),
-    "--seed": dict(type=int, default=0),
-    "--pad-factor": dict(type=int, default=2),
-    "--retry-cap": dict(type=int, default=1024),
+
+def _listing(what: str, item):
+    """A rule for comma-separated values, each through ``item``, which
+    raises a ValueError for a bad one; refused too when there are none or
+    one repeats."""
+    def rule(flag: str, text: str) -> list:
+        try:
+            values = [item(tok.strip()) for tok in text.split(",") if tok.strip()]
+        except ValueError as exc:
+            raise ValueError(f"bad {flag}: {exc}") from None
+        if not values:
+            raise ValueError(f"bad {flag}: no {what}s in {text!r}")
+        for i, v in enumerate(values):
+            if v in values[:i]:
+                raise ValueError(f"bad {flag}: {what} {v} given more than once")
+        return values
+    return rule
+
+
+def _fit(what: str, n: int, space: int) -> None:
+    """Refuse a size whose words alone overflow the address space, before
+    any input of that size is built."""
+    if n * WORD_BYTES > space:
+        raise ValueError(f"{what} must fit the {space}-byte address space "
+                         f"at {WORD_BYTES} bytes a word, got {n}")
+
+
+def _square_size(tok: str) -> int:
+    n = int(tok)
+    if n < 1 or isqrt(n) ** 2 != n:
+        raise ValueError(f"sizes must be perfect squares, got {n}")
+    _fit("sizes", n, CacheConfig().address_space)  # bench and aborts' geometry
+    return n
+
+
+def _algo_name(tok: str) -> str:
+    if tok not in PROGRAMS:
+        raise ValueError(
+            f"unknown algorithm {tok!r}; one of {', '.join(sorted(PROGRAMS))}"
+        )
+    return tok
+
+
+def _geometry(flag: str, path: str | None) -> CacheConfig:
+    return CacheConfig.from_file(path) if path else CacheConfig()
+
+
+_AT_LEAST_1 = _rule(lambda v: v >= 1, "{flag} must be at least 1, got {v}")
+_AT_LEAST_2 = _rule(lambda v: v >= 2, "{flag} must be at least 2")
+_WEIGHT = _rule(lambda v: isfinite(v) and v >= 0,
+                "{flag} must be finite and at least 0, got {v}")
+_RATE = _rule(lambda v: 0 <= v <= 1, "{flag} must be in [0, 1], got {v}")
+
+# every flag once: its argparse keywords and its rule (None: any value)
+_FLAGS = {
+    "--config": (dict(help="key=value file of flag defaults"), None),
+    "--cache-config": (dict(help="key=value cache geometry file"), _geometry),
+    "--seed": (dict(type=int, default=0), None),
+    "--pad-factor": (dict(type=int, default=2), _AT_LEAST_1),
+    "--retry-cap": (dict(type=int, default=1024), _AT_LEAST_1),
+    "--algo": (dict(default="melbourne", choices=sorted(PROGRAMS)), None),
+    "--program": (dict(default="melbourne", choices=sorted(PROGRAMS)), None),
+    "--n": (dict(type=int), _AT_LEAST_1),
+    "--input": (dict(help="file of whitespace-separated values"), None),
+    "--perm": (dict(help="file of whitespace-separated destinations"), None),
+    "--out": (dict(help="output file (default stdout)"), None),
+    "--trace": (dict(help="write the captured event trace here"), None),
+    "--algos": (dict(default="melbourne,naive,bubble"),
+                _listing("algorithm", _algo_name)),
+    "--n-list": (dict(help="comma-separated sizes"), _listing("size", _square_size)),
+    "--lam": (dict(type=float, default=50.0,
+                   help="cost weight per transaction attempt"), _WEIGHT),
+    "--bubble-max": (dict(type=int, default=1024,
+                          help="skip the quadratic baseline above this size"),
+                     _AT_LEAST_1),
+    "--trials": (dict(type=int, default=8), _AT_LEAST_2),
+    "--rate": (dict(type=float, help="per-access interrupt probability"), _RATE),
 }
+
+# per subcommand: its handler, whose docstring is its help, the defaults
+# that differ between subcommands, and its flags besides --config in help
+# order, which is also the order their rules run in
+_COMMANDS = {
+    "shuffle": (cmd_shuffle, {}, "--cache-config --seed --pad-factor --algo "
+                "--n --input --perm --out --trace"),
+    "bench": (cmd_bench, {"--n-list": "16,64,256,1024,4096,16384"},
+              "--seed --pad-factor --retry-cap --algos --n-list --lam "
+              "--bubble-max --out"),
+    "aborts": (cmd_aborts, {"--n-list": "256,1024", "--rate": 0.001},
+               "--seed --pad-factor --retry-cap --n-list --rate --out"),
+    "verify": (cmd_verify, {"--n": 256, "--rate": 0.0}, "--cache-config "
+               "--seed --pad-factor --program --n --trials --rate"),
+    "probe": (cmd_probe, {}, "--cache-config"),
+}
+
+
+def _joint_rules(args) -> None:
+    """The rules that read more than one flag, run after every flag's own
+    rule, on the same namespace."""
+    config = getattr(args, "cache_config", None)
+    if args.command == "probe" and config.address_space < config.llc_capacity:
+        # the probe declares up to the whole LLC from address zero
+        raise ValueError(
+            f"address space of {config.address_space} bytes is smaller than "
+            f"the {config.llc_capacity}-byte LLC; the probe cannot fill it"
+        )
+    if args.command == "shuffle":
+        if args.input and args.n is not None:
+            raise ValueError("--n cannot be given with --input, which sets the size")
+        if bool(args.input) != bool(args.perm):
+            raise ValueError("--perm is required with --input" if args.input else
+                             "--perm needs --input; --n draws the permutation")
+        if not args.input and args.n is None:
+            raise ValueError("pass --n or --input/--perm")
+    n = getattr(args, "n", None)
+    if n is not None:
+        program = args.algo if args.command == "shuffle" else args.program
+        if program == "melbourne" and isqrt(n) ** 2 != n:  # sqrt(n)-wide buckets
+            raise ValueError(f"--n must be a perfect square for melbourne, got {n}")
+        _fit("--n", n, config.address_space)
+
+
+# -- parser ------------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -513,52 +555,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="cache-miss-oblivious shuffling on a simulated hierarchy",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, help, func, *shared):
+    for name, (handler, defaults, flags) in _COMMANDS.items():
         # no abbreviations: a config key must name its flag exactly
-        p = sub.add_parser(name, help=help, allow_abbrev=False)
-        p.set_defaults(func=func)
-        for flag in ("--config",) + shared:
-            p.add_argument(flag, **_SHARED_FLAGS[flag])
-        return p
-
-    p = command("shuffle", "run one shuffle", cmd_shuffle,
-                "--cache-config", "--seed", "--pad-factor")
-    p.add_argument("--algo", default="melbourne",
-                   choices=sorted(PROGRAMS))
-    p.add_argument("--n", type=int)
-    p.add_argument("--input", help="file of whitespace-separated values")
-    p.add_argument("--perm", help="file of whitespace-separated destinations")
-    p.add_argument("--out", help="output file (default stdout)")
-    p.add_argument("--trace", help="write the captured event trace here")
-
-    p = command("bench", "event-count comparison table", cmd_bench,
-                "--seed", "--pad-factor", "--retry-cap")
-    p.add_argument("--algos", default="melbourne,naive,bubble")
-    p.add_argument("--n-list", default="16,64,256,1024,4096,16384")
-    p.add_argument("--lam", type=float, default=50.0,
-                   help="cost weight per transaction attempt")
-    p.add_argument("--bubble-max", type=int, default=1024,
-                   help="skip the quadratic baseline above this size")
-    p.add_argument("--out")
-
-    p = command("aborts", "abort-cause breakdown table", cmd_aborts,
-                "--seed", "--pad-factor", "--retry-cap")
-    p.add_argument("--n-list", default="256,1024")
-    p.add_argument("--rate", type=float, default=0.001,
-                   help="per-operation interrupt probability")
-    p.add_argument("--out")
-
-    p = command("verify", "trace-equality check", cmd_verify,
-                "--cache-config", "--seed", "--pad-factor")
-    p.add_argument("--program", default="melbourne",
-                   choices=sorted(PROGRAMS))
-    p.add_argument("--n", type=int, default=256)
-    p.add_argument("--trials", type=int, default=8)
-    p.add_argument("--rate", type=float, default=0.0,
-                   help="interrupt probability (same seed every trial)")
-
-    command("probe", "recover cache capacities", cmd_probe, "--cache-config")
+        p = sub.add_parser(name, help=handler.__doc__, allow_abbrev=False)
+        for flag in ["--config"] + flags.split():
+            kwargs = _FLAGS[flag][0]
+            if flag in defaults:
+                kwargs = dict(kwargs, default=defaults[flag])
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -566,17 +570,20 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     name = argv[0] if argv else "oblishuffle"
     try:
-        cfg_path = _extract_config_path(argv)
+        cfg_path = _config_path(argv)
         if cfg_path:
             argv[1:1] = _config_tokens(cfg_path)
         args, unknown = build_parser().parse_known_args(argv)
         if unknown:
             raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
-        for flag in _AT_LEAST_ONE:
-            value = getattr(args, flag[2:].replace("-", "_"), 1)
-            if value < 1:
-                raise ValueError(f"{flag} must be at least 1, got {value}")
-        return args.func(args)
+        # on the final namespace: a config value a flag overrides is not checked
+        handler, _, flags = _COMMANDS[args.command]
+        for flag in flags.split():
+            dest, rule = flag[2:].replace("-", "_"), _FLAGS[flag][1]
+            if rule:
+                setattr(args, dest, rule(flag, getattr(args, dest)))
+        _joint_rules(args)
+        return handler(args)
     except (
         CapacityError,
         LayoutInfeasibleError,

@@ -1,13 +1,20 @@
 """Command-line interface: table formats, exit codes, config files."""
 
+import argparse
+import re
 import subprocess
 import sys
 from math import isqrt
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from oblishuffle.cli import (
+    _COMMANDS,
     _consultations_per_txn,
+    build_parser,
     main,
     make_inputs,
     run_aborts_variant,
@@ -111,6 +118,31 @@ def test_shuffle_without_any_input_is_usage_error(capsys):
     rc, _, err = run_cli(capsys, "shuffle")
     assert rc == 2
     assert "--n" in err
+
+
+@pytest.mark.parametrize(
+    "extra, flag",
+    [
+        (("--input", "data.txt", "--perm", "perm.txt", "--n", "16"), "--n"),
+        (("--n", "4", "--perm", "perm.txt"), "--perm"),
+    ],
+)
+def test_shuffle_takes_one_input_source(capsys, tmp_path, extra, flag):
+    # --n draws both the values and the permutation; --input/--perm read them
+    (tmp_path / "data.txt").write_text("5 6 7 8\n")
+    (tmp_path / "perm.txt").write_text("2 0 3 1\n")
+    argv = [str(tmp_path / a) if a.endswith(".txt") else a for a in extra]
+    rc, out, err = run_cli(capsys, "shuffle", *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"shuffle: {flag} ")
+
+
+def test_shuffle_writes_the_trace_before_printing(capsys, tmp_path):
+    # a trace path that cannot be written leaves stdout empty
+    bad = tmp_path / "missing" / "trace.csv"
+    rc, out, err = run_cli(capsys, "shuffle", "--n", "4", "--trace", str(bad))
+    assert (rc, out) == (2, "")
+    assert str(bad) in err
 
 
 def test_shuffle_non_square_size_is_usage_error(capsys):
@@ -342,6 +374,33 @@ def test_config_key_the_subcommand_does_not_take_is_rejected(capsys, tmp_path):
     assert "lam" in err
 
 
+def test_config_given_twice_is_rejected(capsys, tmp_path, verify_cfg):
+    other = tmp_path / "other.cfg"
+    other.write_text("n=64\n")
+    for argv in (("--config", verify_cfg, "--config", str(other)),
+                 (f"--config={verify_cfg}", "--config", str(other))):
+        rc, out, err = run_cli(capsys, "verify", *argv)
+        assert (rc, out) == (2, "")
+        assert err.startswith("verify: --config ")
+
+
+def test_config_file_naming_a_config_is_rejected(capsys, tmp_path, verify_cfg):
+    cfg = tmp_path / "outer.cfg"
+    cfg.write_text(f"config={verify_cfg}\n")
+    rc, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+    assert (rc, out) == (2, "")
+    assert err.startswith("verify: --config ")
+
+
+def test_config_value_an_explicit_flag_overrides_is_not_checked(capsys, tmp_path):
+    # rules run on the final namespace, where --trials 3 replaced trials=1
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("n=16\ntrials=1\n")
+    rc, out, _ = run_cli(capsys, "verify", "--config", str(cfg), "--trials", "3")
+    assert rc == 0
+    assert "3 trials" in out
+
+
 # -- flags and failures ------------------------------------------------------
 
 
@@ -434,6 +493,108 @@ def test_failures_exit_with_code_and_message(capsys, argv, code):
         assert err == "verify: --trials must be at least 2\n"
     if code == 2:
         assert out == ""  # refused before any row is printed
+
+
+# a perfect square, so only the size bound refuses it; numpy fails at
+# once on an array this large, so nothing is allocated either way
+HUGE = "100000000000000"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("shuffle", "--n", HUGE), "--n"),
+        (("verify", "--n", HUGE), "--n"),
+        (("bench", "--n-list", HUGE), "--n-list"),
+        (("aborts", "--n-list", HUGE), "--n-list"),
+    ],
+)
+def test_size_past_the_address_space_is_refused(capsys, argv, flag):
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"{argv[0]}: ")
+    assert flag in err and "address space" in err
+
+
+def test_size_bound_reads_the_cache_geometry(capsys, tmp_path):
+    # 1024 words are 8 KiB, more than a 4 KiB address space
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("l1_sets=1\nl1_ways=1\nllc_sets=1\nllc_ways=1\n"
+                   "address_space=4096\n")
+    rc, out, err = run_cli(capsys, "verify", "--n", "1024",
+                           "--cache-config", str(cfg))
+    assert (rc, out) == (2, "")
+    assert err.startswith("verify: --n must fit the 4096-byte address space")
+
+
+@pytest.mark.parametrize("command", ["aborts", "verify"])
+def test_rate_refusal_names_the_flag(capsys, command):
+    rc, out, err = run_cli(capsys, command, "--rate", "1.5")
+    assert (rc, out) == (2, "")
+    assert err == f"{command}: --rate must be in [0, 1], got 1.5\n"
+
+
+# bad values for each kind of flag value
+NOT_INT = ["", "x", "nan", "inf", "1.5"]
+COUNT = NOT_INT + ["0", "-3"]
+NOT_FLOAT = ["", "x", "nan", "inf", "-inf"]
+PROGRAM = ["", "x", "16"]
+BAD_VALUES = {
+    "--seed": NOT_INT,
+    "--pad-factor": COUNT,
+    "--retry-cap": COUNT,
+    "--bubble-max": COUNT,
+    "--trials": COUNT + ["1"],
+    "--n": COUNT + ["15", HUGE],  # 15: not square, for melbourne by default
+    "--n-list": ["", ",", "x", "nan", "inf", "0", "-16", "15", "16,16", HUGE],
+    "--algos": ["", ",", "x", "16", "melbourne,melbourne"],
+    "--algo": PROGRAM,
+    "--program": PROGRAM,
+    "--lam": NOT_FLOAT + ["-1"],
+    "--rate": NOT_FLOAT + ["-0.5", "1.5"],
+}
+# a bad path fails when it is opened, with the OS's own message
+PATHS = {"--cache-config", "--input", "--perm", "--out", "--trace"}
+FLAG_ROWS = [(command, flag) for command, (_, _, flags) in _COMMANDS.items()
+             for flag in flags.split()]
+
+
+def test_every_flag_has_bad_values_or_is_a_path():
+    assert {flag for _, flag in FLAG_ROWS} == set(BAD_VALUES) | PATHS
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from([r for r in FLAG_ROWS if r[1] in BAD_VALUES]).flatmap(
+    lambda row: st.tuples(st.just(row), st.sampled_from(BAD_VALUES[row[1]]))))
+def test_every_flag_refuses_its_bad_values(capsys, case):
+    (command, flag), value = case
+    try:
+        rc, out, err = run_cli(capsys, command, f"{flag}={value}")
+    except SystemExit as exc:  # argparse's own type and choice errors
+        rc, (out, err) = exc.code, capsys.readouterr()
+    assert rc == 2
+    assert flag in err
+    assert out == ""
+    assert "Traceback" not in err
+
+
+def test_readme_flag_table_matches_the_parser():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    cli_section = readme.split("## CLI", 1)[1].split("\n## ", 1)[0]
+    documented = {
+        command: re.findall(r"`(--[\w-]+)`", flags)
+        for command, flags in re.findall(r"^\| `(\w+)` \| (.+) \|$",
+                                         cli_section, re.M)
+    }
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    parsed = {
+        command: [s for a in p._actions for s in a.option_strings
+                  if s not in ("-h", "--help", "--config")]
+        for command, p in sub.choices.items()
+    }
+    assert documented == parsed
 
 
 def test_module_entrypoint_refuses_with_code_and_message():
