@@ -66,13 +66,13 @@ the fill is installed per set in closed form: each LLC set its lines,
 each L1 set its last ``l1_ways`` lines, and one miss per line.  The
 per-line step is its reference, and the tests hold the two equal.
 
-The trace is stored packed.  ``CacheSim.trace`` is an ``EventLog``, an
+The trace is stored packed.  ``CacheSim.trace`` is a ``Trace``, an
 ``array('q')`` of one 8-byte code per event, ``line << 1 |
 is_writeback``, so recording an event makes no Python object; a
 ``TraceEvent`` is made only when the trace is read (iteration, an index,
-a slice, equality with a list).  A ``Trace`` snapshot holds the codes'
-bytes, so a snapshot is one copy and comparing two traces one bytes
-compare.  LLC sets are made on first fill: a slot of the LLC's set list
+a slice, equality with a list or a tuple).  ``snapshot_trace`` returns a
+copy of it, one memcpy, and comparing two traces is one compare of their
+codes.  LLC sets are made on first fill: a slot of the LLC's set list
 is None until a line is first installed in that set (and again after
 ``flush_all``), so a simulator allocates a dict only for the sets it
 fills.
@@ -90,7 +90,7 @@ from __future__ import annotations
 import re
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 from operator import and_, rshift
 from typing import Iterable, Iterator, NamedTuple
@@ -148,25 +148,29 @@ def _events(codes: Iterator[int], same: Iterator[int]) -> Iterator[TraceEvent]:
     return map(_event, repeat(TraceEvent), zip(kinds, lines))
 
 
-def _decode(c: int) -> TraceEvent:
-    return _event(TraceEvent, (_KINDS[c & 1], c >> 1))
+class Trace(array):
+    """The ordered LLC-boundary events, held packed: an ``array('q')`` of
+    one 8-byte code per event, ``line << 1 | is_writeback``.
 
-
-class EventLog(array):
-    """A simulator's trace as it is recorded: an ``array('q')`` of one
-    8-byte code per event, ``line << 1 | is_writeback``, made from codes.
-
-    To a reader it is a list of ``TraceEvent``s: iteration, an index and
-    a slice (a list) decode the events they return, and it equals a list
-    that holds the same events.  ``append`` takes an event.
-    The simulator appends codes through the base ``array`` methods, so
-    recording an event makes no Python object.
+    Two traces are equal iff they have the same length and agree at every
+    position.  There is no tolerance or reordering: positional equality is
+    the whole definition, made as one compare of the codes.  To a reader
+    a trace is a sequence of ``TraceEvent``s: iteration, an index and a
+    slice (a list) decode the events they return, ``append`` takes an
+    event, and a trace equals a list or a tuple of the same events.  The
+    other ``array`` methods, ``in`` among them, work on the codes: the
+    simulator appends codes through them, so recording an event makes no
+    Python object.  A trace is mutable, so, like a list, it has no hash.
     """
 
     __slots__ = ()
 
-    def __new__(cls, codes: Iterable[int] = ()):
-        return super().__new__(cls, "q", codes)
+    def __new__(cls, events: Iterable[tuple[str, int]] = ()):
+        return super().__new__(cls, "q", map(_code, events))
+
+    @property
+    def events(self) -> tuple[TraceEvent, ...]:
+        return tuple(self)
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return _events(array.__iter__(self), array.__iter__(self))
@@ -175,92 +179,26 @@ class EventLog(array):
         codes = array.__getitem__(self, i)
         if isinstance(i, slice):
             return list(_events(iter(codes), iter(codes)))
-        return _decode(codes)
-
-    def __contains__(self, event) -> bool:
-        return any(e == event for e in self)
+        return _event(TraceEvent, (_KINDS[codes & 1], codes >> 1))
 
     def __eq__(self, other):
-        if isinstance(other, array):
-            return self.tobytes() == other.tobytes()
-        if isinstance(other, list):
-            return len(self) == len(other) and list(self) == other
+        if isinstance(other, Trace):
+            return array.__eq__(self, other)
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and self.events == tuple(other)
         return NotImplemented
 
     def __ne__(self, other):
         eq = self.__eq__(other)
         return eq if eq is NotImplemented else not eq
 
-    __hash__ = None
+    def __copy__(self, memo=None) -> "Trace":
+        return array.__new__(Trace, "q", self)  # codes are ints: deep is shallow
 
-    def __repr__(self) -> str:
-        return f"EventLog({list(self)!r})"
-
-    def __copy__(self) -> "EventLog":
-        return EventLog(self)
-
-    def __deepcopy__(self, memo) -> "EventLog":
-        return EventLog(self)
+    __deepcopy__ = __copy__
 
     def append(self, event: tuple[str, int]) -> None:
         _append(self, _code(event))
-
-    def clear(self) -> None:
-        del self[:]
-
-
-class Trace:
-    """Immutable sequence of LLC-boundary events.
-
-    Two traces are equal iff they have the same length and agree at every
-    position.  There is no tolerance or reordering: positional equality is
-    the whole definition.  A trace holds its events packed, as the bytes
-    of their codes (see ``EventLog``), so a snapshot is one copy and
-    equality one bytes compare; ``events``, iteration and indexing make
-    the ``TraceEvent``s as they are read.
-    """
-
-    __slots__ = ("_bytes",)
-
-    def __init__(self, events: Iterable[tuple[str, int]] = ()):
-        self._bytes = array("q", map(_code, events)).tobytes()
-
-    @classmethod
-    def _packed(cls, codes: array) -> "Trace":
-        trace = object.__new__(cls)
-        trace._bytes = codes.tobytes()
-        return trace
-
-    def _codes(self) -> memoryview:
-        return memoryview(self._bytes).cast("q")
-
-    @property
-    def events(self) -> tuple[TraceEvent, ...]:
-        return tuple(self)
-
-    def __len__(self) -> int:
-        return len(self._bytes) // 8
-
-    def __getitem__(self, i):
-        codes = self._codes()[i]
-        if isinstance(i, slice):
-            return tuple(_events(iter(codes), iter(codes)))
-        return _decode(codes)
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        codes = self._codes()
-        return _events(iter(codes), iter(codes))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._bytes == other._bytes
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.events,))
-
-    def __repr__(self) -> str:
-        return f"Trace(events={self.events!r})"
 
     def export_csv(self) -> str:
         lines = ["sequence,kind,line_address"]
@@ -284,9 +222,19 @@ class PinViolationError(Exception):
         self.level = level
 
 
-def _require_pow2(name: str, value: int) -> None:
+# A simulator makes one L1 dict and one LLC slot per set up front, so a set
+# count past this would spend the memory before the first access.
+MAX_SETS = 1 << 20
+# x86-64 virtual addresses are 48 bits wide, and an enclave's range lies
+# within them.
+MAX_ADDRESS_SPACE = 1 << 48
+
+
+def _require_pow2(name: str, value: int, most: int) -> None:
     if value <= 0 or value & (value - 1):
         raise ValueError(f"{name} must be a power of two, got {value}")
+    if value > most:
+        raise ValueError(f"{name} must be at most {most}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -299,10 +247,10 @@ class CacheConfig:
     address_space: int = 1 << 30
 
     def __post_init__(self) -> None:
-        _require_pow2("line_size", self.line_size)
-        _require_pow2("l1_sets", self.l1_sets)
-        _require_pow2("llc_sets", self.llc_sets)
-        _require_pow2("address_space", self.address_space)
+        _require_pow2("line_size", self.line_size, MAX_ADDRESS_SPACE)
+        _require_pow2("l1_sets", self.l1_sets, MAX_SETS)
+        _require_pow2("llc_sets", self.llc_sets, MAX_SETS)
+        _require_pow2("address_space", self.address_space, MAX_ADDRESS_SPACE)
         if self.l1_ways <= 0 or self.llc_ways <= 0:
             raise ValueError("way counts must be positive")
         if self.line_size % WORD_BYTES:
@@ -327,15 +275,8 @@ class CacheConfig:
     @classmethod
     def from_text(cls, text: str) -> "CacheConfig":
         """Parse ``key=value`` lines; '#' starts a comment, blanks ignored."""
-        allowed = {
-            "line_size",
-            "l1_sets",
-            "l1_ways",
-            "llc_sets",
-            "llc_ways",
-            "address_space",
-        }
-        fields: dict[str, int] = {}
+        allowed = {f.name for f in fields(cls)}
+        values: dict[str, int] = {}
         for raw in text.splitlines():
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -346,10 +287,10 @@ class CacheConfig:
             key = m.group(1)
             if key not in allowed:
                 raise ValueError(f"unknown config key: {key}")
-            if key in fields:
+            if key in values:
                 raise ValueError(f"duplicate config key: {key}")
-            fields[key] = int(m.group(2))
-        return cls(**fields)
+            values[key] = int(m.group(2))
+        return cls(**values)
 
     @classmethod
     def from_file(cls, path: str) -> "CacheConfig":
@@ -379,7 +320,7 @@ class CacheSim:
     def __init__(self, config: CacheConfig | None = None):
         self.config = config or CacheConfig()
         self._pages: dict[int, list[int]] = {}  # page number -> its words
-        self.trace = EventLog()
+        self.trace = Trace()
         self.counters = AccessCounters()
         self._epoch = 0  # the epochs opened so far; the first is 1
         self._pin = -1  # the open epoch, or -1, which no entry holds
@@ -412,10 +353,10 @@ class CacheSim:
     # -- observable trace ------------------------------------------------
 
     def snapshot_trace(self) -> Trace:
-        return Trace._packed(self.trace)
+        return array.__new__(Trace, "q", self.trace)  # one copy of the codes
 
     def reset_trace(self) -> None:
-        self.trace.clear()
+        del self.trace[:]
 
     # -- raw memory (not traced) -----------------------------------------
 

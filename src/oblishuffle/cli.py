@@ -538,12 +538,25 @@ def _joint_rules(args) -> None:
                              "--perm needs --input; --n draws the permutation")
         if not args.input and args.n is None:
             raise ValueError("pass --n or --input/--perm")
+    # bench and aborts run on the default geometry
+    space = (config or CacheConfig()).address_space
     n = getattr(args, "n", None)
+    program = getattr(args, "algo", None) or getattr(args, "program", None)
+    melbourne = (program == "melbourne" or args.command == "aborts"
+                 or "melbourne" in getattr(args, "algos", ()))
     if n is not None:
-        program = args.algo if args.command == "shuffle" else args.program
-        if program == "melbourne" and isqrt(n) ** 2 != n:  # sqrt(n)-wide buckets
+        if melbourne and isqrt(n) ** 2 != n:  # sqrt(n)-wide buckets
             raise ValueError(f"--n must be a perfect square for melbourne, got {n}")
-        _fit("--n", n, config.address_space)
+        _fit("--n", n, space)
+    sizes = getattr(args, "n_list", None) or ([] if n is None else [n])
+    for n in sizes if melbourne else ():
+        # melbourne's intermediate buffer holds n * slice_len words
+        words = n * ShuffleParams(n, args.pad_factor).slice_len
+        if words * WORD_BYTES > space:
+            raise ValueError(
+                f"--pad-factor {args.pad_factor} needs {words} words of "
+                f"intermediate buffer at n = {n}, more than the {space}-byte "
+                f"address space holds")
 
 
 # -- parser ------------------------------------------------------------------

@@ -146,7 +146,7 @@ class ObliviousnessReport:
 def first_divergence(a: Trace, b: Trace):
     """Index and event pair of the first disagreement, or None if equal.
     A missing event (length mismatch) shows up as None on the short side."""
-    if a == b:  # compares the event tuples without a Python-level loop
+    if a == b:  # one compare of the packed codes, no Python-level loop
         return None
     for i in range(min(len(a), len(b))):
         if a[i] != b[i]:

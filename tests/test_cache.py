@@ -28,6 +28,8 @@ from reference import (
 from oblishuffle.cache import (
     KIND_MISS,
     KIND_WRITEBACK,
+    MAX_ADDRESS_SPACE,
+    MAX_SETS,
     PAGE_BYTES,
     PAGE_WORDS,
     AccessCounters,
@@ -455,33 +457,42 @@ def test_trace_is_stored_packed_and_reads_as_a_list_of_events():
     sim = CacheSim(TINY)
     events = traffic(sim)
     trace = sim.trace
+    assert type(trace) is Trace
     # one 8-byte code per event: line << 1 | is_writeback
     assert trace.itemsize == 8
-    assert len(trace.tobytes()) == 8 * len(events)
     assert trace.tobytes() == array("q", [0, 2, 1, 4, 5]).tobytes()
     assert len(trace) == len(events)
+    # decoded on read
     assert list(trace) == events
     assert [type(e) for e in trace] == [TraceEvent] * len(events)
     assert [trace[i] for i in range(-5, 5)] == events + events
     assert trace[1:4] == events[1:4]
     assert trace[::-2] == events[::-2]
-    assert trace == events and events == trace
-    assert not trace != events and not events != trace
-    assert trace != events[:-1] and not trace == events[:-1]
-    assert trace != events[:-1] + [miss(7)]
-    assert wb(2) in trace and wb(1) not in trace
+    assert trace.events == tuple(events)
     with pytest.raises(IndexError):
         trace[5]
+    # equal to a Trace, a list and a tuple of the same events, and to
+    # nothing that differs in length or at a position
+    for same in (Trace(events), sim.snapshot_trace(), events, tuple(events)):
+        assert trace == same and same == trace
+        assert not trace != same and not same != trace
+    changed = events[:-1] + [miss(7)]
+    for other in (Trace(events[:-1]), events[:-1], tuple(events[:-1]),
+                  Trace(changed), changed, tuple(changed), [], ()):
+        assert trace != other and other != trace
+        assert not trace == other and not other == trace
+    # mutable, so unhashable, like a list
+    with pytest.raises(TypeError):
+        hash(trace)
+    with pytest.raises(TypeError):
+        hash(sim.snapshot_trace())
 
     trace.append(TraceEvent(KIND_WRITEBACK, 9))
     assert trace[-1] == wb(9)
     assert trace == events + [wb(9)]
     with pytest.raises(ValueError):
         trace.append(TraceEvent("hit", 3))
-    trace.clear()
-    assert trace == [] and len(trace) == 0
-    assert sim.access(0, "read") == "llc-miss"
-    assert trace == [miss(0)]
+    assert trace == events + [wb(9)]
 
 
 def test_trace_copies_are_independent_event_logs():
@@ -497,21 +508,22 @@ def test_trace_copies_are_independent_event_logs():
 def test_trace_from_events_equals_the_snapshot_of_them():
     sim = CacheSim(TINY)
     events = traffic(sim)
-    snap = sim.snapshot_trace()
-    built = Trace(tuple(events))
-    assert built == snap and Trace(iter(events)) == snap
-    assert hash(built) == hash(snap)
-    # the value a frozen dataclass over the events tuple hashes to
-    assert hash(snap) == hash((tuple(events),))
-    assert snap.events == tuple(events)
-    assert len(snap) == len(events)
-    assert list(snap) == events
-    assert [snap[i] for i in range(-5, 5)] == events + events
-    assert snap[1:3] == tuple(events[1:3])
-    assert built.export_csv() == snap.export_csv()
-    assert Trace(events[:-1]) != snap
-    assert Trace() == CacheSim(TINY).snapshot_trace()
-    assert repr(built) == f"Trace(events={tuple(events)!r})"
+    built = Trace(events)
+    assert Trace(tuple(events)) == built and Trace(iter(events)) == built
+    assert built.tobytes() == sim.trace.tobytes()
+    assert built.export_csv() == sim.snapshot_trace().export_csv()
+    assert Trace() == CacheSim(TINY).snapshot_trace() == []
+    # a snapshot, a copy and a deep copy are each a Trace of the events so
+    # far, which later appends to the simulator's trace do not change
+    dups = [sim.snapshot_trace(), copy.copy(sim.trace), copy.deepcopy(sim.trace)]
+    assert [type(d) for d in dups] == [Trace] * 3
+    assert sim.access(3 * 64, "read") == "llc-miss"
+    sim.trace.append(wb(9))
+    assert sim.trace == events + [miss(3), wb(9)]
+    for dup in dups:
+        assert dup == built and dup != sim.trace
+    sim.reset_trace()
+    assert sim.trace == [] and dups == [built] * 3
 
 
 def test_a_fresh_simulator_makes_no_llc_set():
@@ -621,6 +633,18 @@ def test_config_rejects_bad_text(text):
 def test_config_rejects_l1_larger_than_llc():
     with pytest.raises(ValueError):
         CacheConfig(l1_sets=64, l1_ways=8, llc_sets=1, llc_ways=1)
+
+
+def test_config_bounds_set_counts_and_address_space():
+    top = CacheConfig(l1_sets=MAX_SETS, l1_ways=1, llc_sets=MAX_SETS,
+                      address_space=MAX_ADDRESS_SPACE)
+    assert (top.l1_sets, top.llc_sets) == (1 << 20, 1 << 20)
+    assert top.address_space == 1 << 48
+    for key, most in (("l1_sets", MAX_SETS), ("llc_sets", MAX_SETS),
+                      ("address_space", MAX_ADDRESS_SPACE)):
+        with pytest.raises(ValueError, match=f"^{key} must be at most {most}, "
+                                             f"got {2 * most}$"):
+            CacheConfig.from_text(f"{key} = {2 * most}")
 
 
 # -- properties -------------------------------------------------------------------

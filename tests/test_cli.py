@@ -11,9 +11,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oblishuffle.cache import MAX_ADDRESS_SPACE, MAX_SETS
 from oblishuffle.cli import (
     _COMMANDS,
     _consultations_per_txn,
+    _joint_rules,
     build_parser,
     main,
     make_inputs,
@@ -507,6 +509,11 @@ HUGE = "100000000000000"
         (("verify", "--n", HUGE), "--n"),
         (("bench", "--n-list", HUGE), "--n-list"),
         (("aborts", "--n-list", HUGE), "--n-list"),
+        # melbourne's intermediate buffer, n * slice_len words, past it
+        (("shuffle", "--n", "16", "--pad-factor", HUGE), "--pad-factor"),
+        (("verify", "--n", "16", "--pad-factor", HUGE), "--pad-factor"),
+        (("bench", "--n-list", "16", "--pad-factor", HUGE), "--pad-factor"),
+        (("aborts", "--n-list", "16", "--pad-factor", HUGE), "--pad-factor"),
     ],
 )
 def test_size_past_the_address_space_is_refused(capsys, argv, flag):
@@ -514,6 +521,43 @@ def test_size_past_the_address_space_is_refused(capsys, argv, flag):
     assert (rc, out) == (2, "")
     assert err.startswith(f"{argv[0]}: ")
     assert flag in err and "address space" in err
+
+
+def test_pad_bound_applies_only_where_melbourne_runs(capsys):
+    rc, out, _ = run_cli(capsys, "bench", "--algos", "naive", "--n-list", "16",
+                         "--pad-factor", HUGE)
+    assert (rc, out) == (0, "algo,n,events,txns,aborts,cost\nnaive,16,8,1,0,58\n")
+    rc, out, _ = run_cli(capsys, "shuffle", "--algo", "naive", "--n", "16",
+                         "--pad-factor", HUGE)
+    assert rc == 0 and len(out.split()) == 16
+
+
+def test_pad_bound_is_the_address_space():
+    # at n = 16 a slice holds 4 * pad words, so the 2^30-byte default
+    # address space holds the 16 * 4 * pad words of a pad up to 2^21
+    args = argparse.Namespace(command="aborts", n_list=[16], pad_factor=1 << 21)
+    _joint_rules(args)
+    args.pad_factor += 1
+    with pytest.raises(ValueError, match="^--pad-factor 2097153 needs"):
+        _joint_rules(args)
+
+
+@pytest.mark.parametrize("command", ["shuffle", "probe"])
+@pytest.mark.parametrize("key, value", [
+    ("l1_sets", 1 << 21),
+    ("llc_sets", 1 << 40),
+    ("address_space", 1 << 50),
+])
+def test_geometry_past_the_simulator_bounds_is_refused(capsys, tmp_path,
+                                                        command, key, value):
+    # refused by CacheConfig before any simulator allocates its sets
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    size = ["--n", "16"] if command == "shuffle" else []
+    rc, out, err = run_cli(capsys, command, "--cache-config", str(cfg), *size)
+    assert (rc, out) == (2, "")
+    most = MAX_ADDRESS_SPACE if key == "address_space" else MAX_SETS
+    assert err == f"{command}: {key} must be at most {most}, got {value}\n"
 
 
 def test_size_bound_reads_the_cache_geometry(capsys, tmp_path):
