@@ -39,9 +39,11 @@ import numpy as np
 from .cache import WORD_BYTES, CacheConfig, CacheSim
 from .layout import LayoutInfeasibleError
 from .shuffle import (
+    VALUE_MASK,
     OverflowRetriesExceededError,
     ShuffleEngine,
     ShuffleParams,
+    arena_bytes,
     gen_perm,
 )
 from .txn import (
@@ -444,11 +446,16 @@ def _listing(what: str, item):
 
 
 def _fit(what: str, n: int, space: int) -> None:
-    """Refuse a size whose words alone overflow the address space, before
-    any input of that size is built."""
+    """Refuse a size whose words alone overflow the address space, or
+    that no packed word can hold, before any input of that size is
+    built."""
     if n * WORD_BYTES > space:
         raise ValueError(f"{what} must fit the {space}-byte address space "
                          f"at {WORD_BYTES} bytes a word, got {n}")
+    # melbourne's tags and bubble's packed words hold a destination in 32 bits
+    if n > VALUE_MASK:
+        raise ValueError(f"{what} must be at most {VALUE_MASK}: destinations "
+                         f"are packed in 32 bits, got {n}")
 
 
 def _square_size(tok: str) -> int:
@@ -538,8 +545,8 @@ def _joint_rules(args) -> None:
                              "--perm needs --input; --n draws the permutation")
         if not args.input and args.n is None:
             raise ValueError("pass --n or --input/--perm")
-    # bench and aborts run on the default geometry
-    space = (config or CacheConfig()).address_space
+    geometry = config or CacheConfig()  # bench and aborts run on the default
+    space = geometry.address_space
     n = getattr(args, "n", None)
     program = getattr(args, "algo", None) or getattr(args, "program", None)
     melbourne = (program == "melbourne" or args.command == "aborts"
@@ -549,14 +556,17 @@ def _joint_rules(args) -> None:
             raise ValueError(f"--n must be a perfect square for melbourne, got {n}")
         _fit("--n", n, space)
     sizes = getattr(args, "n_list", None) or ([] if n is None else [n])
+    size_flag = "--n-list" if getattr(args, "n_list", None) else "--n"
     for n in sizes if melbourne else ():
-        # melbourne's intermediate buffer holds n * slice_len words
-        words = n * ShuffleParams(n, args.pad_factor).slice_len
-        if words * WORD_BYTES > space:
-            raise ValueError(
-                f"--pad-factor {args.pad_factor} needs {words} words of "
-                f"intermediate buffer at n = {n}, more than the {space}-byte "
-                f"address space holds")
+        # the arena with no stagger pad is the least melbourne can run in;
+        # the size is at fault if even --pad-factor 1 does not fit it
+        for pf in (1, args.pad_factor):
+            need = arena_bytes(ShuffleParams(n, pf), geometry.line_size, 0)
+            if need > space:
+                what = f"{size_flag} {n}" if pf == 1 else f"--pad-factor {pf}"
+                raise ValueError(
+                    f"{what} needs a {need}-byte melbourne arena at n = {n}, "
+                    f"--pad-factor {pf}, more than the {space}-byte address space")
 
 
 # -- parser ------------------------------------------------------------------

@@ -67,22 +67,6 @@ class LayoutInfeasibleError(Exception):
 class LayoutPlan:
     placements: tuple[tuple[Region, int], ...]
 
-    def base_of(self, name: str) -> int:
-        for region, base in self.placements:
-            if region.name == name:
-                return base
-        raise KeyError(name)
-
-    @property
-    def assignments(self) -> dict[str, int]:
-        return {r.name: base for r, base in self.placements}
-
-    def export_csv(self) -> str:
-        lines = ["region_name,base_address,size_bytes"]
-        for region, base in self.placements:
-            lines.append(f"{region.name},{base},{region.size}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class ConflictReport:

@@ -152,10 +152,6 @@ def pack(tag: int, value: int) -> int:
     return (tag << 32) | value
 
 
-def unpack(word: int) -> tuple[int, int]:
-    return word >> 32, word & VALUE_MASK
-
-
 def gen_perm(n: int, seed: int) -> list[int]:
     """Uniform random permutation of range(n), deterministic in the seed."""
     if n < 0:
@@ -196,6 +192,16 @@ def _check_perm(perm, n: int) -> None:
 
 def _round_lines(size: int, line: int) -> int:
     return -(-size // line) * line
+
+
+def arena_bytes(params: ShuffleParams, line_size: int, pad: int) -> int:
+    """The bytes of melbourne's arena: the six n-word arrays, each in
+    whole lines, then ``bucket_count`` intermediate rows, each its
+    ``bucket_capacity`` words in whole lines plus ``pad`` lines of
+    stagger.  ``pad`` 0 gives the least arena any stagger can have."""
+    array_bytes = _round_lines(params.n * WORD_BYTES, line_size)
+    row_bytes = _round_lines(params.bucket_capacity * WORD_BYTES, line_size)
+    return 6 * array_bytes + params.bucket_count * (row_bytes + pad * line_size)
 
 
 def _line_region(
@@ -258,7 +264,7 @@ class ShuffleEngine:
 
         pad = self._find_stagger() if staggered else 0
         self.stride_bytes = self.row_bytes + pad * line
-        end = self.inter + p.bucket_count * self.stride_bytes
+        end = arena_bytes(p, line, pad)
         if end > cfg.address_space:
             raise ValueError(
                 f"arena needs {end} bytes, address space is {cfg.address_space}"

@@ -59,6 +59,14 @@ check against it.
 ``layout.SetLoads``: capacity pre-checks, then a contiguous packing from
 address zero, and only if that overloads a set, a first-fit placement
 that starts again from nothing, each with its own set-load counting.
+
+The rest are helpers that only the tests call, so the package does not
+carry them.  Over a ``CacheSim``: ``reset_trace``, ``peek_word`` and
+``poke_word`` (one word through ``peek_words``/``poke_words``),
+``line_state`` and ``check_invariants``.  Over a ``LayoutPlan``:
+``base_of``, ``assignments`` and ``export_csv``.  And ``unpack``, the
+inverse of ``shuffle.pack``.  A run of words is
+``sim.access_runs(((addr, count),), kind)``.
 """
 
 from __future__ import annotations
@@ -86,6 +94,7 @@ from oblishuffle.cache import (
     _event,
 )
 from oblishuffle.layout import READ_WRITE, LayoutInfeasibleError, LayoutPlan
+from oblishuffle.shuffle import VALUE_MASK
 from oblishuffle.txn import (
     CapacityError,
     HitGuaranteeError,
@@ -383,6 +392,53 @@ def per_line_unpin(sim, lines) -> None:
             s[line] = 0
 
 
+def reset_trace(sim) -> None:
+    """Empty a ``CacheSim``'s trace in place, leaving the cache alone."""
+    del sim.trace[:]
+
+
+def peek_word(sim, addr: int) -> int:
+    """The word at byte address ``addr``, checked and untraced."""
+    return sim.peek_words(addr, 1)[0]
+
+
+def poke_word(sim, addr: int, value: int) -> None:
+    """Store ``value`` at byte address ``addr``, checked and untraced."""
+    sim.poke_words(addr, (value,))
+
+
+def line_state(sim, line: int, level: str) -> tuple[bool, bool] | None:
+    """(dirty, pinned) of ``line`` at ``level`` ("l1" or "llc") of a
+    ``CacheSim``, or None if it is not resident there."""
+    if level == "l1":
+        f = sim._l1[line & sim._l1_mask].get(line)
+        return None if f is None else (bool(f & 1), f >> 1 == sim._pin)
+    f = (sim._llc[line & sim._llc_mask] or {}).get(line)
+    return None if f is None else (False, f == sim._pin)
+
+
+def check_invariants(sim) -> None:
+    """Structural sanity of a ``CacheSim``: occupancy bounds, set
+    mapping, inclusion, every stamp in ``0..epoch``, and pin agreement
+    between levels: a pinned L1 entry's LLC entry has its stamp."""
+    config = sim.config
+    for idx, s in enumerate(sim._l1):
+        assert len(s) <= config.l1_ways, "L1 set over ways"
+        for line, f in s.items():
+            assert line & sim._l1_mask == idx, "L1 set mapping broken"
+            assert 0 <= f >> 1 <= sim._epoch, "L1 stamp out of range"
+            lf = (sim._llc[line & sim._llc_mask] or {}).get(line)
+            assert lf is not None, "inclusion broken"
+            assert lf == f >> 1 or f >> 1 != sim._pin, "pin levels disagree"
+    for idx, s in enumerate(sim._llc):
+        if s is None:  # no line installed here since the last flush
+            continue
+        assert len(s) <= config.llc_ways, "LLC set over ways"
+        for line, f in s.items():
+            assert line & sim._llc_mask == idx, "LLC set mapping broken"
+            assert 0 <= f <= sim._epoch, "LLC stamp out of range"
+
+
 def lru_entries(sim):
     """Each set of a ``CacheSim``, L1 sets then LLC sets, as (line, dirty,
     pinned) in LRU order, least recently used first; an LLC set not yet
@@ -408,7 +464,7 @@ def pinned_lines(sim, lines):
     """The (line, level) pairs of ``lines`` resident and pinned, by
     ``line_state``."""
     return [(line, level) for line in lines for level in ("l1", "llc")
-            if (sim.line_state(line, level) or (False, False))[1]]
+            if (line_state(sim, line, level) or (False, False))[1]]
 
 
 def set_dicts(sim):
@@ -574,6 +630,32 @@ def _first_fit_plan(regions, config):
                 f"{max_shift} line offsets",
             )
     return LayoutPlan(tuple(placements))
+
+
+def base_of(plan: LayoutPlan, name: str) -> int:
+    """The base address of the region of ``plan`` named ``name``."""
+    for region, base in plan.placements:
+        if region.name == name:
+            return base
+    raise KeyError(name)
+
+
+def assignments(plan: LayoutPlan) -> dict[str, int]:
+    """Each region name of ``plan`` mapped to its base address."""
+    return {r.name: base for r, base in plan.placements}
+
+
+def export_csv(plan: LayoutPlan) -> str:
+    """``plan`` as CSV: one row of (name, base, size) per region."""
+    lines = ["region_name,base_address,size_bytes"]
+    for region, base in plan.placements:
+        lines.append(f"{region.name},{base},{region.size}")
+    return "\n".join(lines) + "\n"
+
+
+def unpack(word: int) -> tuple[int, int]:
+    """The (tag, value) of a word ``shuffle.pack`` made."""
+    return word >> 32, word & VALUE_MASK
 
 
 class ReferenceCacheSim:

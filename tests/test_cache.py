@@ -14,14 +14,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reference import (
+    check_invariants,
     in_epoch,
+    line_state,
     lru_entries,
     memory_contents,
     per_line_commit,
     per_line_prefetch,
     per_line_unpin,
+    peek_word,
     per_word_access,
     pinned_lines,
+    poke_word,
+    reset_trace,
     set_dicts,
 )
 
@@ -90,14 +95,14 @@ def test_hand_simulated_state_table():
         got = sim.access(line * 64, kind)
         assert got == want, f"step {step}: {got} != {want}"
         assert sim.trace[before:] == events, f"step {step} events"
-        sim.check_invariants()
+        check_invariants(sim)
     # line 3 is the only dirty line left
     sim.flush_all()
     assert sim.trace[-1] == wb(3)
     assert sim.trace == [
         miss(0), miss(1), wb(0), miss(2), wb(1), miss(3), miss(4), wb(3),
     ]
-    assert sim.line_state(3, "llc") is None  # flush empties the cache
+    assert line_state(sim, 3, "llc") is None  # flush empties the cache
 
 
 def test_dirty_l1_eviction_on_llc_hit_writes_back():
@@ -121,8 +126,8 @@ def test_combined_eviction_writes_back_once():
     before = len(sim.trace)
     sim.access(128, "read")
     assert sim.trace[before:] == [wb(0), miss(2)]
-    assert sim.line_state(0, "l1") is None
-    assert sim.line_state(0, "llc") is None
+    assert line_state(sim, 0, "l1") is None
+    assert line_state(sim, 0, "llc") is None
 
 
 def test_flush_orders_write_backs_ascending():
@@ -130,7 +135,7 @@ def test_flush_orders_write_backs_ascending():
     sim = CacheSim(cfg)
     for line in (9, 3, 7):
         sim.access(line * 64, "write")
-    sim.reset_trace()
+    reset_trace(sim)
     sim.flush_all()
     assert sim.trace == [wb(3), wb(7), wb(9)]
 
@@ -144,7 +149,7 @@ def test_flush_empty_cache_is_silent():
 def test_flush_single_dirty_line():
     sim = CacheSim(TINY)
     sim.access(5 * 64, "write")
-    sim.reset_trace()
+    reset_trace(sim)
     sim.flush_all()
     assert sim.trace == [wb(5)]
 
@@ -153,7 +158,7 @@ def test_clean_lines_flush_silently():
     sim = CacheSim(TINY)
     sim.access(0, "read")
     sim.access(64, "read")
-    sim.reset_trace()
+    reset_trace(sim)
     sim.flush_all()
     assert sim.trace == []
 
@@ -174,9 +179,9 @@ def test_llc_set_of_pinned_lines_rejects_install():
     assert exc.value.line_address == 2
     # the rejected access changed nothing
     assert sim.trace == before
-    assert sim.line_state(0, "llc") == (False, True)
-    assert sim.line_state(1, "llc") == (False, True)
-    sim.check_invariants()
+    assert line_state(sim, 0, "llc") == (False, True)
+    assert line_state(sim, 1, "llc") == (False, True)
+    check_invariants(sim)
 
 
 def test_write_blocked_by_pinned_dirty_l1_set():
@@ -198,13 +203,13 @@ def test_read_falls_back_to_llc_when_l1_is_pinned_dirty():
     before = len(sim.trace)
     assert sim.access(128, "read") == "llc-miss"
     assert sim.trace[before:] == [miss(2)]
-    assert sim.line_state(2, "l1") is None
-    assert sim.line_state(2, "llc") == (False, True)
+    assert line_state(sim, 2, "l1") is None
+    assert line_state(sim, 2, "llc") == (False, True)
     # next touch is served by the LLC, not L1
     assert sim.access(128, "read") == "llc-hit"
-    sim.check_invariants()
+    check_invariants(sim)
     sim.close_txn()
-    assert sim.line_state(2, "llc") == (False, False)
+    assert line_state(sim, 2, "llc") == (False, False)
 
 
 def test_pinned_clean_line_demotes_silently_and_stays_pinned_in_llc():
@@ -215,9 +220,9 @@ def test_pinned_clean_line_demotes_silently_and_stays_pinned_in_llc():
     before = len(sim.trace)
     sim.access(128, "read")  # evicts a pinned clean line from L1
     assert [e for e in sim.trace[before:] if e.kind == KIND_WRITEBACK] == []
-    demoted = [l for l in (0, 1) if sim.line_state(l, "l1") is None]
+    demoted = [l for l in (0, 1) if line_state(sim, l, "l1") is None]
     assert len(demoted) == 1
-    assert sim.line_state(demoted[0], "llc") == (False, True)
+    assert line_state(sim, demoted[0], "llc") == (False, True)
 
 
 @pytest.mark.parametrize("block", [False, True])
@@ -250,16 +255,16 @@ def test_unpin_then_evictable():
     sim.access(64, "read")
     sim.unpin_lines([0, 1])
     sim.access(128, "read")  # now fine, though the epoch is still open
-    sim.check_invariants()
+    check_invariants(sim)
 
 
 def test_writeback_line_cleans_and_keeps_resident():
     sim = CacheSim(TINY)
     sim.access(0, "write")
-    sim.reset_trace()
+    reset_trace(sim)
     assert sim.writeback_line(0) is True
     assert sim.trace == [wb(0)]
-    assert sim.line_state(0, "l1") == (False, False)
+    assert line_state(sim, 0, "l1") == (False, False)
     assert sim.writeback_line(0) is False  # already clean
     assert sim.writeback_line(99) is False  # absent
     assert sim.trace == [wb(0)]
@@ -268,13 +273,13 @@ def test_writeback_line_cleans_and_keeps_resident():
 def test_invalidate_discards_dirty_data_silently():
     sim = CacheSim(TINY)
     sim.write_word(0, 7)
-    sim.reset_trace()
+    reset_trace(sim)
     sim.invalidate_lines([0])
     assert sim.trace == []
-    assert sim.line_state(0, "llc") is None
+    assert line_state(sim, 0, "llc") is None
     # memory keeps whatever was poked through write_word; the caller of
     # invalidate owns restoring it
-    assert sim.peek_word(0) == 7
+    assert peek_word(sim, 0) == 7
 
 
 # -- memory ------------------------------------------------------------------
@@ -283,7 +288,7 @@ def test_invalidate_discards_dirty_data_silently():
 def test_unwritten_words_read_zero():
     sim = CacheSim(TINY)
     assert sim.read_word(64) == 0
-    assert sim.peek_word(512) == 0
+    assert peek_word(sim, 512) == 0
 
 
 def test_read_write_word_roundtrip():
@@ -297,7 +302,7 @@ def test_poke_peek_do_not_touch_the_trace():
     sim.poke_words(0, [1, 2, 3])
     assert sim.peek_words(0, 3) == [1, 2, 3]
     assert sim.trace == []
-    assert sim.line_state(0, "llc") is None
+    assert line_state(sim, 0, "llc") is None
 
 
 def test_word_blocks_check_their_last_word_before_storing():
@@ -326,7 +331,7 @@ def test_reads_allocate_no_page():
     assert sim.read_word(PAGE_BYTES) == 0
     assert sim.peek_words(16, 4) == [0] * 4
     assert sim.peek_words(PAGE_BYTES - 16, PAGE_WORDS + 4) == [0] * (PAGE_WORDS + 4)
-    assert sim.peek_word(3 * PAGE_BYTES) == 0
+    assert peek_word(sim, 3 * PAGE_BYTES) == 0
     assert sim._pages == {}
 
 
@@ -340,7 +345,7 @@ def test_word_blocks_across_pages_match_single_words():
     sim.write_word(2 * PAGE_BYTES + 16, 11)
     assert sorted(sim._pages) == [0, 1, 2, 3]
     assert sim.peek_words(start, len(values)) == values
-    assert [sim.peek_word(start + 8 * i) for i in range(len(values))] == values
+    assert [peek_word(sim, start + 8 * i) for i in range(len(values))] == values
     assert sim.peek_words(start - 8, 3) == [0, 1, 2]
     assert sim.peek_words(last - 16, 3) == [7, 8, 9]
     assert sim.read_word(last) == 9
@@ -360,7 +365,7 @@ def test_misaligned_word_rejected():
     with pytest.raises(ValueError):
         sim.read_word(4)
     with pytest.raises(ValueError):
-        sim.poke_word(3, 1)
+        poke_word(sim, 3, 1)
 
 
 def test_out_of_range_address_rejected():
@@ -386,12 +391,12 @@ def test_set_index_is_line_mod_sets():
     for line in range(4):
         sim.access(line * 64, "read")
     for line in range(4):
-        assert sim.line_state(line, "l1") is not None
+        assert line_state(sim, line, "l1") is not None
     # line 4 maps to the set of line 0 and evicts it
     sim.access(4 * 64, "read")
-    assert sim.line_state(0, "l1") is None
-    assert sim.line_state(4, "l1") is not None
-    sim.check_invariants()
+    assert line_state(sim, 0, "l1") is None
+    assert line_state(sim, 4, "l1") is not None
+    check_invariants(sim)
 
 
 # -- trace handling ------------------------------------------------------------
@@ -425,7 +430,7 @@ def test_interleaved_snapshots_are_prefixes():
 def test_reset_trace_keeps_cache_state():
     sim = CacheSim(TINY)
     sim.access(0, "write")
-    sim.reset_trace()
+    reset_trace(sim)
     assert sim.snapshot_trace().events == ()
     assert sim.access(0, "read") == "l1-hit"
 
@@ -522,19 +527,19 @@ def test_trace_from_events_equals_the_snapshot_of_them():
     assert sim.trace == events + [miss(3), wb(9)]
     for dup in dups:
         assert dup == built and dup != sim.trace
-    sim.reset_trace()
+    reset_trace(sim)
     assert sim.trace == [] and dups == [built] * 3
 
 
 def test_a_fresh_simulator_makes_no_llc_set():
     sim = CacheSim()
     assert sim._llc == [None] * sim.config.llc_sets
-    assert sim.line_state(5, "llc") is None
-    assert sim.line_state(5, "l1") is None
+    assert line_state(sim, 5, "llc") is None
+    assert line_state(sim, 5, "l1") is None
     sim.invalidate_lines([5, 6])
     sim.unpin_lines([5])
     assert not sim.writeback_line(5)
-    sim.check_invariants()
+    check_invariants(sim)
     assert sim._llc == [None] * sim.config.llc_sets
 
 
@@ -547,7 +552,7 @@ def test_prefetch_makes_one_llc_set_per_set_filled(k):
     made = [s is not None for s in sim._llc]
     assert sum(made) == min(k, cfg.llc_sets)
     assert made == [i < k for i in range(cfg.llc_sets)]
-    sim.check_invariants()
+    check_invariants(sim)
 
 
 def test_a_deep_copy_makes_its_own_llc_sets():
@@ -559,8 +564,8 @@ def test_a_deep_copy_makes_its_own_llc_sets():
     dup.prefetch(range(2, 6), "read")
     dup.access(0, "read")
     dup.invalidate_lines([1])
-    dup.check_invariants()
-    sim.check_invariants()
+    check_invariants(dup)
+    check_invariants(sim)
     assert [s is not None for s in sim._llc] == [True, True] + [False] * 6
     assert lru_entries(sim)[-8:-6] == [[(0, False, True)], [(1, False, True)]]
     assert sim.trace == [miss(0), miss(1)]
@@ -574,17 +579,17 @@ def test_invariants_hold_after_invalidate_and_flush():
     for line in range(20):
         sim.access(line * 64, "write" if line % 3 else "read")
     sim.prefetch([20, 21], "read")
-    sim.check_invariants()
+    check_invariants(sim)
     # lines resident, evicted, and in sets never made
     sim.invalidate_lines([19, 0, 21, 100, 4, 12])
-    sim.check_invariants()
-    assert all(sim.line_state(line, "llc") is None for line in (19, 21, 4, 12))
+    check_invariants(sim)
+    assert all(line_state(sim, line, "llc") is None for line in (19, 21, 4, 12))
     sim.flush_all()
-    sim.check_invariants()
+    check_invariants(sim)
     assert sim._llc == [None] * cfg.llc_sets
     assert all(not s for s in sim._l1)
     sim.access(3 * 64, "read")
-    sim.check_invariants()
+    check_invariants(sim)
     assert sum(s is not None for s in sim._llc) == 1
 
 
@@ -702,7 +707,7 @@ def test_structure_holds_under_arbitrary_traffic(seq):
             # hits never emit miss-read events (write-backs may still
             # happen when an L1 install demotes a dirty line)
             assert all(e.kind != KIND_MISS for e in sim.trace[before:])
-        sim.check_invariants()
+        check_invariants(sim)
 
 
 @given(access_sequences())
@@ -821,7 +826,7 @@ def test_block_calls_match_the_per_line_loops(program):
             fast.unpin_lines(b)
             per_line_unpin(ref, b)
         assert sim_state(fast) == sim_state(ref)
-        fast.check_invariants()
+        check_invariants(fast)
 
 
 @st.composite
@@ -872,7 +877,7 @@ def test_prefetch_of_a_span_matches_the_per_line_step(program):
     assert got == want
     assert fast.trace.tobytes() == ref.trace.tobytes()
     assert sim_state(fast) == sim_state(ref)
-    fast.check_invariants()
+    check_invariants(fast)
 
 
 @pytest.mark.parametrize("kind", ["read", "write"])
@@ -918,10 +923,10 @@ def test_commit_lines_writes_back_in_order_then_unpins():
     assert sim.commit_lines([1, 0, 1]) == 2
     assert sim.trace[-2:] == [wb(1), wb(0)]
     for line in (0, 1, 2):
-        assert sim.line_state(line, "llc") == (False, True)
+        assert line_state(sim, line, "llc") == (False, True)
     sim.close_txn()
     for line in (0, 1, 2):
-        assert sim.line_state(line, "llc") == (False, False)
+        assert line_state(sim, line, "llc") == (False, False)
 
 
 @st.composite
@@ -975,12 +980,14 @@ def test_access_run_matches_per_word_accesses(program):
         bad = first_out_of_range(range(addr, addr + 8 * count, 8), config.address_space)
         if bad is not None:
             # invalid input changes nothing; the reference takes no step
-            assert_refused(fast, lambda: fast.access_run(addr, count, kind), bad)
+            assert_refused(
+                fast, lambda: fast.access_runs(((addr, count),), kind), bad)
         else:
-            assert outcome(lambda: fast.access_run(addr, count, kind)) == outcome(
+            assert outcome(
+                lambda: fast.access_runs(((addr, count),), kind)) == outcome(
                 lambda: per_word_run(ref, addr, count, kind))
         assert sim_state(fast) == sim_state(ref)
-        fast.check_invariants()
+        check_invariants(fast)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1010,7 +1017,7 @@ def test_access_runs_matches_per_word_accesses(program):
         assert outcome(lambda: fast.access_runs(pairs, kind)) == outcome(
             per_word_runs)
     assert sim_state(fast) == sim_state(ref)
-    fast.check_invariants()
+    check_invariants(fast)
 
 
 def test_access_run_stops_at_a_pin_fault_mid_run():
@@ -1022,7 +1029,7 @@ def test_access_run_stops_at_a_pin_fault_mid_run():
         s.open_txn()
         s.access(0, "write")
     with pytest.raises(PinViolationError) as info:
-        sim.access_run(64 + 40, 6, "write")
+        sim.access_runs(((64 + 40, 6),), "write")
     with pytest.raises(PinViolationError):
         per_word_run(ref, 64 + 40, 6, "write")
     assert (info.value.line_address, info.value.level) == (2, "l1")
@@ -1034,13 +1041,15 @@ def test_access_run_past_the_address_space_changes_nothing():
     sim = CacheSim(TINY)
     space = TINY.address_space
     # the message names the first word at or past the limit
-    assert_refused(sim, lambda: sim.access_run(space - 16, 4, "read"), space)
-    assert_refused(sim, lambda: sim.access_run(space - 23, 4, "read"), space + 1)
-    assert_refused(sim, lambda: sim.access_run(-8, 2, "write"), -8)
+    assert_refused(sim, lambda: sim.access_runs(((space - 16, 4),), "read"),
+                   space)
+    assert_refused(sim, lambda: sim.access_runs(((space - 23, 4),), "read"),
+                   space + 1)
+    assert_refused(sim, lambda: sim.access_runs(((-8, 2),), "write"), -8)
     assert sim_state(sim) == sim_state(CacheSim(TINY))
     # misaligned, the run's last word starts below the limit and is in
     # range even though the run's end is past it
-    sim.access_run(space - 23, 3, "read")
+    sim.access_runs(((space - 23, 3),), "read")
     assert sim.counters.total == 3
 
 
@@ -1053,7 +1062,8 @@ def test_invalid_line_after_a_pin_fault_refuses_the_whole_block():
     sim.prefetch([0, 1], "write")
     past = TINY.address_space // 64
     assert_refused(sim, lambda: sim.prefetch([2, past], "write"), past * 64)
-    assert_refused(sim, lambda: sim.access_run(past * 64 - 64, 9, "write"),
+    assert_refused(sim,
+                   lambda: sim.access_runs(((past * 64 - 64, 9),), "write"),
                    past * 64)
     with pytest.raises(PinViolationError):
         sim.prefetch([2], "write")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oblishuffle.cache import MAX_ADDRESS_SPACE, MAX_SETS
+from oblishuffle.cache import MAX_ADDRESS_SPACE, MAX_SETS, CacheConfig
 from oblishuffle.cli import (
     _COMMANDS,
     _consultations_per_txn,
@@ -21,7 +21,7 @@ from oblishuffle.cli import (
     make_inputs,
     run_aborts_variant,
 )
-from oblishuffle.shuffle import ShuffleParams, gen_perm
+from oblishuffle.shuffle import VALUE_MASK, ShuffleParams, gen_perm
 from oblishuffle.verify import oracle_apply_perm
 
 
@@ -500,6 +500,11 @@ def test_failures_exit_with_code_and_message(capsys, argv, code):
 # a perfect square, so only the size bound refuses it; numpy fails at
 # once on an array this large, so nothing is allocated either way
 HUGE = "100000000000000"
+# 65536 squared, one past the largest destination a packed word holds
+PAST_TAGS = str(VALUE_MASK + 1)
+# stands for a geometry file with a 2^48-byte address space, which holds
+# PAST_TAGS words, so that only the packed-word bound refuses that size
+WIDE = "<wide geometry>"
 
 
 @pytest.mark.parametrize(
@@ -514,13 +519,38 @@ HUGE = "100000000000000"
         (("verify", "--n", "16", "--pad-factor", HUGE), "--pad-factor"),
         (("bench", "--n-list", "16", "--pad-factor", HUGE), "--pad-factor"),
         (("aborts", "--n-list", "16", "--pad-factor", HUGE), "--pad-factor"),
+        # melbourne's ShuffleParams refuses this size too, so no input is
+        # built even without the packed-word bound
+        (("shuffle", "--n", PAST_TAGS, "--cache-config", WIDE), "--n"),
+        (("verify", "--n", PAST_TAGS, "--cache-config", WIDE), "--n"),
+        # the buffer alone fits; the six n-word arrays take the arena past
+        (("shuffle", "--n", "16", "--pad-factor", "2097152"), "--pad-factor"),
     ],
 )
-def test_size_past_the_address_space_is_refused(capsys, argv, flag):
+def test_size_past_the_address_space_is_refused(capsys, tmp_path, argv, flag):
+    wide = tmp_path / "wide.cfg"
+    wide.write_text(f"address_space={MAX_ADDRESS_SPACE}\n")
+    bound = "packed in 32 bits" if WIDE in argv else "address space"
+    argv = [str(wide) if tok == WIDE else tok for tok in argv]
     rc, out, err = run_cli(capsys, *argv)
     assert (rc, out) == (2, "")
     assert err.startswith(f"{argv[0]}: ")
-    assert flag in err and "address space" in err
+    assert flag in err and bound in err
+
+
+@pytest.mark.parametrize("program", ["bubble", "melbourne", "naive"])
+def test_packed_word_bound_applies_to_every_program(program):
+    # on the rules alone: naive and bubble pass every rule at VALUE_MASK,
+    # and no test starts a run of that size
+    args = argparse.Namespace(
+        command="shuffle", algo=program, n=VALUE_MASK + 1, input=None,
+        perm=None, pad_factor=2,
+        cache_config=CacheConfig(address_space=MAX_ADDRESS_SPACE))
+    with pytest.raises(ValueError, match=f"^--n must be at most {VALUE_MASK}: "):
+        _joint_rules(args)
+    if program != "melbourne":  # VALUE_MASK is not a perfect square
+        args.n = VALUE_MASK
+        _joint_rules(args)
 
 
 def test_pad_bound_applies_only_where_melbourne_runs(capsys):
@@ -533,12 +563,30 @@ def test_pad_bound_applies_only_where_melbourne_runs(capsys):
 
 
 def test_pad_bound_is_the_address_space():
-    # at n = 16 a slice holds 4 * pad words, so the 2^30-byte default
-    # address space holds the 16 * 4 * pad words of a pad up to 2^21
-    args = argparse.Namespace(command="aborts", n_list=[16], pad_factor=1 << 21)
+    # at n = 16 melbourne's arena is six 128-byte arrays and four rows of
+    # 4 slices of 4 * pad words, 768 + 512 * pad bytes with no stagger, so
+    # the 2^30-byte default address space holds a pad up to 2^21 - 2
+    args = argparse.Namespace(command="aborts", n_list=[16],
+                              pad_factor=(1 << 21) - 2)
     _joint_rules(args)
     args.pad_factor += 1
-    with pytest.raises(ValueError, match="^--pad-factor 2097153 needs"):
+    with pytest.raises(ValueError, match="^--pad-factor 2097151 needs"):
+        _joint_rules(args)
+
+
+@pytest.mark.parametrize("command, sizes, flag", [
+    ("aborts", {"n_list": [16, 1 << 24]}, "--n-list"),
+    ("verify", {"n": 1 << 24, "program": "melbourne",
+                "cache_config": CacheConfig()}, "--n"),
+])
+def test_arena_that_no_pad_fits_names_the_size(command, sizes, flag):
+    # 4096^2 words fit the 2^30-byte default address space, and melbourne's
+    # arena does not even at --pad-factor 1; on the rules alone, so no
+    # input of that size is built
+    args = argparse.Namespace(command=command, pad_factor=2, **sizes)
+    with pytest.raises(ValueError, match=f"^{flag} 16777216 needs a "
+                       "4026531840-byte melbourne arena at n = 16777216, "
+                       "--pad-factor 1, "):
         _joint_rules(args)
 
 
@@ -589,8 +637,10 @@ BAD_VALUES = {
     "--retry-cap": COUNT,
     "--bubble-max": COUNT,
     "--trials": COUNT + ["1"],
-    "--n": COUNT + ["15", HUGE],  # 15: not square, for melbourne by default
-    "--n-list": ["", ",", "x", "nan", "inf", "0", "-16", "15", "16,16", HUGE],
+    # 15: not square, for melbourne by default
+    "--n": COUNT + ["15", HUGE, str(VALUE_MASK), PAST_TAGS],
+    "--n-list": ["", ",", "x", "nan", "inf", "0", "-16", "15", "16,16", HUGE,
+                 str(VALUE_MASK), PAST_TAGS],
     "--algos": ["", ",", "x", "16", "melbourne,melbourne"],
     "--algo": PROGRAM,
     "--program": PROGRAM,

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import two_phase_plan
+from reference import assignments, base_of, export_csv, two_phase_plan
 
 from oblishuffle.cache import CacheConfig, CacheSim
 from oblishuffle.layout import (
@@ -40,7 +40,7 @@ def lines_of(size, line=64):
 
 def test_small_read_region_lands_contiguously():
     plan = plan_layout([Region("in", 256, READ_ONLY)], CacheConfig())
-    assert plan.assignments == {"in": 0}
+    assert assignments(plan) == {"in": 0}
     report = check_conflicts(plan, CacheConfig())
     assert report.valid
     assert all(v == 1 for v in report.llc_load.values())
@@ -54,7 +54,7 @@ def test_three_region_working_set_packs_in_order():
         Region("scratch", 64, READ_WRITE),
     ]
     plan = plan_layout(regions, STRIPE)
-    assert plan.assignments == {"src": 0, "dst": 256, "scratch": 384}
+    assert assignments(plan) == {"src": 0, "dst": 256, "scratch": 384}
     assert check_conflicts(plan, STRIPE).valid
 
 
@@ -66,7 +66,7 @@ def test_interleaved_writes_fall_back_to_sliding():
         regions.append(Region(f"r{i}", 64, READ_ONLY))
         regions.append(Region(f"w{i}", 64, READ_WRITE))
     plan = plan_layout(regions, STRIPE)
-    assert plan.assignments == {
+    assert assignments(plan) == {
         "r0": 0, "w0": 64, "r1": 128, "w1": 192, "r2": 256, "w2": 384,
     }
     assert check_conflicts(plan, STRIPE).valid
@@ -193,12 +193,12 @@ def test_plan_export_csv():
     plan = plan_layout(
         [Region("src", 100, READ_ONLY), Region("dst", 64, READ_WRITE)], STRIPE
     )
-    assert plan.export_csv() == (
+    assert export_csv(plan) == (
         "region_name,base_address,size_bytes\nsrc,0,100\ndst,128,64\n"
     )
-    assert plan.base_of("dst") == 128
+    assert base_of(plan, "dst") == 128
     with pytest.raises(KeyError):
-        plan.base_of("nope")
+        base_of(plan, "nope")
 
 
 def test_decl_from_plan_splits_sides():

@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 from reference import (
     AllLinesDeclaration,
     ReferenceCacheSim,
+    check_invariants,
     in_epoch,
     lru_entries,
     memory_contents,
@@ -147,7 +148,8 @@ def apply(sim, step, txn, reads):
     if name == "write_word":
         return sim.write_word(*args)
     if name == "access_run":
-        return sim.access_run(*args)
+        addr, count, kind = args
+        return sim.access_runs(((addr, count),), kind)
     if name == "prefetch":
         return sim.prefetch(*args)
     if name == "commit":
@@ -224,7 +226,7 @@ def test_cache_and_rollback_match_the_stamp_reference(config, program):
         assert got == want, step
         assert fast_reads == ref_reads, step
         assert_same_state(fast, ref)
-        fast.check_invariants()
+        check_invariants(fast)
 
 
 def test_lru_order_is_insertion_order_with_moves_on_hits():

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import peek_word, unpack
+
 from oblishuffle.cache import CacheConfig, CacheSim
 from oblishuffle.layout import LayoutInfeasibleError, check_conflicts
 from oblishuffle.shuffle import (
@@ -17,12 +19,12 @@ from oblishuffle.shuffle import (
     OverflowRetriesExceededError,
     ShuffleEngine,
     ShuffleParams,
+    arena_bytes,
     bubble_shuffle,
     gen_perm,
     melbourne_shuffle,
     naive_shuffle,
     pack,
-    unpack,
 )
 from oblishuffle import shuffle
 from oblishuffle.txn import CapacityError, RetryCapExceededError, run_txn
@@ -174,7 +176,7 @@ def test_gather_sorted_row_unchanged():
     engine = ShuffleEngine(CacheSim(), ShuffleParams(1))
     engine.sim.poke_words(engine.inter, [pack(0, 42)])
     engine.gather_txn(0, engine.out)
-    assert engine.sim.peek_word(engine.out) == 42
+    assert peek_word(engine.sim, engine.out) == 42
 
 
 def test_gather_drops_dummies_and_sorts_by_tag():
@@ -374,6 +376,26 @@ def test_arena_must_fit_address_space():
     )
     with pytest.raises(ValueError):
         ShuffleEngine(CacheSim(tight), ShuffleParams(16))
+
+
+def test_arena_bytes_is_the_engine_arena_with_its_stagger_pad():
+    # every declared line lies in the arena; the last row's slices end at
+    # its whole lines, and only its stagger pad follows.  At n = 4096, the
+    # least that takes a pad on the default geometry
+    engine = ShuffleEngine(CacheSim(), ShuffleParams(4096), record_plans=True)
+    engine.melbourne(some_data(4096, 8), gen_perm(4096, 77))
+    line = engine.sim.config.line_size
+    pad = (engine.stride_bytes - engine.row_bytes) // line
+    assert pad > 0
+    top = max(base + region.size
+              for plan in engine.plans for region, base in plan.placements)
+    need = arena_bytes(engine.params, line, pad)
+    assert need == top + pad * line
+    # the stagger search reads no address space, so on a smaller one the
+    # engine finds the same pad, then refuses the arena that includes it
+    small = CacheConfig(address_space=1 << 19)
+    with pytest.raises(ValueError, match=f"^arena needs {need} bytes, "):
+        ShuffleEngine(CacheSim(small), ShuffleParams(4096))
 
 
 PAD_SIZES = (16, 64, 256, 1024, 4096, 16384)

@@ -16,15 +16,19 @@ from hypothesis import strategies as st
 from reference import (
     ScanAccessProbability,
     SetDeclaration,
+    check_invariants,
     declared_lines,
+    line_state,
     lru_entries,
     memory_contents,
+    peek_word,
     per_line_commit,
     per_line_prefetch,
     per_word_first_fire,
     per_word_read,
     per_word_write,
     pinned_lines,
+    poke_word,
 )
 
 from oblishuffle.cache import (
@@ -279,9 +283,9 @@ def test_empty_declaration_commits_silently():
 def test_committed_lines_are_unpinned_and_clean():
     sim = CacheSim(SMALL)
     run_txn(sim, TxnDeclaration.of(reads=[(0, 64)], writes=[(64, 64)]))
-    assert sim.line_state(0, "l1") == (False, False)
-    assert sim.line_state(1, "l1") == (False, False)
-    assert sim.line_state(1, "llc") == (False, False)
+    assert line_state(sim, 0, "l1") == (False, False)
+    assert line_state(sim, 1, "l1") == (False, False)
+    assert line_state(sim, 1, "llc") == (False, False)
 
 
 def test_pins_of_a_committed_transaction_do_not_return_in_the_next():
@@ -293,8 +297,8 @@ def test_pins_of_a_committed_transaction_do_not_return_in_the_next():
     run_txn(sim, TxnDeclaration.of(reads=[(0, 128)]))
     stats = run_txn(sim, TxnDeclaration.of(reads=[(addr_of(2), 64)]), retry_cap=2)
     assert (stats.committed, stats.ac2) == (True, 0)
-    assert sim.line_state(0, "llc") is None
-    sim.check_invariants()
+    assert line_state(sim, 0, "llc") is None
+    check_invariants(sim)
 
 
 # how a pin-scope transaction ends: the consultations that fire, counted
@@ -340,7 +344,7 @@ def test_pins_end_with_their_transaction(ending, prefetch):
     assert stats.attempts == (2 if fire_on else 1)
     assert not sim.txn_open
     assert pinned_lines(sim, (0, 2, 3, 6, 7)) == []
-    sim.check_invariants()
+    check_invariants(sim)
 
 
 # -- eviction aborts (pinned set conflict) -----------------------------------
@@ -362,9 +366,9 @@ def test_three_write_lines_in_one_set_storm_until_retry_cap():
     assert stats.prefetch_events == 12
     # rollback left nothing resident or pinned
     for line in (0, 2, 4):
-        assert sim.line_state(line, "llc") is None
+        assert line_state(sim, line, "llc") is None
     assert not sim.txn_open
-    sim.check_invariants()
+    check_invariants(sim)
     # and the simulator still runs clean transactions afterwards
     assert run_txn(sim, TxnDeclaration.of(writes=[(0, 64)])).committed
 
@@ -412,9 +416,9 @@ def test_block_prefetch_and_commit_match_per_line_reference(monkeypatch, reads, 
 
 def test_body_eviction_abort_restores_memory():
     sim = CacheSim(SMALL)
-    sim.poke_word(addr_of(0), 5)
-    sim.poke_word(addr_of(2), 6)
-    sim.poke_word(addr_of(4), 7)
+    poke_word(sim, addr_of(0), 5)
+    poke_word(sim, addr_of(2), 6)
+    poke_word(sim, addr_of(4), 7)
     decl = TxnDeclaration.of(writes=[(0, 64), (128, 64), (256, 64)])
 
     def body(ctx):
@@ -427,10 +431,10 @@ def test_body_eviction_abort_restores_memory():
         run_txn(sim, decl, body, prefetch=False, retry_cap=4)
     stats = exc_info.value.stats
     assert (stats.attempts, stats.ac2, stats.last_fault_line) == (4, 4, 4)
-    assert sim.peek_word(addr_of(0)) == 5
-    assert sim.peek_word(addr_of(0, 1)) == 0
-    assert sim.peek_word(addr_of(2)) == 6
-    assert sim.peek_word(addr_of(4)) == 7
+    assert peek_word(sim, addr_of(0)) == 5
+    assert peek_word(sim, addr_of(0, 1)) == 0
+    assert peek_word(sim, addr_of(2)) == 6
+    assert peek_word(sim, addr_of(4)) == 7
     assert sim.trace == [miss(0), miss(2)] * 4
 
 
@@ -635,7 +639,7 @@ def test_aborted_attempt_leaves_memory_as_it_found_it(case, prefetch):
     poked = {addr_of(0): 5, addr_of(0, 2): 6, addr_of(2, 5): 7,
              addr_of(3): 8}  # the last outside the write lines
     for addr, value in poked.items():
-        sim.poke_word(addr, value)
+        poke_word(sim, addr, value)
     before = sim.peek_words(0, words)
     contexts = []
 
@@ -655,7 +659,7 @@ def test_aborted_attempt_leaves_memory_as_it_found_it(case, prefetch):
     assert sim.peek_words(0, words) == before
     absent = {w + i for w, old in contexts[0]._undo
               for i in range(len(old))} - {addr >> 3 for addr in poked}
-    assert absent and all(sim.peek_word(8 * w) == 0 for w in absent)
+    assert absent and all(peek_word(sim, 8 * w) == 0 for w in absent)
 
 
 # -- programming errors ------------------------------------------------------
@@ -663,7 +667,7 @@ def test_aborted_attempt_leaves_memory_as_it_found_it(case, prefetch):
 
 def test_undeclared_read_raises_and_rolls_back():
     sim = CacheSim(SMALL)
-    sim.poke_word(addr_of(0), 5)
+    poke_word(sim, addr_of(0), 5)
     decl = TxnDeclaration.of(writes=[(0, 64)])
 
     def body(ctx):
@@ -674,8 +678,8 @@ def test_undeclared_read_raises_and_rolls_back():
         run_txn(sim, decl, body)
     assert exc_info.value.addr == 64
     assert exc_info.value.kind == "read"
-    assert sim.peek_word(addr_of(0)) == 5
-    assert sim.line_state(0, "llc") is None
+    assert peek_word(sim, addr_of(0)) == 5
+    assert line_state(sim, 0, "llc") is None
     assert not sim.txn_open
 
 
@@ -740,8 +744,8 @@ def test_unprefetched_commit_follows_first_write_order():
     assert sim.trace == [miss(2), miss(0), miss(1), wb(2), wb(0), wb(1)]
     assert stats.body_events == 3
     assert stats.committed
-    assert sim.peek_word(addr_of(2)) == 7
-    assert sim.peek_word(addr_of(2, 3)) == 10
+    assert peek_word(sim, addr_of(2)) == 7
+    assert peek_word(sim, addr_of(2, 3)) == 10
 
 
 def test_prefetch_trace_ignores_data_values():
@@ -756,7 +760,7 @@ def test_prefetch_trace_ignores_data_values():
     for fill in (0, 0xDEADBEEF):
         sim = CacheSim(SMALL)
         for line in (0, 1, 4):
-            sim.poke_word(addr_of(line), fill)
+            poke_word(sim, addr_of(line), fill)
         run_txn(sim, decl, body)
         traces.append(list(sim.trace))
     assert traces[0] == traces[1]
@@ -818,7 +822,7 @@ def test_interrupted_runs_converge_to_the_undisturbed_run(program):
     def fresh_sim():
         sim = CacheSim(SMALL)
         for line, value in init.items():
-            sim.poke_word(addr_of(line), value)
+            poke_word(sim, addr_of(line), value)
         return sim
 
     ref = {addr_of(line): value for line, value in init.items()}
@@ -838,11 +842,11 @@ def test_interrupted_runs_converge_to_the_undisturbed_run(program):
     assert calm.committed and noisy.committed
     assert calm.body_events == 0 and noisy.body_events == 0
     for sim in (calm_sim, noisy_sim):
-        sim.check_invariants()
+        check_invariants(sim)
         for line in reads + writes:
             for word in range(8):
                 addr = addr_of(line, word)
-                assert sim.peek_word(addr) == ref.get(addr, 0)
+                assert peek_word(sim, addr) == ref.get(addr, 0)
     # the noisy trace is the calm one with extra whole prefetch blocks
     assert calm_sim.trace[calm.trace_body_start:] == noisy_sim.trace[noisy.trace_body_start:]
     tail = len(calm_sim.trace)
@@ -1068,7 +1072,7 @@ def check_runs_match_per_word_accesses(program):
     for expand in (False, True):
         sim = CacheSim(config)
         for word, value in init.items():
-            sim.poke_word(word * 8, value)
+            poke_word(sim, word * 8, value)
         for line, kind in pre:
             sim.access(line * size, kind)
         # the per-word side draws one at a time from the scan's buffer
@@ -1091,7 +1095,7 @@ def check_runs_match_per_word_accesses(program):
                 results.append((type(exc), exc.addr))
             except ValueError as exc:
                 results.append((type(exc), str(exc)))
-            sim.check_invariants()
+            check_invariants(sim)
         consults = None if model is None else (model.consultations, model._pos)
         outcomes.append((results, log, sim_state(sim), consults))
     assert outcomes[0] == outcomes[1]
@@ -1153,7 +1157,7 @@ def test_read_run_served_from_llc_counts_llc_hits():
         assert ctx.read_run(addr_of(2, 2), 12) == [0] * 12
         seen["llc_hits"] = sim.counters.llc_hits - before[0]
         seen["events"] = len(sim.trace) - before[1]
-        seen["l1"] = [sim.line_state(line, "l1") for line in (2, 3)]
+        seen["l1"] = [line_state(sim, line, "l1") for line in (2, 3)]
 
     stats = run_txn(sim, decl, body)
     assert stats.committed and stats.attempts == 1
@@ -1192,7 +1196,7 @@ def test_run_into_undeclared_line_raises_before_any_access(prefetch):
     else:
         assert sim.counters == AccessCounters()
         assert sim.trace == []
-    assert sim.line_state(0, "llc") is None
+    assert line_state(sim, 0, "llc") is None
 
 
 @pytest.mark.parametrize(
