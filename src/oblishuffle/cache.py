@@ -509,12 +509,13 @@ class CacheSim:
         """Exactly ``access(line << shift, kind)`` for each of ``lines`` in
         order, in one call.
 
-        The lines are taken once: anything that is not a sequence is
-        made a tuple first.  A bad ``kind``, or a line out of range (a
-        ValueError naming the first such line's address), is refused
-        before any line; a range is checked from its ends.  A
-        PinViolationError leaves the lines before it applied and the
-        faulting line counted as ``access`` would.
+        The lines are taken once: anything that is not a ``range`` is
+        made a tuple first, which copies nothing for a tuple.  A bad
+        ``kind``, or a line out of range (a ValueError naming the first
+        such line's address), is refused before any line; a range is
+        checked from its ends.  A PinViolationError leaves the lines
+        before it applied and the faulting line counted as ``access``
+        would.
 
         A step-1 range is a cold fill, made per set in closed form, when
         every L1 and LLC set its lines map to is empty, no LLC set gets
@@ -530,7 +531,7 @@ class CacheSim:
         is_write = _is_write(kind)
         shift, limit = self._shift, self.config.address_space
         span = type(lines) is range
-        if not span and not isinstance(lines, Sequence):
+        if not span:
             lines = tuple(lines)
         # a range's least and greatest lines are its ends
         ends = (lines[0], lines[-1]) if span and lines else lines

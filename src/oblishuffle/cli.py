@@ -39,7 +39,7 @@ import numpy as np
 from .cache import WORD_BYTES, CacheConfig, CacheSim
 from .layout import LayoutInfeasibleError
 from .shuffle import (
-    VALUE_MASK,
+    MAX_N,
     OverflowRetriesExceededError,
     ShuffleEngine,
     ShuffleParams,
@@ -339,16 +339,30 @@ def _config_tokens(path: str) -> list[str]:
 # -- subcommands -------------------------------------------------------------
 #
 # main has run every flag's rule before a subcommand starts, so these refuse
-# only data: input files that do not parse or do not form a permutation.
+# only data: input files that do not parse, hold a size the run cannot take
+# or do not form a permutation.
+
+
+def _read_ints(flag: str, path: str) -> list[int]:
+    """The whitespace-separated integers of the file ``flag`` names; a
+    token that is not one is refused naming the flag and the path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        tokens = fh.read().split()
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError as exc:  # int's message quotes the token
+        raise ValueError(f"{flag} {path}: {exc}") from None
 
 
 def cmd_shuffle(args) -> int:
     """Run one shuffle."""
     if args.input:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            data = [int(tok) for tok in fh.read().split()]
-        with open(args.perm, "r", encoding="utf-8") as fh:
-            perm = [int(tok) for tok in fh.read().split()]
+        data = _read_ints("--input", args.input)
+        perm = _read_ints("--perm", args.perm)
+        if len(perm) != len(data):
+            raise ValueError(f"--perm {args.perm} holds {len(perm)} values, "
+                             f"but --input {args.input} holds {len(data)}")
+        _size_rules(args, "--input size", [len(data)])
     else:
         data, perm = make_inputs(args.n, args.seed)
 
@@ -447,22 +461,19 @@ def _listing(what: str, item):
 
 def _fit(what: str, n: int, space: int) -> None:
     """Refuse a size whose words alone overflow the address space, or
-    that no packed word can hold, before any input of that size is
-    built."""
+    outside 1..``MAX_N``, before any input of that size is built."""
     if n * WORD_BYTES > space:
         raise ValueError(f"{what} must fit the {space}-byte address space "
                          f"at {WORD_BYTES} bytes a word, got {n}")
-    # melbourne's tags and bubble's packed words hold a destination in 32 bits
-    if n > VALUE_MASK:
-        raise ValueError(f"{what} must be at most {VALUE_MASK}: destinations "
-                         f"are packed in 32 bits, got {n}")
+    if not 0 < n <= MAX_N:
+        raise ValueError(f"{what} must be at least 1 and at most {MAX_N}, "
+                         f"got {n}")
 
 
 def _square_size(tok: str) -> int:
     n = int(tok)
     if n < 1 or isqrt(n) ** 2 != n:
         raise ValueError(f"sizes must be perfect squares, got {n}")
-    _fit("sizes", n, CacheConfig().address_space)  # bench and aborts' geometry
     return n
 
 
@@ -545,25 +556,34 @@ def _joint_rules(args) -> None:
                              "--perm needs --input; --n draws the permutation")
         if not args.input and args.n is None:
             raise ValueError("pass --n or --input/--perm")
-    geometry = config or CacheConfig()  # bench and aborts run on the default
-    space = geometry.address_space
-    n = getattr(args, "n", None)
+    if getattr(args, "n_list", None):
+        _size_rules(args, "--n-list", args.n_list)
+    elif getattr(args, "n", None) is not None:
+        _size_rules(args, "--n", [args.n])
+
+
+def _size_rules(args, flag: str, sizes) -> None:
+    """Refuse a size of ``sizes``, given by ``flag``, that the run cannot
+    take, before any input of that size is built: past ``_fit``'s
+    bounds and, where melbourne runs, not a perfect square or with no
+    arena that fits the address space."""
+    geometry = getattr(args, "cache_config", None) or CacheConfig()
+    space = geometry.address_space  # bench and aborts run on the default
     program = getattr(args, "algo", None) or getattr(args, "program", None)
     melbourne = (program == "melbourne" or args.command == "aborts"
                  or "melbourne" in getattr(args, "algos", ()))
-    if n is not None:
+    for n in sizes:
         if melbourne and isqrt(n) ** 2 != n:  # sqrt(n)-wide buckets
-            raise ValueError(f"--n must be a perfect square for melbourne, got {n}")
-        _fit("--n", n, space)
-    sizes = getattr(args, "n_list", None) or ([] if n is None else [n])
-    size_flag = "--n-list" if getattr(args, "n_list", None) else "--n"
+            raise ValueError(f"{flag} must be a perfect square for melbourne, "
+                             f"got {n}")
+        _fit(flag, n, space)
     for n in sizes if melbourne else ():
         # the arena with no stagger pad is the least melbourne can run in;
         # the size is at fault if even --pad-factor 1 does not fit it
         for pf in (1, args.pad_factor):
             need = arena_bytes(ShuffleParams(n, pf), geometry.line_size, 0)
             if need > space:
-                what = f"{size_flag} {n}" if pf == 1 else f"--pad-factor {pf}"
+                what = f"{flag} {n}" if pf == 1 else f"--pad-factor {pf}"
                 raise ValueError(
                     f"{what} needs a {need}-byte melbourne arena at n = {n}, "
                     f"--pad-factor {pf}, more than the {space}-byte address space")

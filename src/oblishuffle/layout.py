@@ -144,15 +144,15 @@ def plan_layout(
         raise ValueError("region names must be unique")
     line = config.line_size
 
-    write_lines = sum(
+    written_lines = sum(
         _region_lines(r, line) for r in regions if r.kind == READ_WRITE
     )
     total_lines = sum(_region_lines(r, line) for r in regions)
-    if write_lines * line > config.l1_capacity:
+    if written_lines * line > config.l1_capacity:
         raise LayoutInfeasibleError(
             "capacity",
             "l1",
-            f"{write_lines * line} write bytes > {config.l1_capacity}",
+            f"{written_lines * line} write bytes > {config.l1_capacity}",
         )
     if total_lines * line > config.llc_capacity:
         raise LayoutInfeasibleError(

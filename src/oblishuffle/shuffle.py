@@ -81,6 +81,16 @@ from .txn import (
 )
 
 VALUE_MASK = (1 << 32) - 1
+# The largest n the CLI runs any program at, a bound on host memory that
+# no cache geometry can lift.  ``shuffle --algo naive --n 1048576`` on the
+# default geometry peaks at 127 MiB under tracemalloc, about 127 bytes an
+# element, and 467 MiB of RSS with tracemalloc on, before it ends in a
+# capacity refusal; the input alone is built before any run can refuse.
+# So n is bounded here rather than by a probe of the host's memory, and
+# even a 2^48-byte address space admits no size that exhausts it.  2^20
+# is far below VALUE_MASK, so no size the CLI takes reaches the packed-tag
+# bound.
+MAX_N = 1 << 20
 _SEED_STEP = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 

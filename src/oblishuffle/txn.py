@@ -1,16 +1,16 @@
 """Transactional execution on top of the cache simulator.
 
 A transaction declares its read and write byte ranges up front.  The
-declaration holds each side as line spans: ascending, disjoint ranges of
-whole lines, the read spans without the write lines.  The write set must
-fit in L1 and the union of read and write sets must fit in the LLC,
-otherwise the transaction is rejected before touching the cache (a
-capacity abort).  A declaration that reaches past the address space is
-refused the same way, with a ValueError, after the capacity checks.
-Both checks read only the spans, so a refused declaration costs nothing
-per line.  The line tuples the prefetch and the commit use are built
-from the spans on first use, and the body's declaration check bisects
-the spans themselves, so it builds no set of lines.
+declaration holds its lines only as spans: ascending, disjoint ranges of
+whole lines, one list per side, the read spans without the write lines,
+and, built on first use, one list of every declared line with touching
+spans joined.  The write set must fit in L1 and the union of read and
+write sets must fit in the LLC, otherwise the transaction is rejected
+before touching the cache (a capacity abort).  A declaration that
+reaches past the address space is refused the same way, with a
+ValueError, after the capacity checks.  Both checks read only the
+spans, so a refused declaration costs nothing per line, and the body's
+declaration check bisects the spans, so it builds no set of lines.
 
 With prefetching enabled (the default) each attempt begins by touching
 every declared line in ascending line order: reads first, then writes.
@@ -22,20 +22,20 @@ prefetched transaction that is ascending line order by construction) and
 all pins are released; the lines stay resident and clean.  Each block is
 one exact ``CacheSim`` call: the prefetch is ``sim.prefetch`` on the read
 lines and then on the write lines, equal to one ``access`` per line,
-and the commit is ``sim.commit_lines(dirtied)``, equal to
-``writeback_line`` per dirtied line, one pass over the lines the attempt
-dirtied and none over those it only read.  A side that is one span is
-prefetched, and its writes committed, as that ``range``, which builds no
-tuple of its lines and which the cache fills in closed form when the
-fill is cold (see ``CacheSim.prefetch``).  A pin is a stamp of the
-transaction's epoch (see ``cache``): ``run_txn`` opens the epoch with
-``sim.open_txn``, so every access it makes is pinned, and closes it
-with ``sim.close_txn``, which releases every pin the transaction made in
-one step, however many lines it pinned.  Each attempt's context holds the
-lines it dirtied, which the commit writes back, and a cold one the lines
-it pinned, which a rollback drops; a prefetched attempt pinned and
-dirtied exactly the declared lines, so its rollback drops the declared
-spans.
+and the commit is ``sim.commit_lines``, equal to ``writeback_line`` per
+dirtied line, one pass over the lines the attempt dirtied and none over
+those it only read.  Each side goes to these calls as its spans: one
+span as that ``range``, which the cache fills in closed form when the
+fill is cold (see ``CacheSim.prefetch``), more as one iterator over
+their lines.  A pin is a stamp of the transaction's epoch (see
+``cache``): ``run_txn`` opens the epoch with ``sim.open_txn``, so every
+access it makes is pinned, and closes it with ``sim.close_txn``, which
+releases every pin the transaction made in one step, however many lines
+it pinned.  A prefetched attempt pinned and dirtied exactly the declared
+lines, so its commit writes back the write spans and its rollback drops
+every declared span; a cold attempt's context holds the lines it
+dirtied, which the commit writes back, and those it pinned, which a
+rollback drops.
 
 A body accesses words with ``ctx.read``/``ctx.write``, consecutive words
 with ``ctx.read_run(addr, count)``/``ctx.write_run(addr, values)``, or a
@@ -88,6 +88,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -95,6 +96,7 @@ import numpy as np
 from .cache import READ, WRITE, WORD_BYTES, CacheSim, PinViolationError
 
 ByteRange = tuple[int, int]  # (start, size_bytes)
+_start = attrgetter("start")  # a span's first line
 
 
 class TxnError(Exception):
@@ -210,14 +212,11 @@ class TxnDeclaration:
     out the write lines.  The byte counts the capacity checks read,
     ``write_bytes()`` and ``footprint_bytes()``, are sums of span
     lengths, so a declaration too large for the cache is refused without
-    one step per line.  The line tuples ``read_lines`` and
-    ``write_lines`` (ascending) are built from the spans on first use;
-    ``read_block`` and ``write_block``, what a prefetched transaction
-    passes, build a side's tuple only when it has other than one span.
-    ``write_bounds``/``read_bounds``, the spans a body may write or read
-    as lists of starts and stops, which the body's declaration check
-    bisects, are built on first use too.  Equality and hashing depend
-    only on the ranges and the line size.
+    one step per line.  ``spans``, every declared line as ascending
+    spans with touching spans joined, is built on first use: a body's
+    read check bisects it, and a prefetched attempt's rollback drops its
+    lines.  A body's write check bisects ``write_spans``.  Equality and
+    hashing depend only on the ranges and the line size.
     """
 
     read_ranges: tuple[ByteRange, ...]
@@ -240,55 +239,17 @@ class TxnDeclaration:
         return cls(tuple(reads), tuple(writes), line_size)
 
     @cached_property
-    def read_lines(self) -> tuple[int, ...]:
-        """The lines only read, ascending."""
-        return tuple(chain.from_iterable(self.read_spans))
-
-    @cached_property
-    def write_lines(self) -> tuple[int, ...]:
-        """The lines written, ascending."""
-        return tuple(chain.from_iterable(self.write_spans))
-
-    @property
-    def read_block(self) -> Sequence[int]:
-        """The lines only read as the prefetch takes them: a side of one
-        span as that ``range``, which ``CacheSim.prefetch`` may fill in
-        closed form, any other side as ``read_lines``."""
-        r = self.read_spans
-        return r[0] if len(r) == 1 else self.read_lines
-
-    @property
-    def write_block(self) -> Sequence[int]:
-        """The lines written as the prefetch and the commit take them: a
-        side of one span as that ``range``, any other as ``write_lines``."""
-        w = self.write_spans
-        return w[0] if len(w) == 1 else self.write_lines
-
-    @cached_property
-    def write_bounds(self) -> tuple[list[int], list[int]]:
-        """The write spans as (starts, stops); no two of them touch."""
-        w = self.write_spans
-        return [s.start for s in w], [s.stop for s in w]
-
-    @cached_property
-    def read_bounds(self) -> tuple[list[int], list[int]]:
-        """Every declared line as (starts, stops): the write spans with
-        each read span inserted, joined to a write span it touches."""
-        starts, stops = self.write_bounds
-        starts, stops = starts[:], stops[:]
-        for span in self.read_spans:
-            # a read span lies in a gap between write spans
-            lo, hi = span.start, span.stop
-            i = bisect_right(starts, lo)
-            if i < len(starts) and starts[i] == hi:
-                del starts[i]
-                hi = stops.pop(i)
-            if i and stops[i - 1] == lo:
-                stops[i - 1] = hi
+    def spans(self) -> list[range]:
+        """Every declared line as ascending spans, touching spans joined:
+        the two sides sorted by start, each span joined to its neighbour
+        when they touch (the sides share no line)."""
+        out: list[range] = []
+        for span in sorted(self.read_spans + self.write_spans, key=_start):
+            if out and out[-1].stop == span.start:
+                out[-1] = range(out[-1].start, span.stop)
             else:
-                starts.insert(i, lo)
-                stops.insert(i, hi)
-        return starts, stops
+                out.append(span)
+        return out
 
     def footprint_bytes(self) -> int:
         return sum(map(len, self.read_spans + self.write_spans)) * self.line_size
@@ -386,6 +347,13 @@ class AccessProbability:
 # -- execution -------------------------------------------------------------
 
 
+def _block(spans: list[range]) -> Iterable[int]:
+    """A side's lines as the prefetch and the commit take them: one span
+    as that ``range``, which ``CacheSim.prefetch`` may fill in closed
+    form, more as one iterator over their lines."""
+    return spans[0] if len(spans) == 1 else chain.from_iterable(spans)
+
+
 def _line_stretches(runs, shift: int, values):
     """A cold body's stretches of ``runs``, run after run, each as a list
     of one ``(addr, count)`` with its count and, for a write list, the
@@ -422,12 +390,12 @@ class TxnContext:
     consecutive words, and ``write_runs`` for a list of such runs (see
     the module docstring).  ``tick`` models units of computation that
     touch no memory but can still be interrupted.
-    The context holds the lines its attempt dirtied, in the order first
-    dirtied, and a cold attempt's context the lines it pinned.  A
-    prefetched attempt pins and dirties exactly the declared lines, in
-    ascending order, and its body can add none, so its context holds the
-    declaration's ``write_block`` and no pinned lines (None); a cold one
-    fills an insertion-ordered dict and a set as its body runs.
+    A cold attempt's context holds the lines it dirtied, in the order
+    first dirtied (an insertion-ordered dict), and those it pinned (a
+    set), both filled as its body runs.  A prefetched attempt pins and
+    dirties exactly the declared lines, in ascending order, and its body
+    can add none, so its context holds neither (None): ``run_txn``
+    commits and rolls it back from the declaration's spans.
     """
 
     __slots__ = (
@@ -448,9 +416,7 @@ class TxnContext:
         self._decl = decl
         self._model = model
         self._pinned: set[int] | None = None if prefetched else set()
-        self._dirtied: Sequence[int] | dict[int, None] = (
-            decl.write_block if prefetched else {}
-        )
+        self._dirtied: dict[int, None] | None = None if prefetched else {}
         self._shift = sim.config.line_shift
         self._prefetched = prefetched
         # (first word, old values) per stored run
@@ -526,7 +492,7 @@ class TxnContext:
         """
         shift = self._shift
         decl = self._decl
-        starts, stops = decl.write_bounds if kind == WRITE else decl.read_bounds
+        spans = decl.write_spans if kind == WRITE else decl.spans
         total = 0
         for addr, count in runs:
             if count <= 0:
@@ -537,9 +503,9 @@ class TxnContext:
             first, last = addr >> shift, end >> shift
             # the one span that can hold the run's first line; the line
             # after a span is undeclared, since touching spans are joined
-            i = bisect_right(starts, first) - 1
-            if i < 0 or stops[i] <= last:
-                bad = first if i < 0 else max(first, stops[i])
+            i = bisect_right(spans, first, key=_start) - 1
+            if i < 0 or spans[i].stop <= last:
+                bad = first if i < 0 else max(first, spans[i].stop)
                 raise UndeclaredAccessError(max(addr, bad << shift), kind)
             if addr % WORD_BYTES:
                 raise ValueError(f"address {addr} not word aligned")
@@ -621,8 +587,8 @@ def run_txn(
                 pf_start = len(sim.trace)
                 try:
                     if prefetch:
-                        sim.prefetch(decl.read_block, READ)
-                        sim.prefetch(decl.write_block, WRITE)
+                        sim.prefetch(_block(decl.read_spans), READ)
+                        sim.prefetch(_block(decl.write_spans), WRITE)
                 finally:
                     # count partial blocks too: an abort mid-prefetch has
                     # already emitted its events
@@ -637,9 +603,8 @@ def run_txn(
                 # A prefetched attempt pinned the declared spans, dropped
                 # in any order: invalidation emits nothing and moves no
                 # other entry
-                sim.invalidate_lines(
-                    chain(*decl.read_spans, *decl.write_spans) if prefetch
-                    else ctx._pinned)
+                sim.invalidate_lines(chain.from_iterable(decl.spans)
+                                     if prefetch else ctx._pinned)
                 ctx._rollback()
                 if isinstance(exc, PinViolationError):
                     stats.ac2 += 1
@@ -654,8 +619,10 @@ def run_txn(
                     raise
                 continue
 
-            # the write-backs; closing the epoch below ends the pins
-            sim.commit_lines(ctx._dirtied)
+            # the write-backs, for a prefetched attempt the declared
+            # write lines in order; closing the epoch below ends the pins
+            sim.commit_lines(_block(decl.write_spans) if prefetch
+                             else ctx._dirtied)
             stats.committed = True
             if prefetch and stats.body_events:
                 raise HitGuaranteeError(

@@ -181,6 +181,7 @@ def verify_obliviousness(
     )
 
     reference: Trace | None = None
+    found: Divergence | None = None
     for t, (data, perm) in enumerate(inputs):
         model = interrupt_model_factory() if interrupt_model_factory else None
         trace, out = capture_trace(
@@ -201,20 +202,14 @@ def verify_obliviousness(
             continue
         div = first_divergence(reference, trace)
         if div is not None:
-            idx, ea, eb = div
-            return ObliviousnessReport(
-                program=name,
-                trials=len(inputs),
-                trace_length=len(reference),
-                all_equal=False,
-                first_divergence=Divergence(0, t, idx, ea, eb),
-            )
+            found = Divergence(0, t, *div)
+            break
     return ObliviousnessReport(
         program=name,
         trials=len(inputs),
         trace_length=len(reference),
-        all_equal=True,
-        first_divergence=None,
+        all_equal=found is None,
+        first_divergence=found,
     )
 
 

@@ -42,6 +42,11 @@ each nonzero word mapped to its value.  ``snapshot_run_txn`` is
 from a snapshot taken at transaction start, instead of replaying the
 attempt's undo log.
 
+``line_tuples`` is a declaration's lines as the line tuples it once
+held: the lines only read and the lines written, each ascending, built
+from its spans.  Every test and reference model that reads a line tuple
+takes it from there.
+
 ``AllLinesDeclaration`` is a ``TxnDeclaration`` with ``all_lines``,
 every declared line ascending, which a prefetched attempt's context held
 until pins became epoch stamps; ``snapshot_run_txn`` drops them when an
@@ -74,6 +79,7 @@ from __future__ import annotations
 from array import array
 from functools import cached_property
 from hashlib import blake2b
+from itertools import chain
 from typing import Callable, Iterable
 
 import numpy as np
@@ -324,10 +330,18 @@ def _consult(ctx):
         raise _Interrupted()
 
 
+def line_tuples(decl) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The lines of ``decl`` only read and the lines it writes, each an
+    ascending tuple, built from its spans."""
+    return (tuple(chain.from_iterable(decl.read_spans)),
+            tuple(chain.from_iterable(decl.write_spans)))
+
+
 def declared_lines(decl, kind) -> frozenset[int]:
     """The lines a body of ``decl`` may access with ``kind``."""
-    write_ok = frozenset(decl.write_lines)
-    return write_ok if kind == WRITE else write_ok.union(decl.read_lines)
+    read_lines, write_lines = line_tuples(decl)
+    write_ok = frozenset(write_lines)
+    return write_ok if kind == WRITE else write_ok.union(read_lines)
 
 
 def per_word_read(ctx, addr):
@@ -537,7 +551,7 @@ class AllLinesDeclaration(TxnDeclaration):
     @cached_property
     def all_lines(self) -> tuple[int, ...]:
         """Every declared line, ascending."""
-        return tuple(sorted(self.read_lines + self.write_lines))
+        return tuple(sorted(chain(*line_tuples(self))))
 
 
 def _lines(region, line):
@@ -1110,10 +1124,11 @@ def snapshot_run_txn(
         raise ValueError("retry_cap must be at least 1")
 
     # the declared write range's words, and those present, for rollback
+    read_lines, write_lines = line_tuples(decl)
     per_line = cfg.line_size // WORD_BYTES
     words = [
         w
-        for line in decl.write_lines
+        for line in write_lines
         for w in range(line * per_line, (line + 1) * per_line)
     ]
     mem = sim.memory
@@ -1131,8 +1146,8 @@ def snapshot_run_txn(
                 pf_start = len(sim.trace)
                 try:
                     if prefetch:
-                        sim.prefetch(decl.read_lines, READ)
-                        sim.prefetch(decl.write_lines, WRITE)
+                        sim.prefetch(read_lines, READ)
+                        sim.prefetch(write_lines, WRITE)
                 finally:
                     # count partial blocks too: an abort mid-prefetch has
                     # already emitted its events
@@ -1160,7 +1175,7 @@ def snapshot_run_txn(
 
             # the prefetch dirtied the write lines in order, and the body
             # can add none; closing the transaction below unpins
-            sim.commit_lines(decl.write_lines if prefetch else ctx._dirtied)
+            sim.commit_lines(write_lines if prefetch else ctx._dirtied)
             stats.committed = True
             if prefetch and stats.body_events:
                 raise HitGuaranteeError(

@@ -21,7 +21,7 @@ from oblishuffle.cli import (
     make_inputs,
     run_aborts_variant,
 )
-from oblishuffle.shuffle import VALUE_MASK, ShuffleParams, gen_perm
+from oblishuffle.shuffle import MAX_N, VALUE_MASK, ShuffleParams, gen_perm
 from oblishuffle.verify import oracle_apply_perm
 
 
@@ -137,6 +137,38 @@ def test_shuffle_takes_one_input_source(capsys, tmp_path, extra, flag):
     rc, out, err = run_cli(capsys, "shuffle", *argv)
     assert (rc, out) == (2, "")
     assert err.startswith(f"shuffle: {flag} ")
+
+
+SQUARE_4096 = " ".join(map(str, range(4096)))
+
+
+@pytest.mark.parametrize("data, perm, extra, want", [
+    ("5 x 7 8", "2 0 3 1", (),
+     "--input {data}: invalid literal for int() with base 10: 'x'"),
+    ("5 6 7 8", "2 0 3 1.5", (),
+     "--perm {perm}: invalid literal for int() with base 10: '1.5'"),
+    ("5 6 7", "2 0 1", (),
+     "--input size must be a perfect square for melbourne, got 3"),
+    ("5 6 7 8", "2 0 1", ("--algo", "naive"),
+     "--perm {perm} holds 3 values, but --input {data} holds 4"),
+    ("", "", ("--algo", "naive"),
+     "--input size must be at least 1 and at most 1048576, got 0"),
+    # 4096 words fit a 2^19-byte address space, melbourne's arena does not
+    (SQUARE_4096, SQUARE_4096, ("--cache-config", "small.cfg"),
+     "--input size 4096 needs a 589824-byte melbourne arena at n = 4096, "
+     "--pad-factor 1, more than the 524288-byte address space"),
+])
+def test_shuffle_input_refusals_name_the_flag(capsys, tmp_path, data, perm,
+                                              extra, want):
+    files = {"data": tmp_path / "data.txt", "perm": tmp_path / "perm.txt"}
+    files["data"].write_text(data)
+    files["perm"].write_text(perm)
+    (tmp_path / "small.cfg").write_text("address_space=524288\n")
+    extra = [str(tmp_path / a) if a.endswith(".cfg") else a for a in extra]
+    rc, out, err = run_cli(capsys, "shuffle", "--input", str(files["data"]),
+                           "--perm", str(files["perm"]), *extra)
+    assert (rc, out) == (2, "")
+    assert err == f"shuffle: {want.format(**files)}\n"
 
 
 def test_shuffle_writes_the_trace_before_printing(capsys, tmp_path):
@@ -502,8 +534,10 @@ def test_failures_exit_with_code_and_message(capsys, argv, code):
 HUGE = "100000000000000"
 # 65536 squared, one past the largest destination a packed word holds
 PAST_TAGS = str(VALUE_MASK + 1)
+# 1025 squared, the least perfect square past MAX_N
+PAST_MAX_N = str(1025 ** 2)
 # stands for a geometry file with a 2^48-byte address space, which holds
-# PAST_TAGS words, so that only the packed-word bound refuses that size
+# PAST_TAGS words, so that only the bound on n refuses that size
 WIDE = "<wide geometry>"
 
 
@@ -519,8 +553,8 @@ WIDE = "<wide geometry>"
         (("verify", "--n", "16", "--pad-factor", HUGE), "--pad-factor"),
         (("bench", "--n-list", "16", "--pad-factor", HUGE), "--pad-factor"),
         (("aborts", "--n-list", "16", "--pad-factor", HUGE), "--pad-factor"),
-        # melbourne's ShuffleParams refuses this size too, so no input is
-        # built even without the packed-word bound
+        # past MAX_N, so refused before melbourne's ShuffleParams, which
+        # refuses this size too
         (("shuffle", "--n", PAST_TAGS, "--cache-config", WIDE), "--n"),
         (("verify", "--n", PAST_TAGS, "--cache-config", WIDE), "--n"),
         # the buffer alone fits; the six n-word arrays take the arena past
@@ -530,7 +564,7 @@ WIDE = "<wide geometry>"
 def test_size_past_the_address_space_is_refused(capsys, tmp_path, argv, flag):
     wide = tmp_path / "wide.cfg"
     wide.write_text(f"address_space={MAX_ADDRESS_SPACE}\n")
-    bound = "packed in 32 bits" if WIDE in argv else "address space"
+    bound = f"at most {MAX_N}" if WIDE in argv else "address space"
     argv = [str(wide) if tok == WIDE else tok for tok in argv]
     rc, out, err = run_cli(capsys, *argv)
     assert (rc, out) == (2, "")
@@ -540,17 +574,23 @@ def test_size_past_the_address_space_is_refused(capsys, tmp_path, argv, flag):
 
 @pytest.mark.parametrize("program", ["bubble", "melbourne", "naive"])
 def test_packed_word_bound_applies_to_every_program(program):
-    # on the rules alone: naive and bubble pass every rule at VALUE_MASK,
-    # and no test starts a run of that size
+    # MAX_N bounds every program's n, far below the packed-word bound; on
+    # the rules alone, so no test starts a run of that size
     args = argparse.Namespace(
-        command="shuffle", algo=program, n=VALUE_MASK + 1, input=None,
+        command="shuffle", algo=program, n=int(PAST_MAX_N), input=None,
         perm=None, pad_factor=2,
         cache_config=CacheConfig(address_space=MAX_ADDRESS_SPACE))
-    with pytest.raises(ValueError, match=f"^--n must be at most {VALUE_MASK}: "):
+    with pytest.raises(ValueError, match=f"^--n must be at least 1 and at "
+                       f"most {MAX_N}, got {PAST_MAX_N}$"):
         _joint_rules(args)
-    if program != "melbourne":  # VALUE_MASK is not a perfect square
-        args.n = VALUE_MASK
-        _joint_rules(args)
+    args.n = MAX_N  # 1024 squared
+    _joint_rules(args)
+
+
+def test_shuffle_params_refuse_a_size_past_the_packed_tags():
+    # the library's own bound, which MAX_N keeps the CLI from reaching
+    with pytest.raises(ValueError, match="^n too large for packed tags$"):
+        ShuffleParams(VALUE_MASK + 1)
 
 
 def test_pad_bound_applies_only_where_melbourne_runs(capsys):
@@ -575,17 +615,18 @@ def test_pad_bound_is_the_address_space():
 
 
 @pytest.mark.parametrize("command, sizes, flag", [
-    ("aborts", {"n_list": [16, 1 << 24]}, "--n-list"),
-    ("verify", {"n": 1 << 24, "program": "melbourne",
-                "cache_config": CacheConfig()}, "--n"),
+    ("aborts", {"n_list": [16, 4096]}, "--n-list"),
+    ("verify", {"n": 4096, "program": "melbourne"}, "--n"),
 ])
 def test_arena_that_no_pad_fits_names_the_size(command, sizes, flag):
-    # 4096^2 words fit the 2^30-byte default address space, and melbourne's
-    # arena does not even at --pad-factor 1; on the rules alone, so no
-    # input of that size is built
-    args = argparse.Namespace(command=command, pad_factor=2, **sizes)
-    with pytest.raises(ValueError, match=f"^{flag} 16777216 needs a "
-                       "4026531840-byte melbourne arena at n = 16777216, "
+    # 4096 words fit a 2^19-byte address space, and melbourne's arena does
+    # not even at --pad-factor 1; on the rules alone, so no input of that
+    # size is built.  No size up to MAX_N fills the 2^30-byte default
+    # address space that aborts runs on, so its case sets a geometry too
+    args = argparse.Namespace(command=command, pad_factor=2, **sizes,
+                              cache_config=CacheConfig(address_space=1 << 19))
+    with pytest.raises(ValueError, match=f"^{flag} 4096 needs a "
+                       "589824-byte melbourne arena at n = 4096, "
                        "--pad-factor 1, "):
         _joint_rules(args)
 
@@ -638,9 +679,9 @@ BAD_VALUES = {
     "--bubble-max": COUNT,
     "--trials": COUNT + ["1"],
     # 15: not square, for melbourne by default
-    "--n": COUNT + ["15", HUGE, str(VALUE_MASK), PAST_TAGS],
+    "--n": COUNT + ["15", HUGE, str(VALUE_MASK), PAST_TAGS, PAST_MAX_N],
     "--n-list": ["", ",", "x", "nan", "inf", "0", "-16", "15", "16,16", HUGE,
-                 str(VALUE_MASK), PAST_TAGS],
+                 str(VALUE_MASK), PAST_TAGS, PAST_MAX_N],
     "--algos": ["", ",", "x", "16", "melbourne,melbourne"],
     "--algo": PROGRAM,
     "--program": PROGRAM,

@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import assignments, base_of, export_csv, two_phase_plan
+from reference import (
+    assignments,
+    base_of,
+    export_csv,
+    line_tuples,
+    two_phase_plan,
+)
 
 from oblishuffle.cache import CacheConfig, CacheSim
 from oblishuffle.layout import (
@@ -208,8 +214,7 @@ def test_decl_from_plan_splits_sides():
     decl = decl_from_plan(plan)
     assert decl.read_ranges == ((0, 128),)
     assert decl.write_ranges == ((128, 128),)
-    assert decl.read_lines == (0, 1)
-    assert decl.write_lines == (2, 3)
+    assert line_tuples(decl) == ((0, 1), (2, 3))
 
 
 # -- soundness and the bridge to transactions --------------------------------

@@ -8,6 +8,7 @@ interrupts against an undisturbed twin.
 import copy
 import dataclasses
 import gc
+from itertools import chain
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,6 +20,7 @@ from reference import (
     check_invariants,
     declared_lines,
     line_state,
+    line_tuples,
     lru_entries,
     memory_contents,
     peek_word,
@@ -78,14 +80,13 @@ def addr_of(line, word=0):
 
 def test_ranges_normalize_to_lines():
     decl = TxnDeclaration.of(reads=[(10, 4)])
-    assert decl.read_lines == (0,)
-    assert TxnDeclaration.of(reads=[(60, 8)]).read_lines == (0, 1)
+    assert line_tuples(decl)[0] == (0,)
+    assert line_tuples(TxnDeclaration.of(reads=[(60, 8)]))[0] == (0, 1)
 
 
 def test_write_lines_absorb_overlapping_reads():
     decl = TxnDeclaration.of(reads=[(0, 128)], writes=[(64, 64)])
-    assert decl.read_lines == (0,)
-    assert decl.write_lines == (1,)
+    assert line_tuples(decl) == ((0,), (1,))
     assert decl.footprint_bytes() == 128
     assert decl.write_bytes() == 64
 
@@ -139,8 +140,11 @@ def test_line_spans_match_the_set_rule(case):
     if isinstance(ref, str):
         assert decl == ref
         return
-    for name in ("read_lines", "write_lines"):
-        assert getattr(decl, name) == getattr(ref, name), name
+    assert line_tuples(decl) == (ref.read_lines, ref.write_lines)
+    # every declared line, ascending, with no two neighbouring spans
+    # touching
+    assert list(chain(*decl.spans)) == sorted(ref.read_lines + ref.write_lines)
+    assert all(a.stop < b.start for a, b in zip(decl.spans, decl.spans[1:]))
     assert decl.footprint_bytes() == ref.footprint_bytes()
     assert decl.write_bytes() == ref.write_bytes()
     for spans in (decl.read_spans, decl.write_spans):
@@ -205,7 +209,7 @@ def test_span_check_matches_the_line_set_rule(case):
 
 
 # what a declaration builds on first use
-BUILT = {"read_lines", "write_lines", "all_lines", "read_bounds", "write_bounds"}
+BUILT = {"spans"}
 
 
 @pytest.mark.parametrize("side,level", [("reads", "llc"), ("writes", "l1")])
@@ -236,7 +240,7 @@ def test_a_side_of_two_spans_is_prefetched_as_its_lines():
     decl = TxnDeclaration.of(reads=[(0, 64), (192, 64)], writes=[(64, 64)])
     sim = CacheSim(SMALL)
     assert run_txn(sim, decl).committed
-    assert BUILT & vars(decl).keys() == {"read_lines"}
+    assert BUILT & vars(decl).keys() == set()
     assert sim.trace == [miss(0), miss(3), miss(1), wb(1)]
 
 
