@@ -56,14 +56,7 @@ address before anything changes.  The block calls sit on one per-line
 step: ``access``, ``read_word``/``write_word``, ``access_runs`` and
 ``prefetch`` each make one ``_lines`` call with (line, k) pairs, which
 makes a full access for a line's first word and moves only the counters
-for its other k - 1 words (a prefetch passes k = 1).  The one exception
-is a cold fill: a ``prefetch`` of a step-1 range whose L1 and LLC sets
-are all empty, that gives no LLC set more lines than its ways and, for
-a write, no L1 set more than its ways.  With nothing resident no line
-hits and nothing is evicted but a read's own clean lines from L1, so
-the fill is installed per set in closed form: each LLC set its lines,
-each L1 set its last ``l1_ways`` lines, and one miss per line.  The
-per-line step is its reference, and the tests hold the two equal.
+for its other k - 1 words (a prefetch passes k = 1).
 
 The trace is stored packed.  ``CacheSim.trace`` is a ``Trace``, an
 ``array('q')`` of one 8-byte code per event, ``line << 1 |
@@ -507,76 +500,21 @@ class CacheSim:
 
     def prefetch(self, lines: Iterable[int], kind: str) -> None:
         """Exactly ``access(line << shift, kind)`` for each of ``lines`` in
-        order, in one call.
+        order, in one call: one ``_lines`` step per line.
 
-        The lines are taken once: anything that is not a ``range`` is
-        made a tuple first, which copies nothing for a tuple.  A bad
-        ``kind``, or a line out of range (a ValueError naming the first
-        such line's address), is refused before any line; a range is
-        checked from its ends.  A PinViolationError leaves the lines
-        before it applied and the faulting line counted as ``access``
-        would.
-
-        A step-1 range is a cold fill, made per set in closed form, when
-        every L1 and LLC set its lines map to is empty, no LLC set gets
-        more than ``llc_ways`` of them and, for a write, no L1 set more
-        than ``l1_ways``.  Then no line hits and no access needs an LLC
-        victim, nor a write an L1 victim, and a read's L1 victims are
-        its own clean lines, which leave silently, so the per-line step
-        would miss on every line and leave each LLC set holding its lines
-        and each L1 set its last ``l1_ways`` lines, all in ascending
-        order.  Any other block takes the per-line step, ``_lines``,
-        which is the fill's reference.
+        The lines are taken once, as a tuple, which copies nothing for a
+        tuple.  A bad ``kind``, or a line out of range (a ValueError naming
+        the first such line's address), is refused before any line.  A
+        PinViolationError leaves the lines before it applied and the
+        faulting line counted as ``access`` would.
         """
         is_write = _is_write(kind)
         shift, limit = self._shift, self.config.address_space
-        span = type(lines) is range
-        if not span:
-            lines = tuple(lines)
-        # a range's least and greatest lines are its ends
-        ends = (lines[0], lines[-1]) if span and lines else lines
-        if min(ends, default=0) < 0 or max(ends, default=0) << shift >= limit:
+        lines = tuple(lines)
+        if min(lines, default=0) < 0 or max(lines, default=0) << shift >= limit:
             bad = next(line for line in lines if not 0 <= line << shift < limit)
             raise ValueError(f"address {bad << shift} out of range")
-        if span and lines.step == 1 and self._cold(lines, is_write):
-            self._fill(lines, is_write)
-        else:
-            self._lines(zip(lines, repeat(1)), is_write)
-
-    def _cold(self, lines: range, is_write: bool) -> bool:
-        """Whether the step-1 range ``lines`` takes the closed-form fill:
-        its sets are all empty and none of them overflows (see
-        ``prefetch``)."""
-        n = len(lines)
-        l1_sets, llc_sets = self._l1_mask + 1, self._llc_mask + 1
-        if not 0 < n <= llc_sets * self._llc_ways:
-            return False
-        if is_write and n > l1_sets * self._l1_ways:
-            return False
-        # the sets of the first min(n, sets) lines are all the sets touched
-        llc, llc_mask = self._llc, self._llc_mask
-        if any(llc[line & llc_mask] for line in lines[:llc_sets]):
-            return False
-        l1, l1_mask = self._l1, self._l1_mask
-        return not any(l1[line & l1_mask] for line in lines[:l1_sets])
-
-    def _fill(self, lines: range, is_write: bool) -> None:
-        """The per-line step's result for a cold step-1 range: every line
-        misses, each LLC set holds its lines and each L1 set its last
-        ``l1_ways`` lines, stamped as the step would stamp them."""
-        lstamp = self._epoch
-        bits = lstamp << 1 | is_write
-        llc, llc_mask = self._llc, self._llc_mask
-        for i, first in enumerate(lines[:llc_mask + 1]):
-            llc[first & llc_mask] = dict.fromkeys(lines[i::llc_mask + 1], lstamp)
-        l1, l1_mask, l1_ways = self._l1, self._l1_mask, self._l1_ways
-        for i, first in enumerate(lines[:l1_mask + 1]):
-            l1[first & l1_mask] = dict.fromkeys(
-                lines[i::l1_mask + 1][-l1_ways:], bits)
-        _extend(self.trace, range(lines.start << 1, lines.stop << 1, 2))
-        c = self.counters
-        c.total += len(lines)
-        c.llc_misses += len(lines)
+        self._lines(zip(lines, repeat(1)), is_write)
 
     def _lines(self, steps: Iterable[tuple[int, int]], is_write: bool) -> None:
         """Make ``k`` accesses of one kind to each ``line`` of ``steps``, in

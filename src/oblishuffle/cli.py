@@ -43,6 +43,8 @@ from .shuffle import (
     OverflowRetriesExceededError,
     ShuffleEngine,
     ShuffleParams,
+    _check_perm,
+    _check_values,
     arena_bytes,
     gen_perm,
 )
@@ -339,26 +341,30 @@ def _config_tokens(path: str) -> list[str]:
 # -- subcommands -------------------------------------------------------------
 #
 # main has run every flag's rule before a subcommand starts, so these refuse
-# only data: input files that do not parse, hold a size the run cannot take
-# or do not form a permutation.
+# only data: input files that do not parse, hold a value or a size the run
+# cannot take or do not form a permutation.
 
 
-def _read_ints(flag: str, path: str) -> list[int]:
-    """The whitespace-separated integers of the file ``flag`` names; a
-    token that is not one is refused naming the flag and the path."""
+def _read_ints(flag: str, path: str, check) -> list[int]:
+    """The whitespace-separated integers of the file ``flag`` names, put
+    through ``check(values, len(values))``, one of the library's own
+    input checks.  A token that is not an integer, or values ``check``
+    refuses, is refused naming the flag and the path."""
     with open(path, "r", encoding="utf-8") as fh:
         tokens = fh.read().split()
     try:
-        return [int(tok) for tok in tokens]
-    except ValueError as exc:  # int's message quotes the token
+        values = [int(tok) for tok in tokens]  # int's message quotes the token
+        check(values, len(values))
+    except ValueError as exc:
         raise ValueError(f"{flag} {path}: {exc}") from None
+    return values
 
 
 def cmd_shuffle(args) -> int:
     """Run one shuffle."""
     if args.input:
-        data = _read_ints("--input", args.input)
-        perm = _read_ints("--perm", args.perm)
+        data = _read_ints("--input", args.input, _check_values)
+        perm = _read_ints("--perm", args.perm, _check_perm)
         if len(perm) != len(data):
             raise ValueError(f"--perm {args.perm} holds {len(perm)} values, "
                              f"but --input {args.input} holds {len(data)}")
@@ -470,13 +476,6 @@ def _fit(what: str, n: int, space: int) -> None:
                          f"got {n}")
 
 
-def _square_size(tok: str) -> int:
-    n = int(tok)
-    if n < 1 or isqrt(n) ** 2 != n:
-        raise ValueError(f"sizes must be perfect squares, got {n}")
-    return n
-
-
 def _algo_name(tok: str) -> str:
     if tok not in PROGRAMS:
         raise ValueError(
@@ -511,7 +510,7 @@ _FLAGS = {
     "--trace": (dict(help="write the captured event trace here"), None),
     "--algos": (dict(default="melbourne,naive,bubble"),
                 _listing("algorithm", _algo_name)),
-    "--n-list": (dict(help="comma-separated sizes"), _listing("size", _square_size)),
+    "--n-list": (dict(help="comma-separated sizes"), _listing("size", int)),
     "--lam": (dict(type=float, default=50.0,
                    help="cost weight per transaction attempt"), _WEIGHT),
     "--bubble-max": (dict(type=int, default=1024,
@@ -573,10 +572,10 @@ def _size_rules(args, flag: str, sizes) -> None:
     melbourne = (program == "melbourne" or args.command == "aborts"
                  or "melbourne" in getattr(args, "algos", ()))
     for n in sizes:
+        _fit(flag, n, space)  # first: isqrt refuses a negative n unnamed
         if melbourne and isqrt(n) ** 2 != n:  # sqrt(n)-wide buckets
             raise ValueError(f"{flag} must be a perfect square for melbourne, "
                              f"got {n}")
-        _fit(flag, n, space)
     for n in sizes if melbourne else ():
         # the arena with no stagger pad is the least melbourne can run in;
         # the size is at fault if even --pad-factor 1 does not fit it

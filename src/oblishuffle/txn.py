@@ -24,18 +24,16 @@ one exact ``CacheSim`` call: the prefetch is ``sim.prefetch`` on the read
 lines and then on the write lines, equal to one ``access`` per line,
 and the commit is ``sim.commit_lines``, equal to ``writeback_line`` per
 dirtied line, one pass over the lines the attempt dirtied and none over
-those it only read.  Each side goes to these calls as its spans: one
-span as that ``range``, which the cache fills in closed form when the
-fill is cold (see ``CacheSim.prefetch``), more as one iterator over
-their lines.  A pin is a stamp of the transaction's epoch (see
-``cache``): ``run_txn`` opens the epoch with ``sim.open_txn``, so every
-access it makes is pinned, and closes it with ``sim.close_txn``, which
-releases every pin the transaction made in one step, however many lines
-it pinned.  A prefetched attempt pinned and dirtied exactly the declared
-lines, so its commit writes back the write spans and its rollback drops
-every declared span; a cold attempt's context holds the lines it
-dirtied, which the commit writes back, and those it pinned, which a
-rollback drops.
+those it only read.  Each side goes to these calls as one iterator
+over the lines of its spans.  A pin is a stamp of the transaction's
+epoch (see ``cache``): ``run_txn`` opens the epoch with
+``sim.open_txn``, so every access it makes is pinned, and closes it
+with ``sim.close_txn``, which releases every pin the transaction made
+in one step, however many lines it pinned.  A prefetched attempt
+pinned and dirtied exactly the declared lines, so its commit writes
+back the write spans and its rollback drops every declared span; a cold
+attempt's context holds the lines it dirtied, which the commit writes
+back, and those it pinned, which a rollback drops.
 
 A body accesses words with ``ctx.read``/``ctx.write``, consecutive words
 with ``ctx.read_run(addr, count)``/``ctx.write_run(addr, values)``, or a
@@ -347,13 +345,6 @@ class AccessProbability:
 # -- execution -------------------------------------------------------------
 
 
-def _block(spans: list[range]) -> Iterable[int]:
-    """A side's lines as the prefetch and the commit take them: one span
-    as that ``range``, which ``CacheSim.prefetch`` may fill in closed
-    form, more as one iterator over their lines."""
-    return spans[0] if len(spans) == 1 else chain.from_iterable(spans)
-
-
 def _line_stretches(runs, shift: int, values):
     """A cold body's stretches of ``runs``, run after run, each as a list
     of one ``(addr, count)`` with its count and, for a write list, the
@@ -587,8 +578,8 @@ def run_txn(
                 pf_start = len(sim.trace)
                 try:
                     if prefetch:
-                        sim.prefetch(_block(decl.read_spans), READ)
-                        sim.prefetch(_block(decl.write_spans), WRITE)
+                        sim.prefetch(chain.from_iterable(decl.read_spans), READ)
+                        sim.prefetch(chain.from_iterable(decl.write_spans), WRITE)
                 finally:
                     # count partial blocks too: an abort mid-prefetch has
                     # already emitted its events
@@ -621,8 +612,8 @@ def run_txn(
 
             # the write-backs, for a prefetched attempt the declared
             # write lines in order; closing the epoch below ends the pins
-            sim.commit_lines(_block(decl.write_spans) if prefetch
-                             else ctx._dirtied)
+            sim.commit_lines(chain.from_iterable(decl.write_spans)
+                             if prefetch else ctx._dirtied)
             stats.committed = True
             if prefetch and stats.body_events:
                 raise HitGuaranteeError(

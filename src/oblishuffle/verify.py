@@ -228,11 +228,14 @@ def probe_cache_sizes(
     transactions (write ranges probe L1, read ranges probe the LLC) pins
     each capacity to the byte.  Only the declaration interface is used;
     the line size is part of that interface, the geometry behind it is
-    not consulted.  A refused declaration is refused from its line spans
-    alone, so a refused probe costs nothing per byte probed.  An accepted
-    probe declares one span on a fresh simulator, so its prefetch is one
-    cold fill, installed per set in closed form (see
-    ``CacheSim.prefetch``), with no Python-level step per line.
+    not consulted.  The answer is the capacity check's alone, so each
+    probe runs without prefetch on a fresh simulator: a refused
+    declaration is refused from its line spans, and an accepted one
+    commits with no cache access, so no probe costs anything per byte
+    probed.  A declaration that passes the check would commit with
+    prefetch too: one span from address zero puts at most ``ways`` lines
+    in a set of each level its size fits, and a read displaces only its
+    own clean lines from L1.
     """
     if sim_factory is None:
         sim_factory = CacheSim
@@ -244,7 +247,7 @@ def probe_cache_sizes(
         else:
             decl = TxnDeclaration.of(reads=[(0, size)], line_size=line_size)
         try:
-            run_txn(sim, decl, None, prefetch=True)
+            run_txn(sim, decl, None, prefetch=False)
         except CapacityError:
             return False
         return True

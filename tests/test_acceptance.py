@@ -219,16 +219,20 @@ def test_criterion_6_capacity_wall_and_growth_shape(
     )
 
 
-def test_criterion_7_probe_recovers_geometry():
-    def geometry(l1_kib: int, llc_kib: int) -> CacheConfig:
-        return CacheConfig(
-            64, l1_kib * 1024 // (64 * 4), 4, llc_kib * 1024 // (64 * 8), 8
-        )
+# criterion 7's geometries, as (L1 KiB, LLC KiB): a 4-way L1, an 8-way LLC
+PROBE_CASES = [(1, 4), (1, 64), (4, 64), (4, 8192), (32, 8192)]
 
-    cases = [(1, 4), (1, 64), (4, 64), (4, 8192), (32, 8192)]
+
+def probe_geometry(l1_kib: int, llc_kib: int) -> CacheConfig:
+    return CacheConfig(
+        64, l1_kib * 1024 // (64 * 4), 4, llc_kib * 1024 // (64 * 8), 8
+    )
+
+
+def test_criterion_7_probe_recovers_geometry():
     wrong = []
-    for l1_kib, llc_kib in cases:
-        cfg = geometry(l1_kib, llc_kib)
+    for l1_kib, llc_kib in PROBE_CASES:
+        cfg = probe_geometry(l1_kib, llc_kib)
         got = probe_cache_sizes(lambda: CacheSim(cfg))
         if got != (l1_kib * 1024, llc_kib * 1024):
             wrong.append((l1_kib, llc_kib, got))
@@ -237,7 +241,7 @@ def test_criterion_7_probe_recovers_geometry():
     criterion(
         7, "capacity probe is byte-exact across geometries",
         ok,
-        f"{len(cases)} geometries + default {default_got}" if ok
+        f"{len(PROBE_CASES)} geometries + default {default_got}" if ok
         else f"wrong: {wrong} default={default_got}",
     )
 

@@ -854,8 +854,8 @@ def span_programs(draw):
 @settings(max_examples=400, deadline=None)
 @given(span_programs())
 def test_prefetch_of_a_span_matches_the_per_line_step(program):
-    # a cold span is filled per set in closed form; the per-line step is
-    # the reference for it and for every other span
+    # a range block is one per-line step per line, equal to ``_lines`` over
+    # its lines, and refused, when a line is out of range, as their list is
     config, pre, span, kind, inside = program
     fast = CacheSim(config)
     for lo, n, pre_kind, pre_inside, cut in pre:
@@ -878,21 +878,6 @@ def test_prefetch_of_a_span_matches_the_per_line_step(program):
     assert fast.trace.tobytes() == ref.trace.tobytes()
     assert sim_state(fast) == sim_state(ref)
     check_invariants(fast)
-
-
-@pytest.mark.parametrize("kind", ["read", "write"])
-@pytest.mark.parametrize("inside", [False, True])
-def test_a_cold_span_is_filled_without_the_per_line_step(kind, inside):
-    # L1 4 sets x 2 ways over an LLC of 2 sets x 8 ways: 8 lines fit both
-    config = CacheConfig(64, 4, 2, 2, 8, 1 << 12)
-    fast, ref = CacheSim(config), CacheSim(config)
-    for sim in (fast, ref):
-        in_epoch(sim, inside)
-    fast._lines = None  # the fill calls no per-line step
-    fast.prefetch(range(5, 13), kind)
-    per_line_prefetch(ref, range(5, 13), kind)
-    assert sim_state(fast) == sim_state(ref)
-    assert fast.counters == AccessCounters(8, 0, 0, 8)
 
 
 @pytest.mark.parametrize("make", [iter, lambda lines: (x for x in lines)])

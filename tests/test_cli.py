@@ -151,6 +151,15 @@ SQUARE_4096 = " ".join(map(str, range(4096)))
      "--input size must be a perfect square for melbourne, got 3"),
     ("5 6 7 8", "2 0 1", ("--algo", "naive"),
      "--perm {perm} holds 3 values, but --input {data} holds 4"),
+    # the library's value and permutation checks, named by their flag
+    ("5 6 7 4294967296", "2 0 3 1", (),
+     "--input {data}: value 4294967296 does not fit in 32 bits"),
+    ("5 -6 7 8", "2 0 3 1", ("--algo", "naive"),
+     "--input {data}: value -6 does not fit in 32 bits"),
+    ("5 6 7 8", "0 0 1 2", (),
+     "--perm {perm}: perm is not a permutation of range(n)"),
+    ("5 6 7 8", "2 0 4 1", ("--algo", "bubble"),
+     "--perm {perm}: perm is not a permutation of range(n)"),
     ("", "", ("--algo", "naive"),
      "--input size must be at least 1 and at most 1048576, got 0"),
     # 4096 words fit a 2^19-byte address space, melbourne's arena does not
@@ -247,6 +256,24 @@ def test_bench_non_square_n_is_usage_error(capsys):
     rc, _, err = run_cli(capsys, "bench", "--n-list", "12")
     assert rc == 2
     assert "perfect square" in err
+
+
+def test_bench_without_melbourne_takes_a_non_square_size(capsys):
+    # only melbourne's buckets need a perfect square
+    rc, out, _ = run_cli(capsys, "bench", "--algos", "naive,bubble",
+                         "--n-list", "10")
+    assert rc == 0
+    assert out == ("algo,n,events,txns,aborts,cost\n"
+                   "bubble,10,304,0,0,304\nnaive,10,8,1,0,58\n")
+
+
+@pytest.mark.parametrize("size", ["0", "-16"])
+def test_bench_without_melbourne_refuses_a_size_below_1_by_name(capsys, size):
+    rc, out, err = run_cli(capsys, "bench", "--algos", "naive",
+                           f"--n-list={size}")
+    assert (rc, out) == (2, "")
+    assert err == (f"bench: --n-list must be at least 1 and at most {MAX_N}, "
+                   f"got {size}\n")
 
 
 # -- aborts --------------------------------------------------------------

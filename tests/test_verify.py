@@ -8,16 +8,23 @@ from hypothesis import strategies as st
 from oblishuffle.cache import (
     KIND_MISS,
     KIND_WRITEBACK,
+    AccessCounters,
     CacheConfig,
     CacheSim,
     Trace,
     TraceEvent,
 )
 from oblishuffle.layout import LayoutInfeasibleError
+from test_acceptance import PROBE_CASES, probe_geometry
 from test_shuffle import perm_against_seed
 
 from oblishuffle.shuffle import ShuffleParams, gen_perm
-from oblishuffle.txn import CapacityError, RetryCapExceededError
+from oblishuffle.txn import (
+    CapacityError,
+    RetryCapExceededError,
+    TxnDeclaration,
+    run_txn,
+)
 from oblishuffle.verify import (
     capture_trace,
     first_divergence,
@@ -299,3 +306,33 @@ def test_probe_respects_search_ceiling():
     cfg = geometry(1, 4)
     got = probe_cache_sizes(lambda: CacheSim(cfg), max_bytes=512)
     assert got == (512, 512)
+
+
+# criterion 7's geometries and the default
+PROBE_GEOMETRIES = [probe_geometry(*case) for case in PROBE_CASES] + [CacheConfig()]
+
+
+@pytest.mark.parametrize("cfg", PROBE_GEOMETRIES)
+def test_probe_makes_no_cache_access(cfg):
+    # the capacity check alone answers each probe
+    sims = []
+
+    def fresh():
+        sims.append(CacheSim(cfg))
+        return sims[-1]
+
+    assert probe_cache_sizes(fresh) == (cfg.l1_capacity, cfg.llc_capacity)
+    assert len(sims) > 2
+    for sim in sims:
+        assert (sim.trace, sim.counters) == ([], AccessCounters())
+
+
+@pytest.mark.parametrize("cfg", PROBE_GEOMETRIES)
+@pytest.mark.parametrize("side", ["writes", "reads"])
+def test_a_probed_capacity_commits_with_prefetch(cfg, side):
+    # what the probe finds fits can be prefetched: one span from address
+    # zero puts at most ``ways`` lines in a set
+    size = cfg.l1_capacity if side == "writes" else cfg.llc_capacity
+    decl = TxnDeclaration.of(**{side: [(0, size)]}, line_size=cfg.line_size)
+    stats = run_txn(CacheSim(cfg), decl)
+    assert (stats.committed, stats.attempts, stats.ac2) == (True, 1, 0)
