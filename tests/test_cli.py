@@ -151,6 +151,12 @@ SQUARE_4096 = " ".join(map(str, range(4096)))
      "--input size must be a perfect square for melbourne, got 3"),
     ("5 6 7 8", "2 0 1", ("--algo", "naive"),
      "--perm {perm} holds 3 values, but --input {data} holds 4"),
+    ("", "", ("--algo", "naive"),
+     "--input size must be at least 1 and at most 1048576, got 0"),
+    # 4096 words fit a 2^19-byte address space, melbourne's arena does not
+    (SQUARE_4096, SQUARE_4096, ("--cache-config", "small.cfg"),
+     "--input size 4096 needs a 589824-byte melbourne arena at n = 4096, "
+     "--pad-factor 1, more than the 524288-byte address space"),
     # the library's value and permutation checks, named by their flag
     ("5 6 7 4294967296", "2 0 3 1", (),
      "--input {data}: value 4294967296 does not fit in 32 bits"),
@@ -160,12 +166,6 @@ SQUARE_4096 = " ".join(map(str, range(4096)))
      "--perm {perm}: perm is not a permutation of range(n)"),
     ("5 6 7 8", "2 0 4 1", ("--algo", "bubble"),
      "--perm {perm}: perm is not a permutation of range(n)"),
-    ("", "", ("--algo", "naive"),
-     "--input size must be at least 1 and at most 1048576, got 0"),
-    # 4096 words fit a 2^19-byte address space, melbourne's arena does not
-    (SQUARE_4096, SQUARE_4096, ("--cache-config", "small.cfg"),
-     "--input size 4096 needs a 589824-byte melbourne arena at n = 4096, "
-     "--pad-factor 1, more than the 524288-byte address space"),
 ])
 def test_shuffle_input_refusals_name_the_flag(capsys, tmp_path, data, perm,
                                               extra, want):
