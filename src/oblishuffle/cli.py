@@ -46,6 +46,7 @@ from .shuffle import (
     _check_perm,
     _check_values,
     arena_bytes,
+    baseline_bases,
     gen_perm,
 )
 from .txn import (
@@ -564,28 +565,42 @@ def _joint_rules(args) -> None:
 def _size_rules(args, flag: str, sizes) -> None:
     """Refuse a size of ``sizes``, given by ``flag``, that the run cannot
     take, before any input of that size is built: past ``_fit``'s
-    bounds and, where melbourne runs, not a perfect square or with no
-    arena that fits the address space."""
+    bounds, not a perfect square where melbourne runs, or with an arena
+    of some program the command runs that does not fit the address
+    space."""
     geometry = getattr(args, "cache_config", None) or CacheConfig()
     space = geometry.address_space  # bench and aborts run on the default
-    program = getattr(args, "algo", None) or getattr(args, "program", None)
-    melbourne = (program == "melbourne" or args.command == "aborts"
-                 or "melbourne" in getattr(args, "algos", ()))
+    if args.command == "aborts":
+        programs = ["melbourne"]
+    elif args.command == "bench":
+        programs = args.algos
+    else:  # shuffle's --algo or verify's --program
+        programs = [getattr(args, "algo", None) or args.program]
+    melbourne = "melbourne" in programs
     for n in sizes:
         _fit(flag, n, space)  # first: isqrt refuses a negative n unnamed
         if melbourne and isqrt(n) ** 2 != n:  # sqrt(n)-wide buckets
             raise ValueError(f"{flag} must be a perfect square for melbourne, "
                              f"got {n}")
-    for n in sizes if melbourne else ():
-        # the arena with no stagger pad is the least melbourne can run in;
-        # the size is at fault if even --pad-factor 1 does not fit it
-        for pf in (1, args.pad_factor):
-            need = arena_bytes(ShuffleParams(n, pf), geometry.line_size, 0)
-            if need > space:
-                what = f"{flag} {n}" if pf == 1 else f"--pad-factor {pf}"
-                raise ValueError(
-                    f"{what} needs a {need}-byte melbourne arena at n = {n}, "
-                    f"--pad-factor {pf}, more than the {space}-byte address space")
+    line = geometry.line_size
+    for n in sizes:
+        for program in programs:
+            if program != "melbourne":
+                if (need := baseline_bases(program, n, line)[-1]) > space:
+                    raise ValueError(
+                        f"{flag} {n} needs a {need}-byte {program} arena at "
+                        f"n = {n}, more than the {space}-byte address space")
+                continue
+            # the arena with no stagger pad is the least melbourne can run
+            # in; the size is at fault if even --pad-factor 1 does not fit it
+            for pf in (1, args.pad_factor):
+                need = arena_bytes(ShuffleParams(n, pf), line, 0)
+                if need > space:
+                    what = f"{flag} {n}" if pf == 1 else f"--pad-factor {pf}"
+                    raise ValueError(
+                        f"{what} needs a {need}-byte melbourne arena at n = {n}, "
+                        f"--pad-factor {pf}, more than the {space}-byte "
+                        f"address space")
 
 
 # -- parser ------------------------------------------------------------------

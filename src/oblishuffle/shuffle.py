@@ -196,7 +196,8 @@ def _check_perm(perm, n: int) -> None:
     seen = bytearray(n)
     for p in perm:
         if not 0 <= p < n or seen[p]:
-            raise ValueError("perm is not a permutation of range(n)")
+            raise ValueError(f"perm repeats value {p}" if 0 <= p < n
+                             else f"perm value {p} out of range")
         seen[p] = 1
 
 
@@ -212,6 +213,18 @@ def arena_bytes(params: ShuffleParams, line_size: int, pad: int) -> int:
     array_bytes = _round_lines(params.n * WORD_BYTES, line_size)
     row_bytes = _round_lines(params.bucket_capacity * WORD_BYTES, line_size)
     return 6 * array_bytes + params.bucket_count * (row_bytes + pad * line_size)
+
+
+# the n-word arrays of each baseline's arena, in address order from zero:
+# naive's data, perm and out; bubble's data, perm, packed work array and out
+BASELINE_ARRAYS = {"naive": 3, "bubble": 4}
+
+
+def baseline_bases(program: str, n: int, line_size: int) -> list[int]:
+    """The base of each array of baseline ``program``'s arena at n, each
+    array in whole lines, then the end of the arena."""
+    abytes = _round_lines(n * WORD_BYTES, line_size)
+    return [k * abytes for k in range(BASELINE_ARRAYS[program] + 1)]
 
 
 def _line_region(
@@ -533,8 +546,7 @@ def naive_shuffle(
     _check_perm(perm, n)
     sim = sim or CacheSim()
     line = sim.config.line_size
-    abytes = _round_lines(n * WORD_BYTES, line)
-    data0, perm0, out0 = 0, abytes, 2 * abytes
+    data0, perm0, out0, _ = baseline_bases("naive", n, line)
     sim.poke_words(data0, data)
     sim.poke_words(perm0, perm)
     decl = TxnDeclaration.of(
@@ -567,9 +579,7 @@ def bubble_shuffle(
     _check_values(data, n)
     _check_perm(perm, n)
     sim = sim or CacheSim()
-    line = sim.config.line_size
-    abytes = _round_lines(n * WORD_BYTES, line)
-    data0, perm0, w0, out0 = 0, abytes, 2 * abytes, 3 * abytes
+    data0, perm0, w0, out0, _ = baseline_bases("bubble", n, sim.config.line_size)
     sim.poke_words(data0, data)
     sim.poke_words(perm0, perm)
     for k in range(n):

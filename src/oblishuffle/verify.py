@@ -217,31 +217,32 @@ def probe_cache_sizes(
     sim_factory: Callable[[], CacheSim] | None = None,
     *,
     line_size: int = 64,
-    max_bytes: int = 1 << 30,
 ) -> tuple[int, int]:
     """Recover (L1 capacity, LLC capacity) in bytes through the
     transaction interface alone.
 
     A declaration whose write set exceeds L1, or whose footprint exceeds
     the LLC, is rejected before it runs; everything smaller commits.
-    That rejection boundary is exact, so a binary search on empty-bodied
+    That rejection boundary is exact, so a search on empty-bodied
     transactions (write ranges probe L1, read ranges probe the LLC) pins
-    each capacity to the byte.  Only the declaration interface is used;
-    the line size is part of that interface, the geometry behind it is
-    not consulted.  The answer is the capacity check's alone, so each
-    probe runs without prefetch on a fresh simulator: a refused
-    declaration is refused from its line spans, and an accepted one
-    commits with no cache access, so no probe costs anything per byte
-    probed.  A declaration that passes the check would commit with
-    prefetch too: one span from address zero puts at most ``ways`` lines
-    in a set of each level its size fits, and a read displaces only its
-    own clean lines from L1.
+    each capacity to the byte: the size doubles from one line until the
+    capacity check refuses it, then a binary search narrows the last
+    doubling.  Every capacity is finite, so the doubling stops with no
+    ceiling of its own; on an address space smaller than a capacity it
+    ends in ``run_txn``'s ValueError instead.  Only the declaration interface is used; the
+    line size is part of that interface, the geometry behind it is not
+    consulted.  The answer is the capacity check's alone, so every probe
+    runs without prefetch on one simulator, ``sim_factory``'s single
+    product: a refused declaration is refused from its line spans, and
+    an accepted one commits with no cache access, so the simulator stays
+    empty and no probe costs anything per byte probed.  A declaration
+    that passes the check would commit with prefetch too: one span from
+    address zero puts at most ``ways`` lines in a set of each level its
+    size fits, and a read displaces only its own clean lines from L1.
     """
-    if sim_factory is None:
-        sim_factory = CacheSim
+    sim = (sim_factory or CacheSim)()
 
     def fits(size: int, write: bool) -> bool:
-        sim = sim_factory()
         if write:
             decl = TxnDeclaration.of(writes=[(0, size)], line_size=line_size)
         else:
@@ -257,11 +258,9 @@ def probe_cache_sizes(
         if not fits(lo, write):
             raise RuntimeError("cannot fit even one line")
         hi = lo * 2
-        while hi <= max_bytes and fits(hi, write):
+        while fits(hi, write):
             lo = hi
             hi *= 2
-        if hi > max_bytes:
-            return lo
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if fits(mid, write):

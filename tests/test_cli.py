@@ -66,6 +66,23 @@ def test_probe_reads_cache_geometry_file(capsys, tmp_path):
     assert out == "1024 4096\n"  # 64*4*4 and 64*8*8
 
 
+@pytest.mark.parametrize("geometry, want", [
+    # 64 KiB lines: a 2 GiB L1 and a 4 GiB LLC
+    ("line_size=65536\nl1_sets=64\nl1_ways=512\nllc_sets=64\n"
+     "llc_ways=1024\naddress_space=8589934592\n", "2147483648 4294967296\n"),
+    # the default L1 below a 2 GiB LLC
+    ("llc_sets=1048576\nllc_ways=32\naddress_space=4294967296\n",
+     "32768 2147483648\n"),
+])
+def test_probe_is_exact_past_1_gib(capsys, tmp_path, geometry, want):
+    # the doubling stops at the capacity check's first refusal, however
+    # large the capacity
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(geometry)
+    rc, out, err = run_cli(capsys, "probe", "--cache-config", str(cfg))
+    assert (rc, out, err) == (0, want, "")
+
+
 def test_probe_refuses_an_address_space_smaller_than_the_llc(capsys, tmp_path):
     cfg = tmp_path / "small.cfg"
     cfg.write_text("address_space=1048576\n")  # 1 MiB below an 8 MiB LLC
@@ -163,9 +180,9 @@ SQUARE_4096 = " ".join(map(str, range(4096)))
     ("5 -6 7 8", "2 0 3 1", ("--algo", "naive"),
      "--input {data}: value -6 does not fit in 32 bits"),
     ("5 6 7 8", "0 0 1 2", (),
-     "--perm {perm}: perm is not a permutation of range(n)"),
+     "--perm {perm}: perm repeats value 0"),
     ("5 6 7 8", "2 0 4 1", ("--algo", "bubble"),
-     "--perm {perm}: perm is not a permutation of range(n)"),
+     "--perm {perm}: perm value 4 out of range"),
 ])
 def test_shuffle_input_refusals_name_the_flag(capsys, tmp_path, data, perm,
                                               extra, want):
@@ -178,6 +195,50 @@ def test_shuffle_input_refusals_name_the_flag(capsys, tmp_path, data, perm,
                            "--perm", str(files["perm"]), *extra)
     assert (rc, out) == (2, "")
     assert err == f"shuffle: {want.format(**files)}\n"
+
+
+# (geometry, n): n words fit the address space, and neither baseline's
+# arena does: naive's three n-word arrays, bubble's four
+BASELINE_CASES = [
+    ("address_space=65536\n", 4096),
+    ("line_size=8\nl1_sets=1\nl1_ways=1\nllc_sets=1\nllc_ways=1\n"
+     "address_space=64\n", 4),
+]
+
+
+@pytest.mark.parametrize("geometry, n", BASELINE_CASES)
+@pytest.mark.parametrize("program, arrays", [("naive", 3), ("bubble", 4)])
+@pytest.mark.parametrize("argv, flag", [
+    (("shuffle", "--n", "{n}", "--algo"), "--n"),
+    (("shuffle", "--input", "{data}", "--perm", "{data}", "--algo"),
+     "--input size"),
+    (("verify", "--n", "{n}", "--program"), "--n"),
+])
+def test_baseline_arena_past_the_address_space_names_the_size(
+        capsys, tmp_path, geometry, n, program, arrays, argv, flag):
+    # refused before any input is built, or any run starts
+    cfg, data = tmp_path / "geometry.cfg", tmp_path / "data.txt"
+    cfg.write_text(geometry)
+    data.write_text(" ".join(map(str, range(n))))
+    argv = [a.format(n=n, data=data) for a in argv]
+    rc, out, err = run_cli(capsys, *argv, program, "--cache-config", str(cfg))
+    assert (rc, out) == (2, "")
+    space = CacheConfig.from_text(geometry).address_space
+    assert err == (f"{argv[0]}: {flag} {n} needs a {arrays * n * 8}-byte "
+                   f"{program} arena at n = {n}, more than the {space}-byte "
+                   f"address space\n")
+
+
+@pytest.mark.parametrize("program, fits", [("naive", 2728), ("bubble", 2048)])
+def test_baseline_arena_rule_is_exact(program, fits):
+    # the largest n whose arrays, in whole 64-byte lines, fit 2^16 bytes
+    args = argparse.Namespace(command="verify", program=program, n=fits,
+                              pad_factor=2,
+                              cache_config=CacheConfig(address_space=1 << 16))
+    _joint_rules(args)
+    args.n += 1
+    with pytest.raises(ValueError, match=f"^--n {fits + 1} needs a "):
+        _joint_rules(args)
 
 
 def test_shuffle_writes_the_trace_before_printing(capsys, tmp_path):

@@ -20,6 +20,7 @@ from oblishuffle.shuffle import (
     ShuffleEngine,
     ShuffleParams,
     arena_bytes,
+    baseline_bases,
     bubble_shuffle,
     gen_perm,
     melbourne_shuffle,
@@ -28,6 +29,7 @@ from oblishuffle.shuffle import (
 )
 from oblishuffle import shuffle
 from oblishuffle.txn import CapacityError, RetryCapExceededError, run_txn
+from oblishuffle.verify import oracle_apply_perm
 
 FIG_PERM = [3, 1, 6, 5, 7, 2, 0, 8, 4]
 FIG_DATA = [100 + k for k in range(9)]
@@ -354,6 +356,20 @@ def test_input_validation():
         melbourne_shuffle([1, 2, 3, 4], [0, 1, 2])  # length mismatch
 
 
+@pytest.mark.parametrize("perm, want", [
+    ([0, 0, 1, 2], "perm repeats value 0"),
+    ([2, 0, 9, 1], "perm value 9 out of range"),
+    ([2, -1, 3, 1], "perm value -1 out of range"),
+])
+@pytest.mark.parametrize("run", [melbourne_shuffle, naive_shuffle, bubble_shuffle])
+def test_bad_perm_is_refused_naming_the_value(run, perm, want):
+    # in the oracle's words
+    with pytest.raises(ValueError, match=f"^{want}$"):
+        oracle_apply_perm([5, 6, 7, 8], perm)
+    with pytest.raises(ValueError, match=f"^{want}$"):
+        run([5, 6, 7, 8], perm)
+
+
 def test_engine_transactions_commit_clean():
     engine = ShuffleEngine(CacheSim(), ShuffleParams(256, seed=2), record_plans=True)
     data = some_data(256, 8)
@@ -492,6 +508,21 @@ def test_naive_shuffle_hits_capacity_wall():
     with pytest.raises(CapacityError) as exc_info:
         naive_shuffle(some_data(n, 0), gen_perm(n, 1))
     assert exc_info.value.level == "l1"
+
+
+@pytest.mark.parametrize("n", [1, 15, 16])
+@pytest.mark.parametrize("program, run", [("naive", naive_shuffle),
+                                          ("bubble", bubble_shuffle)])
+def test_baseline_arena_is_the_one_baseline_bases_states(program, run, n):
+    # the output is the last array, and the last line any event names is
+    # the last line of the arena
+    sim = CacheSim()
+    data, perm = some_data(n, 3), gen_perm(n, 4)
+    out, _ = run(data, perm, sim)
+    sim.flush_all()
+    bases = baseline_bases(program, n, 64)
+    assert sim.peek_words(bases[-2], n) == out == apply_perm(data, perm)
+    assert max(e.line_address for e in sim.trace) == (bases[-1] - 1) // 64
 
 
 def test_bubble_shuffle_identity_and_swap_count():
