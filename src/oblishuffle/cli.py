@@ -45,8 +45,7 @@ from .shuffle import (
     ShuffleParams,
     _check_perm,
     _check_values,
-    arena_bytes,
-    baseline_bases,
+    arena,
     gen_perm,
 )
 from .txn import (
@@ -325,13 +324,13 @@ def _config_tokens(path: str) -> list[str]:
     starts a comment and blank lines are skipped."""
     tokens = []
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for raw in fh.read().splitlines():
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             key, eq, val = line.partition("=")
             if not eq:
-                raise ValueError(f"malformed config line: {raw!r}")
+                raise ValueError(f"--config {path}: malformed config line: {raw!r}")
             key = key.strip().replace("_", "-")
             if key == "config":
                 raise ValueError(f"--config {path}: a config file cannot set config")
@@ -585,22 +584,15 @@ def _size_rules(args, flag: str, sizes) -> None:
     line = geometry.line_size
     for n in sizes:
         for program in programs:
-            if program != "melbourne":
-                if (need := baseline_bases(program, n, line)[-1]) > space:
-                    raise ValueError(
-                        f"{flag} {n} needs a {need}-byte {program} arena at "
-                        f"n = {n}, more than the {space}-byte address space")
-                continue
-            # the arena with no stagger pad is the least melbourne can run
+            # the arena with no stagger pad is the least a program can run
             # in; the size is at fault if even --pad-factor 1 does not fit it
             for pf in (1, args.pad_factor):
-                need = arena_bytes(ShuffleParams(n, pf), line, 0)
-                if need > space:
+                if (need := arena(program, n, line, pf)[-1]) > space:
                     what = f"{flag} {n}" if pf == 1 else f"--pad-factor {pf}"
+                    pads = f", --pad-factor {pf}" if program == "melbourne" else ""
                     raise ValueError(
-                        f"{what} needs a {need}-byte melbourne arena at n = {n}, "
-                        f"--pad-factor {pf}, more than the {space}-byte "
-                        f"address space")
+                        f"{what} needs a {need}-byte {program} arena at n = {n}"
+                        f"{pads}, more than the {space}-byte address space")
 
 
 # -- parser ------------------------------------------------------------------

@@ -205,26 +205,28 @@ def _round_lines(size: int, line: int) -> int:
     return -(-size // line) * line
 
 
-def arena_bytes(params: ShuffleParams, line_size: int, pad: int) -> int:
-    """The bytes of melbourne's arena: the six n-word arrays, each in
-    whole lines, then ``bucket_count`` intermediate rows, each its
-    ``bucket_capacity`` words in whole lines plus ``pad`` lines of
-    stagger.  ``pad`` 0 gives the least arena any stagger can have."""
-    array_bytes = _round_lines(params.n * WORD_BYTES, line_size)
-    row_bytes = _round_lines(params.bucket_capacity * WORD_BYTES, line_size)
-    return 6 * array_bytes + params.bucket_count * (row_bytes + pad * line_size)
+# the n-word arrays of each program's arena, in address order from zero:
+# melbourne's data_src, perm_tgt, perm_r, buf1, buf2 and out, then its
+# intermediate rows; naive's data, perm and out; bubble's data, perm,
+# packed work array and out
+ARENA_ARRAYS = {"melbourne": 6, "naive": 3, "bubble": 4}
 
 
-# the n-word arrays of each baseline's arena, in address order from zero:
-# naive's data, perm and out; bubble's data, perm, packed work array and out
-BASELINE_ARRAYS = {"naive": 3, "bubble": 4}
-
-
-def baseline_bases(program: str, n: int, line_size: int) -> list[int]:
-    """The base of each array of baseline ``program``'s arena at n, each
-    array in whole lines, then the end of the arena."""
-    abytes = _round_lines(n * WORD_BYTES, line_size)
-    return [k * abytes for k in range(BASELINE_ARRAYS[program] + 1)]
+def arena(program: str, n: int, line_size: int, pad_factor: int = 2,
+          pad: int = 0) -> list[int]:
+    """The base of each n-word array of ``program``'s arena at n, each
+    array in whole lines, then the end of the arena.  Melbourne's
+    ``bucket_count`` intermediate rows follow its arrays, so its last base
+    is ``inter``: each row is its ``bucket_capacity`` words in whole lines
+    plus ``pad`` lines of stagger.  ``pad`` 0 gives the least arena any
+    stagger can have."""
+    step = _round_lines(n * WORD_BYTES, line_size)
+    bases = [k * step for k in range(ARENA_ARRAYS[program] + 1)]
+    if program == "melbourne":
+        p = ShuffleParams(n, pad_factor)
+        row = _round_lines(p.bucket_capacity * WORD_BYTES, line_size)
+        bases.append(bases[-1] + p.bucket_count * (row + pad * line_size))
+    return bases
 
 
 def _line_region(
@@ -274,20 +276,13 @@ class ShuffleEngine:
         p = params
         self._bucket_bytes = p.bucket_count * WORD_BYTES
         self._slice_bytes = p.slice_len * WORD_BYTES
-        self.row_bytes = _round_lines(p.bucket_capacity * WORD_BYTES, line)
-
-        array_bytes = _round_lines(p.n * WORD_BYTES, line)
-        self.data_src = 0
-        self.perm_tgt = array_bytes
-        self.perm_r = 2 * array_bytes
-        self.buf1 = 3 * array_bytes
-        self.buf2 = 4 * array_bytes
-        self.out = 5 * array_bytes
-        self.inter = 6 * array_bytes
+        (self.data_src, self.perm_tgt, self.perm_r, self.buf1, self.buf2, self.out,
+         self.inter, rows_end) = arena("melbourne", p.n, line, p.pad_factor)
+        self.row_bytes = (rows_end - self.inter) // p.bucket_count
 
         pad = self._find_stagger() if staggered else 0
         self.stride_bytes = self.row_bytes + pad * line
-        end = arena_bytes(p, line, pad)
+        end = arena("melbourne", p.n, line, p.pad_factor, pad)[-1]
         if end > cfg.address_space:
             raise ValueError(
                 f"arena needs {end} bytes, address space is {cfg.address_space}"
@@ -546,7 +541,7 @@ def naive_shuffle(
     _check_perm(perm, n)
     sim = sim or CacheSim()
     line = sim.config.line_size
-    data0, perm0, out0, _ = baseline_bases("naive", n, line)
+    data0, perm0, out0, _ = arena("naive", n, line)
     sim.poke_words(data0, data)
     sim.poke_words(perm0, perm)
     decl = TxnDeclaration.of(
@@ -579,7 +574,7 @@ def bubble_shuffle(
     _check_values(data, n)
     _check_perm(perm, n)
     sim = sim or CacheSim()
-    data0, perm0, w0, out0, _ = baseline_bases("bubble", n, sim.config.line_size)
+    data0, perm0, w0, out0, _ = arena("bubble", n, sim.config.line_size)
     sim.poke_words(data0, data)
     sim.poke_words(perm0, perm)
     for k in range(n):

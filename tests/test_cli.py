@@ -229,16 +229,27 @@ def test_baseline_arena_past_the_address_space_names_the_size(
                    f"address space\n")
 
 
-@pytest.mark.parametrize("program, fits", [("naive", 2728), ("bubble", 2048)])
-def test_baseline_arena_rule_is_exact(program, fits):
-    # the largest n whose arrays, in whole 64-byte lines, fit 2^16 bytes
+@pytest.mark.parametrize("program, fits, refused", [
+    ("naive", 2728, [("--n 2729", 2729, 65664, "")]),
+    ("bubble", 2048, [("--n 2049", 2049, 65792, "")]),
+    # melbourne's next square fits only at --pad-factor 1, and 529 not even
+    # then; its message adds the pad factor it sized the arena at
+    ("melbourne", 324, [("--pad-factor 2", 361, 69952, ", --pad-factor 2"),
+                        ("--n 529", 529, 68416, ", --pad-factor 1")]),
+], ids=["naive-2728", "bubble-2048", "melbourne-324"])
+def test_baseline_arena_rule_is_exact(program, fits, refused):
+    # the largest n whose arena, its arrays in whole 64-byte lines, fits
+    # 2^16 bytes at --pad-factor 2, and the least past it
     args = argparse.Namespace(command="verify", program=program, n=fits,
                               pad_factor=2,
                               cache_config=CacheConfig(address_space=1 << 16))
     _joint_rules(args)
-    args.n += 1
-    with pytest.raises(ValueError, match=f"^--n {fits + 1} needs a "):
-        _joint_rules(args)
+    for what, n, need, pads in refused:
+        args.n = n
+        with pytest.raises(ValueError, match=(
+                f"^{what} needs a {need}-byte {program} arena at n = {n}"
+                f"{pads}, more than the 65536-byte address space$")):
+            _joint_rules(args)
 
 
 def test_shuffle_writes_the_trace_before_printing(capsys, tmp_path):
@@ -512,6 +523,15 @@ def test_config_file_naming_a_config_is_rejected(capsys, tmp_path, verify_cfg):
     rc, out, err = run_cli(capsys, "verify", "--config", str(cfg))
     assert (rc, out) == (2, "")
     assert err.startswith("verify: --config ")
+
+
+def test_malformed_config_line_is_quoted_without_its_newline(capsys, tmp_path):
+    # the line as the file holds it, after the flag and the path
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("n=16\nbogus\n")
+    rc, out, err = run_cli(capsys, "shuffle", "--config", str(cfg))
+    assert (rc, out) == (2, "")
+    assert err == f"shuffle: --config {cfg}: malformed config line: 'bogus'\n"
 
 
 def test_config_value_an_explicit_flag_overrides_is_not_checked(capsys, tmp_path):

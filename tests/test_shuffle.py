@@ -19,8 +19,7 @@ from oblishuffle.shuffle import (
     OverflowRetriesExceededError,
     ShuffleEngine,
     ShuffleParams,
-    arena_bytes,
-    baseline_bases,
+    arena,
     bubble_shuffle,
     gen_perm,
     melbourne_shuffle,
@@ -394,24 +393,43 @@ def test_arena_must_fit_address_space():
         ShuffleEngine(CacheSim(tight), ShuffleParams(16))
 
 
-def test_arena_bytes_is_the_engine_arena_with_its_stagger_pad():
-    # every declared line lies in the arena; the last row's slices end at
-    # its whole lines, and only its stagger pad follows.  At n = 4096, the
+@pytest.mark.parametrize("program, n", [
+    ("melbourne", 4096),
+    *((program, n) for program in ("naive", "bubble") for n in (1, 15, 16)),
+])
+def test_arena_is_the_layout_each_program_runs_in(program, n):
+    # the output is the arena's last n-word array, and the last line any
+    # event names is the arena's last line.  Melbourne's arena ends in
+    # the last row's stagger pad, which no plan declares: at n = 4096, the
     # least that takes a pad on the default geometry
-    engine = ShuffleEngine(CacheSim(), ShuffleParams(4096), record_plans=True)
-    engine.melbourne(some_data(4096, 8), gen_perm(4096, 77))
-    line = engine.sim.config.line_size
-    pad = (engine.stride_bytes - engine.row_bytes) // line
-    assert pad > 0
-    top = max(base + region.size
-              for plan in engine.plans for region, base in plan.placements)
-    need = arena_bytes(engine.params, line, pad)
-    assert need == top + pad * line
-    # the stagger search reads no address space, so on a smaller one the
-    # engine finds the same pad, then refuses the arena that includes it
-    small = CacheConfig(address_space=1 << 19)
-    with pytest.raises(ValueError, match=f"^arena needs {need} bytes, "):
-        ShuffleEngine(CacheSim(small), ShuffleParams(4096))
+    sim = CacheSim()
+    line = sim.config.line_size
+    data, perm = some_data(n, 3), gen_perm(n, 4)
+    if program == "melbourne":
+        engine = ShuffleEngine(sim, ShuffleParams(n), record_plans=True)
+        out = engine.melbourne(data, perm)
+        pad = (engine.stride_bytes - engine.row_bytes) // line
+        assert pad > 0
+        top = max(base + region.size
+                  for plan in engine.plans for region, base in plan.placements)
+    else:
+        out, _ = {"naive": naive_shuffle, "bubble": bubble_shuffle}[program](
+            data, perm, sim)
+        pad = 0
+    sim.flush_all()
+    bases = arena(program, n, line, 2, pad)
+    out_base = bases[shuffle.ARENA_ARRAYS[program] - 1]
+    assert sim.peek_words(out_base, n) == out == apply_perm(data, perm)
+    end = bases[-1] - pad * line
+    assert max(e.line_address for e in sim.trace) == (end - 1) // line
+    if program == "melbourne":
+        assert top == end
+        # the stagger search reads no address space, so on a smaller one
+        # the engine finds the same pad, then refuses the arena that
+        # includes it
+        small = CacheConfig(address_space=1 << 19)
+        with pytest.raises(ValueError, match=f"^arena needs {bases[-1]} bytes, "):
+            ShuffleEngine(CacheSim(small), ShuffleParams(n))
 
 
 PAD_SIZES = (16, 64, 256, 1024, 4096, 16384)
@@ -508,21 +526,6 @@ def test_naive_shuffle_hits_capacity_wall():
     with pytest.raises(CapacityError) as exc_info:
         naive_shuffle(some_data(n, 0), gen_perm(n, 1))
     assert exc_info.value.level == "l1"
-
-
-@pytest.mark.parametrize("n", [1, 15, 16])
-@pytest.mark.parametrize("program, run", [("naive", naive_shuffle),
-                                          ("bubble", bubble_shuffle)])
-def test_baseline_arena_is_the_one_baseline_bases_states(program, run, n):
-    # the output is the last array, and the last line any event names is
-    # the last line of the arena
-    sim = CacheSim()
-    data, perm = some_data(n, 3), gen_perm(n, 4)
-    out, _ = run(data, perm, sim)
-    sim.flush_all()
-    bases = baseline_bases(program, n, 64)
-    assert sim.peek_words(bases[-2], n) == out == apply_perm(data, perm)
-    assert max(e.line_address for e in sim.trace) == (bases[-1] - 1) // 64
 
 
 def test_bubble_shuffle_identity_and_swap_count():
