@@ -37,8 +37,9 @@ the tracking of all its lines.  ``unpin_lines`` stamps 0 on the lines
 it names, which releases their pins early.
 
 A transaction's prefetch block, each list of runs of its body and its
-commit are one call each, and each is exact: ``prefetch(lines, kind)``
-equals one ``access`` per line in order, ``access_runs(runs, kind)``
+commit are one call each, and each is exact: ``prefetch(spans, kind)``,
+whose spans are ``range``s of lines as a declaration holds them, equals
+one ``access`` per line of each span in order, ``access_runs(runs, kind)``
 equals, for each ``(addr, count)`` of ``runs`` in order, one ``access``
 per word at ascending addresses, taking one step per line, and
 ``commit_lines(dirtied)`` equals ``writeback_line`` per dirtied line in
@@ -56,7 +57,10 @@ address before anything changes.  The block calls sit on one per-line
 step: ``access``, ``read_word``/``write_word``, ``access_runs`` and
 ``prefetch`` each make one ``_lines`` call with (line, k) pairs, which
 makes a full access for a line's first word and moves only the counters
-for its other k - 1 words (a prefetch passes k = 1).
+for its other k - 1 words (a prefetch passes k = 1).  A line resident in
+L1 carries the same stamp at both levels, which every call that writes a
+stamp keeps, so an L1 hit in the epoch of the line's last access leaves
+its LLC entry alone: every hit of a prefetched body is one.
 
 The trace is stored packed.  ``CacheSim.trace`` is a ``Trace``, an
 ``array('q')`` of one 8-byte code per event, ``line << 1 |
@@ -71,10 +75,11 @@ fills.
 
 The backing memory is a dict of fixed pages, each a list of
 ``PAGE_WORDS`` words, and this module is the only one that knows the
-page layout.  ``load_words`` and ``store_words`` move a run of words as
-one list slice per page it touches, and the other data movements sit on
-them, except the one-word ones: ``load_word``, ``read_word`` and
-``write_word`` index their one page inline.
+page layout.  ``load_words`` and ``store_words`` move a run of words
+with one visit per page it touches, ``store_words`` returning the values
+it overwrote, and the other data movements sit on them, except the
+one-word ones: ``load_word``, ``read_word`` and ``write_word`` index
+their one page inline.
 """
 
 from __future__ import annotations
@@ -83,7 +88,7 @@ import re
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from itertools import repeat
+from itertools import chain, repeat
 from operator import and_, rshift
 from typing import Iterable, Iterator, NamedTuple
 
@@ -370,37 +375,36 @@ class CacheSim:
         """The values of ``count`` words from word index ``w``: one list
         slice per page the run touches, zeros for a page never stored
         to.  Unchecked and untraced: the caller has checked the range."""
-        pages = self._pages
         i = w & _PAGE_MASK
-        if i + count <= PAGE_WORDS:
-            page = pages.get(w >> _PAGE_SHIFT)
-            return [0] * count if page is None else page[i:i + count]
-        out: list[int] = []
-        while count > 0:
-            k = min(count, PAGE_WORDS - i)
-            page = pages.get(w >> _PAGE_SHIFT)
-            out += [0] * k if page is None else page[i:i + k]
-            w, count, i = w + k, count - k, 0
-        return out
+        if i + count > PAGE_WORDS:  # over a page boundary: one load per page
+            k = PAGE_WORDS - i
+            out = self.load_words(w, k)
+            for d in range(k, count, PAGE_WORDS):
+                out += self.load_words(w + d, min(PAGE_WORDS, count - d))
+            return out
+        page = self._pages.get(w >> _PAGE_SHIFT)
+        return [0] * count if page is None else page[i:i + count]
 
-    def store_words(self, w: int, values: Sequence[int]) -> None:
-        """Store ``values`` at ascending words from word index ``w``: one
-        list slice per page the run touches.  Unchecked and untraced: the
-        caller has checked the range."""
-        pages = self._pages
+    def store_words(self, w: int, values: Sequence[int]) -> list[int]:
+        """Store ``values`` at ascending words from word index ``w`` and
+        return the values they held: one visit per page the run touches,
+        two list slices.  Unchecked and untraced: the caller has checked
+        the range."""
         i = w & _PAGE_MASK
         n = len(values)
-        if i + n <= PAGE_WORDS:
-            if n:
-                p = w >> _PAGE_SHIFT
-                (pages.get(p) or self._new_page(p))[i:i + n] = values
-            return
-        done = 0
-        while done < n:
-            k = min(n - done, PAGE_WORDS - i)
-            p = w >> _PAGE_SHIFT
-            (pages.get(p) or self._new_page(p))[i:i + k] = values[done:done + k]
-            w, done, i = w + k, done + k, 0
+        if i + n > PAGE_WORDS:  # over a page boundary: one store per page
+            k = PAGE_WORDS - i
+            old = self.store_words(w, values[:k])
+            for d in range(k, n, PAGE_WORDS):
+                old += self.store_words(w + d, values[d:d + PAGE_WORDS])
+            return old
+        if not n:
+            return []
+        p = w >> _PAGE_SHIFT
+        page = self._pages.get(p) or self._new_page(p)
+        old = page[i:i + n]
+        page[i:i + n] = values
+        return old
 
     def _new_page(self, p: int) -> list[int]:
         """Allocate page ``p``, zero-filled, for a store."""
@@ -498,23 +502,27 @@ class CacheSim:
             steps.append((last, count - head - (last - first - 1) * per))
         self._lines(steps, is_write)
 
-    def prefetch(self, lines: Iterable[int], kind: str) -> None:
-        """Exactly ``access(line << shift, kind)`` for each of ``lines`` in
-        order, in one call: one ``_lines`` step per line.
+    def prefetch(self, spans: Iterable[range], kind: str) -> None:
+        """Exactly ``access(line << shift, kind)`` for each line of each of
+        ``spans`` in order, in one call: one ``_lines`` step per line.
 
-        The lines are taken once, as a tuple, which copies nothing for a
-        tuple.  A bad ``kind``, or a line out of range (a ValueError naming
-        the first such line's address), is refused before any line.  A
-        PinViolationError leaves the lines before it applied and the
-        faulting line counted as ``access`` would.
+        A span is a ``range`` of consecutive lines, as a declaration holds
+        them; spans may be empty or overlap.  The spans are taken once, as
+        a tuple, and each is checked from its ends.  A bad ``kind``, or a
+        line out of range (a ValueError naming the first such line's
+        address), is refused before any line.  A PinViolationError leaves
+        the lines before it applied and the faulting line counted as
+        ``access`` would.
         """
         is_write = _is_write(kind)
-        shift, limit = self._shift, self.config.address_space
-        lines = tuple(lines)
-        if min(lines, default=0) < 0 or max(lines, default=0) << shift >= limit:
-            bad = next(line for line in lines if not 0 <= line << shift < limit)
-            raise ValueError(f"address {bad << shift} out of range")
-        self._lines(zip(lines, repeat(1)), is_write)
+        shift = self._shift
+        past = self.config.address_space >> shift  # the first line past it
+        spans = tuple(spans)
+        for span in spans:
+            if span and (span.start < 0 or span.stop > past):
+                bad = span.start if span.start < 0 else max(span.start, past)
+                raise ValueError(f"address {bad << shift} out of range")
+        self._lines(zip(chain.from_iterable(spans), repeat(1)), is_write)
 
     def _lines(self, steps: Iterable[tuple[int, int]], is_write: bool) -> None:
         """Make ``k`` accesses of one kind to each ``line`` of ``steps``, in
@@ -550,7 +558,10 @@ class CacheSim:
                 if flags is not None:
                     # an L1 hit moves the line to the end of its L1 set only
                     l1_set[line] = flags & 1 | bits
-                    llc[line & llc_mask][line] = lstamp
+                    # a line in L1 has one stamp at both levels, so a hit
+                    # in the epoch of its last access leaves the LLC alone
+                    if flags >> 1 != lstamp:
+                        llc[line & llc_mask][line] = lstamp
                     hits += k
                     continue
                 c.total += 1

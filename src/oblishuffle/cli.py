@@ -485,7 +485,13 @@ def _algo_name(tok: str) -> str:
 
 
 def _geometry(flag: str, path: str | None) -> CacheConfig:
-    return CacheConfig.from_file(path) if path else CacheConfig()
+    """The geometry of the file ``flag`` names, or the default one.  A
+    line or a value ``CacheConfig`` refuses is refused naming the flag
+    and the path, as ``--config`` and ``--input`` are."""
+    try:
+        return CacheConfig.from_file(path) if path else CacheConfig()
+    except ValueError as exc:
+        raise ValueError(f"{flag} {path}: {exc}") from None
 
 
 _AT_LEAST_1 = _rule(lambda v: v >= 1, "{flag} must be at least 1, got {v}")

@@ -57,6 +57,7 @@ sequence is a fixed function of N at word granularity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import isqrt
 
 import numpy as np
@@ -229,13 +230,18 @@ def arena(program: str, n: int, line_size: int, pad_factor: int = 2,
     return bases
 
 
+# a region is a value, so one is made per (name, size, kind) and shared by
+# every placement of it: a scatter's slice j has one size or two for all i
+_region = cache(Region)
+
+
 def _line_region(
     name: str, kind: str, base: int, size: int, line: int
 ) -> tuple[Region, int]:
     """Placement of the whole lines that [base, base + size) touches, so a
     plan states the true line footprint."""
     lo = base - base % line
-    return Region(name, _round_lines(base + size, line) - lo, kind), lo
+    return _region(name, _round_lines(base + size, line) - lo, kind), lo
 
 
 class ShuffleEngine:

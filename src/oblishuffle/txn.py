@@ -24,16 +24,17 @@ one exact ``CacheSim`` call: the prefetch is ``sim.prefetch`` on the read
 lines and then on the write lines, equal to one ``access`` per line,
 and the commit is ``sim.commit_lines``, equal to ``writeback_line`` per
 dirtied line, one pass over the lines the attempt dirtied and none over
-those it only read.  Each side goes to these calls as one iterator
-over the lines of its spans.  A pin is a stamp of the transaction's
-epoch (see ``cache``): ``run_txn`` opens the epoch with
-``sim.open_txn``, so every access it makes is pinned, and closes it
-with ``sim.close_txn``, which releases every pin the transaction made
-in one step, however many lines it pinned.  A prefetched attempt
-pinned and dirtied exactly the declared lines, so its commit writes
-back the write spans and its rollback drops every declared span; a cold
-attempt's context holds the lines it dirtied, which the commit writes
-back, and those it pinned, which a rollback drops.
+those it only read.  The prefetch takes each side's spans as they are,
+and the commit one iterator over the lines of the write spans.  A pin
+is a stamp of the transaction's epoch (see ``cache``): ``run_txn``
+opens the epoch with ``sim.open_txn``, so every access it makes is
+pinned, and closes it with ``sim.close_txn``, which releases every pin
+the transaction made in one step, however many lines it pinned.  A
+prefetched attempt pinned and dirtied exactly the declared lines, so
+its commit writes back the write spans and its rollback drops every
+declared span; a cold attempt's context holds the lines it dirtied,
+which the commit writes back, and those it pinned, which a rollback
+drops.
 
 A body accesses words with ``ctx.read``/``ctx.write``, consecutive words
 with ``ctx.read_run(addr, count)``/``ctx.write_run(addr, values)``, or a
@@ -45,15 +46,17 @@ cache state (trace, counters, LRU order, dirty and pin bits) equal those
 of one per-word access per word at ascending addresses, run after run,
 for valid input.  Invalid input is the caller's error and has one rule:
 a list checks the declaration once for all the lines of each run, by
-a bisect on the declared spans, and the alignment of each run's first
-word, and raises an UndeclaredAccessError or a ValueError naming the
-first bad word of the first bad run before it consults the interrupt
-model or accesses anything.  A prefetched body's accesses all find their lines pinned and
-cannot fault, so a valid list there consults the model once for all its
-words and makes one ``CacheSim.access_runs`` call, which takes one step
-per line.  In a body without prefetch, only a line's first word within a
-run can fault (on a pin), and the per-word path neither consults nor
-touches anything past a fault.  So there each run, in turn, is split at
+a bisect on the first lines of the declared spans (``check_spans``, a
+list of ints built once per declaration), and the alignment of each
+run's first word, and raises an UndeclaredAccessError or a ValueError
+naming the first bad word of the first bad run before it consults the
+interrupt model or accesses anything.  A prefetched body's accesses all
+find their lines pinned and cannot fault, so a valid list there
+consults the model once for all its words and makes one
+``CacheSim.access_runs`` call, which takes one step per line.  In a
+body without prefetch, only a line's first word within a run can fault
+(on a pin), and the per-word path neither consults nor touches anything
+past a fault.  So there each run, in turn, is split at
 line starts: its first word is one stretch, and each later stretch runs
 through the next word that starts a line, one consultation and one
 ``access_runs`` call each.
@@ -71,9 +74,10 @@ consultations it makes, and no Python object per draw.
 Aborts roll everything back: every line the attempt pinned is
 invalidated without events, which clears the pins, and the attempt
 counter advances.  Each attempt's context keeps an undo log of the runs
-it stores, each as its first word and its old values; on abort the old
-values are stored back newest first, so every word of memory holds what
-it held when the attempt began.  Retries repeat from the prefetch step
+it stores, each as its first word and the old values ``store_words``
+returns, one page visit per run; on abort the old values are stored
+back newest first, so every word of memory holds what it held when the
+attempt began.  Retries repeat from the prefetch step
 up to ``retry_cap`` times.  A body that raises ``BodyAbortError`` aborts
 the transaction for its caller: the attempt is rolled back and the error
 re-raised with the transaction's statistics, as a capacity or retry-cap
@@ -248,6 +252,13 @@ class TxnDeclaration:
             else:
                 out.append(span)
         return out
+
+    @cached_property
+    def check_spans(self) -> dict[str, tuple[list[range], list[int]]]:
+        """Per access kind, the spans a body's check of that kind bisects,
+        ``spans`` or ``write_spans``, with the first line of each."""
+        return {kind: (spans, [span.start for span in spans])
+                for kind, spans in ((READ, self.spans), (WRITE, self.write_spans))}
 
     def footprint_bytes(self) -> int:
         return sum(map(len, self.read_spans + self.write_spans)) * self.line_size
@@ -444,13 +455,12 @@ class TxnContext:
     ) -> None:
         """Store the first ``count`` of each run's ``values`` at the words
         of its ``(addr, count)`` of ``runs``, in order, logging each run's
-        old values in the undo log."""
-        sim = self._sim
+        old values, which ``store_words`` returns, in the undo log."""
+        store, log = self._sim.store_words, self._undo.append
         for (addr, count), vals in zip(runs, values):
             if count > 0:
                 w = addr >> 3
-                self._undo.append((w, sim.load_words(w, count)))
-                sim.store_words(w, vals if len(vals) == count else vals[:count])
+                log((w, store(w, vals if len(vals) == count else vals[:count])))
 
     def _rollback(self) -> None:
         """Undo this attempt's stores, newest first."""
@@ -482,8 +492,7 @@ class TxnContext:
         its stretch's values unstored; the rollback restores the rest.
         """
         shift = self._shift
-        decl = self._decl
-        spans = decl.write_spans if kind == WRITE else decl.spans
+        spans, starts = self._decl.check_spans[kind]
         total = 0
         for addr, count in runs:
             if count <= 0:
@@ -494,7 +503,7 @@ class TxnContext:
             first, last = addr >> shift, end >> shift
             # the one span that can hold the run's first line; the line
             # after a span is undeclared, since touching spans are joined
-            i = bisect_right(spans, first, key=_start) - 1
+            i = bisect_right(starts, first) - 1
             if i < 0 or spans[i].stop <= last:
                 bad = first if i < 0 else max(first, spans[i].stop)
                 raise UndeclaredAccessError(max(addr, bad << shift), kind)
@@ -578,8 +587,8 @@ def run_txn(
                 pf_start = len(sim.trace)
                 try:
                     if prefetch:
-                        sim.prefetch(chain.from_iterable(decl.read_spans), READ)
-                        sim.prefetch(chain.from_iterable(decl.write_spans), WRITE)
+                        sim.prefetch(decl.read_spans, READ)
+                        sim.prefetch(decl.write_spans, WRITE)
                 finally:
                     # count partial blocks too: an abort mid-prefetch has
                     # already emitted its events

@@ -377,8 +377,9 @@ def per_word_write(ctx, addr, value):
     sim.store_words(addr >> 3, [value])
 
 
-def per_line_prefetch(sim, lines, kind) -> None:
-    for line in lines:
+def per_line_prefetch(sim, spans, kind) -> None:
+    """One access per line of each of ``spans``, in order."""
+    for line in chain.from_iterable(spans):
         per_word_access(sim, line << sim.config.line_shift, kind)
 
 
@@ -433,8 +434,10 @@ def line_state(sim, line: int, level: str) -> tuple[bool, bool] | None:
 
 def check_invariants(sim) -> None:
     """Structural sanity of a ``CacheSim``: occupancy bounds, set
-    mapping, inclusion, every stamp in ``0..epoch``, and pin agreement
-    between levels: a pinned L1 entry's LLC entry has its stamp."""
+    mapping, inclusion, every stamp in ``0..epoch``, and stamp agreement
+    between levels: every L1 entry's LLC entry has its stamp, which the
+    kernel's hit step relies on to leave a same-epoch hit's LLC entry
+    alone."""
     config = sim.config
     for idx, s in enumerate(sim._l1):
         assert len(s) <= config.l1_ways, "L1 set over ways"
@@ -443,7 +446,7 @@ def check_invariants(sim) -> None:
             assert 0 <= f >> 1 <= sim._epoch, "L1 stamp out of range"
             lf = (sim._llc[line & sim._llc_mask] or {}).get(line)
             assert lf is not None, "inclusion broken"
-            assert lf == f >> 1 or f >> 1 != sim._pin, "pin levels disagree"
+            assert lf == f >> 1, "stamp levels disagree"
     for idx, s in enumerate(sim._llc):
         if s is None:  # no line installed here since the last flush
             continue
@@ -751,10 +754,12 @@ class ReferenceCacheSim:
         mem = self.memory
         return [mem.get(i, 0) for i in range(w, w + count)]
 
-    def store_words(self, w: int, values) -> None:
+    def store_words(self, w: int, values) -> list[int]:
+        old = self.load_words(w, len(values))
         mem = self.memory
         for i, v in enumerate(values, w):
             mem[i] = v
+        return old
 
     def _check_word(self, addr: int) -> None:
         if addr % WORD_BYTES:
@@ -889,9 +894,9 @@ class ReferenceCacheSim:
         for addr, count in runs:
             self.access_run(addr, count, kind)
 
-    def prefetch(self, lines: Iterable[int], kind: str) -> None:
-        """Exactly ``access(line << shift, kind)`` for each of ``lines`` in
-        order, in one call.
+    def prefetch(self, spans: Iterable[range], kind: str) -> None:
+        """Exactly ``access(line << shift, kind)`` for each line of each of
+        ``spans`` in order, in one call.
 
         A fault on a line (PinViolationError, or ValueError for a line
         out of range) leaves the lines before it applied and the faulting
@@ -910,7 +915,7 @@ class ReferenceCacheSim:
         c = self.counters
         clock, total, l1_hits = self._clock, c.total, c.l1_hits
         try:
-            for line in lines:
+            for line in chain.from_iterable(spans):
                 addr = line << shift
                 if not 0 <= addr < limit:
                     raise ValueError(f"address {addr} out of range")
@@ -1124,7 +1129,7 @@ def snapshot_run_txn(
         raise ValueError("retry_cap must be at least 1")
 
     # the declared write range's words, and those present, for rollback
-    read_lines, write_lines = line_tuples(decl)
+    write_lines = line_tuples(decl)[1]
     per_line = cfg.line_size // WORD_BYTES
     words = [
         w
@@ -1146,8 +1151,8 @@ def snapshot_run_txn(
                 pf_start = len(sim.trace)
                 try:
                     if prefetch:
-                        sim.prefetch(read_lines, READ)
-                        sim.prefetch(write_lines, WRITE)
+                        sim.prefetch(decl.read_spans, READ)
+                        sim.prefetch(decl.write_spans, WRITE)
                 finally:
                     # count partial blocks too: an abort mid-prefetch has
                     # already emitted its events

@@ -7,7 +7,7 @@ expected lookup result and exactly which events it appends.
 
 import copy
 from array import array
-from itertools import repeat
+from itertools import chain
 
 import pytest
 from hypothesis import assume, given, settings
@@ -237,7 +237,7 @@ def test_rejected_pinned_write_is_counted_but_changes_nothing_else(block):
     before = [list(s.items()) for s in set_dicts(sim)]
     with pytest.raises(PinViolationError) as exc:
         if block:
-            sim.prefetch([2], "write")
+            sim.prefetch([range(2, 3)], "write")
         else:
             sim.access(128, "write")
     assert exc.value.line_address == 2
@@ -548,7 +548,7 @@ def test_prefetch_makes_one_llc_set_per_set_filled(k):
     # LLC 8 sets x 4 ways: lines 0..k-1 fill min(k, 8) sets
     cfg = CacheConfig(line_size=64, l1_sets=2, l1_ways=2, llc_sets=8, llc_ways=4)
     sim = CacheSim(cfg)
-    sim.prefetch(range(k), "read")
+    sim.prefetch([range(k)], "read")
     made = [s is not None for s in sim._llc]
     assert sum(made) == min(k, cfg.llc_sets)
     assert made == [i < k for i in range(cfg.llc_sets)]
@@ -559,9 +559,9 @@ def test_a_deep_copy_makes_its_own_llc_sets():
     cfg = CacheConfig(line_size=64, l1_sets=2, l1_ways=2, llc_sets=8, llc_ways=4)
     sim = CacheSim(cfg)
     sim.open_txn()
-    sim.prefetch([0, 1], "write")
+    sim.prefetch([range(2)], "write")
     dup = copy.deepcopy(sim)
-    dup.prefetch(range(2, 6), "read")
+    dup.prefetch([range(2, 6)], "read")
     dup.access(0, "read")
     dup.invalidate_lines([1])
     check_invariants(dup)
@@ -578,7 +578,7 @@ def test_invariants_hold_after_invalidate_and_flush():
     sim = CacheSim(cfg)
     for line in range(20):
         sim.access(line * 64, "write" if line % 3 else "read")
-    sim.prefetch([20, 21], "read")
+    sim.prefetch([range(20, 22)], "read")
     check_invariants(sim)
     # lines resident, evicted, and in sets never made
     sim.invalidate_lines([19, 0, 21, 100, 4, 12])
@@ -791,7 +791,9 @@ def block_programs(draw):
     steps = []
     for _ in range(draw(st.integers(1, 4))):
         if draw(st.booleans()):
-            steps.append(("prefetch", draw(st.lists(line, max_size=8)),
+            spans = st.builds(lambda lo, n: range(lo, lo + n), line,
+                              st.integers(0, 3))
+            steps.append(("prefetch", draw(st.lists(spans, max_size=4)),
                           draw(st.sampled_from(["read", "write"])),
                           draw(st.booleans())))
         else:
@@ -813,7 +815,9 @@ def test_block_calls_match_the_per_line_loops(program):
     for step, a, b, inside in steps:
         for sim in (fast, ref):
             in_epoch(sim, inside)
-        bad = first_out_of_range([line * 64 for line in a], config.address_space)
+        lines = chain.from_iterable(a) if step == "prefetch" else a
+        bad = first_out_of_range([line * 64 for line in lines],
+                                 config.address_space)
         if step == "prefetch" and bad is not None:
             # invalid input changes nothing; the reference takes no step
             assert_refused(fast, lambda: fast.prefetch(a, b), bad)
@@ -832,8 +836,10 @@ def test_block_calls_match_the_per_line_loops(program):
 @st.composite
 def span_programs(draw):
     """A geometry, some fills each maybe followed by an invalidation, and
-    a span to prefetch: from one line to past both capacities, inside an
-    epoch or not, in some programs reaching out of the address space."""
+    a list of spans to prefetch, of either kind, inside an epoch or not:
+    each span empty or up to past both capacities, the spans may overlap,
+    and in some programs one starts below line 0 or reaches out of the
+    address space."""
     l1_sets = draw(st.sampled_from([1, 2, 4, 8]))
     l1_ways = draw(st.sampled_from([1, 2, 3]))
     llc_sets = draw(st.sampled_from([1, 2, 4]))
@@ -845,50 +851,61 @@ def span_programs(draw):
         start, st.integers(1, 12), st.sampled_from(["read", "write"]),
         st.booleans(), st.none() | st.tuples(start, st.integers(0, 40))),
         max_size=3))
-    lo = draw(st.one_of(start, st.integers(-2, 2), st.integers(56, 64)))
-    n = draw(st.integers(1, 2 * llc_sets * llc_ways + 2))
-    return (config, pre, range(lo, lo + n),
-            draw(st.sampled_from(["read", "write"])), draw(st.booleans()))
+    lo = st.one_of(start, st.integers(-2, 2), st.integers(56, 64))
+    n = st.integers(0, 2 * llc_sets * llc_ways + 2)
+    spans = draw(st.lists(st.builds(lambda lo, n: range(lo, lo + n), lo, n),
+                          min_size=1, max_size=4))
+    return (config, pre, spans, draw(st.sampled_from(["read", "write"])),
+            draw(st.booleans()))
 
 
 @settings(max_examples=400, deadline=None)
 @given(span_programs())
 def test_prefetch_of_a_span_matches_the_per_line_step(program):
-    # a range block is one per-line step per line, equal to ``_lines`` over
-    # its lines, and refused, when a line is out of range, as their list is
-    config, pre, span, kind, inside = program
+    # the span-fed block against one ``access`` per line of each span, in
+    # order: the outcome (a PinViolationError with its line and level),
+    # the trace bytes, the counters and every set's items in order agree.
+    # With a line out of range it raises the ValueError the per-line path
+    # raises at the first such line, and changes nothing
+    config, pre, spans, kind, inside = program
     fast = CacheSim(config)
     for lo, n, pre_kind, pre_inside, cut in pre:
         in_epoch(fast, pre_inside)
-        outcome(lambda: fast.prefetch(range(lo, lo + n), pre_kind))
+        outcome(lambda: fast.prefetch([range(lo, lo + n)], pre_kind))
         if cut is not None:
             # can leave an L1 set empty over a non-empty LLC set
             fast.invalidate_lines(range(cut[0], cut[0] + cut[1]))
     in_epoch(fast, inside)
     ref = copy.deepcopy(fast)
-    bad = first_out_of_range([line * 64 for line in span], config.address_space)
+    lines = list(chain.from_iterable(spans))
+    bad = first_out_of_range([line * 64 for line in lines], config.address_space)
     if bad is not None:
-        assert_refused(fast, lambda: fast.prefetch(span, kind), bad)
-        assert outcome(lambda: ref.prefetch(list(span), kind)) == outcome(
-            lambda: fast.prefetch(span, kind))
+        assert_refused(fast, lambda: fast.prefetch(spans, kind), bad)
         return
-    got = outcome(lambda: fast.prefetch(span, kind))
-    want = outcome(lambda: ref._lines(zip(span, repeat(1)), kind == "write"))
-    assert got == want
+
+    def per_line():
+        for line in lines:
+            ref.access(line * 64, kind)
+
+    assert outcome(lambda: fast.prefetch(spans, kind)) == outcome(per_line)
     assert fast.trace.tobytes() == ref.trace.tobytes()
-    assert sim_state(fast) == sim_state(ref)
+    assert fast.counters == ref.counters
+    assert [list(s.items()) for s in set_dicts(fast)] == [
+        list(s.items()) for s in set_dicts(ref)]
     check_invariants(fast)
 
 
-@pytest.mark.parametrize("make", [iter, lambda lines: (x for x in lines)])
+@pytest.mark.parametrize("make", [iter, lambda spans: (x for x in spans)])
 def test_prefetch_takes_an_iterator_once(make):
+    # the spans are read twice, to check them and to step their lines
     config = CacheConfig(64, 1, 2, 2, 4, 1 << 12)
     fast, ref = CacheSim(config), CacheSim(config)
-    fast.prefetch(make([1, 2, 3, 2]), "read")
-    ref.prefetch([1, 2, 3, 2], "read")
+    fast.prefetch(make([range(1, 4), range(2, 3)]), "read")
+    ref.prefetch([range(1, 4), range(2, 3)], "read")
     assert fast.counters == ref.counters == AccessCounters(4, 1, 0, 3)
     assert sim_state(fast) == sim_state(ref)
-    assert outcome(lambda: fast.prefetch(make([4, 64, 5]), "read")) == (
+    assert outcome(lambda: fast.prefetch(
+        make([range(4, 5), range(60, 66), range(5, 6)]), "read")) == (
         ValueError, "address 4096 out of range")
     assert sim_state(fast) == sim_state(ref)
 
@@ -896,15 +913,15 @@ def test_prefetch_takes_an_iterator_once(make):
 def test_prefetch_rejects_a_bad_kind_before_any_line():
     sim = CacheSim(TINY)
     with pytest.raises(ValueError, match="bad access kind"):
-        sim.prefetch([0, 1], "fetch")
+        sim.prefetch([range(2)], "fetch")
     assert sim_state(sim) == sim_state(CacheSim(TINY))
 
 
 def test_commit_lines_writes_back_in_order_then_unpins():
     sim = CacheSim(TINY)
     sim.open_txn()
-    sim.prefetch([0, 1], "write")
-    sim.prefetch([2], "read")
+    sim.prefetch([range(2)], "write")
+    sim.prefetch([range(2, 3)], "read")
     assert sim.commit_lines([1, 0, 1]) == 2
     assert sim.trace[-2:] == [wb(1), wb(0)]
     for line in (0, 1, 2):
@@ -1044,11 +1061,12 @@ def test_invalid_line_after_a_pin_fault_refuses_the_whole_block():
     # space, so it raises the ValueError and changes nothing
     sim = CacheSim(TINY)
     sim.open_txn()
-    sim.prefetch([0, 1], "write")
+    sim.prefetch([range(2)], "write")
     past = TINY.address_space // 64
-    assert_refused(sim, lambda: sim.prefetch([2, past], "write"), past * 64)
+    assert_refused(sim, lambda: sim.prefetch([range(2, 3), range(past, past + 1)],
+                                             "write"), past * 64)
     assert_refused(sim,
                    lambda: sim.access_runs(((past * 64 - 64, 9),), "write"),
                    past * 64)
     with pytest.raises(PinViolationError):
-        sim.prefetch([2], "write")
+        sim.prefetch([range(2, 3)], "write")

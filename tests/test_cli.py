@@ -754,7 +754,27 @@ def test_geometry_past_the_simulator_bounds_is_refused(capsys, tmp_path,
     rc, out, err = run_cli(capsys, command, "--cache-config", str(cfg), *size)
     assert (rc, out) == (2, "")
     most = MAX_ADDRESS_SPACE if key == "address_space" else MAX_SETS
-    assert err == f"{command}: {key} must be at most {most}, got {value}\n"
+    assert err == (f"{command}: --cache-config {cfg}: {key} must be at most "
+                   f"{most}, got {value}\n")
+
+
+@pytest.mark.parametrize("command", ["shuffle", "verify", "probe"])
+@pytest.mark.parametrize("text, why", [
+    ("bogus\n", "malformed config line: 'bogus'"),
+    ("l1_sets=3\n", "l1_sets must be a power of two, got 3"),
+    ("l1_ways=0\n", "way counts must be positive"),
+    ("llc_sets=8\nllc_sets=8\n", "duplicate config key: llc_sets"),
+    ("colour=7\n", "unknown config key: colour"),
+])
+def test_cache_config_refusals_name_the_flag_and_the_path(capsys, tmp_path,
+                                                          command, text, why):
+    # as a malformed --config line or a bad --input token is refused
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    size = ["--n", "16"] if command != "probe" else []
+    rc, out, err = run_cli(capsys, command, "--cache-config", str(cfg), *size)
+    assert (rc, out) == (2, "")
+    assert err == f"{command}: --cache-config {cfg}: {why}\n"
 
 
 def test_size_bound_reads_the_cache_geometry(capsys, tmp_path):

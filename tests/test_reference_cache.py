@@ -23,6 +23,7 @@ must raise the reference's ValueError and change nothing.
 """
 
 import copy
+from itertools import chain
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -98,7 +99,10 @@ def transactions(draw):
 STEP_ARGS = {
     "access": st.tuples(addrs, kinds),
     "access_run": st.tuples(addrs, st.integers(0, 20), kinds),
-    "prefetch": st.tuples(st.lists(lines, max_size=6), kinds),
+    # spans of up to three lines, some empty, some reaching past the space
+    "prefetch": st.tuples(st.lists(st.builds(lambda lo, n: range(lo, lo + n),
+                                             lines, st.integers(0, 3)),
+                                   max_size=4), kinds),
     "txn": st.tuples(transactions()),
     "write_word": st.tuples(word_addrs, st.integers(1, 99)),
     # the lines to write back, then the lines to unpin
@@ -174,7 +178,7 @@ def first_out_of_range(step):
         addr, count = args[:2]
         addrs = range(addr, addr + 8 * count, 8)
     elif name == "prefetch":
-        addrs = [line * 64 for line in args[0]]
+        addrs = [line * 64 for line in chain.from_iterable(args[0])]
     else:
         return None
     return next((a for a in addrs if not 0 <= a < SPACE), None)

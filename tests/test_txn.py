@@ -325,7 +325,7 @@ def test_pins_end_with_their_transaction(ending, prefetch):
     # 0, dirty) and line 7 by a prefetch (L1 set 1), which the
     # transaction declares too
     sim.access(addr_of(6), "write")
-    sim.prefetch([7], "read")
+    sim.prefetch([range(7, 8)], "read")
     assert pinned_lines(sim, (6, 7)) == []
     decl = TxnDeclaration.of(reads=[(0, 64), (addr_of(2), 64), (addr_of(7), 64)],
                              writes=[(addr_of(3), 64)])
