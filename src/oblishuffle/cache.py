@@ -43,7 +43,8 @@ one ``access`` per line of each span in order, ``access_runs(runs, kind)``
 equals, for each ``(addr, count)`` of ``runs`` in order, one ``access``
 per word at ascending addresses, taking one step per line, and
 ``commit_lines(dirtied)`` equals ``writeback_line`` per dirtied line in
-order.  A run list is the one path for consecutive words.  A
+order.  A run list is the one path for consecutive words, and
+``access`` is the list of one word.  A
 transaction commits with ``commit_lines(dirtied)``, one pass over the
 lines it dirtied, and its pins end with ``close_txn``.  The state of
 these calls (trace, counters, LRU order, dirty bits and stamps) matches
@@ -54,13 +55,23 @@ error, not a modelled fault, and has one rule: ``access``,
 their whole input (the kind, and the range of every address or line)
 before their first access, and raise a ValueError naming the first bad
 address before anything changes.  The block calls sit on one per-line
-step: ``access``, ``read_word``/``write_word``, ``access_runs`` and
-``prefetch`` each make one ``_lines`` call with (line, k) pairs, which
-makes a full access for a line's first word and moves only the counters
-for its other k - 1 words (a prefetch passes k = 1).  A line resident in
-L1 carries the same stamp at both levels, which every call that writes a
-stamp keeps, so an L1 hit in the epoch of the line's last access leaves
-its LLC entry alone: every hit of a prefetched body is one.
+step: ``read_word``/``write_word``, ``access_runs``, ``access_lines``
+and ``prefetch`` each make one ``_lines`` call with (line, k) pairs,
+which makes a full access for a line's first word and moves only the
+counters for its other k - 1 words (a prefetch passes k = 1).  A run
+list's pairs come from one walk, ``line_steps``, which checks each run
+against a list of line spans and builds its pairs in the same pass:
+``access_runs`` walks against the whole address space, a transaction
+body against its declaration, and ``access_lines`` takes pairs so
+checked.  ``_lines`` keeps the counts it moves in locals (an L1 hit's
+words, a miss step's first word and the words the LLC serves) and adds
+each to ``counters`` once, on the way out and only if it moved, so a
+PinViolationError leaves exactly the counts ``access`` would.  An LLC
+hit evicts nothing from the LLC, so its step skips the test for an
+inclusion eviction.  A line resident in L1 carries the same stamp at
+both levels, which every call that writes a stamp keeps, so an L1 hit
+in the epoch of the line's last access leaves its LLC entry alone:
+every hit of a prefetched body is one.
 
 The trace is stored packed.  ``CacheSim.trace`` is a ``Trace``, an
 ``array('q')`` of one 8-byte code per event, ``line << 1 |
@@ -78,19 +89,22 @@ The backing memory is a dict of fixed pages, each a list of
 page layout.  ``load_words`` and ``store_words`` move a run of words
 with one visit per page it touches, ``store_words`` returning the values
 it overwrote, and the other data movements sit on them, except the
-one-word ones: ``load_word``, ``read_word`` and ``write_word`` index
-their one page inline.
+one-word ones and a run list's stores: ``load_word``, ``read_word`` and
+``write_word`` index their one page inline, and ``store_runs`` stores a
+list's values, indexing the page of each run within one page inline,
+and appends each run's first word and old values to an undo log.
 """
 
 from __future__ import annotations
 
 import re
 from array import array
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from itertools import chain, repeat
 from operator import and_, rshift
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 WORD_BYTES = 8
 
@@ -111,6 +125,57 @@ def _is_write(kind: str) -> bool:
     if kind != READ:
         raise ValueError(f"bad access kind: {kind!r}")
     return False
+
+
+def _out_of_range(addr: int) -> ValueError:
+    return ValueError(f"address {addr} out of range")
+
+
+def line_steps(runs: Iterable[tuple[int, int]], shift: int, spans: Sequence[range],
+               starts: Sequence[int], refuse: Callable[[int], Exception],
+               aligned: bool) -> tuple[list[tuple[int, int]], int]:
+    """One walk over ``runs``, each ``(addr, count)`` ``count`` words at
+    ascending byte addresses from ``addr``: check each run with words
+    against ``spans`` and build its ``(line, k)`` steps, the ``k`` words
+    it has in each ``line``.  Returns the steps and the number of words.
+
+    ``spans`` are ascending, disjoint ``range``s of lines, no two
+    touching, with ``starts`` their first lines, so one bisect finds the
+    one span that can hold a run's first line.  The first run with a
+    line outside them raises ``refuse(addr)`` for its first word there.
+    With ``aligned``, a misaligned run is refused at its first word: by
+    ``refuse`` if its line is outside the spans, else by a ValueError.
+    Any line-long stretch of addresses holds ``1 << shift >> 3`` of a
+    run's words, whatever the alignment, so a run's steps are a head,
+    whole lines and a tail.
+    """
+    steps: list[tuple[int, int]] = []
+    total = 0
+    for addr, count in runs:
+        if count <= 0:
+            continue
+        misaligned = aligned and addr & 7
+        first = addr >> shift
+        last = first if misaligned else addr + (count - 1) * WORD_BYTES >> shift
+        i = bisect_right(starts, first) - 1
+        if i < 0 or spans[i].stop <= last:
+            bad = first if i < 0 else max(first, spans[i].stop)
+            # the run's first word at or past line ``bad``: its words
+            # share addr's offset within a word
+            raise refuse(max(addr, bad << shift | addr & 7))
+        if misaligned:
+            raise ValueError(f"address {addr} not word aligned")
+        total += count
+        if first == last:
+            steps.append((first, count))
+            continue
+        head = (((first + 1) << shift) - addr + 7) >> 3
+        per = 1 << shift >> 3
+        steps.append((first, head))
+        for line in range(first + 1, last):
+            steps.append((line, per))
+        steps.append((last, count - head - (last - first - 1) * per))
+    return steps, total
 
 
 class TraceEvent(NamedTuple):
@@ -330,6 +395,8 @@ class CacheSim:
         self._l1: list[dict[int, int]] = [dict() for _ in range(c.l1_sets)]
         # an LLC set is made when a line is first installed in it
         self._llc: list[dict[int, int] | None] = [None] * c.llc_sets
+        # the address space as ``line_steps`` spans: one, from line 0
+        self._space = (range(c.address_space >> c.line_shift),)
 
     # -- transaction epochs ----------------------------------------------
 
@@ -411,6 +478,31 @@ class CacheSim:
         page = self._pages[p] = [0] * PAGE_WORDS
         return page
 
+    def store_runs(self, runs: Iterable[tuple[int, int]],
+                   values: Iterable[Sequence[int]],
+                   undo: list[tuple[int, list[int]]]) -> None:
+        """Store the first ``count`` of each run's ``values`` at the words
+        of its ``(addr, count)`` of ``runs``, in order, and append each
+        run's first word index and the values it overwrote to ``undo``.
+        A run within one page indexes that page inline; one that crosses
+        a page boundary is a ``store_words``.  Unchecked and untraced:
+        the caller has checked the words."""
+        pages, log = self._pages, undo.append
+        for (addr, count), vals in zip(runs, values):
+            if count <= 0:
+                continue
+            if len(vals) != count:
+                vals = vals[:count]
+            w = addr >> 3
+            i = w & _PAGE_MASK
+            j = i + count
+            if j > PAGE_WORDS:
+                log((w, self.store_words(w, vals)))
+                continue
+            page = pages.get(w >> _PAGE_SHIFT) or self._new_page(w >> _PAGE_SHIFT)
+            log((w, page[i:j]))
+            page[i:j] = vals
+
     def _check_words(self, addr: int, count: int) -> None:
         """Check the first and the last of ``count`` words from ``addr``."""
         self._check_word(addr)
@@ -424,8 +516,11 @@ class CacheSim:
 
     # -- traced accesses ---------------------------------------------------
 
+    # the one-word calls test the word inline and leave the refusal to
+    # ``_check_word``, sparing a call per word
     def read_word(self, addr: int) -> int:
-        self._check_word(addr)
+        if addr & 7 or not 0 <= addr < self.config.address_space:
+            self._check_word(addr)
         self._lines(((addr >> self._shift, 1),), False)
         w = addr >> 3
         try:
@@ -434,7 +529,8 @@ class CacheSim:
             return 0
 
     def write_word(self, addr: int, value: int) -> None:
-        self._check_word(addr)
+        if addr & 7 or not 0 <= addr < self.config.address_space:
+            self._check_word(addr)
         self._lines(((addr >> self._shift, 1),), True)
         w = addr >> 3
         try:
@@ -447,19 +543,18 @@ class CacheSim:
     # they stay until the benchmark stops wrapping them (ROADMAP item 1)
     def access(self, addr: int, kind: str) -> str:
         """Touch one byte address; returns "l1-hit", "llc-hit" or "llc-miss".
+        It is the run list of one word, ``access_runs(((addr, 1),), kind)``.
 
         Raises PinViolationError when the access cannot be satisfied
         without evicting a protected line (see module docstring).  The
         raise comes before any entry changes or event, but after the
         access has been counted: ``counters.total`` has already advanced,
-        and no hit or miss counter has.  A ValueError (address out of
-        range, bad kind) is raised before anything changes.
+        and no hit or miss counter has.  A ValueError (a bad kind, else
+        an address out of range) is raised before anything changes.
         """
-        if not 0 <= addr < self.config.address_space:
-            raise ValueError(f"address {addr} out of range")
         c = self.counters
         l1_hits, llc_misses = c.l1_hits, c.llc_misses
-        self._lines(((addr >> self._shift, 1),), _is_write(kind))
+        self.access_runs(((addr, 1),), kind)
         if c.l1_hits != l1_hits:
             return "l1-hit"
         return "llc-miss" if c.llc_misses != llc_misses else "llc-hit"
@@ -469,38 +564,26 @@ class CacheSim:
         ``range(count)``, for each ``(addr, count)`` of ``runs`` in order,
         in one call taking one step per line of each run.
 
-        Any line-long stretch of addresses holds ``line_size // 8`` of a
-        run's words, whatever the alignment, so a run is a head, whole
-        lines and a tail.  A bad ``kind`` is refused first, and a word out
+        The steps are ``line_steps``' walk of the runs against the whole
+        address space.  A bad ``kind`` is refused first, and a word out
         of range raises a ValueError naming the first such word of the
         first run that has one, both before any access; a
         PinViolationError leaves the words before it applied and the
         faulting word counted as ``access`` would.
         """
         is_write = _is_write(kind)
-        limit = self.config.address_space
-        shift = self._shift
-        per = (1 << shift) // WORD_BYTES
-        steps: list[tuple[int, int]] = []
-        for addr, count in runs:
-            if count <= 0:
-                continue
-            end = addr + (count - 1) * WORD_BYTES
-            if not 0 <= addr < limit:
-                raise ValueError(f"address {addr} out of range")
-            if end >= limit:
-                # the limit is a multiple of the word size, so this is the
-                # first word at or past it
-                raise ValueError(f"address {limit + addr % WORD_BYTES} out of range")
-            first, last = addr >> shift, end >> shift
-            if first == last:
-                steps.append((first, count))
-                continue
-            head = -(-(((first + 1) << shift) - addr) // WORD_BYTES)
-            steps.append((first, head))
-            steps.extend(zip(range(first + 1, last), repeat(per)))
-            steps.append((last, count - head - (last - first - 1) * per))
+        steps, _ = line_steps(runs, self._shift, self._space, (0,), _out_of_range,
+                              False)
         self._lines(steps, is_write)
+
+    def access_lines(self, steps: Iterable[tuple[int, int]], kind: str) -> None:
+        """Exactly ``k`` accesses of ``kind`` to each ``(line, k)`` of
+        ``steps`` in order, in one call: the steps of ``line_steps``.
+        Only the kind is checked; the caller has checked every line, as
+        a transaction's walk does against its declaration.  A
+        PinViolationError leaves the steps before it applied and the
+        faulting line's first word counted as ``access`` would."""
+        self._lines(steps, _is_write(kind))
 
     def prefetch(self, spans: Iterable[range], kind: str) -> None:
         """Exactly ``access(line << shift, kind)`` for each line of each of
@@ -550,7 +633,10 @@ class CacheSim:
         trace = self.trace
         emit = _append
         c = self.counters
-        hits = 0  # L1 hits, counted into the counters once, on the way out
+        # the counts a step moves, kept here and added to the counters on
+        # the way out, each only if it moved: an L1 hit's words, and a
+        # miss step's first word and words served from the LLC
+        hits = total = llc_hits = 0
         try:
             for line, k in steps:
                 l1_set = l1[line & l1_mask]
@@ -564,8 +650,10 @@ class CacheSim:
                         llc[line & llc_mask][line] = lstamp
                     hits += k
                     continue
-                c.total += 1
+                total += 1
                 install_l1 = True
+                # ``flags`` stays None unless an L1 victim is chosen, and
+                # then holds the victim's entry
                 if len(l1_set) >= l1_ways:
                     for l1_victim, flags in l1_set.items():
                         if flags != protected:
@@ -577,41 +665,52 @@ class CacheSim:
                         if is_write:
                             raise PinViolationError(line, "l1")
                         install_l1 = False
+                        flags = None
                 llc_set = llc[line & llc_mask]
                 if llc_set is None:
                     llc_set = llc[line & llc_mask] = {}
                 # an LLC hit moves the line to the end of its set: popped
                 # here, reinserted below
                 lflags = llc_set.pop(line, None)
-                if lflags is None and len(llc_set) >= llc_ways:
-                    for llc_victim, flags in llc_set.items():
-                        if flags != live:
-                            break
-                    else:
-                        raise PinViolationError(line, "llc")
-                    del llc_set[llc_victim]
-                    if l1[llc_victim & l1_mask].pop(llc_victim, 0) & 1:
-                        emit(trace, llc_victim << 1 | 1)
-                # the inclusion eviction above may have freed this set already
-                if install_l1 and len(l1_set) >= l1_ways:
-                    if l1_set.pop(l1_victim, 0) & 1:
-                        emit(trace, l1_victim << 1 | 1)
-                if lflags is None:
+                if lflags is not None:
+                    # a hit evicts nothing from the LLC, so the L1 victim
+                    # chosen above is still in its set
+                    llc_hits += 1
+                    if flags is not None:
+                        del l1_set[l1_victim]
+                        if flags & 1:
+                            emit(trace, l1_victim << 1 | 1)
+                else:
+                    if len(llc_set) >= llc_ways:
+                        for llc_victim, flags in llc_set.items():
+                            if flags != live:
+                                break
+                        else:
+                            raise PinViolationError(line, "llc")
+                        del llc_set[llc_victim]
+                        if l1[llc_victim & l1_mask].pop(llc_victim, 0) & 1:
+                            emit(trace, llc_victim << 1 | 1)
+                    # the inclusion eviction above may have freed this set
+                    if install_l1 and len(l1_set) >= l1_ways:
+                        if l1_set.pop(l1_victim, 0) & 1:
+                            emit(trace, l1_victim << 1 | 1)
                     emit(trace, line << 1)
                     c.llc_misses += 1
-                else:
-                    c.llc_hits += 1
                 llc_set[line] = lstamp
                 if install_l1:
                     l1_set[line] = bits
                     hits += k - 1
                 else:
-                    c.total += k - 1
-                    c.llc_hits += k - 1
+                    total += k - 1
+                    llc_hits += k - 1
         finally:
             if hits:
-                c.total += hits
                 c.l1_hits += hits
+                c.total += hits
+            if total:
+                c.total += total
+            if llc_hits:
+                c.llc_hits += llc_hits
 
     # -- bulk operations ---------------------------------------------------
 

@@ -21,7 +21,9 @@ tables are emitted in sorted order, and reruns are byte-identical.
 ``--config FILE``, given at most once, reads ``key=value`` lines (none of
 them ``config``) and passes each as ``--key=value`` right after the
 subcommand name, so the subcommand's parser checks them like flags and
-explicit flags, coming later, win.
+explicit flags, coming later, win.  A file a path flag names that
+cannot be opened is refused as ``<flag> <path>: <OS message>``, as a bad
+line in it is.
 Exit status: 0 on success, 1 when a check fails (trace divergence, output
 mismatch, capacity rejection, no conflict-free arena layout, retry
 exhaustion), 2 on usage errors.
@@ -300,10 +302,25 @@ def aborts_rows(
 # -- plumbing ----------------------------------------------------------------
 
 
+def _path_error(flag: str, path: str, exc: OSError) -> ValueError:
+    """The refusal of a file ``flag`` names that could not be opened,
+    naming the flag and the path, as a bad line in a file is named."""
+    return ValueError(f"{flag} {path}: {exc.strerror or exc}")
+
+
+def _open(flag: str, path: str, mode: str = "r"):
+    """``open(path, mode)`` for the file ``flag`` names, refused with
+    ``_path_error`` if it cannot be opened."""
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise _path_error(flag, path, exc) from None
+
+
 def _emit(lines: list[str], out_path: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with _open("--out", out_path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -323,7 +340,7 @@ def _config_tokens(path: str) -> list[str]:
     """One ``--key=value`` token per ``key=value`` line of the file; '#'
     starts a comment and blank lines are skipped."""
     tokens = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open("--config", path) as fh:
         for raw in fh.read().splitlines():
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -350,7 +367,7 @@ def _read_ints(flag: str, path: str, check) -> list[int]:
     through ``check(values, len(values))``, one of the library's own
     input checks.  A token that is not an integer, or values ``check``
     refuses, is refused naming the flag and the path."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open(flag, path) as fh:
         tokens = fh.read().split()
     try:
         values = [int(tok) for tok in tokens]  # int's message quotes the token
@@ -378,7 +395,7 @@ def cmd_shuffle(args) -> int:
         raise RuntimeError("output does not match the reference")
     # the trace first, so a trace path that cannot be written prints nothing
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
+        with _open("--trace", args.trace, "w") as fh:
             fh.write(trace.export_csv())
     _emit([str(v) for v in out], args.out)
     return 0
@@ -487,9 +504,12 @@ def _algo_name(tok: str) -> str:
 def _geometry(flag: str, path: str | None) -> CacheConfig:
     """The geometry of the file ``flag`` names, or the default one.  A
     line or a value ``CacheConfig`` refuses is refused naming the flag
-    and the path, as ``--config`` and ``--input`` are."""
+    and the path, as ``--config`` and ``--input`` are, and so is a file
+    that cannot be opened."""
     try:
         return CacheConfig.from_file(path) if path else CacheConfig()
+    except OSError as exc:
+        raise _path_error(flag, path, exc) from None
     except ValueError as exc:
         raise ValueError(f"{flag} {path}: {exc}") from None
 

@@ -42,7 +42,9 @@ sets.  The search feeds each scatter transaction's written slices and
 its buckets of all five source arrays (a superset of the two it reads)
 into one ``layout.SetLoads``, the counter the layout planner uses, which
 refuses them if written lines overfill an L1 set or declared lines an
-LLC set.  When no pad fits, the error names the level that refused most
+LLC set; the slices are counted once per offset of their start within a
+line, and each transaction with that offset takes the count shifted to
+its own lines.  When no pad fits, the error names the level that refused most
 pads; a scatter footprint larger than the whole LLC is refused before
 the search.  Without the stagger (and without prefetch) the row stride is
 a multiple of the L1 set count at larger sizes and the per-set pile-up
@@ -299,19 +301,34 @@ class ShuffleEngine:
     def _stagger_refusal(self, stride_lines: int) -> str | None:
         """The level ("l1" or "llc") at which some scatter transaction's
         written slices and its buckets of all five source arrays overfill
-        a cache set together, or None if every one fits."""
+        a cache set together, or None if every one fits.
+
+        Transaction i's slices start at ``inter + i * sb`` and lie a
+        stride of whole lines apart, so two transactions whose slices
+        start at the same offset within a line have the same slice lines
+        but moved by whole lines.  The slices are counted once per such
+        offset, at the first transaction with it, and every later one
+        takes that count ``shifted`` to its lines.
+        """
         cfg = self.sim.config
         line = cfg.line_size
         bc = self.params.bucket_count
         sb, bb = self._slice_bytes, self._bucket_bytes
+        stride = stride_lines * line
         sources = (self.data_src, self.perm_tgt, self.perm_r, self.buf1, self.buf2)
+        counted = {}  # offset in a line -> (its slice loads, first line)
         for i in range(bc):
-            loads = SetLoads(cfg)
-            for j in range(bc):
-                a = self.inter + j * stride_lines * line + i * sb
-                first = a // line
-                if not loads.add(first, (a + sb - 1) // line - first + 1, True):
-                    return loads.blocked
+            base = self.inter + i * sb
+            got = counted.get(base % line)
+            if got is None:
+                slices = SetLoads(cfg)
+                for a in range(base, base + bc * stride, stride):
+                    first = a // line
+                    if not slices.add(first, (a + sb - 1) // line - first + 1, True):
+                        return slices.blocked
+                got = counted[base % line] = (slices, base // line)
+            slices, first = got
+            loads = slices.shifted(base // line - first)
             for src in sources:
                 a = src + i * bb
                 first = a // line

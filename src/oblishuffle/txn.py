@@ -44,28 +44,33 @@ length one, and a single run a list of one run.  A list is exact: its
 result, any exception, the interrupt model's consultations and the whole
 cache state (trace, counters, LRU order, dirty and pin bits) equal those
 of one per-word access per word at ascending addresses, run after run,
-for valid input.  Invalid input is the caller's error and has one rule:
-a list checks the declaration once for all the lines of each run, by
-a bisect on the first lines of the declared spans (``check_spans``, a
-list of ints built once per declaration), and the alignment of each
-run's first word, and raises an UndeclaredAccessError or a ValueError
-naming the first bad word of the first bad run before it consults the
-interrupt model or accesses anything.  A prefetched body's accesses all
-find their lines pinned and cannot fault, so a valid list there
-consults the model once for all its words and makes one
-``CacheSim.access_runs`` call, which takes one step per line.  In a
-body without prefetch, only a line's first word within a run can fault
-(on a pin), and the per-word path neither consults nor touches anything
-past a fault.  So there each run, in turn, is split at
-line starts: its first word is one stretch, and each later stretch runs
-through the next word that starts a line, one consultation and one
-``access_runs`` call each.
+for valid input.  A list is one walk, ``cache.line_steps``: it checks
+the declaration once for all the lines of each run, by a bisect on the
+first lines of the declared spans (``check_spans``, a list of ints built
+once per declaration), and the alignment of each run's first word, and
+in the same pass builds the run's (line, k) steps, the k words it has
+in each line.  Invalid input is the caller's error and has one rule: a
+bad list raises an UndeclaredAccessError or a ValueError naming the
+first bad word of the first bad run before it consults the interrupt
+model or accesses anything, so it changes nothing.  A prefetched body's
+accesses all find their lines pinned and cannot fault, so a valid list
+there consults the model once for all its words, hands the steps of the
+words before any fire to the kernel in one ``CacheSim.access_lines``
+call and stores their values with one ``CacheSim.store_runs`` call.  In
+a body without prefetch, only a line's first word within a run can
+fault (on a pin), and the per-word path neither consults nor touches
+anything past a fault.  So there each run, in turn, is split at line
+starts: its first word is one stretch, and each later stretch runs
+through the next word that starts a line, its steps taken from the
+walk's, one consultation, one ``access_lines`` and one ``store_runs``
+call each.
 
 Interrupt models answer one question, ``first_fire(count)``: make
 ``count`` consultations, stopping at the first that fires, and return its
 index or None.  A list of n words asks it once with n (a cold one once
 per stretch) and accesses, and stores, only the words before the one
-that fired; ``ctx.tick(count)`` asks it once with ``count``.
+that fired, whose steps are the walk's first steps; ``ctx.tick(count)``
+asks it once with ``count``.
 ``AccessProbability`` draws its Philox stream in buffers of 4096 and
 holds each buffer as its fire positions, the indices of the draws below
 ``rate``, so a call costs one bisect per buffer it reaches, however many
@@ -74,10 +79,10 @@ consultations it makes, and no Python object per draw.
 Aborts roll everything back: every line the attempt pinned is
 invalidated without events, which clears the pins, and the attempt
 counter advances.  Each attempt's context keeps an undo log of the runs
-it stores, each as its first word and the old values ``store_words``
-returns, one page visit per run; on abort the old values are stored
-back newest first, so every word of memory holds what it held when the
-attempt began.  Retries repeat from the prefetch step
+it stores, each as its first word and the old values, which
+``store_runs`` appends as it stores, one page visit per run; on abort
+the old values are stored back newest first, so every word of memory
+holds what it held when the attempt began.  Retries repeat from the prefetch step
 up to ``retry_cap`` times.  A body that raises ``BodyAbortError`` aborts
 the transaction for its caller: the attempt is rolled back and the error
 re-raised with the transaction's statistics, as a capacity or retry-cap
@@ -86,16 +91,16 @@ error carries them.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .cache import READ, WRITE, WORD_BYTES, CacheSim, PinViolationError
+from .cache import READ, WRITE, WORD_BYTES, CacheSim, PinViolationError, line_steps
 
 ByteRange = tuple[int, int]  # (start, size_bytes)
 _start = attrgetter("start")  # a span's first line
@@ -356,31 +361,44 @@ class AccessProbability:
 # -- execution -------------------------------------------------------------
 
 
-def _line_stretches(runs, shift: int, values):
-    """A cold body's stretches of ``runs``, run after run, each as a list
-    of one ``(addr, count)`` with its count and, for a write list, the
-    matching slice of that run's ``values`` in a tuple of one (else
-    None): a run's first word alone, then each later stretch through the
-    next word that starts a line."""
-    mask = (1 << shift) - 1
-    for j, (addr, count) in enumerate(runs):
-        done = 0
+def _line_stretches(runs, steps):
+    """A cold body's stretches of ``runs``, run after run, taken from the
+    walk's ``steps``: a run's first word alone, then each later stretch
+    through the next word that starts a line.  Each is yielded as its
+    run's index, the words of that run before it, its word count and its
+    steps."""
+    it = iter(steps)
+    for j, (_, count) in enumerate(runs):
+        if count <= 0:
+            continue
+        line, k = next(it)
+        yield j, 0, 1, [(line, 1)]
+        done = 1  # the words of this run yielded; k - 1 of line's are left
         while done < count:
-            a = addr + done * WORD_BYTES
-            m = min(count - done, (-a & mask) // WORD_BYTES + 1) if done else 1
-            yield ((a, m),), m, None if values is None else (values[j][done:done + m],)
-            done += m
+            if done + k - 1 == count:  # the run ends in this line
+                yield j, done, k - 1, [(line, k - 1)]
+                break
+            nxt, n = next(it)
+            yield j, done, k, [(line, k - 1), (nxt, 1)] if k > 1 else [(nxt, 1)]
+            done += k
+            line, k = nxt, n
 
 
-def _first_words(runs, k: int) -> list[tuple[int, int]]:
-    """The runs of the first ``k`` words of ``runs``."""
+def _first_words(pairs, k: int) -> list[tuple[int, int]]:
+    """The pairs of the first ``k`` words of ``pairs``: runs ``(addr,
+    count)`` or steps ``(line, k)``."""
     head = []
-    for addr, count in runs:
+    for x, count in pairs:
         if k <= 0:
             break
-        head.append((addr, min(count, k)))
+        head.append((x, min(count, k)))
         k -= max(count, 0)
     return head
+
+
+# a body's refusal of an access off its declaration, per access kind
+_UNDECLARED = {kind: partial(UndeclaredAccessError, kind=kind)
+               for kind in (READ, WRITE)}
 
 
 class TxnContext:
@@ -450,18 +468,6 @@ class TxnContext:
         self._run([(addr, len(values)) for addr, values in runs], WRITE,
                   [values for _, values in runs])
 
-    def _store(
-        self, runs: Sequence[tuple[int, int]], values: Sequence[Sequence[int]]
-    ) -> None:
-        """Store the first ``count`` of each run's ``values`` at the words
-        of its ``(addr, count)`` of ``runs``, in order, logging each run's
-        old values, which ``store_words`` returns, in the undo log."""
-        store, log = self._sim.store_words, self._undo.append
-        for (addr, count), vals in zip(runs, values):
-            if count > 0:
-                w = addr >> 3
-                log((w, store(w, vals if len(vals) == count else vals[:count])))
-
     def _rollback(self) -> None:
         """Undo this attempt's stores, newest first."""
         store = self._sim.store_words
@@ -479,58 +485,52 @@ class TxnContext:
         words accessed, then raise what the per-run calls would raise
         after them, if anything.
 
-        The whole list is checked first, and a bad one changes nothing:
-        the first run with a bad word raises, for an undeclared line an
+        The whole list is checked first, in the walk that builds its
+        steps (``line_steps``), and a bad one changes nothing: the first
+        run with a bad word raises, for an undeclared line an
         UndeclaredAccessError naming its first word of that run, and for a
         misaligned ``addr`` on a declared line a ValueError.  A prefetched
         body makes the list as one stretch; a cold one splits each run at
-        line starts (see the module docstring) and adds the line each
-        stretch reaches to the context's.  Each stretch asks the interrupt
-        model once (``first_fire``), is one ``CacheSim.access_runs`` of
+        line starts (see the module docstring), taking each stretch's
+        steps from the walk's, and adds the line each stretch reaches to
+        the context's.  Each stretch asks the interrupt model once
+        (``first_fire``), is one ``CacheSim.access_lines`` of the steps of
         the words before any fire, and then stores and undo-logs those
-        words' values.  A PinViolationError from ``access_runs`` leaves
-        its stretch's values unstored; the rollback restores the rest.
+        words' values with one ``CacheSim.store_runs``.  A
+        PinViolationError from ``access_lines`` leaves its stretch's
+        values unstored; the rollback restores the rest.
         """
-        shift = self._shift
         spans, starts = self._decl.check_spans[kind]
-        total = 0
-        for addr, count in runs:
-            if count <= 0:
-                continue
-            # per word, the line is checked before the alignment, so a
-            # misaligned run fails on its first word
-            end = addr if addr % WORD_BYTES else addr + (count - 1) * WORD_BYTES
-            first, last = addr >> shift, end >> shift
-            # the one span that can hold the run's first line; the line
-            # after a span is undeclared, since touching spans are joined
-            i = bisect_right(starts, first) - 1
-            if i < 0 or spans[i].stop <= last:
-                bad = first if i < 0 else max(first, spans[i].stop)
-                raise UndeclaredAccessError(max(addr, bad << shift), kind)
-            if addr % WORD_BYTES:
-                raise ValueError(f"address {addr} not word aligned")
-            total += count
+        steps, total = line_steps(runs, self._shift, spans, starts, _UNDECLARED[kind],
+                                  True)
         if not total:
             return
-        model = self._model
-        cold = not self._prefetched
-        stretches = (_line_stretches(runs, shift, values) if cold
-                     else ((runs, total, values),))
-        for stretch, m, vals in stretches:
+        model, sim = self._model, self._sim
+        if self._prefetched:
+            fired = None if model is None else model.first_fire(total)
+            if fired is not None:
+                runs, steps = _first_words(runs, fired), _first_words(steps, fired)
+            sim.access_lines(steps, kind)
+            if values is not None:
+                sim.store_runs(runs, values, self._undo)
+            if fired is not None:
+                raise _Interrupted()
+            return
+        pinned, dirtied, undo = self._pinned, self._dirtied, self._undo
+        for j, done, m, stretch in _line_stretches(runs, steps):
             fired = None if model is None else model.first_fire(m)
             if fired is not None:
                 stretch, m = _first_words(stretch, fired), fired
             if m:
-                if cold:
-                    # only the last word can reach a line new to this run
-                    a, c = stretch[-1]
-                    line = (a + (c - 1) * WORD_BYTES) >> shift
-                    self._pinned.add(line)
-                    if kind == WRITE:
-                        self._dirtied[line] = None
-                self._sim.access_runs(stretch, kind)
-                if vals is not None:
-                    self._store(stretch, vals)
+                # only the last word can reach a line new to this run
+                line = stretch[-1][0]
+                pinned.add(line)
+                if kind == WRITE:
+                    dirtied[line] = None
+                sim.access_lines(stretch, kind)
+                if values is not None:
+                    sim.store_runs(((runs[j][0] + done * WORD_BYTES, m),),
+                                   (values[j][done:done + m],), undo)
             if fired is not None:
                 raise _Interrupted()
 

@@ -894,6 +894,27 @@ class ReferenceCacheSim:
         for addr, count in runs:
             self.access_run(addr, count, kind)
 
+    def access_lines(self, steps, kind: str) -> None:
+        """``access`` of each of ``k`` words of each ``(line, k)`` of
+        ``steps``, in order, one word at a time."""
+        for line, k in steps:
+            for i in range(k):
+                self.access((line << self._shift) + i * WORD_BYTES, kind)
+
+    def store_runs(self, runs, values, undo) -> None:
+        """Store the first ``count`` of each run's ``values`` one word at a
+        time, appending each run's first word and old values to ``undo``."""
+        mem = self.memory
+        for (addr, count), vals in zip(runs, values):
+            if count <= 0:
+                continue
+            w = addr >> 3
+            old = []
+            for i in range(count):
+                old.append(mem.get(w + i, 0))
+                mem[w + i] = vals[i]
+            undo.append((w, old))
+
     def prefetch(self, spans: Iterable[range], kind: str) -> None:
         """Exactly ``access(line << shift, kind)`` for each line of each of
         ``spans`` in order, in one call.

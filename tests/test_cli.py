@@ -777,6 +777,39 @@ def test_cache_config_refusals_name_the_flag_and_the_path(capsys, tmp_path,
     assert err == f"{command}: --cache-config {cfg}: {why}\n"
 
 
+PATH_FLAGS = [
+    ("shuffle", "--config", []),
+    ("shuffle", "--cache-config", ["--n", "16"]),
+    ("shuffle", "--input", ["--perm", "PERM"]),
+    ("shuffle", "--perm", ["--input", "INPUT"]),
+    ("shuffle", "--out", ["--n", "16"]),
+    ("shuffle", "--trace", ["--n", "16"]),
+    ("bench", "--config", []),
+    ("bench", "--out", ["--algos", "melbourne", "--n-list", "16"]),
+    ("aborts", "--config", []),
+    ("aborts", "--out", ["--n-list", "16"]),
+    ("verify", "--config", []),
+    ("verify", "--cache-config", ["--n", "16"]),
+    ("probe", "--config", []),
+    ("probe", "--cache-config", []),
+]
+
+
+@pytest.mark.parametrize("command, flag, rest", PATH_FLAGS,
+                         ids=[f"{command}{flag}" for command, flag, _ in PATH_FLAGS])
+def test_a_path_that_cannot_be_opened_is_refused_naming_its_flag(
+        capsys, tmp_path, command, flag, rest):
+    # as a bad line in the file is: the flag, the path, then the OS message
+    missing = tmp_path / "absent" / "file"
+    (tmp_path / "input.txt").write_text("5 6 7 8\n")
+    (tmp_path / "perm.txt").write_text("2 0 3 1\n")
+    rest = [{"PERM": str(tmp_path / "perm.txt"),
+             "INPUT": str(tmp_path / "input.txt")}.get(tok, tok) for tok in rest]
+    rc, out, err = run_cli(capsys, command, flag, str(missing), *rest)
+    assert (rc, out) == (2, "")
+    assert err == f"{command}: {flag} {missing}: No such file or directory\n"
+
+
 def test_size_bound_reads_the_cache_geometry(capsys, tmp_path):
     # 1024 words are 8 KiB, more than a 4 KiB address space
     cfg = tmp_path / "small.cfg"

@@ -222,14 +222,13 @@ def test_scatter_writes_its_slices_in_ascending_order():
     engine.sim.poke_words(engine.data_src, some_data(16, 0))
     engine.sim.poke_words(engine.perm_r, gen_perm(16, 4))
     write_calls = []
-    access_runs = engine.sim.access_runs
+    store_runs = engine.sim.store_runs
 
-    def logged(runs, kind):
-        if kind == "write":
-            write_calls.append([addr for addr, _ in runs])
-        access_runs(runs, kind)
+    def logged(runs, values, undo):
+        write_calls.append([addr for addr, _ in runs])
+        store_runs(runs, values, undo)
 
-    engine.sim.access_runs = logged
+    engine.sim.store_runs = logged
     engine.scatter_txn(0, engine.data_src, engine.perm_r)
     assert len(write_calls) == engine.stats[-1].attempts == 1
     assert write_calls[0] == [engine._slice_addr(0, j) for j in range(4)]

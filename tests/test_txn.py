@@ -55,6 +55,7 @@ from oblishuffle.txn import (
     TxnContext,
     TxnDeclaration,
     UndeclaredAccessError,
+    _Interrupted,
     run_txn,
 )
 
@@ -1310,6 +1311,83 @@ def test_edge_runs_match_per_word_accesses(ops, fire_on, prefetch):
             result = (type(exc), str(exc))
         outcomes.append((result, log, sim_state(sim), model.consultations))
     assert outcomes[0] == outcomes[1]
+
+
+# -- one walk per run list, against the per-word path -------------------------
+
+# lines 0 and 1 are read, 2 to 5 written: two pinned dirty lines fill each
+# L1 set, so the read lines are served from the LLC without L1 residency
+WALK_DECL = TxnDeclaration.of(reads=[(0, 128)], writes=[(addr_of(2), 256)])
+# read, write list, read: heads and tails mid-line, a run of no words,
+# a run back into an earlier line; 30 words in all
+WALK_OPS = [
+    ("r", addr_of(0, 5), 9),
+    ("w", addr_of(2, 6), [11, 12, 13, 14, 15]),
+    ("w", addr_of(3, 1), []),
+    ("w", addr_of(4, 3), list(range(20, 32))),
+    ("w", addr_of(2, 0), [41, 42]),
+    ("r", addr_of(5, 6), 2),
+]
+WALK_CASES = {
+    "lists": (WALK_DECL, WALK_OPS),
+    # the same write list ending in a run on line 6, which is undeclared
+    "undeclared-last-run": (WALK_DECL, WALK_OPS[:3] + [("w", addr_of(6, 1), [7, 8])]),
+    # three write lines in one two-way L1 set: the prefetch faults on its
+    # third write line, after misses counted before it, on every attempt
+    "prefetch-fault": (
+        TxnDeclaration.of(reads=[(0, 64)],
+                          writes=[(addr_of(2), 64), (addr_of(4), 64), (addr_of(6), 64)]),
+        [("r", addr_of(0, 1), 3)]),
+}
+
+
+def walk_outcome(decl, ops, fire_on, expand):
+    """Run ``ops`` as the body of one prefetched transaction on a fresh
+    simulator, as lists or, with ``expand``, as the per-word reference
+    (``run_body``) on a simulator whose prefetch and commit are the
+    per-line reference's, so no step of this side goes through the
+    kernel's line steps.  Returns the outcome, the values read, memory at
+    each body start and at each interrupt, the consultations, counters,
+    trace, LRU entries and memory at the end."""
+    sim = CacheSim(SMALL)
+    sim.poke_words(0, range(100, 148))
+    model = FireOnConsultation(fire_on)
+    log = []
+    body = run_body(ops, expand, log)
+
+    def snapshotting(ctx):
+        log.append(("start", memory_contents(sim)))
+        try:
+            body(ctx)
+        except _Interrupted:
+            log.append(("fired", memory_contents(sim)))
+            raise
+
+    with pytest.MonkeyPatch.context() as m:
+        if expand:
+            m.setattr(CacheSim, "prefetch", per_line_prefetch)
+            m.setattr(CacheSim, "commit_lines", per_line_commit)
+        try:
+            result = run_txn(sim, decl, snapshotting, model, retry_cap=2)
+        except (UndeclaredAccessError, RetryCapExceededError) as exc:
+            result = (type(exc), str(exc))
+    check_invariants(sim)
+    return (result, log, model.consultations, sim.counters, sim.trace,
+            lru_entries(sim), memory_contents(sim))
+
+
+@pytest.mark.parametrize("case", WALK_CASES)
+def test_walk_matches_the_per_word_path_at_every_fire(case):
+    decl, ops = WALK_CASES[case]
+    words = sum(arg if kind == "r" else len(arg) for kind, _, arg in ops)
+    # a fire at each word of the body's lists, and one past them
+    for fire in range(1, words + 2):
+        got = walk_outcome(decl, ops, [fire], False)
+        want = walk_outcome(decl, ops, [fire], True)
+        assert got == want, fire
+        if case == "lists" and fire <= words:
+            fired = [e for e in want[1] if isinstance(e, tuple) and e[0] == "fired"]
+            assert len(fired) == want[0].ac4 == 1
 
 
 # -- page boundaries ---------------------------------------------------------
