@@ -88,11 +88,9 @@ The backing memory is a dict of fixed pages, each a list of
 ``PAGE_WORDS`` words, and this module is the only one that knows the
 page layout.  ``load_words`` and ``store_words`` move a run of words
 with one visit per page it touches, ``store_words`` returning the values
-it overwrote, and the other data movements sit on them, except the
-one-word ones and a run list's stores: ``load_word``, ``read_word`` and
-``write_word`` index their one page inline, and ``store_runs`` stores a
-list's values, indexing the page of each run within one page inline,
-and appends each run's first word and old values to an undo log.
+it overwrote, which a transaction's undo log keeps, and the other data
+movements sit on them, except the one-word ones: ``load_word``,
+``read_word`` and ``write_word`` index their one page inline.
 """
 
 from __future__ import annotations
@@ -477,31 +475,6 @@ class CacheSim:
         """Allocate page ``p``, zero-filled, for a store."""
         page = self._pages[p] = [0] * PAGE_WORDS
         return page
-
-    def store_runs(self, runs: Iterable[tuple[int, int]],
-                   values: Iterable[Sequence[int]],
-                   undo: list[tuple[int, list[int]]]) -> None:
-        """Store the first ``count`` of each run's ``values`` at the words
-        of its ``(addr, count)`` of ``runs``, in order, and append each
-        run's first word index and the values it overwrote to ``undo``.
-        A run within one page indexes that page inline; one that crosses
-        a page boundary is a ``store_words``.  Unchecked and untraced:
-        the caller has checked the words."""
-        pages, log = self._pages, undo.append
-        for (addr, count), vals in zip(runs, values):
-            if count <= 0:
-                continue
-            if len(vals) != count:
-                vals = vals[:count]
-            w = addr >> 3
-            i = w & _PAGE_MASK
-            j = i + count
-            if j > PAGE_WORDS:
-                log((w, self.store_words(w, vals)))
-                continue
-            page = pages.get(w >> _PAGE_SHIFT) or self._new_page(w >> _PAGE_SHIFT)
-            log((w, page[i:j]))
-            page[i:j] = vals
 
     def _check_words(self, addr: int, count: int) -> None:
         """Check the first and the last of ``count`` words from ``addr``."""

@@ -61,6 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import isqrt
+from operator import index
 
 import numpy as np
 
@@ -186,22 +187,32 @@ def _attempt_seed(seed: int, attempt: int) -> int:
 
 
 def _check_values(data, n: int) -> None:
+    """Refuse ``data`` unless it is ``n`` integers (``operator.index``
+    takes numpy's too) that fit in 32 bits, naming the first bad value."""
     if len(data) != n:
         raise ValueError(f"expected {n} values, got {len(data)}")
-    for v in data:
-        if not 0 <= v <= VALUE_MASK:
-            raise ValueError(f"value {v} does not fit in 32 bits")
+    try:
+        for v in data:
+            if not 0 <= index(v) <= VALUE_MASK:
+                raise ValueError(f"value {v} does not fit in 32 bits")
+    except TypeError:  # from ``index``: a float, say
+        raise ValueError(f"value {v} is not an integer") from None
 
 
 def _check_perm(perm, n: int) -> None:
+    """Refuse ``perm`` unless it is a permutation of range(n), naming the
+    first value that is not an integer, out of range or repeated."""
     if len(perm) != n:
         raise ValueError(f"expected a permutation of length {n}")
     seen = bytearray(n)
-    for p in perm:
-        if not 0 <= p < n or seen[p]:
-            raise ValueError(f"perm repeats value {p}" if 0 <= p < n
-                             else f"perm value {p} out of range")
-        seen[p] = 1
+    try:
+        for p in perm:
+            if not 0 <= index(p) < n or seen[p]:
+                raise ValueError(f"perm repeats value {p}" if 0 <= p < n
+                                 else f"perm value {p} out of range")
+            seen[p] = 1
+    except TypeError:  # from ``index``
+        raise ValueError(f"perm value {p} is not an integer") from None
 
 
 def _round_lines(size: int, line: int) -> int:

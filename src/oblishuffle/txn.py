@@ -30,11 +30,14 @@ is a stamp of the transaction's epoch (see ``cache``): ``run_txn``
 opens the epoch with ``sim.open_txn``, so every access it makes is
 pinned, and closes it with ``sim.close_txn``, which releases every pin
 the transaction made in one step, however many lines it pinned.  A
-prefetched attempt pinned and dirtied exactly the declared lines, so
-its commit writes back the write spans and its rollback drops every
-declared span; a cold attempt's context holds the lines it dirtied,
-which the commit writes back, and those it pinned, which a rollback
-drops.
+prefetched attempt that reaches its body has pinned and dirtied exactly
+the declared lines, so its commit writes back the write spans.  Its
+rollback drops every declared span, also after a prefetch that faulted
+part-way: the declared lines the prefetch never reached are dropped
+too, resident ones among them, where hardware would keep the lines an
+aborted transaction never touched (ROADMAP item 5).  A cold attempt's
+context holds the lines it dirtied, which the commit writes back, and
+those it pinned, which a rollback drops.
 
 A body accesses words with ``ctx.read``/``ctx.write``, consecutive words
 with ``ctx.read_run(addr, count)``/``ctx.write_run(addr, values)``, or a
@@ -52,18 +55,19 @@ in the same pass builds the run's (line, k) steps, the k words it has
 in each line.  Invalid input is the caller's error and has one rule: a
 bad list raises an UndeclaredAccessError or a ValueError naming the
 first bad word of the first bad run before it consults the interrupt
-model or accesses anything, so it changes nothing.  A prefetched body's
-accesses all find their lines pinned and cannot fault, so a valid list
-there consults the model once for all its words, hands the steps of the
-words before any fire to the kernel in one ``CacheSim.access_lines``
-call and stores their values with one ``CacheSim.store_runs`` call.  In
-a body without prefetch, only a line's first word within a run can
-fault (on a pin), and the per-word path neither consults nor touches
-anything past a fault.  So there each run, in turn, is split at line
-starts: its first word is one stretch, and each later stretch runs
-through the next word that starts a line, its steps taken from the
-walk's, one consultation, one ``access_lines`` and one ``store_runs``
-call each.
+model or accesses anything, so it changes nothing.  A valid list is
+then run as stretches by one loop, each stretch its runs, their values,
+their steps and their word count: the loop consults the model once for
+the stretch, hands the steps of the words before any fire to the
+kernel in one ``CacheSim.access_lines`` call and stores their values
+itself, one ``CacheSim.store_words`` per run.  A prefetched body's
+accesses all find their lines pinned and cannot fault, so there the
+whole list is one stretch.  In a body without prefetch, only a line's
+first word within a run can fault (on a pin), and the per-word path
+neither consults nor touches anything past a fault.  So there each
+run, in turn, is split at line starts: its first word is one stretch,
+and each later stretch runs through the next word that starts a line,
+its steps taken from the walk's.
 
 Interrupt models answer one question, ``first_fire(count)``: make
 ``count`` consultations, stopping at the first that fires, and return its
@@ -76,17 +80,17 @@ holds each buffer as its fire positions, the indices of the draws below
 ``rate``, so a call costs one bisect per buffer it reaches, however many
 consultations it makes, and no Python object per draw.
 
-Aborts roll everything back: every line the attempt pinned is
-invalidated without events, which clears the pins, and the attempt
-counter advances.  Each attempt's context keeps an undo log of the runs
-it stores, each as its first word and the old values, which
-``store_runs`` appends as it stores, one page visit per run; on abort
-the old values are stored back newest first, so every word of memory
-holds what it held when the attempt began.  Retries repeat from the prefetch step
-up to ``retry_cap`` times.  A body that raises ``BodyAbortError`` aborts
-the transaction for its caller: the attempt is rolled back and the error
-re-raised with the transaction's statistics, as a capacity or retry-cap
-error carries them.
+Aborts roll everything back: every line the attempt pinned (a
+prefetched attempt's every declared line) is invalidated without
+events, which clears the pins, and the attempt counter advances.  Each
+attempt's context keeps its own undo log of the runs it stores, each as
+its first word and the old values that ``store_words`` returned for it;
+on abort the old values are stored back newest first, so every word of
+memory holds what it held when the attempt began.  Retries repeat from
+the prefetch step up to ``retry_cap`` times.  A body that raises
+``BodyAbortError`` aborts the transaction for its caller: the attempt
+is rolled back and the error re-raised with the transaction's
+statistics, as a capacity or retry-cap error carries them.
 """
 
 from __future__ import annotations
@@ -361,27 +365,27 @@ class AccessProbability:
 # -- execution -------------------------------------------------------------
 
 
-def _line_stretches(runs, steps):
+def _line_stretches(runs, values, steps):
     """A cold body's stretches of ``runs``, run after run, taken from the
     walk's ``steps``: a run's first word alone, then each later stretch
-    through the next word that starts a line.  Each is yielded as its
-    run's index, the words of that run before it, its word count and its
-    steps."""
+    through the next word that starts a line.  Each is yielded in the
+    shape of a whole list: its piece of the run as a list of one run,
+    the values of that piece (None for a read), its steps and its word
+    count."""
     it = iter(steps)
-    for j, (_, count) in enumerate(runs):
-        if count <= 0:
-            continue
-        line, k = next(it)
-        yield j, 0, 1, [(line, 1)]
-        done = 1  # the words of this run yielded; k - 1 of line's are left
+    for j, (addr, count) in enumerate(runs):
+        done, k = 0, 1  # the words yielded; k - 1 of line's are left
         while done < count:
-            if done + k - 1 == count:  # the run ends in this line
-                yield j, done, k - 1, [(line, k - 1)]
-                break
-            nxt, n = next(it)
-            yield j, done, k, [(line, k - 1), (nxt, 1)] if k > 1 else [(nxt, 1)]
-            done += k
-            line, k = nxt, n
+            if done + k - 1 < count:  # through the first word of the next line
+                nxt, n = next(it)
+                stretch = [(line, k - 1), (nxt, 1)] if k > 1 else [(nxt, 1)]
+                m, line, k = k, nxt, n
+            else:  # the run ends in this line
+                m, stretch = k - 1, [(line, k - 1)]
+            yield (((addr + done * WORD_BYTES, m),),
+                   None if values is None else (values[j][done:done + m],),
+                   stretch, m)
+            done += m
 
 
 def _first_words(pairs, k: int) -> list[tuple[int, int]]:
@@ -425,7 +429,6 @@ class TxnContext:
         "_pinned",
         "_dirtied",
         "_shift",
-        "_prefetched",
         "_undo",
     )
 
@@ -438,7 +441,6 @@ class TxnContext:
         self._pinned: set[int] | None = None if prefetched else set()
         self._dirtied: dict[int, None] | None = None if prefetched else {}
         self._shift = sim.config.line_shift
-        self._prefetched = prefetched
         # (first word, old values) per stored run
         self._undo: list[tuple[int, list[int]]] = []
 
@@ -489,48 +491,50 @@ class TxnContext:
         steps (``line_steps``), and a bad one changes nothing: the first
         run with a bad word raises, for an undeclared line an
         UndeclaredAccessError naming its first word of that run, and for a
-        misaligned ``addr`` on a declared line a ValueError.  A prefetched
-        body makes the list as one stretch; a cold one splits each run at
-        line starts (see the module docstring), taking each stretch's
-        steps from the walk's, and adds the line each stretch reaches to
-        the context's.  Each stretch asks the interrupt model once
-        (``first_fire``), is one ``CacheSim.access_lines`` of the steps of
-        the words before any fire, and then stores and undo-logs those
-        words' values with one ``CacheSim.store_runs``.  A
-        PinViolationError from ``access_lines`` leaves its stretch's
-        values unstored; the rollback restores the rest.
+        misaligned ``addr`` on a declared line a ValueError.  Then one
+        loop runs the list's stretches: a prefetched body's list is one
+        stretch, the runs, values, steps and word count as they are, and
+        a cold one's are ``_line_stretches``, each run split at line
+        starts (see the module docstring) in the same shape, and the loop
+        adds the line each cold stretch reaches to the context's.  Each
+        stretch asks the interrupt model once (``first_fire``), is one
+        ``CacheSim.access_lines`` of the steps of the words before any
+        fire, and then stores those words' values, one
+        ``CacheSim.store_words`` per run, appending each run's first word
+        and the values it overwrote to the undo log.  A PinViolationError
+        from ``access_lines`` leaves its stretch's values unstored; the
+        rollback restores the rest.
         """
         spans, starts = self._decl.check_spans[kind]
         steps, total = line_steps(runs, self._shift, spans, starts, _UNDECLARED[kind],
                                   True)
         if not total:
             return
-        model, sim = self._model, self._sim
-        if self._prefetched:
-            fired = None if model is None else model.first_fire(total)
-            if fired is not None:
-                runs, steps = _first_words(runs, fired), _first_words(steps, fired)
-            sim.access_lines(steps, kind)
-            if values is not None:
-                sim.store_runs(runs, values, self._undo)
-            if fired is not None:
-                raise _Interrupted()
-            return
-        pinned, dirtied, undo = self._pinned, self._dirtied, self._undo
-        for j, done, m, stretch in _line_stretches(runs, steps):
+        model, sim, pinned = self._model, self._sim, self._pinned
+        for piece, vals, stretch, m in (
+            ((runs, values, steps, total),) if pinned is None
+            else _line_stretches(runs, values, steps)
+        ):
             fired = None if model is None else model.first_fire(m)
             if fired is not None:
-                stretch, m = _first_words(stretch, fired), fired
+                m, piece = fired, _first_words(piece, fired)
+                stretch = _first_words(stretch, fired)
+                if vals is not None:  # the values of the words before it
+                    vals = [v[:count] for (_, count), v in zip(piece, vals)]
             if m:
-                # only the last word can reach a line new to this run
-                line = stretch[-1][0]
-                pinned.add(line)
-                if kind == WRITE:
-                    dirtied[line] = None
+                if pinned is not None:
+                    # only a cold stretch's last word can reach a line new
+                    # to its run
+                    line = stretch[-1][0]
+                    pinned.add(line)
+                    if kind == WRITE:
+                        self._dirtied[line] = None
                 sim.access_lines(stretch, kind)
-                if values is not None:
-                    sim.store_runs(((runs[j][0] + done * WORD_BYTES, m),),
-                                   (values[j][done:done + m],), undo)
+                if vals is not None:
+                    store, log = sim.store_words, self._undo.append
+                    for (addr, _), v in zip(piece, vals):
+                        w = addr >> 3
+                        log((w, store(w, v)))
             if fired is not None:
                 raise _Interrupted()
 

@@ -351,7 +351,7 @@ def per_word_read(ctx, addr):
     if line not in declared_lines(ctx._decl, READ):
         raise UndeclaredAccessError(addr, READ)
     _consult(ctx)
-    if not ctx._prefetched:
+    if ctx._pinned is not None:  # a cold attempt
         ctx._pinned.add(line)
     sim = ctx._sim
     sim._check_word(addr)
@@ -367,7 +367,7 @@ def per_word_write(ctx, addr, value):
     if line not in declared_lines(ctx._decl, WRITE):
         raise UndeclaredAccessError(addr, WRITE)
     _consult(ctx)
-    if not ctx._prefetched:
+    if ctx._pinned is not None:  # a cold attempt
         ctx._pinned.add(line)
         ctx._dirtied.setdefault(line)
     sim = ctx._sim
@@ -900,20 +900,6 @@ class ReferenceCacheSim:
         for line, k in steps:
             for i in range(k):
                 self.access((line << self._shift) + i * WORD_BYTES, kind)
-
-    def store_runs(self, runs, values, undo) -> None:
-        """Store the first ``count`` of each run's ``values`` one word at a
-        time, appending each run's first word and old values to ``undo``."""
-        mem = self.memory
-        for (addr, count), vals in zip(runs, values):
-            if count <= 0:
-                continue
-            w = addr >> 3
-            old = []
-            for i in range(count):
-                old.append(mem.get(w + i, 0))
-                mem[w + i] = vals[i]
-            undo.append((w, old))
 
     def prefetch(self, spans: Iterable[range], kind: str) -> None:
         """Exactly ``access(line << shift, kind)`` for each line of each of

@@ -4,17 +4,20 @@ Each case runs one program under the capture protocol and pins the
 SHA-256 of the trace CSV and of the output.  A refactor must leave every
 digest as it is; a change that means to alter behaviour says which
 digests moved and why.  Naive runs without interrupts only, because at
-rate 0.002 its single transaction exhausts the retry cap.
+rate 0.002 its single transaction exhausts the retry cap.  So an
+interrupted cold body is pinned by the no-prefetch engine instead: its
+counts and the SHA-256 of its trace CSV, in ``COLD_RUNS``.
 """
 
 import hashlib
 
 import pytest
 
-from oblishuffle.cache import CacheConfig
+from oblishuffle.cache import CacheConfig, CacheSim
 from oblishuffle.cli import main, make_inputs
-from oblishuffle.txn import AccessProbability
-from oblishuffle.verify import capture_trace
+from oblishuffle.shuffle import ShuffleEngine, ShuffleParams
+from oblishuffle.txn import AccessProbability, RetryCapExceededError
+from oblishuffle.verify import capture_trace, oracle_apply_perm
 
 GEOMETRIES = {"default": None, "llc64": CacheConfig(llc_sets=64)}
 RATE = 0.002
@@ -426,3 +429,46 @@ def test_bench_table_is_frozen(capsys):
 def test_aborts_table_is_frozen(capsys):
     assert main(["aborts", "--n-list", "64,256"]) == 0
     assert capsys.readouterr().out.splitlines() == ABORTS_TABLE
+
+
+# The no-prefetch engine on the conflicting layout at rate 0.002, seed 1:
+# (n, geometry) -> how the shuffle ends, ac2, ac4 and attempts over its
+# transactions, trace events, interrupt consultations and the trace
+# digest.  On the default geometry at n = 1024 only interrupts abort; with
+# 16 L1 sets at n = 256 the cold bodies also pin-fault, until one
+# transaction meets the retry cap.
+COLD_RUNS = {
+    (1024, "default"): (
+        "commit", 0, 588, 780, 34931, 293353,
+        "3d4acda4ef9122b44e5df30965cf1a6a0061fb1273ad5e881b319909475fae27",
+    ),
+    (256, "l1x16"): (
+        "retry-cap", 750, 274, 1024, 17607, 140926,
+        "cee43540a49218cf435c713ae44d45e1f954f29a8a635f95032550369578b31a",
+    ),
+}
+COLD_GEOMETRIES = {"default": None, "l1x16": CacheConfig(l1_sets=16)}
+
+
+@pytest.mark.parametrize("n, geometry", list(COLD_RUNS))
+def test_interrupted_cold_bodies_are_frozen(n, geometry):
+    sim = CacheSim(COLD_GEOMETRIES[geometry])
+    model = AccessProbability(RATE, 1)
+    engine = ShuffleEngine(sim, ShuffleParams(n, 2, 1), prefetch=False,
+                           staggered=False, interrupt_model=model)
+    data, perm = make_inputs(n, 1)
+    try:
+        assert engine.melbourne(data, perm) == oracle_apply_perm(data, perm)
+        end = "commit"
+    except RetryCapExceededError:
+        end = "retry-cap"
+    stats = engine.stats
+    assert (
+        end,
+        sum(s.ac2 for s in stats),
+        sum(s.ac4 for s in stats),
+        sum(s.attempts for s in stats),
+        len(sim.trace),
+        model.consultations,
+        hashlib.sha256(sim.trace.export_csv().encode()).hexdigest(),
+    ) == COLD_RUNS[n, geometry]

@@ -5,13 +5,16 @@ one scatter phase and the final three-pass output are both frozen here
 and must match the routing rule exactly.
 """
 
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import peek_word, unpack
 
-from oblishuffle.cache import CacheConfig, CacheSim
+from oblishuffle.cache import WORD_BYTES, WRITE, AccessCounters, CacheConfig, CacheSim
 from oblishuffle.layout import LayoutInfeasibleError, check_conflicts
 from oblishuffle.shuffle import (
     BucketOverflowError,
@@ -28,7 +31,7 @@ from oblishuffle.shuffle import (
 )
 from oblishuffle import shuffle
 from oblishuffle.txn import CapacityError, RetryCapExceededError, run_txn
-from oblishuffle.verify import oracle_apply_perm
+from oblishuffle.verify import PROGRAMS, oracle_apply_perm
 
 FIG_PERM = [3, 1, 6, 5, 7, 2, 0, 8, 4]
 FIG_DATA = [100 + k for k in range(9)]
@@ -217,21 +220,27 @@ def test_gather_rejects_a_repeated_tag():
 
 def test_scatter_writes_its_slices_in_ascending_order():
     # the body's writes go slice by slice, whatever the routing, in one
-    # run list per attempt
+    # run list per attempt: one write-kind ``access_lines`` call, then one
+    # ``store_words`` per slice
     engine = ShuffleEngine(CacheSim(), ShuffleParams(16, seed=1))
     engine.sim.poke_words(engine.data_src, some_data(16, 0))
     engine.sim.poke_words(engine.perm_r, gen_perm(16, 4))
-    write_calls = []
-    store_runs = engine.sim.store_runs
+    write_lists, stored = [], []
+    access_lines, store_words = engine.sim.access_lines, engine.sim.store_words
 
-    def logged(runs, values, undo):
-        write_calls.append([addr for addr, _ in runs])
-        store_runs(runs, values, undo)
+    def logged_access(steps, kind):
+        if kind == WRITE:
+            write_lists.append(steps)
+        access_lines(steps, kind)
 
-    engine.sim.store_runs = logged
+    def logged_store(w, values):
+        stored.append(w * WORD_BYTES)
+        return store_words(w, values)
+
+    engine.sim.access_lines, engine.sim.store_words = logged_access, logged_store
     engine.scatter_txn(0, engine.data_src, engine.perm_r)
-    assert len(write_calls) == engine.stats[-1].attempts == 1
-    assert write_calls[0] == [engine._slice_addr(0, j) for j in range(4)]
+    assert len(write_lists) == engine.stats[-1].attempts == 1
+    assert stored == [engine._slice_addr(0, j) for j in range(4)]
 
 
 # -- overflow and restart ----------------------------------------------------
@@ -366,6 +375,28 @@ def test_bad_perm_is_refused_naming_the_value(run, perm, want):
         oracle_apply_perm([5, 6, 7, 8], perm)
     with pytest.raises(ValueError, match=f"^{want}$"):
         run([5, 6, 7, 8], perm)
+
+
+@pytest.mark.parametrize("data, perm, want", [
+    ([1.5, 2, 3, 4], [1, 0, 3, 2], "value 1.5 is not an integer"),
+    ([1, 2.0, 3, 4], [1, 0, 3, 2], "value 2.0 is not an integer"),
+    ([1, 2, 3, 4], [1, 0.0, 3, 2], "perm value 0.0 is not an integer"),
+    ([1, 2, 3, 4], [1, 0, 3, 2.5], "perm value 2.5 is not an integer"),
+])
+@pytest.mark.parametrize("program", list(PROGRAMS))
+def test_non_integer_input_is_refused_before_any_access(program, data, perm, want):
+    sim = CacheSim()
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        PROGRAMS[program](sim, data, perm, 0, 2, None)
+    assert len(sim.trace) == 0
+    assert sim.counters == AccessCounters()
+
+
+@pytest.mark.parametrize("program", list(PROGRAMS))
+def test_numpy_integer_input_is_accepted(program):
+    data, perm = [5, 6, 7, 8], [2, 0, 3, 1]
+    got, _ = PROGRAMS[program](CacheSim(), np.array(data), np.array(perm), 0, 2, None)
+    assert got == apply_perm(data, perm)
 
 
 def test_engine_transactions_commit_clean():

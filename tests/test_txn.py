@@ -1588,6 +1588,29 @@ def test_cold_run_consults_no_word_past_a_pin_fault():
     assert (stats.ac2, stats.last_fault_line, consultations) == (2, 4, 2 * 3)
 
 
+def test_faulted_prefetch_drops_every_declared_line(monkeypatch):
+    # lines 0 and 2 fill L1 set 0 with pinned dirty data, so the prefetch
+    # faults at line 4 and never reaches line 5.  The rollback still drops
+    # every declared line, line 5 among them though it was resident before
+    # the transaction, as the per-line prefetch does: hardware would keep
+    # a line the aborted transaction never touched (ROADMAP item 5)
+    config = CacheConfig(line_size=64, l1_sets=2, l1_ways=2, llc_sets=4, llc_ways=4)
+    decl = TxnDeclaration.of(writes=[(addr_of(line), 64) for line in (0, 2, 4, 5)])
+    per_run = []
+    for prefetch in (CacheSim.prefetch, per_line_prefetch):
+        monkeypatch.setattr(CacheSim, "prefetch", prefetch)
+        sim = CacheSim(config)
+        run_txn(sim, TxnDeclaration.of(reads=[(addr_of(5), 64)]),
+                lambda ctx: ctx.read(addr_of(5)))
+        assert line_state(sim, 5, "l1") == (False, False)
+        with pytest.raises(RetryCapExceededError) as info:
+            run_txn(sim, decl, retry_cap=1)
+        assert info.value.stats.last_fault_line == 4
+        assert line_state(sim, 5, "l1") is line_state(sim, 5, "llc") is None
+        per_run.append(sim_state(sim))
+    assert per_run[0] == per_run[1]
+
+
 def test_cold_run_touches_no_line_past_a_pin_fault():
     # lines 0 and 2 fill L1 set 0 with pinned dirty data, so the run's
     # first word on line 4 faults; line 5, resident from the first
