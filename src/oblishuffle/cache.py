@@ -64,14 +64,15 @@ against a list of line spans and builds its pairs in the same pass:
 ``access_runs`` walks against the whole address space, a transaction
 body against its declaration, and ``access_lines`` takes pairs so
 checked.  ``_lines`` keeps the counts it moves in locals (an L1 hit's
-words, a miss step's first word and the words the LLC serves) and adds
-each to ``counters`` once, on the way out and only if it moved, so a
-PinViolationError leaves exactly the counts ``access`` would.  An LLC
-hit evicts nothing from the LLC, so its step skips the test for an
-inclusion eviction.  A line resident in L1 carries the same stamp at
-both levels, which every call that writes a stamp keeps, so an L1 hit
-in the epoch of the line's last access leaves its LLC entry alone:
-every hit of a prefetched body is one.
+words, a miss step's first word, the words the LLC serves and the LLC
+misses) and adds each to ``counters`` once, on the way out and only if
+it moved, so a PinViolationError leaves exactly the counts ``access``
+would, and ``commit_lines`` counts its write-backs as the trace's
+growth.  An LLC hit evicts nothing from the LLC, so its step skips the
+test for an inclusion eviction.  A line resident in L1 carries the same
+stamp at both levels, which every call that writes a stamp keeps, so an
+L1 hit in the epoch of the line's last access leaves its LLC entry
+alone: every hit of a prefetched body is one.
 
 The trace is stored packed.  ``CacheSim.trace`` is a ``Trace``, an
 ``array('q')`` of one 8-byte code per event, ``line << 1 |
@@ -101,7 +102,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from itertools import chain, repeat
-from operator import and_, rshift
+from operator import and_, attrgetter, rshift
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 WORD_BYTES = 8
@@ -190,6 +191,7 @@ _KINDS = (KIND_MISS, KIND_WRITEBACK)
 _KIND_BIT = {KIND_MISS: 0, KIND_WRITEBACK: 1}
 _append = array.append  # the kernels append codes through the base method
 _extend = array.extend
+_start, _stop = attrgetter("start"), attrgetter("stop")  # a span's ends
 
 
 def _code(event: tuple[str, int]) -> int:
@@ -564,7 +566,9 @@ class CacheSim:
 
         A span is a ``range`` of consecutive lines, as a declaration holds
         them; spans may be empty or overlap.  The spans are taken once, as
-        a tuple, and each is checked from its ends.  A bad ``kind``, or a
+        a tuple, and the non-empty ones are checked together, by their
+        least first line and greatest end; only a refusal looks for the
+        span to name.  A bad ``kind``, or a
         line out of range (a ValueError naming the first such line's
         address), is refused before any line.  A PinViolationError leaves
         the lines before it applied and the faulting line counted as
@@ -574,10 +578,11 @@ class CacheSim:
         shift = self._shift
         past = self.config.address_space >> shift  # the first line past it
         spans = tuple(spans)
-        for span in spans:
-            if span and (span.start < 0 or span.stop > past):
-                bad = span.start if span.start < 0 else max(span.start, past)
-                raise ValueError(f"address {bad << shift} out of range")
+        full = tuple(filter(None, spans))
+        if full and (min(map(_start, full)) < 0 or max(map(_stop, full)) > past):
+            span = next(s for s in full if s.start < 0 or s.stop > past)
+            bad = span.start if span.start < 0 else max(span.start, past)
+            raise ValueError(f"address {bad << shift} out of range")
         self._lines(zip(chain.from_iterable(spans), repeat(1)), is_write)
 
     def _lines(self, steps: Iterable[tuple[int, int]], is_write: bool) -> None:
@@ -608,8 +613,8 @@ class CacheSim:
         c = self.counters
         # the counts a step moves, kept here and added to the counters on
         # the way out, each only if it moved: an L1 hit's words, and a
-        # miss step's first word and words served from the LLC
-        hits = total = llc_hits = 0
+        # miss step's first word, the words the LLC serves and an LLC miss
+        hits = total = llc_hits = llc_misses = 0
         try:
             for line, k in steps:
                 l1_set = l1[line & l1_mask]
@@ -668,7 +673,7 @@ class CacheSim:
                         if l1_set.pop(l1_victim, 0) & 1:
                             emit(trace, l1_victim << 1 | 1)
                     emit(trace, line << 1)
-                    c.llc_misses += 1
+                    llc_misses += 1
                 llc_set[line] = lstamp
                 if install_l1:
                     l1_set[line] = bits
@@ -684,6 +689,8 @@ class CacheSim:
                 c.total += total
             if llc_hits:
                 c.llc_hits += llc_hits
+            if llc_misses:
+                c.llc_misses += llc_misses
 
     # -- bulk operations ---------------------------------------------------
 
@@ -713,15 +720,14 @@ class CacheSim:
         l1, l1_mask = self._l1, self._l1_mask
         trace = self.trace
         emit = _append
-        emitted = 0
+        before = len(trace)
         for line in dirtied:
             s = l1[line & l1_mask]
             f = s.get(line, 0)
             if f & 1:
                 s[line] = f ^ 1
                 emit(trace, line << 1 | 1)
-                emitted += 1
-        return emitted
+        return len(trace) - before
 
     # wrapped by name in perfbench/tracing.py, as ``access`` is
     def unpin_lines(self, lines: Iterable[int]) -> None:

@@ -14,9 +14,8 @@ previous one, and if ``SetLoads`` refuses it there, its base slides
 forward one line at a time to rotate its set mapping until it fits.
 When every region fits at once, the plan is simply the regions packed
 from address zero.  The shuffle's row-stagger search counts its scatter
-footprints with the same ``SetLoads``, and moves a count it has made
-to lines further on with ``SetLoads.shifted``.  Planning is a pure function of
-its inputs.
+slices with the same ``SetLoads`` and reads the count's ``llc`` loads.
+Planning is a pure function of its inputs.
 
 ``check_conflicts`` recounts every placed line from scratch and is kept
 free of the planner's incremental bookkeeping so it can serve as an
@@ -123,18 +122,6 @@ class SetLoads:
             if is_write:
                 _unload(l1, k & l1_mask)
         return False
-
-    def shifted(self, lines: int) -> "SetLoads":
-        """A new ``SetLoads`` holding these loads with every line moved on
-        by ``lines``: each set's load, at each level, goes to the set
-        ``lines`` further round.  Lines that many apart map to sets that
-        far apart, so this is the count of the moved lines."""
-        l1_mask, _, llc_mask, _ = self._limits
-        out = SetLoads.__new__(SetLoads)
-        out.blocked, out._limits = None, self._limits
-        out.l1 = {(s + lines) & l1_mask: v for s, v in self.l1.items()}
-        out.llc = {(s + lines) & llc_mask: v for s, v in self.llc.items()}
-        return out
 
 
 def _unload(loads: dict[int, int], s: int) -> None:

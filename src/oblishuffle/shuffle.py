@@ -22,13 +22,18 @@ destination index) into a bounded slice for its destination bucket, held
 in locals, and then writes every slice, padded with dummies to a fixed
 length, into that bucket's row of the intermediate buffer in ascending
 order, all in one run list.  A gather transaction reads one full row,
-drops dummies, orders the survivors by destination, checks that their
-tags are exactly the bucket's destinations and writes them to their
-final positions.  Every body access is a run of consecutive words, and
-the runs' addresses are a fixed function of N: a body's hits leave an
-LRU order that outlives its commit, so writing elements in routing order
-would let later victim choices, and under LLC pressure the trace, depend
-on the permutation.
+checks that it holds each of the bucket's destinations once and
+otherwise only dummies, and writes the elements' values to their final
+positions in destination order.  It sorts the row once: the dummy tag N
+is above every destination, so a well-formed row's elements are its
+first sqrt(N) words, tagged with the bucket's destinations in order, and
+the words after them carry the dummy tag, which the first and the last
+of them show.  A row that fails this check goes through a per-word pass
+in row order, which names its first fault.  Every body access is a run of
+consecutive words, and the runs' addresses are a fixed function of N: a
+body's hits leave an LRU order that outlives its commit, so writing
+elements in routing order would let later victim choices, and under LLC
+pressure the trace, depend on the permutation.
 With prefetching, both bodies run entirely out of pinned cache: every
 event comes from the prefetch and commit phases, which depend only on
 declared addresses.  If more than a slice's worth of one source bucket
@@ -38,17 +43,19 @@ padding factors used here).
 
 Rows of the intermediate buffer sit at a staggered stride: row length
 plus the smallest pad at which every scatter transaction fits the cache
-sets.  The search feeds each scatter transaction's written slices and
-its buckets of all five source arrays (a superset of the two it reads)
-into one ``layout.SetLoads``, the counter the layout planner uses, which
-refuses them if written lines overfill an L1 set or declared lines an
-LLC set; the slices are counted once per offset of their start within a
-line, and each transaction with that offset takes the count shifted to
-its own lines.  When no pad fits, the error names the level that refused most
-pads; a scatter footprint larger than the whole LLC is refused before
-the search.  Without the stagger (and without prefetch) the row stride is
-a multiple of the L1 set count at larger sizes and the per-set pile-up
-aborts the scatter until its retry cap.
+sets.  The search counts a scatter transaction's written slices with
+``layout.SetLoads``, the counter the layout planner uses, which refuses
+them if written lines overfill an L1 set or declared lines an LLC set,
+and then adds its buckets of all five source arrays (a superset of the
+two it reads), which load only the LLC.  The slices are counted once per
+offset of their start within a line: a later transaction with that
+offset has the same slice lines moved on by whole lines, so it tallies
+its source lines per LLC set, moved back as far, on top of that count,
+and copies none.  When no pad fits, the error names the level that
+refused most pads; a scatter footprint larger than the whole LLC is
+refused before the search.  Without the stagger (and without prefetch)
+the row stride is a multiple of the L1 set count at larger sizes and the
+per-set pile-up aborts the scatter until its retry cap.
 
 Two baselines for comparison: a naive single transaction that permutes
 in place with no prefetch (its trace follows the permutation), and a
@@ -58,10 +65,12 @@ sequence is a fixed function of N at word granularity.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
+from itertools import repeat
 from math import isqrt
-from operator import index
+from operator import and_, index, rshift
 
 import numpy as np
 
@@ -136,6 +145,11 @@ class ShuffleParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n", "pad_factor", "seed"):  # numpy's integers pass, as ints
+            try:
+                object.__setattr__(self, name, index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
         if self.n < 1:
             raise ValueError("n must be positive")
         if isqrt(self.n) ** 2 != self.n:
@@ -243,18 +257,47 @@ def arena(program: str, n: int, line_size: int, pad_factor: int = 2,
     return bases
 
 
-# a region is a value, so one is made per (name, size, kind) and shared by
-# every placement of it: a scatter's slice j has one size or two for all i
-_region = cache(Region)
+def _bucket_values(row: list[int], j: int, params: ShuffleParams) -> list[int]:
+    """The values of the ``bc`` elements of intermediate row ``j``,
+    dummies dropped, in destination order; a MalformedIntermediateError
+    unless the row holds each of its bucket's destinations ``lo..hi-1``
+    once and otherwise only words with the dummy tag, ``n``.
 
-
-def _line_region(
-    name: str, kind: str, base: int, size: int, line: int
-) -> tuple[Region, int]:
-    """Placement of the whole lines that [base, base + size) touches, so a
-    plan states the true line footprint."""
-    lo = base - base % line
-    return _region(name, _round_lines(base + size, line) - lo, kind), lo
+    The row is sorted once.  A well-formed row's elements are then its
+    first ``bc`` words, tagged ``lo..hi-1`` in order, and every dummy
+    follows them, so its words from ``bc`` on carry the dummy tag if the
+    first and the last of them do.  Any other row is malformed, and the
+    per-word check on the unsorted row names its first fault."""
+    bc, dummy = params.bucket_count, params.dummy_tag
+    lo = j * bc
+    hi = lo + bc
+    ordered = sorted(row)
+    if (list(map(rshift, ordered[:bc], repeat(32))) == list(range(lo, hi))
+            and (len(row) == bc or ordered[bc] >> 32 == ordered[-1] >> 32 == dummy)):
+        return list(map(and_, ordered[:bc], repeat(VALUE_MASK)))
+    found = []
+    for w in row:
+        tag = w >> 32
+        if tag == dummy:
+            continue
+        if not lo <= tag < hi:
+            raise MalformedIntermediateError(
+                f"tag {tag} does not belong to bucket {j}"
+            )
+        found.append(w)
+    if len(found) != bc:
+        raise MalformedIntermediateError(
+            f"bucket {j} holds {len(found)} elements, expected {bc}"
+        )
+    found.sort()
+    # bc tags in [lo, hi) are exactly lo..hi-1 unless one repeats
+    for tag, w in enumerate(found, lo):
+        if w >> 32 != tag:
+            raise MalformedIntermediateError(
+                f"bucket {j} repeats a tag: sorted tag {w >> 32} "
+                f"where {tag} belongs"
+            )
+    return [w & VALUE_MASK for w in found]
 
 
 class ShuffleEngine:
@@ -288,11 +331,18 @@ class ShuffleEngine:
         self.stats: list[TxnStats] = []
         self.plans: list[LayoutPlan] = []
         self.overflow_retries = 0
-        self._slices: dict[int, tuple[list[int], list[tuple[Region, int]]]] = {}
+        self._slices: dict[int, tuple[range, list[tuple[Region, int]]]] = {}
 
         cfg = self.sim.config
-        line = cfg.line_size
+        line = self._line = cfg.line_size
         p = params
+        # a region is a value, so this engine makes one per (name, size,
+        # kind) and shares it among every placement of it, and one list of
+        # slice_0, slice_1, ... per size, since a scatter's slices share one
+        region = self._region = cache(Region)
+        self._slice_regions = cache(lambda size: [
+            region(f"slice_{j}", size, READ_WRITE) for j in range(p.bucket_count)
+        ])
         self._bucket_bytes = p.bucket_count * WORD_BYTES
         self._slice_bytes = p.slice_len * WORD_BYTES
         (self.data_src, self.perm_tgt, self.perm_r, self.buf1, self.buf2, self.out,
@@ -318,16 +368,19 @@ class ShuffleEngine:
         stride of whole lines apart, so two transactions whose slices
         start at the same offset within a line have the same slice lines
         but moved by whole lines.  The slices are counted once per such
-        offset, at the first transaction with it, and every later one
-        takes that count ``shifted`` to its lines.
+        offset, at the first transaction with it, with ``SetLoads``.  A
+        transaction's source lines load only the LLC: it tallies them per
+        LLC set, moved back as far as its slices are moved on, and adds
+        each set's tally to the counted slice load of that set.
         """
         cfg = self.sim.config
         line = cfg.line_size
+        llc_mask, llc_ways = cfg.llc_sets - 1, cfg.llc_ways
         bc = self.params.bucket_count
         sb, bb = self._slice_bytes, self._bucket_bytes
         stride = stride_lines * line
         sources = (self.data_src, self.perm_tgt, self.perm_r, self.buf1, self.buf2)
-        counted = {}  # offset in a line -> (its slice loads, first line)
+        counted = {}  # offset in a line -> (its slice loads per LLC set, base)
         for i in range(bc):
             base = self.inter + i * sb
             got = counted.get(base % line)
@@ -337,14 +390,15 @@ class ShuffleEngine:
                     first = a // line
                     if not slices.add(first, (a + sb - 1) // line - first + 1, True):
                         return slices.blocked
-                got = counted[base % line] = (slices, base // line)
-            slices, first = got
-            loads = slices.shifted(base // line - first)
+                got = counted[base % line] = (slices.llc, base)
+            held, start = got
+            tally = Counter()  # LLC set -> source lines, moved back as the slices
             for src in sources:
-                a = src + i * bb
-                first = a // line
-                if not loads.add(first, (a + bb - 1) // line - first + 1, False):
-                    return loads.blocked
+                a = src + i * bb - (base - start)
+                lines = range(a // line, (a + bb - 1) // line + 1)
+                tally.update(map(and_, lines, repeat(llc_mask)))
+            if any(held.get(s, 0) + t > llc_ways for s, t in tally.items()):
+                return "llc"
         return None
 
     def _find_stagger(self) -> int:
@@ -403,6 +457,13 @@ class ShuffleEngine:
             raise
         self.stats.append(st)
 
+    def _line_region(self, name: str, kind: str, base: int,
+                     size: int) -> tuple[Region, int]:
+        """Placement of the whole lines that [base, base + size) touches, so a
+        plan states the true line footprint."""
+        lo = base - base % self._line
+        return self._region(name, _round_lines(base + size, self._line) - lo, kind), lo
+
     def _slice_addr(self, src_bucket: int, dst_bucket: int) -> int:
         return (
             self.inter
@@ -410,18 +471,22 @@ class ShuffleEngine:
             + src_bucket * self._slice_bytes
         )
 
-    def _scatter_slices(self, i: int) -> tuple[list[int], list[tuple[Region, int]]]:
+    def _scatter_slices(self, i: int) -> tuple[range, list[tuple[Region, int]]]:
         """Scatter transaction i's slice addresses in ascending j and their
         placements, built on first use and kept for every pass and
-        overflow restart of this engine."""
+        overflow restart of this engine.
+
+        Its slices lie a stride of whole lines apart, so each starts at
+        the same offset in its line and touches as many lines as slice 0:
+        the addresses and the placements' bases are two ``range``s, and
+        the regions one list per size for the engine."""
         got = self._slices.get(i)
         if got is None:
-            line = self.sim.config.line_size
-            addrs = [self._slice_addr(i, j) for j in range(self.params.bucket_count)]
-            got = self._slices[i] = (addrs, [
-                _line_region(f"slice_{j}", READ_WRITE, a, self._slice_bytes, line)
-                for j, a in enumerate(addrs)
-            ])
+            a, stride = self._slice_addr(i, 0), self.stride_bytes
+            region, lo = self._line_region("slice_0", READ_WRITE, a, self._slice_bytes)
+            span = self.params.bucket_count * stride
+            got = self._slices[i] = (range(a, a + span, stride), list(zip(
+                self._slice_regions(region.size), range(lo, lo + span, stride))))
         return got
 
     def scatter_txn(self, i: int, src: int, pi: int) -> None:
@@ -429,13 +494,12 @@ class ShuffleEngine:
         p = self.params
         bc = p.bucket_count
         bb = self._bucket_bytes
-        line = self.sim.config.line_size
         src0 = src + i * bb
         pi0 = pi + i * bb
         slice_addrs, slice_placements = self._scatter_slices(i)
         placements = [
-            _line_region("src_bucket", READ_ONLY, src0, bb, line),
-            _line_region("pi_bucket", READ_ONLY, pi0, bb, line),
+            self._line_region("src_bucket", READ_ONLY, src0, bb),
+            self._line_region("pi_bucket", READ_ONLY, pi0, bb),
             *slice_placements,
         ]
 
@@ -454,7 +518,7 @@ class ShuffleEngine:
                 s = slices[j]
                 if len(s) >= slice_len:
                     raise BucketOverflowError(i, j, slice_len)
-                s.append(pack(dest, val))
+                s.append(dest << 32 | val)  # pack(dest, val), inline
             for s in slices:
                 s += [dummy_word] * (slice_len - len(s))
             ctx.write_runs(list(zip(slice_addrs, slices)))
@@ -465,44 +529,16 @@ class ShuffleEngine:
         """Drain intermediate row j to its destination bucket, dummy-free
         and ordered by destination index."""
         p = self.params
-        bc = p.bucket_count
         row0 = self.inter + j * self.stride_bytes
         dst0 = dst + j * self._bucket_bytes
-        line = self.sim.config.line_size
         placements = [
-            _line_region(
-                "row", READ_ONLY, row0, p.bucket_capacity * WORD_BYTES, line
-            ),
-            _line_region("out_bucket", READ_WRITE, dst0, self._bucket_bytes, line),
+            self._line_region("row", READ_ONLY, row0, p.bucket_capacity * WORD_BYTES),
+            self._line_region("out_bucket", READ_WRITE, dst0, self._bucket_bytes),
         ]
-        lo = j * bc
-        hi = lo + bc
-        dummy = p.dummy_tag
 
         def body(ctx) -> None:
-            found = []
-            for w in ctx.read_run(row0, p.bucket_capacity):
-                tag = w >> 32
-                if tag == dummy:
-                    continue
-                if not lo <= tag < hi:
-                    raise MalformedIntermediateError(
-                        f"tag {tag} does not belong to bucket {j}"
-                    )
-                found.append(w)
-            if len(found) != bc:
-                raise MalformedIntermediateError(
-                    f"bucket {j} holds {len(found)} elements, expected {bc}"
-                )
-            found.sort()
-            # bc tags in [lo, hi) are exactly lo..hi-1 unless one repeats
-            for tag, w in enumerate(found, lo):
-                if w >> 32 != tag:
-                    raise MalformedIntermediateError(
-                        f"bucket {j} repeats a tag: sorted tag {w >> 32} "
-                        f"where {tag} belongs"
-                    )
-            ctx.write_run(dst0, [w & VALUE_MASK for w in found])
+            row = ctx.read_run(row0, p.bucket_capacity)
+            ctx.write_run(dst0, _bucket_values(row, j, p))
 
         self._run(placements, body)
 

@@ -530,11 +530,9 @@ class TxnContext:
                     if kind == WRITE:
                         self._dirtied[line] = None
                 sim.access_lines(stretch, kind)
-                if vals is not None:
-                    store, log = sim.store_words, self._undo.append
-                    for (addr, _), v in zip(piece, vals):
-                        w = addr >> 3
-                        log((w, store(w, v)))
+                if vals is not None:  # each run's first word and old values
+                    ws = [addr >> 3 for addr, _ in piece]
+                    self._undo += zip(ws, map(sim.store_words, ws, vals))
             if fired is not None:
                 raise _Interrupted()
 

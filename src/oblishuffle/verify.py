@@ -29,6 +29,7 @@ is checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Callable, Sequence
 
 from .cache import CacheConfig, CacheSim, Trace, TraceEvent
@@ -37,17 +38,21 @@ from .txn import CapacityError, TxnDeclaration, run_txn
 
 
 def oracle_apply_perm(data: Sequence[int], perm: Sequence[int]) -> list[int]:
-    """Reference scatter: out[perm[i]] = data[i].  Rejects non-bijections."""
+    """Reference scatter: out[perm[i]] = data[i].  Rejects non-bijections
+    and non-integer values, naming the first bad value."""
     n = len(data)
     if len(perm) != n:
         raise ValueError("data and perm lengths differ")
     out = [None] * n
-    for i, p in enumerate(perm):
-        if not 0 <= p < n:
-            raise ValueError(f"perm value {p} out of range")
-        if out[p] is not None:
-            raise ValueError(f"perm repeats value {p}")
-        out[p] = data[i]
+    try:
+        for i, p in enumerate(perm):
+            if not 0 <= index(p) < n:
+                raise ValueError(f"perm value {p} out of range")
+            if out[p] is not None:
+                raise ValueError(f"perm repeats value {p}")
+            out[p] = data[i]
+    except TypeError:  # from ``index``: a float, say
+        raise ValueError(f"perm value {p} is not an integer") from None
     return out  # type: ignore[return-value]
 
 

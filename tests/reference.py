@@ -65,6 +65,14 @@ check against it.
 address zero, and only if that overloads a set, a first-fit placement
 that starts again from nothing, each with its own set-load counting.
 
+``per_word_gather`` is a gather body's check of its row as it was
+before it sorted the row first: one pass over the words in row order,
+then a sort of the elements it kept.  ``full_stagger_refusal`` is the
+shuffle's row-stagger test as a count made from scratch: each scatter
+transaction's slices and source buckets placed in full into one fresh
+``SetLoads``, where the engine counts the slices once per offset in a
+line.
+
 The rest are helpers that only the tests call, so the package does not
 carry them.  Over a ``CacheSim``: ``reset_trace``, ``peek_word`` and
 ``poke_word`` (one word through ``peek_words``/``poke_words``),
@@ -99,8 +107,8 @@ from oblishuffle.cache import (
     TraceEvent,
     _event,
 )
-from oblishuffle.layout import READ_WRITE, LayoutInfeasibleError, LayoutPlan
-from oblishuffle.shuffle import VALUE_MASK
+from oblishuffle.layout import READ_WRITE, LayoutInfeasibleError, LayoutPlan, SetLoads
+from oblishuffle.shuffle import VALUE_MASK, MalformedIntermediateError
 from oblishuffle.txn import (
     CapacityError,
     HitGuaranteeError,
@@ -647,6 +655,62 @@ def _first_fit_plan(regions, config):
                 f"{max_shift} line offsets",
             )
     return LayoutPlan(tuple(placements))
+
+
+def per_word_gather(row, j: int, bc: int, dummy: int) -> list[int]:
+    """The values of row ``j``'s ``bc`` elements in destination order, or
+    the MalformedIntermediateError naming the row's first fault: the
+    first word in row order whose tag is neither ``dummy`` nor one of
+    the bucket's destinations, else a wrong element count, else the
+    first repeated destination in sorted order."""
+    lo = j * bc
+    hi = lo + bc
+    found = []
+    for w in row:
+        tag = w >> 32
+        if tag == dummy:
+            continue
+        if not lo <= tag < hi:
+            raise MalformedIntermediateError(
+                f"tag {tag} does not belong to bucket {j}"
+            )
+        found.append(w)
+    if len(found) != bc:
+        raise MalformedIntermediateError(
+            f"bucket {j} holds {len(found)} elements, expected {bc}"
+        )
+    found.sort()
+    for tag, w in enumerate(found, lo):
+        if w >> 32 != tag:
+            raise MalformedIntermediateError(
+                f"bucket {j} repeats a tag: sorted tag {w >> 32} "
+                f"where {tag} belongs"
+            )
+    return [w & VALUE_MASK for w in found]
+
+
+def full_stagger_refusal(engine, stride_lines: int) -> str | None:
+    """The level ("l1" or "llc") at which some scatter transaction of
+    ``engine``, its rows ``stride_lines`` lines apart, overfills a cache
+    set, or None: per transaction, a fresh ``SetLoads`` takes its ``bc``
+    written slices in ascending j, then its buckets of the five source
+    arrays, read-only, and the first refusal names the level."""
+    cfg = engine.sim.config
+    line = cfg.line_size
+    bc = engine.params.bucket_count
+    sb, bb = engine._slice_bytes, engine._bucket_bytes
+    stride = stride_lines * line
+    sources = (engine.data_src, engine.perm_tgt, engine.perm_r, engine.buf1,
+               engine.buf2)
+    for i in range(bc):
+        loads = SetLoads(cfg)
+        runs = [(engine.inter + i * sb + j * stride, sb, True) for j in range(bc)]
+        runs += [(src + i * bb, bb, False) for src in sources]
+        for a, size, is_write in runs:
+            first = a // line
+            if not loads.add(first, (a + size - 1) // line - first + 1, is_write):
+                return loads.blocked
+    return None
 
 
 def base_of(plan: LayoutPlan, name: str) -> int:

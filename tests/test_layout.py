@@ -327,19 +327,3 @@ def test_llc_is_tested_before_l1_for_each_line():
     assert not loads.add(4, 1, True)
     assert loads.blocked == "llc"
     assert (loads.l1, loads.llc) == ({0: 2}, {0: 4})
-
-
-@pytest.mark.parametrize("by", [0, 1, 5, 8, 13])
-def test_shifted_loads_are_the_count_of_the_moved_runs(by):
-    runs = [(0, 2, True), (6, 3, False), (9, 1, True), (14, 2, False)]
-    loads = SetLoads(STRIPE)
-    moved = SetLoads(STRIPE)
-    for first, n, is_write in runs:
-        assert loads.add(first, n, is_write)
-        assert moved.add(first + by, n, is_write)
-    got = loads.shifted(by)
-    assert (got.l1, got.llc, got.blocked) == (moved.l1, moved.llc, None)
-    # a copy: placing on it leaves the count it came from alone
-    before = (dict(loads.l1), dict(loads.llc))
-    got.add(20, 1, True)
-    assert (loads.l1, loads.llc) == before

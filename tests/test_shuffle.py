@@ -6,16 +6,17 @@ and must match the routing rule exactly.
 """
 
 import re
+from math import isqrt
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import peek_word, unpack
+from reference import full_stagger_refusal, peek_word, per_word_gather, unpack
 
 from oblishuffle.cache import WORD_BYTES, WRITE, AccessCounters, CacheConfig, CacheSim
-from oblishuffle.layout import LayoutInfeasibleError, check_conflicts
+from oblishuffle.layout import READ_WRITE, LayoutInfeasibleError, check_conflicts
 from oblishuffle.shuffle import (
     BucketOverflowError,
     MalformedIntermediateError,
@@ -89,6 +90,30 @@ def test_params_reject_bad_pad_and_huge_n():
         ShuffleParams(16, pad_factor=0)
     with pytest.raises(ValueError):
         ShuffleParams(65537 * 65537)
+
+
+@pytest.mark.parametrize("args, field", [
+    ((16.0,), "n"),
+    (("16",), "n"),
+    ((-4.0,), "n"),  # before the sign check
+    ((15.5, 0.5), "n"),  # n first
+    ((16, 2.5), "pad_factor"),
+    ((16, 2.0), "pad_factor"),
+    ((15, 2.5), "pad_factor"),  # before the square check
+    ((16, None), "pad_factor"),
+    ((16, 2, 1.5), "seed"),  # melbourne would die on it in the seed mixing
+    ((16, 2.5, 1.5), "pad_factor"),
+])
+def test_params_refuse_non_integer_sizes_naming_the_field(args, field):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
+        ShuffleParams(*args)
+
+
+def test_params_take_numpy_integers_as_ints():
+    p = ShuffleParams(np.int64(16), np.int32(3), np.uint64(5))
+    assert (p.n, p.pad_factor, p.seed) == (16, 3, 5)
+    assert {type(p.n), type(p.pad_factor), type(p.seed)} == {int}
+    assert (p.bucket_count, p.slice_len, p.bucket_capacity) == (4, 12, 48)
 
 
 @given(st.integers(0, 2**31), st.integers(0, 2**32 - 1))
@@ -216,6 +241,128 @@ def test_gather_rejects_a_repeated_tag():
     with pytest.raises(MalformedIntermediateError, match="repeats a tag"):
         engine.gather_txn(0, engine.out)
     assert engine.sim.peek_words(engine.out, 2) == [0, 0]
+
+
+def gather_outcome(check, row, j, params):
+    """What a check of ``row`` as row ``j`` gives: the values, or the
+    refusal's type and message."""
+    try:
+        return check(row, j, params)
+    except MalformedIntermediateError as exc:
+        return type(exc), str(exc)
+
+
+def per_word(row, j, params):
+    return per_word_gather(row, j, params.bucket_count, params.dummy_tag)
+
+
+def well_formed_row(params, j, rng, dummies=None):
+    """Row j as a scatter leaves it, in a random order: its bucket's
+    destinations once each with random values, and ``dummies`` dummies
+    (by default the rest of the row)."""
+    bc, n = params.bucket_count, params.n
+    if dummies is None:
+        dummies = params.bucket_capacity - bc
+    values = rng.integers(0, 1 << 32, bc).tolist()
+    row = [pack(j * bc + k, v) for k, v in enumerate(values)]
+    row += [pack(n, 0)] * dummies
+    rng.shuffle(row)
+    return row
+
+
+def malformed_rows(params, j, rng):
+    """(fault, row) for each way a row can break, and a dummy with a
+    nonzero value, which does not break it: each a fresh well-formed row
+    with one word changed, added or taken away."""
+    bc, n = params.bucket_count, params.n
+    lo, hi = j * bc, j * bc + bc
+
+    def changed(pick, word):
+        row = well_formed_row(params, j, rng)
+        ks = [k for k, w in enumerate(row) if pick(w >> 32)]
+        if not ks:
+            return None
+        row[ks[rng.integers(len(ks))]] = word
+        return row
+
+    real = lambda tag: tag != n  # noqa: E731
+    value = int(rng.integers(0, 1 << 32))
+    rows = [
+        ("below lo", lo and changed(real, pack(int(rng.integers(0, lo)), value))),
+        ("between hi and n",
+         hi < n and changed(real, pack(int(rng.integers(hi, n)), value))),
+        ("above n", changed(real, pack(n + 1 + int(rng.integers(0, 4)), value))),
+        ("far above n", changed(real, (1 << 64) - 1)),
+        ("dummy tag, nonzero value",
+         changed(lambda tag: tag == n, pack(n, value | 1))),
+        ("missing", changed(real, pack(n, 0))),
+        ("extra", changed(lambda tag: tag == n, pack(lo + int(rng.integers(bc)), value))),
+        ("repeated tag",
+         bc > 1 and changed(lambda tag: tag not in (lo, n), pack(lo, value))),
+        ("missing, row short",
+         [w for w in well_formed_row(params, j, rng) if w >> 32 != lo]),
+        ("extra, row long", well_formed_row(params, j, rng) + [pack(lo, value)]),
+    ]
+    return [(fault, row) for fault, row in rows if isinstance(row, list)]
+
+
+@pytest.mark.parametrize("n", [1, 4, 9, 16, 64, 256, 1024, 4096])
+def test_sorted_gather_check_matches_the_per_word_loop(n):
+    # the sorted check's outcome, values or refusal, is the per-word
+    # loop's on well-formed rows and on one row of each fault
+    params = ShuffleParams(n)
+    bc = params.bucket_count
+    rng = np.random.default_rng(n)
+    refused = set()
+    for j in sorted({0, bc // 2, bc - 1}):
+        for _ in range(5):
+            row = well_formed_row(params, j, rng)
+            want = sorted(w for w in row if w >> 32 != n)
+            got = gather_outcome(shuffle._bucket_values, row, j, params)
+            assert got == gather_outcome(per_word, row, j, params)
+            assert got == [w & shuffle.VALUE_MASK for w in want]
+        for fault, row in malformed_rows(params, j, rng):
+            got = gather_outcome(shuffle._bucket_values, row, j, params)
+            assert got == gather_outcome(per_word, row, j, params), fault
+            if isinstance(got, tuple):
+                refused.add(fault)
+    # every fault is refused wherever the size has it: at n = 1 no tag
+    # lies below lo or between hi and n, and the row has no dummy
+    faults = {"above n", "far above n", "missing", "missing, row short",
+              "extra, row long"}
+    if bc > 1:
+        faults |= {"below lo", "between hi and n", "extra", "repeated tag"}
+    assert refused == faults
+
+
+@pytest.mark.parametrize("n", [1, 4, 16, 256])
+def test_sorted_gather_check_takes_rows_without_dummies(n):
+    # a row exactly its bucket's elements long, as every row is at n = 1
+    params = ShuffleParams(n)
+    rng = np.random.default_rng(n + 1)
+    for j in range(params.bucket_count):
+        row = well_formed_row(params, j, rng, dummies=0)
+        got = gather_outcome(shuffle._bucket_values, row, j, params)
+        assert got == gather_outcome(per_word, row, j, params)
+        assert not isinstance(got, tuple)
+
+
+def test_sorted_gather_check_matches_the_per_word_loop_on_random_words():
+    # rows of random length drawn from words near the bucket's edges
+    params = ShuffleParams(16)
+    rng = np.random.default_rng(7)
+    j = 2  # destinations 8..11, dummy tag 16
+    tags = [0, 7, 8, 8, 9, 9, 10, 10, 11, 11, 12, 15, 16, 16, 16, 16, 17, 1 << 30]
+    outcomes = set()
+    for _ in range(3000):
+        size = int(rng.integers(0, 12))
+        row = [pack(tags[k], v) for k, v in zip(
+            rng.integers(0, len(tags), size).tolist(), rng.integers(0, 3, size).tolist())]
+        got = gather_outcome(shuffle._bucket_values, row, j, params)
+        assert got == gather_outcome(per_word, row, j, params), row
+        outcomes.add(next((word for word in ("repeats", "holds", "belong")
+                           if word in got[1]), "?") if isinstance(got, tuple) else "ok")
+    assert outcomes == {"ok", "belong", "holds", "repeats"}
 
 
 def test_scatter_writes_its_slices_in_ascending_order():
@@ -520,6 +667,50 @@ def test_stagger_search_names_the_level_that_refused():
         ShuffleEngine(CacheSim(config), ShuffleParams(256))
     assert (info.value.kind, info.value.level) == ("arrangement", "llc")
     assert "129 by the llc, 0 by l1" in str(info.value)
+
+
+STAGGER_GEOMETRIES = {
+    "default": CacheConfig(),
+    "llc-64-sets": CacheConfig(llc_sets=64),
+    "line-32": CacheConfig(line_size=32, l1_sets=8, l1_ways=4, llc_sets=64, llc_ways=8),
+    "line-128": CacheConfig(line_size=128, l1_sets=16, l1_ways=4, llc_sets=128,
+                            llc_ways=8),
+    "l1-4x2-llc-16x4": CacheConfig(l1_sets=4, l1_ways=2, llc_sets=16, llc_ways=4),
+    "l1-16x4-llc-64x8": CacheConfig(l1_sets=16, l1_ways=4, llc_sets=64, llc_ways=8),
+    # LLC as small as L1: the source buckets decide some strides
+    "llc-64x8": CacheConfig(llc_sets=64, llc_ways=8),
+    "l1-16x4-llc-16x4": CacheConfig(l1_sets=16, l1_ways=4, llc_sets=16, llc_ways=4),
+}
+
+
+@pytest.mark.parametrize("config", STAGGER_GEOMETRIES.values(),
+                         ids=STAGGER_GEOMETRIES.keys())
+def test_stagger_test_and_slice_placements_match_counts_from_scratch(config):
+    # at 40 strides from the unpadded row on, for sizes whose slices
+    # straddle lines (n = 1024: 160-byte slices), the engine's stagger
+    # test names the level a full count per transaction names, and each
+    # scatter's slice addresses and placements are the per-slice ones
+    line = config.line_size
+    outcomes = set()
+    for n in (4, 16, 64, 256, 1024, 4096):
+        bc = isqrt(n)
+        for pad in range(40):
+            engine = ShuffleEngine(CacheSim(config), ShuffleParams(n), staggered=False)
+            stride_lines = engine.row_bytes // line + pad
+            got = engine._stagger_refusal(stride_lines)
+            assert got == full_stagger_refusal(engine, stride_lines), (n, pad)
+            outcomes.add(got)
+            engine.stride_bytes = stride_lines * line
+            for i in range(bc):
+                addrs, placements = engine._scatter_slices(i)
+                want = [engine._slice_addr(i, j) for j in range(bc)]
+                assert list(addrs) == want
+                assert placements == [
+                    engine._line_region(f"slice_{j}", READ_WRITE, a, engine._slice_bytes)
+                    for j, a in enumerate(want)
+                ]
+    # some strides fit and some are refused
+    assert None in outcomes and outcomes - {None}
 
 
 def test_unstaggered_rows_storm_the_l1_sets():

@@ -1,6 +1,9 @@
 """Verifier tests: the brute-force oracle, trace capture and comparison,
 and geometry recovery through the transaction interface."""
 
+import re
+
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -69,6 +72,23 @@ def test_oracle_rejects_non_bijections():
         oracle_apply_perm([1, 2, 3], [0, 1, 3])
     with pytest.raises(ValueError):
         oracle_apply_perm([1, 2, 3], [0, 1])
+
+
+@pytest.mark.parametrize("perm, want", [
+    ([1, 0.0, 3, 2], "perm value 0.0 is not an integer"),
+    ([1, 0, 3, 2.5], "perm value 2.5 is not an integer"),
+    ([1, None, 3, 2], "perm value None is not an integer"),
+    ([9, 0.5, 3, 2], "perm value 9 out of range"),  # the first bad value
+    ([1, 1, 0.5, 2], "perm repeats value 1"),
+])
+def test_oracle_refuses_a_non_integer_perm_value_naming_it(perm, want):
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        oracle_apply_perm([5, 6, 7, 8], perm)
+
+
+def test_oracle_takes_numpy_integers():
+    assert oracle_apply_perm([5, 6, 7, 8], np.array([1, 0, 3, 2])) == [6, 5, 8, 7]
+    assert oracle_apply_perm(np.arange(4), [np.int32(2), 0, 3, 1]) == [1, 3, 0, 2]
 
 
 @given(st.integers(1, 64), st.integers(0, 2**32 - 1))
