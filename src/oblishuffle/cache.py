@@ -92,6 +92,13 @@ with one visit per page it touches, ``store_words`` returning the values
 it overwrote, which a transaction's undo log keeps, and the other data
 movements sit on them, except the one-word ones: ``load_word``,
 ``read_word`` and ``write_word`` index their one page inline.
+
+A geometry is a ``CacheConfig``, whose fields are taken through
+``operator.index`` (numpy's integers pass, stored as ints) and a
+non-integer one refused naming it, before any other check.
+``CacheConfig.from_text`` reads one from ``key=value`` lines, which
+``key_values`` splits, as it splits the CLI's ``--config`` file: one
+loop over such lines.
 """
 
 from __future__ import annotations
@@ -102,7 +109,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from itertools import chain, repeat
-from operator import and_, attrgetter, rshift
+from operator import and_, attrgetter, index, rshift
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 WORD_BYTES = 8
@@ -299,6 +306,21 @@ def _require_pow2(name: str, value: int, most: int) -> None:
         raise ValueError(f"{name} must be at most {most}, got {value}")
 
 
+def key_values(text: str) -> Iterator[tuple[str, str, str]]:
+    """Each ``key=value`` line of ``text`` as ``(line, key, value)``, key
+    and value stripped, made as it is read, so a caller's refusal of one
+    line comes before any later line is looked at.  '#' starts a comment,
+    blank lines are skipped, and a line with no '=' is refused, quoted."""
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise ValueError(f"malformed config line: {raw!r}")
+        yield raw, key.strip(), value.strip()
+
+
 @dataclass(frozen=True)
 class CacheConfig:
     line_size: int = 64
@@ -309,6 +331,11 @@ class CacheConfig:
     address_space: int = 1 << 30
 
     def __post_init__(self) -> None:
+        for f in fields(self):  # numpy's integers pass, as ints
+            try:
+                object.__setattr__(self, f.name, index(getattr(self, f.name)))
+            except TypeError:
+                raise ValueError(f"{f.name} must be an integer") from None
         _require_pow2("line_size", self.line_size, MAX_ADDRESS_SPACE)
         _require_pow2("l1_sets", self.l1_sets, MAX_SETS)
         _require_pow2("llc_sets", self.llc_sets, MAX_SETS)
@@ -336,28 +363,19 @@ class CacheConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "CacheConfig":
-        """Parse ``key=value`` lines; '#' starts a comment, blanks ignored."""
+        """The geometry of ``key_values`` lines, each a field and its
+        decimal value, given at most once; unset fields keep defaults."""
         allowed = {f.name for f in fields(cls)}
         values: dict[str, int] = {}
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            m = re.fullmatch(r"(\w+)\s*=\s*(\d+)", line)
-            if not m:
+        for raw, key, value in key_values(text):
+            if not (re.fullmatch(r"\w+", key) and value.isdecimal()):
                 raise ValueError(f"malformed config line: {raw!r}")
-            key = m.group(1)
             if key not in allowed:
                 raise ValueError(f"unknown config key: {key}")
             if key in values:
                 raise ValueError(f"duplicate config key: {key}")
-            values[key] = int(m.group(2))
+            values[key] = int(value)
         return cls(**values)
-
-    @classmethod
-    def from_file(cls, path: str) -> "CacheConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
 
 
 @dataclass

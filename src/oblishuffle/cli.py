@@ -21,9 +21,15 @@ tables are emitted in sorted order, and reruns are byte-identical.
 ``--config FILE``, given at most once, reads ``key=value`` lines (none of
 them ``config``) and passes each as ``--key=value`` right after the
 subcommand name, so the subcommand's parser checks them like flags and
-explicit flags, coming later, win.  A file a path flag names that
-cannot be opened is refused as ``<flag> <path>: <OS message>``, as a bad
-line in it is.
+explicit flags, coming later, win.  Every file the CLI reads goes
+through one reader, ``_read(flag, path, parse)``: ``_ints`` parses
+``--input`` and ``--perm``, ``CacheConfig.from_text`` ``--cache-config``
+and ``_config_tokens`` ``--config``, both ``key=value`` formats taking
+their lines from ``cache.key_values``.  A file that cannot be opened or
+is not UTF-8, or whose text the parser refuses, is refused as
+``<flag> <path>: <message>``, and so is an output path that cannot be
+opened.  ``probe`` probes one simulator of the ``--cache-config``
+geometry, which sets the line size it declares in.
 Exit status: 0 on success, 1 when a check fails (trace divergence, output
 mismatch, capacity rejection, no conflict-free arena layout, retry
 exhaustion), 2 on usage errors.
@@ -38,7 +44,7 @@ from math import isfinite, isqrt
 
 import numpy as np
 
-from .cache import WORD_BYTES, CacheConfig, CacheSim
+from .cache import WORD_BYTES, CacheConfig, CacheSim, key_values
 from .layout import LayoutInfeasibleError
 from .shuffle import (
     MAX_N,
@@ -60,6 +66,7 @@ from .txn import (
 )
 from .verify import (
     PROGRAMS,
+    _program,
     capture_trace,
     oracle_apply_perm,
     probe_cache_sizes,
@@ -302,19 +309,25 @@ def aborts_rows(
 # -- plumbing ----------------------------------------------------------------
 
 
-def _path_error(flag: str, path: str, exc: OSError) -> ValueError:
-    """The refusal of a file ``flag`` names that could not be opened,
-    naming the flag and the path, as a bad line in a file is named."""
-    return ValueError(f"{flag} {path}: {exc.strerror or exc}")
-
-
-def _open(flag: str, path: str, mode: str = "r"):
-    """``open(path, mode)`` for the file ``flag`` names, refused with
-    ``_path_error`` if it cannot be opened."""
+def _open(flag: str, path: str, mode: str):
+    """``open(path, mode)`` for the file ``flag`` names, refused naming
+    the flag and the path if it cannot be opened."""
     try:
         return open(path, mode, encoding="utf-8")
     except OSError as exc:
-        raise _path_error(flag, path, exc) from None
+        raise ValueError(f"{flag} {path}: {exc.strerror or exc}") from None
+
+
+def _read(flag: str, path: str, parse):
+    """``parse`` of the text of the file ``flag`` names: the one way the
+    CLI reads a file.  A file that cannot be opened or is not UTF-8, or
+    whose text ``parse`` refuses, is refused as ``<flag> <path>:
+    <message>``."""
+    with _open(flag, path, "r") as fh:
+        try:
+            return parse(fh.read())
+        except ValueError as exc:  # a decode error among them
+            raise ValueError(f"{flag} {path}: {exc}") from None
 
 
 def _emit(lines: list[str], out_path: str | None) -> None:
@@ -336,22 +349,14 @@ def _config_path(argv) -> str | None:
     return paths[0] if paths else None
 
 
-def _config_tokens(path: str) -> list[str]:
-    """One ``--key=value`` token per ``key=value`` line of the file; '#'
-    starts a comment and blank lines are skipped."""
+def _config_tokens(text: str) -> list[str]:
+    """One ``--key=value`` token per ``key_values`` line of ``text``."""
     tokens = []
-    with _open("--config", path) as fh:
-        for raw in fh.read().splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, eq, val = line.partition("=")
-            if not eq:
-                raise ValueError(f"--config {path}: malformed config line: {raw!r}")
-            key = key.strip().replace("_", "-")
-            if key == "config":
-                raise ValueError(f"--config {path}: a config file cannot set config")
-            tokens.append(f"--{key}={val.strip()}")
+    for _, key, value in key_values(text):
+        key = key.replace("_", "-")
+        if key == "config":
+            raise ValueError("a config file cannot set config")
+        tokens.append(f"--{key}={value}")
     return tokens
 
 
@@ -362,26 +367,22 @@ def _config_tokens(path: str) -> list[str]:
 # cannot take or do not form a permutation.
 
 
-def _read_ints(flag: str, path: str, check) -> list[int]:
-    """The whitespace-separated integers of the file ``flag`` names, put
-    through ``check(values, len(values))``, one of the library's own
-    input checks.  A token that is not an integer, or values ``check``
-    refuses, is refused naming the flag and the path."""
-    with _open(flag, path) as fh:
-        tokens = fh.read().split()
-    try:
-        values = [int(tok) for tok in tokens]  # int's message quotes the token
+def _ints(check):
+    """A parser of whitespace-separated integers that puts them through
+    ``check(values, len(values))``, one of the library's own input
+    checks."""
+    def parse(text: str) -> list[int]:
+        values = [int(tok) for tok in text.split()]  # int's message quotes the token
         check(values, len(values))
-    except ValueError as exc:
-        raise ValueError(f"{flag} {path}: {exc}") from None
-    return values
+        return values
+    return parse
 
 
 def cmd_shuffle(args) -> int:
     """Run one shuffle."""
     if args.input:
-        data = _read_ints("--input", args.input, _check_values)
-        perm = _read_ints("--perm", args.perm, _check_perm)
+        data = _read("--input", args.input, _ints(_check_values))
+        perm = _read("--perm", args.perm, _ints(_check_perm))
         if len(perm) != len(data):
             raise ValueError(f"--perm {args.perm} holds {len(perm)} values, "
                              f"but --input {args.input} holds {len(data)}")
@@ -440,10 +441,7 @@ def cmd_verify(args) -> int:
 
 def cmd_probe(args) -> int:
     """Recover the cache capacities."""
-    config = args.cache_config
-    l1, llc = probe_cache_sizes(
-        lambda: CacheSim(config), line_size=config.line_size
-    )
+    l1, llc = probe_cache_sizes(CacheSim(args.cache_config))
     print(f"{l1} {llc}")
     return 0
 
@@ -494,24 +492,13 @@ def _fit(what: str, n: int, space: int) -> None:
 
 
 def _algo_name(tok: str) -> str:
-    if tok not in PROGRAMS:
-        raise ValueError(
-            f"unknown algorithm {tok!r}; one of {', '.join(sorted(PROGRAMS))}"
-        )
+    _program(tok)
     return tok
 
 
 def _geometry(flag: str, path: str | None) -> CacheConfig:
-    """The geometry of the file ``flag`` names, or the default one.  A
-    line or a value ``CacheConfig`` refuses is refused naming the flag
-    and the path, as ``--config`` and ``--input`` are, and so is a file
-    that cannot be opened."""
-    try:
-        return CacheConfig.from_file(path) if path else CacheConfig()
-    except OSError as exc:
-        raise _path_error(flag, path, exc) from None
-    except ValueError as exc:
-        raise ValueError(f"{flag} {path}: {exc}") from None
+    """The geometry of the file ``flag`` names, or the default one."""
+    return _read(flag, path, CacheConfig.from_text) if path else CacheConfig()
 
 
 _AT_LEAST_1 = _rule(lambda v: v >= 1, "{flag} must be at least 1, got {v}")
@@ -647,7 +634,7 @@ def main(argv=None) -> int:
     try:
         cfg_path = _config_path(argv)
         if cfg_path:
-            argv[1:1] = _config_tokens(cfg_path)
+            argv[1:1] = _read("--config", cfg_path, _config_tokens)
         args, unknown = build_parser().parse_known_args(argv)
         if unknown:
             raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")

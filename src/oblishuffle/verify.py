@@ -23,7 +23,12 @@ function of the input size even when the model is the adversary.
 
 The correctness side is handled by ``oracle_apply_perm``, a direct
 scatter with no cache model at all, against which every shuffle's output
-is checked.
+is checked.  A program is named by its ``PROGRAMS`` key; an unknown name
+is refused with a ValueError naming it and the known ones.
+
+``probe_cache_sizes(sim)`` recovers the capacities of the simulator it is
+given through declaration rejections alone, at the line size of
+``sim.config``, and leaves the simulator as it found it.
 """
 
 from __future__ import annotations
@@ -89,6 +94,16 @@ PROGRAMS: dict[str, Callable] = {
 }
 
 
+def _program(name: str) -> Callable:
+    """The entry of ``PROGRAMS`` called ``name``, refused naming it and
+    the known ones if there is none."""
+    try:
+        return PROGRAMS[name]
+    except KeyError:
+        raise ValueError(f"unknown algorithm {name!r}; one of "
+                         f"{', '.join(sorted(PROGRAMS))}") from None
+
+
 def capture_trace(
     program,
     data: Sequence[int],
@@ -101,7 +116,8 @@ def capture_trace(
 ) -> tuple[Trace, list[int]]:
     """Run one trial under the capture protocol and return (trace, output).
 
-    ``program`` names an entry of ``PROGRAMS`` or is a callable
+    ``program`` names an entry of ``PROGRAMS`` (another name is refused
+    with a ValueError) or is a callable
     ``(sim, data, perm, seed, pad_factor, interrupt_model) -> output``.
     The simulator is fresh (cold and empty), the program installs its own
     inputs through the untraced backing store, and a full flush runs
@@ -110,7 +126,7 @@ def capture_trace(
     sim = CacheSim(config)
     args = (sim, list(data), list(perm), seed, pad_factor, interrupt_model)
     if isinstance(program, str):
-        out, _ = PROGRAMS[program](*args)
+        out, _ = _program(program)(*args)
     else:
         out = program(*args)
     sim.flush_all()
@@ -218,11 +234,7 @@ def verify_obliviousness(
     )
 
 
-def probe_cache_sizes(
-    sim_factory: Callable[[], CacheSim] | None = None,
-    *,
-    line_size: int = 64,
-) -> tuple[int, int]:
+def probe_cache_sizes(sim: CacheSim | None = None) -> tuple[int, int]:
     """Recover (L1 capacity, LLC capacity) in bytes through the
     transaction interface alone.
 
@@ -234,18 +246,21 @@ def probe_cache_sizes(
     capacity check refuses it, then a binary search narrows the last
     doubling.  Every capacity is finite, so the doubling stops with no
     ceiling of its own; on an address space smaller than a capacity it
-    ends in ``run_txn``'s ValueError instead.  Only the declaration interface is used; the
-    line size is part of that interface, the geometry behind it is not
+    ends in ``run_txn``'s ValueError instead.  Only the declaration
+    interface of ``sim`` (a default simulator if None) is used; the line
+    size is part of that interface, read from ``sim.config`` as the only
+    one ``run_txn`` accepts, and the geometry behind it is not
     consulted.  The answer is the capacity check's alone, so every probe
-    runs without prefetch on one simulator, ``sim_factory``'s single
-    product: a refused declaration is refused from its line spans, and
-    an accepted one commits with no cache access, so the simulator stays
-    empty and no probe costs anything per byte probed.  A declaration
+    runs on ``sim`` without prefetch: a refused declaration is refused
+    from its line spans, and an accepted one commits with no cache
+    access, so the trace, counters and lines of ``sim`` are left as they
+    were and no probe costs anything per byte probed.  A declaration
     that passes the check would commit with prefetch too: one span from
     address zero puts at most ``ways`` lines in a set of each level its
     size fits, and a read displaces only its own clean lines from L1.
     """
-    sim = (sim_factory or CacheSim)()
+    sim = sim or CacheSim()
+    line_size = sim.config.line_size
 
     def fits(size: int, write: bool) -> bool:
         if write:

@@ -233,7 +233,7 @@ def test_criterion_7_probe_recovers_geometry():
     wrong = []
     for l1_kib, llc_kib in PROBE_CASES:
         cfg = probe_geometry(l1_kib, llc_kib)
-        got = probe_cache_sizes(lambda: CacheSim(cfg))
+        got = probe_cache_sizes(CacheSim(cfg))
         if got != (l1_kib * 1024, llc_kib * 1024):
             wrong.append((l1_kib, llc_kib, got))
     default_got = probe_cache_sizes()

@@ -6,9 +6,11 @@ expected lookup result and exactly which events it appends.
 """
 
 import copy
+import dataclasses
 from array import array
 from itertools import chain
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -633,6 +635,27 @@ def test_config_from_text():
 def test_config_rejects_bad_text(text):
     with pytest.raises(ValueError):
         CacheConfig.from_text(text)
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(CacheConfig)])
+@pytest.mark.parametrize("kind", [float, str])
+def test_config_refuses_a_non_integer_field_naming_it(name, kind):
+    # before any other check: a float way count made a float capacity, and
+    # a float line size or address space died in a bit test
+    value = kind(getattr(CacheConfig(), name))
+    with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+        CacheConfig(**{name: value})
+    with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+        CacheConfig(**{"l1_sets": 3, name: value})  # 3: no power of two
+
+
+def test_config_takes_numpy_integers_as_ints():
+    fields = {f.name: np.int64(getattr(CacheConfig(), f.name))
+              for f in dataclasses.fields(CacheConfig)}
+    cfg = CacheConfig(**fields)
+    assert cfg == CacheConfig()
+    assert {type(getattr(cfg, name)) for name in fields} == {int}
+    assert type(cfg.llc_capacity) is int
 
 
 def test_config_rejects_l1_larger_than_llc():

@@ -795,19 +795,52 @@ PATH_FLAGS = [
 ]
 
 
+def _fill_paths(tmp_path, rest):
+    """``rest`` with PERM and INPUT replaced by the paths of a good
+    permutation file and a good input file."""
+    (tmp_path / "input.txt").write_text("5 6 7 8\n")
+    (tmp_path / "perm.txt").write_text("2 0 3 1\n")
+    return [{"PERM": str(tmp_path / "perm.txt"),
+             "INPUT": str(tmp_path / "input.txt")}.get(tok, tok) for tok in rest]
+
+
 @pytest.mark.parametrize("command, flag, rest", PATH_FLAGS,
                          ids=[f"{command}{flag}" for command, flag, _ in PATH_FLAGS])
 def test_a_path_that_cannot_be_opened_is_refused_naming_its_flag(
         capsys, tmp_path, command, flag, rest):
     # as a bad line in the file is: the flag, the path, then the OS message
     missing = tmp_path / "absent" / "file"
-    (tmp_path / "input.txt").write_text("5 6 7 8\n")
-    (tmp_path / "perm.txt").write_text("2 0 3 1\n")
-    rest = [{"PERM": str(tmp_path / "perm.txt"),
-             "INPUT": str(tmp_path / "input.txt")}.get(tok, tok) for tok in rest]
+    rest = _fill_paths(tmp_path, rest)
     rc, out, err = run_cli(capsys, command, flag, str(missing), *rest)
     assert (rc, out) == (2, "")
     assert err == f"{command}: {flag} {missing}: No such file or directory\n"
+
+
+READ_FLAGS = [row for row in PATH_FLAGS if row[1] not in ("--out", "--trace")]
+
+
+@pytest.mark.parametrize("command, flag, rest", READ_FLAGS,
+                         ids=[f"{command}{flag}" for command, flag, _ in READ_FLAGS])
+def test_a_file_that_is_not_utf8_is_refused_naming_its_flag(
+        capsys, tmp_path, command, flag, rest):
+    # every file the CLI reads goes through one reader, which refuses a
+    # decode error as it refuses a file it cannot open
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"\xff 1\n")
+    rest = _fill_paths(tmp_path, rest)
+    rc, out, err = run_cli(capsys, command, flag, str(bad), *rest)
+    assert (rc, out) == (2, "")
+    assert err == (f"{command}: {flag} {bad}: 'utf-8' codec can't decode byte "
+                   "0xff in position 0: invalid start byte\n")
+
+
+def test_config_line_is_refused_before_a_later_malformed_line(capsys, tmp_path):
+    # the lines are refused in file order
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("config=other.cfg\nbogus\n")
+    rc, out, err = run_cli(capsys, "shuffle", "--n", "16", "--config", str(cfg))
+    assert (rc, out) == (2, "")
+    assert err == f"shuffle: --config {cfg}: a config file cannot set config\n"
 
 
 def test_size_bound_reads_the_cache_geometry(capsys, tmp_path):

@@ -604,6 +604,19 @@ def test_capacity_is_checked_before_the_address_space():
     assert exc_info.value.level == "l1"
 
 
+@pytest.mark.parametrize("side, level", [("reads", "llc"), ("writes", "l1")])
+@pytest.mark.parametrize("size", [2**69, 2**80])
+def test_capacity_need_past_2_63_lines_is_exact(side, level, size):
+    # a span of 2^63 lines or more has no len(); its need comes from its ends
+    sim = CacheSim()
+    with pytest.raises(CapacityError) as exc_info:
+        run_txn(sim, TxnDeclaration.of(**{side: [(0, size)]}))
+    cap = {"l1": sim.config.l1_capacity, "llc": sim.config.llc_capacity}[level]
+    assert (exc_info.value.level, exc_info.value.need, exc_info.value.cap) == (
+        level, size, cap)
+    assert sim.trace == []
+
+
 # -- undo log ----------------------------------------------------------------
 
 

@@ -102,6 +102,15 @@ def test_oracle_inverse_roundtrip(n, seed):
 # -- trace capture -----------------------------------------------------------
 
 
+def test_unknown_program_name_is_refused_naming_the_known_ones():
+    data = list(range(16))
+    want = "^unknown algorithm 'nope'; one of bubble, melbourne, naive$"
+    with pytest.raises(ValueError, match=want):
+        capture_trace("nope", data, data)
+    with pytest.raises(ValueError, match=want):
+        verify_obliviousness("nope", [(data, data), (data, data)])
+
+
 def test_capture_is_deterministic():
     data, perm = some_data(16, 1), gen_perm(16, 2)
     t1, out1 = capture_trace("melbourne", data, perm, seed=5)
@@ -307,18 +316,18 @@ def geometry(l1_kib, llc_kib, line=64):
 def test_probe_recovers_toy_geometries(l1_kib, llc_kib):
     cfg = geometry(l1_kib, llc_kib)
     assert (cfg.l1_capacity, cfg.llc_capacity) == (l1_kib * 1024, llc_kib * 1024)
-    got = probe_cache_sizes(lambda: CacheSim(cfg))
+    got = probe_cache_sizes(CacheSim(cfg))
     assert got == (l1_kib * 1024, llc_kib * 1024)
 
 
 def test_probe_degenerate_equal_levels():
     cfg = CacheConfig(line_size=64, l1_sets=8, l1_ways=8, llc_sets=8, llc_ways=8)
-    assert probe_cache_sizes(lambda: CacheSim(cfg)) == (4096, 4096)
+    assert probe_cache_sizes(CacheSim(cfg)) == (4096, 4096)
 
 
 def test_probe_with_other_line_size():
     cfg = CacheConfig(line_size=32, l1_sets=8, l1_ways=4, llc_sets=32, llc_ways=8)
-    got = probe_cache_sizes(lambda: CacheSim(cfg), line_size=32)
+    got = probe_cache_sizes(CacheSim(cfg))
     assert got == (1024, 8192)
 
 
@@ -328,16 +337,10 @@ PROBE_GEOMETRIES = [probe_geometry(*case) for case in PROBE_CASES] + [CacheConfi
 
 @pytest.mark.parametrize("cfg", PROBE_GEOMETRIES)
 def test_probe_makes_no_cache_access(cfg):
-    # the capacity check alone answers each probe, all on one simulator
-    sims = []
-
-    def fresh():
-        sims.append(CacheSim(cfg))
-        return sims[-1]
-
-    assert probe_cache_sizes(fresh) == (cfg.l1_capacity, cfg.llc_capacity)
-    assert len(sims) == 1
-    assert (sims[0].trace, sims[0].counters) == ([], AccessCounters())
+    # the capacity check alone answers each probe, all on the one simulator
+    sim = CacheSim(cfg)
+    assert probe_cache_sizes(sim) == (cfg.l1_capacity, cfg.llc_capacity)
+    assert (sim.trace, sim.counters) == ([], AccessCounters())
 
 
 @pytest.mark.parametrize("cfg", PROBE_GEOMETRIES)
