@@ -310,7 +310,9 @@ def key_values(text: str) -> Iterator[tuple[str, str, str]]:
     """Each ``key=value`` line of ``text`` as ``(line, key, value)``, key
     and value stripped, made as it is read, so a caller's refusal of one
     line comes before any later line is looked at.  '#' starts a comment,
-    blank lines are skipped, and a line with no '=' is refused, quoted."""
+    blank lines are skipped, a line with no '=' is refused, quoted, and so
+    is a key given twice, '-' read as '_', named as its line spells it."""
+    seen = set()
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -318,7 +320,11 @@ def key_values(text: str) -> Iterator[tuple[str, str, str]]:
         key, eq, value = line.partition("=")
         if not eq:
             raise ValueError(f"malformed config line: {raw!r}")
-        yield raw, key.strip(), value.strip()
+        key = key.strip()
+        if (name := key.replace("-", "_")) in seen:
+            raise ValueError(f"duplicate config key: {key}")
+        seen.add(name)
+        yield raw, key, value.strip()
 
 
 @dataclass(frozen=True)
@@ -364,7 +370,7 @@ class CacheConfig:
     @classmethod
     def from_text(cls, text: str) -> "CacheConfig":
         """The geometry of ``key_values`` lines, each a field and its
-        decimal value, given at most once; unset fields keep defaults."""
+        decimal value; unset fields keep defaults."""
         allowed = {f.name for f in fields(cls)}
         values: dict[str, int] = {}
         for raw, key, value in key_values(text):
@@ -372,8 +378,6 @@ class CacheConfig:
                 raise ValueError(f"malformed config line: {raw!r}")
             if key not in allowed:
                 raise ValueError(f"unknown config key: {key}")
-            if key in values:
-                raise ValueError(f"duplicate config key: {key}")
             values[key] = int(value)
         return cls(**values)
 

@@ -14,22 +14,28 @@ rule.  ``_COMMANDS`` lists the flags each subcommand takes (every one also
 takes ``--config``) and the defaults that differ between subcommands; a
 subcommand rejects any other flag.  ``main`` runs every flag's rule, then
 ``_joint_rules`` for the rules that read two flags, on the final parsed
-namespace, so each refusal is made before the subcommand starts.
+namespace, so each refusal is made before the subcommand starts.  The
+handlers then read the flags off that namespace and state no default of
+their own: ``cmd_bench`` and ``cmd_aborts`` build their tables row by
+row from ``run_bench_cell`` and ``run_aborts_variant``.  ``bench`` takes
+no ``--retry-cap``: it runs no interrupt model, and no bench run reaches
+the library's cap; under ``aborts``' interrupts the cap binds.
 
 Every run is deterministic given its flags: inputs derive from the seed,
 tables are emitted in sorted order, and reruns are byte-identical.
 ``--config FILE``, given at most once, reads ``key=value`` lines (none of
-them ``config``) and passes each as ``--key=value`` right after the
-subcommand name, so the subcommand's parser checks them like flags and
-explicit flags, coming later, win.  Every file the CLI reads goes
-through one reader, ``_read(flag, path, parse)``: ``_ints`` parses
-``--input`` and ``--perm``, ``CacheConfig.from_text`` ``--cache-config``
-and ``_config_tokens`` ``--config``, both ``key=value`` formats taking
-their lines from ``cache.key_values``.  A file that cannot be opened or
-is not UTF-8, or whose text the parser refuses, is refused as
-``<flag> <path>: <message>``, and so is an output path that cannot be
-opened.  ``probe`` probes one simulator of the ``--cache-config``
-geometry, which sets the line size it declares in.
+them ``config``, and no key twice, ``_`` read as ``-``) and passes each
+as ``--key=value`` right after the subcommand name, so the subcommand's
+parser checks them like flags and explicit flags, coming later, win.
+Every file the CLI reads goes through one reader, ``_read(flag, path,
+parse)``: ``_ints`` parses ``--input`` and ``--perm``,
+``CacheConfig.from_text`` ``--cache-config`` and ``_config_tokens``
+``--config``, both ``key=value`` formats taking their lines, and their
+refusal of a key given twice, from ``cache.key_values``.  A file that
+cannot be opened or is not UTF-8, or whose text the parser refuses, is
+refused as ``<flag> <path>: <message>``, and so is an output path that
+cannot be opened.  ``probe`` probes one simulator of the
+``--cache-config`` geometry, which sets the line size it declares in.
 Exit status: 0 on success, 1 when a check fails (trace divergence, output
 mismatch, capacity rejection, no conflict-free arena layout, retry
 exhaustion), 2 on usage errors.
@@ -126,18 +132,16 @@ def run_bench_cell(
     *,
     seed: int = 0,
     pad_factor: int = 2,
-    retry_cap: int = 1024,
 ) -> BenchCell:
     """One (algorithm, size) measurement with its output checked against
     the oracle.  A declaration rejected for capacity becomes a cell with
-    ``capacity_abort`` set instead of numbers."""
+    ``capacity_abort`` set instead of numbers.  No interrupt model runs,
+    and the library's retry cap is one no bench run reaches."""
     data, perm = make_inputs(n, seed)
     cell = BenchCell(algo=algo, n=n)
     sim = CacheSim(BUBBLE_BENCH_CONFIG if algo == "bubble" else None)
     try:
-        out, stats = PROGRAMS[algo](
-            sim, data, perm, seed, pad_factor, None, retry_cap
-        )
+        out, stats = PROGRAMS[algo](sim, data, perm, seed, pad_factor, None)
     except CapacityError as exc:
         cell.capacity_abort = True
         cell.txns = 1
@@ -161,31 +165,6 @@ def _fmt_num(v) -> str:
     if isinstance(v, float) and v.is_integer():
         return str(int(v))
     return str(v)
-
-
-def bench_rows(
-    algos,
-    n_list,
-    *,
-    seed: int = 0,
-    pad_factor: int = 2,
-    lam: float = 50.0,
-    retry_cap: int = 1024,
-    bubble_max: int = 1024,
-) -> list[str]:
-    rows = ["algo,n,events,txns,aborts,cost"]
-    for algo in sorted(algos):
-        for n in sorted(n_list):
-            if algo == "bubble" and n > bubble_max:
-                continue
-            cell = run_bench_cell(
-                algo, n, seed=seed, pad_factor=pad_factor, retry_cap=retry_cap
-            )
-            rows.append(
-                f"{cell.algo},{cell.n},{cell.events},{cell.txns},"
-                f"{cell.aborts},{_fmt_num(cell.cost(lam))}"
-            )
-    return rows
 
 
 # -- aborts ------------------------------------------------------------------
@@ -270,40 +249,12 @@ def run_aborts_variant(
         raise ValueError(f"unknown variant {variant!r}")
 
     return {
-        "variant": variant,
-        "n": n,
         "ac2": sum(s.ac2 for s in stats),
         "ac4": sum(s.ac4 for s in stats),
         "attempts": sum(s.attempts for s in stats),
         "flag": flag,
         "consultations": model.consultations if model else 0,
     }
-
-
-def aborts_rows(
-    n_list,
-    *,
-    seed: int = 0,
-    rate: float = 0.001,
-    pad_factor: int = 2,
-    retry_cap: int = 1024,
-) -> list[str]:
-    rows = ["variant,n,ac2,ac4,attempts,flag"]
-    for variant in sorted(ABORT_VARIANTS):
-        for n in sorted(n_list):
-            r = run_aborts_variant(
-                variant,
-                n,
-                seed=seed,
-                rate=rate,
-                pad_factor=pad_factor,
-                retry_cap=retry_cap,
-            )
-            rows.append(
-                f"{r['variant']},{r['n']},{r['ac2']},{r['ac4']},"
-                f"{r['attempts']},{r['flag']}"
-            )
-    return rows
 
 
 # -- plumbing ----------------------------------------------------------------
@@ -404,22 +355,29 @@ def cmd_shuffle(args) -> int:
 
 def cmd_bench(args) -> int:
     """Event-count comparison table."""
-    rows = bench_rows(args.algos, args.n_list, seed=args.seed,
-                      pad_factor=args.pad_factor, lam=args.lam,
-                      retry_cap=args.retry_cap, bubble_max=args.bubble_max)
+    rows = ["algo,n,events,txns,aborts,cost"]
+    for algo in sorted(args.algos):
+        for n in sorted(args.n_list):
+            if algo == "bubble" and n > args.bubble_max:
+                continue
+            cell = run_bench_cell(algo, n, seed=args.seed,
+                                  pad_factor=args.pad_factor)
+            rows.append(f"{algo},{n},{cell.events},{cell.txns},"
+                        f"{cell.aborts},{_fmt_num(cell.cost(args.lam))}")
     _emit(rows, args.out)
     return 0
 
 
 def cmd_aborts(args) -> int:
     """Abort-cause breakdown table."""
-    rows = aborts_rows(
-        args.n_list,
-        seed=args.seed,
-        rate=args.rate,
-        pad_factor=args.pad_factor,
-        retry_cap=args.retry_cap,
-    )
+    rows = ["variant,n,ac2,ac4,attempts,flag"]
+    for variant in sorted(ABORT_VARIANTS):
+        for n in sorted(args.n_list):
+            r = run_aborts_variant(variant, n, seed=args.seed, rate=args.rate,
+                                   pad_factor=args.pad_factor,
+                                   retry_cap=args.retry_cap)
+            rows.append(f"{variant},{n},{r['ac2']},{r['ac4']},"
+                        f"{r['attempts']},{r['flag']}")
     _emit(rows, args.out)
     return 0
 
@@ -540,8 +498,7 @@ _COMMANDS = {
     "shuffle": (cmd_shuffle, {}, "--cache-config --seed --pad-factor --algo "
                 "--n --input --perm --out --trace"),
     "bench": (cmd_bench, {"--n-list": "16,64,256,1024,4096,16384"},
-              "--seed --pad-factor --retry-cap --algos --n-list --lam "
-              "--bubble-max --out"),
+              "--seed --pad-factor --algos --n-list --lam --bubble-max --out"),
     "aborts": (cmd_aborts, {"--n-list": "256,1024", "--rate": 0.001},
                "--seed --pad-factor --retry-cap --n-list --rate --out"),
     "verify": (cmd_verify, {"--n": 256, "--rate": 0.0}, "--cache-config "

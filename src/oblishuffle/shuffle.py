@@ -403,13 +403,14 @@ class ShuffleEngine:
 
     def _find_stagger(self) -> int:
         cfg = self.sim.config
-        if self.row_bytes > cfg.l1_capacity:
-            return 0  # capacity abort will fire at declare time anyway
         line = cfg.line_size
-        # a scatter transaction declares bc slices and two buckets, each
+        # a scatter transaction writes bc slices and reads two buckets, each
         # at least this many whole lines wherever the rows start
         bc = self.params.bucket_count
-        need = bc * -(-self._slice_bytes // line) + 2 * -(-self._bucket_bytes // line)
+        writes = bc * -(-self._slice_bytes // line)
+        if writes * line > cfg.l1_capacity:
+            return 0  # every pad: the first scatter is refused for capacity
+        need = writes + 2 * -(-self._bucket_bytes // line)
         if need > cfg.llc_sets * cfg.llc_ways:
             raise LayoutInfeasibleError(
                 "capacity",

@@ -61,32 +61,25 @@ def oracle_apply_perm(data: Sequence[int], perm: Sequence[int]) -> list[int]:
     return out  # type: ignore[return-value]
 
 
-def _run_melbourne(
-    sim, data, perm, seed, pad_factor, interrupt_model, retry_cap=1024
-):
-    engine = ShuffleEngine(
-        sim,
-        ShuffleParams(len(data), pad_factor, seed),
-        interrupt_model=interrupt_model,
-        retry_cap=retry_cap,
-    )
+def _run_melbourne(sim, data, perm, seed, pad_factor, interrupt_model):
+    engine = ShuffleEngine(sim, ShuffleParams(len(data), pad_factor, seed),
+                           interrupt_model=interrupt_model)
     return engine.melbourne(data, perm), engine.stats
 
 
-def _run_naive(sim, data, perm, seed, pad_factor, interrupt_model, retry_cap=1024):
-    out, stats = naive_shuffle(
-        data, perm, sim, interrupt_model=interrupt_model, retry_cap=retry_cap
-    )
+def _run_naive(sim, data, perm, seed, pad_factor, interrupt_model):
+    out, stats = naive_shuffle(data, perm, sim, interrupt_model=interrupt_model)
     return out, [stats]
 
 
-def _run_bubble(sim, data, perm, seed, pad_factor, interrupt_model, retry_cap=1024):
+def _run_bubble(sim, data, perm, seed, pad_factor, interrupt_model):
     out, _ = bubble_shuffle(data, perm, sim)
     return out, []
 
 
-# Every program takes (sim, data, perm, seed, pad_factor, interrupt_model,
-# retry_cap) and returns (output, [TxnStats]); bubble runs no transactions.
+# Every program takes capture_trace's callable arguments (sim, data, perm,
+# seed, pad_factor, interrupt_model) and returns (output, [TxnStats]);
+# bubble runs no transactions.
 PROGRAMS: dict[str, Callable] = {
     "melbourne": _run_melbourne,
     "naive": _run_naive,

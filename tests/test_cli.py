@@ -11,9 +11,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oblishuffle import cli
 from oblishuffle.cache import MAX_ADDRESS_SPACE, MAX_SETS, CacheConfig
 from oblishuffle.cli import (
+    ABORT_VARIANTS,
     _COMMANDS,
+    BenchCell,
     _consultations_per_txn,
     _joint_rules,
     build_parser,
@@ -348,6 +351,72 @@ def test_bench_without_melbourne_refuses_a_size_below_1_by_name(capsys, size):
                    f"got {size}\n")
 
 
+def test_bench_prints_the_rows_before_the_l1_wall_and_ac3_past_it(capsys):
+    # 129^2 is refused at its first scatter, like every larger square
+    rc, out, _ = run_cli(capsys, "bench", "--algos", "melbourne",
+                         "--n-list", "16,16641")
+    assert rc == 0
+    assert out.splitlines() == ["algo,n,events,txns,aborts,cost",
+                                "melbourne,16,88,24,0,1288",
+                                "melbourne,16641,0,1,1,AC3"]
+
+
+def test_bench_and_aborts_hand_each_flag_to_every_run(capsys, monkeypatch):
+    calls = []
+
+    def bench_cell(algo, n, **flags):
+        calls.append(("bench", algo, n, flags))
+        return BenchCell(algo, n, events=1, attempts=2)
+
+    def aborts_variant(variant, n, **flags):
+        calls.append(("aborts", variant, n, flags))
+        return {"ac2": 3, "ac4": 4, "attempts": 5, "flag": "ok"}
+
+    monkeypatch.setattr(cli, "run_bench_cell", bench_cell)
+    monkeypatch.setattr(cli, "run_aborts_variant", aborts_variant)
+    rc, out, _ = run_cli(capsys, "bench", "--n-list", "16,64", "--seed", "5",
+                         "--pad-factor", "3", "--lam", "0.5", "--bubble-max", "16")
+    assert rc == 0
+    assert out.splitlines() == ["algo,n,events,txns,aborts,cost",
+                                "bubble,16,1,0,0,2", "melbourne,16,1,0,0,2",
+                                "melbourne,64,1,0,0,2", "naive,16,1,0,0,2",
+                                "naive,64,1,0,0,2"]
+    assert [c[1:3] for c in calls] == [("bubble", 16), ("melbourne", 16),
+                                       ("melbourne", 64), ("naive", 16),
+                                       ("naive", 64)]
+    assert all(c[3] == {"seed": 5, "pad_factor": 3} for c in calls)
+    calls.clear()
+    rc, out, _ = run_cli(capsys, "aborts", "--n-list", "16", "--seed", "5",
+                         "--pad-factor", "3", "--rate", "0.25", "--retry-cap", "9")
+    assert rc == 0
+    assert out.splitlines()[1:] == [f"{v},16,3,4,5,ok" for v in sorted(ABORT_VARIANTS)]
+    assert [c[1] for c in calls] == sorted(ABORT_VARIANTS)
+    assert all(c[3] == {"seed": 5, "rate": 0.25, "pad_factor": 3, "retry_cap": 9}
+               for c in calls)
+    monkeypatch.undo()
+    # and each flag moves the real rows
+    for argv, rows in [
+        (("--lam", "0"), ["melbourne,16,88,24,0,88", "naive,16,8,1,0,8"]),
+        (("--pad-factor", "1"), ["melbourne,16,80,24,0,1280", "naive,16,8,1,0,58"]),
+    ]:
+        rc, out, _ = run_cli(capsys, "bench", "--algos", "melbourne,naive",
+                             "--n-list", "16", *argv)
+        assert (rc, out.splitlines()[1:]) == (0, rows)
+    rc, out, _ = run_cli(capsys, "bench", "--algos", "bubble",
+                         "--n-list", "16,64", "--bubble-max", "16")
+    assert (rc, out.splitlines()[1:]) == (0, ["bubble,16,727,0,0,727"])
+    for argv, cells in [
+        ((), "0,147,171,ok"),
+        (("--retry-cap", "1"), "0,1,1,retry-cap"),
+        (("--pad-factor", "1"), "0,46,70,ok"),
+        (("--seed", "4"), "0,113,137,ok"),
+    ]:
+        rc, out, _ = run_cli(capsys, "aborts", "--n-list", "16", "--rate", "0.05",
+                             *argv)
+        assert (rc, out.splitlines()[1:]) == (
+            0, [f"{v},16,{cells}" for v in sorted(ABORT_VARIANTS)])
+
+
 # -- aborts --------------------------------------------------------------
 
 
@@ -517,6 +586,30 @@ def test_config_given_twice_is_rejected(capsys, tmp_path, verify_cfg):
         assert err.startswith("verify: --config ")
 
 
+@pytest.mark.parametrize("text, key", [
+    ("n=16\nn=64\n", "n"),
+    # both spellings set --pad-factor
+    ("n=16\npad_factor=1\npad-factor=3\n", "pad-factor"),
+])
+def test_config_key_given_twice_is_rejected(capsys, tmp_path, text, key):
+    # as --cache-config refuses it: the last value does not win silently
+    cfg = tmp_path / "dup.cfg"
+    cfg.write_text(text)
+    rc, out, err = run_cli(capsys, "shuffle", "--config", str(cfg))
+    assert (rc, out) == (2, "")
+    assert err == f"shuffle: --config {cfg}: duplicate config key: {key}\n"
+
+
+def test_bench_refuses_a_retry_cap_from_a_config_file(capsys, tmp_path):
+    # bench runs no interrupt model and no cap it could reach
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("retry-cap=1\n")
+    rc, out, err = run_cli(capsys, "bench", "--algos", "melbourne",
+                           "--n-list", "16", "--config", str(cfg))
+    assert (rc, out) == (2, "")
+    assert err == "bench: unrecognized arguments: --retry-cap=1\n"
+
+
 def test_config_file_naming_a_config_is_rejected(capsys, tmp_path, verify_cfg):
     cfg = tmp_path / "outer.cfg"
     cfg.write_text(f"config={verify_cfg}\n")
@@ -552,6 +645,7 @@ def test_config_value_an_explicit_flag_overrides_is_not_checked(capsys, tmp_path
         ("probe", "--seed"),
         ("probe", "--pad-factor"),
         ("probe", "--retry-cap"),
+        ("bench", "--retry-cap"),
         ("bench", "--cache-config"),
         ("aborts", "--cache-config"),
         ("shuffle", "--retry-cap"),
@@ -570,7 +664,6 @@ def test_flag_the_subcommand_does_not_honour_is_rejected(capsys, command, flag):
     [
         (("verify", "--program", "naive", "--n", "16384"), 1),  # capacity
         (("verify", "--n", "16", "--trials", "2", "--rate", "0.5"), 1),  # retry cap
-        (("bench", "--algos", "melbourne", "--n-list", "16", "--retry-cap", "0"), 2),
         # an interrupt rate outside [0, 1] is refused before anything runs
         (("verify", "--n", "16", "--trials", "2", "--rate", "-0.5"), 2),
         (("verify", "--n", "16", "--trials", "2", "--rate", "nan"), 2),

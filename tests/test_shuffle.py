@@ -669,6 +669,37 @@ def test_stagger_search_names_the_level_that_refused():
     assert "129 by the llc, 0 by l1" in str(info.value)
 
 
+WALL_GEOMETRIES = {"default": CacheConfig(), "llc-64-sets": CacheConfig(llc_sets=64)}
+
+
+@pytest.mark.parametrize("config", WALL_GEOMETRIES.values(),
+                         ids=WALL_GEOMETRIES.keys())
+def test_the_largest_square_below_the_l1_wall_runs(config):
+    # 128 slices of 28 words, 4 lines each: 512 lines, the whole L1
+    data, perm = some_data(16384, 0), gen_perm(16384, 1)
+    engine = ShuffleEngine(CacheSim(config), ShuffleParams(16384))
+    assert engine.melbourne(data, perm) == apply_perm(data, perm)
+
+
+@pytest.mark.parametrize("config", WALL_GEOMETRIES.values(),
+                         ids=WALL_GEOMETRIES.keys())
+@pytest.mark.parametrize("side", range(129, 145))
+def test_every_square_past_the_l1_wall_is_refused_at_its_first_scatter(config, side):
+    # a scatter writes its bc slices, each at least ceil(8 * slice_len /
+    # line) whole lines wherever the rows start: from 129^2 on, bc slices
+    # of 30 words (4 lines) overfill the 512-line L1 at every pad, so no
+    # pad is searched for and the first scatter is refused before any event
+    n = side * side
+    sim = CacheSim(config)
+    engine = ShuffleEngine(sim, ShuffleParams(n))
+    assert engine.stride_bytes == engine.row_bytes
+    with pytest.raises(CapacityError) as info:
+        engine.melbourne(some_data(n, 0), gen_perm(n, 1))
+    assert (info.value.level, info.value.need) == ("l1", 4 * 64 * side)
+    assert len(sim.trace) == 0
+    assert engine.stats == [info.value.stats]
+
+
 STAGGER_GEOMETRIES = {
     "default": CacheConfig(),
     "llc-64-sets": CacheConfig(llc_sets=64),
