@@ -12,11 +12,16 @@ transaction interface.
 Each flag is declared once, in ``_FLAGS``: its argparse keywords and its
 rule.  ``_COMMANDS`` lists the flags each subcommand takes (every one also
 takes ``--config``) and the defaults that differ between subcommands; a
-subcommand rejects any other flag.  ``main`` runs every flag's rule, then
-``_joint_rules`` for the rules that read two flags, on the final parsed
-namespace, so each refusal is made before the subcommand starts.  The
-handlers then read the flags off that namespace and state no default of
-their own: ``cmd_bench`` and ``cmd_aborts`` build their tables row by
+subcommand rejects any other flag.  ``_add_flags`` gives a parser one
+subcommand's flags from those two tables.  When ``argv`` starts with a
+subcommand's name, ``main`` builds that subcommand's parser alone;
+anything else (no arguments, ``-h``, an unknown name) goes through the
+full ``build_parser``, for argparse's own top-level help and refusals.
+Neither parser is kept between calls.  ``main`` runs every flag's rule,
+then ``_joint_rules`` for the rules that read two flags, on the final
+parsed namespace, so each refusal is made before the subcommand starts.
+The handlers then read the flags off that namespace and state no default
+of their own: ``cmd_bench`` and ``cmd_aborts`` build their tables row by
 row from ``run_bench_cell`` and ``run_aborts_variant``.  ``bench`` takes
 no ``--retry-cap``: it runs no interrupt model, and no bench run reaches
 the library's cap; under ``aborts``' interrupts the cap binds.
@@ -34,8 +39,10 @@ parse)``: ``_ints`` parses ``--input`` and ``--perm``,
 refusal of a key given twice, from ``cache.key_values``.  A file that
 cannot be opened or is not UTF-8, or whose text the parser refuses, is
 refused as ``<flag> <path>: <message>``, and so is an output path that
-cannot be opened.  ``probe`` probes one simulator of the
-``--cache-config`` geometry, which sets the line size it declares in.
+cannot be opened.  An empty path is refused by name too, by each path
+flag's rule and, for ``--config``, before the file is read.  ``probe``
+probes one simulator of the ``--cache-config`` geometry, which sets the
+line size it declares in.
 Exit status: 0 on success, 1 when a check fails (trace divergence, output
 mismatch, capacity rejection, no conflict-free arena layout, retry
 exhaustion), 2 on usage errors.
@@ -456,7 +463,9 @@ def _algo_name(tok: str) -> str:
 
 def _geometry(flag: str, path: str | None) -> CacheConfig:
     """The geometry of the file ``flag`` names, or the default one."""
-    return _read(flag, path, CacheConfig.from_text) if path else CacheConfig()
+    if path is None:
+        return CacheConfig()
+    return _read(flag, _PATH(flag, path), CacheConfig.from_text)
 
 
 _AT_LEAST_1 = _rule(lambda v: v >= 1, "{flag} must be at least 1, got {v}")
@@ -464,6 +473,7 @@ _AT_LEAST_2 = _rule(lambda v: v >= 2, "{flag} must be at least 2")
 _WEIGHT = _rule(lambda v: isfinite(v) and v >= 0,
                 "{flag} must be finite and at least 0, got {v}")
 _RATE = _rule(lambda v: 0 <= v <= 1, "{flag} must be in [0, 1], got {v}")
+_PATH = _rule(lambda v: v != "", "{flag} must name a file, got an empty path")
 
 # every flag once: its argparse keywords and its rule (None: any value)
 _FLAGS = {
@@ -475,10 +485,10 @@ _FLAGS = {
     "--algo": (dict(default="melbourne", choices=sorted(PROGRAMS)), None),
     "--program": (dict(default="melbourne", choices=sorted(PROGRAMS)), None),
     "--n": (dict(type=int), _AT_LEAST_1),
-    "--input": (dict(help="file of whitespace-separated values"), None),
-    "--perm": (dict(help="file of whitespace-separated destinations"), None),
-    "--out": (dict(help="output file (default stdout)"), None),
-    "--trace": (dict(help="write the captured event trace here"), None),
+    "--input": (dict(help="file of whitespace-separated values"), _PATH),
+    "--perm": (dict(help="file of whitespace-separated destinations"), _PATH),
+    "--out": (dict(help="output file (default stdout)"), _PATH),
+    "--trace": (dict(help="write the captured event trace here"), _PATH),
     "--algos": (dict(default="melbourne,naive,bubble"),
                 _listing("algorithm", _algo_name)),
     "--n-list": (dict(help="comma-separated sizes"), _listing("size", int)),
@@ -568,21 +578,47 @@ def _size_rules(args, flag: str, sizes) -> None:
 # -- parser ------------------------------------------------------------------
 
 
+def _add_flags(parser: argparse.ArgumentParser, name: str):
+    """Give ``parser`` subcommand ``name``'s flags: ``--config``, then its
+    ``_COMMANDS`` flags, each with its ``_FLAGS`` keywords and the
+    subcommand's own default where it sets one."""
+    _, defaults, flags = _COMMANDS[name]
+    for flag in ["--config"] + flags.split():
+        kwargs = _FLAGS[flag][0]
+        if flag in defaults:
+            kwargs = dict(kwargs, default=defaults[flag])
+        parser.add_argument(flag, **kwargs)
+    return parser
+
+
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """Subcommand ``name``'s parser alone, the same as ``build_parser``'s
+    subparser of that name."""
+    # no abbreviations: a config key must name its flag exactly
+    return _add_flags(argparse.ArgumentParser(prog=f"oblishuffle {name}",
+                                              allow_abbrev=False), name)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oblishuffle",
         description="cache-miss-oblivious shuffling on a simulated hierarchy",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, defaults, flags) in _COMMANDS.items():
-        # no abbreviations: a config key must name its flag exactly
-        p = sub.add_parser(name, help=handler.__doc__, allow_abbrev=False)
-        for flag in ["--config"] + flags.split():
-            kwargs = _FLAGS[flag][0]
-            if flag in defaults:
-                kwargs = dict(kwargs, default=defaults[flag])
-            p.add_argument(flag, **kwargs)
+    for name, (handler, _, _) in _COMMANDS.items():
+        _add_flags(sub.add_parser(name, help=handler.__doc__,
+                                  allow_abbrev=False), name)
     return parser
+
+
+def _parse(argv: list[str]):
+    """``parse_known_args`` of ``argv`` by the named subcommand's parser
+    alone; any other ``argv`` goes to the full parser, for its own help
+    and refusals."""
+    if argv and argv[0] in _COMMANDS:
+        return _command_parser(argv[0]).parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+    return build_parser().parse_known_args(argv)
 
 
 def main(argv=None) -> int:
@@ -590,9 +626,10 @@ def main(argv=None) -> int:
     name = argv[0] if argv else "oblishuffle"
     try:
         cfg_path = _config_path(argv)
-        if cfg_path:
-            argv[1:1] = _read("--config", cfg_path, _config_tokens)
-        args, unknown = build_parser().parse_known_args(argv)
+        if cfg_path is not None:
+            argv[1:1] = _read("--config", _PATH("--config", cfg_path),
+                              _config_tokens)
+        args, unknown = _parse(argv)
         if unknown:
             raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
         # on the final namespace: a config value a flag overrides is not checked

@@ -909,6 +909,22 @@ def test_a_path_that_cannot_be_opened_is_refused_naming_its_flag(
     assert err == f"{command}: {flag} {missing}: No such file or directory\n"
 
 
+@pytest.mark.parametrize("joined", [True, False], ids=["flag=", "flag-space"])
+@pytest.mark.parametrize("command, flag, rest", PATH_FLAGS,
+                         ids=[f"{command}{flag}" for command, flag, _ in PATH_FLAGS])
+def test_an_empty_path_is_refused_naming_its_flag(
+        capsys, tmp_path, monkeypatch, command, flag, rest, joined):
+    # an empty path names no file: it is refused, not taken as the flag
+    # left out, and nothing is read, written or printed
+    monkeypatch.chdir(tmp_path)
+    rest = _fill_paths(tmp_path, rest)
+    empty = [f"{flag}="] if joined else [flag, ""]
+    rc, out, err = run_cli(capsys, command, *empty, *rest)
+    assert (rc, out) == (2, "")
+    assert err == f"{command}: {flag} must name a file, got an empty path\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["input.txt", "perm.txt"]
+
+
 READ_FLAGS = [row for row in PATH_FLAGS if row[1] not in ("--out", "--trace")]
 
 
@@ -1001,6 +1017,11 @@ def test_every_flag_refuses_its_bad_values(capsys, case):
     assert "Traceback" not in err
 
 
+def _subparsers() -> argparse._SubParsersAction:
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
 def test_readme_flag_table_matches_the_parser():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     cli_section = readme.split("## CLI", 1)[1].split("\n## ", 1)[0]
@@ -1009,12 +1030,10 @@ def test_readme_flag_table_matches_the_parser():
         for command, flags in re.findall(r"^\| `(\w+)` \| (.+) \|$",
                                          cli_section, re.M)
     }
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
     parsed = {
         command: [s for a in p._actions for s in a.option_strings
                   if s not in ("-h", "--help", "--config")]
-        for command, p in sub.choices.items()
+        for command, p in _subparsers().choices.items()
     }
     assert documented == parsed
 
@@ -1044,6 +1063,63 @@ def test_geometry_without_conflict_free_layout_is_check_failure(capsys, tmp_path
 
 
 # -- entry points ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", list(_COMMANDS))
+def test_a_subcommands_own_parser_is_the_full_parsers_subparser(name):
+    alone, full = cli._command_parser(name), _subparsers().choices[name]
+    assert alone.format_help() == full.format_help()
+    assert alone.format_usage() == full.format_usage()
+
+
+# help, argparse's refusals and real runs, through either parser
+PARSER_ARGVS = [
+    (), ("-h",), ("--help",), ("frob",), ("--", "probe"),
+    *[(name, "-h") for name in _COMMANDS],
+    ("shuffle", "--n", "abc"), ("shuffle", "--algo", "x"),
+    ("verify", "--program"), ("probe", "--cache"), ("probe", "--bogus"),
+    ("bench", "--lam", "zz"),
+    ("probe",), ("shuffle", "--n", "16", "--seed", "3"),
+    ("verify", "--n", "16", "--trials", "2"),
+]
+
+
+def _main_outcome(capsys, argv) -> tuple:
+    try:
+        rc = main(list(argv))
+    except SystemExit as exc:  # argparse's help and refusals
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS,
+                         ids=[" ".join(argv) or "none" for argv in PARSER_ARGVS])
+def test_main_answers_as_the_full_parser_does(capsys, monkeypatch, argv):
+    alone = _main_outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_parse",
+                        lambda argv: build_parser().parse_known_args(argv))
+    assert _main_outcome(capsys, argv) == alone
+
+
+def test_a_named_subcommand_builds_only_its_own_parser(capsys, monkeypatch):
+    # the saving, counted rather than timed: one parser for a named
+    # subcommand, and the full parser with every subparser otherwise
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["probe"]) == 0
+    assert main(["shuffle", "--n", "16"]) == 0
+    assert progs == ["oblishuffle probe", "oblishuffle shuffle"]
+    with pytest.raises(SystemExit) as exc_info:
+        main(["frob"])
+    assert exc_info.value.code == 2
+    assert len(progs) == 2 + 1 + len(_COMMANDS)
 
 
 def test_unknown_subcommand_exits_two():
