@@ -95,7 +95,8 @@ movements sit on them, except the one-word ones: ``load_word``,
 
 A geometry is a ``CacheConfig``, whose fields are taken through
 ``operator.index`` (numpy's integers pass, stored as ints) and a
-non-integer one refused naming it, before any other check.
+non-integer one refused naming it, before any other check: one
+``index_fields`` loop, which ``ShuffleParams`` runs too.
 ``CacheConfig.from_text`` reads one from ``key=value`` lines, which
 ``key_values`` splits, as it splits the CLI's ``--config`` file: one
 loop over such lines.
@@ -327,6 +328,17 @@ def key_values(text: str) -> Iterator[tuple[str, str, str]]:
         yield raw, key, value.strip()
 
 
+def index_fields(obj) -> None:
+    """Set each field of the dataclass ``obj``, frozen or not, to
+    ``operator.index`` of its value (numpy's integers pass, as ints); a
+    non-integer one is refused as ``<field> must be an integer``."""
+    for f in fields(obj):
+        try:
+            object.__setattr__(obj, f.name, index(getattr(obj, f.name)))
+        except TypeError:
+            raise ValueError(f"{f.name} must be an integer") from None
+
+
 @dataclass(frozen=True)
 class CacheConfig:
     line_size: int = 64
@@ -337,11 +349,7 @@ class CacheConfig:
     address_space: int = 1 << 30
 
     def __post_init__(self) -> None:
-        for f in fields(self):  # numpy's integers pass, as ints
-            try:
-                object.__setattr__(self, f.name, index(getattr(self, f.name)))
-            except TypeError:
-                raise ValueError(f"{f.name} must be an integer") from None
+        index_fields(self)
         _require_pow2("line_size", self.line_size, MAX_ADDRESS_SPACE)
         _require_pow2("l1_sets", self.l1_sets, MAX_SETS)
         _require_pow2("llc_sets", self.llc_sets, MAX_SETS)

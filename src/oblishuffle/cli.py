@@ -28,10 +28,15 @@ the library's cap; under ``aborts``' interrupts the cap binds.
 
 Every run is deterministic given its flags: inputs derive from the seed,
 tables are emitted in sorted order, and reruns are byte-identical.
-``--config FILE``, given at most once, reads ``key=value`` lines (none of
-them ``config``, and no key twice, ``_`` read as ``-``) and passes each
-as ``--key=value`` right after the subcommand name, so the subcommand's
-parser checks them like flags and explicit flags, coming later, win.
+``--config FILE``, given at most once and after the subcommand name, is
+a flag of the subcommand's own parser.  Once that parser has parsed the
+command line with nothing left over, ``main`` reads the file's
+``key=value`` lines (none of them ``config``, and no key twice, ``_``
+read as ``-``) and parses again with each as ``--key=value`` right after
+the subcommand name, so the parser checks them like flags and explicit
+flags, coming later, win.  So argparse refuses a bad explicit flag
+before the file is opened, and a ``--config`` before the subcommand name
+is refused by name without opening anything.
 Every file the CLI reads goes through one reader, ``_read(flag, path,
 parse)``: ``_ints`` parses ``--input`` and ``--perm``,
 ``CacheConfig.from_text`` ``--cache-config`` and ``_config_tokens``
@@ -40,7 +45,9 @@ refusal of a key given twice, from ``cache.key_values``.  A file that
 cannot be opened or is not UTF-8, or whose text the parser refuses, is
 refused as ``<flag> <path>: <message>``, and so is an output path that
 cannot be opened.  An empty path is refused by name too, by each path
-flag's rule and, for ``--config``, before the file is read.  ``probe``
+flag's rule and, for ``--config``, before the file is read.  ``aborts``'
+interrupt-only control ticks, per transaction, the consultations that
+``TxnStats`` counts in a melbourne run with no interrupt model.  ``probe``
 probes one simulator of the ``--cache-config`` geometry, which sets the
 line size it declares in.
 Exit status: 0 on success, 1 when a check fails (trace divergence, output
@@ -177,29 +184,14 @@ def _fmt_num(v) -> str:
 # -- aborts ------------------------------------------------------------------
 
 
-class _ConsultationCounter:
-    """Interrupt model that never fires and adds each consultation to the
-    transaction of ``engine`` making it, keyed by (overflow restart,
-    transaction index)."""
-
-    def __init__(self, engine: ShuffleEngine):
-        self.engine = engine
-        self.counts: dict[tuple[int, int], int] = {}
-
-    def first_fire(self, count: int) -> None:
-        key = (self.engine.overflow_retries, len(self.engine.stats))
-        self.counts[key] = self.counts.get(key, 0) + count
-
-
 def _consultations_per_txn(data, perm, n, pad_factor, seed) -> list[int]:
     """Interrupt consultations of each transaction of one undisturbed
-    ``melbourne`` run, in order; a restart after an overflow keeps only
-    the run that completed.  Every melbourne body consults the model."""
+    ``melbourne`` run, in order.  An overflow restarts all three passes,
+    of 2 * bc transactions each, so the run that completed is the last
+    6 * bc transactions."""
     engine = ShuffleEngine(CacheSim(), ShuffleParams(n, pad_factor, seed))
-    counter = engine.interrupt_model = _ConsultationCounter(engine)
     engine.melbourne(data, perm)
-    last = engine.overflow_retries
-    return [c for (restart, _), c in counter.counts.items() if restart == last]
+    return [s.consultations for s in engine.stats[-6 * isqrt(n):]]
 
 
 def run_aborts_variant(
@@ -295,16 +287,6 @@ def _emit(lines: list[str], out_path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _config_path(argv) -> str | None:
-    """The file of the one ``--config`` in ``argv``, if any."""
-    paths = [tok.partition("=")[2] if "=" in tok else nxt
-             for tok, nxt in zip(argv, argv[1:] + [None])
-             if tok == "--config" or tok.startswith("--config=")]
-    if len(paths) > 1:
-        raise ValueError("--config given more than once")
-    return paths[0] if paths else None
 
 
 def _config_tokens(text: str) -> list[str]:
@@ -477,7 +459,8 @@ _PATH = _rule(lambda v: v != "", "{flag} must name a file, got an empty path")
 
 # every flag once: its argparse keywords and its rule (None: any value)
 _FLAGS = {
-    "--config": (dict(help="key=value file of flag defaults"), None),
+    "--config": (dict(action="append", help="key=value file of flag defaults"),
+                 None),
     "--cache-config": (dict(help="key=value cache geometry file"), _geometry),
     "--seed": (dict(type=int, default=0), None),
     "--pad-factor": (dict(type=int, default=2), _AT_LEAST_1),
@@ -623,13 +606,20 @@ def _parse(argv: list[str]):
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    name = argv[0] if argv else "oblishuffle"
+    name = argv[0] if argv and argv[0] in _COMMANDS else "oblishuffle"
     try:
-        cfg_path = _config_path(argv)
-        if cfg_path is not None:
-            argv[1:1] = _read("--config", _PATH("--config", cfg_path),
-                              _config_tokens)
+        if argv and argv[0].partition("=")[0] == "--config":
+            raise ValueError("--config must follow the subcommand name")
         args, unknown = _parse(argv)
+        # only the named subcommand's parser, with nothing it does not
+        # know, has read a --config
+        if not unknown and args.config:
+            if len(args.config) > 1:
+                raise ValueError("--config given more than once")
+            tokens = _read("--config", _PATH("--config", args.config[0]),
+                           _config_tokens)
+            # explicit flags, coming later, win
+            args, unknown = _parse([name, *tokens, *argv[1:]])
         if unknown:
             raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
         # on the final namespace: a config value a flag overrides is not checked

@@ -74,7 +74,7 @@ from operator import and_, index, rshift
 
 import numpy as np
 
-from .cache import WORD_BYTES, CacheSim
+from .cache import WORD_BYTES, CacheSim, index_fields
 from .layout import (
     READ_ONLY,
     READ_WRITE,
@@ -145,11 +145,7 @@ class ShuffleParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("n", "pad_factor", "seed"):  # numpy's integers pass, as ints
-            try:
-                object.__setattr__(self, name, index(getattr(self, name)))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer") from None
+        index_fields(self)
         if self.n < 1:
             raise ValueError("n must be positive")
         if isqrt(self.n) ** 2 != self.n:
@@ -600,7 +596,6 @@ def naive_shuffle(
     sim: CacheSim | None = None,
     *,
     interrupt_model=None,
-    retry_cap: int = 1024,
 ) -> tuple[list[int], TxnStats]:
     """Single unprefetched transaction: read each (perm, data) pair, write
     out[perm[k]].  The body's miss pattern and the commit's write-back
@@ -627,9 +622,7 @@ def naive_shuffle(
             val = ctx.read(data0 + k * WORD_BYTES)
             ctx.write(out0 + dest * WORD_BYTES, val)
 
-    stats = run_txn(
-        sim, decl, body, interrupt_model, prefetch=False, retry_cap=retry_cap
-    )
+    stats = run_txn(sim, decl, body, interrupt_model, prefetch=False)
     return sim.peek_words(out0, n), stats
 
 

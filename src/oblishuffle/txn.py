@@ -74,7 +74,12 @@ Interrupt models answer one question, ``first_fire(count)``: make
 index or None.  A list of n words asks it once with n (a cold one once
 per stretch) and accesses, and stores, only the words before the one
 that fired, whose steps are the walk's first steps; ``ctx.tick(count)``
-asks it once with ``count``.
+asks it once with ``count``.  Each attempt's context counts the
+consultations it makes, with or without a model, as a model would: one
+per word accessed and one per tick, up to and including a word that
+fired; ``run_txn`` adds each attempt's count to
+``TxnStats.consultations``.  So a run with no model states what every
+transaction would ask of one.
 ``AccessProbability`` draws its Philox stream in buffers of 4096 and
 holds each buffer as its fire positions, the indices of the draws below
 ``rate``, so a call costs one bisect per buffer it reaches, however many
@@ -300,6 +305,9 @@ class TxnStats:
     prefetch_enabled: bool = True
     trace_body_start: int = -1  # trace index where the final body began
     last_fault_line: int | None = None
+    # interrupt consultations of every attempt, with or without a model:
+    # one per word accessed and one per tick, through a word that fired
+    consultations: int = 0
 
 
 # -- interrupt models ------------------------------------------------------
@@ -425,7 +433,9 @@ class TxnContext:
     against the declaration.  ``read_run``/``write_run`` do the same for
     consecutive words, and ``write_runs`` for a list of such runs (see
     the module docstring).  ``tick`` models units of computation that
-    touch no memory but can still be interrupted.
+    touch no memory but can still be interrupted.  ``consultations``
+    counts what the attempt has asked of the interrupt model, or would
+    have asked of one (see the module docstring).
     A cold attempt's context holds the lines it dirtied, in the order
     first dirtied (an insertion-ordered dict), and those it pinned (a
     set), both filled as its body runs.  A prefetched attempt pins and
@@ -442,6 +452,7 @@ class TxnContext:
         "_dirtied",
         "_shift",
         "_undo",
+        "consultations",
     )
 
     def __init__(
@@ -455,6 +466,7 @@ class TxnContext:
         self._shift = sim.config.line_shift
         # (first word, old values) per stored run
         self._undo: list[tuple[int, list[int]]] = []
+        self.consultations = 0
 
     def read(self, addr: int) -> int:
         """One word: a run of length one."""
@@ -528,6 +540,7 @@ class TxnContext:
             else _line_stretches(runs, values, steps)
         ):
             fired = None if model is None else model.first_fire(m)
+            self.consultations += m if fired is None else fired + 1
             if fired is not None:
                 m, piece = fired, _first_words(piece, fired)
                 stretch = _first_words(stretch, fired)
@@ -550,7 +563,9 @@ class TxnContext:
 
     def tick(self, count: int = 1) -> None:
         """``count`` units of computation, each consulting the model."""
-        if self._model is not None and self._model.first_fire(count) is not None:
+        fired = None if self._model is None else self._model.first_fire(count)
+        self.consultations += count if fired is None else fired + 1
+        if fired is not None:
             raise _Interrupted()
 
 
@@ -632,6 +647,8 @@ def run_txn(
                         exc.stats = stats
                     raise
                 continue
+            finally:
+                stats.consultations += ctx.consultations
 
             # the write-backs, for a prefetched attempt the declared
             # write lines in order; closing the epoch below ends the pins

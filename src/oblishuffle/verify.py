@@ -14,8 +14,8 @@ which changes the trace.  Only for permutations drawn independently of
 the seed is the trace a fixed function of the input size.
 
 Precondition under interrupts: each transaction must make the same
-number of interrupt consultations on every input of one size.
-melbourne's do (at n = 64, 48 transactions, the largest making 112
+number of interrupt consultations, its ``TxnStats.consultations``, on
+every input of one size.  melbourne's do (at n = 64, 48 transactions, the largest making 112
 consultations; at n = 256, 96 and 288).  An interrupt model whose
 schedule depends only on its consultations and on the trace so far then
 fires at the same points on every input, so the trace stays a fixed

@@ -327,6 +327,7 @@ def per_word_first_fire(model, count):
 
 
 def _consult(ctx):
+    ctx.consultations += 1
     model = ctx._model
     if model is None:
         return
@@ -1248,6 +1249,8 @@ def snapshot_run_txn(
                     # programming errors leave the simulator consistent
                     raise
                 continue
+            finally:
+                stats.consultations += ctx.consultations
 
             # the prefetch dirtied the write lines in order, and the body
             # can add none; closing the transaction below unpins

@@ -1138,3 +1138,53 @@ def test_module_entrypoint(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "1024 4096\n"
+
+
+# -- where --config is found -------------------------------------------------
+
+
+def test_config_before_the_subcommand_name_is_refused_unopened(capsys, tmp_path):
+    # the subcommand's parser finds --config, so one before its name is
+    # refused by name, and the path is never opened
+    missing = str(tmp_path / "absent.cfg")
+    for argv in (("--config", missing, "shuffle"), (f"--config={missing}", "shuffle")):
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err == "oblishuffle: --config must follow the subcommand name\n"
+        assert "No such file" not in err
+
+
+def test_config_after_a_double_dash_is_an_unrecognized_argument(capsys, tmp_path):
+    # past --, the tokens are no flags: nothing is opened
+    missing = str(tmp_path / "absent.cfg")
+    rc, out, err = run_cli(capsys, "shuffle", "--n", "16", "--", "--config", missing)
+    assert (rc, out) == (2, "")
+    assert err == f"shuffle: unrecognized arguments: -- --config {missing}\n"
+
+
+def test_config_given_twice_names_the_repeat(capsys, tmp_path, verify_cfg):
+    missing = str(tmp_path / "absent.cfg")
+    rc, out, err = run_cli(capsys, "verify", "--config", verify_cfg,
+                           "--config", missing)
+    assert (rc, out, err) == (2, "", "verify: --config given more than once\n")
+
+
+def test_a_bad_explicit_flag_is_refused_before_the_config_file_is_read(
+        capsys, tmp_path):
+    # the file is read after the first parse, so argparse refuses the flag
+    missing = str(tmp_path / "absent.cfg")
+    with pytest.raises(SystemExit) as exc_info:
+        main(["shuffle", "--config", missing, "--n", "abc"])
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("oblishuffle shuffle: error: argument --n: "
+                        "invalid int value: 'abc'\n")
+    assert "No such file" not in err
+
+
+def test_an_unrecognized_explicit_flag_is_refused_before_the_config_file(
+        capsys, tmp_path):
+    missing = str(tmp_path / "absent.cfg")
+    rc, out, err = run_cli(capsys, "bench", "--config", missing, "--retry-cap", "1")
+    assert (rc, out) == (2, "")
+    assert err == "bench: unrecognized arguments: --retry-cap 1\n"

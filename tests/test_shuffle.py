@@ -31,7 +31,12 @@ from oblishuffle.shuffle import (
     pack,
 )
 from oblishuffle import shuffle
-from oblishuffle.txn import CapacityError, RetryCapExceededError, run_txn
+from oblishuffle.txn import (
+    AccessProbability,
+    CapacityError,
+    RetryCapExceededError,
+    run_txn,
+)
 from oblishuffle.verify import PROGRAMS, oracle_apply_perm
 
 FIG_PERM = [3, 1, 6, 5, 7, 2, 0, 8, 4]
@@ -793,3 +798,46 @@ def test_bubble_shuffle_matches_oracle():
     out, swaps = bubble_shuffle(data, perm)
     assert out == apply_perm(data, perm)
     assert swaps == 120
+
+
+def test_naive_shuffle_takes_no_retry_cap():
+    with pytest.raises(TypeError):
+        naive_shuffle([5, 6, 7, 8], [0, 1, 2, 3], retry_cap=1)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_melbourne_consultations_depend_on_n_alone(n):
+    # per pass: bc scatters (two bucket reads, a row of slice writes),
+    # then bc gathers (a row read, a bucket write), on every input
+    p = ShuffleParams(n)
+    bc, cap = p.bucket_count, p.bucket_capacity
+    reverse = list(range(n))[::-1]
+    for data, perm in [(list(range(n)), list(range(n))),
+                       (reverse, gen_perm(n, 3)), (reverse, gen_perm(n, 8))]:
+        engine = ShuffleEngine(CacheSim(), p)
+        engine.melbourne(data, perm)
+        assert engine.overflow_retries == 0
+        assert [s.consultations for s in engine.stats] == (
+            [2 * bc + cap] * bc + [cap + bc] * bc) * 3
+
+
+def test_each_transaction_counts_the_models_consultations(monkeypatch):
+    # the verify-tight shape: a 64 KiB LLC and per-access interrupts
+    model = AccessProbability(0.001, 1)
+    deltas = []
+
+    def counted(*args, **kwargs):
+        before = model.consultations
+        try:
+            return run_txn(*args, **kwargs)
+        finally:
+            deltas.append(model.consultations - before)
+
+    monkeypatch.setattr(shuffle, "run_txn", counted)
+    engine = ShuffleEngine(CacheSim(CacheConfig(llc_sets=64)), ShuffleParams(1024),
+                           interrupt_model=model)
+    data, perm = list(range(1024)), gen_perm(1024, 1)
+    assert engine.melbourne(data, perm) == oracle_apply_perm(data, perm)
+    assert sum(s.ac4 for s in engine.stats) > 0
+    assert [s.consultations for s in engine.stats] == deltas
+    assert sum(deltas) == model.consultations

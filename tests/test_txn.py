@@ -1643,3 +1643,40 @@ def test_cold_run_touches_no_line_past_a_pin_fault():
         per_run.append(sim_state(sim))
     assert per_run[0] == per_run[1]
     assert per_run[0][3][1] and 5 in dict(per_run[0][3][1])  # LLC set 1
+
+
+# -- consultations -----------------------------------------------------------
+
+
+def _two_runs(ctx):
+    """A write list of two runs, nine words over lines 1 and 2."""
+    ctx.write_runs([(addr_of(1, 3), [1] * 5), (addr_of(2, 2), [2] * 4)])
+
+
+@pytest.mark.parametrize("prefetch", [True, False])
+def test_a_list_counts_one_consultation_per_word_without_a_model(prefetch):
+    decl = TxnDeclaration.of(writes=[(addr_of(1), 128)])
+    stats = run_txn(CacheSim(SMALL), decl, _two_runs, prefetch=prefetch)
+    assert (stats.attempts, stats.consultations) == (1, 9)
+
+
+@pytest.mark.parametrize("prefetch", [True, False])
+@pytest.mark.parametrize("fire", [0, 4, 5, 8])
+def test_an_interrupt_at_word_f_counts_f_plus_one(prefetch, fire):
+    # the attempt that fires counts through its word f, the retry all nine
+    decl = TxnDeclaration.of(writes=[(addr_of(1), 128)])
+    model = FireOnConsultation([fire + 1])
+    stats = run_txn(CacheSim(SMALL), decl, _two_runs, model, prefetch=prefetch)
+    assert (stats.attempts, stats.ac4) == (2, 1)
+    assert stats.consultations == (fire + 1) + 9 == model.consultations
+
+
+@pytest.mark.parametrize("k", [1, 3, 64])
+def test_tick_counts_its_units(k):
+    decl = TxnDeclaration.of(reads=[(0, 64)])
+    stats = run_txn(CacheSim(SMALL), decl, lambda ctx: ctx.tick(k))
+    assert stats.consultations == k
+    # fired at its last unit, then retried
+    model = FireOnConsultation([k])
+    stats = run_txn(CacheSim(SMALL), decl, lambda ctx: ctx.tick(k), model)
+    assert (stats.attempts, stats.consultations) == (2, 2 * k)
