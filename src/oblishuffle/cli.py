@@ -606,6 +606,10 @@ def _parse(argv: list[str]):
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    if argv[:1] == ["--"] and argv[1:2] and argv[1] in _COMMANDS:
+        # it ends the options before the subcommand, which argparse would
+        # take for the subcommand's name
+        del argv[0]
     name = argv[0] if argv and argv[0] in _COMMANDS else "oblishuffle"
     try:
         if argv and argv[0].partition("=")[0] == "--config":

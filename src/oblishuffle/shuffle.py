@@ -41,6 +41,18 @@ targets one destination bucket, the scatter aborts the whole shuffle and
 it restarts with a new random permutation (vanishingly rare at the
 padding factors used here).
 
+Every transaction's footprint and run lists are a fixed function of the
+shape (n, pad factor, geometry and row stride), so they are built once
+per shape, into a schedule that every engine of the shape shares and
+that is built from addresses alone, each transaction's entry on its
+first use: its ``LayoutPlan``, the declaration of that plan, and its
+body's run lists (``txn.RunList``), each walked against the declaration
+once, so a list that leaves it is refused before any input exists.  A
+body reads and writes only through its entry's lists: it supplies the
+values and computes no address.  What transactions share is stored
+once: scatter i's slices are the same in every pass, and so is gather
+j's row.  One shape's schedule is kept at a time.
+
 Rows of the intermediate buffer sit at a staggered stride: row length
 plus the smallest pad at which every scatter transaction fits the cache
 sets.  The search counts a scatter transaction's written slices with
@@ -67,14 +79,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import repeat
 from math import isqrt
 from operator import and_, index, rshift
+from typing import NamedTuple
 
 import numpy as np
 
-from .cache import WORD_BYTES, CacheSim, index_fields
+from .cache import READ, WORD_BYTES, WRITE, CacheConfig, CacheSim, index_fields
 from .layout import (
     READ_ONLY,
     READ_WRITE,
@@ -88,6 +101,7 @@ from .txn import (
     BodyAbortError,
     CapacityError,
     RetryCapExceededError,
+    RunList,
     TxnDeclaration,
     TxnStats,
     run_txn,
@@ -296,9 +310,143 @@ def _bucket_values(row: list[int], j: int, params: ShuffleParams) -> list[int]:
     return [w & VALUE_MASK for w in found]
 
 
+class _Txn(NamedTuple):
+    """One transaction of a schedule: its plan, the plan's declaration and
+    its body's run lists, each walked against that declaration: the read
+    lists in the order the body reads them, then the one write list."""
+
+    plan: LayoutPlan
+    decl: TxnDeclaration
+    reads: tuple[RunList, ...]
+    writes: RunList
+
+
+class _Schedule:
+    """Every melbourne transaction of one shape (n, pad factor, geometry
+    and row stride) as a ``_Txn``, each built on first use and kept: the
+    data-free part of the shuffle, shared by every engine of the shape.
+
+    A scatter is keyed by (i, src, pi), a gather by (j, dst).  What
+    several transactions share is stored once: scatter i's slice
+    placements, their write-only declaration (whose write spans every
+    scatter i's declaration shares, ``TxnDeclaration.with_reads``) and
+    their run list, and any run list walked before, such as gather j's
+    row read, whose steps every later walk of the same runs shares
+    (``RunList.against``).  Steps are held in arrays, so a shape's
+    schedule holds no Python object per step.
+    """
+
+    def __init__(self, n: int, pad_factor: int, config: CacheConfig,
+                 stride: int):
+        p = ShuffleParams(n, pad_factor)
+        self._line = config.line_size
+        self._bc = p.bucket_count
+        self._slice_len = p.slice_len
+        self._row_len = p.bucket_capacity
+        self._inter = arena("melbourne", n, self._line, pad_factor)[-2]
+        self._stride = stride
+        # a region is a value, so the schedule makes one per (name, size,
+        # kind) and shares it among every placement of it, and one list of
+        # slice_0, slice_1, ... per size, since a scatter's slices share one
+        region = self._region = cache(Region)
+        self._slice_regions = cache(lambda size: [
+            region(f"slice_{j}", size, READ_WRITE) for j in range(self._bc)
+        ])
+        self._txns: dict[tuple[int, ...], _Txn] = {}
+        # scatter i -> its slice placements, write-only declaration and
+        # write list
+        self._slices: dict[int, tuple[list, TxnDeclaration, RunList]] = {}
+        # (addr, count) -> the first list of that one run
+        self._runs: dict[tuple[int, int], RunList] = {}
+
+    def scatter(self, i: int, src: int, pi: int) -> _Txn:
+        """Scatter transaction i: it reads bucket i of ``pi``, then of
+        ``src``, and writes its slices in ascending destination bucket."""
+        txn = self._txns.get((i, src, pi))
+        if txn is None:
+            bb = self._bc * WORD_BYTES
+            slices, written, writes = self._scatter_slices(i)
+            heads = [self._placement("src_bucket", READ_ONLY, src + i * bb, bb),
+                     self._placement("pi_bucket", READ_ONLY, pi + i * bb, bb)]
+            decl = written.with_reads((base, region.size) for region, base in heads)
+            txn = self._txns[i, src, pi] = _Txn(
+                LayoutPlan((*heads, *slices)),
+                decl,
+                (self._one_run(decl, pi + i * bb, self._bc, READ),
+                 self._one_run(decl, src + i * bb, self._bc, READ)),
+                writes.against(decl, WRITE),
+            )
+        return txn
+
+    def gather(self, j: int, dst: int) -> _Txn:
+        """Gather transaction j: it reads intermediate row j and writes
+        bucket j of ``dst``."""
+        txn = self._txns.get((j, dst))
+        if txn is None:
+            bb = self._bc * WORD_BYTES
+            row0, dst0 = self._inter + j * self._stride, dst + j * bb
+            plan = LayoutPlan((
+                self._placement("row", READ_ONLY, row0, self._row_len * WORD_BYTES),
+                self._placement("out_bucket", READ_WRITE, dst0, bb),
+            ))
+            decl = decl_from_plan(plan, self._line)
+            txn = self._txns[j, dst] = _Txn(
+                plan,
+                decl,
+                (self._one_run(decl, row0, self._row_len, READ),),
+                self._one_run(decl, dst0, self._bc, WRITE),
+            )
+        return txn
+
+    def _placement(self, name: str, kind: str, base: int,
+                   size: int) -> tuple[Region, int]:
+        """Placement of the whole lines that [base, base + size) touches, so a
+        plan states the true line footprint."""
+        lo = base - base % self._line
+        return self._region(name, _round_lines(base + size, self._line) - lo, kind), lo
+
+    def _scatter_slices(self, i: int) -> tuple[list, TxnDeclaration, RunList]:
+        """Scatter transaction i's slice placements in ascending j, their
+        write-only declaration and their write list, shared by its every
+        pass.
+
+        Its slices lie a stride of whole lines apart, so each starts at
+        the same offset in its line and touches as many lines as slice 0:
+        the runs' addresses and the placements' bases are ``range``s."""
+        got = self._slices.get(i)
+        if got is None:
+            sb, stride = self._slice_len * WORD_BYTES, self._stride
+            a = self._inter + i * sb
+            region, lo = self._placement("slice_0", READ_WRITE, a, sb)
+            span = self._bc * stride
+            placements = list(zip(self._slice_regions(region.size),
+                                  range(lo, lo + span, stride)))
+            written = decl_from_plan(LayoutPlan(tuple(placements)), self._line)
+            got = self._slices[i] = (placements, written, RunList.build(
+                written, zip(range(a, a + span, stride), repeat(self._slice_len)), WRITE))
+        return got
+
+    def _one_run(self, decl: TxnDeclaration, addr: int, count: int,
+                 kind: str) -> RunList:
+        """The list of one run walked against ``decl`` as ``kind``, sharing
+        the steps of the first walk of that run."""
+        first = self._runs.get((addr, count))
+        if first is None:
+            first = self._runs[addr, count] = RunList.build(decl, ((addr, count),), kind)
+        return first.against(decl, kind)
+
+
+@lru_cache(maxsize=1)
+def _schedule(n: int, pad_factor: int, config: CacheConfig, stride: int) -> _Schedule:
+    """The schedule of one shape, kept until another shape's is asked for."""
+    return _Schedule(n, pad_factor, config, stride)
+
+
 class ShuffleEngine:
     """Owns the arena layout and transaction plumbing for one (n, pad)
-    configuration on one simulator.
+    configuration on one simulator.  The row stride is found here; the
+    transactions come from the schedule of the shape, shared with every
+    other engine of it and built as they are first run.
 
     ``staggered=False`` lays intermediate rows end to end (the conflicting
     layout) and ``prefetch=False`` runs bodies cold; both exist so the
@@ -327,18 +475,10 @@ class ShuffleEngine:
         self.stats: list[TxnStats] = []
         self.plans: list[LayoutPlan] = []
         self.overflow_retries = 0
-        self._slices: dict[int, tuple[range, list[tuple[Region, int]]]] = {}
 
         cfg = self.sim.config
-        line = self._line = cfg.line_size
+        line = cfg.line_size
         p = params
-        # a region is a value, so this engine makes one per (name, size,
-        # kind) and shares it among every placement of it, and one list of
-        # slice_0, slice_1, ... per size, since a scatter's slices share one
-        region = self._region = cache(Region)
-        self._slice_regions = cache(lambda size: [
-            region(f"slice_{j}", size, READ_WRITE) for j in range(p.bucket_count)
-        ])
         self._bucket_bytes = p.bucket_count * WORD_BYTES
         self._slice_bytes = p.slice_len * WORD_BYTES
         (self.data_src, self.perm_tgt, self.perm_r, self.buf1, self.buf2, self.out,
@@ -352,6 +492,7 @@ class ShuffleEngine:
             raise ValueError(
                 f"arena needs {end} bytes, address space is {cfg.address_space}"
             )
+        self._schedule = _schedule(p.n, p.pad_factor, cfg, self.stride_bytes)
 
     # -- arena staggering --------------------------------------------------
 
@@ -433,16 +574,15 @@ class ShuffleEngine:
 
     # -- transaction plumbing ----------------------------------------------
 
-    def _run(self, placements: list[tuple[Region, int]], body) -> None:
+    def _run(self, txn: _Txn, body) -> None:
         """Run body as one transaction that declares exactly the lines of
         its plan."""
-        plan = LayoutPlan(tuple(placements))
         if self.record_plans:
-            self.plans.append(plan)
+            self.plans.append(txn.plan)
         try:
             st = run_txn(
                 self.sim,
-                decl_from_plan(plan, self.sim.config.line_size),
+                txn.decl,
                 body,
                 self.interrupt_model,
                 prefetch=self.prefetch,
@@ -454,61 +594,20 @@ class ShuffleEngine:
             raise
         self.stats.append(st)
 
-    def _line_region(self, name: str, kind: str, base: int,
-                     size: int) -> tuple[Region, int]:
-        """Placement of the whole lines that [base, base + size) touches, so a
-        plan states the true line footprint."""
-        lo = base - base % self._line
-        return self._region(name, _round_lines(base + size, self._line) - lo, kind), lo
-
-    def _slice_addr(self, src_bucket: int, dst_bucket: int) -> int:
-        return (
-            self.inter
-            + dst_bucket * self.stride_bytes
-            + src_bucket * self._slice_bytes
-        )
-
-    def _scatter_slices(self, i: int) -> tuple[range, list[tuple[Region, int]]]:
-        """Scatter transaction i's slice addresses in ascending j and their
-        placements, built on first use and kept for every pass and
-        overflow restart of this engine.
-
-        Its slices lie a stride of whole lines apart, so each starts at
-        the same offset in its line and touches as many lines as slice 0:
-        the addresses and the placements' bases are two ``range``s, and
-        the regions one list per size for the engine."""
-        got = self._slices.get(i)
-        if got is None:
-            a, stride = self._slice_addr(i, 0), self.stride_bytes
-            region, lo = self._line_region("slice_0", READ_WRITE, a, self._slice_bytes)
-            span = self.params.bucket_count * stride
-            got = self._slices[i] = (range(a, a + span, stride), list(zip(
-                self._slice_regions(region.size), range(lo, lo + span, stride))))
-        return got
-
     def scatter_txn(self, i: int, src: int, pi: int) -> None:
         """Move source bucket i into its per-destination slices."""
         p = self.params
         bc = p.bucket_count
-        bb = self._bucket_bytes
-        src0 = src + i * bb
-        pi0 = pi + i * bb
-        slice_addrs, slice_placements = self._scatter_slices(i)
-        placements = [
-            self._line_region("src_bucket", READ_ONLY, src0, bb),
-            self._line_region("pi_bucket", READ_ONLY, pi0, bb),
-            *slice_placements,
-        ]
-
         slice_len = p.slice_len
         dummy_word = pack(p.dummy_tag, 0)
+        txn = self._schedule.scatter(i, src, pi)
+        reads, writes = txn.reads, txn.writes
 
         def body(ctx) -> None:
             # route into slices held in locals, then write every slice in
             # ascending j, so the body's address sequence (and with it the
             # LRU order it leaves) is a fixed function of n
-            dests = ctx.read_run(pi0, bc)
-            vals = ctx.read_run(src0, bc)
+            (dests,), (vals,) = map(ctx.read_list, reads)
             slices = [[] for _ in range(bc)]
             for dest, val in zip(dests, vals):
                 j = dest // bc
@@ -518,26 +617,22 @@ class ShuffleEngine:
                 s.append(dest << 32 | val)  # pack(dest, val), inline
             for s in slices:
                 s += [dummy_word] * (slice_len - len(s))
-            ctx.write_runs(list(zip(slice_addrs, slices)))
+            ctx.write_list(writes, slices)
 
-        self._run(placements, body)
+        self._run(txn, body)
 
     def gather_txn(self, j: int, dst: int) -> None:
         """Drain intermediate row j to its destination bucket, dummy-free
         and ordered by destination index."""
         p = self.params
-        row0 = self.inter + j * self.stride_bytes
-        dst0 = dst + j * self._bucket_bytes
-        placements = [
-            self._line_region("row", READ_ONLY, row0, p.bucket_capacity * WORD_BYTES),
-            self._line_region("out_bucket", READ_WRITE, dst0, self._bucket_bytes),
-        ]
+        txn = self._schedule.gather(j, dst)
+        (row_list,), writes = txn.reads, txn.writes
 
         def body(ctx) -> None:
-            row = ctx.read_run(row0, p.bucket_capacity)
-            ctx.write_run(dst0, _bucket_values(row, j, p))
+            (row,) = ctx.read_list(row_list)
+            ctx.write_list(writes, (_bucket_values(row, j, p),))
 
-        self._run(placements, body)
+        self._run(txn, body)
 
     # -- passes --------------------------------------------------------------
 

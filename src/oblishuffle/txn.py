@@ -69,6 +69,18 @@ run, in turn, is split at line starts: its first word is one stretch,
 and each later stretch runs through the next word that starts a line,
 its steps taken from the walk's.
 
+A list can also be walked once and run many times: ``RunList.build``
+walks it against a declaration, refusing a bad list as a body's call
+would, and keeps its runs and steps in arrays, and
+``ctx.read_list``/``ctx.write_list`` hand a prebuilt list to the same
+stretch loop with no walk at all, when it was built against the
+context's own declaration.  A list built against another one is walked
+against the context's first (``RunList.against``), which shares its
+steps, since they depend only on the runs and the line size.  Such a
+body only supplies the values to write: its addresses were fixed before
+any input existed.  ``write_list`` refuses values that do not fit the
+runs' word counts before anything changes.
+
 Interrupt models answer one question, ``first_fire(count)``: make
 ``count`` consultations, stopping at the first that fires, and return its
 index or None.  A list of n words asks it once with n (a cold one once
@@ -100,12 +112,13 @@ statistics, as a capacity or retry-cap error carries them.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain
 from operator import attrgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -266,6 +279,23 @@ class TxnDeclaration:
     ) -> "TxnDeclaration":
         return cls(tuple(reads), tuple(writes), line_size)
 
+    def with_reads(self, reads: Iterable[ByteRange]) -> "TxnDeclaration":
+        """``TxnDeclaration.of(reads, self.write_ranges, self.line_size)``,
+        built on this declaration's write spans rather than anew, so
+        declarations that differ only in their reads share their write
+        side."""
+        decl = object.__new__(TxnDeclaration)
+        reads = tuple(reads)
+        for name, value in (
+            ("read_ranges", reads),
+            ("write_ranges", self.write_ranges),
+            ("line_size", self.line_size),
+            ("read_spans", _subtract(_spans(reads, self.line_size), self.write_spans)),
+            ("write_spans", self.write_spans),
+        ):
+            object.__setattr__(decl, name, value)
+        return decl
+
     @cached_property
     def spans(self) -> list[range]:
         """Every declared line as ascending spans, touching spans joined:
@@ -283,8 +313,7 @@ class TxnDeclaration:
     def check_spans(self) -> dict[str, tuple[list[range], list[int]]]:
         """Per access kind, the spans a body's check of that kind bisects,
         ``spans`` or ``write_spans``, with the first line of each."""
-        return {kind: (spans, [span.start for span in spans])
-                for kind, spans in ((READ, self.spans), (WRITE, self.write_spans))}
+        return {kind: _bisected(_checked(self, kind)) for kind in (READ, WRITE)}
 
     def footprint_bytes(self) -> int:
         return _line_count(self.read_spans + self.write_spans) * self.line_size
@@ -425,14 +454,111 @@ _UNDECLARED = {kind: partial(UndeclaredAccessError, kind=kind)
                for kind in (READ, WRITE)}
 
 
+class RunList(NamedTuple):
+    """A run list walked once against a declaration, for a body to run as
+    often as it likes (``TxnContext.read_list``/``write_list``).
+
+    It holds the declaration and access kind it was walked against, its
+    runs, each ``(addr, count)`` with a count below one as none, its
+    steps as ``line_steps`` built them, each ``(line, k)``, and its word
+    count.  The runs and the steps are each one flat array of their
+    pairs' numbers, so a list holds no Python object per run or step;
+    ``runs`` and ``steps`` make the pairs as they are read.  ``build``
+    refuses a bad list as a body's call refuses it (see the module
+    docstring), before any access.
+    """
+
+    decl: TxnDeclaration
+    kind: str
+    flat_runs: array
+    flat_steps: array
+    total: int
+
+    @classmethod
+    def build(cls, decl: TxnDeclaration, runs: Iterable[tuple[int, int]],
+              kind: str) -> "RunList":
+        runs = [(addr, max(count, 0)) for addr, count in runs]
+        steps, total = _walk(decl, runs, kind)
+        return cls(decl, kind, _packed(runs), _packed(steps), total)
+
+    @property
+    def runs(self) -> Iterator[tuple[int, int]]:
+        return _pairs(self.flat_runs)
+
+    @property
+    def steps(self) -> Iterator[tuple[int, int]]:
+        return _pairs(self.flat_steps)
+
+    def against(self, decl: TxnDeclaration, kind: str) -> "RunList":
+        """These runs walked against ``decl`` as ``kind``: this list if it
+        was built so, else one refused as ``build`` refuses it or sharing
+        these steps, which depend only on the runs and the line size.  A
+        walk against the very spans this list was walked against (a write
+        list, and a declaration that shares its write spans,
+        ``TxnDeclaration.with_reads``) is not made again."""
+        if decl is self.decl and kind == self.kind:
+            return self
+        if decl.line_size != self.decl.line_size:
+            return RunList.build(decl, self.runs, kind)
+        if kind != self.kind or _checked(decl, kind) is not _checked(self.decl, kind):
+            _walk(decl, self.runs, kind)
+        return RunList(decl, kind, *self[2:])
+
+
+def _checked(decl: TxnDeclaration, kind: str) -> list[range]:
+    """The spans a body's check of ``kind`` bisects: every declared line
+    for a read, the write spans for a write."""
+    return decl.write_spans if kind == WRITE else decl.spans
+
+
+def _bisected(spans: list[range]) -> tuple[list[range], list[int]]:
+    """``spans`` with the first line of each, which a check bisects."""
+    return spans, [span.start for span in spans]
+
+
+def _walk(decl: TxnDeclaration, runs, kind: str):
+    """``line_steps`` of ``runs`` against ``_checked`` spans, bisected
+    afresh rather than through ``TxnDeclaration.check_spans``, so a
+    declaration whose run lists are all prebuilt keeps no list of span
+    starts."""
+    refuse = _UNDECLARED[kind]
+    spans, starts = _bisected(_checked(decl, kind))
+    return line_steps(runs, decl.line_size.bit_length() - 1, spans, starts,
+                      refuse, True)
+
+
+# the unsigned array types, narrowest first, each with its first value
+# too large for it
+_UNSIGNED = [(code, 1 << 8 * array(code).itemsize) for code in "BHI"]
+
+
+def _packed(pairs: list[tuple[int, int]]) -> array:
+    """The numbers of ``pairs``, in turn, in the narrowest unsigned array
+    type that holds them all, else in signed 64-bit words."""
+    flat = list(chain.from_iterable(pairs))
+    if flat and min(flat) >= 0:
+        top = max(flat)
+        for code, past in _UNSIGNED:
+            if top < past:
+                return array(code, flat)
+    return array("q", flat)
+
+
+def _pairs(flat: array) -> Iterator[tuple[int, int]]:
+    """The pairs of ``flat``'s numbers, in turn."""
+    it = iter(flat)
+    return zip(it, it)
+
+
 class TxnContext:
     """One attempt of a transaction: the handle passed to its body and the
     record ``run_txn`` rolls back and commits from.
 
     Reads and writes go through the cache with pinning and are checked
     against the declaration.  ``read_run``/``write_run`` do the same for
-    consecutive words, and ``write_runs`` for a list of such runs (see
-    the module docstring).  ``tick`` models units of computation that
+    consecutive words, ``write_runs`` for a list of such runs, and
+    ``read_list``/``write_list`` for a prebuilt ``RunList`` (see the
+    module docstring).  ``tick`` models units of computation that
     touch no memory but can still be interrupted.  ``consultations``
     counts what the attempt has asked of the interrupt model, or would
     have asked of one (see the module docstring).
@@ -494,6 +620,28 @@ class TxnContext:
         self._run([(addr, len(values)) for addr, values in runs], WRITE,
                   [values for _, values in runs])
 
+    def read_list(self, rl: RunList) -> list[list[int]]:
+        """The values of each run of the prebuilt list ``rl``, one list per
+        run, exactly as one ``read_run`` per run; ``rl`` is walked again
+        only if it was built against another declaration or kind
+        (``RunList.against``)."""
+        rl = rl.against(self._decl, READ)
+        self._run(rl.runs, READ, None, rl.steps, rl.total)
+        load = self._sim.load_words
+        return [load(addr >> 3, count) for addr, count in rl.runs]
+
+    def write_list(self, rl: RunList, values: Sequence[Sequence[int]]) -> None:
+        """Store ``values``, one sequence per run of the prebuilt list
+        ``rl``, exactly as ``write_runs`` of its runs with them.  Values
+        that do not fit the runs' word counts raise a ValueError before
+        anything changes."""
+        rl = rl.against(self._decl, WRITE)
+        counts = rl.flat_runs[1::2]
+        if array("q", map(len, values)) != counts:
+            raise ValueError(f"values of {[len(v) for v in values]} words for "
+                             f"runs of {counts.tolist()}")
+        self._run(rl.runs, WRITE, values, rl.steps, rl.total)
+
     def _rollback(self) -> None:
         """Undo this attempt's stores, newest first."""
         store = self._sim.store_words
@@ -502,16 +650,20 @@ class TxnContext:
 
     def _run(
         self,
-        runs: Sequence[tuple[int, int]],
+        runs: Iterable[tuple[int, int]],
         kind: str,
         values: Sequence[Sequence[int]] | None = None,
+        steps: Iterable[tuple[int, int]] | None = None,
+        total: int = 0,
     ) -> None:
         """Make the accesses of each ``(addr, count)`` of ``runs`` in order,
         store ``values`` (a write list's, one sequence per run) in the
         words accessed, then raise what the per-run calls would raise
         after them, if anything.
 
-        The whole list is checked first, in the walk that builds its
+        A prebuilt list passes its ``steps`` and word count ``total``,
+        and its runs and steps may be iterators: each is taken once.
+        Any other list is checked first, in the walk that builds its
         steps (``line_steps``), and a bad one changes nothing: the first
         run with a bad word raises, for an undeclared line an
         UndeclaredAccessError naming its first word of that run, and for a
@@ -529,9 +681,10 @@ class TxnContext:
         from ``access_lines`` leaves its stretch's values unstored; the
         rollback restores the rest.
         """
-        spans, starts = self._decl.check_spans[kind]
-        steps, total = line_steps(runs, self._shift, spans, starts, _UNDECLARED[kind],
-                                  True)
+        if steps is None:
+            spans, starts = self._decl.check_spans[kind]
+            steps, total = line_steps(runs, self._shift, spans, starts,
+                                      _UNDECLARED[kind], True)
         if not total:
             return
         model, sim, pinned = self._model, self._sim, self._pinned

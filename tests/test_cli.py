@@ -1128,6 +1128,23 @@ def test_unknown_subcommand_exits_two():
     assert exc_info.value.code == 2
 
 
+def test_a_leading_double_dash_ends_the_options_before_the_subcommand(
+        capsys, tmp_path):
+    # ``-- probe`` runs as ``probe``, and a bare ``--`` is still no
+    # subcommand
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text(TOY_GEOMETRY)
+    for argv in (["probe"], ["probe", "--cache-config", str(cfg)],
+                 ["shuffle", "--n", "16", "--seed", "3"]):
+        assert run_cli(capsys, "--", *argv) == run_cli(capsys, *argv)
+    assert run_cli(capsys, "--", "probe") == (0, "32768 8388608\n", "")
+    with pytest.raises(SystemExit) as exc_info:
+        main(["--"])
+    assert exc_info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: the following arguments are required: command\n")
+
+
 def test_module_entrypoint(tmp_path):
     cfg = tmp_path / "toy.cfg"
     cfg.write_text(TOY_GEOMETRY)

@@ -15,8 +15,21 @@ from hypothesis import strategies as st
 
 from reference import full_stagger_refusal, peek_word, per_word_gather, unpack
 
-from oblishuffle.cache import WORD_BYTES, WRITE, AccessCounters, CacheConfig, CacheSim
-from oblishuffle.layout import READ_WRITE, LayoutInfeasibleError, check_conflicts
+from oblishuffle.cache import (
+    WORD_BYTES,
+    WRITE,
+    AccessCounters,
+    CacheConfig,
+    CacheSim,
+    line_steps,
+)
+from oblishuffle.layout import (
+    READ_WRITE,
+    LayoutInfeasibleError,
+    Region,
+    check_conflicts,
+    decl_from_plan,
+)
 from oblishuffle.shuffle import (
     BucketOverflowError,
     MalformedIntermediateError,
@@ -31,10 +44,12 @@ from oblishuffle.shuffle import (
     pack,
 )
 from oblishuffle import shuffle
+from oblishuffle import txn as txn_module
 from oblishuffle.txn import (
     AccessProbability,
     CapacityError,
     RetryCapExceededError,
+    RunList,
     run_txn,
 )
 from oblishuffle.verify import PROGRAMS, oracle_apply_perm
@@ -392,7 +407,7 @@ def test_scatter_writes_its_slices_in_ascending_order():
     engine.sim.access_lines, engine.sim.store_words = logged_access, logged_store
     engine.scatter_txn(0, engine.data_src, engine.perm_r)
     assert len(write_lists) == engine.stats[-1].attempts == 1
-    assert stored == [engine._slice_addr(0, j) for j in range(4)]
+    assert stored == [engine.inter + j * engine.stride_bytes for j in range(4)]
 
 
 # -- overflow and restart ----------------------------------------------------
@@ -725,24 +740,27 @@ def test_stagger_test_and_slice_placements_match_counts_from_scratch(config):
     # at 40 strides from the unpadded row on, for sizes whose slices
     # straddle lines (n = 1024: 160-byte slices), the engine's stagger
     # test names the level a full count per transaction names, and each
-    # scatter's slice addresses and placements are the per-slice ones
+    # scatter's slice runs and placements in the schedule of that stride
+    # are the per-slice ones
     line = config.line_size
     outcomes = set()
     for n in (4, 16, 64, 256, 1024, 4096):
-        bc = isqrt(n)
+        p = ShuffleParams(n)
+        bc, sb = p.bucket_count, p.slice_len * WORD_BYTES
         for pad in range(40):
-            engine = ShuffleEngine(CacheSim(config), ShuffleParams(n), staggered=False)
+            engine = ShuffleEngine(CacheSim(config), p, staggered=False)
             stride_lines = engine.row_bytes // line + pad
             got = engine._stagger_refusal(stride_lines)
             assert got == full_stagger_refusal(engine, stride_lines), (n, pad)
             outcomes.add(got)
-            engine.stride_bytes = stride_lines * line
+            schedule = shuffle._Schedule(n, p.pad_factor, config, stride_lines * line)
             for i in range(bc):
-                addrs, placements = engine._scatter_slices(i)
-                want = [engine._slice_addr(i, j) for j in range(bc)]
-                assert list(addrs) == want
+                placements, _, writes = schedule._scatter_slices(i)
+                want = [engine.inter + j * stride_lines * line + i * sb for j in range(bc)]
+                assert list(writes.runs) == [(a, p.slice_len) for a in want]
                 assert placements == [
-                    engine._line_region(f"slice_{j}", READ_WRITE, a, engine._slice_bytes)
+                    (Region(f"slice_{j}", -(-(a + sb) // line) * line - a // line * line,
+                            READ_WRITE), a // line * line)
                     for j, a in enumerate(want)
                 ]
     # some strides fit and some are refused
@@ -761,6 +779,102 @@ def test_unstaggered_rows_storm_the_l1_sets():
         engine.distribute(engine.data_src, engine.perm_r)
     assert exc_info.value.stats.ac2 == 8
     assert engine.stats[-1] is exc_info.value.stats
+
+
+# -- the schedule ------------------------------------------------------------
+
+SCHEDULE_GEOMETRIES = {"default": CacheConfig(), "llc-64-sets": CacheConfig(llc_sets=64)}
+
+
+def schedule_keys(engine):
+    """The scatter and gather keys of one melbourne run's three passes."""
+    e, bc = engine, engine.params.bucket_count
+    passes = ((e.data_src, e.perm_r, e.buf1), (e.perm_tgt, e.perm_r, e.buf2),
+              (e.buf1, e.buf2, e.out))
+    return ([(i, src, pi) for src, pi, _ in passes for i in range(bc)],
+            [(j, dst) for _, _, dst in passes for j in range(bc)])
+
+
+@pytest.mark.parametrize("config", SCHEDULE_GEOMETRIES.values(),
+                         ids=SCHEDULE_GEOMETRIES.keys())
+@pytest.mark.parametrize("n", [16, 64, 256, 1024])
+def test_the_schedule_needs_no_data(config, n):
+    # the entries an engine builds before it has seen any data equal, plan
+    # by plan, declaration by declaration and step by step, those of an
+    # engine that has finished a run; each declaration is its plan's, and
+    # each run list the walk of its runs against it
+    params = ShuffleParams(n, seed=3)
+    shuffle._schedule.cache_clear()
+    ran = ShuffleEngine(CacheSim(config), params)
+    ran.melbourne(some_data(n, 1), gen_perm(n, 2))
+    after_run = dict(ran._schedule._txns)
+    shuffle._schedule.cache_clear()
+    fresh = ShuffleEngine(CacheSim(config), params)
+    assert fresh._schedule is not ran._schedule
+    scatters, gathers = schedule_keys(fresh)
+    built = {**{key: fresh._schedule.scatter(*key) for key in scatters},
+             **{key: fresh._schedule.gather(*key) for key in gathers}}
+    assert len(built) == 6 * params.bucket_count
+    assert built == after_run
+    assert len(fresh.sim.trace) == 0 and fresh.sim.counters == AccessCounters()
+    for txn in built.values():
+        assert txn.decl == decl_from_plan(txn.plan, config.line_size)
+        for rl in (*txn.reads, txn.writes):
+            assert rl.decl is txn.decl
+            assert rl == RunList.build(txn.decl, rl.runs, rl.kind)
+            steps, total = line_steps(rl.runs, config.line_shift, [range(1 << 40)],
+                                      [0], ValueError, True)
+            assert (list(rl.steps), rl.total) == (steps, total)
+
+
+def test_engines_of_one_shape_share_their_schedule():
+    # the second engine of a shape finds every entry built, the same
+    # objects, and its run walks no run list and builds no declaration
+    params = ShuffleParams(64, seed=1)
+    shuffle._schedule.cache_clear()
+    first = ShuffleEngine(CacheSim(), params)
+    assert not (first._schedule._txns or first._schedule._slices
+                or first._schedule._runs)
+    first.melbourne(some_data(64, 1), gen_perm(64, 2))
+    second = ShuffleEngine(CacheSim(), ShuffleParams(64, seed=9))
+    assert second._schedule is first._schedule
+    entries = dict(first._schedule._txns)
+    walks = []
+
+    def counted_line_steps(*args):
+        walks.append(args)
+        return line_steps(*args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(txn_module, "line_steps", counted_line_steps)
+        m.setattr(shuffle, "decl_from_plan", None)
+        second.melbourne(some_data(64, 3), gen_perm(64, 4))
+    assert walks == []
+    assert all(second._schedule._txns[key] is entry for key, entry in entries.items())
+
+
+def test_each_shape_gets_its_own_schedule():
+    # a different geometry, pad factor or row stride is another shape, and
+    # one shape's schedule is kept at a time: an engine keeps its own
+    n = 4096
+    base = ShuffleEngine(CacheSim(), ShuffleParams(n))
+    unstaggered = ShuffleEngine(CacheSim(), ShuffleParams(n), staggered=False)
+    assert unstaggered.stride_bytes != base.stride_bytes
+    others = [
+        ShuffleEngine(CacheSim(CacheConfig(llc_sets=64)), ShuffleParams(n)),
+        ShuffleEngine(CacheSim(), ShuffleParams(n, pad_factor=3)),
+        unstaggered,
+    ]
+    schedules = [base._schedule] + [e._schedule for e in others]
+    assert len({id(s) for s in schedules}) == len(schedules)
+    again = ShuffleEngine(CacheSim(), ShuffleParams(n, seed=5))
+    assert again._schedule is not base._schedule
+    # the same shape with prefetch off, a model, a retry cap or recorded
+    # plans shares the last one
+    for kwargs in ({"prefetch": False}, {"retry_cap": 3}, {"record_plans": True},
+                   {"interrupt_model": AccessProbability(0.1, 1)}):
+        engine = ShuffleEngine(CacheSim(), ShuffleParams(n, seed=7), **kwargs)
+        assert engine._schedule is again._schedule
 
 
 # -- baselines ---------------------------------------------------------------

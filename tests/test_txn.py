@@ -52,6 +52,7 @@ from oblishuffle.txn import (
     HitGuaranteeError,
     NestedTxnError,
     RetryCapExceededError,
+    RunList,
     TxnContext,
     TxnDeclaration,
     UndeclaredAccessError,
@@ -194,19 +195,114 @@ def test_span_check_matches_the_line_set_rule(case):
     ctx = TxnContext(CacheSim(config), decl, None, prefetched=True)
     want = next((e for e in (invalid_input(ctx, kind, a, c) for a, c in runs)
                  if e is not None), None)
-    try:
-        if kind == "r":
-            ctx._run(runs, READ)
+    # a prebuilt list is refused as it is built, with the same error
+    for call in (lambda: ctx._run(runs, READ) if kind == "r"
+                 else ctx._run(runs, WRITE, [[7] * max(c, 0) for _, c in runs]),
+                 lambda: RunList.build(decl, runs, READ if kind == "r" else WRITE)):
+        try:
+            call()
+            got = None
+        except (UndeclaredAccessError, ValueError) as exc:
+            got = exc
+        assert type(got) is type(want)
+        if isinstance(want, UndeclaredAccessError):
+            assert (got.addr, got.kind) == (want.addr, want.kind)
         else:
-            ctx._run(runs, WRITE, [[7] * max(c, 0) for _, c in runs])
-        got = None
-    except (UndeclaredAccessError, ValueError) as exc:
-        got = exc
-    assert type(got) is type(want)
-    if isinstance(want, UndeclaredAccessError):
-        assert (got.addr, got.kind) == (want.addr, want.kind)
-    else:
-        assert str(got) == str(want)
+            assert str(got) == str(want)
+
+
+# a list declared by WIDE, whose runs leave NARROW (line 1 unread, line
+# 3 unwritten), and one misaligned on a declared line
+WIDE = TxnDeclaration.of(reads=[(0, 128)], writes=[(128, 128)])
+NARROW = TxnDeclaration.of(reads=[(0, 64)], writes=[(128, 64)])
+BAD_LISTS = {
+    "read-leaves": ([(addr_of(0, 4), 8)], READ, UndeclaredAccessError, addr_of(1)),
+    "write-leaves": ([(addr_of(2, 7), 2)], WRITE, UndeclaredAccessError, addr_of(3)),
+    "misaligned": ([(addr_of(0, 1) + 4, 2)], READ, ValueError, None),
+}
+
+
+@pytest.mark.parametrize("case", BAD_LISTS)
+def test_a_bad_run_list_is_refused_as_it_is_built(case):
+    # the error the body's per-call path raises, before any input exists
+    runs, kind, error, addr = BAD_LISTS[case]
+    ctx = TxnContext(CacheSim(SMALL), NARROW, None, prefetched=True)
+    values = None if kind == READ else [[1] * count for _, count in runs]
+    with pytest.raises(error) as by_call:
+        ctx._run(runs, kind, values)
+    with pytest.raises(error) as built:
+        RunList.build(NARROW, runs, kind)
+    assert str(built.value) == str(by_call.value)
+    if addr is not None:
+        assert (built.value.addr, built.value.kind) == (addr, kind)
+
+
+@pytest.mark.parametrize("prefetch", [True, False])
+@pytest.mark.parametrize("case", ["read-leaves", "write-leaves"])
+def test_a_list_of_another_declaration_is_walked_before_any_access(case, prefetch):
+    # built against WIDE, the list runs under WIDE; under NARROW it is
+    # walked again and refused before the model is consulted or anything
+    # changes
+    runs, kind, error, addr = BAD_LISTS[case]
+    rl = RunList.build(WIDE, runs, kind)
+    for decl in (WIDE, NARROW):
+        sim = CacheSim(SMALL)
+        model = FireOnConsultation([])
+        seen = []
+
+        def body(ctx):
+            before = context_state(ctx)
+            try:
+                if kind == READ:
+                    ctx.read_list(rl)
+                else:
+                    ctx.write_list(rl, [[5, 6]])
+            except UndeclaredAccessError as exc:
+                seen.append(exc.addr)
+                assert context_state(ctx) == before
+                raise
+
+        if decl is WIDE:
+            assert run_txn(sim, decl, body, model, prefetch=prefetch).committed
+            assert model.consultations == rl.total
+            continue
+        with pytest.raises(error):
+            run_txn(sim, decl, body, model, prefetch=prefetch)
+        assert seen == [addr] and model.consultations == 0
+
+
+def test_values_that_do_not_fit_a_write_list_are_refused():
+    rl = RunList.build(WIDE, [(addr_of(2), 3), (addr_of(3, 1), 2)], WRITE)
+    for values in ([[1, 2, 3]], [[1, 2, 3], [4]], [[1, 2, 3], [4, 5, 6]]):
+        sim = CacheSim(SMALL)
+        ctx = TxnContext(sim, WIDE, None, prefetched=True)
+        before = context_state(ctx)
+        with pytest.raises(ValueError, match=r"runs of \[3, 2\]"):
+            ctx.write_list(rl, values)
+        assert context_state(ctx) == before
+
+
+def test_lists_that_share_runs_share_their_steps():
+    # the same runs walked against another declaration keep their steps;
+    # at another line size they are walked afresh
+    rl = RunList.build(WIDE, [(addr_of(0, 3), 10)], READ)
+    assert rl.against(WIDE, READ) is rl
+    other = rl.against(NARROW.with_reads([(0, 128)]), READ)
+    assert list(other.steps) == list(rl.steps)
+    assert other.flat_steps is rl.flat_steps and other.decl is not rl.decl
+    small = rl.against(TxnDeclaration.of(reads=[(0, 128)], line_size=32), READ)
+    assert list(small.steps) == [(0, 1), (1, 4), (2, 4), (3, 1)]
+
+
+def test_with_reads_is_the_declaration_of_those_reads():
+    decl = NARROW.with_reads([(addr_of(4), 64), (0, 192)])
+    want = TxnDeclaration.of([(addr_of(4), 64), (0, 192)], NARROW.write_ranges)
+    assert decl == want and hash(decl) == hash(want)
+    assert (decl.read_spans, decl.write_spans, decl.spans) == (
+        want.read_spans, want.write_spans, want.spans)
+    assert decl.write_spans is NARROW.write_spans
+    with pytest.raises(ValueError):
+        NARROW.with_reads([(0, 0)])
 
 
 # what a declaration builds on first use
@@ -913,10 +1009,24 @@ def write_groups(ops):
     return groups
 
 
-def group_call(ctx, group):
+def group_call(ctx, group, lists=None):
     """One context call for ``group``: ``read_run``, ``write_run`` for a
-    lone write, ``write_runs`` for consecutive writes."""
+    lone write, ``write_runs`` for consecutive writes.  With ``lists``, a
+    dict that outlives the attempt, the group's runs are built into a
+    ``RunList`` against the context's declaration at the group's first
+    call, kept in ``lists`` for later attempts, and run with
+    ``read_list``/``write_list``."""
     kind, addr, arg = group[0]
+    if lists is not None:
+        key = id(group)
+        if key not in lists:
+            runs = ([(addr, arg)] if kind == "r"
+                    else [(a, len(values)) for _, a, values in group])
+            lists[key] = RunList.build(ctx._decl, runs, READ if kind == "r" else WRITE)
+        if kind == "r":
+            (values,) = ctx.read_list(lists[key])
+            return values
+        return ctx.write_list(lists[key], [values for _, _, values in group])
     if kind == "r":
         return ctx.read_run(addr, arg)
     if len(group) == 1:
@@ -924,18 +1034,21 @@ def group_call(ctx, group):
     return ctx.write_runs([(a, values) for _, a, values in group])
 
 
-def run_body(ops, expand, log):
+def run_body(ops, expand, log, prebuilt=False):
     """Body doing ``ops`` as runs, consecutive writes as one
-    ``write_runs`` list (``write_groups``), or with every run expanded
-    into one reference per-word access per word; values read are
-    appended to ``log``.
+    ``write_runs`` list (``write_groups``), with ``prebuilt`` each group
+    as a run list built once (``group_call``), or with every run
+    expanded into one reference per-word access per word; values read
+    are appended to ``log``.
 
     A group with invalid input (``invalid_input`` of its first bad op)
-    stops the body with that error on both sides.  As a call, it must
-    raise that error, type and message, and change nothing; expanded,
-    the reference takes no step of the group.
+    stops the body with that error on every side.  As a call, it must
+    raise that error, type and message, and change nothing, and a
+    prebuilt list raises it as it is built; expanded, the reference
+    takes no step of the group.
     """
     groups = write_groups(ops)
+    lists = {} if prebuilt else None
 
     def body(ctx):
         for group in groups:
@@ -946,7 +1059,7 @@ def run_body(ops, expand, log):
                 if not expand:
                     before = context_state(ctx)
                     with pytest.raises(type(error)) as info:
-                        group_call(ctx, group)
+                        group_call(ctx, group, lists)
                     assert str(info.value) == str(error)
                     assert context_state(ctx) == before
                 raise error
@@ -954,15 +1067,19 @@ def run_body(ops, expand, log):
             if kind == "r" and expand:
                 log.append([per_word_read(ctx, addr + 8 * i) for i in range(arg)])
             elif kind == "r":
-                log.append(group_call(ctx, group))
+                log.append(group_call(ctx, group, lists))
             elif expand:
                 for _, addr, values in group:
                     for i, value in enumerate(values):
                         per_word_write(ctx, addr + 8 * i, value)
             else:
-                group_call(ctx, group)
+                group_call(ctx, group, lists)
 
     return body
+
+
+# each way a body can make its accesses: (expand, prebuilt) of ``run_body``
+BODY_PATHS = {"runs": (False, False), "prebuilt": (False, True), "words": (True, False)}
 
 
 def sim_state(sim):
@@ -1087,7 +1204,7 @@ def check_runs_match_per_word_accesses(program):
     config, txns, init, pre, rate, seed = program
     size = config.line_size
     outcomes = []
-    for expand in (False, True):
+    for expand, prebuilt in BODY_PATHS.values():
         sim = CacheSim(config)
         for word, value in init.items():
             poke_word(sim, word * 8, value)
@@ -1104,7 +1221,7 @@ def check_runs_match_per_word_accesses(program):
                 line_size=size,
             )
             try:
-                stats = run_txn(sim, decl, run_body(ops, expand, log), model,
+                stats = run_txn(sim, decl, run_body(ops, expand, log, prebuilt), model,
                                 prefetch=prefetch, retry_cap=8)
                 results.append(("ok", stats))
             except (CapacityError, RetryCapExceededError) as exc:
@@ -1116,7 +1233,7 @@ def check_runs_match_per_word_accesses(program):
             check_invariants(sim)
         consults = None if model is None else (model.consultations, model._pos)
         outcomes.append((results, log, sim_state(sim), consults))
-    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 @settings(max_examples=200, deadline=None)
@@ -1312,18 +1429,18 @@ def test_edge_runs_match_per_word_accesses(ops, fire_on, prefetch):
     decl = TxnDeclaration.of(reads=[(0, 64), (addr_of(15), 64)],
                              writes=[(64, 64)])
     outcomes = []
-    for expand in (False, True):
+    for expand, prebuilt in BODY_PATHS.values():
         sim = CacheSim(EDGE)
         sim.poke_words(0, range(1, 17))
         model = FireOnConsultation(fire_on)
         log = []
         try:
-            result = run_txn(sim, decl, run_body(ops, expand, log), model,
+            result = run_txn(sim, decl, run_body(ops, expand, log, prebuilt), model,
                              prefetch=prefetch, retry_cap=1)
         except (ValueError, UndeclaredAccessError, RetryCapExceededError) as exc:
             result = (type(exc), str(exc))
         outcomes.append((result, log, sim_state(sim), model.consultations))
-    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 # -- one walk per run list, against the per-word path -------------------------
