@@ -140,11 +140,12 @@ def _out_of_range(addr: int) -> ValueError:
 
 def line_steps(runs: Iterable[tuple[int, int]], shift: int, spans: Sequence[range],
                starts: Sequence[int], refuse: Callable[[int], Exception],
-               aligned: bool) -> tuple[list[tuple[int, int]], int]:
+               aligned: bool, build: bool = True) -> tuple[list[tuple[int, int]], int]:
     """One walk over ``runs``, each ``(addr, count)`` ``count`` words at
     ascending byte addresses from ``addr``: check each run with words
     against ``spans`` and build its ``(line, k)`` steps, the ``k`` words
     it has in each ``line``.  Returns the steps and the number of words.
+    Without ``build`` the runs are only checked, and no steps are built.
 
     ``spans`` are ascending, disjoint ``range``s of lines, no two
     touching, with ``starts`` their first lines, so one bisect finds the
@@ -173,6 +174,8 @@ def line_steps(runs: Iterable[tuple[int, int]], shift: int, spans: Sequence[rang
         if misaligned:
             raise ValueError(f"address {addr} not word aligned")
         total += count
+        if not build:
+            continue
         if first == last:
             steps.append((first, count))
             continue

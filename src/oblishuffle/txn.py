@@ -76,7 +76,8 @@ would, and keeps its runs and steps in arrays, and
 stretch loop with no walk at all, when it was built against the
 context's own declaration.  A list built against another one is walked
 against the context's first (``RunList.against``), which shares its
-steps, since they depend only on the runs and the line size.  Such a
+steps, since they depend only on the runs and the line size, so that
+walk only checks the runs and builds no steps.  Such a
 body only supplies the values to write: its addresses were fixed before
 any input existed.  ``write_list`` refuses values that do not fit the
 runs' word counts before anything changes.
@@ -492,16 +493,17 @@ class RunList(NamedTuple):
     def against(self, decl: TxnDeclaration, kind: str) -> "RunList":
         """These runs walked against ``decl`` as ``kind``: this list if it
         was built so, else one refused as ``build`` refuses it or sharing
-        these steps, which depend only on the runs and the line size.  A
-        walk against the very spans this list was walked against (a write
-        list, and a declaration that shares its write spans,
-        ``TxnDeclaration.with_reads``) is not made again."""
+        these steps, which depend only on the runs and the line size, so
+        the walk only checks the runs.  A walk against the very spans
+        this list was walked against (a write list, and a declaration
+        that shares its write spans, ``TxnDeclaration.with_reads``) is not
+        made again."""
         if decl is self.decl and kind == self.kind:
             return self
         if decl.line_size != self.decl.line_size:
             return RunList.build(decl, self.runs, kind)
         if kind != self.kind or _checked(decl, kind) is not _checked(self.decl, kind):
-            _walk(decl, self.runs, kind)
+            _walk(decl, self.runs, kind, False)
         return RunList(decl, kind, *self[2:])
 
 
@@ -516,32 +518,22 @@ def _bisected(spans: list[range]) -> tuple[list[range], list[int]]:
     return spans, [span.start for span in spans]
 
 
-def _walk(decl: TxnDeclaration, runs, kind: str):
+def _walk(decl: TxnDeclaration, runs, kind: str, build: bool = True):
     """``line_steps`` of ``runs`` against ``_checked`` spans, bisected
     afresh rather than through ``TxnDeclaration.check_spans``, so a
     declaration whose run lists are all prebuilt keeps no list of span
-    starts."""
+    starts.  Without ``build`` it only checks the runs."""
     refuse = _UNDECLARED[kind]
     spans, starts = _bisected(_checked(decl, kind))
     return line_steps(runs, decl.line_size.bit_length() - 1, spans, starts,
-                      refuse, True)
-
-
-# the unsigned array types, narrowest first, each with its first value
-# too large for it
-_UNSIGNED = [(code, 1 << 8 * array(code).itemsize) for code in "BHI"]
+                      refuse, True, build)
 
 
 def _packed(pairs: list[tuple[int, int]]) -> array:
-    """The numbers of ``pairs``, in turn, in the narrowest unsigned array
-    type that holds them all, else in signed 64-bit words."""
-    flat = list(chain.from_iterable(pairs))
-    if flat and min(flat) >= 0:
-        top = max(flat)
-        for code, past in _UNSIGNED:
-            if top < past:
-                return array(code, flat)
-    return array("q", flat)
+    """The numbers of ``pairs``, in turn, as signed 64-bit words, in one
+    conversion: the narrowest type that holds them would take a scan for
+    the largest, which doubles the cost of packing."""
+    return array("q", list(chain.from_iterable(pairs)))
 
 
 def _pairs(flat: array) -> Iterator[tuple[int, int]]:

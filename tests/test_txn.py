@@ -57,6 +57,7 @@ from oblishuffle.txn import (
     TxnDeclaration,
     UndeclaredAccessError,
     _Interrupted,
+    _walk,
     run_txn,
 )
 
@@ -195,12 +196,15 @@ def test_span_check_matches_the_line_set_rule(case):
     ctx = TxnContext(CacheSim(config), decl, None, prefetched=True)
     want = next((e for e in (invalid_input(ctx, kind, a, c) for a, c in runs)
                  if e is not None), None)
-    # a prebuilt list is refused as it is built, with the same error
+    # a prebuilt list is refused as it is built, with the same error, and
+    # so is a list checked again without building its steps
+    access = READ if kind == "r" else WRITE
     for call in (lambda: ctx._run(runs, READ) if kind == "r"
                  else ctx._run(runs, WRITE, [[7] * max(c, 0) for _, c in runs]),
-                 lambda: RunList.build(decl, runs, READ if kind == "r" else WRITE)):
+                 lambda: RunList.build(decl, runs, access),
+                 lambda: _walk(decl, runs, access, False)):
         try:
-            call()
+            result = call()
             got = None
         except (UndeclaredAccessError, ValueError) as exc:
             got = exc
@@ -209,6 +213,8 @@ def test_span_check_matches_the_line_set_rule(case):
             assert (got.addr, got.kind) == (want.addr, want.kind)
         else:
             assert str(got) == str(want)
+    if want is None:  # the check alone counts the words and builds no step
+        assert result == ([], sum(max(c, 0) for _, c in runs))
 
 
 # a list declared by WIDE, whose runs leave NARROW (line 1 unread, line
