@@ -311,11 +311,10 @@ def _bucket_values(row: list[int], j: int, params: ShuffleParams) -> list[int]:
 
 
 class _Txn(NamedTuple):
-    """One transaction of a schedule: its plan, the plan's declaration and
-    its body's run lists, each walked against that declaration: the read
-    lists in the order the body reads them, then the one write list."""
+    """One transaction of a schedule: its declaration and its body's run
+    lists, each walked against that declaration: the read lists in the
+    order the body reads them, then the one write list."""
 
-    plan: LayoutPlan
     decl: TxnDeclaration
     reads: tuple[RunList, ...]
     writes: RunList
@@ -326,36 +325,41 @@ class _Schedule:
     and row stride) as a ``_Txn``, each built on first use and kept: the
     data-free part of the shuffle, shared by every engine of the shape.
 
-    A scatter is keyed by (i, src, pi), a gather by (j, dst).  What
-    several transactions share is stored once: scatter i's slice
-    placements, their write-only declaration (whose write spans every
-    scatter i's declaration shares, ``TxnDeclaration.with_reads``) and
-    their run list, and any run list walked before, such as gather j's
-    row read, whose steps every later walk of the same runs shares
-    (``RunList.against``).  Steps are held in arrays, so a shape's
-    schedule holds no Python object per step.
+    A scatter is keyed by (i, src, pi), a gather by (j, dst).  Each
+    entry's declaration is that of the transaction's ``LayoutPlan``,
+    which ``plan`` makes and keeps only when asked, since only an engine
+    that records plans reads them.  What several transactions share is
+    stored once: scatter i's write spans, which its declarations share
+    (``TxnDeclaration.with_reads``), and its write list, which needs no
+    walk against a declaration of the same write spans; and the steps of
+    each run read or written alone, such as gather j's row or a bucket
+    one pass writes and the next reads, which the first transaction to
+    run it builds and every later one walks against its own declaration
+    only to check it (``RunList.against``).  Steps are held in arrays, so
+    a shape's schedule holds no Python object per step.
     """
 
     def __init__(self, n: int, pad_factor: int, config: CacheConfig,
                  stride: int):
         p = ShuffleParams(n, pad_factor)
         self._line = config.line_size
-        self._bc = p.bucket_count
+        self._bc = bc = p.bucket_count
         self._slice_len = p.slice_len
         self._row_len = p.bucket_capacity
         self._inter = arena("melbourne", n, self._line, pad_factor)[-2]
         self._stride = stride
         # a region is a value, so the schedule makes one per (name, size,
         # kind) and shares it among every placement of it, and one list of
-        # slice_0, slice_1, ... per size, since a scatter's slices share one
+        # slice_0, slice_1, ... per size, since a scatter's slices share one;
+        # neither refers back to the schedule, so no cycle keeps it alive
         region = self._region = cache(Region)
         self._slice_regions = cache(lambda size: [
-            region(f"slice_{j}", size, READ_WRITE) for j in range(self._bc)
+            region(f"slice_{j}", size, READ_WRITE) for j in range(bc)
         ])
         self._txns: dict[tuple[int, ...], _Txn] = {}
-        # scatter i -> its slice placements, write-only declaration and
-        # write list
-        self._slices: dict[int, tuple[list, TxnDeclaration, RunList]] = {}
+        self._plans: dict[tuple[int, ...], LayoutPlan] = {}
+        # scatter i -> its slices' write-only declaration and write list
+        self._slices: dict[int, tuple[TxnDeclaration, RunList]] = {}
         # (addr, count) -> the first list of that one run
         self._runs: dict[tuple[int, int], RunList] = {}
 
@@ -364,16 +368,15 @@ class _Schedule:
         ``src``, and writes its slices in ascending destination bucket."""
         txn = self._txns.get((i, src, pi))
         if txn is None:
-            bb = self._bc * WORD_BYTES
-            slices, written, writes = self._scatter_slices(i)
-            heads = [self._placement("src_bucket", READ_ONLY, src + i * bb, bb),
-                     self._placement("pi_bucket", READ_ONLY, pi + i * bb, bb)]
-            decl = written.with_reads((base, region.size) for region, base in heads)
+            bc = self._bc
+            bb = bc * WORD_BYTES
+            written, writes = self._scatter_writes(i)
+            decl = written.with_reads(
+                (base, region.size) for region, base in self._heads(i, src, pi))
             txn = self._txns[i, src, pi] = _Txn(
-                LayoutPlan((*heads, *slices)),
                 decl,
-                (self._one_run(decl, pi + i * bb, self._bc, READ),
-                 self._one_run(decl, src + i * bb, self._bc, READ)),
+                (self._one_run(decl, pi + i * bb, bc, READ),
+                 self._one_run(decl, src + i * bb, bc, READ)),
                 writes.against(decl, WRITE),
             )
         return txn
@@ -383,20 +386,24 @@ class _Schedule:
         bucket j of ``dst``."""
         txn = self._txns.get((j, dst))
         if txn is None:
-            bb = self._bc * WORD_BYTES
-            row0, dst0 = self._inter + j * self._stride, dst + j * bb
-            plan = LayoutPlan((
-                self._placement("row", READ_ONLY, row0, self._row_len * WORD_BYTES),
-                self._placement("out_bucket", READ_WRITE, dst0, bb),
-            ))
-            decl = decl_from_plan(plan, self._line)
+            decl = decl_from_plan(LayoutPlan(self._gather_placements(j, dst)), self._line)
             txn = self._txns[j, dst] = _Txn(
-                plan,
                 decl,
-                (self._one_run(decl, row0, self._row_len, READ),),
-                self._one_run(decl, dst0, self._bc, WRITE),
+                (self._one_run(decl, self._inter + j * self._stride, self._row_len,
+                               READ),),
+                self._one_run(decl, dst + j * self._bc * WORD_BYTES, self._bc, WRITE),
             )
         return txn
+
+    def plan(self, key: tuple[int, ...]) -> LayoutPlan:
+        """The ``LayoutPlan`` of the scatter or gather keyed ``key``, made
+        on first use and kept."""
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = LayoutPlan(
+                (*self._heads(*key), *self._slice_placements(key[0])) if len(key) == 3
+                else self._gather_placements(*key))
+        return plan
 
     def _placement(self, name: str, kind: str, base: int,
                    size: int) -> tuple[Region, int]:
@@ -405,25 +412,43 @@ class _Schedule:
         lo = base - base % self._line
         return self._region(name, _round_lines(base + size, self._line) - lo, kind), lo
 
-    def _scatter_slices(self, i: int) -> tuple[list, TxnDeclaration, RunList]:
-        """Scatter transaction i's slice placements in ascending j, their
-        write-only declaration and their write list, shared by its every
-        pass.
+    def _heads(self, i: int, src: int, pi: int) -> tuple[tuple[Region, int], ...]:
+        """Scatter transaction i's source and routing bucket placements."""
+        bb = self._bc * WORD_BYTES
+        return (self._placement("src_bucket", READ_ONLY, src + i * bb, bb),
+                self._placement("pi_bucket", READ_ONLY, pi + i * bb, bb))
+
+    def _gather_placements(self, j: int, dst: int) -> tuple[tuple[Region, int], ...]:
+        """Gather transaction j's row and destination bucket placements."""
+        bb = self._bc * WORD_BYTES
+        return (self._placement("row", READ_ONLY, self._inter + j * self._stride,
+                                self._row_len * WORD_BYTES),
+                self._placement("out_bucket", READ_WRITE, dst + j * bb, bb))
+
+    def _slice_placements(self, i: int) -> list[tuple[Region, int]]:
+        """Scatter transaction i's slice placements in ascending j.
 
         Its slices lie a stride of whole lines apart, so each starts at
         the same offset in its line and touches as many lines as slice 0:
-        the runs' addresses and the placements' bases are ``range``s."""
+        the placements' bases are a ``range`` over one list of regions."""
+        sb, stride = self._slice_len * WORD_BYTES, self._stride
+        region, lo = self._placement("slice_0", READ_WRITE, self._inter + i * sb, sb)
+        return list(zip(self._slice_regions(region.size),
+                        range(lo, lo + self._bc * stride, stride)))
+
+    def _scatter_writes(self, i: int) -> tuple[TxnDeclaration, RunList]:
+        """Scatter transaction i's slices' write-only declaration and their
+        write list, a run of ``slice_len`` words a stride apart per slice,
+        shared by its every pass."""
         got = self._slices.get(i)
         if got is None:
-            sb, stride = self._slice_len * WORD_BYTES, self._stride
-            a = self._inter + i * sb
-            region, lo = self._placement("slice_0", READ_WRITE, a, sb)
-            span = self._bc * stride
-            placements = list(zip(self._slice_regions(region.size),
-                                  range(lo, lo + span, stride)))
-            written = decl_from_plan(LayoutPlan(tuple(placements)), self._line)
-            got = self._slices[i] = (placements, written, RunList.build(
-                written, zip(range(a, a + span, stride), repeat(self._slice_len)), WRITE))
+            stride = self._stride
+            a = self._inter + i * self._slice_len * WORD_BYTES
+            written = decl_from_plan(LayoutPlan(tuple(self._slice_placements(i))),
+                                     self._line)
+            got = self._slices[i] = (written, RunList.build(
+                written, zip(range(a, a + self._bc * stride, stride),
+                             repeat(self._slice_len)), WRITE))
         return got
 
     def _one_run(self, decl: TxnDeclaration, addr: int, count: int,
@@ -574,11 +599,11 @@ class ShuffleEngine:
 
     # -- transaction plumbing ----------------------------------------------
 
-    def _run(self, txn: _Txn, body) -> None:
+    def _run(self, key: tuple[int, ...], txn: _Txn, body) -> None:
         """Run body as one transaction that declares exactly the lines of
-        its plan."""
+        its plan, the schedule's transaction ``key``."""
         if self.record_plans:
-            self.plans.append(txn.plan)
+            self.plans.append(self._schedule.plan(key))
         try:
             st = run_txn(
                 self.sim,
@@ -600,7 +625,8 @@ class ShuffleEngine:
         bc = p.bucket_count
         slice_len = p.slice_len
         dummy_word = pack(p.dummy_tag, 0)
-        txn = self._schedule.scatter(i, src, pi)
+        key = (i, src, pi)
+        txn = self._schedule.scatter(*key)
         reads, writes = txn.reads, txn.writes
 
         def body(ctx) -> None:
@@ -619,20 +645,21 @@ class ShuffleEngine:
                 s += [dummy_word] * (slice_len - len(s))
             ctx.write_list(writes, slices)
 
-        self._run(txn, body)
+        self._run(key, txn, body)
 
     def gather_txn(self, j: int, dst: int) -> None:
         """Drain intermediate row j to its destination bucket, dummy-free
         and ordered by destination index."""
         p = self.params
-        txn = self._schedule.gather(j, dst)
-        (row_list,), writes = txn.reads, txn.writes
+        key = (j, dst)
+        txn = self._schedule.gather(*key)
+        reads, writes = txn.reads, txn.writes
 
         def body(ctx) -> None:
-            (row,) = ctx.read_list(row_list)
+            (row,) = ctx.read_list(*reads)
             ctx.write_list(writes, (_bucket_values(row, j, p),))
 
-        self._run(txn, body)
+        self._run(key, txn, body)
 
     # -- passes --------------------------------------------------------------
 

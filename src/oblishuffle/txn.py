@@ -39,23 +39,24 @@ aborted transaction never touched (ROADMAP item 5).  A cold attempt's
 context holds the lines it dirtied, which the commit writes back, and
 those it pinned, which a rollback drops.
 
-A body accesses words with ``ctx.read``/``ctx.write``, consecutive words
-with ``ctx.read_run(addr, count)``/``ctx.write_run(addr, values)``, or a
-list of such runs with ``ctx.write_runs([(addr, values), ...])``.  A run
-list is the one access path: a single word is a list of one run of
-length one, and a single run a list of one run.  A list is exact: its
-result, any exception, the interrupt model's consultations and the whole
-cache state (trace, counters, LRU order, dirty and pin bits) equal those
-of one per-word access per word at ascending addresses, run after run,
-for valid input.  A list is one walk, ``cache.line_steps``: it checks
+A body accesses words with ``ctx.read``/``ctx.write``, and runs of
+consecutive words through a run list made before it runs:
+``RunList.build(decl, [(addr, count), ...], kind)`` walks the list
+against a declaration and ``ctx.read_list``/``ctx.write_list`` run it.
+A run list is the one access path: a single word is a list of one run
+of length one.  A list is exact: its result, any exception, the
+interrupt model's consultations and the whole cache state (trace,
+counters, LRU order, dirty and pin bits) equal those of one per-word
+access per word at ascending addresses, run after run, for valid
+input.  A list is one walk, ``cache.line_steps``: it checks
 the declaration once for all the lines of each run, by a bisect on the
-first lines of the declared spans (``check_spans``, a list of ints built
-once per declaration), and the alignment of each run's first word, and
-in the same pass builds the run's (line, k) steps, the k words it has
-in each line.  Invalid input is the caller's error and has one rule: a
-bad list raises an UndeclaredAccessError or a ValueError naming the
-first bad word of the first bad run before it consults the interrupt
-model or accesses anything, so it changes nothing.  A valid list is
+first lines of the declared spans, and the alignment of each run's first
+word, and in the same pass builds the run's (line, k) steps, the k words
+it has in each line.  Invalid input is the caller's error and has one
+rule: a bad list raises an UndeclaredAccessError or a ValueError naming
+the first bad word of the first bad run before it consults the interrupt
+model or accesses anything, so it changes nothing; a single word is
+refused at its call, a run list as it is built.  A valid list is
 then run as stretches by one loop, each stretch its runs, their values,
 their steps and their word count: the loop consults the model once for
 the stretch, hands the steps of the words before any fire to the
@@ -69,18 +70,15 @@ run, in turn, is split at line starts: its first word is one stretch,
 and each later stretch runs through the next word that starts a line,
 its steps taken from the walk's.
 
-A list can also be walked once and run many times: ``RunList.build``
-walks it against a declaration, refusing a bad list as a body's call
-would, and keeps its runs and steps in arrays, and
-``ctx.read_list``/``ctx.write_list`` hand a prebuilt list to the same
-stretch loop with no walk at all, when it was built against the
-context's own declaration.  A list built against another one is walked
-against the context's first (``RunList.against``), which shares its
-steps, since they depend only on the runs and the line size, so that
-walk only checks the runs and builds no steps.  Such a
-body only supplies the values to write: its addresses were fixed before
-any input existed.  ``write_list`` refuses values that do not fit the
-runs' word counts before anything changes.
+A run list keeps its runs and steps in arrays and runs as often as a
+body likes, with no walk when it was built against the context's own
+declaration.  A list built against another one is walked against the
+context's first (``RunList.against``), which shares its steps, since
+they depend only on the runs and the line size, so that walk only
+checks the runs.  A body that runs prebuilt lists only supplies the
+values to write: its addresses were fixed before any input existed.
+``write_list`` refuses values that do not fit the runs' word counts
+before anything changes.
 
 Interrupt models answer one question, ``first_fire(count)``: make
 ``count`` consultations, stopping at the first that fires, and return its
@@ -115,7 +113,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property, partial
 from itertools import chain
 from operator import attrgetter
@@ -258,15 +256,18 @@ class TxnDeclaration:
     use: a body's read check bisects it, and a prefetched attempt's
     rollback drops its lines.  A body's write check bisects
     ``write_spans``.  Equality and hashing depend only on the ranges and
-    the line size.
+    the line size.  ``with_reads`` makes a declaration of other reads
+    that shares this one's write spans, passed as ``shared_writes``.
     """
 
     read_ranges: tuple[ByteRange, ...]
     write_ranges: tuple[ByteRange, ...]
     line_size: int = 64
+    shared_writes: InitVar[list[range] | None] = None
 
-    def __post_init__(self) -> None:
-        w = _spans(self.write_ranges, self.line_size)
+    def __post_init__(self, shared_writes: list[range] | None) -> None:
+        w = (_spans(self.write_ranges, self.line_size) if shared_writes is None
+             else shared_writes)
         r = _subtract(_spans(self.read_ranges, self.line_size), w)
         object.__setattr__(self, "read_spans", r)
         object.__setattr__(self, "write_spans", w)
@@ -281,21 +282,12 @@ class TxnDeclaration:
         return cls(tuple(reads), tuple(writes), line_size)
 
     def with_reads(self, reads: Iterable[ByteRange]) -> "TxnDeclaration":
-        """``TxnDeclaration.of(reads, self.write_ranges, self.line_size)``,
-        built on this declaration's write spans rather than anew, so
+        """``TxnDeclaration.of(reads, self.write_ranges, self.line_size)``
+        with this declaration's write spans, not spans built anew, so
         declarations that differ only in their reads share their write
         side."""
-        decl = object.__new__(TxnDeclaration)
-        reads = tuple(reads)
-        for name, value in (
-            ("read_ranges", reads),
-            ("write_ranges", self.write_ranges),
-            ("line_size", self.line_size),
-            ("read_spans", _subtract(_spans(reads, self.line_size), self.write_spans)),
-            ("write_spans", self.write_spans),
-        ):
-            object.__setattr__(decl, name, value)
-        return decl
+        return TxnDeclaration(tuple(reads), self.write_ranges, self.line_size,
+                              self.write_spans)
 
     @cached_property
     def spans(self) -> list[range]:
@@ -314,7 +306,8 @@ class TxnDeclaration:
     def check_spans(self) -> dict[str, tuple[list[range], list[int]]]:
         """Per access kind, the spans a body's check of that kind bisects,
         ``spans`` or ``write_spans``, with the first line of each."""
-        return {kind: _bisected(_checked(self, kind)) for kind in (READ, WRITE)}
+        return {kind: (spans, [span.start for span in spans])
+                for kind, spans in ((READ, self.spans), (WRITE, self.write_spans))}
 
     def footprint_bytes(self) -> int:
         return _line_count(self.read_spans + self.write_spans) * self.line_size
@@ -462,17 +455,17 @@ class RunList(NamedTuple):
     It holds the declaration and access kind it was walked against, its
     runs, each ``(addr, count)`` with a count below one as none, its
     steps as ``line_steps`` built them, each ``(line, k)``, and its word
-    count.  The runs and the steps are each one flat array of their
-    pairs' numbers, so a list holds no Python object per run or step;
-    ``runs`` and ``steps`` make the pairs as they are read.  ``build``
-    refuses a bad list as a body's call refuses it (see the module
-    docstring), before any access.
+    count.  The runs' numbers and then the steps' are one flat array of
+    signed 64-bit words, ``words``, with ``nruns`` runs, so a list holds
+    no Python object per run or step; ``runs`` and ``steps`` make the
+    pairs as they are read.  ``build`` refuses a bad list as a body's
+    call refuses it (see the module docstring), before any access.
     """
 
     decl: TxnDeclaration
     kind: str
-    flat_runs: array
-    flat_steps: array
+    words: array
+    nruns: int
     total: int
 
     @classmethod
@@ -480,63 +473,56 @@ class RunList(NamedTuple):
               kind: str) -> "RunList":
         runs = [(addr, max(count, 0)) for addr, count in runs]
         steps, total = _walk(decl, runs, kind)
-        return cls(decl, kind, _packed(runs), _packed(steps), total)
+        words = array("q", list(chain.from_iterable(chain(runs, steps))))
+        return cls(decl, kind, words, len(runs), total)
 
     @property
     def runs(self) -> Iterator[tuple[int, int]]:
-        return _pairs(self.flat_runs)
+        return _pairs(memoryview(self.words)[:2 * self.nruns])
 
     @property
     def steps(self) -> Iterator[tuple[int, int]]:
-        return _pairs(self.flat_steps)
+        return _pairs(memoryview(self.words)[2 * self.nruns:])
 
     def against(self, decl: TxnDeclaration, kind: str) -> "RunList":
         """These runs walked against ``decl`` as ``kind``: this list if it
         was built so, else one refused as ``build`` refuses it or sharing
         these steps, which depend only on the runs and the line size, so
-        the walk only checks the runs.  A walk against the very spans
-        this list was walked against (a write list, and a declaration
-        that shares its write spans, ``TxnDeclaration.with_reads``) is not
-        made again."""
+        the walk only checks the runs.  A write list is not walked again
+        against write spans equal to those it was walked against."""
         if decl is self.decl and kind == self.kind:
             return self
         if decl.line_size != self.decl.line_size:
             return RunList.build(decl, self.runs, kind)
-        if kind != self.kind or _checked(decl, kind) is not _checked(self.decl, kind):
-            _walk(decl, self.runs, kind, False)
+        if not (kind == self.kind == WRITE and decl.write_spans == self.decl.write_spans):
+            _walk(decl, list(self.runs), kind, False)
         return RunList(decl, kind, *self[2:])
 
 
-def _checked(decl: TxnDeclaration, kind: str) -> list[range]:
-    """The spans a body's check of ``kind`` bisects: every declared line
-    for a read, the write spans for a write."""
-    return decl.write_spans if kind == WRITE else decl.spans
+def _walk(decl: TxnDeclaration, runs: list[tuple[int, int]], kind: str,
+          build: bool = True):
+    """``line_steps`` of ``runs`` against the spans a body's check of
+    ``kind`` bisects, bisected afresh rather than through
+    ``TxnDeclaration.check_spans``, so a declaration whose run lists are
+    all prebuilt keeps no list of span starts.  A write is checked
+    against the write spans.  A read is checked against the read spans,
+    and against every declared line (``spans``) only if they refuse it,
+    so a declaration whose reads lie in its read spans builds no
+    ``spans``.  Without ``build`` it only checks the runs."""
+    shift, refuse = decl.line_size.bit_length() - 1, _UNDECLARED[kind]
+    spans = decl.write_spans if kind == WRITE else decl.read_spans
+    try:
+        return line_steps(runs, shift, spans, [s.start for s in spans], refuse,
+                          True, build)
+    except UndeclaredAccessError:
+        if kind == WRITE:
+            raise
+    spans = decl.spans  # the read spans leave out the write lines
+    return line_steps(runs, shift, spans, [s.start for s in spans], refuse,
+                      True, build)
 
 
-def _bisected(spans: list[range]) -> tuple[list[range], list[int]]:
-    """``spans`` with the first line of each, which a check bisects."""
-    return spans, [span.start for span in spans]
-
-
-def _walk(decl: TxnDeclaration, runs, kind: str, build: bool = True):
-    """``line_steps`` of ``runs`` against ``_checked`` spans, bisected
-    afresh rather than through ``TxnDeclaration.check_spans``, so a
-    declaration whose run lists are all prebuilt keeps no list of span
-    starts.  Without ``build`` it only checks the runs."""
-    refuse = _UNDECLARED[kind]
-    spans, starts = _bisected(_checked(decl, kind))
-    return line_steps(runs, decl.line_size.bit_length() - 1, spans, starts,
-                      refuse, True, build)
-
-
-def _packed(pairs: list[tuple[int, int]]) -> array:
-    """The numbers of ``pairs``, in turn, as signed 64-bit words, in one
-    conversion: the narrowest type that holds them would take a scan for
-    the largest, which doubles the cost of packing."""
-    return array("q", list(chain.from_iterable(pairs)))
-
-
-def _pairs(flat: array) -> Iterator[tuple[int, int]]:
+def _pairs(flat: memoryview) -> Iterator[tuple[int, int]]:
     """The pairs of ``flat``'s numbers, in turn."""
     it = iter(flat)
     return zip(it, it)
@@ -547,13 +533,12 @@ class TxnContext:
     record ``run_txn`` rolls back and commits from.
 
     Reads and writes go through the cache with pinning and are checked
-    against the declaration.  ``read_run``/``write_run`` do the same for
-    consecutive words, ``write_runs`` for a list of such runs, and
-    ``read_list``/``write_list`` for a prebuilt ``RunList`` (see the
-    module docstring).  ``tick`` models units of computation that
-    touch no memory but can still be interrupted.  ``consultations``
-    counts what the attempt has asked of the interrupt model, or would
-    have asked of one (see the module docstring).
+    against the declaration.  ``read_list``/``write_list`` do the same
+    for the runs of a prebuilt ``RunList`` (see the module docstring).
+    ``tick`` models units of computation that touch no memory but can
+    still be interrupted.  ``consultations`` counts what the attempt has
+    asked of the interrupt model, or would have asked of one (see the
+    module docstring).
     A cold attempt's context holds the lines it dirtied, in the order
     first dirtied (an insertion-ordered dict), and those it pinned (a
     set), both filled as its body runs.  A prefetched attempt pins and
@@ -595,27 +580,10 @@ class TxnContext:
         """One word: a run of length one."""
         self._run(((addr, 1),), WRITE, ((value,),))
 
-    def read_run(self, addr: int, count: int) -> list[int]:
-        """Values of ``count`` words from ``addr``, exactly as that many
-        ``read`` calls at ascending word addresses."""
-        self._run(((addr, count),), READ)
-        return self._sim.load_words(addr >> 3, count)
-
-    def write_run(self, addr: int, values: Sequence[int]) -> None:
-        """Store ``values`` at ascending words from ``addr``, exactly as
-        one ``write`` call per value."""
-        self._run(((addr, len(values)),), WRITE, (values,))
-
-    def write_runs(self, runs: Sequence[tuple[int, Sequence[int]]]) -> None:
-        """Store each ``(addr, values)`` of ``runs`` in order, exactly as
-        one ``write_run`` call per pair, for valid input."""
-        self._run([(addr, len(values)) for addr, values in runs], WRITE,
-                  [values for _, values in runs])
-
     def read_list(self, rl: RunList) -> list[list[int]]:
         """The values of each run of the prebuilt list ``rl``, one list per
-        run, exactly as one ``read_run`` per run; ``rl`` is walked again
-        only if it was built against another declaration or kind
+        run, exactly as one ``read`` per word; ``rl`` is walked again only
+        if it was built against another declaration or kind
         (``RunList.against``)."""
         rl = rl.against(self._decl, READ)
         self._run(rl.runs, READ, None, rl.steps, rl.total)
@@ -624,11 +592,11 @@ class TxnContext:
 
     def write_list(self, rl: RunList, values: Sequence[Sequence[int]]) -> None:
         """Store ``values``, one sequence per run of the prebuilt list
-        ``rl``, exactly as ``write_runs`` of its runs with them.  Values
-        that do not fit the runs' word counts raise a ValueError before
-        anything changes."""
+        ``rl``, exactly as one ``write`` per word.  Values that do not fit
+        the runs' word counts raise a ValueError before anything
+        changes."""
         rl = rl.against(self._decl, WRITE)
-        counts = rl.flat_runs[1::2]
+        counts = memoryview(rl.words)[1:2 * rl.nruns:2]
         if array("q", map(len, values)) != counts:
             raise ValueError(f"values of {[len(v) for v in values]} words for "
                              f"runs of {counts.tolist()}")
@@ -655,9 +623,10 @@ class TxnContext:
 
         A prebuilt list passes its ``steps`` and word count ``total``,
         and its runs and steps may be iterators: each is taken once.
-        Any other list is checked first, in the walk that builds its
-        steps (``line_steps``), and a bad one changes nothing: the first
-        run with a bad word raises, for an undeclared line an
+        Any other list, such as a single word's from ``read`` or
+        ``write``, is checked first, in the walk that builds its steps
+        (``line_steps``), and a bad one changes nothing: the first run
+        with a bad word raises, for an undeclared line an
         UndeclaredAccessError naming its first word of that run, and for a
         misaligned ``addr`` on a declared line a ValueError.  Then one
         loop runs the list's stretches: a prefetched body's list is one

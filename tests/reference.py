@@ -7,7 +7,10 @@ in one call.  ``per_word_access``,
 ``per_word_read``/``per_word_write`` and ``per_word_draw`` are the
 per-word paths they replace: one ``access`` per word, checked against the
 declaration and preceded by one interrupt consultation, each drawing
-once from the model's buffer.  ``ScanAccessProbability`` is
+once from the model's buffer.  ``read_run``, ``write_run`` and
+``write_runs`` are a body's run calls for addresses it computes as it
+runs: each builds a ``RunList`` against the context's declaration at the
+call and runs it.  ``ScanAccessProbability`` is
 ``AccessProbability`` as it was when it held each buffer as its draws
 and scanned them for a fire; ``per_word_draw`` draws from its buffer.
 ``PeriodicTimer`` fires on every T-th consultation of a whole run, and
@@ -114,6 +117,7 @@ from oblishuffle.txn import (
     HitGuaranteeError,
     NestedTxnError,
     RetryCapExceededError,
+    RunList,
     TxnContext,
     TxnDeclaration,
     TxnStats,
@@ -384,6 +388,26 @@ def per_word_write(ctx, addr, value):
     per_word_access(sim, addr, WRITE)
     ctx._undo.append((addr >> 3, sim.load_words(addr >> 3, 1)))
     sim.store_words(addr >> 3, [value])
+
+
+def read_run(ctx, addr, count):
+    """``count`` words from ``addr`` as a body reads a run whose address
+    it computes as it runs: one run list built at the call against the
+    context's declaration, then run."""
+    (values,) = ctx.read_list(RunList.build(ctx._decl, [(addr, count)], READ))
+    return values
+
+
+def write_runs(ctx, runs):
+    """Each ``(addr, values)`` of ``runs`` stored in order, as one run list
+    built at the call against the context's declaration, then run."""
+    rl = RunList.build(ctx._decl, [(addr, len(values)) for addr, values in runs], WRITE)
+    ctx.write_list(rl, [values for _, values in runs])
+
+
+def write_run(ctx, addr, values):
+    """``values`` stored at ascending words from ``addr``: a list of one run."""
+    write_runs(ctx, [(addr, values)])
 
 
 def per_line_prefetch(sim, spans, kind) -> None:

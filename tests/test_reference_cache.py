@@ -35,8 +35,10 @@ from reference import (
     in_epoch,
     lru_entries,
     memory_contents,
+    read_run,
     reference_lru_entries,
     snapshot_run_txn,
+    write_run,
 )
 
 from oblishuffle.cache import CacheConfig, CacheSim
@@ -134,9 +136,9 @@ def make_body(ops, reads, reference):
     def body(ctx):
         for op, addr, arg in ops:
             if op == "w":
-                ctx.write_run(addr, arg)
+                write_run(ctx, addr, arg)
             elif op == "r":
-                values = ctx.read_run(addr, arg)
+                values = read_run(ctx, addr, arg)
                 reads.append(ctx._sim.load_words(addr >> 3, arg)
                              if reference else values)
             else:

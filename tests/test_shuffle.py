@@ -755,10 +755,10 @@ def test_stagger_test_and_slice_placements_match_counts_from_scratch(config):
             outcomes.add(got)
             schedule = shuffle._Schedule(n, p.pad_factor, config, stride_lines * line)
             for i in range(bc):
-                placements, _, writes = schedule._scatter_slices(i)
+                writes = schedule.scatter(i, engine.data_src, engine.perm_r).writes
                 want = [engine.inter + j * stride_lines * line + i * sb for j in range(bc)]
                 assert list(writes.runs) == [(a, p.slice_len) for a in want]
-                assert placements == [
+                assert schedule._slice_placements(i) == [
                     (Region(f"slice_{j}", -(-(a + sb) // line) * line - a // line * line,
                             READ_WRITE), a // line * line)
                     for j, a in enumerate(want)
@@ -799,13 +799,14 @@ def schedule_keys(engine):
                          ids=SCHEDULE_GEOMETRIES.keys())
 @pytest.mark.parametrize("n", [16, 64, 256, 1024])
 def test_the_schedule_needs_no_data(config, n):
-    # the entries an engine builds before it has seen any data equal, plan
-    # by plan, declaration by declaration and step by step, those of an
-    # engine that has finished a run; each declaration is its plan's, and
-    # each run list the walk of its runs against it
+    # the entries an engine builds before it has seen any data equal,
+    # declaration by declaration and step by step, those of an engine that
+    # has finished a run, and so do the plans it recorded; each
+    # declaration is its plan's, and each run list the walk of its runs
+    # against it
     params = ShuffleParams(n, seed=3)
     shuffle._schedule.cache_clear()
-    ran = ShuffleEngine(CacheSim(config), params)
+    ran = ShuffleEngine(CacheSim(config), params, record_plans=True)
     ran.melbourne(some_data(n, 1), gen_perm(n, 2))
     after_run = dict(ran._schedule._txns)
     shuffle._schedule.cache_clear()
@@ -814,11 +815,15 @@ def test_the_schedule_needs_no_data(config, n):
     scatters, gathers = schedule_keys(fresh)
     built = {**{key: fresh._schedule.scatter(*key) for key in scatters},
              **{key: fresh._schedule.gather(*key) for key in gathers}}
-    assert len(built) == 6 * params.bucket_count
+    bc = params.bucket_count
+    assert len(built) == 6 * bc
     assert built == after_run
+    run_order = [key for k in range(3)
+                 for key in scatters[k * bc:(k + 1) * bc] + gathers[k * bc:(k + 1) * bc]]
+    assert ran.plans[-6 * bc:] == [fresh._schedule.plan(key) for key in run_order]
     assert len(fresh.sim.trace) == 0 and fresh.sim.counters == AccessCounters()
-    for txn in built.values():
-        assert txn.decl == decl_from_plan(txn.plan, config.line_size)
+    for key, txn in built.items():
+        assert txn.decl == decl_from_plan(fresh._schedule.plan(key), config.line_size)
         for rl in (*txn.reads, txn.writes):
             assert rl.decl is txn.decl
             assert rl == RunList.build(txn.decl, rl.runs, rl.kind)
@@ -834,8 +839,9 @@ def test_engines_of_one_shape_share_their_schedule():
     shuffle._schedule.cache_clear()
     first = ShuffleEngine(CacheSim(), params)
     assert not (first._schedule._txns or first._schedule._slices
-                or first._schedule._runs)
+                or first._schedule._runs or first._schedule._plans)
     first.melbourne(some_data(64, 1), gen_perm(64, 2))
+    assert not first._schedule._plans  # no engine of the shape asked for one
     second = ShuffleEngine(CacheSim(), ShuffleParams(64, seed=9))
     assert second._schedule is first._schedule
     entries = dict(first._schedule._txns)

@@ -214,11 +214,6 @@ UNNAMED = [
     "CacheSim.unpin_lines",
     # wrapped by name in perfbench/tracing.py; leaves with ROADMAP item 1
     "CacheSim.writeback_line",
-    # a body's run calls for addresses it computes as it runs; melbourne's
-    # bodies run prebuilt lists (read_list, write_list) and naive's words
-    "TxnContext.read_run",
-    "TxnContext.write_run",
-    "TxnContext.write_runs",
 ]
 
 

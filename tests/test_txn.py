@@ -31,6 +31,9 @@ from reference import (
     per_word_write,
     pinned_lines,
     poke_word,
+    read_run,
+    write_run,
+    write_runs,
 )
 
 from oblishuffle.cache import (
@@ -44,6 +47,7 @@ from oblishuffle.cache import (
     CacheConfig,
     CacheSim,
     TraceEvent,
+    line_steps,
 )
 from oblishuffle.txn import (
     AccessProbability,
@@ -60,6 +64,7 @@ from oblishuffle.txn import (
     _walk,
     run_txn,
 )
+from oblishuffle import txn as txn_module
 
 # two-way L1 so three same-set dirty lines cannot coexist
 SMALL = CacheConfig(line_size=64, l1_sets=2, l1_ways=2, llc_sets=2, llc_ways=8)
@@ -295,9 +300,35 @@ def test_lists_that_share_runs_share_their_steps():
     assert rl.against(WIDE, READ) is rl
     other = rl.against(NARROW.with_reads([(0, 128)]), READ)
     assert list(other.steps) == list(rl.steps)
-    assert other.flat_steps is rl.flat_steps and other.decl is not rl.decl
+    assert other.words is rl.words and other.decl is not rl.decl
     small = rl.against(TxnDeclaration.of(reads=[(0, 128)], line_size=32), READ)
     assert list(small.steps) == [(0, 1), (1, 4), (2, 4), (3, 1)]
+
+
+def test_a_read_on_into_a_write_line_is_declared():
+    # the read spans leave out the write lines, so a read running on from
+    # line 0 into the written line 1 is checked against every declared
+    # line; into an undeclared line it is still refused at its first word
+    decl = TxnDeclaration.of(reads=[(0, 64)], writes=[(64, 64)])
+    rl = RunList.build(decl, [(addr_of(0, 6), 4)], READ)
+    assert (list(rl.steps), rl.total) == ([(0, 2), (1, 2)], 4)
+    with pytest.raises(UndeclaredAccessError) as info:
+        RunList.build(NARROW, [(addr_of(0, 6), 4)], READ)
+    assert info.value.addr == addr_of(1)
+
+
+def test_a_write_list_is_walked_again_only_against_other_write_spans(monkeypatch):
+    # equal write spans check a write list as its own did; other ones
+    # walk it, and refuse a run that leaves them
+    rl = RunList.build(WIDE, [(addr_of(2, 7), 2)], WRITE)
+    walks = []
+    monkeypatch.setattr(txn_module, "line_steps",
+                        lambda *args: walks.append(args) or line_steps(*args))
+    same = TxnDeclaration.of(reads=[(addr_of(5), 64)], writes=WIDE.write_ranges)
+    assert rl.against(same, WRITE).words is rl.words and walks == []
+    with pytest.raises(UndeclaredAccessError) as info:
+        rl.against(NARROW, WRITE)
+    assert info.value.addr == addr_of(3) and len(walks) == 1
 
 
 def test_with_reads_is_the_declaration_of_those_reads():
@@ -436,7 +467,7 @@ def test_pins_end_with_their_transaction(ending, prefetch):
     def body(ctx):
         ctx.read(addr_of(0))
         ctx.read(addr_of(2))
-        ctx.read_run(addr_of(7), 2)
+        read_run(ctx, addr_of(7), 2)
         ctx.write(addr_of(3), 1)
         ctx.tick()
         if abort:
@@ -724,20 +755,20 @@ def test_capacity_need_past_2_63_lines_is_exact(side, level, size):
 
 def store_twice(ctx):
     # words 0 and 1 of line 0 are each stored twice, then the tick fires
-    ctx.write_run(addr_of(0), [10, 11, 12])
-    ctx.write_run(addr_of(0, 1), [20, 21])
+    write_run(ctx, addr_of(0), [10, 11, 12])
+    write_run(ctx, addr_of(0, 1), [20, 21])
     ctx.write(addr_of(0), 30)
     ctx.tick()
 
 
 def store_cut_short(ctx):
     # one run over lines 1 and 2; the interrupt fires on its 11th word
-    ctx.write_run(addr_of(1, 4), list(range(100, 112)))
+    write_run(ctx, addr_of(1, 4), list(range(100, 112)))
 
 
 def store_absent(ctx):
     # only words that were absent before the attempt
-    ctx.write_run(addr_of(1, 2), [1, 2, 3])
+    write_run(ctx, addr_of(1, 2), [1, 2, 3])
     ctx.tick()
 
 
@@ -1016,12 +1047,12 @@ def write_groups(ops):
 
 
 def group_call(ctx, group, lists=None):
-    """One context call for ``group``: ``read_run``, ``write_run`` for a
-    lone write, ``write_runs`` for consecutive writes.  With ``lists``, a
-    dict that outlives the attempt, the group's runs are built into a
-    ``RunList`` against the context's declaration at the group's first
-    call, kept in ``lists`` for later attempts, and run with
-    ``read_list``/``write_list``."""
+    """One call for ``group``, its run list built at the call:
+    ``read_run``, ``write_run`` for a lone write, ``write_runs`` for
+    consecutive writes.  With ``lists``, a dict that outlives the
+    attempt, the group's runs are built into a ``RunList`` against the
+    context's declaration at the group's first call, kept in ``lists``
+    for later attempts, and run with ``read_list``/``write_list``."""
     kind, addr, arg = group[0]
     if lists is not None:
         key = id(group)
@@ -1034,10 +1065,10 @@ def group_call(ctx, group, lists=None):
             return values
         return ctx.write_list(lists[key], [values for _, _, values in group])
     if kind == "r":
-        return ctx.read_run(addr, arg)
+        return read_run(ctx, addr, arg)
     if len(group) == 1:
-        return ctx.write_run(addr, arg)
-    return ctx.write_runs([(a, values) for _, a, values in group])
+        return write_run(ctx, addr, arg)
+    return write_runs(ctx, [(a, values) for _, a, values in group])
 
 
 def run_body(ops, expand, log, prebuilt=False):
@@ -1263,7 +1294,7 @@ def test_no_context_outlives_run_txn():
     decl = TxnDeclaration.of(reads=[(0, 128)], writes=[(128, 128)])
 
     def body(ctx):
-        ctx.write_run(addr_of(2), ctx.read_run(addr_of(0), 16))
+        write_run(ctx, addr_of(2), read_run(ctx, addr_of(0), 16))
 
     gc.collect()
     gc.disable()
@@ -1295,7 +1326,7 @@ def test_read_run_served_from_llc_counts_llc_hits():
 
     def body(ctx):
         before = (sim.counters.llc_hits, len(sim.trace))
-        assert ctx.read_run(addr_of(2, 2), 12) == [0] * 12
+        assert read_run(ctx, addr_of(2, 2), 12) == [0] * 12
         seen["llc_hits"] = sim.counters.llc_hits - before[0]
         seen["events"] = len(sim.trace) - before[1]
         seen["l1"] = [line_state(sim, line, "l1") for line in (2, 3)]
@@ -1326,7 +1357,7 @@ def test_run_into_undeclared_line_raises_before_any_access(prefetch):
     decl = TxnDeclaration.of(reads=[(0, 64)])
     model = FireOnConsultation([])
     with pytest.raises(UndeclaredAccessError) as info:
-        run_txn(sim, decl, lambda ctx: ctx.read_run(addr_of(0, 4), 8), model,
+        run_txn(sim, decl, lambda ctx: read_run(ctx, addr_of(0, 4), 8), model,
                 prefetch=prefetch)
     assert info.value.addr == addr_of(1)
     assert model.consultations == 0
@@ -1342,7 +1373,7 @@ def test_run_into_undeclared_line_raises_before_any_access(prefetch):
 
 @pytest.mark.parametrize(
     "body",
-    [lambda ctx: ctx.read_run(4, 2), lambda ctx: ctx.write_run(68, [1, 2])],
+    [lambda ctx: read_run(ctx, 4, 2), lambda ctx: write_run(ctx, 68, [1, 2])],
 )
 def test_misaligned_run_rejected(body):
     decl = TxnDeclaration.of(reads=[(0, 64)], writes=[(64, 64)])
@@ -1367,12 +1398,12 @@ def test_invalid_run_anywhere_in_a_list_changes_nothing(bad_run, bad, prefetch):
     seen = {}
 
     def body(ctx):
-        ctx.write_run(addr_of(1), [42])  # a store the undo log already holds
+        write_run(ctx, addr_of(1), [42])  # a store the undo log already holds
         error = next(e for e in (invalid_input(ctx, "w", a, len(v)) for a, v in runs)
                      if e is not None)
         before = context_state(ctx)
         with pytest.raises(type(error)) as info:
-            ctx.write_runs(runs)
+            write_runs(ctx, runs)
         seen["message"] = (str(info.value), str(error))
         seen["unchanged"] = context_state(ctx) == before
 
@@ -1585,7 +1616,7 @@ def test_rollback_across_a_page_boundary_restores_both_pages(prefetch):
     def body(ctx):
         contexts.append(ctx)
         # 14 words over both pages, the second run inside the first
-        ctx.write_runs([(addr_of(63, 2), list(range(100, 112))),
+        write_runs(ctx, [(addr_of(63, 2), list(range(100, 112))),
                         (addr_of(64, 1), [1, 2])])
         ctx.tick()
 
@@ -1773,7 +1804,7 @@ def test_cold_run_touches_no_line_past_a_pin_fault():
 
 def _two_runs(ctx):
     """A write list of two runs, nine words over lines 1 and 2."""
-    ctx.write_runs([(addr_of(1, 3), [1] * 5), (addr_of(2, 2), [2] * 4)])
+    write_runs(ctx, [(addr_of(1, 3), [1] * 5), (addr_of(2, 2), [2] * 4)])
 
 
 @pytest.mark.parametrize("prefetch", [True, False])
